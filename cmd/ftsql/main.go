@@ -8,7 +8,7 @@
 //	ftsql -q "SELECT ... " -sf 0.01 -nodes 4
 //	ftsql -q "..." -fail "join-1/2/0,aggregate/0/0"    # op/partition/attempt
 //	ftsql -q "..." -explain -mtbf 3600                 # cost plan + FT choice
-//	ftsql -q "..." -runtime=pipelined -stats           # concurrent runtime + metrics
+//	ftsql -q "..." -stats                              # runtime metrics
 //	ftsql -calibrate -calibrate-mtbf 2                 # estimate MTBF/MTTR + tr/tm, re-plan
 //	ftsql -list-metrics                                # document the metric vocabulary
 package main
@@ -45,8 +45,7 @@ func main() {
 		topK     = flag.Int("topk", 5, "join orders to enumerate for -explain (phase 1 of enumFTPlans)")
 		mtbf     = flag.Float64("mtbf", failure.OneHour, "per-node MTBF for -explain (seconds)")
 		maxRows  = flag.Int("rows", 20, "max result rows to print")
-		rt       = flag.String("runtime", "pipelined", "execution runtime: pipelined (concurrent stage DAG) or staged (sequential interpreter)")
-		batch    = flag.Int("batch", engine.DefaultBatchSize, "pipeline batch size in rows (pipelined runtime only)")
+		batch    = flag.Int("batch", engine.DefaultBatchSize, "pipeline batch size in rows")
 		showStat = flag.Bool("stats", false, "print runtime metrics (counters, per-stage wall, wasted work) after execution")
 		analyze  = flag.Bool("explain-analyze", false, "execute with tracing and print the cost model's predicted-vs-actual audit")
 		traceOut = flag.String("trace-out", "", "write the execution timeline to this file in Chrome trace_event format")
@@ -210,8 +209,8 @@ func main() {
 		plabels = prof.Labels{Query: "1", Tenant: "cli"}
 	}
 
-	// One Exec aggregates counters, histograms and the wasted-work ledger for
-	// whichever runtime executes the query; the debug server reads it live.
+	// One Exec aggregates counters, histograms and the wasted-work ledger of
+	// the execution; the debug server reads it live.
 	em := &runtime.Metrics{}
 	var (
 		progReg *obs.ProgressRegistry
@@ -238,18 +237,9 @@ func main() {
 		res *engine.PartitionedResult
 		rep *engine.Report
 	)
-	switch *rt {
-	case "staged":
-		co := &engine.Coordinator{Nodes: *nodes, Injector: injector, Tracer: tracer, Metrics: em, Progress: prog, ProfLabels: plabels}
-		res, rep, err = co.Execute(pp.Root)
-	case "pipelined":
-		var r *runtime.Runtime
-		r, err = runtime.New(runtime.Config{Nodes: *nodes, Injector: injector, BatchSize: *batch, Tracer: tracer, Metrics: em, Progress: prog, ProfLabels: plabels})
-		if err == nil {
-			res, rep, err = r.Execute(context.Background(), pp.Root)
-		}
-	default:
-		err = fmt.Errorf("unknown -runtime %q (want pipelined or staged)", *rt)
+	r, err := runtime.New(runtime.Config{Nodes: *nodes, Injector: injector, BatchSize: *batch, Tracer: tracer, Metrics: em, Progress: prog, ProfLabels: plabels})
+	if err == nil {
+		res, rep, err = r.Execute(context.Background(), pp.Root)
 	}
 	progReg.End(prog, err)
 	if sampler != nil {

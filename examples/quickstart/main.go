@@ -1,14 +1,11 @@
 // Quickstart: build a DAG-structured execution plan, run the cost-based
 // fault-tolerance optimizer for a given cluster, inspect which intermediates
 // it decides to checkpoint — then execute an analogous query for real on the
-// engine, with a live injected node failure, under either the concurrent
-// pipelined runtime (-runtime=pipelined) or the staged interpreter
-// (-runtime=staged).
+// runtime, with a live injected node failure.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"log"
 
@@ -21,9 +18,6 @@ import (
 )
 
 func main() {
-	rt := flag.String("runtime", "pipelined", "execution runtime for the live demo: pipelined or staged")
-	flag.Parse()
-
 	// A small ETL-style pipeline: two scans feeding a join, an expensive
 	// UDF, and a final aggregation. Costs are in seconds, accumulated over
 	// partition-parallel execution; MatCost is the price of writing the
@@ -95,34 +89,19 @@ func main() {
 		engine.Schema{{Name: "name", Type: engine.TypeString}, {Name: "total", Type: engine.TypeFloat}, {Name: "events", Type: engine.TypeInt}})
 
 	inj := engine.NewScriptedFailures().Add("enrich-udf", 1, 0)
-	var (
-		result *engine.PartitionedResult
-		rep    *engine.Report
-	)
-	switch *rt {
-	case "pipelined":
-		r, err := runtime.New(runtime.Config{Nodes: nodes, Injector: inj, BatchSize: 64})
-		if err != nil {
-			log.Fatal(err)
-		}
-		result, rep, err = r.Execute(context.Background(), sess)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer fmt.Printf("\npipelined runtime metrics: %s\n", r.Metrics().Snapshot())
-	case "staged":
-		co := &engine.Coordinator{Nodes: nodes, Injector: inj}
-		result, rep, err = co.Execute(sess)
-		if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown -runtime %q (want pipelined or staged)", *rt)
+	r, err := runtime.New(runtime.Config{Nodes: nodes, Injector: inj, BatchSize: 64})
+	if err != nil {
+		log.Fatal(err)
 	}
+	result, rep, err := r.Execute(context.Background(), sess)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer fmt.Printf("\nruntime metrics: %s\n", r.Metrics().Snapshot())
 
 	rows := result.AllRows()
-	fmt.Printf("live run on the %s runtime: %d user sessions, %d failure(s) injected and recovered, %d partition(s) recomputed, %d checkpointed\n",
-		*rt, len(rows), rep.Failures, rep.RecomputedPartitions, rep.MaterializedPartitions)
+	fmt.Printf("live run: %d user sessions, %d failure(s) injected and recovered, %d partition(s) recomputed, %d checkpointed\n",
+		len(rows), rep.Failures, rep.RecomputedPartitions, rep.MaterializedPartitions)
 	for i, r := range rows {
 		if i >= 3 {
 			fmt.Printf("  ... (%d more)\n", len(rows)-3)

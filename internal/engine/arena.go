@@ -34,7 +34,7 @@ func NewArena() *Arena { return &Arena{} }
 
 // Local checks a per-goroutine freelist out of the arena. A nil arena
 // returns a nil Local, which every allocation method treats as "allocate
-// plainly, recycle nothing" — the staged engine runs that way.
+// plainly, recycle nothing" — the operators' ComputeBatch runs that way.
 func (a *Arena) Local() *Local {
 	if a == nil {
 		return nil

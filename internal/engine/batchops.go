@@ -8,10 +8,10 @@ import (
 // BatchOperator is the batch-native face of an Operator: ComputeBatch
 // produces one output partition directly as a columnar batch from the
 // inputs' batch results, with no row materialization on the hot path. All
-// in-tree operators implement it; the pipelined runtime dispatches through
-// it exclusively, while the staged Coordinator keeps the row-oriented
-// Compute contract as the semantic ground truth the byte-identical
-// equivalence tests check the batch path against.
+// in-tree operators implement it; the runtime dispatches through it
+// exclusively, while the reference Coordinator runs the row-oriented Compute
+// contract — the ground truth the byte-identical equivalence tests check the
+// batch path against.
 //
 // Input batches are shared, committed results: ComputeBatch must only read
 // them. Mixed-type data that has no strict columnar form arrives as raw
@@ -34,22 +34,6 @@ type BatchResult struct {
 // count.
 func NewBatchResult(schema Schema, parts int) *BatchResult {
 	return &BatchResult{Schema: schema, Parts: make([]*Batch, parts), Lost: make([]bool, parts)}
-}
-
-// Rows flattens the result to boxed rows in partition order (sinks, tests).
-func (r *BatchResult) Rows() []Row {
-	var out []Row
-	for _, b := range r.Parts {
-		if b != nil {
-			out = b.AppendRows(out)
-		}
-	}
-	return out
-}
-
-// PartRows materializes one partition as boxed rows (nil when empty).
-func (r *BatchResult) PartRows(i int) []Row {
-	return r.Parts[i].ToRows()
 }
 
 // ToPartitioned materializes the whole result as row partitions — the bridge

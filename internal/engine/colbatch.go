@@ -222,7 +222,7 @@ func (b *Batch) Len() int {
 }
 
 // AppendRows materializes the logical rows as boxed engine rows, appending to
-// dst. This is the row bridge at package edges (stage sinks, staged Compute).
+// dst. This is the row bridge at package edges (stage sinks, checkpoints).
 // A nil batch (the empty-partition convention) appends nothing.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	if b == nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -29,15 +30,15 @@ import (
 //	                              (uvarint length | bytes), in first-appearance
 //	                              order | nrows uvarint dictionary indexes
 //
-// Version-1 blocks (no encoding byte, always plain) remain readable.
 // Partitions whose rows are not strictly typed (mixed concrete types in a
-// column, ragged widths, non-scalar values) fall back to gob behind the
-// "FTGB" magic; files with neither magic are legacy whole-file gob streams.
+// column, ragged or zero widths, non-scalar values) fall back to gob behind
+// the "FTGB" magic. These two are the formats the store writes and the only
+// ones it reads: any other version or magic is a decode error, which
+// DiskStore.Get turns into a checkpoint miss and a recompute.
 const (
-	colBlockMagic    = "FTCB"
-	gobBlockMagic    = "FTGB"
-	colBlockVersion1 = 1
-	colBlockVersion  = 2
+	colBlockMagic   = "FTCB"
+	gobBlockMagic   = "FTGB"
+	colBlockVersion = 2
 
 	colEncPlain = 0
 	colEncDelta = 1 // TypeInt only
@@ -51,6 +52,11 @@ func inferColumnTypes(rows []Row) ([]ColType, bool) {
 		return nil, true
 	}
 	width := len(rows[0])
+	if width == 0 {
+		// A block spends no bytes on zero-width rows, so the decoder could
+		// not bound their count by the file size.
+		return nil, false
+	}
 	types := make([]ColType, width)
 	for c := 0; c < width; c++ {
 		switch rows[0][c].(type) {
@@ -143,8 +149,8 @@ func stringColSizes(rows []Row, c int) (plain, dict int64) {
 // ColumnBlockSize returns the exact encoded size of rows in the column-block
 // format — including the per-column encoding choices EncodeColumnBlock will
 // make — without building the encoding; ok is false when the rows would
-// take the gob fallback. The runtime uses it for its checkpoint-bytes
-// metric, so it must stay byte-exact against the encoder.
+// take the gob fallback. It must stay byte-exact against the encoder, which
+// sizes its buffer with it.
 func ColumnBlockSize(rows []Row) (int64, bool) {
 	types, ok := inferColumnTypes(rows)
 	if !ok {
@@ -174,28 +180,6 @@ func ColumnBlockSize(rows []Row) (int64, bool) {
 		}
 	}
 	return n, true
-}
-
-// EncodedSize returns the exact number of bytes writeBlockFile produces for
-// rows: the column-block size when the rows are strictly typed, the length of
-// the magic-prefixed gob stream otherwise. The runtime's checkpoint-bytes
-// metric uses it so both encodings are counted exactly.
-func EncodedSize(rows []Row) int64 {
-	if n, ok := ColumnBlockSize(rows); ok {
-		return n
-	}
-	var cw countingWriter
-	if err := writeBlockFile(&cw, rows); err != nil {
-		return 0
-	}
-	return cw.n
-}
-
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // EncodeColumnBlock serializes rows in the column-block format; ok is false
@@ -277,83 +261,85 @@ func EncodeColumnBlock(rows []Row) ([]byte, bool) {
 	return buf, true
 }
 
-// DecodeColumnBlock parses a column block (after its 4-byte magic has been
-// consumed) and materializes the rows. Returns nil rows for an empty block.
-func DecodeColumnBlock(r io.Reader) ([]Row, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = &byteReader{r: r}
-	}
-	version, err := br.ReadByte()
-	if err != nil {
+// DecodeColumnBlock parses a version-2 column block (after its 4-byte magic
+// has been consumed) and materializes the rows. Returns nil rows for an empty
+// block. Every count read from the block is checked against the bytes that
+// remain before anything is allocated for it, so a corrupt or hostile header
+// is an error, never an out-of-memory crash.
+func DecodeColumnBlock(r *bytes.Reader) ([]Row, error) {
+	fail := func(err error) ([]Row, error) {
 		return nil, fmt.Errorf("engine: column block: %w", err)
 	}
-	if version != colBlockVersion1 && version != colBlockVersion {
+	version, err := r.ReadByte()
+	if err != nil {
+		return fail(err)
+	}
+	if version != colBlockVersion {
 		return nil, fmt.Errorf("engine: column block version %d unsupported", version)
 	}
-	ncols, err := binary.ReadUvarint(br)
+	ncols, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("engine: column block: %w", err)
+		return fail(err)
 	}
-	nrows, err := binary.ReadUvarint(br)
+	nrows, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("engine: column block: %w", err)
+		return fail(err)
 	}
-	if ncols > 1<<20 || nrows > 1<<40 {
-		return nil, fmt.Errorf("engine: column block header implausible (%d cols, %d rows)", ncols, nrows)
+	// Every row has at least one column and every encoded value occupies at
+	// least one byte.
+	if left := uint64(r.Len()); nrows > left || (ncols > 0 && nrows > left/ncols) {
+		return nil, fmt.Errorf("engine: column block header claims %d cols x %d rows in %d bytes", ncols, nrows, left)
 	}
 	rows := make([]Row, nrows)
 	for i := range rows {
 		rows[i] = make(Row, ncols)
 	}
+	readString := func() (string, error) { // uvarint length, then the bytes
+		ln, err := binary.ReadUvarint(r)
+		if err != nil {
+			return "", err
+		}
+		if ln > uint64(r.Len()) {
+			return "", io.ErrUnexpectedEOF
+		}
+		b := make([]byte, ln)
+		_, err = io.ReadFull(r, b)
+		return string(b), err
+	}
 	var scratch [8]byte
 	for c := uint64(0); c < ncols; c++ {
-		tb, err := br.ReadByte()
+		tb, err := r.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("engine: column block: %w", err)
+			return fail(err)
 		}
-		enc := byte(colEncPlain) // version-1 columns are always plain
-		if version == colBlockVersion {
-			enc, err = br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("engine: column block: %w", err)
-			}
+		enc, err := r.ReadByte()
+		if err != nil {
+			return fail(err)
 		}
 		switch ColType(tb) {
 		case TypeInt:
-			switch enc {
-			case colEncPlain:
-				for i := uint64(0); i < nrows; i++ {
-					v, err := binary.ReadVarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					rows[i][c] = v
-				}
-			case colEncDelta:
-				prev := int64(0)
-				for i := uint64(0); i < nrows; i++ {
-					d, err := binary.ReadVarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					if i == 0 {
-						prev = d
-					} else {
-						prev += d // wrapping addition mirrors the encoder
-					}
-					rows[i][c] = prev
-				}
-			default:
+			if enc != colEncPlain && enc != colEncDelta {
 				return nil, fmt.Errorf("engine: column block int encoding %d unsupported", enc)
+			}
+			prev := int64(0)
+			for i := uint64(0); i < nrows; i++ {
+				v, err := binary.ReadVarint(r)
+				if err != nil {
+					return fail(err)
+				}
+				if enc == colEncDelta {
+					v += prev // wrapping addition mirrors the encoder
+					prev = v
+				}
+				rows[i][c] = v
 			}
 		case TypeFloat:
 			if enc != colEncPlain {
 				return nil, fmt.Errorf("engine: column block float encoding %d unsupported", enc)
 			}
 			for i := uint64(0); i < nrows; i++ {
-				if err := readFull(br, scratch[:]); err != nil {
-					return nil, fmt.Errorf("engine: column block: %w", err)
+				if _, err := io.ReadFull(r, scratch[:]); err != nil {
+					return fail(err)
 				}
 				rows[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
 			}
@@ -361,46 +347,30 @@ func DecodeColumnBlock(r io.Reader) ([]Row, error) {
 			switch enc {
 			case colEncPlain:
 				for i := uint64(0); i < nrows; i++ {
-					ln, err := binary.ReadUvarint(br)
+					s, err := readString()
 					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
+						return fail(err)
 					}
-					if ln > 1<<30 {
-						return nil, fmt.Errorf("engine: column block string length %d implausible", ln)
-					}
-					b := make([]byte, ln)
-					if err := readFull(br, b); err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					rows[i][c] = string(b)
+					rows[i][c] = s
 				}
 			case colEncDict:
-				ndict, err := binary.ReadUvarint(br)
+				ndict, err := binary.ReadUvarint(r)
 				if err != nil {
-					return nil, fmt.Errorf("engine: column block: %w", err)
+					return fail(err)
 				}
-				if ndict > 1<<30 {
-					return nil, fmt.Errorf("engine: column block dictionary size %d implausible", ndict)
+				if ndict > uint64(r.Len()) {
+					return nil, fmt.Errorf("engine: column block dictionary size %d exceeds the block", ndict)
 				}
 				dict := make([]string, ndict)
 				for d := range dict {
-					ln, err := binary.ReadUvarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
+					if dict[d], err = readString(); err != nil {
+						return fail(err)
 					}
-					if ln > 1<<30 {
-						return nil, fmt.Errorf("engine: column block string length %d implausible", ln)
-					}
-					b := make([]byte, ln)
-					if err := readFull(br, b); err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
-					}
-					dict[d] = string(b)
 				}
 				for i := uint64(0); i < nrows; i++ {
-					idx, err := binary.ReadUvarint(br)
+					idx, err := binary.ReadUvarint(r)
 					if err != nil {
-						return nil, fmt.Errorf("engine: column block: %w", err)
+						return fail(err)
 					}
 					if idx >= ndict {
 						return nil, fmt.Errorf("engine: column block dictionary index %d out of range", idx)
@@ -420,49 +390,21 @@ func DecodeColumnBlock(r io.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// byteReader adapts an io.Reader that lacks ReadByte.
-type byteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func readFull(br io.ByteReader, p []byte) error {
-	if r, ok := br.(io.Reader); ok {
-		_, err := io.ReadFull(r, p)
-		return err
-	}
-	for i := range p {
-		c, err := br.ReadByte()
-		if err != nil {
-			return err
-		}
-		p[i] = c
-	}
-	return nil
-}
-
 // DecodeBlockFile decodes a stored partition from data, dispatching on the
-// leading magic: column block, gob fallback, or legacy whole-file gob.
+// leading magic: column block or gob fallback.
 func DecodeBlockFile(data []byte) ([]Row, error) {
-	if len(data) >= 4 && string(data[:4]) == colBlockMagic {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("engine: block file of %d bytes has no magic", len(data))
+	}
+	switch string(data[:4]) {
+	case colBlockMagic:
 		return DecodeColumnBlock(bytes.NewReader(data[4:]))
+	case gobBlockMagic:
+		var rows []Row
+		if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&rows); err != nil {
+			return nil, fmt.Errorf("engine: gob block: %w", err)
+		}
+		return rows, nil
 	}
-	rest := data
-	if len(data) >= 4 && string(data[:4]) == gobBlockMagic {
-		rest = data[4:]
-	}
-	var rows []Row
-	if err := gobDecodeRows(rest, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return nil, fmt.Errorf("engine: block file has unknown magic %q", data[:4])
 }

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestColumnBlockRoundTrip(t *testing.T) {
@@ -99,25 +101,67 @@ func TestDiskStoreGobFallbackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDiskStoreReadsLegacyPlainGobFiles(t *testing.T) {
-	// Files written before the columnar refactor are whole-file gob streams
-	// with no magic; Get must still decode them.
+// TestRetiredFormatsAreCheckpointMisses pins the read side to the two
+// formats the store writes: a version-1 column block and a headerless
+// whole-file gob stream are decode errors, which Get reports as a miss.
+func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
+	rows := []Row{{int64(3), "legacy"}}
+	var plainGob bytes.Buffer
+	if err := gob.NewEncoder(&plainGob).Encode(rows); err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte(colBlockMagic)
+	v1 = append(v1, 1)                 // version
+	v1 = binary.AppendUvarint(v1, 1)   // ncols
+	v1 = binary.AppendUvarint(v1, 1)   // nrows
+	v1 = append(v1, byte(TypeInt), 14) // type, then the value with no encoding byte
 	dir := t.TempDir()
 	d, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []Row{{int64(3), "legacy"}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string][]byte{"gob": plainGob.Bytes(), "v1": v1} {
+		if got, err := DecodeBlockFile(data); err == nil {
+			t.Errorf("%s: retired format decoded to %v", name, got)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".part0.gob"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := d.Get(name, 0); ok {
+			t.Errorf("%s: Get served a retired-format file: %v", name, got)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "old.part0.gob"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// headerCrasher is a 15-byte file whose header claims 1 column x 2^33 rows.
+var headerCrasher = append([]byte(colBlockMagic), colBlockVersion, 1, 0x80, 0x80, 0x80, 0x80, 0x20, byte(TypeInt), colEncPlain, 0, 0)
+
+// TestDecodeRejectsOversizedHeaderBeforeAllocating: a header claiming more
+// values than the file has bytes is an error (a checkpoint miss), not a
+// 200 GB allocation.
+func TestDecodeRejectsOversizedHeaderBeforeAllocating(t *testing.T) {
+	if len(headerCrasher) != 15 {
+		t.Fatalf("crasher is %d bytes, want 15", len(headerCrasher))
 	}
-	got, ok := d.Get("old", 0)
-	if !ok || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("legacy gob file: ok=%v got=%v", ok, got)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	best := time.Hour // fastest of a few tries: one may be descheduled
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		rows, err := DecodeBlockFile(headerCrasher)
+		if d := time.Since(start); d < best {
+			best = d
+		}
+		if err == nil {
+			t.Fatalf("oversized header decoded to %d rows", len(rows))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting the header allocated %d bytes", alloc)
+	}
+	if best > time.Millisecond {
+		t.Errorf("rejecting the header took %v", best)
 	}
 }
 
@@ -283,44 +327,6 @@ func TestColumnBlockCompressionShrinks(t *testing.T) {
 		t.Fatalf("block size %d does not reflect compressed choices (want %d)", size, header+delta+dict)
 	}
 }
-
-// TestColumnBlockReadsVersion1Blocks hand-builds a version-1 block (no
-// per-column encoding byte, always plain) and checks the v2 decoder still
-// reads it — on-disk checkpoints from older builds stay restorable.
-func TestColumnBlockReadsVersion1Blocks(t *testing.T) {
-	want := []Row{
-		{int64(-7), 2.5, "a"},
-		{int64(42), -0.25, "bc"},
-	}
-	buf := []byte(colBlockMagic)
-	buf = append(buf, colBlockVersion1)
-	buf = appendUvarintTest(buf, 3) // ncols
-	buf = appendUvarintTest(buf, 2) // nrows
-	buf = append(buf, byte(TypeInt))
-	buf = appendVarintTest(buf, -7)
-	buf = appendVarintTest(buf, 42)
-	buf = append(buf, byte(TypeFloat))
-	for _, f := range []float64{2.5, -0.25} {
-		var sc [8]byte
-		binary.LittleEndian.PutUint64(sc[:], math.Float64bits(f))
-		buf = append(buf, sc[:]...)
-	}
-	buf = append(buf, byte(TypeString))
-	for _, s := range []string{"a", "bc"} {
-		buf = appendUvarintTest(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	got, err := DecodeBlockFile(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 read-back mismatch:\n got %v\nwant %v", got, want)
-	}
-}
-
-func appendUvarintTest(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarintTest(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 
 // TestEncodeBlockBytesMatchesStoreFiles pins the invariant the async
 // checkpoint writer's EncodedStore fast path relies on: the pre-encoded

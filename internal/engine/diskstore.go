@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,44 +179,26 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// writeBlockFile serializes one partition to w: the column-block format when
-// the rows are strictly typed, a magic-prefixed gob stream otherwise.
-func writeBlockFile(w io.Writer, rows []Row) error {
-	if buf, ok := EncodeColumnBlock(rows); ok {
-		_, err := w.Write(buf)
-		return err
-	}
-	if _, err := io.WriteString(w, gobBlockMagic); err != nil {
-		return err
-	}
-	if rows == nil {
-		rows = []Row{}
-	}
-	return gob.NewEncoder(w).Encode(rows)
-}
-
-// EncodeBlockBytes serializes one partition to the exact bytes writeBlockFile
-// would stream — column block or magic-prefixed gob — so off-path encoders
-// (the runtime's async checkpoint writer) produce files identical to the
-// staged executor's.
+// EncodeBlockBytes serializes one partition to the bytes of its block file:
+// the column-block format when the rows are strictly typed, a magic-prefixed
+// gob stream otherwise. Put and the runtime's async checkpoint writer both
+// encode through it, so their files are identical.
 func EncodeBlockBytes(rows []Row) ([]byte, error) {
 	if buf, ok := EncodeColumnBlock(rows); ok {
 		return buf, nil
 	}
-	var b bytes.Buffer
-	if err := writeBlockFile(&b, rows); err != nil {
+	b := bytes.NewBufferString(gobBlockMagic)
+	if rows == nil {
+		rows = []Row{}
+	}
+	if err := gob.NewEncoder(b).Encode(rows); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil
 }
 
-// gobDecodeRows decodes a gob-encoded row slice from data.
-func gobDecodeRows(data []byte, rows *[]Row) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(rows)
-}
-
-// Get implements Store. It reads the column-block format, the gob fallback,
-// and legacy plain-gob files written before the columnar refactor.
+// Get implements Store. A file that does not decode (torn, corrupt, or in a
+// format this build does not write) is a miss, so the engine recomputes.
 func (d *DiskStore) Get(op string, part int) ([]Row, bool) {
 	data, err := os.ReadFile(d.path(op, part))
 	if err != nil {

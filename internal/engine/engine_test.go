@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -257,5 +258,35 @@ func TestCoordinatorValidation(t *testing.T) {
 	co := &Coordinator{Nodes: 0}
 	if _, _, err := co.Execute(scan); err == nil {
 		t.Error("zero nodes accepted")
+	}
+}
+
+// TestOracleReadsOnlyRows pins the oracle's independence from the batch data
+// plane: with the table's columnar twin swapped for batches holding different
+// values, Coordinator.Execute must still return what Parts implies.
+func TestOracleReadsOnlyRows(t *testing.T) {
+	rows := make([]Row, 10)
+	decoy := make([]Row, 10)
+	for i := range rows {
+		rows[i] = Row{int64(i), float64(i)}
+		decoy[i] = Row{int64(i), float64(1000 + i)}
+	}
+	tb := mustTable(t, "t", kvSchema(), rows, 2, -1)
+	tb.ColParts = mustTable(t, "decoy", kvSchema(), decoy, 2, -1).ColParts
+
+	scan := NewScan("scan", tb, Cmp{Op: GE, L: Col(0), R: Const{V: int64(1)}}, nil)
+	sel := NewSelect("sel", scan, Cmp{Op: LT, L: Col(1), R: Const{V: 5.0}})
+	proj := NewProject("proj", sel,
+		[]Expr{Arith{Op: Mul, L: Col(1), R: Const{V: 2.0}}},
+		Schema{{Name: "u", Type: TypeFloat}})
+	agg := NewHashAggregate("agg", proj, nil, []AggSpec{{Kind: AggSum, Col: 0}, {Kind: AggCount}}, true,
+		Schema{{Name: "sum", Type: TypeFloat}, {Name: "cnt", Type: TypeInt}})
+	root := NewLimit("limit", agg, 1)
+
+	res, _ := execute(t, &Coordinator{Nodes: 2}, root)
+	// Parts holds v = 1..4 after both filters; the decoy columns hold none.
+	want := []Row{{20.0, int64(4)}}
+	if got := res.AllRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracle result = %v, want %v (what Table.Parts implies)", got, want)
 	}
 }

@@ -1,14 +1,8 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
-
-	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 )
 
 // FailureInjector decides whether the node hosting partition `part` dies
@@ -114,10 +108,17 @@ type Report struct {
 	Aborted bool
 }
 
-// Coordinator schedules a query DAG over the simulated cluster, monitors for
-// (injected) worker failures and recovers: fine-grained by recomputing lost
-// partitions from the last materialized intermediates, or coarse-grained by
-// restarting the whole query.
+// Coordinator is the reference executor: a naive, telemetry-free row
+// interpreter that runs a query DAG one operator at a time through the
+// operators' Compute methods, monitors for (injected) worker failures and
+// recovers — fine-grained by recomputing lost partitions from the last
+// materialized intermediates, or coarse-grained by restarting the whole
+// query. Tests and the benchmark take their ground-truth rows and Report
+// counts from it; internal/runtime is the executor that serves queries.
+//
+// It shares Store, FailureInjector, Report and the operator DAG with the
+// runtime, and nothing of the batch data plane: no Batch, Vector, compiled
+// expression or kernel is reachable from Execute.
 type Coordinator struct {
 	// Nodes is the cluster size (= partition count of every intermediate).
 	Nodes int
@@ -129,21 +130,6 @@ type Coordinator struct {
 	MaxRestarts int
 	// Store is the fault-tolerant medium; nil allocates a fresh one.
 	Store Store
-	// Tracer receives execution spans and failure/recovery events; nil
-	// disables tracing.
-	Tracer *obs.Tracer
-	// Metrics receives counters, latency histograms and wasted-work ledger
-	// entries; nil disables metrics (every method is nil-safe). The type is
-	// shared with the pipelined runtime, so one Exec can aggregate both.
-	Metrics *metrics.Exec
-	// Progress receives live per-operator completion for /debug/queries; nil
-	// disables tracking (every hook is a nil-tolerant atomic handle).
-	Progress *obs.Progress
-	// ProfLabels are the query-level pprof labels (query, tenant) every
-	// worker goroutine runs under when continuous profiling is on; the
-	// executor adds per-operator stage/op/attempt labels on top. Zero cost
-	// while no sampler is running.
-	ProfLabels prof.Labels
 }
 
 const maxAttemptsPerPartition = 1000
@@ -155,10 +141,6 @@ type execState struct {
 	attempts map[string]int
 	report   *Report
 	order    []Operator
-	prog     map[Operator]*obs.StageProgress
-	// pctx carries the query-level pprof labels; partition workers re-apply
-	// them (labels are goroutine-local) and refine with per-operator labels.
-	pctx context.Context
 }
 
 // Execute runs the query rooted at root and returns its partitioned result.
@@ -181,22 +163,11 @@ func (co *Coordinator) Execute(root Operator) (*PartitionedResult, *Report, erro
 	if maxRestarts == 0 {
 		maxRestarts = 100
 	}
-	qspan := co.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
-	defer qspan.End()
-
-	// Progress handles are resolved once so the per-partition hot path is a
-	// pair of atomic adds.
-	prog := make(map[Operator]*obs.StageProgress, len(order))
-	for _, op := range order {
-		prog[op] = co.Progress.EnsureStage(op.Name(), co.Nodes)
-	}
-
 	// Attempts persist across coarse restarts so scripted failure traces
 	// advance (a restarted query re-runs every operator, but the trace has
 	// moved on).
 	attempts := make(map[string]int)
 	for {
-		attemptStart := time.Now()
 		st := &execState{
 			co:       co,
 			results:  make(map[Operator]*PartitionedResult),
@@ -204,30 +175,14 @@ func (co *Coordinator) Execute(root Operator) (*PartitionedResult, *Report, erro
 			attempts: attempts,
 			report:   report,
 			order:    order,
-			prog:     prog,
 		}
-		// The coordinator goroutine itself does real work (commit, checkpoint
-		// encode, recovery), so it runs labeled too; workers inherit the
-		// query-level labels through st.pctx.
-		var res *PartitionedResult
-		prof.Do(context.Background(), co.ProfLabels, func(ctx context.Context) {
-			st.pctx = ctx
-			res, err = st.run(root)
-		})
+		res, err := st.run(root)
 		if err == nil {
 			return res, report, nil
 		}
-		var rf *restartFailure
-		if co.Coarse && asRestart(err, &rf) {
+		if _, restart := err.(*restartFailure); co.Coarse && restart {
 			report.Failures++
 			report.Restarts++
-			co.Metrics.AddFailures(1)
-			co.Metrics.AddRestarts(1)
-			co.Progress.Failure()
-			co.Progress.Restart()
-			co.Tracer.Event(obs.KindRestart, rf.op, rf.part, report.Restarts)
-			// The aborted attempt's elapsed time is the realized coarse w(c).
-			co.Metrics.Ledger().Attribute(metrics.CauseRestart, rf.op, rf.part, time.Since(attemptStart))
 			if report.Restarts > maxRestarts {
 				report.Aborted = true
 				return nil, report, fmt.Errorf("engine: query aborted after %d restarts", report.Restarts-1)
@@ -248,14 +203,6 @@ func (r *restartFailure) Error() string {
 	return fmt.Sprintf("engine: node %d failed while computing %s", r.part, r.op)
 }
 
-func asRestart(err error, target **restartFailure) bool {
-	rf, ok := err.(*restartFailure)
-	if ok {
-		*target = rf
-	}
-	return ok
-}
-
 func (st *execState) run(root Operator) (*PartitionedResult, error) {
 	for _, op := range st.order {
 		if err := st.computeAll(op); err != nil {
@@ -271,19 +218,6 @@ func (st *execState) run(root Operator) (*PartitionedResult, error) {
 func (st *execState) computeAll(op Operator) error {
 	st.ensureResult(op)
 	parts := st.co.Nodes
-	stageStart := time.Now()
-	stageSpan := st.co.Tracer.Begin(obs.KindStage, op.Name(), -1, -1)
-	defer func() {
-		st.co.Metrics.ObserveStageWall(metrics.RuntimeStaged, op.Name(), time.Since(stageStart))
-		var rows int64
-		for part, ok := range st.done[op] {
-			if ok {
-				rows += int64(len(st.results[op].Parts[part]))
-			}
-		}
-		stageSpan.SetRows(rows)
-		stageSpan.End()
-	}()
 
 	// An earlier recovery may have dropped partitions of inputs computed
 	// before the failure; restore them before the parallel pass reads them.
@@ -298,7 +232,6 @@ func (st *execState) computeAll(op Operator) error {
 	}
 
 	type outcome struct {
-		part      int
 		rows      []Row
 		failed    bool
 		fromStore bool
@@ -314,34 +247,16 @@ func (st *execState) computeAll(op Operator) error {
 		wg.Add(1)
 		go func(part int) {
 			defer wg.Done()
-			// Worker goroutines do not inherit the coordinator's pprof
-			// labels; re-apply them from the query context with this task's
-			// operator and attempt on top.
-			attempt := st.attempts[attemptKey(op, part)]
-			prof.Do(st.pctx, prof.Labels{
-				Stage: op.Name(), Op: op.Name(), Attempt: prof.AttemptLabel(attempt),
-			}, func(context.Context) {
-				if rows, ok := st.co.Store.Get(op.Name(), part); ok && op.Materialize() {
-					out[part] = outcome{part: part, rows: rows, fromStore: true}
-					return
-				}
-				sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
-				if st.co.Injector.FailCompute(op.Name(), part, attempt) {
-					st.co.Tracer.Event(obs.KindFailure, op.Name(), part, attempt)
-					st.co.Metrics.Ledger().Fail(op.Name(), part)
-					sp.Fail("node failure")
-					sp.End()
-					out[part] = outcome{part: part, failed: true}
-					return
-				}
-				rows, err := op.Compute(part, st.inputResults(op))
-				sp.SetRows(int64(len(rows)))
-				if err != nil {
-					sp.Fail(err.Error())
-				}
-				sp.End()
-				out[part] = outcome{part: part, rows: rows, err: err}
-			})
+			if rows, ok := st.co.Store.Get(op.Name(), part); ok && op.Materialize() {
+				out[part] = outcome{rows: rows, fromStore: true}
+				return
+			}
+			if st.co.Injector.FailCompute(op.Name(), part, st.attempts[attemptKey(op, part)]) {
+				out[part] = outcome{failed: true}
+				return
+			}
+			rows, err := op.Compute(part, st.inputResults(op))
+			out[part] = outcome{rows: rows, err: err}
 		}(part)
 	}
 	wg.Wait()
@@ -361,8 +276,6 @@ func (st *execState) computeAll(op Operator) error {
 		}
 		if !o.fromStore {
 			st.attempts[attemptKey(op, part)]++
-			st.co.Metrics.AddRows(int64(len(o.rows)))
-			st.co.Metrics.AddStageRows(op.Name(), int64(len(o.rows)))
 		}
 		if err := st.commit(op, part, o.rows); err != nil {
 			return err
@@ -375,21 +288,8 @@ func (st *execState) computeAll(op Operator) error {
 			return &restartFailure{op: op.Name(), part: part}
 		}
 		st.report.Failures++
-		st.co.Metrics.AddFailures(1)
-		st.co.Progress.Failure()
 		st.dropVolatileOnNode(part)
-		rsp := st.co.Tracer.Begin(obs.KindRecovery, op.Name(), part, -1)
-		recStart := time.Now()
-		err := st.ensure(op, part)
-		// Book the whole recovery window — successful or not — as recompute
-		// waste; the window matches the recovery span so ledger totals
-		// reconcile with the span timeline.
-		st.co.Metrics.Ledger().Attribute(metrics.CauseRecompute, op.Name(), part, time.Since(recStart))
-		if err != nil {
-			rsp.Fail(err.Error())
-		}
-		rsp.End()
-		if err != nil {
+		if err := st.ensure(op, part); err != nil {
 			return err
 		}
 	}
@@ -397,10 +297,7 @@ func (st *execState) computeAll(op Operator) error {
 }
 
 // ensure recursively (re)computes one partition, recovering lost inputs
-// first — the lineage walk of fine-grained recovery. Failure events emitted
-// here are resolved by the recovery span its caller opens.
-//
-//lint:spanpair computeAll
+// first — the lineage walk of fine-grained recovery.
 func (st *execState) ensure(op Operator, part int) error {
 	st.ensureResult(op)
 	if st.done[op][part] {
@@ -412,70 +309,40 @@ func (st *execState) ensure(op Operator, part int) error {
 			return st.commit(op, part, rows)
 		}
 	}
-	// Recover inputs: narrow operators need partition `part`, wide operators
-	// need every partition of every input.
-	for _, in := range op.Inputs() {
-		if op.Wide() {
-			for p := 0; p < st.co.Nodes; p++ {
-				if err := st.ensure(in, p); err != nil {
-					return err
-				}
-			}
-		} else if err := st.ensure(in, part); err != nil {
-			return err
-		}
-	}
 	key := attemptKey(op, part)
 	for {
+		// Recover inputs (again after every failure, which may have lost
+		// them): narrow operators need partition `part`, wide operators need
+		// every partition of every input.
+		for _, in := range op.Inputs() {
+			if op.Wide() {
+				for p := 0; p < st.co.Nodes; p++ {
+					if err := st.ensure(in, p); err != nil {
+						return err
+					}
+				}
+			} else if err := st.ensure(in, part); err != nil {
+				return err
+			}
+		}
 		attempt := st.attempts[key]
 		if attempt > maxAttemptsPerPartition {
 			return fmt.Errorf("engine: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
 		}
+		st.attempts[key]++
 		if st.co.Injector.FailCompute(op.Name(), part, attempt) {
-			st.co.Tracer.Event(obs.KindFailure, op.Name(), part, attempt)
-			st.co.Metrics.Ledger().Fail(op.Name(), part)
-			st.attempts[key]++
 			if st.co.Coarse {
 				return &restartFailure{op: op.Name(), part: part}
 			}
 			st.report.Failures++
-			st.co.Metrics.AddFailures(1)
-			st.co.Progress.Failure()
 			st.dropVolatileOnNode(part)
-			// Inputs may have been lost again; recover them before retrying.
-			for _, in := range op.Inputs() {
-				if op.Wide() {
-					for p := 0; p < st.co.Nodes; p++ {
-						if err := st.ensure(in, p); err != nil {
-							return err
-						}
-					}
-				} else if err := st.ensure(in, part); err != nil {
-					return err
-				}
-			}
 			continue
 		}
-		sp := st.co.Tracer.Begin(obs.KindTask, op.Name(), part, attempt)
-		var rows []Row
-		var err error
-		prof.Do(st.pctx, prof.Labels{
-			Stage: op.Name(), Op: op.Name(), Attempt: prof.AttemptLabel(attempt),
-		}, func(context.Context) {
-			rows, err = op.Compute(part, st.inputResults(op))
-		})
+		rows, err := op.Compute(part, st.inputResults(op))
 		if err != nil {
-			sp.Fail(err.Error())
-			sp.End()
 			return err
 		}
-		sp.SetRows(int64(len(rows)))
-		sp.End()
-		st.attempts[key]++
 		st.report.RecomputedPartitions++
-		st.co.Metrics.AddRecoveries(1)
-		st.co.Metrics.AddRows(int64(len(rows)))
-		st.co.Metrics.AddStageRows(op.Name(), int64(len(rows)))
 		return st.commit(op, part, rows)
 	}
 }
@@ -487,60 +354,31 @@ func (st *execState) commit(op Operator, part int, rows []Row) error {
 	res := st.ensureResult(op)
 	res.Parts[part] = rows
 	res.Lost[part] = false
-	if !st.done[op][part] {
-		st.prog[op].PartDone(int64(len(rows)))
-	}
 	st.done[op][part] = true
-	if op.Materialize() {
-		if _, already := st.co.Store.Get(op.Name(), part); !already {
-			// Checkpoint encode + write is CPU the operator caused; label it
-			// so the profiler's join books it against the right op.
-			var perr error
-			prof.Do(st.pctx, prof.Labels{Stage: op.Name(), Op: op.Name()}, func(context.Context) {
-				sp := st.co.Tracer.Begin(obs.KindCheckpoint, op.Name(), part, -1)
-				start := time.Now()
-				if err := st.co.Store.Put(op.Name(), part, rows, st.co.Nodes); err != nil {
-					sp.Fail(err.Error())
-					sp.End()
-					perr = fmt.Errorf("engine: materialize %s/%d: %w", op.Name(), part, err)
-					return
-				}
-				st.co.Metrics.ObserveCheckpointWrite(metrics.RuntimeStaged, time.Since(start))
-				n := EncodedSize(rows)
-				st.co.Metrics.AddCheckpoint(n)
-				st.prog[op].AddCheckpointBytes(n)
-				sp.SetBytes(n)
-				sp.SetRows(int64(len(rows)))
-				sp.End()
-				st.report.MaterializedPartitions++
-			})
-			if perr != nil {
-				return perr
-			}
-		}
+	if !op.Materialize() {
+		return nil
 	}
+	if _, already := st.co.Store.Get(op.Name(), part); already {
+		return nil
+	}
+	if err := st.co.Store.Put(op.Name(), part, rows, st.co.Nodes); err != nil {
+		return fmt.Errorf("engine: materialize %s/%d: %w", op.Name(), part, err)
+	}
+	st.report.MaterializedPartitions++
 	return nil
 }
 
 // dropVolatileOnNode models the loss of all in-memory (non-materialized)
-// intermediate partitions hosted on the failed node.
+// intermediate partitions hosted on the failed node. Scan output counts as
+// volatile too: the partitioned database survives, the scanned rows do not.
 func (st *execState) dropVolatileOnNode(node int) {
 	for op, res := range st.results {
-		if op.Materialize() {
+		if op.Materialize() || !st.done[op][node] {
 			continue
 		}
-		if _, isScan := op.(*Scan); isScan {
-			// Base-table scans read the partitioned database, which the DBMS
-			// recovers itself; treat scan output as recomputable state that
-			// is nonetheless lost.
-		}
-		if st.done[op][node] {
-			rows := int64(len(res.Parts[node]))
-			res.Parts[node] = nil
-			res.Lost[node] = true
-			st.done[op][node] = false
-			st.prog[op].PartUndone(rows)
-		}
+		res.Parts[node] = nil
+		res.Lost[node] = true
+		st.done[op][node] = false
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -12,9 +11,10 @@ import (
 // remains at end of stream. A kernel instance serves exactly one partition
 // stream — stateful kernels are created fresh per attempt.
 //
-// Kernels are the single implementation of each narrow operator: the staged
-// Coordinator reaches them through the row↔batch bridge in kernelRows, the
-// pipelined runtime feeds them batches straight off its channels.
+// The runtime feeds kernels batches straight off its channels. On raw
+// batches (rows with no strict columnar form) a kernel runs the same row
+// helper as its operator's Compute — filterRows, projectRows, groupTable —
+// so the interpreted loops exist once.
 type BatchKernel interface {
 	Process(b *Batch) (*Batch, error)
 	Flush() (*Batch, error)
@@ -31,8 +31,8 @@ func NewOperatorKernel(op Operator) (BatchKernel, bool) {
 // the kernel draws its output buffers from loc and consumes (releases) each
 // input batch it successfully processes, so a pipelined chain of kernels
 // recycles its buffers batch over batch. A nil loc disables recycling — the
-// kernel then neither pools outputs nor releases inputs, which is the staged
-// executor's mode.
+// kernel then neither pools outputs nor releases inputs, which is how the
+// wide operators' ComputeBatch runs them over shared committed batches.
 func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
 	switch o := op.(type) {
 	case *Select:
@@ -48,37 +48,9 @@ func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
 	}
 }
 
-// kernelRows is the row↔batch bridge for the staged Compute contract: it
-// feeds each input partition through the kernel as one batch (strictly
-// columnar when the rows allow, raw otherwise) and materializes the output
-// back to rows (nil when empty).
-func kernelRows(k BatchKernel, inSchema Schema, parts ...[]Row) ([]Row, error) {
-	var out []Row
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		ob, err := k.Process(rowsOrBatch(inSchema, p))
-		if err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			out = ob.AppendRows(out)
-		}
-	}
-	fb, err := k.Flush()
-	if err != nil {
-		return nil, err
-	}
-	if fb != nil {
-		out = fb.AppendRows(out)
-	}
-	return out, nil
-}
-
 // kernelBatches feeds whole input batches through a kernel and concatenates
-// the outputs — the batch-native analogue of kernelRows, used by wide
-// operators' ComputeBatch (final aggregation merge, limit over all parts).
+// the outputs, for the operators' ComputeBatch (final aggregation merge,
+// limit over all parts).
 // Inputs are only read; single-batch outputs pass through without copying.
 func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, error) {
 	var outs []*Batch
@@ -137,7 +109,7 @@ func (k *filterKernel) Process(b *Batch) (*Batch, error) {
 			return nil, err
 		}
 		if k.loc == nil {
-			// Staged mode: the input may be a shared committed batch, so it is
+			// No arena: the input may be a shared committed batch, so it is
 			// only read — the output aliases its columns under a new shell.
 			return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}, nil
 		}
@@ -156,15 +128,9 @@ func (k *filterKernel) Process(b *Batch) (*Batch, error) {
 		out.nrows = nrows
 		return out, nil
 	}
-	var out []Row
-	for _, r := range b.rawRows() {
-		ok, err := truthy(k.op.pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
+	out, err := filterRows(k.op.pred, b.rawRows())
+	if err != nil {
+		return nil, err
 	}
 	return RawBatch(k.op.schema, out), nil
 }
@@ -200,18 +166,9 @@ func (k *projectKernel) Process(b *Batch) (*Batch, error) {
 		out.nrows = n
 		return out, nil
 	}
-	in := b.rawRows()
-	out := make([]Row, 0, len(in))
-	for _, r := range in {
-		nr := make(Row, len(k.op.exprs))
-		for i, e := range k.op.exprs {
-			v, err := e.Eval(r)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = v
-		}
-		out = append(out, nr)
+	out, err := projectRows(k.op.exprs, b.rawRows())
+	if err != nil {
+		return nil, err
 	}
 	return RawBatch(k.op.schema, out), nil
 }
@@ -221,20 +178,18 @@ func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 // aggKernel is the stateful grouping kernel behind HashAggregate: it
 // accumulates group state across batches and emits the sorted result at
 // Flush. Columnar batches accumulate through typed column access; raw
-// batches run the boxed row loop with identical semantics (group signatures
-// render values the same way on both paths).
+// batches go through groupTable.addRow with identical semantics (group
+// signatures render values the same way on both paths).
 type aggKernel struct {
-	op     *HashAggregate
-	loc    *Local
-	groups map[string]*aggState
-	order  []string
-	sig    []byte // reused per-row signature buffer
+	groupTable
+	loc *Local
+	sig []byte // reused per-row signature buffer
 }
 
 func newAggKernel(op *HashAggregate) *aggKernel { return newAggKernelLocal(op, nil) }
 
 func newAggKernelLocal(op *HashAggregate, loc *Local) *aggKernel {
-	return &aggKernel{op: op, loc: loc, groups: make(map[string]*aggState)}
+	return &aggKernel{groupTable: newGroupTable(op), loc: loc}
 }
 
 // appendSigValue renders one group-key value exactly like the interpreted
@@ -258,7 +213,7 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 	}
 	if b.IsRaw() {
 		for _, r := range b.raw {
-			if err := k.accumulateRow(r); err != nil {
+			if err := k.addRow(r); err != nil {
 				return nil, err
 			}
 		}
@@ -324,75 +279,10 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 	return nil, nil
 }
 
-// accumulateRow folds one boxed row into the group state — the interpreted
-// path, with the exact semantics of the pre-columnar HashAggregate loop.
-func (k *aggKernel) accumulateRow(r Row) error {
-	a := k.op
-	key := make(Row, len(a.groupCols))
-	sig := ""
-	for i, g := range a.groupCols {
-		if g >= len(r) {
-			return fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, g)
-		}
-		key[i] = r[g]
-		sig += fmt.Sprintf("%v|", r[g])
-	}
-	st, ok := k.groups[sig]
-	if !ok {
-		st = newAggState(key, len(a.aggs))
-		k.groups[sig] = st
-		k.order = append(k.order, sig)
-	}
-	for i, spec := range a.aggs {
-		if spec.Kind == AggCount {
-			st.counts[i]++
-			continue
-		}
-		if spec.Col >= len(r) {
-			return fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
-		}
-		v := r[spec.Col]
-		f, okf := toFloat(v)
-		if !okf && (spec.Kind == AggSum || spec.Kind == AggAvg) {
-			return fmt.Errorf("engine: aggregate %s over non-numeric %T", a.name, v)
-		}
-		st.sums[i] += f
-		st.counts[i]++
-		st.updateMinMax(i, v)
-	}
-	return nil
-}
-
 func (k *aggKernel) Flush() (*Batch, error) {
-	sort.Strings(k.order)
-	out := make([]Row, 0, len(k.order))
-	for _, sig := range k.order {
-		st := k.groups[sig]
-		r := append(Row{}, st.key...)
-		for i, spec := range k.op.aggs {
-			switch spec.Kind {
-			case AggSum:
-				r = append(r, st.sums[i])
-			case AggCount:
-				r = append(r, st.counts[i])
-			case AggAvg:
-				if st.counts[i] == 0 {
-					r = append(r, 0.0)
-				} else {
-					r = append(r, st.sums[i]/float64(st.counts[i]))
-				}
-			case AggMin:
-				r = append(r, st.mins[i])
-			case AggMax:
-				r = append(r, st.maxs[i])
-			default:
-				return nil, fmt.Errorf("engine: unknown aggregate kind %d", int(spec.Kind))
-			}
-		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, nil
+	out, err := k.rows()
+	if err != nil || out == nil {
+		return nil, err
 	}
 	return rowsOrBatch(k.op.schema, out), nil
 }

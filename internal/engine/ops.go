@@ -116,13 +116,29 @@ func (s *Scan) Wide() bool { return false }
 // predicate (true when there is no filter: nothing runs interpreted).
 func (s *Scan) Compiled() bool { return s.filter == nil || s.cpred != nil }
 
-// Compute implements Operator (the row face of ComputeBatch).
+// Compute implements Operator: the interpreted loop over the partition's
+// rows (it never looks at the table's columnar twin).
 func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
-	b, err := s.ComputeBatch(part, nil)
-	if err != nil || b == nil {
-		return nil, err
+	if part < 0 || part >= len(s.table.Parts) {
+		return nil, fmt.Errorf("engine: scan %s partition %d out of range", s.name, part)
 	}
-	return b.ToRows(), nil
+	if s.once && part != 0 {
+		return nil, nil
+	}
+	var out []Row
+	for _, r := range s.table.Parts[part] {
+		if s.filter != nil {
+			ok, err := truthy(s.filter, r)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		out = append(out, projectRow(r, s.project))
+	}
+	return out, nil
 }
 
 // ComputeBatch implements BatchOperator, producing one partition natively as
@@ -130,7 +146,7 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 // Columnar table partitions flow through the compiled predicate (a
 // selection-vector filter, no row boxing) and a zero-copy column projection;
 // tables without a columnar representation — or filters that did not
-// compile — run the interpreted row loop and return a raw batch.
+// compile — take Compute's row loop and return a raw batch.
 func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
 	if part < 0 || part >= len(s.table.Parts) {
 		return nil, fmt.Errorf("engine: scan %s partition %d out of range", s.name, part)
@@ -149,20 +165,50 @@ func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
 		}
 		return b.Project(s.project, s.schema), nil
 	}
+	rows, err := s.Compute(part, nil)
+	if err != nil {
+		return nil, err
+	}
+	return RawBatch(s.schema, rows), nil
+}
+
+// filterRows keeps the rows whose predicate is truthy (nil when none is) —
+// the one interpreted filter loop, behind Select's Compute and the filter
+// kernel's raw-batch branch.
+func filterRows(pred Expr, in []Row) ([]Row, error) {
 	var out []Row
-	for _, r := range s.table.Parts[part] {
-		if s.filter != nil {
-			ok, err := truthy(s.filter, r)
+	for _, r := range in {
+		ok, err := truthy(pred, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// projectRows evaluates exprs over every row (nil for no rows) — the one
+// interpreted projection loop, behind Project's Compute and the projection
+// kernel's raw-batch branch.
+func projectRows(exprs []Expr, in []Row) ([]Row, error) {
+	if len(in) == 0 {
+		return nil, nil
+	}
+	out := make([]Row, len(in))
+	for ri, r := range in {
+		nr := make(Row, len(exprs))
+		for i, e := range exprs {
+			v, err := e.Eval(r)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
-			}
+			nr[i] = v
 		}
-		out = append(out, projectRow(r, s.project))
+		out[ri] = nr
 	}
-	return RawBatch(s.schema, out), nil
+	return out, nil
 }
 
 // Select filters rows partition-wise.
@@ -191,10 +237,9 @@ func (s *Select) Wide() bool { return false }
 // Compiled reports whether the predicate evaluates through its compiled form.
 func (s *Select) Compiled() bool { return s.cpred != nil }
 
-// Compute implements Operator via the shared filter kernel.
+// Compute implements Operator.
 func (s *Select) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	k := &filterKernel{op: s}
-	return kernelRows(k, s.inputs[0].OutSchema(), inputs[0].Parts[part])
+	return filterRows(s.pred, inputs[0].Parts[part])
 }
 
 // Project evaluates expressions partition-wise.
@@ -233,10 +278,9 @@ func (p *Project) Wide() bool { return false }
 // compiled form.
 func (p *Project) Compiled() bool { return p.cexprs != nil }
 
-// Compute implements Operator via the shared projection kernel.
+// Compute implements Operator.
 func (p *Project) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	k := &projectKernel{op: p}
-	return kernelRows(k, p.inputs[0].OutSchema(), inputs[0].Parts[part])
+	return projectRows(p.exprs, inputs[0].Parts[part])
 }
 
 // Exchange hash-repartitions its input on a key column — the engine's
@@ -371,8 +415,8 @@ func NewHashAggregate(name string, in Operator, groupCols []int, aggs []AggSpec,
 // Wide implements Operator.
 func (a *HashAggregate) Wide() bool { return a.global }
 
-// aggState is the accumulator of one group, shared by the columnar and
-// interpreted paths of the aggregation kernel.
+// aggState is the accumulator of one group, shared by the row loop and the
+// aggregation kernel's typed-column loop.
 type aggState struct {
 	key    Row
 	sums   []float64
@@ -408,20 +452,113 @@ func (st *aggState) updateMinMax(i int, v Value) {
 	}
 }
 
-// Compute implements Operator via the shared aggregation kernel: global
-// aggregation gathers every input partition into partition 0, partition-wise
-// aggregation folds just its own partition.
+// groupTable is the group state of one aggregation in first-seen order: the
+// row-at-a-time accumulator behind HashAggregate's Compute, which the
+// aggregation kernel embeds so its raw-batch branch and its flush run the
+// same two loops.
+type groupTable struct {
+	op     *HashAggregate
+	groups map[string]*aggState
+	order  []string
+}
+
+func newGroupTable(op *HashAggregate) groupTable {
+	return groupTable{op: op, groups: make(map[string]*aggState)}
+}
+
+// addRow folds one boxed row into its group.
+func (g *groupTable) addRow(r Row) error {
+	a := g.op
+	key := make(Row, len(a.groupCols))
+	sig := ""
+	for i, c := range a.groupCols {
+		if c >= len(r) {
+			return fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, c)
+		}
+		key[i] = r[c]
+		sig += fmt.Sprintf("%v|", r[c])
+	}
+	st, ok := g.groups[sig]
+	if !ok {
+		st = newAggState(key, len(a.aggs))
+		g.groups[sig] = st
+		g.order = append(g.order, sig)
+	}
+	for i, spec := range a.aggs {
+		if spec.Kind == AggCount {
+			st.counts[i]++
+			continue
+		}
+		if spec.Col >= len(r) {
+			return fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
+		}
+		v := r[spec.Col]
+		f, okf := toFloat(v)
+		if !okf && (spec.Kind == AggSum || spec.Kind == AggAvg) {
+			return fmt.Errorf("engine: aggregate %s over non-numeric %T", a.name, v)
+		}
+		st.sums[i] += f
+		st.counts[i]++
+		st.updateMinMax(i, v)
+	}
+	return nil
+}
+
+// rows assembles one output row per group, ordered by group signature (nil
+// when there are no groups).
+func (g *groupTable) rows() ([]Row, error) {
+	if len(g.order) == 0 {
+		return nil, nil
+	}
+	sort.Strings(g.order)
+	out := make([]Row, 0, len(g.order))
+	for _, sig := range g.order {
+		st := g.groups[sig]
+		r := append(Row{}, st.key...)
+		for i, spec := range g.op.aggs {
+			switch spec.Kind {
+			case AggSum:
+				r = append(r, st.sums[i])
+			case AggCount:
+				r = append(r, st.counts[i])
+			case AggAvg:
+				if st.counts[i] == 0 {
+					r = append(r, 0.0)
+				} else {
+					r = append(r, st.sums[i]/float64(st.counts[i]))
+				}
+			case AggMin:
+				r = append(r, st.mins[i])
+			case AggMax:
+				r = append(r, st.maxs[i])
+			default:
+				return nil, fmt.Errorf("engine: unknown aggregate kind %d", int(spec.Kind))
+			}
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// Compute implements Operator: global aggregation gathers every input
+// partition into partition 0, partition-wise aggregation folds just its own.
 func (a *HashAggregate) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
-	var src [][]Row
+	src := inputs[0].Parts[part : part+1]
 	if a.global {
 		if part != 0 {
 			return nil, nil
 		}
 		src = inputs[0].Parts
-	} else {
-		src = [][]Row{inputs[0].Parts[part]}
 	}
-	return kernelRows(newAggKernel(a), a.inputs[0].OutSchema(), src...)
+	g := newGroupTable(a)
+	for _, p := range src {
+		for _, r := range p {
+			if err := g.addRow(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return g.rows()
 }
 
 // Sort orders rows globally by a column (gathers into partition 0).

@@ -17,8 +17,7 @@ func NewLimit(name string, in Operator, n int) *Limit {
 // Wide implements Operator.
 func (l *Limit) Wide() bool { return true }
 
-// Compute implements Operator via the shared limit kernel, gathering into
-// partition 0.
+// Compute implements Operator, gathering into partition 0.
 func (l *Limit) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
 	if l.n < 0 {
 		return nil, fmt.Errorf("engine: limit %s has negative n", l.name)
@@ -26,7 +25,14 @@ func (l *Limit) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
 	if part != 0 {
 		return nil, nil
 	}
-	return kernelRows(&limitKernel{remaining: l.n}, l.inputs[0].OutSchema(), inputs[0].Parts...)
+	var out []Row
+	for _, p := range inputs[0].Parts {
+		if rest := l.n - len(out); len(p) > rest {
+			p = p[:rest]
+		}
+		out = append(out, p...)
+	}
+	return out, nil
 }
 
 // UnionAll concatenates two inputs partition-wise. Schemas must have the

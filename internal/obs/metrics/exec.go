@@ -9,19 +9,14 @@ import (
 	"time"
 )
 
-// Runtime label values used by both execution engines for the shared
-// histogram families.
-const (
-	RuntimePipelined = "pipelined"
-	RuntimeStaged    = "staged"
-)
+// RuntimePipelined is the value of the histogram families' runtime label.
+const RuntimePipelined = "pipelined"
 
-// Exec is the counter set shared by both execution runtimes (the pipelined
-// runtime owns one per Config; the staged Coordinator takes an optional
-// pointer). The exported atomic fields keep the original runtime.Metrics API:
-// hot paths touch single atomics, while distributions (stage wall time,
-// checkpoint write latency) go through labeled histograms and lost time goes
-// through the wasted-work Ledger. The zero value is ready to use; methods on
+// Exec is the runtime's counter set (one per runtime.Config). The exported
+// atomic fields keep the original runtime.Metrics API: hot paths touch single
+// atomics, while distributions (stage wall time, checkpoint write latency) go
+// through labeled histograms and lost time goes through the wasted-work
+// Ledger. The zero value is ready to use; methods on
 // a nil *Exec are no-ops so un-instrumented executions pay nothing.
 type Exec struct {
 	// Batches counts vectorized batches processed by pipeline operators
@@ -77,7 +72,7 @@ func (m *Exec) init() {
 		counter("ftpde_restarts_total", "Coarse-grained whole-query restarts.", "", &m.Restarts)
 		m.reg.MustRegisterFunc(Desc{
 			Name: "ftpde_stage_rows_total", Kind: KindCounter, Labels: []string{"stage"},
-			Help: "Committed rows per stage (merged across runtimes).",
+			Help: "Committed rows per stage.",
 		}, func() []Sample {
 			rows := m.StageRows()
 			names := make([]string, 0, len(rows))
@@ -116,7 +111,7 @@ func (m *Exec) Ledger() *Ledger {
 }
 
 // ObserveStageWall accumulates wall time for one stage (keyed by the stage's
-// terminal operator name) and feeds the per-runtime latency histogram.
+// terminal operator name) and feeds the stage latency histogram.
 func (m *Exec) ObserveStageWall(runtime, stage string, d time.Duration) {
 	if m == nil {
 		return
@@ -153,45 +148,6 @@ func (m *Exec) ObserveCheckpointWrite(runtime string, d time.Duration) {
 	m.ckptHist.With(runtime).Observe(d.Seconds())
 }
 
-// Nil-safe counter helpers for callers (the staged engine) that may hold a
-// nil *Exec and therefore cannot touch the atomic fields directly.
-
-// AddRows adds to the committed-row counter.
-func (m *Exec) AddRows(n int64) {
-	if m != nil {
-		m.Rows.Add(n)
-	}
-}
-
-// AddCheckpoint books one written checkpoint partition of the given size.
-func (m *Exec) AddCheckpoint(bytes int64) {
-	if m != nil {
-		m.CheckpointParts.Add(1)
-		m.CheckpointBytes.Add(bytes)
-	}
-}
-
-// AddFailures adds to the failure counter.
-func (m *Exec) AddFailures(n int64) {
-	if m != nil {
-		m.Failures.Add(n)
-	}
-}
-
-// AddRecoveries adds to the fine-grained recovery counter.
-func (m *Exec) AddRecoveries(n int64) {
-	if m != nil {
-		m.Recoveries.Add(n)
-	}
-}
-
-// AddRestarts adds to the coarse-restart counter.
-func (m *Exec) AddRestarts(n int64) {
-	if m != nil {
-		m.Restarts.Add(n)
-	}
-}
-
 // StageWall returns a copy of the per-stage wall-time table.
 func (m *Exec) StageWall() map[string]time.Duration {
 	if m == nil {
@@ -221,9 +177,8 @@ func (m *Exec) StageRows() map[string]int64 {
 }
 
 // ExecSnapshot is a plain-value copy of the counters for reporting. Its JSON
-// shape predates the registry (BENCH_runtime.json embeds it) and is kept
-// stable; the checkpoint min/avg/max fields are now derived from the exact
-// extremes the latency histograms track.
+// shape predates the registry and is kept stable; the checkpoint min/avg/max
+// fields are derived from the exact extremes the latency histograms track.
 type ExecSnapshot struct {
 	Batches         int64                    `json:"batches"`
 	Rows            int64                    `json:"rows"`
@@ -238,8 +193,7 @@ type ExecSnapshot struct {
 	// name-sorted, so regenerated benchmark reports are byte-stable in
 	// ordering instead of depending on map iteration or marshaller behavior.
 	Stages []StageMetric `json:"stages"`
-	// Checkpoint-write latency over individual store writes (merged across
-	// runtimes when both executed).
+	// Checkpoint-write latency over individual store writes.
 	CheckpointMin time.Duration `json:"checkpoint_min_ns"`
 	CheckpointAvg time.Duration `json:"checkpoint_avg_ns"`
 	CheckpointMax time.Duration `json:"checkpoint_max_ns"`
@@ -298,7 +252,7 @@ func (m *Exec) Snapshot() ExecSnapshot {
 	}
 	s.Stages = stageTable(s.StageWall, s.StageRows)
 	// Derive the legacy min/avg/max from the histograms' exact extremes,
-	// merging the per-runtime series.
+	// merging the labeled series.
 	var merged HistogramSnapshot
 	for _, sample := range m.ckptHist.snapshot() {
 		merged = merged.Merge(*sample.Hist)

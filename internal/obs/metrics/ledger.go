@@ -91,7 +91,7 @@ func (l *Ledger) Fail(op string, part int) {
 
 // Attribute books d of wasted wall time against cause while handling
 // (op, part). Resolving causes settle all outstanding failure entries —
-// recoveries are serialized in both runtimes, so one recovery window answers
+// recoveries are serialized in the runtime, so one recovery window answers
 // every failure observed before it closed.
 func (l *Ledger) Attribute(cause Cause, op string, part int, d time.Duration) {
 	l.AttributeSeconds(cause, op, part, d.Seconds())

@@ -5,8 +5,8 @@
 //
 // The package deliberately depends on nothing but the standard library so
 // every layer of the system (engine, runtime, simulator, CLIs) can share one
-// metric vocabulary without import cycles. The executable counter set shared
-// by both runtimes lives in Exec; the wasted-work ledger — the measured
+// metric vocabulary without import cycles. The runtime's counter set lives
+// in Exec; the wasted-work ledger — the measured
 // counterpart of the paper's w(c) and a(c)·MTTR terms — lives in Ledger.
 package metrics
 

@@ -265,13 +265,8 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 // *Exec and nil *Ledger is a no-op, so uninstrumented paths pay nothing.
 func TestExecNilSafety(t *testing.T) {
 	var m *Exec
-	m.AddRows(1)
-	m.AddCheckpoint(10)
-	m.AddFailures(1)
-	m.AddRecoveries(1)
-	m.AddRestarts(1)
 	m.ObserveStageWall(RuntimePipelined, "scan", time.Millisecond)
-	m.ObserveCheckpointWrite(RuntimeStaged, time.Millisecond)
+	m.ObserveCheckpointWrite(RuntimePipelined, time.Millisecond)
 	m.AddStageRows("scan", 5)
 	m.Ledger().Fail("scan", 0)
 	m.Ledger().Attribute(CauseRecompute, "scan", 0, time.Millisecond)
@@ -286,7 +281,7 @@ func TestExecNilSafety(t *testing.T) {
 func TestExecHistogramsFeedSnapshot(t *testing.T) {
 	m := &Exec{}
 	m.ObserveCheckpointWrite(RuntimePipelined, 2*time.Millisecond)
-	m.ObserveCheckpointWrite(RuntimeStaged, 4*time.Millisecond)
+	m.ObserveCheckpointWrite("other", 4*time.Millisecond)
 	m.ObserveStageWall(RuntimePipelined, "scan", 3*time.Millisecond)
 	s := m.Snapshot()
 	if s.CheckpointMin != 2*time.Millisecond || s.CheckpointMax != 4*time.Millisecond {

@@ -1,5 +1,5 @@
 // Package prof is the continuous profiling layer: it tags every unit of work
-// in both runtimes with pprof labels, samples CPU profiles in bounded windows
+// in the runtime with pprof labels, samples CPU profiles in bounded windows
 // into a crash-safe on-disk ring, decodes the gzipped profile.proto with a
 // stdlib-only varint decoder, and joins samples back to queries, tenants, and
 // operators by label. The join produces per-operator CPU seconds and alloc

@@ -13,9 +13,9 @@ import (
 
 // Progress tracks one in-flight query's execution state for live
 // introspection: per-stage completed/total partitions, committed rows and
-// checkpoint bytes, plus restart/failure counters. Both runtimes feed it —
-// the staged Coordinator per operator, the pipelined runtime per stage — and
-// the /debug/queries endpoint snapshots it without stopping the query.
+// checkpoint bytes, plus restart/failure counters. The runtime feeds it per
+// stage, and the /debug/queries endpoint snapshots it without stopping the
+// query.
 //
 // The hot path is a handful of atomic adds on a *StageProgress handle
 // resolved once at plan time; every method tolerates a nil receiver so

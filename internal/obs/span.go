@@ -7,7 +7,7 @@
 // pprof).
 //
 // The package depends only on the standard library so every layer — the
-// staged engine, the pipelined runtime, the cluster simulator and the CLIs —
+// runtime, the cluster simulator and the CLIs —
 // can emit into it without import cycles. All tracer entry points tolerate a
 // nil *Tracer and become no-ops, so instrumented code pays a single nil
 // check when tracing is disabled.

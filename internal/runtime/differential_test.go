@@ -1,0 +1,331 @@
+package runtime
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ftpde/internal/engine"
+	"ftpde/internal/schemes"
+)
+
+// The differential property: for a random operator DAG with a random
+// materialization configuration, the runtime returns exactly the oracle's
+// rows — clean and with one scripted kill, under fine-grained and coarse
+// recovery, at two batch sizes — and both report the same Failures.
+// Everything derives from the seed, so `-run 'TestDifferentialOracle/seed=N'`
+// replays a failure.
+
+// dagGen draws operator DAGs over two small base tables. Generated
+// expressions never fail (no division, comparisons stay within a value
+// kind), so any error or row difference is an executor disagreement.
+type dagGen struct {
+	r      *rand.Rand
+	nodes  int
+	tables []*engine.Table
+	named  int // operators named so far
+}
+
+var dagStrings = []string{"", "ash", "birch", "cedar"}
+
+func newDagGen(t *testing.T, seed int64) *dagGen {
+	g := &dagGen{r: rand.New(rand.NewSource(seed))}
+	g.nodes = 2 + g.r.Intn(3)
+	// One table in five keeps its group column as plain int, which has no
+	// vector type: its rows travel as raw batches through the kernels'
+	// interpreted branches.
+	boxG := func(v int) engine.Value { return int64(v) }
+	if g.r.Intn(5) == 0 {
+		boxG = func(v int) engine.Value { return v }
+	}
+	fact := make([]engine.Row, 20+g.r.Intn(180))
+	for i := range fact {
+		fact[i] = engine.Row{int64(i), boxG(g.r.Intn(8)), float64(g.r.Intn(400)) / 4, dagStrings[g.r.Intn(len(dagStrings))]}
+	}
+	dim := make([]engine.Row, 8)
+	for i := range dim {
+		dim[i] = engine.Row{int64(i), dagStrings[i%len(dagStrings)]}
+	}
+	for _, tb := range []struct {
+		name   string
+		schema engine.Schema
+		rows   []engine.Row
+		key    int
+	}{
+		{"fact", engine.Schema{{Name: "k", Type: engine.TypeInt}, {Name: "g", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat}, {Name: "s", Type: engine.TypeString}}, fact, g.r.Intn(2) - 1},
+		{"dim", engine.Schema{{Name: "g", Type: engine.TypeInt}, {Name: "name", Type: engine.TypeString}}, dim, 0},
+	} {
+		tab, err := engine.NewTable(tb.name, tb.schema, tb.rows, g.nodes, tb.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.tables = append(g.tables, tab)
+	}
+	return g
+}
+
+func (g *dagGen) name(kind string) string {
+	g.named++
+	return fmt.Sprintf("%s-%d", kind, g.named)
+}
+
+// reachable lists the DAG's operators, each once, producers first.
+func reachable(root engine.Operator) []engine.Operator {
+	var out []engine.Operator
+	seen := map[engine.Operator]bool{}
+	var visit func(engine.Operator)
+	visit = func(op engine.Operator) {
+		if seen[op] {
+			return
+		}
+		seen[op] = true
+		for _, in := range op.Inputs() {
+			visit(in)
+		}
+		out = append(out, op)
+	}
+	visit(root)
+	return out
+}
+
+// colsOf returns the columns of s whose type satisfies keep.
+func colsOf(s engine.Schema, keep func(engine.ColType) bool) []int {
+	var out []int
+	for i, c := range s {
+		if keep(c.Type) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func isNumeric(t engine.ColType) bool { return t != engine.TypeString }
+func isInt(t engine.ColType) bool     { return t == engine.TypeInt }
+
+func (g *dagGen) pick(cols []int) int { return cols[g.r.Intn(len(cols))] }
+
+func (g *dagGen) constOf(t engine.ColType) engine.Const {
+	switch t {
+	case engine.TypeInt:
+		return engine.Const{V: int64(g.r.Intn(12))}
+	case engine.TypeFloat:
+		return engine.Const{V: float64(g.r.Intn(100))}
+	default:
+		return engine.Const{V: dagStrings[g.r.Intn(len(dagStrings))]}
+	}
+}
+
+// pred draws a comparison of a column (or arithmetic over one) with a
+// constant of the same kind, sometimes a conjunction of two.
+func (g *dagGen) pred(s engine.Schema) engine.Expr {
+	c := g.r.Intn(len(s))
+	var l engine.Expr = engine.Col(c)
+	rhs := g.constOf(s[c].Type)
+	if isNumeric(s[c].Type) && g.r.Intn(3) == 0 {
+		l = engine.Arith{Op: engine.ArithOp(g.r.Intn(3)), L: l, R: g.constOf(engine.TypeFloat)}
+		rhs = g.constOf(engine.TypeFloat)
+	}
+	p := engine.Cmp{Op: engine.CmpOp(g.r.Intn(6)), L: l, R: rhs}
+	if g.r.Intn(4) == 0 {
+		return engine.And{p, g.pred(s)}
+	}
+	return p
+}
+
+func (g *dagGen) scan() engine.Operator {
+	tb := g.tables[g.r.Intn(len(g.tables))]
+	var filter engine.Expr
+	if g.r.Intn(2) == 0 {
+		filter = g.pred(tb.Schema)
+	}
+	var project []int
+	if g.r.Intn(3) == 0 {
+		for c := range tb.Schema {
+			if g.r.Intn(2) == 0 {
+				project = append(project, c)
+			}
+		}
+	}
+	return engine.NewScan(g.name("scan"), tb, filter, project)
+}
+
+func (g *dagGen) project(in engine.Operator) engine.Operator {
+	s := in.OutSchema()
+	n := 1 + g.r.Intn(3)
+	exprs := make([]engine.Expr, n)
+	out := make(engine.Schema, n)
+	for i := range exprs {
+		c := g.r.Intn(len(s))
+		out[i].Name = fmt.Sprintf("p%d", i)
+		switch k := g.r.Intn(3); {
+		case k == 0 && isNumeric(s[c].Type):
+			exprs[i] = engine.Arith{Op: engine.ArithOp(g.r.Intn(3)), L: engine.Col(c), R: g.constOf(engine.TypeFloat)}
+			out[i].Type = engine.TypeFloat
+		case k == 1:
+			exprs[i] = engine.Cmp{Op: engine.CmpOp(g.r.Intn(6)), L: engine.Col(c), R: g.constOf(s[c].Type)}
+			out[i].Type = engine.TypeInt
+		default:
+			exprs[i] = engine.Col(c)
+			out[i].Type = s[c].Type
+		}
+	}
+	return engine.NewProject(g.name("project"), in, exprs, out)
+}
+
+func (g *dagGen) aggregate(in engine.Operator, global bool) engine.Operator {
+	s := in.OutSchema()
+	var groups []int
+	var out engine.Schema
+	for i, n := 0, g.r.Intn(3); i < n; i++ {
+		c := g.r.Intn(len(s))
+		groups = append(groups, c)
+		out = append(out, s[c])
+	}
+	if !global && len(groups) > 0 {
+		in = engine.NewExchange(g.name("exchange"), in, groups[0])
+	}
+	num := colsOf(s, isNumeric)
+	var aggs []engine.AggSpec
+	for i, n := 0, 1+g.r.Intn(3); i < n; i++ {
+		kind := engine.AggKind(g.r.Intn(5))
+		if len(num) == 0 && (kind == engine.AggSum || kind == engine.AggAvg) {
+			kind = engine.AggCount
+		}
+		spec := engine.AggSpec{Kind: kind}
+		col := engine.Column{Name: fmt.Sprintf("a%d", i), Type: engine.TypeFloat}
+		switch kind {
+		case engine.AggCount:
+			col.Type = engine.TypeInt
+		case engine.AggSum, engine.AggAvg:
+			spec.Col = g.pick(num)
+		default:
+			spec.Col = g.r.Intn(len(s))
+			col.Type = s[spec.Col].Type
+		}
+		aggs = append(aggs, spec)
+		out = append(out, col)
+	}
+	return engine.NewHashAggregate(g.name("agg"), in, groups, aggs, global, out)
+}
+
+// plan draws a sub-DAG of at most the given depth.
+func (g *dagGen) plan(depth int) engine.Operator {
+	if depth == 0 || g.r.Intn(5) == 0 {
+		return g.scan()
+	}
+	in := g.plan(depth - 1)
+	s := in.OutSchema()
+	switch g.r.Intn(10) {
+	case 0:
+		return engine.NewSelect(g.name("select"), in, g.pred(s))
+	case 1:
+		return g.project(in)
+	case 2:
+		return g.aggregate(in, false)
+	case 3:
+		return g.aggregate(in, true)
+	case 4:
+		return engine.NewExchange(g.name("exchange"), in, g.r.Intn(len(s)))
+	case 5:
+		// Join on integer keys, so matches happen.
+		build := g.plan(depth - 1)
+		bk, pk := colsOf(build.OutSchema(), isInt), colsOf(s, isInt)
+		if len(bk) == 0 || len(pk) == 0 {
+			return g.project(in)
+		}
+		return engine.NewHashJoin(g.name("join"), build, in, g.pick(bk), g.pick(pk))
+	case 6:
+		// A diamond: two filters over one shared sub-plan, concatenated.
+		l := engine.NewSelect(g.name("select"), in, g.pred(s))
+		r := engine.NewSelect(g.name("select"), in, g.pred(s))
+		u, err := engine.NewUnionAll(g.name("union"), l, r)
+		if err != nil {
+			panic(err) // same schema on both sides by construction
+		}
+		return u
+	case 7:
+		return engine.NewSort(g.name("sort"), in, g.r.Intn(len(s)), g.r.Intn(2) == 0)
+	case 8:
+		return engine.NewLimit(g.name("limit"), in, g.r.Intn(12))
+	default:
+		sorted := engine.NewSort(g.name("sort"), in, g.r.Intn(len(s)), g.r.Intn(2) == 0)
+		return engine.NewLimit(g.name("limit"), sorted, 1+g.r.Intn(20))
+	}
+}
+
+// outcome is what one execution is compared by.
+type outcome struct {
+	parts    []int // rows per partition
+	rows     []engine.Row
+	failures int
+	err      bool
+}
+
+func outcomeOf(res *engine.PartitionedResult, rep *engine.Report, err error) outcome {
+	if err != nil {
+		return outcome{err: true}
+	}
+	o := outcome{rows: res.AllRows(), failures: rep.Failures}
+	for _, p := range res.Parts {
+		o.parts = append(o.parts, len(p))
+	}
+	return o
+}
+
+func TestDifferentialOracle(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			g := newDagGen(t, seed)
+			root := g.plan(4)
+			ops := reachable(root)
+			// A random M_P over every operator of the DAG.
+			for _, op := range ops {
+				op.(interface{ SetMaterialize(bool) }).SetMaterialize(g.r.Intn(3) == 0)
+			}
+			victim := ops[g.r.Intn(len(ops))].Name()
+			part := g.r.Intn(g.nodes)
+			batches := []int{1 + g.r.Intn(9), 256}
+
+			for _, arm := range []struct {
+				name     string
+				kill     bool
+				recovery schemes.Recovery
+			}{
+				{"clean", false, schemes.FineGrained},
+				{"fine", true, schemes.FineGrained},
+				{"coarse", true, schemes.CoarseRestart},
+			} {
+				script := func() engine.FailureInjector {
+					if !arm.kill {
+						return nil
+					}
+					return engine.NewScriptedFailures().Add(victim, part, 0)
+				}
+				co := &engine.Coordinator{Nodes: g.nodes, Injector: script(), Coarse: arm.recovery == schemes.CoarseRestart}
+				want := outcomeOf(co.Execute(root))
+				if arm.kill && !want.err && want.failures != 1 {
+					t.Errorf("%s: oracle saw %d failures for one scripted kill of %s/%d", arm.name, want.failures, victim, part)
+				}
+				for _, batch := range batches {
+					r, err := New(Config{Nodes: g.nodes, BatchSize: batch, Injector: script(), Recovery: arm.recovery})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := outcomeOf(r.Execute(context.Background(), root))
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d, %s, batch=%d, kill %s/%d: runtime and oracle disagree\n runtime: %d rows %v, failures=%d, err=%v\n  oracle: %d rows %v, failures=%d, err=%v",
+							seed, arm.name, batch, victim, part,
+							len(got.rows), got.parts, got.failures, got.err,
+							len(want.rows), want.parts, want.failures, want.err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -31,7 +31,7 @@ func asNodeFailure(err error) (*nodeFailure, bool) {
 }
 
 // maxAttemptsPerPartition bounds retries of one (operator, partition) pair,
-// matching the staged engine's limit.
+// matching the reference Coordinator's limit.
 const maxAttemptsPerPartition = 1000
 
 // attempts tracks per-(operator, partition) attempt numbers across the whole

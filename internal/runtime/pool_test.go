@@ -168,7 +168,7 @@ func TestSharedPoolConcurrentRecovery(t *testing.T) {
 	}
 	want := map[string][]engine.Row{}
 	for _, j := range jobs {
-		want[j.name] = stagedRows(t, cat, j.build, nil)
+		want[j.name] = oracleRows(t, cat, j.build, nil)
 	}
 
 	const rounds = 4

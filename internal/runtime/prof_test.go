@@ -131,18 +131,18 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 	}
 }
 
-// TestTPCHProfiledEquivalence re-runs the staged-vs-pipelined equivalence
-// bar with the continuous profiler attached: labeling and window rotation
-// must not perturb results, clean or under scripted failures.
+// TestTPCHProfiledEquivalence re-runs the oracle-vs-runtime equivalence bar
+// with the continuous profiler attached: labeling and window rotation must
+// not perturb results under scripted failures.
 func TestTPCHProfiledEquivalence(t *testing.T) {
 	cat, err := tpch.Generate(eqSF, eqNodes, eqSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	build := tpchQueries()["q1"]
-	want := stagedRows(t, cat, build, nil)
+	want := oracleRows(t, cat, build, nil)
 	if len(want) == 0 {
-		t.Fatal("staged engine produced no rows")
+		t.Fatal("oracle produced no rows")
 	}
 
 	s, err := prof.New(prof.Config{Window: 100 * time.Millisecond})
@@ -154,22 +154,6 @@ func TestTPCHProfiledEquivalence(t *testing.T) {
 	}
 	defer s.Stop()
 
-	co := &engine.Coordinator{
-		Nodes:      eqNodes,
-		Injector:   engine.NewScriptedFailures().Add("q1-agg", 0, 0),
-		ProfLabels: prof.Labels{Query: "staged", Tenant: "cli"},
-	}
-	sres, srep, err := co.Execute(build(t, cat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srep.Failures != 1 {
-		t.Fatalf("staged failures = %d, want 1", srep.Failures)
-	}
-	if got := sres.AllRows(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("staged run under profiling diverged")
-	}
-
 	got, rep := pipelinedRows(t, cat, build, Config{
 		Nodes:      eqNodes,
 		BatchSize:  7,
@@ -177,7 +161,7 @@ func TestTPCHProfiledEquivalence(t *testing.T) {
 		ProfLabels: prof.Labels{Query: "pipelined", Tenant: "cli"},
 	})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pipelined result under profiling differs from staged (%d vs %d rows)", len(got), len(want))
+		t.Fatalf("result under profiling differs from the oracle (%d vs %d rows)", len(got), len(want))
 	}
 	if rep.Failures != 1 {
 		t.Fatalf("pipelined failures = %d, want 1", rep.Failures)

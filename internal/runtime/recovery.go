@@ -13,7 +13,7 @@ import (
 // node is lost, so it is re-ensured from the last materialized inputs and
 // the failed partition is re-run. Nested failures during recovery loop until
 // the partition lands or the per-partition attempt bound trips. Recoveries
-// are serialized, mirroring the staged engine's sequential recovery.
+// are serialized, mirroring the reference Coordinator's sequential recovery.
 func (rn *run) recoverFine(ctx context.Context, s *stage, part int, nf *nodeFailure) error {
 	rn.recoveryMu.Lock()
 	defer rn.recoveryMu.Unlock()

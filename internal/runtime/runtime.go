@@ -9,10 +9,11 @@
 // partitions from the last materialized inputs (schemes.FineGrained) or
 // restarts the whole query (schemes.CoarseRestart).
 //
-// The package is the pipelined sibling of the staged interpreter in
-// internal/engine: both execute the same engine.Operator DAGs against the
-// same stores and failure injectors and produce identical results, which the
-// equivalence tests assert on the TPC-H example queries.
+// The package is the product executor. engine.Coordinator, the row
+// interpreter in internal/engine, is its reference: both execute the same
+// engine.Operator DAGs against the same stores and failure injectors and
+// must produce identical results, which the equivalence and differential
+// tests assert.
 package runtime
 
 import (
@@ -127,8 +128,8 @@ func New(cfg Config) (*Runtime, error) {
 func (r *Runtime) Metrics() *Metrics { return r.cfg.Metrics }
 
 // Execute runs the query rooted at root and returns its partitioned result
-// along with an execution report. The report type is shared with the staged
-// engine so recovery tests and tooling port across runtimes.
+// along with an execution report. The report type is shared with the
+// reference Coordinator so recovery tests compare the two directly.
 func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.PartitionedResult, *engine.Report, error) {
 	// The scheduler goroutine does real work of its own (result
 	// materialization at the edge, flush barriers), so it runs labeled; the
@@ -238,7 +239,7 @@ type run struct {
 
 	// recoveryMu serializes fine-grained recoveries: drops of volatile
 	// lineage and the recomputation that follows happen one failure at a
-	// time, like the staged engine's sequential recovery.
+	// time, like the reference Coordinator's sequential recovery.
 	recoveryMu sync.Mutex
 }
 

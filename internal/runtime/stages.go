@@ -49,7 +49,7 @@ func (s *stage) source() engine.Operator   { return s.ops[0] }
 func (s *stage) terminal() engine.Operator { return s.ops[len(s.ops)-1] }
 
 // name identifies the stage by its terminal operator — the same key the
-// staged engine materializes under, so checkpoints written by one runtime
+// reference Coordinator materializes under, so checkpoints written by one
 // are restorable by the other.
 func (s *stage) name() string { return s.terminal().Name() }
 

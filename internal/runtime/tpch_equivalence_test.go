@@ -10,9 +10,10 @@ import (
 	"ftpde/internal/tpch"
 )
 
-// The acceptance bar for the pipelined runtime: byte-identical results to
-// the staged engine on the TPC-H example queries, both clean and under
-// scripted failure traces with fine-grained recovery.
+// The acceptance bar for the runtime: byte-identical results to the oracle
+// (engine.Coordinator, the telemetry-free row interpreter) on the TPC-H
+// example queries, both clean and under scripted failure traces with
+// fine-grained recovery.
 
 const (
 	eqSF    = 0.002
@@ -62,7 +63,7 @@ func tpchQueries() map[string]queryBuilder {
 	}
 }
 
-func stagedRows(t *testing.T, cat *engine.Catalog, build queryBuilder, inj engine.FailureInjector) []engine.Row {
+func oracleRows(t *testing.T, cat *engine.Catalog, build queryBuilder, inj engine.FailureInjector) []engine.Row {
 	t.Helper()
 	co := &engine.Coordinator{Nodes: eqNodes, Injector: inj}
 	res, _, err := co.Execute(build(t, cat))
@@ -92,14 +93,14 @@ func TestTPCHPipelinedMatchesStaged(t *testing.T) {
 	}
 	for name, build := range tpchQueries() {
 		t.Run(name, func(t *testing.T) {
-			want := stagedRows(t, cat, build, nil)
+			want := oracleRows(t, cat, build, nil)
 			if len(want) == 0 {
-				t.Fatal("staged engine produced no rows; test data too small")
+				t.Fatal("oracle produced no rows; test data too small")
 			}
 			for _, batch := range []int{7, 256} {
 				got, rep := pipelinedRows(t, cat, build, Config{Nodes: eqNodes, BatchSize: batch})
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("batch=%d: pipelined result differs from staged (%d vs %d rows)",
+					t.Errorf("batch=%d: pipelined result differs from the oracle (%d vs %d rows)",
 						batch, len(got), len(want))
 				}
 				if rep.Failures != 0 {
@@ -144,11 +145,11 @@ func TestTPCHPipelinedRecoveryMatchesStaged(t *testing.T) {
 	}
 	for name, build := range tpchQueries() {
 		t.Run(name, func(t *testing.T) {
-			want := stagedRows(t, cat, build, nil)
+			want := oracleRows(t, cat, build, nil)
 			got, rep := pipelinedRows(t, cat, build,
 				Config{Nodes: eqNodes, Injector: scripts[name](), BatchSize: 16})
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("recovered pipelined result differs from staged (%d vs %d rows)",
+				t.Errorf("recovered pipelined result differs from the oracle (%d vs %d rows)",
 					len(got), len(want))
 			}
 			if rep.Failures == 0 {
@@ -163,7 +164,7 @@ func TestTPCHPipelinedRecoveryMatchesStaged(t *testing.T) {
 
 func TestTPCHSharedStoreAcrossRuntimes(t *testing.T) {
 	// Checkpoints written by the pipelined runtime are keyed by operator
-	// name, so the staged engine can resume from them (and vice versa).
+	// name, so the oracle can resume from them (and vice versa).
 	cat, err := tpch.Generate(eqSF, eqNodes, eqSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -181,18 +182,17 @@ func TestTPCHSharedStoreAcrossRuntimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.AllRows(), want) {
-		t.Error("staged engine resumed from pipelined checkpoints with different result")
+		t.Error("oracle resumed from runtime checkpoints with different result")
 	}
 	if rep.MaterializedPartitions != 0 {
-		t.Errorf("staged engine re-materialized %d partitions, want 0 (restored)", rep.MaterializedPartitions)
+		t.Errorf("oracle re-materialized %d partitions, want 0 (restored)", rep.MaterializedPartitions)
 	}
 }
 
-// TestTPCHProgressTrackedEquivalence is the PR's no-interference acceptance
-// bar: with live progress tracking attached to BOTH runtimes (and scripted
-// failures exercising the undo/reset paths), staged and pipelined runs of the
-// TPC-H queries stay byte-identical, and the trackers converge to a complete
-// snapshot.
+// TestTPCHProgressTrackedEquivalence is the no-interference acceptance bar:
+// with live progress tracking attached (and scripted failures exercising the
+// undo/reset paths), runs of the TPC-H queries stay byte-identical to the
+// oracle, and the tracker converges to a complete snapshot.
 func TestTPCHProgressTrackedEquivalence(t *testing.T) {
 	cat, err := tpch.Generate(eqSF, eqNodes, eqSeed)
 	if err != nil {
@@ -212,37 +212,24 @@ func TestTPCHProgressTrackedEquivalence(t *testing.T) {
 	for _, name := range []string{"q1", "q3", "q5"} {
 		build := tpchQueries()[name]
 		t.Run(name, func(t *testing.T) {
+			want := oracleRows(t, cat, build, nil)
+
 			reg := obs.NewProgressRegistry(8)
-
-			sp := reg.Begin("test", name+"-staged")
-			co := &engine.Coordinator{Nodes: eqNodes, Progress: sp}
-			sres, _, err := co.Execute(build(t, cat))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg.End(sp, nil)
-			want := sres.AllRows()
-
 			pp := reg.Begin("test", name+"-pipelined")
 			got, rep := pipelinedRows(t, cat, build,
 				Config{Nodes: eqNodes, BatchSize: 16, Injector: scripts[name](), Progress: pp})
 			reg.End(pp, nil)
 
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("progress-tracked pipelined result differs from staged (%d vs %d rows)",
+				t.Errorf("progress-tracked result differs from the oracle (%d vs %d rows)",
 					len(got), len(want))
 			}
 			if rep.Failures == 0 {
 				t.Error("scripted failure did not fire")
 			}
-			// The clean staged run must be tracked as fully complete. The
-			// failure run's scans may legitimately end below total: lineage
+			// The failure run's scans may legitimately end below total: lineage
 			// dropped on the failed node is only recomputed when no downstream
 			// checkpoint covers it, and the tracker reports what actually ran.
-			ssnap := sp.Snapshot()
-			if len(ssnap.Stages) == 0 || ssnap.Frac != 1 {
-				t.Errorf("staged: final frac = %g over %d stages, want 1", ssnap.Frac, len(ssnap.Stages))
-			}
 			psnap := pp.Snapshot()
 			if len(psnap.Stages) == 0 {
 				t.Fatal("pipelined: no stages tracked")
@@ -254,8 +241,8 @@ func TestTPCHProgressTrackedEquivalence(t *testing.T) {
 			if psnap.Failures == 0 {
 				t.Error("pipelined: tracker recorded no failures")
 			}
-			if !psnap.Done || !ssnap.Done {
-				t.Error("completed queries not marked done")
+			if !psnap.Done {
+				t.Error("completed query not marked done")
 			}
 		})
 	}

@@ -15,7 +15,7 @@ import (
 
 // The observability acceptance bar: a scripted failure trace must show up in
 // the span timeline as failure events followed by recovery spans with
-// matching operator names and partition IDs, on both runtimes. Run under
+// matching operator names and partition IDs. Run under
 // `go test -race` this also exercises concurrent span emission from the
 // partition workers against the collector's Snapshot drain.
 
@@ -120,16 +120,6 @@ func TestPipelinedScriptedFailureTrace(t *testing.T) {
 	}
 }
 
-func TestStagedScriptedFailureTrace(t *testing.T) {
-	q, inj, points := q3Trace(t)
-	tracer := obs.NewTracer(obs.DefaultCapacity)
-	co := &engine.Coordinator{Nodes: eqNodes, Injector: inj, Tracer: tracer}
-	if _, _, err := co.Execute(q); err != nil {
-		t.Fatal(err)
-	}
-	assertFailureRecoveryOrdering(t, tracer.Snapshot(), points)
-}
-
 // TestTracingDisabledIsNoop pins the nil-tracer fast path: execution with a
 // nil tracer must behave identically (results and report) to an instrumented
 // run.
@@ -222,30 +212,24 @@ func TestPipelinedLedgerReconcilesWithSpans(t *testing.T) {
 	assertLedgerReconciles(t, m.Ledger().Snapshot(), tracer.Snapshot(), int64(len(points)))
 }
 
-func TestStagedLedgerReconcilesWithSpans(t *testing.T) {
-	q, inj, points := q3Trace(t)
-	tracer := obs.NewTracer(obs.DefaultCapacity)
-	m := &Metrics{}
-	co := &engine.Coordinator{Nodes: eqNodes, Injector: inj, Tracer: tracer, Metrics: m}
-	if _, _, err := co.Execute(q); err != nil {
-		t.Fatal(err)
-	}
-	assertLedgerReconciles(t, m.Ledger().Snapshot(), tracer.Snapshot(), int64(len(points)))
-}
-
-// TestLedgerAttributionUnderConcurrentFailures drives both runtimes at once,
-// each with injected failures and its own ledger — the race-detector coverage
-// for attribution from partition workers, recovery loops, and the staged
-// executor running simultaneously.
+// TestLedgerAttributionUnderConcurrentFailures drives several runtimes at
+// once, each with injected failures and its own ledger — the race-detector
+// coverage for attribution from partition workers and recovery loops running
+// simultaneously.
 func TestLedgerAttributionUnderConcurrentFailures(t *testing.T) {
 	var wg sync.WaitGroup
-	run := func(exec func(m *Metrics, tr *obs.Tracer) error) {
+	for i := 0; i < 4; i++ {
+		q, inj, _ := q3Trace(t)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			m := &Metrics{}
-			tr := obs.NewTracer(obs.DefaultCapacity)
-			if err := exec(m, tr); err != nil {
+			r, err := New(Config{Nodes: eqNodes, Injector: inj, Tracer: obs.NewTracer(obs.DefaultCapacity), Metrics: m})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := r.Execute(context.Background(), q); err != nil {
 				t.Error(err)
 				return
 			}
@@ -254,23 +238,6 @@ func TestLedgerAttributionUnderConcurrentFailures(t *testing.T) {
 				t.Errorf("concurrent run ledger inconsistent: %s", led.String())
 			}
 		}()
-	}
-	for i := 0; i < 2; i++ {
-		run(func(m *Metrics, tr *obs.Tracer) error {
-			q, inj, _ := q3Trace(t)
-			r, err := New(Config{Nodes: eqNodes, Injector: inj, Tracer: tr, Metrics: m})
-			if err != nil {
-				return err
-			}
-			_, _, err = r.Execute(context.Background(), q)
-			return err
-		})
-		run(func(m *Metrics, tr *obs.Tracer) error {
-			q, inj, _ := q3Trace(t)
-			co := &engine.Coordinator{Nodes: eqNodes, Injector: inj, Tracer: tr, Metrics: m}
-			_, _, err := co.Execute(q)
-			return err
-		})
 	}
 	wg.Wait()
 }

@@ -1,8 +1,7 @@
-// Throughput benchmarks comparing the concurrent pipelined runtime
-// (internal/runtime) against the staged sequential interpreter
-// (internal/engine) on the same operator DAGs, plus a JSON emitter that
-// records the comparison in BENCH_runtime.json so the perf trajectory is
-// tracked across PRs.
+// Throughput and allocation benchmarks of the runtime (internal/runtime) and
+// the engine kernels it drives. Tracked numbers come from benchmark/ (see
+// BENCHMARK.json); these are for measuring while you work, plus the gated
+// allocation-ceiling test.
 //
 // Run with:
 //
@@ -10,19 +9,14 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
-	goruntime "runtime"
 	"testing"
 	"time"
 
 	"ftpde/internal/engine"
-	"ftpde/internal/lint"
-	lintanalysis "ftpde/internal/lint/analysis"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/prof"
 	"ftpde/internal/runtime"
@@ -31,10 +25,8 @@ import (
 
 // multiBranchPlan builds a multi-stage DAG with `branches` independent
 // scan -> select -> project -> global-agg chains whose one-row outputs are
-// combined by a chain of cheap joins. The staged engine runs the branches
-// strictly one operator at a time; the pipelined runtime overlaps them, so
-// with GOMAXPROCS >= branches it wins even when each operator is itself
-// partition-parallel.
+// combined by a chain of cheap joins. The runtime overlaps the branches, so
+// with GOMAXPROCS >= branches it scales past the partition count.
 func multiBranchPlan(rowsPerBranch, branches, parts int) (engine.Operator, error) {
 	schema := engine.Schema{{Name: "k", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat}}
 	heavy := func(c engine.Expr) engine.Expr {
@@ -81,43 +73,6 @@ const (
 	benchParts      = 2 // fewer partitions than cores: stage overlap is the win
 )
 
-func runStagedOnce(b testing.TB, root engine.Operator) {
-	co := &engine.Coordinator{Nodes: benchParts}
-	res, _, err := co.Execute(root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.AllRows()) == 0 {
-		b.Fatal("empty result")
-	}
-}
-
-func runPipelinedOnce(b testing.TB, root engine.Operator, m *runtime.Metrics) {
-	r, err := runtime.New(runtime.Config{Nodes: benchParts, Metrics: m})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := r.Execute(context.Background(), root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.AllRows()) == 0 {
-		b.Fatal("empty result")
-	}
-}
-
-func BenchmarkRuntimeStagedMultiBranch(b *testing.B) {
-	root, err := multiBranchPlan(benchBranchRows, benchBranches, benchParts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runStagedOnce(b, root)
-	}
-}
-
 func BenchmarkRuntimePipelinedMultiBranch(b *testing.B) {
 	root, err := multiBranchPlan(benchBranchRows, benchBranches, benchParts)
 	if err != nil {
@@ -126,7 +81,17 @@ func BenchmarkRuntimePipelinedMultiBranch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPipelinedOnce(b, root, nil)
+		r, err := runtime.New(runtime.Config{Nodes: benchParts})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err := r.Execute(context.Background(), root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.AllRows()) == 0 {
+			b.Fatal("empty result")
+		}
 	}
 }
 
@@ -199,7 +164,7 @@ func BenchmarkRuntimePipelinedQ1(b *testing.B) {
 // obs.Progress attached, the way ftserve runs every query. The delta against
 // BenchmarkRuntimePipelinedQ1 is the whole cost of introspection; the
 // alloc_budget.json ceiling for pipelined_q1_progress keeps that delta from
-// growing silently, and BENCH_runtime.json records it as obs_overhead_ns.
+// growing silently, and benchmark/ reports it as obs.overhead_frac.
 func BenchmarkRuntimePipelinedQ1Progress(b *testing.B) {
 	cat, err := tpch.Generate(0.002, 4, 7)
 	if err != nil {
@@ -236,8 +201,7 @@ func BenchmarkRuntimePipelinedQ1Progress(b *testing.B) {
 // window, dark for the rest, attribution scaled by 1/duty). The window here is
 // 500ms rather than the server's 5s only so a ~1s measurement spans full
 // cycles. The delta against BenchmarkRuntimePipelinedQ1 is the whole cost of
-// continuous profiling; BENCH_runtime.json records it as prof_overhead_ns /
-// prof_overhead_frac with a 2% bar. (Always-on profiling — duty 1, what the
+// continuous profiling, budgeted at 2%. (Always-on profiling — duty 1, what the
 // one-shot CLI uses — measures at several percent on a single-core box; the
 // duty cycle is precisely what buys the budget back for servers.)
 func BenchmarkRuntimePipelinedQ1Profiled(b *testing.B) {
@@ -351,67 +315,11 @@ func BenchmarkScanFilterProjectRowBaseline(b *testing.B) {
 	benchScanFilterProject(b, false)
 }
 
-// scalingPoint is one GOMAXPROCS setting in the worker-scaling series.
-type scalingPoint struct {
-	Workers          int     `json:"workers"`
-	StagedSeconds    float64 `json:"staged_seconds_per_op"`
-	PipelinedSeconds float64 `json:"pipelined_seconds_per_op"`
-	Speedup          float64 `json:"pipelined_speedup"`
-	PipelinedAllocs  int64   `json:"pipelined_allocs_per_op"`
-	PipelinedBytes   int64   `json:"pipelined_bytes_per_op"`
-}
-
 // allocPoint records an allocation measurement from testing.Benchmark.
 type allocPoint struct {
 	SecondsPerOp float64 `json:"seconds_per_op"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
-}
-
-type benchReport struct {
-	GOMAXPROCS    int `json:"gomaxprocs"`
-	Branches      int `json:"branches"`
-	RowsPerBranch int `json:"rows_per_branch"`
-	Partitions    int `json:"partitions"`
-	// Scaling pins GOMAXPROCS to each worker count; speedup is staged vs
-	// pipelined wall time on the multi-branch plan at that setting.
-	Scaling []scalingPoint `json:"scaling"`
-	// ScanFilterProject compares the shared kernels on columnar batches
-	// against the []Row baseline (plain-int key defeats strict typing).
-	ScanFilterProjectRows     int        `json:"scan_filter_project_rows"`
-	ScanFilterProjectRow      allocPoint `json:"scan_filter_project_row_baseline"`
-	ScanFilterProjectColumnar allocPoint `json:"scan_filter_project_columnar"`
-	AllocsReduction           float64    `json:"scan_filter_project_allocs_reduction"`
-	// CheckpointQ1 sizes the materialized Q1 scan intermediate in the legacy
-	// row-gob serialization vs. the column-block format DiskStore now writes.
-	CheckpointQ1RowGobBytes  int64   `json:"checkpoint_q1_row_gob_bytes"`
-	CheckpointQ1ColumnBytes  int64   `json:"checkpoint_q1_column_block_bytes"`
-	CheckpointBytesReduction float64 `json:"checkpoint_q1_bytes_reduction"`
-	// PipelinedQ1 vs PipelinedQ1Progress isolates the cost of live progress
-	// tracking on the end-to-end Q1 run. ObsOverheadNs is the per-op wall
-	// delta in nanoseconds (clamped at zero: timing jitter can make the
-	// tracked run measure faster), ObsOverheadFrac the same relative to the
-	// untracked baseline — the PR-level bar is staying under 2%.
-	PipelinedQ1         allocPoint `json:"pipelined_q1"`
-	PipelinedQ1Progress allocPoint `json:"pipelined_q1_progress"`
-	ObsOverheadNs       float64    `json:"obs_overhead_ns"`
-	ObsOverheadFrac     float64    `json:"obs_overhead_frac"`
-	// PipelinedQ1Profiled runs the same Q1 with the continuous profiler
-	// attached (labels + live 100 Hz CPU sampler). ProfOverheadNs /
-	// ProfOverheadFrac isolate its cost against the unprofiled baseline,
-	// clamped at zero like the obs overhead; the bar is staying under 2%,
-	// and benchdiff treats prof_overhead_frac as lower-is-better.
-	PipelinedQ1Profiled allocPoint       `json:"pipelined_q1_profiled"`
-	ProfOverheadNs      float64          `json:"prof_overhead_ns"`
-	ProfOverheadFrac    float64          `json:"prof_overhead_frac"`
-	Speedup             float64          `json:"pipelined_speedup"`
-	Metrics             runtime.Snapshot `json:"pipelined_metrics"`
-	// LintWallMs is the wall time of one full ftlint sweep (load + all
-	// analyzers over the whole module). Interprocedural summaries make the
-	// suite quadratic-ish in the worst case, so the trajectory is tracked
-	// here; benchdiff only flags it past 2x because a single cold `go list
-	// -export` can dominate the measurement.
-	LintWallMs float64 `json:"lint_wall_ms"`
 }
 
 func toAllocPoint(r testing.BenchmarkResult) allocPoint {
@@ -420,37 +328,6 @@ func toAllocPoint(r testing.BenchmarkResult) allocPoint {
 		AllocsPerOp:  r.AllocsPerOp(),
 		BytesPerOp:   r.AllocedBytesPerOp(),
 	}
-}
-
-// q1CheckpointBytes sizes the Q1 lineitem-scan intermediate (the natural
-// materialization point feeding the aggregate) in both serializations.
-func q1CheckpointBytes(t *testing.T) (rowGob, colBlock int64) {
-	cat, err := tpch.Generate(0.002, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, err := tpch.EngineQ1(cat, 2500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := q1.Inputs()[0].(*engine.Scan)
-	for p := 0; p < 4; p++ {
-		rows, err := scan.Compute(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-			t.Fatal(err)
-		}
-		rowGob += int64(buf.Len())
-		n, ok := engine.ColumnBlockSize(rows)
-		if !ok {
-			t.Fatal("Q1 scan output is not strictly typed")
-		}
-		colBlock += n
-	}
-	return rowGob, colBlock
 }
 
 // allocCeiling is one entry of alloc_budget.json: the hard upper bound a
@@ -509,174 +386,5 @@ func TestAllocBudget(t *testing.T) {
 		if _, ok := budget[name]; !ok {
 			t.Errorf("benchmark %q has no ceiling in alloc_budget.json", name)
 		}
-	}
-}
-
-// lintWallMs times one full ftlint sweep — export-data load plus every
-// registered analyzer over the whole module, the exact work the CI gate does.
-// One run, not testing.Benchmark: the dominant cost is `go list -export`,
-// whose build cache makes repeat iterations measure a different (warmer)
-// workload than CI sees.
-func lintWallMs(t *testing.T) float64 {
-	t.Helper()
-	start := time.Now()
-	pkgs, err := lintanalysis.Load(".", "./...")
-	if err != nil {
-		t.Fatalf("lint load: %v", err)
-	}
-	findings, err := lintanalysis.Run(pkgs, lint.Analyzers)
-	if err != nil {
-		t.Fatalf("lint run: %v", err)
-	}
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	if len(findings) > 0 {
-		t.Errorf("lint sweep found %d findings on the bench tree; run ./cmd/ftlint for details", len(findings))
-	}
-	return ms
-}
-
-// TestWriteRuntimeBenchJSON measures staged vs pipelined on the multi-branch
-// plan across a pinned 1/2/4-worker scaling series, the columnar vs []Row
-// kernel comparison, and the Q1 checkpoint sizes, then writes
-// BENCH_runtime.json so the perf trajectory is tracked across PRs. Timing
-// noise is recorded, not asserted on.
-func TestWriteRuntimeBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in -short mode")
-	}
-	root, err := multiBranchPlan(benchBranchRows, benchBranches, benchParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both paths once.
-	runStagedOnce(t, root)
-	runPipelinedOnce(t, root, nil)
-
-	hostProcs := goruntime.GOMAXPROCS(0)
-	defer goruntime.GOMAXPROCS(hostProcs)
-	var scaling []scalingPoint
-	for _, w := range []int{1, 2, 4} {
-		goruntime.GOMAXPROCS(w)
-		staged := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runStagedOnce(b, root)
-			}
-		})
-		pipelined := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runPipelinedOnce(b, root, nil)
-			}
-		})
-		sp := toAllocPoint(staged)
-		pp := toAllocPoint(pipelined)
-		scaling = append(scaling, scalingPoint{
-			Workers:          w,
-			StagedSeconds:    sp.SecondsPerOp,
-			PipelinedSeconds: pp.SecondsPerOp,
-			Speedup:          sp.SecondsPerOp / pp.SecondsPerOp,
-			PipelinedAllocs:  pp.AllocsPerOp,
-			PipelinedBytes:   pp.BytesPerOp,
-		})
-	}
-	goruntime.GOMAXPROCS(hostProcs)
-
-	rowPoint := toAllocPoint(testing.Benchmark(func(b *testing.B) { benchScanFilterProject(b, false) }))
-	colPoint := toAllocPoint(testing.Benchmark(func(b *testing.B) { benchScanFilterProject(b, true) }))
-
-	m := &runtime.Metrics{}
-	start := time.Now()
-	runPipelinedOnce(t, root, m)
-	_ = time.Since(start)
-
-	rowGob, colBlock := q1CheckpointBytes(t)
-
-	lintMs := lintWallMs(t)
-
-	// The overhead series are differences of two benchmark runs, and on a
-	// loaded single-core host one run's wall time swings by more than the
-	// 2% effect being measured. Min-of-3 approximates the noise-free run on
-	// both sides of each difference.
-	minPoint := func(bench func(*testing.B)) allocPoint {
-		best := toAllocPoint(testing.Benchmark(bench))
-		for i := 0; i < 2; i++ {
-			if p := toAllocPoint(testing.Benchmark(bench)); p.SecondsPerOp < best.SecondsPerOp {
-				best = p
-			}
-		}
-		return best
-	}
-	q1Point := minPoint(BenchmarkRuntimePipelinedQ1)
-	q1ProgPoint := minPoint(BenchmarkRuntimePipelinedQ1Progress)
-	overheadNs := (q1ProgPoint.SecondsPerOp - q1Point.SecondsPerOp) * 1e9
-	if overheadNs < 0 {
-		overheadNs = 0
-	}
-	overheadFrac := 0.0
-	if q1Point.SecondsPerOp > 0 {
-		overheadFrac = overheadNs / 1e9 / q1Point.SecondsPerOp
-	}
-
-	q1ProfPoint := minPoint(BenchmarkRuntimePipelinedQ1Profiled)
-	profOverheadNs := (q1ProfPoint.SecondsPerOp - q1Point.SecondsPerOp) * 1e9
-	if profOverheadNs < 0 {
-		profOverheadNs = 0
-	}
-	profOverheadFrac := 0.0
-	if q1Point.SecondsPerOp > 0 {
-		profOverheadFrac = profOverheadNs / 1e9 / q1Point.SecondsPerOp
-	}
-
-	last := scaling[len(scaling)-1]
-	report := benchReport{
-		GOMAXPROCS:                hostProcs,
-		Branches:                  benchBranches,
-		RowsPerBranch:             benchBranchRows,
-		Partitions:                benchParts,
-		Scaling:                   scaling,
-		ScanFilterProjectRows:     sfpRows,
-		ScanFilterProjectRow:      rowPoint,
-		ScanFilterProjectColumnar: colPoint,
-		AllocsReduction:           1 - float64(colPoint.AllocsPerOp)/float64(rowPoint.AllocsPerOp),
-		CheckpointQ1RowGobBytes:   rowGob,
-		CheckpointQ1ColumnBytes:   colBlock,
-		CheckpointBytesReduction:  1 - float64(colBlock)/float64(rowGob),
-		PipelinedQ1:               q1Point,
-		PipelinedQ1Progress:       q1ProgPoint,
-		ObsOverheadNs:             overheadNs,
-		ObsOverheadFrac:           overheadFrac,
-		PipelinedQ1Profiled:       q1ProfPoint,
-		ProfOverheadNs:            profOverheadNs,
-		ProfOverheadFrac:          profOverheadFrac,
-		Speedup:                   last.Speedup,
-		Metrics:                   m.Snapshot(),
-		LintWallMs:                lintMs,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_runtime.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range scaling {
-		t.Logf("workers=%d staged=%.3fs pipelined=%.3fs speedup=%.2fx",
-			s.Workers, s.StagedSeconds, s.PipelinedSeconds, s.Speedup)
-	}
-	t.Logf("scan-filter-project allocs/op: row=%d columnar=%d (%.0f%% reduction)",
-		rowPoint.AllocsPerOp, colPoint.AllocsPerOp, 100*report.AllocsReduction)
-	t.Logf("Q1 checkpoint bytes: row-gob=%d column-block=%d (%.0f%% reduction)",
-		rowGob, colBlock, 100*report.CheckpointBytesReduction)
-	t.Logf("Q1 progress-tracking overhead: %.0fns/op (%.2f%% of %.3fs baseline)",
-		overheadNs, 100*overheadFrac, q1Point.SecondsPerOp)
-	t.Logf("Q1 continuous-profiling overhead: %.0fns/op (%.2f%% of %.3fs baseline; bar 2%%)",
-		profOverheadNs, 100*profOverheadFrac, q1Point.SecondsPerOp)
-	t.Logf("ftlint full-module sweep: %.0fms", lintMs)
-	if report.AllocsReduction < 0.5 {
-		t.Errorf("columnar allocs reduction %.2f below the 0.5 acceptance bar", report.AllocsReduction)
-	}
-	if colBlock >= rowGob {
-		t.Errorf("column-block checkpoint (%d bytes) not smaller than row gob (%d bytes)", colBlock, rowGob)
 	}
 }
