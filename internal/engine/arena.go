@@ -371,7 +371,7 @@ func (v *Vector) Release(l *Local) {
 // Release returns every arena-owned piece of the batch — column storage,
 // selection vector, column-header slice, and the shell itself. The batch must
 // not be used afterwards. Plain batches (table partitions, committed stage
-// results, raw batches) pass through untouched.
+// results) pass through untouched.
 func (b *Batch) Release(l *Local) {
 	if b == nil || l == nil {
 		return

@@ -13,13 +13,29 @@ import (
 // contract — the ground truth the byte-identical equivalence tests check the
 // batch path against.
 //
-// Input batches are shared, committed results: ComputeBatch must only read
-// them. Mixed-type data that has no strict columnar form arrives as raw
-// batches; operators fall back to the interpreted row algorithm for those,
-// so results are identical either way.
+// Input batches are shared, committed results: ComputeBatch only reads them.
 type BatchOperator interface {
 	Operator
 	ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
+}
+
+// CheckColumnar reports why op cannot execute on typed columns — a predicate
+// or expression that did not compile at construction, or an operator with no
+// batch form — as an error wrapping ErrNotColumnar; nil when it can. The
+// runtime checks every operator of a plan before it starts any work.
+func CheckColumnar(op Operator) error {
+	switch o := op.(type) {
+	case *Scan:
+		return o.cerr
+	case *Select:
+		return o.cerr
+	case *Project:
+		return o.cerr
+	}
+	if _, ok := op.(BatchOperator); !ok {
+		return fmt.Errorf("engine: operator %s (%T) has no batch form: %w", op.Name(), op, ErrNotColumnar)
+	}
+	return nil
 }
 
 // BatchResult is an operator's output in batch form: one batch per node
@@ -36,8 +52,8 @@ func NewBatchResult(schema Schema, parts int) *BatchResult {
 	return &BatchResult{Schema: schema, Parts: make([]*Batch, parts), Lost: make([]bool, parts)}
 }
 
-// ToPartitioned materializes the whole result as row partitions — the bridge
-// into the row-oriented Compute contract for raw-data fallbacks.
+// ToPartitioned materializes the whole result as row partitions — the
+// runtime's row-partitioned public contract, applied once to the root result.
 func (r *BatchResult) ToPartitioned() *PartitionedResult {
 	out := newResult(r.Schema, len(r.Parts))
 	for i, b := range r.Parts {
@@ -45,15 +61,6 @@ func (r *BatchResult) ToPartitioned() *PartitionedResult {
 	}
 	if r.Lost != nil {
 		copy(out.Lost, r.Lost)
-	}
-	return out
-}
-
-// toPartitionedInputs converts batch inputs for a row-oriented fallback.
-func toPartitionedInputs(inputs []*BatchResult) []*PartitionedResult {
-	out := make([]*PartitionedResult, len(inputs))
-	for i, in := range inputs {
-		out[i] = in.ToPartitioned()
 	}
 	return out
 }
@@ -116,8 +123,7 @@ func (u *UnionAll) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 // Each input batch is hashed column-wise on the key (via hashValue's typed
 // helpers, so rows land exactly where the row path puts them), the positions
 // belonging to this output partition are collected into a selection vector,
-// and one column-wise gather appends them to the output builder. Raw batches
-// interleave through the per-row loop with identical placement and ordering.
+// and one column-wise gather appends them to the output builder.
 func (e *Exchange) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	in := inputs[0]
 	n := uint64(len(in.Parts))
@@ -125,17 +131,6 @@ func (e *Exchange) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 	var sel []int32 // scatter scratch, reused across input partitions
 	for _, b := range in.Parts {
 		if b.Len() == 0 {
-			continue
-		}
-		if b.IsRaw() {
-			for _, r := range b.raw {
-				if e.keyCol >= len(r) {
-					return nil, fmt.Errorf("engine: exchange %s key column %d out of range", e.name, e.keyCol)
-				}
-				if int(hashValue(r[e.keyCol])%n) == part {
-					bb.AppendRow(r)
-				}
-			}
 			continue
 		}
 		if e.keyCol >= len(b.Cols) {
@@ -170,20 +165,6 @@ func (e *Exchange) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	build, probe := inputs[0], inputs[1]
 	probeB := probe.Parts[part]
-	raw := probeB.Len() > 0 && probeB.IsRaw()
-	for _, b := range build.Parts {
-		if b.Len() > 0 && b.IsRaw() {
-			raw = true
-			break
-		}
-	}
-	if raw {
-		rows, err := j.Compute(part, toPartitionedInputs(inputs))
-		if err != nil {
-			return nil, err
-		}
-		return BatchFromRows(j.schema, rows), nil
-	}
 
 	// Dense build-side concatenation, insertion order = (partition, row).
 	buildSchema := j.inputs[0].OutSchema()
@@ -265,18 +246,8 @@ func (s *Sort) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	if part != 0 {
 		return nil, nil
 	}
-	in := inputs[0]
-	for _, b := range in.Parts {
-		if b.Len() > 0 && b.IsRaw() {
-			rows, err := s.Compute(part, toPartitionedInputs(inputs))
-			if err != nil {
-				return nil, err
-			}
-			return BatchFromRows(s.schema, rows), nil
-		}
-	}
 	bb := NewBatchBuilder(s.inputs[0].OutSchema())
-	for _, b := range in.Parts {
+	for _, b := range inputs[0].Parts {
 		bb.Append(b)
 	}
 	dense := bb.Finish()

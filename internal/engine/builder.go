@@ -6,14 +6,9 @@ package engine
 // input batches into per-partition builders, and kernel flushes merge partial
 // batches. The finished batch is always dense (no selection vector) and plain
 // (no arena ownership), so it is safe to commit, checkpoint, or share.
-//
-// When an input batch is on the raw row fallback, the builder degrades to
-// rows as well, so mixed-type data keeps flowing with identical semantics.
 type BatchBuilder struct {
 	schema Schema
 	cols   []Vector
-	rows   []Row // raw fallback; non-nil (or degraded) once any input was raw
-	raw    bool
 }
 
 // NewBatchBuilder returns an empty builder producing batches of the schema.
@@ -23,9 +18,6 @@ func NewBatchBuilder(schema Schema) *BatchBuilder {
 
 // Len returns the number of rows accumulated so far.
 func (bb *BatchBuilder) Len() int {
-	if bb.raw {
-		return len(bb.rows)
-	}
 	if len(bb.cols) == 0 {
 		return 0
 	}
@@ -35,11 +27,6 @@ func (bb *BatchBuilder) Len() int {
 // Append accumulates every logical row of b. The input is only read.
 func (bb *BatchBuilder) Append(b *Batch) {
 	if b == nil || b.Len() == 0 {
-		return
-	}
-	if b.IsRaw() || bb.raw {
-		bb.degrade()
-		bb.rows = b.AppendRows(bb.rows)
 		return
 	}
 	bb.ensureCols()
@@ -75,33 +62,11 @@ func (bb *BatchBuilder) Append(b *Batch) {
 	}
 }
 
-// AppendRow accumulates one boxed row, degrading the builder to the raw
-// representation (used when raw inputs interleave with columnar ones).
-func (bb *BatchBuilder) AppendRow(r Row) {
-	bb.degrade()
-	bb.rows = append(bb.rows, r)
-}
-
 // AppendSel accumulates the physical positions sel of a columnar batch,
 // ignoring b's own selection vector (callers pass resolved positions). It is
 // the gather half of exchange's hash+scatter and of the join probe.
 func (bb *BatchBuilder) AppendSel(b *Batch, sel []int32) {
 	if len(sel) == 0 {
-		return
-	}
-	if b.IsRaw() || bb.raw {
-		bb.degrade()
-		for _, p := range sel {
-			if b.IsRaw() {
-				bb.rows = append(bb.rows, b.raw[p])
-				continue
-			}
-			r := make(Row, len(b.Cols))
-			for ci := range b.Cols {
-				r[ci] = b.Cols[ci].Value(int(p))
-			}
-			bb.rows = append(bb.rows, r)
-		}
 		return
 	}
 	bb.ensureCols()
@@ -128,12 +93,6 @@ func (bb *BatchBuilder) AppendSel(b *Batch, sel []int32) {
 // Finish returns the accumulated batch (nil when empty, matching the
 // empty-partition convention). The builder must not be reused afterwards.
 func (bb *BatchBuilder) Finish() *Batch {
-	if bb.raw {
-		if len(bb.rows) == 0 {
-			return nil
-		}
-		return RawBatch(bb.schema, bb.rows)
-	}
 	n := bb.Len()
 	if n == 0 {
 		return nil
@@ -150,20 +109,4 @@ func (bb *BatchBuilder) ensureCols() {
 	for i, c := range bb.schema {
 		bb.cols[i].Type = c.Type
 	}
-}
-
-// degrade switches the builder to the raw row representation, converting any
-// columnar content accumulated so far.
-func (bb *BatchBuilder) degrade() {
-	if bb.raw {
-		return
-	}
-	bb.raw = true
-	if len(bb.cols) == 0 || bb.cols[0].Len() == 0 {
-		bb.cols = nil
-		return
-	}
-	b := &Batch{Schema: bb.schema, Cols: bb.cols, nrows: bb.cols[0].Len()}
-	bb.rows = b.AppendRows(bb.rows)
-	bb.cols = nil
 }

@@ -1,8 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrNotColumnar marks data or an operator that has no typed-column form: a
+// value that is not the int64/float64/string its column declares, an
+// expression that does not compile, an aggregate whose output does not fit
+// its schema. The runtime executes typed columns only, so the three places
+// such data can enter — table construction, plan admission, checkpoint
+// restore — reject it with an error wrapping this one.
+var ErrNotColumnar = errors.New("engine: not typed columnar")
 
 // Vector is one typed column of a Batch: exactly one of the payload slices is
 // populated, matching Type. Keeping values in typed slices instead of []Value
@@ -44,8 +53,7 @@ func (v *Vector) Value(i int) Value {
 }
 
 // appendValue strictly appends a boxed value of the vector's type; int64,
-// float64 and string only — anything else (including plain int) keeps the
-// data on the row fallback path so values round-trip bit-identically.
+// float64 and string only — anything else (including plain int) is refused.
 func (v *Vector) appendValue(val Value) bool {
 	switch v.Type {
 	case TypeInt:
@@ -111,17 +119,11 @@ func (v *Vector) slice(lo, hi int) Vector {
 // an optional selection vector. Sel holds the physical row positions that are
 // logically present (nil means all rows), so filters narrow a batch without
 // copying column data.
-//
-// A batch can also wrap plain rows (raw != nil) as a fallback when data is
-// not strictly typed — e.g. a column whose values mix int and int64. Raw
-// batches flow through the same kernels on an interpreted path, so results
-// are identical either way.
 type Batch struct {
 	Schema Schema
 	Cols   []Vector
 	Sel    []int32
-	nrows  int   // physical row count of Cols
-	raw    []Row // fallback representation; when set, Cols is unused
+	nrows  int // physical row count of Cols
 
 	// Arena ownership flags: which pieces of this batch Release returns to
 	// a Local. They are tracked separately because batches routinely mix
@@ -153,9 +155,8 @@ func NewBatchFromCols(schema Schema, cols []Vector) (*Batch, error) {
 }
 
 // RowsToBatch strictly converts rows to a columnar batch: every value must be
-// an int64, float64 or string matching the declared column type. It fails on
-// anything else (nil, plain int, width mismatch), in which case callers fall
-// back to a raw batch so semantics never change.
+// an int64, float64 or string matching the declared column type. Anything
+// else (nil, plain int, width mismatch) is an ErrNotColumnar error.
 func RowsToBatch(schema Schema, rows []Row) (*Batch, error) {
 	cols := make([]Vector, len(schema))
 	for i, c := range schema {
@@ -171,49 +172,23 @@ func RowsToBatch(schema Schema, rows []Row) (*Batch, error) {
 	}
 	for ri, r := range rows {
 		if len(r) != len(schema) {
-			return nil, fmt.Errorf("engine: row %d has %d values, schema %d", ri, len(r), len(schema))
+			return nil, fmt.Errorf("engine: row %d has %d values, schema %d: %w", ri, len(r), len(schema), ErrNotColumnar)
 		}
 		for ci := range schema {
 			if !cols[ci].appendValue(r[ci]) {
-				return nil, fmt.Errorf("engine: row %d column %d: %T does not match %s", ri, ci, r[ci], schema[ci].Type)
+				return nil, fmt.Errorf("engine: row %d column %d (%s): got %T, column is %s (%s): %w",
+					ri, ci, schema[ci].Name, r[ci], schema[ci].Type, goTypeName(schema[ci].Type), ErrNotColumnar)
 			}
 		}
 	}
 	return &Batch{Schema: schema, Cols: cols, nrows: len(rows)}, nil
 }
 
-// RawBatch wraps rows without conversion (the fallback representation).
-func RawBatch(schema Schema, rows []Row) *Batch {
-	return &Batch{Schema: schema, raw: rows, nrows: len(rows)}
-}
-
-// rowsOrBatch converts strictly when possible and falls back to raw.
-func rowsOrBatch(schema Schema, rows []Row) *Batch {
-	if b, err := RowsToBatch(schema, rows); err == nil {
-		return b
-	}
-	return RawBatch(schema, rows)
-}
-
-// BatchFromRows converts rows to their batch form, preferring the strict
-// columnar representation and falling back to a raw batch. It is the bridge
-// for row-oriented producers (checkpoint restores, legacy Compute results)
-// entering a batch-native consumer.
-func BatchFromRows(schema Schema, rows []Row) *Batch {
-	return rowsOrBatch(schema, rows)
-}
-
-// IsRaw reports whether the batch is on the row fallback path.
-func (b *Batch) IsRaw() bool { return b.raw != nil }
-
 // Len returns the logical (selected) row count (0 for a nil batch, which is
 // the canonical empty-partition representation).
 func (b *Batch) Len() int {
 	if b == nil {
 		return 0
-	}
-	if b.raw != nil {
-		return len(b.raw)
 	}
 	if b.Sel != nil {
 		return len(b.Sel)
@@ -227,9 +202,6 @@ func (b *Batch) Len() int {
 func (b *Batch) AppendRows(dst []Row) []Row {
 	if b == nil {
 		return dst
-	}
-	if b.raw != nil {
-		return append(dst, b.raw...)
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
@@ -261,9 +233,6 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 // the source batch. Releasing a slice therefore never frees storage the
 // source or sibling slices still read.
 func (b *Batch) SliceLocal(lo, hi int, l *Local) *Batch {
-	if b.raw != nil {
-		return RawBatch(b.Schema, b.raw[lo:hi])
-	}
 	if b.Sel != nil {
 		out := l.newBatch()
 		out.Schema = b.Schema

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,29 @@ func TestReplicatedTable(t *testing.T) {
 		if len(tb.Parts[p]) != 3 {
 			t.Errorf("partition %d has %d rows, want 3", p, len(tb.Parts[p]))
 		}
+	}
+}
+
+func TestTablesRejectUntypedValues(t *testing.T) {
+	// Table construction is where base data enters: a value that is not the
+	// int64/float64/string its column declares is refused there, so every
+	// table has its columnar partitions.
+	for name, rows := range map[string][]Row{
+		"plain int": {{int64(1), 1.0}, {2, 2.0}},
+		"nil":       {{int64(1), nil}},
+		"short row": {{int64(1), 1.0}, {int64(2)}},
+	} {
+		if _, err := NewTable("t", kvSchema(), rows, 2, 0); !errors.Is(err, ErrNotColumnar) {
+			t.Errorf("NewTable with a %s: err = %v, want ErrNotColumnar", name, err)
+		}
+		if _, err := NewReplicatedTable("t", kvSchema(), rows, 2); !errors.Is(err, ErrNotColumnar) {
+			t.Errorf("NewReplicatedTable with a %s: err = %v, want ErrNotColumnar", name, err)
+		}
+	}
+	// The message names the column and both the declared and the Go type.
+	_, err := RowsToBatch(kvSchema(), []Row{{0, 1.0}})
+	if want := "row 0 column 0 (k): got int, column is int (int64)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RowsToBatch error = %v, want it to contain %q", err, want)
 	}
 }
 
@@ -166,7 +191,7 @@ func TestGlobalAggregate(t *testing.T) {
 	scan := NewScan("scan", tb, nil, nil)
 	agg := NewHashAggregate("agg", scan, nil,
 		[]AggSpec{{Kind: AggSum, Col: 1}, {Kind: AggCount}, {Kind: AggMin, Col: 0}, {Kind: AggMax, Col: 0}, {Kind: AggAvg, Col: 1}},
-		true, Schema{{Name: "sum"}, {Name: "cnt"}, {Name: "min"}, {Name: "max"}, {Name: "avg"}})
+		true, Schema{{Name: "sum", Type: TypeFloat}, {Name: "cnt", Type: TypeInt}, {Name: "min", Type: TypeInt}, {Name: "max", Type: TypeInt}, {Name: "avg", Type: TypeFloat}})
 	co := &Coordinator{Nodes: 3}
 	res, _ := execute(t, co, agg)
 	rows := res.AllRows()
@@ -200,7 +225,7 @@ func TestGroupedAggregateAfterExchange(t *testing.T) {
 	scan := NewScan("scan", tb, nil, nil)
 	ex := NewExchange("ex", scan, 0)
 	agg := NewHashAggregate("agg", ex, []int{0}, []AggSpec{{Kind: AggSum, Col: 1}},
-		false, Schema{{Name: "k"}, {Name: "sum"}})
+		false, Schema{{Name: "k", Type: TypeInt}, {Name: "sum", Type: TypeFloat}})
 	co := &Coordinator{Nodes: 2}
 	res, _ := execute(t, co, agg)
 	got := map[int64]float64{}

@@ -10,8 +10,8 @@ import (
 // column vectors with no per-row interface boxing. Semantics — numeric
 // coercion through float64, short-circuit AND, error messages — match the
 // interpreted Expr.Eval exactly; anything the compiler cannot prove (unknown
-// node kinds, untyped constants, out-of-range columns) fails compilation and
-// the caller keeps the interpreted path.
+// node kinds, untyped constants, out-of-range columns) fails compilation,
+// which makes the operator holding the expression non-columnar.
 type CompiledExpr struct {
 	// Type is the statically known result type.
 	Type ColType
@@ -113,8 +113,7 @@ func compileConst(c Const) (*CompiledExpr, error) {
 			return Vector{Type: TypeString, Strings: out, pooled: loc != nil}, nil
 		}}, nil
 	default:
-		// Plain ints and other boxed types have no vector representation;
-		// interpreted evaluation keeps their exact dynamic semantics.
+		// Plain ints and other boxed types have no vector representation.
 		return nil, fmt.Errorf("engine: compile: untyped constant %T", c.V)
 	}
 }

@@ -9,12 +9,8 @@ import (
 // Process consumes one input batch and returns the output produced so far
 // (nil when the kernel buffers, e.g. aggregation); Flush emits whatever state
 // remains at end of stream. A kernel instance serves exactly one partition
-// stream — stateful kernels are created fresh per attempt.
-//
-// The runtime feeds kernels batches straight off its channels. On raw
-// batches (rows with no strict columnar form) a kernel runs the same row
-// helper as its operator's Compute — filterRows, projectRows, groupTable —
-// so the interpreted loops exist once.
+// stream — stateful kernels are created fresh per attempt. The runtime feeds
+// kernels batches straight off its channels.
 type BatchKernel interface {
 	Process(b *Batch) (*Batch, error)
 	Flush() (*Batch, error)
@@ -86,100 +82,83 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 	return bb.Finish(), nil
 }
 
-// rawRows exposes the batch's logical rows for interpreted fallback paths.
-func (b *Batch) rawRows() []Row {
-	if b.raw != nil {
-		return b.raw
-	}
-	return b.ToRows()
-}
-
-// filterKernel applies a Select predicate. On columnar batches the compiled
-// predicate narrows the selection vector without touching column data; raw
-// batches (or uncompilable predicates) run the interpreted row loop.
+// filterKernel applies a Select predicate: the compiled predicate narrows the
+// selection vector without touching column data.
 type filterKernel struct {
 	op  *Select
 	loc *Local
 }
 
 func (k *filterKernel) Process(b *Batch) (*Batch, error) {
-	if !b.IsRaw() && k.op.cpred != nil {
-		sel, err := k.op.cpred.filterInto(b, k.loc)
-		if err != nil {
-			return nil, err
-		}
-		if k.loc == nil {
-			// No arena: the input may be a shared committed batch, so it is
-			// only read — the output aliases its columns under a new shell.
-			return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}, nil
-		}
-		// Transfer the input's column storage to the output and recycle the
-		// input's shell before drawing the output's, so in the steady state
-		// the same shell cycles between input and output.
-		cols, colsPooled := b.takeCols()
-		schema, nrows := b.Schema, b.nrows
-		b.releaseShell(k.loc)
-		out := k.loc.newBatch()
-		out.Schema = schema
-		out.Cols = cols
-		out.colsPooled = colsPooled
-		out.Sel = sel
-		out.selPooled = true
-		out.nrows = nrows
-		return out, nil
+	if k.op.cerr != nil {
+		return nil, k.op.cerr
 	}
-	out, err := filterRows(k.op.pred, b.rawRows())
+	sel, err := k.op.cpred.filterInto(b, k.loc)
 	if err != nil {
 		return nil, err
 	}
-	return RawBatch(k.op.schema, out), nil
+	if k.loc == nil {
+		// No arena: the input may be a shared committed batch, so it is
+		// only read — the output aliases its columns under a new shell.
+		return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}, nil
+	}
+	// Transfer the input's column storage to the output and recycle the
+	// input's shell before drawing the output's, so in the steady state
+	// the same shell cycles between input and output.
+	cols, colsPooled := b.takeCols()
+	schema, nrows := b.Schema, b.nrows
+	b.releaseShell(k.loc)
+	out := k.loc.newBatch()
+	out.Schema = schema
+	out.Cols = cols
+	out.colsPooled = colsPooled
+	out.Sel = sel
+	out.selPooled = true
+	out.nrows = nrows
+	return out, nil
 }
 
 func (k *filterKernel) Flush() (*Batch, error) { return nil, nil }
 
-// projectKernel evaluates Project expressions. Compiled expressions produce
-// output vectors directly; otherwise the interpreted per-row loop runs.
+// projectKernel evaluates Project expressions: the compiled expressions
+// produce the output vectors directly.
 type projectKernel struct {
 	op  *Project
 	loc *Local
 }
 
 func (k *projectKernel) Process(b *Batch) (*Batch, error) {
-	if !b.IsRaw() && k.op.cexprs != nil {
-		n := b.Len()
-		cols := k.loc.cols(len(k.op.cexprs))
-		for i, ce := range k.op.cexprs {
-			v, err := ce.eval(b, b.Sel, k.loc)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = v
+	if k.op.cerr != nil {
+		return nil, k.op.cerr
+	}
+	n := b.Len()
+	cols := k.loc.cols(len(k.op.cexprs))
+	for i, ce := range k.op.cexprs {
+		v, err := ce.eval(b, b.Sel, k.loc)
+		if err != nil {
+			return nil, err
 		}
-		// With an arena attached the evaluated vectors are copies, so the
-		// input (storage and shell) recycles before the output shell is
-		// drawn; without one they may alias b, which stays untouched.
-		b.Release(k.loc)
-		out := k.loc.newBatch()
-		out.Schema = k.op.schema
-		out.Cols = cols
-		out.colsPooled = k.loc != nil
-		out.nrows = n
-		return out, nil
+		cols[i] = v
 	}
-	out, err := projectRows(k.op.exprs, b.rawRows())
-	if err != nil {
-		return nil, err
-	}
-	return RawBatch(k.op.schema, out), nil
+	// With an arena attached the evaluated vectors are copies, so the
+	// input (storage and shell) recycles before the output shell is
+	// drawn; without one they may alias b, which stays untouched.
+	b.Release(k.loc)
+	out := k.loc.newBatch()
+	out.Schema = k.op.schema
+	out.Cols = cols
+	out.colsPooled = k.loc != nil
+	out.nrows = n
+	return out, nil
 }
 
 func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 
 // aggKernel is the stateful grouping kernel behind HashAggregate: it
-// accumulates group state across batches and emits the sorted result at
-// Flush. Columnar batches accumulate through typed column access; raw
-// batches go through groupTable.addRow with identical semantics (group
-// signatures render values the same way on both paths).
+// accumulates group state across batches through typed column access and
+// emits the sorted result at Flush. It embeds the oracle's groupTable for the
+// group state and the output assembly (groupTable.rows); group signatures
+// render values the same way on both paths.
 type aggKernel struct {
 	groupTable
 	loc *Local
@@ -209,14 +188,6 @@ func appendSigValue(dst []byte, v *Vector, p int) []byte {
 func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 	if b.Len() == 0 {
 		b.Release(k.loc)
-		return nil, nil
-	}
-	if b.IsRaw() {
-		for _, r := range b.raw {
-			if err := k.addRow(r); err != nil {
-				return nil, err
-			}
-		}
 		return nil, nil
 	}
 	a := k.op
@@ -284,7 +255,11 @@ func (k *aggKernel) Flush() (*Batch, error) {
 	if err != nil || out == nil {
 		return nil, err
 	}
-	return rowsOrBatch(k.op.schema, out), nil
+	ob, err := RowsToBatch(k.op.schema, out)
+	if err != nil {
+		return nil, fmt.Errorf("engine: aggregate %s output: %w", k.op.name, err)
+	}
+	return ob, nil
 }
 
 // limitKernel passes through the first remaining rows of the stream — a

@@ -69,6 +69,16 @@ func (b *base) Materialize() bool  { return b.mat }
 // a materialization configuration to an executable query.
 func (b *base) SetMaterialize(m bool) { b.mat = m }
 
+// compilePredicateFor compiles an operator's predicate against its input
+// schema; a failure becomes the operator's ErrNotColumnar reason.
+func compilePredicateFor(kind, name string, pred Expr, schema Schema) (*CompiledPredicate, error) {
+	cp, err := CompilePredicate(pred, schema)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s %s predicate: %w: %v", kind, name, ErrNotColumnar, err)
+	}
+	return cp, nil
+}
+
 // Scan reads a base table partition-wise, optionally filtering and
 // projecting. Base tables are never lost (they live in the partitioned
 // database, which is recovered by the DBMS itself), so Scan has no inputs.
@@ -77,6 +87,7 @@ type Scan struct {
 	table   *Table
 	filter  Expr // optional
 	cpred   *CompiledPredicate
+	cerr    error // why filter did not compile (wraps ErrNotColumnar)
 	project []int
 	once    bool
 }
@@ -92,9 +103,7 @@ func NewScan(name string, t *Table, filter Expr, project []int) *Scan {
 	}
 	s := &Scan{base: base{name: name, schema: schema}, table: t, filter: filter, project: project}
 	if filter != nil {
-		if cp, err := CompilePredicate(filter, t.Schema); err == nil {
-			s.cpred = cp
-		}
+		s.cpred, s.cerr = compilePredicateFor("scan", name, filter, t.Schema)
 	}
 	return s
 }
@@ -114,7 +123,7 @@ func (s *Scan) Wide() bool { return false }
 
 // Compiled reports whether the scan's filter evaluates through a compiled
 // predicate (true when there is no filter: nothing runs interpreted).
-func (s *Scan) Compiled() bool { return s.filter == nil || s.cpred != nil }
+func (s *Scan) Compiled() bool { return s.cerr == nil }
 
 // Compute implements Operator: the interpreted loop over the partition's
 // rows (it never looks at the table's columnar twin).
@@ -143,38 +152,31 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 
 // ComputeBatch implements BatchOperator, producing one partition natively as
 // a batch (the inputs argument is unused: base tables have no producers).
-// Columnar table partitions flow through the compiled predicate (a
-// selection-vector filter, no row boxing) and a zero-copy column projection;
-// tables without a columnar representation — or filters that did not
-// compile — take Compute's row loop and return a raw batch.
+// The table's columnar partition flows through the compiled predicate (a
+// selection-vector filter, no row boxing) and a zero-copy column projection.
 func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
-	if part < 0 || part >= len(s.table.Parts) {
+	if s.cerr != nil {
+		return nil, s.cerr
+	}
+	if part < 0 || part >= len(s.table.ColParts) {
 		return nil, fmt.Errorf("engine: scan %s partition %d out of range", s.name, part)
 	}
 	if s.once && part != 0 {
 		return nil, nil
 	}
-	if cb := s.table.colPart(part); cb != nil && (s.filter == nil || s.cpred != nil) {
-		b := cb
-		if s.cpred != nil {
-			sel, err := s.cpred.Filter(b)
-			if err != nil {
-				return nil, err
-			}
-			b = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}
+	b := s.table.ColParts[part]
+	if s.cpred != nil {
+		sel, err := s.cpred.Filter(b)
+		if err != nil {
+			return nil, err
 		}
-		return b.Project(s.project, s.schema), nil
+		b = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}
 	}
-	rows, err := s.Compute(part, nil)
-	if err != nil {
-		return nil, err
-	}
-	return RawBatch(s.schema, rows), nil
+	return b.Project(s.project, s.schema), nil
 }
 
 // filterRows keeps the rows whose predicate is truthy (nil when none is) —
-// the one interpreted filter loop, behind Select's Compute and the filter
-// kernel's raw-batch branch.
+// the oracle's filter loop, behind Select's Compute.
 func filterRows(pred Expr, in []Row) ([]Row, error) {
 	var out []Row
 	for _, r := range in {
@@ -189,9 +191,8 @@ func filterRows(pred Expr, in []Row) ([]Row, error) {
 	return out, nil
 }
 
-// projectRows evaluates exprs over every row (nil for no rows) — the one
-// interpreted projection loop, behind Project's Compute and the projection
-// kernel's raw-batch branch.
+// projectRows evaluates exprs over every row (nil for no rows) — the oracle's
+// projection loop, behind Project's Compute.
 func projectRows(exprs []Expr, in []Row) ([]Row, error) {
 	if len(in) == 0 {
 		return nil, nil
@@ -216,18 +217,16 @@ type Select struct {
 	base
 	pred  Expr
 	cpred *CompiledPredicate
+	cerr  error // why pred did not compile (wraps ErrNotColumnar)
 }
 
 // NewSelect creates a filter operator. The predicate is compiled against the
-// input schema at construction; predicates the compiler cannot handle keep
-// the interpreted path.
+// input schema at construction; a predicate the compiler cannot handle makes
+// the operator non-columnar (CheckColumnar reports why), which the runtime
+// refuses to execute.
 func NewSelect(name string, in Operator, pred Expr) *Select {
 	s := &Select{base: base{name: name, inputs: []Operator{in}, schema: in.OutSchema()}, pred: pred}
-	if pred != nil {
-		if cp, err := CompilePredicate(pred, in.OutSchema()); err == nil {
-			s.cpred = cp
-		}
-	}
+	s.cpred, s.cerr = compilePredicateFor("select", name, pred, in.OutSchema())
 	return s
 }
 
@@ -235,7 +234,7 @@ func NewSelect(name string, in Operator, pred Expr) *Select {
 func (s *Select) Wide() bool { return false }
 
 // Compiled reports whether the predicate evaluates through its compiled form.
-func (s *Select) Compiled() bool { return s.cpred != nil }
+func (s *Select) Compiled() bool { return s.cerr == nil }
 
 // Compute implements Operator.
 func (s *Select) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
@@ -247,26 +246,31 @@ type Project struct {
 	base
 	exprs  []Expr
 	cexprs []*CompiledExpr
+	cerr   error // why exprs did not compile to outSchema (wraps ErrNotColumnar)
 }
 
 // NewProject creates a projection; outSchema names the produced columns. The
-// expressions are compiled against the input schema at construction; the
-// compiled forms are used only when every expression compiles and its static
-// result type matches the declared output column type (otherwise the
-// interpreted path keeps the exact dynamic value types).
+// expressions are compiled against the input schema at construction; every
+// expression must compile to the type its output column declares, otherwise
+// the operator is non-columnar (CheckColumnar reports why) and the runtime
+// refuses to execute it.
 func NewProject(name string, in Operator, exprs []Expr, outSchema Schema) *Project {
 	p := &Project{base: base{name: name, inputs: []Operator{in}, schema: outSchema}, exprs: exprs}
-	if len(exprs) == len(outSchema) {
-		cexprs := make([]*CompiledExpr, len(exprs))
-		for i, e := range exprs {
-			ce, err := Compile(e, in.OutSchema())
-			if err != nil || ce.Type != outSchema[i].Type {
-				cexprs = nil
-				break
-			}
-			cexprs[i] = ce
+	if len(exprs) != len(outSchema) {
+		p.cerr = fmt.Errorf("engine: project %s has %d expressions, schema %d: %w", name, len(exprs), len(outSchema), ErrNotColumnar)
+		return p
+	}
+	p.cexprs = make([]*CompiledExpr, len(exprs))
+	for i, e := range exprs {
+		ce, err := Compile(e, in.OutSchema())
+		if err == nil && ce.Type != outSchema[i].Type {
+			err = fmt.Errorf("expression is %s, column is %s", ce.Type, outSchema[i].Type)
 		}
-		p.cexprs = cexprs
+		if err != nil {
+			p.cerr = fmt.Errorf("engine: project %s column %d (%s): %w: %v", name, i, outSchema[i].Name, ErrNotColumnar, err)
+			return p
+		}
+		p.cexprs[i] = ce
 	}
 	return p
 }
@@ -276,7 +280,7 @@ func (p *Project) Wide() bool { return false }
 
 // Compiled reports whether every projection expression evaluates through its
 // compiled form.
-func (p *Project) Compiled() bool { return p.cexprs != nil }
+func (p *Project) Compiled() bool { return p.cerr == nil }
 
 // Compute implements Operator.
 func (p *Project) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
@@ -454,8 +458,7 @@ func (st *aggState) updateMinMax(i int, v Value) {
 
 // groupTable is the group state of one aggregation in first-seen order: the
 // row-at-a-time accumulator behind HashAggregate's Compute, which the
-// aggregation kernel embeds so its raw-batch branch and its flush run the
-// same two loops.
+// aggregation kernel embeds so both assemble their output rows the same way.
 type groupTable struct {
 	op     *HashAggregate
 	groups map[string]*aggState

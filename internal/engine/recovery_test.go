@@ -27,7 +27,7 @@ func pipeline(t *testing.T, parts int, matJoin bool) (Operator, *Coordinator) {
 		join.SetMaterialize(true)
 	}
 	agg := NewHashAggregate("agg", join, nil, []AggSpec{{Kind: AggSum, Col: 1}, {Kind: AggCount}},
-		true, Schema{{Name: "sum"}, {Name: "cnt"}})
+		true, Schema{{Name: "sum", Type: TypeFloat}, {Name: "cnt", Type: TypeInt}})
 	return agg, &Coordinator{Nodes: parts}
 }
 
@@ -172,7 +172,7 @@ func TestExchangeRecovery(t *testing.T) {
 	scan := NewScan("scan", tb, nil, nil)
 	ex := NewExchange("ex", scan, 0)
 	agg := NewHashAggregate("agg", ex, []int{0}, []AggSpec{{Kind: AggCount}},
-		false, Schema{{Name: "k"}, {Name: "cnt"}})
+		false, Schema{{Name: "k", Type: TypeInt}, {Name: "cnt", Type: TypeInt}})
 
 	clean := &Coordinator{Nodes: 4}
 	cleanRes, _, err := clean.Execute(agg)
@@ -184,7 +184,7 @@ func TestExchangeRecovery(t *testing.T) {
 	scan2 := NewScan("scan", tb2, nil, nil)
 	ex2 := NewExchange("ex", scan2, 0)
 	agg2 := NewHashAggregate("agg", ex2, []int{0}, []AggSpec{{Kind: AggCount}},
-		false, Schema{{Name: "k"}, {Name: "cnt"}})
+		false, Schema{{Name: "k", Type: TypeInt}, {Name: "cnt", Type: TypeInt}})
 	co := &Coordinator{Nodes: 4, Injector: NewScriptedFailures().Add("ex", 3, 0)}
 	res, rep, err := co.Execute(agg2)
 	if err != nil {

@@ -11,9 +11,9 @@ type Table struct {
 	Schema Schema
 	Parts  [][]Row
 	// ColParts is the columnar twin of Parts: one typed batch per partition
-	// holding the same rows in the same order, or nil when the table's
-	// values are not strictly typed. Scans execute against ColParts when
-	// present; Parts remains the row-oriented view for adapters and tests.
+	// holding the same rows in the same order. Scans execute against
+	// ColParts; Parts remains the row-oriented view for the oracle, adapters
+	// and tests.
 	ColParts []*Batch
 	// Replicated marks tables whose every partition holds a full copy (the
 	// paper replicates NATION and REGION); scans over them must read a
@@ -21,77 +21,33 @@ type Table struct {
 	Replicated bool
 }
 
-// colPart returns the columnar form of partition p, or nil.
-func (t *Table) colPart(p int) *Batch {
-	if t.ColParts == nil || p >= len(t.ColParts) {
-		return nil
-	}
-	return t.ColParts[p]
-}
-
-// buildColParts derives the columnar twin of t.Parts; partitions whose rows
-// are not strictly typed stay row-only.
-func (t *Table) buildColParts() {
-	cps := make([]*Batch, len(t.Parts))
-	any := false
-	for p, rows := range t.Parts {
-		if b, err := RowsToBatch(t.Schema, rows); err == nil {
-			cps[p] = b
-			any = true
-		}
-	}
-	if any {
-		t.ColParts = cps
-	}
-}
-
 // NewTable partitions rows across `parts` partitions by hashing the key
-// column (round-robin when keyCol < 0).
+// column (round-robin when keyCol < 0). This is where row-shaped base data
+// enters: every value must be the int64, float64 or string its column
+// declares (ErrNotColumnar otherwise), so every table has its ColParts.
 func NewTable(name string, schema Schema, rows []Row, parts int, keyCol int) (*Table, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
+	b, err := RowsToBatch(schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %w", name, err)
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts)}
-	for i, r := range rows {
-		if len(r) != len(schema) {
-			return nil, fmt.Errorf("engine: table %s row %d has %d values, schema has %d", name, i, len(r), len(schema))
-		}
-		var p int
-		if keyCol >= 0 {
-			if keyCol >= len(r) {
-				return nil, fmt.Errorf("engine: table %s key column %d out of range", name, keyCol)
-			}
-			p = int(hashValue(r[keyCol]) % uint64(parts))
-		} else {
-			p = i % parts
-		}
-		t.Parts[p] = append(t.Parts[p], r)
-	}
-	t.buildColParts()
-	return t, nil
+	return NewTableFromColumns(name, schema, b.Cols, parts, keyCol)
 }
 
 // NewReplicatedTable replicates all rows to every partition (the paper
-// replicates the small NATION and REGION tables to all cluster nodes).
+// replicates the small NATION and REGION tables to all cluster nodes), with
+// NewTable's typing rule.
 func NewReplicatedTable(name string, schema Schema, rows []Row, parts int) (*Table, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
+	b, err := RowsToBatch(schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %w", name, err)
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), Replicated: true}
-	for p := 0; p < parts; p++ {
-		cp := make([]Row, len(rows))
-		copy(cp, rows)
-		t.Parts[p] = cp
-	}
-	t.buildColParts()
-	return t, nil
+	return NewReplicatedTableFromColumns(name, schema, b.Cols, parts)
 }
 
 // NewTableFromColumns builds a table directly from typed column vectors,
 // hash-partitioning column-wise on keyCol (round-robin when keyCol < 0)
-// without boxing any value. The placement matches NewTable exactly; the
-// row-oriented Parts view is derived from the columnar partitions as the
-// compatibility adapter.
+// without boxing any value; the row-oriented Parts view is derived from the
+// columnar partitions.
 func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, keyCol int) (*Table, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)

@@ -49,9 +49,9 @@ type checkpointWriter struct {
 	// pctx carries the query-level pprof labels; the encode and write stages
 	// re-apply them per request with the checkpointed operator on top, so
 	// asynchronous checkpoint CPU joins to the operator that caused it.
-	pctx  context.Context
-	queue chan checkpointReq
-	writeCh  chan encodedReq
+	pctx    context.Context
+	queue   chan checkpointReq
+	writeCh chan encodedReq
 	// stop unblocks enqueuers and terminates both stage goroutines once the
 	// writer is closed, so no caller can park forever on a full queue.
 	stop chan struct{}

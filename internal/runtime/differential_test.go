@@ -33,16 +33,9 @@ var dagStrings = []string{"", "ash", "birch", "cedar"}
 func newDagGen(t *testing.T, seed int64) *dagGen {
 	g := &dagGen{r: rand.New(rand.NewSource(seed))}
 	g.nodes = 2 + g.r.Intn(3)
-	// One table in five keeps its group column as plain int, which has no
-	// vector type: its rows travel as raw batches through the kernels'
-	// interpreted branches.
-	boxG := func(v int) engine.Value { return int64(v) }
-	if g.r.Intn(5) == 0 {
-		boxG = func(v int) engine.Value { return v }
-	}
 	fact := make([]engine.Row, 20+g.r.Intn(180))
 	for i := range fact {
-		fact[i] = engine.Row{int64(i), boxG(g.r.Intn(8)), float64(g.r.Intn(400)) / 4, dagStrings[g.r.Intn(len(dagStrings))]}
+		fact[i] = engine.Row{int64(i), int64(g.r.Intn(8)), float64(g.r.Intn(400)) / 4, dagStrings[g.r.Intn(len(dagStrings))]}
 	}
 	dim := make([]engine.Row, 8)
 	for i := range dim {

@@ -30,6 +30,11 @@ func asNodeFailure(err error) (*nodeFailure, bool) {
 	return nil, false
 }
 
+// channelDepth is the buffering of inter-operator channels: one batch in
+// flight while the producer fills the next, so neighbours overlap without
+// queueing more than a double buffer per hop.
+const channelDepth = 2
+
 // maxAttemptsPerPartition bounds retries of one (operator, partition) pair,
 // matching the reference Coordinator's limit.
 const maxAttemptsPerPartition = 1000
@@ -78,11 +83,11 @@ func (rn *run) runPipeline(ctx context.Context, s *stage, part int, inputs []*en
 
 	nops := len(s.ops)
 	errCh := make(chan error, nops)
-	ch := make(chan *engine.Batch, rn.cfg.ChannelDepth)
+	ch := make(chan *engine.Batch, channelDepth)
 	go func() { errCh <- rn.runSource(pctx, cancel, s, part, inputs, ch) }()
 	in := ch
 	for i := 1; i < len(s.ops); i++ {
-		out := make(chan *engine.Batch, rn.cfg.ChannelDepth)
+		out := make(chan *engine.Batch, channelDepth)
 		go func(op engine.Operator, in <-chan *engine.Batch, out chan<- *engine.Batch) {
 			errCh <- rn.runChainOp(pctx, cancel, op, part, in, out)
 		}(s.ops[i], in, out)
@@ -137,26 +142,6 @@ func (rn *run) runPipeline(ctx context.Context, s *stage, part int, inputs []*en
 	return bb.Finish(), nil
 }
 
-// sourceBatch computes the source operator's output for one partition as a
-// single batch. Every in-tree operator is batch-native (engine.BatchOperator)
-// and produces its partition columnar straight from the input batch results;
-// row-only operators from outside the tree compute rows and convert once.
-func (rn *run) sourceBatch(s *stage, part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
-	op := s.source()
-	if bo, ok := op.(engine.BatchOperator); ok {
-		return bo.ComputeBatch(part, inputs)
-	}
-	rowInputs := make([]*engine.PartitionedResult, len(inputs))
-	for i, in := range inputs {
-		rowInputs[i] = in.ToPartitioned()
-	}
-	rows, err := op.Compute(part, rowInputs)
-	if err != nil {
-		return nil, err
-	}
-	return engine.BatchFromRows(op.OutSchema(), rows), nil
-}
-
 // runSource computes the stage's source operator for one partition and
 // streams the result in batches. When the failure injector fires for this
 // attempt, the worker emits its first batch and then dies mid-stream. Its
@@ -186,7 +171,8 @@ func (rn *run) runSource(pctx context.Context, cancel context.CancelFunc, s *sta
 func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *stage, part, n int, inputs []*engine.BatchResult, out chan<- *engine.Batch) error {
 	op := s.source()
 	fail := rn.cfg.Injector.FailCompute(op.Name(), part, n)
-	b, err := rn.sourceBatch(s, part, inputs)
+	// buildStages admitted only batch-native operators (engine.CheckColumnar).
+	b, err := op.(engine.BatchOperator).ComputeBatch(part, inputs)
 	if err != nil {
 		cancel()
 		return err

@@ -86,18 +86,24 @@ func TestProfLabelsConcurrentMultiTenant(t *testing.T) {
 		}
 		for i := range p.Samples {
 			sm := &p.Samples[i]
-			ours := false
+			// Whatever the submitting goroutine does before Execute has applied
+			// the labels — plan and runtime construction, the loop itself — is
+			// setup, not operator work.
+			ours, submitting, inLabeled := false, false, false
 			for _, fn := range p.StackFuncs(sm) {
-				// Runtime construction happens on the submitting goroutine
-				// before Execute applies labels — setup, not operator work.
-				if strings.HasPrefix(fn, "ftpde/internal/runtime.New") {
-					ours = false
-					break
+				switch {
+				case strings.Contains(fn, "TestProfLabelsConcurrentMultiTenant"):
+					submitting = true
+				case fn == "ftpde/internal/runtime.(*Runtime).executeLabeled":
+					inLabeled = true
 				}
 				if strings.HasPrefix(fn, "ftpde/internal/engine") ||
 					strings.HasPrefix(fn, "ftpde/internal/runtime") {
 					ours = true
 				}
+			}
+			if submitting && !inLabeled {
+				continue
 			}
 			if !ours {
 				continue

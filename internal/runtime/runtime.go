@@ -38,8 +38,6 @@ type Config struct {
 	// BatchSize is the vector width of pipeline batches
 	// (default engine.DefaultBatchSize).
 	BatchSize int
-	// ChannelDepth is the buffering of inter-operator channels (default 2).
-	ChannelDepth int
 	// MaxWorkers bounds concurrently executing stage-partition workers
 	// (default GOMAXPROCS). Ignored when Pool is set.
 	MaxWorkers int
@@ -95,9 +93,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = engine.DefaultBatchSize
-	}
-	if cfg.ChannelDepth <= 0 {
-		cfg.ChannelDepth = 2
 	}
 	if cfg.MaxWorkers <= 0 {
 		cfg.MaxWorkers = goruntime.GOMAXPROCS(0)
@@ -378,8 +373,12 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 			return err
 		}
 		if rows, ok := rn.cfg.Store.Get(s.name(), part); ok {
-			rn.commit(s, part, engine.BatchFromRows(s.terminal().OutSchema(), rows), true)
-			return nil
+			// Rows that do not fit the stage schema are a checkpoint miss:
+			// the partition is recomputed and the checkpoint rewritten.
+			if b, err := engine.RowsToBatch(s.terminal().OutSchema(), rows); err == nil {
+				rn.commit(s, part, b, true)
+				return nil
+			}
 		}
 	}
 	var inputs []*engine.BatchResult

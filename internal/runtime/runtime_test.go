@@ -2,7 +2,10 @@ package runtime
 
 import (
 	"context"
+	"errors"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/schemes"
@@ -38,7 +41,7 @@ func testPipeline(t *testing.T, parts int, matJoin bool) engine.Operator {
 	}
 	return engine.NewHashAggregate("agg", join, nil,
 		[]engine.AggSpec{{Kind: engine.AggSum, Col: 1}, {Kind: engine.AggCount}},
-		true, engine.Schema{{Name: "sum"}, {Name: "cnt"}})
+		true, engine.Schema{{Name: "sum", Type: engine.TypeFloat}, {Name: "cnt", Type: engine.TypeInt}})
 }
 
 func runQuery(t *testing.T, root engine.Operator, cfg Config) (float64, int64, *engine.Report) {
@@ -276,5 +279,89 @@ func TestBoundedWorkerPool(t *testing.T) {
 	wantSum, wantCnt, _ := runQuery(t, testPipeline(t, 4, false), Config{Nodes: 4})
 	if sum != wantSum || cnt != wantCnt {
 		t.Error("single-worker run produced wrong result")
+	}
+}
+
+func TestExecuteRejectsNonColumnarPlan(t *testing.T) {
+	// A plain-int constant has no vector type, so the projection cannot run
+	// on typed columns: Execute must refuse the whole plan up front — no
+	// result, no checkpoint (the scan below it is a materialization point),
+	// no goroutine left behind.
+	tb, err := engine.NewTable("t", engine.Schema{{Name: "k", Type: engine.TypeInt}},
+		[]engine.Row{{int64(1)}, {int64(2)}, {int64(3)}}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := engine.NewScan("scan", tb, nil, nil)
+	scan.SetMaterialize(true)
+	ex := engine.NewExchange("ex", scan, 0)
+	proj := engine.NewProject("proj", ex, []engine.Expr{engine.Const{V: 3}},
+		engine.Schema{{Name: "three", Type: engine.TypeInt}})
+
+	store := engine.NewMatStore()
+	r, err := New(Config{Nodes: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := goruntime.NumGoroutine()
+	res, _, err := r.Execute(context.Background(), proj)
+	if !errors.Is(err, engine.ErrNotColumnar) {
+		t.Fatalf("Execute error = %v, want ErrNotColumnar", err)
+	}
+	if res != nil {
+		t.Errorf("Execute returned a result alongside the error: %v", res.Parts)
+	}
+	if store.Len() != 0 {
+		t.Errorf("%d operators checkpointed by a refused plan", store.Len())
+	}
+	for deadline := time.Now().Add(time.Second); goruntime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Execute, %d after", before, goruntime.NumGoroutine())
+		}
+	}
+}
+
+func TestAggregateOutputMustFitSchema(t *testing.T) {
+	// SUM yields float64; a schema declaring the column int cannot hold it,
+	// and the query fails rather than degrade to untyped rows.
+	tb, err := engine.NewTable("t", engine.Schema{{Name: "v", Type: engine.TypeFloat}},
+		[]engine.Row{{1.5}, {2.5}}, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := engine.NewHashAggregate("agg", engine.NewScan("scan", tb, nil, nil), nil,
+		[]engine.AggSpec{{Kind: engine.AggSum, Col: 0}}, true, engine.Schema{{Name: "sum", Type: engine.TypeInt}})
+	r, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := r.Execute(context.Background(), agg); !errors.Is(err, engine.ErrNotColumnar) || res != nil {
+		t.Fatalf("Execute = (%v, %v), want no result and ErrNotColumnar", res, err)
+	}
+}
+
+func TestMistypedCheckpointIsAMiss(t *testing.T) {
+	// A store holding rows that do not fit the stage schema (another query's
+	// output under the same name, a stale format) is a checkpoint miss: the
+	// partition is recomputed and the checkpoint rewritten.
+	wantSum, wantCnt, _ := runQuery(t, testPipeline(t, 4, true), Config{Nodes: 4})
+
+	store := engine.NewMatStore()
+	for part, rows := range [][]engine.Row{
+		{{"not", "the", "join", "schema"}},    // wrong types
+		{{int64(1), 2.0}},                     // too narrow
+		{{1, 2.0, 1, 2.0}},                    // plain ints
+		{{int64(1), 2.0, int64(1), nil}, nil}, // nil value, nil row
+	} {
+		if err := store.Put("join", part, rows, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, cnt, rep := runQuery(t, testPipeline(t, 4, true), Config{Nodes: 4, Store: store})
+	if sum != wantSum || cnt != wantCnt {
+		t.Errorf("result over mistyped checkpoints = (%v, %d), clean run = (%v, %d)", sum, cnt, wantSum, wantCnt)
+	}
+	if rep.MaterializedPartitions != 4 {
+		t.Errorf("re-materialized %d partitions, want all 4", rep.MaterializedPartitions)
 	}
 }

@@ -65,7 +65,9 @@ type stagePlan struct {
 // input, narrow, row-local (engine.Streamable), the input is not a
 // materialization point, and the input has no other consumer. Everything
 // else — scans, wide operators, consumers of materialized or shared
-// outputs — starts a new stage.
+// outputs — starts a new stage. A plan with an operator that cannot execute
+// on typed columns is rejected here (engine.ErrNotColumnar), before any
+// goroutine starts or checkpoint is written.
 func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("runtime: nil plan root")
@@ -76,6 +78,9 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 	}
 	plan := &stagePlan{byOp: make(map[engine.Operator]*stage, len(order))}
 	for _, op := range order {
+		if err := engine.CheckColumnar(op); err != nil {
+			return nil, fmt.Errorf("runtime: %w", err)
+		}
 		ins := op.Inputs()
 		if len(ins) == 1 && engine.Streamable(op) {
 			in := ins[0]

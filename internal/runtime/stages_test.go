@@ -53,7 +53,7 @@ func TestBuildStagesCutsAtMaterializationAndWide(t *testing.T) {
 		engine.Schema{{Name: "k", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat}})
 	ex := engine.NewExchange("ex", proj, 0)
 	agg := engine.NewHashAggregate("agg", ex, []int{0}, []engine.AggSpec{{Kind: engine.AggCount}},
-		false, engine.Schema{{Name: "k"}, {Name: "cnt"}})
+		false, engine.Schema{{Name: "k", Type: engine.TypeInt}, {Name: "cnt", Type: engine.TypeInt}})
 
 	plan, err := buildStages(agg, 2)
 	if err != nil {

@@ -72,7 +72,7 @@ func newSvcMetrics(reg *metrics.Registry, s *Server) *svcMetrics {
 	return m
 }
 
-// TenantTotals is one tenant's aggregate accounting, for Stats and ftload.
+// TenantTotals is one tenant's aggregate accounting, for Stats.
 type TenantTotals struct {
 	Tenant        string  `json:"tenant"`
 	Admitted      int64   `json:"admitted"`

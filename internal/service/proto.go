@@ -114,7 +114,7 @@ func ReadFrame(r io.Reader, v any) error {
 }
 
 // Client is a synchronous protocol client: one request/response in flight
-// per connection (the closed-loop shape ftload measures with).
+// per connection (the closed-loop shape benchmark/'s serve_mixed sessions use).
 type Client struct {
 	conn net.Conn
 }

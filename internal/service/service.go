@@ -91,13 +91,6 @@ type Config struct {
 	ForensicsDir string
 	ForensicsMax int
 
-	// DriftWindow/DriftThreshold/DriftK parameterize the online drift
-	// detector (defaults: 64 samples, 0.5 relative error, 3 consecutive
-	// queries). See obs.DriftConfig.
-	DriftWindow    int
-	DriftThreshold float64
-	DriftK         int
-
 	// ProfileDir / ProfileWindow enable the continuous profiler: every query
 	// runs under pprof labels (query, tenant, stage, op, attempt), CPU windows
 	// rotate into a crash-safe ring under ProfileDir (memory-only when empty),
@@ -243,9 +236,6 @@ func New(cfg Config) (*Server, error) {
 		Nodes:     cfg.Nodes,
 		ModelMTBF: cfg.ModelMTBF,
 		ModelMTTR: cfg.ModelMTTR,
-		Window:    cfg.DriftWindow,
-		Threshold: cfg.DriftThreshold,
-		K:         cfg.DriftK,
 	})
 	obs.RegisterDriftMetrics(cfg.Registry, s.drift)
 	if cfg.ForensicsDir != "" {
@@ -318,6 +308,47 @@ func (s *Server) Registry() *metrics.Registry { return s.cfg.Registry }
 
 // QueueDepth returns the number of requests parked for an execution slot.
 func (s *Server) QueueDepth() int { return s.queue.Depth() }
+
+// TPCHQuery names one of the service's canonical workload queries.
+type TPCHQuery struct {
+	Name string
+	Text string
+}
+
+// TPCHQueries returns the TPC-H shapes the benchmark harness and the
+// service's equivalence tests run: Q1 (scan + aggregate), Q3 (3-way join)
+// and a Q5-like 6-way join — the same spread of plan depths the paper's
+// experiments cover.
+func TPCHQueries() []TPCHQuery {
+	return []TPCHQuery{
+		{"Q1", `
+		SELECT l_returnflag, l_linestatus,
+		       SUM(l_quantity) AS sum_qty,
+		       SUM(l_extendedprice) AS sum_price,
+		       COUNT(*) AS cnt
+		FROM lineitem
+		WHERE l_shipdate <= 1200
+		GROUP BY l_returnflag, l_linestatus`},
+		{"Q3", `
+		SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+		FROM customer
+		JOIN orders ON c_custkey = o_custkey
+		JOIN lineitem ON o_orderkey = l_orderkey
+		WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 1200
+		GROUP BY l_orderkey
+		ORDER BY revenue DESC`},
+		{"Q5", `
+		SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+		FROM region
+		JOIN nation ON r_regionkey = n_regionkey
+		JOIN supplier ON n_nationkey = s_nationkey
+		JOIN lineitem ON s_suppkey = l_suppkey
+		JOIN orders ON l_orderkey = o_orderkey
+		JOIN customer ON o_custkey = c_custkey
+		GROUP BY n_name
+		ORDER BY revenue DESC`},
+	}
+}
 
 // QueryError wraps a per-query failure that is not load shedding: Phase
 // "plan" covers parse/plan errors (the client's query is at fault), "exec"

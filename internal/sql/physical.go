@@ -199,7 +199,26 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 	if stmt.Limit >= 0 {
 		acc = engine.NewLimit("limit", acc, stmt.Limit)
 	}
+	if err := checkColumnar(acc); err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
 	return &PhysicalPlan{Root: acc, Output: outSchema, Joins: joins}, nil
+}
+
+// checkColumnar rejects a plan holding an operator the runtime cannot execute
+// on typed columns (an expression that did not compile to the type its output
+// column declares), so the fault is a planning error rather than a failed
+// execution.
+func checkColumnar(op engine.Operator) error {
+	if err := engine.CheckColumnar(op); err != nil {
+		return err
+	}
+	for _, in := range op.Inputs() {
+		if err := checkColumnar(in); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rewriteDistinct turns SELECT DISTINCT a, b ... into a group-by over the
@@ -286,7 +305,7 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 		argCol[ai] = len(preExprs)
 		preExprs = append(preExprs, e)
 		preSchema = append(preSchema, engine.Column{
-			Name: fmt.Sprintf("agg_arg_%d", ai), Type: engine.TypeFloat,
+			Name: fmt.Sprintf("agg_arg_%d", ai), Type: exprType(item.spec.Arg, l),
 		})
 	}
 	op := engine.Operator(engine.NewProject("agg-input", in, preExprs, preSchema))
@@ -313,9 +332,14 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 			return nil, nil, fmt.Errorf("sql: unknown aggregate %s", item.spec.Func)
 		}
 		specs[ai] = engine.AggSpec{Kind: kind, Col: argCol[ai]}
+		// SUM and AVG accumulate in float64, COUNT is an int64, MIN and MAX
+		// hand back one of the argument's own values.
 		typ := engine.TypeFloat
-		if kind == engine.AggCount {
+		switch kind {
+		case engine.AggCount:
 			typ = engine.TypeInt
+		case engine.AggMin, engine.AggMax:
+			typ = preSchema[argCol[ai]].Type
 		}
 		aggSchema = append(aggSchema, engine.Column{
 			Name: stmt.Select[item.sel].Name(item.sel), Type: typ,

@@ -1,12 +1,16 @@
 package sql
 
 import (
-	"ftpde/internal/plan"
-	"ftpde/internal/stats"
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"ftpde/internal/engine"
+	"ftpde/internal/plan"
+	"ftpde/internal/runtime"
+	"ftpde/internal/stats"
 )
 
 // testCatalog builds a small two-table database plus a replicated dimension.
@@ -409,41 +413,80 @@ func TestSQLDistinctCostPlan(t *testing.T) {
 }
 
 func TestSQLPlansEmitCompiledPredicates(t *testing.T) {
-	// Every pushed-down scan filter and post-join filter the planner emits
-	// must evaluate through the compiled (columnar) form, not the interpreted
-	// row loop.
+	// Every scan filter, post-join filter and projection the planner emits —
+	// aggregate inputs over int, string and float columns and over arithmetic
+	// included — must evaluate through the compiled (columnar) form, and the
+	// runtime's rows must be the oracle's.
 	cat := testCatalog(t)
-	stmt, err := Parse("SELECT c_segment, SUM(o_total) AS s FROM cust " +
-		"JOIN ord ON c_id = o_cust WHERE o_day < 20 AND c_id < o_total " +
-		"GROUP BY c_segment")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	pp, err := Compile(stmt, cat)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var scans, selects int
-	var walk func(op engine.Operator)
-	walk = func(op engine.Operator) {
-		switch o := op.(type) {
-		case *engine.Scan:
-			scans++
-			if !o.Compiled() {
-				t.Errorf("scan %s filter is not compiled", o.Name())
+	for _, q := range []string{
+		"SELECT c_segment, SUM(o_total) AS s FROM cust " +
+			"JOIN ord ON c_id = o_cust WHERE o_day < 20 AND c_id < o_total " +
+			"GROUP BY c_segment",
+		"SELECT c_segment, MIN(c_segment), MAX(c_id), AVG(c_nation), SUM(c_id), COUNT(*), COUNT(c_segment) " +
+			"FROM cust GROUP BY c_segment ORDER BY c_segment",
+		"SELECT MIN(o_cust + 1), MAX(o_total), MIN(o_day), AVG(o_disc) FROM ord",
+		"SELECT o_cust, SUM(o_cust * 2), MIN(o_cust - o_id), MAX(o_total * (1 - o_disc)) " +
+			"FROM ord GROUP BY o_cust ORDER BY o_cust LIMIT 4",
+	} {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		pp, err := Compile(stmt, cat)
+		if err != nil {
+			t.Fatalf("compile %q: %v", q, err)
+		}
+		var scans, checked int
+		var walk func(op engine.Operator)
+		walk = func(op engine.Operator) {
+			if _, ok := op.(*engine.Scan); ok {
+				scans++
 			}
-		case *engine.Select:
-			selects++
-			if !o.Compiled() {
-				t.Errorf("select %s predicate is not compiled", o.Name())
+			if c, ok := op.(interface{ Compiled() bool }); ok {
+				checked++
+				if !c.Compiled() {
+					t.Errorf("%q: %s is not compiled", q, op.Name())
+				}
+			}
+			for _, in := range op.Inputs() {
+				walk(in)
 			}
 		}
-		for _, in := range op.Inputs() {
-			walk(in)
+		walk(pp.Root)
+		if scans == 0 || checked < scans+2 {
+			t.Fatalf("%q: plan shape unexpected: %d scans, %d compiled operators", q, scans, checked)
+		}
+
+		want, _, err := (&engine.Coordinator{Nodes: cat.Partitions()}).Execute(pp.Root)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", q, err)
+		}
+		rt, err := runtime.New(runtime.Config{Nodes: cat.Partitions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := rt.Execute(context.Background(), pp.Root)
+		if err != nil {
+			t.Fatalf("runtime %q: %v", q, err)
+		}
+		if !reflect.DeepEqual(got.Parts, want.Parts) {
+			t.Errorf("%q: runtime rows differ from the oracle's\n runtime: %v\n  oracle: %v", q, got.Parts, want.Parts)
 		}
 	}
-	walk(pp.Root)
-	if scans != 2 || selects == 0 {
-		t.Fatalf("plan shape unexpected: %d scans, %d selects", scans, selects)
+}
+
+func TestCompileRejectsNonColumnarPlan(t *testing.T) {
+	// The planner's own expressions always compile; a plan that holds one
+	// that does not (here a plain-int constant, which has no vector type)
+	// must be refused at plan time.
+	cat := testCatalog(t)
+	tb, err := cat.Table("cust")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj := engine.NewProject("p", engine.NewScan("s", tb, nil, nil),
+		[]engine.Expr{engine.Const{V: 3}}, engine.Schema{{Name: "three", Type: engine.TypeInt}})
+	if err := checkColumnar(engine.NewLimit("l", proj, 1)); !errors.Is(err, engine.ErrNotColumnar) {
+		t.Fatalf("checkColumnar = %v, want ErrNotColumnar", err)
 	}
 }
