@@ -249,6 +249,13 @@ func (l *Local) putSel(b []int32) {
 	}
 }
 
+// maxFreeShells bounds a Local's freelists of batch structs and column-header
+// slices. Shells flow one way down a pipeline — the source's Local hands them
+// out, the sink's collects them — so a Local that mostly plays sink would
+// otherwise grow for as long as the arena keeps it. A chain's working set is
+// a few shells per hop; past the bound a released shell goes to the GC.
+const maxFreeShells = 64
+
 // newBatch returns an empty batch shell owned by the arena.
 func (l *Local) newBatch() *Batch {
 	if l == nil {
@@ -273,7 +280,9 @@ func (l *Local) putBatch(b *Batch) {
 	// zeroing it here is what guarantees no stale reference survives reuse.
 	//lint:ignore batchalias putBatch is the ownership sink; the shell is being recycled, not read
 	*b = Batch{}
-	l.batchFree = append(l.batchFree, b)
+	if len(l.batchFree) < maxFreeShells {
+		l.batchFree = append(l.batchFree, b)
+	}
 }
 
 // cols returns a column-header slice of length n owned by the arena.
@@ -282,10 +291,11 @@ func (l *Local) cols(n int) []Vector {
 		return make([]Vector, n)
 	}
 	l.gets++
-	if m := len(l.colsFree); m > 0 {
-		s := l.colsFree[m-1]
-		if cap(s) >= n {
-			l.colsFree = l.colsFree[:m-1]
+	for i := len(l.colsFree) - 1; i >= 0; i-- {
+		if s := l.colsFree[i]; cap(s) >= n {
+			last := len(l.colsFree) - 1
+			l.colsFree[i] = l.colsFree[last]
+			l.colsFree = l.colsFree[:last]
 			l.hits++
 			return s[:n]
 		}
@@ -295,6 +305,9 @@ func (l *Local) cols(n int) []Vector {
 
 func (l *Local) putCols(s []Vector) {
 	if l == nil {
+		return
+	}
+	if len(l.colsFree) >= maxFreeShells {
 		return
 	}
 	for i := range s {

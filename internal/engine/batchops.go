@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // BatchOperator is the batch-native face of an Operator: ComputeBatch
@@ -13,7 +14,9 @@ import (
 // contract — the ground truth the byte-identical equivalence tests check the
 // batch path against.
 //
-// Input batches are shared, committed results: ComputeBatch only reads them.
+// Input batches are shared, committed results: ComputeBatch only reads them,
+// and the batch it returns may itself be a view (a selection vector or column
+// subset) over table or input storage.
 type BatchOperator interface {
 	Operator
 	ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
@@ -40,10 +43,38 @@ func CheckColumnar(op Operator) error {
 
 // BatchResult is an operator's output in batch form: one batch per node
 // partition (nil = empty, mirroring the row convention of nil slices).
+//
+// A result handed to ComputeBatch is immutable: wide operators memoize their
+// partition-independent work on it (sharedOnce), so whoever replaces a
+// partition publishes a new BatchResult instead of writing into this one.
 type BatchResult struct {
 	Schema Schema
 	Parts  []*Batch
 	Lost   []bool
+
+	// What a wide operator computes over all partitions whichever output
+	// partition asks, by key column: an exchange's hash scatter ([]*Batch)
+	// and a join's build side (*joinBuild).
+	scatters, builds sync.Map
+}
+
+// sharedOnce returns m's state for key column col, building it on first use.
+// Concurrent partition workers of one stage wait for the first builder and
+// then read the same value, so the work is done once per input result: a
+// recovery that replaced an input partition holds a new BatchResult and
+// rebuilds, one whose inputs survived finds the state still there.
+func sharedOnce[T any](m *sync.Map, col int, build func() T) T {
+	type state struct {
+		once sync.Once
+		val  T
+	}
+	v, ok := m.Load(col)
+	if !ok {
+		v, _ = m.LoadOrStore(col, &state{})
+	}
+	st := v.(*state)
+	st.once.Do(func() { st.val = build() })
+	return st.val
 }
 
 // NewBatchResult creates an empty batch result with the given partition
@@ -114,105 +145,216 @@ func (u *UnionAll) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 		return right, nil
 	}
 	bb := NewBatchBuilder(u.schema)
+	bb.Grow(left.Len() + right.Len())
 	bb.Append(left)
 	bb.Append(right)
 	return bb.Finish(), nil
 }
 
-// ComputeBatch implements BatchOperator: the vectorized repartitioning.
-// Each input batch is hashed column-wise on the key (via hashValue's typed
-// helpers, so rows land exactly where the row path puts them), the positions
-// belonging to this output partition are collected into a selection vector,
-// and one column-wise gather appends them to the output builder.
+// concatParts returns every row of parts as one dense batch in (partition,
+// row) order: nil when there are none, the partition itself when it is the
+// only populated one and already dense, otherwise one exact-size copy.
+func concatParts(schema Schema, parts []*Batch) *Batch {
+	total, populated := 0, 0
+	var only *Batch
+	for _, b := range parts {
+		if n := b.Len(); n > 0 {
+			total += n
+			populated++
+			only = b
+		}
+	}
+	if populated == 1 && only.Sel == nil {
+		return only
+	}
+	bb := NewBatchBuilder(schema)
+	bb.Grow(total)
+	for _, b := range parts {
+		bb.Append(b)
+	}
+	return bb.Finish()
+}
+
+// ComputeBatch implements BatchOperator: the vectorized repartitioning. The
+// scatter is shared by all output partitions: the first one asked hashes
+// every input row once and writes all n outputs (scatterByHash); the others
+// pick theirs up.
 func (e *Exchange) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	in := inputs[0]
-	n := uint64(len(in.Parts))
-	bb := NewBatchBuilder(e.schema)
-	var sel []int32 // scatter scratch, reused across input partitions
 	for _, b := range in.Parts {
-		if b.Len() == 0 {
-			continue
-		}
-		if e.keyCol >= len(b.Cols) {
+		if b.Len() > 0 && e.keyCol >= len(b.Cols) {
 			return nil, fmt.Errorf("engine: exchange %s key column %d out of range", e.name, e.keyCol)
 		}
-		key := &b.Cols[e.keyCol]
-		m := b.Len()
-		sel = sel[:0]
-		for i := 0; i < m; i++ {
+	}
+	outs := sharedOnce(&in.scatters, e.keyCol, func() []*Batch {
+		return scatterByHash(e.schema, in.Parts, e.keyCol)
+	})
+	return outs[part], nil
+}
+
+// scatterByHash hash-partitions the rows of parts on column keyCol into
+// len(parts) dense batches in one pass: hash each row once and count per
+// destination, allocate every output column at its exact size, then write
+// column by column. Each output keeps (input partition, row) order, which is
+// the row path's order, and rows land where hashValue puts them.
+func scatterByHash(schema Schema, parts []*Batch, keyCol int) []*Batch {
+	n := len(parts)
+	total := 0
+	for _, b := range parts {
+		total += b.Len()
+	}
+	outs := make([]*Batch, n)
+	dest := make([]int32, 0, total)
+	counts := make([]int, n)
+	for _, b := range parts {
+		for i, m := 0, b.Len(); i < m; i++ {
 			p := i
 			if b.Sel != nil {
 				p = int(b.Sel[i])
 			}
-			if int(hashVectorAt(key, p)%n) == part {
-				sel = append(sel, int32(p))
-			}
+			d := int32(hashVectorAt(&b.Cols[keyCol], p) % uint64(n))
+			dest = append(dest, d)
+			counts[d]++
 		}
-		bb.AppendSel(b, sel)
 	}
-	return bb.Finish(), nil
+	for d, c := range counts {
+		if c > 0 {
+			outs[d] = &Batch{Schema: schema, Cols: make([]Vector, len(schema)), nrows: c}
+		}
+	}
+	for ci, c := range schema {
+		switch c.Type {
+		case TypeInt:
+			scatterColumn(outs, parts, ci, dest, func(v *Vector) *[]int64 { return &v.Ints })
+		case TypeFloat:
+			scatterColumn(outs, parts, ci, dest, func(v *Vector) *[]float64 { return &v.Floats })
+		default:
+			scatterColumn(outs, parts, ci, dest, func(v *Vector) *[]string { return &v.Strings })
+		}
+	}
+	return outs
+}
+
+// scatterColumn allocates column ci of every output at its row count and
+// writes each logical row of parts to the output dest names for it.
+func scatterColumn[T any](outs, parts []*Batch, ci int, dest []int32, vals func(*Vector) *[]T) {
+	dst := make([][]T, len(outs))
+	for d, ob := range outs {
+		if ob != nil {
+			dst[d] = make([]T, ob.nrows)
+			ob.Cols[ci].Type = ob.Schema[ci].Type
+			*vals(&ob.Cols[ci]) = dst[d]
+		}
+	}
+	pos := make([]int, len(outs))
+	k := 0
+	for _, b := range parts {
+		if b.Len() == 0 {
+			continue
+		}
+		src := *vals(&b.Cols[ci])
+		for i, m := 0, b.Len(); i < m; i++ {
+			p := i
+			if b.Sel != nil {
+				p = int(b.Sel[i])
+			}
+			d := dest[k]
+			k++
+			dst[d][pos[d]] = src[p]
+			pos[d]++
+		}
+	}
+}
+
+// joinBuild is the build side of a broadcast hash join, shared read-only by
+// every probe partition: the dense concatenation of the build input and a
+// chained hash index over its key column.
+type joinBuild struct {
+	dense  *Batch   // every build row, in (partition, row) order; nil when empty
+	hashes []uint64 // key hash of each dense row
+	head   []int32  // bucket → first dense row, -1 when empty
+	next   []int32  // dense row → next row of its bucket in insertion order, -1 at the end
+	mask   uint64   // len(head) - 1, a power of two minus one
+}
+
+func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
+	dense := concatParts(schema, parts)
+	if dense == nil {
+		return &joinBuild{}
+	}
+	nb := dense.Len()
+	size := 1
+	for size < nb {
+		size <<= 1
+	}
+	jb := &joinBuild{
+		dense:  dense,
+		hashes: make([]uint64, nb),
+		head:   make([]int32, size),
+		next:   make([]int32, nb),
+		mask:   uint64(size - 1),
+	}
+	for i := range jb.head {
+		jb.head[i] = -1
+	}
+	// Pushing rows at the bucket head in reverse leaves every chain in
+	// ascending row order — the row path's in-bucket insertion order.
+	for i := nb - 1; i >= 0; i-- {
+		h := hashVectorAt(&dense.Cols[keyCol], i)
+		jb.hashes[i] = h
+		jb.next[i] = jb.head[h&jb.mask]
+		jb.head[h&jb.mask] = int32(i)
+	}
+	return jb
 }
 
 // ComputeBatch implements BatchOperator: the vectorized broadcast hash join.
-// The build side is concatenated into one dense columnar batch per output
-// partition and indexed once (hash → dense row positions, in the row path's
-// exact insertion order); the probe then scans its partition emitting a
-// matching (probe position, build position) selection-vector pair, and a
-// single column-wise gather materializes the output vectors — probe columns
-// followed by build columns, rows in probe order with in-bucket build order,
-// byte-identical to the row loop. Hash collisions are resolved with the same
-// typed comparison (and error wording) as compareValues.
+// The build side — one dense columnar batch plus a hash index over its key,
+// in the row path's exact insertion order — is built once per build input and
+// shared by all output partitions (newJoinBuild); each partition scans its
+// probe rows emitting a matching (probe position, build position) selection
+// pair, and a single column-wise gather materializes the output vectors —
+// probe columns followed by build columns, rows in probe order with in-bucket
+// build order, byte-identical to the row loop. Rows sharing a bucket but not a
+// hash are skipped; equal hashes are resolved with the same typed comparison
+// (and error wording) as compareValues.
 func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	build, probe := inputs[0], inputs[1]
+	for _, b := range build.Parts {
+		if b.Len() > 0 && j.buildKey >= len(b.Cols) {
+			return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
+		}
+	}
 	probeB := probe.Parts[part]
-
-	// Dense build-side concatenation, insertion order = (partition, row).
-	buildSchema := j.inputs[0].OutSchema()
-	var dense *Batch
-	{
-		bb := NewBatchBuilder(buildSchema)
-		for _, b := range build.Parts {
-			if b.Len() == 0 {
-				continue
-			}
-			if j.buildKey >= len(b.Cols) {
-				return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
-			}
-			bb.Append(b)
-		}
-		dense = bb.Finish()
-	}
-
-	var ht map[uint64][]int32
-	var buildKeyVec *Vector
-	if dense != nil {
-		buildKeyVec = &dense.Cols[j.buildKey]
-		nb := dense.Len()
-		ht = make(map[uint64][]int32, nb)
-		for i := 0; i < nb; i++ {
-			h := hashVectorAt(buildKeyVec, i)
-			ht[h] = append(ht[h], int32(i))
-		}
-	}
-
 	if probeB.Len() == 0 {
 		return nil, nil
 	}
 	if j.probeKey >= len(probeB.Cols) {
 		return nil, fmt.Errorf("engine: join %s probe key out of range", j.name)
 	}
+	jb := sharedOnce(&build.builds, j.buildKey, func() *joinBuild {
+		return newJoinBuild(j.inputs[0].OutSchema(), build.Parts, j.buildKey)
+	})
+	dense := jb.dense
+	if dense == nil {
+		return nil, nil
+	}
+
+	buildKeyVec := &dense.Cols[j.buildKey]
 	probeKeyVec := &probeB.Cols[j.probeKey]
-	var probeSel, buildSel []int32
 	np := probeB.Len()
+	probeSel := make([]int32, 0, np)
+	buildSel := make([]int32, 0, np)
 	for i := 0; i < np; i++ {
 		p := i
 		if probeB.Sel != nil {
 			p = int(probeB.Sel[i])
 		}
-		if ht == nil {
-			continue
-		}
-		for _, bi := range ht[hashVectorAt(probeKeyVec, p)] {
+		h := hashVectorAt(probeKeyVec, p)
+		for bi := jb.head[h&jb.mask]; bi >= 0; bi = jb.next[bi] {
+			if jb.hashes[bi] != h {
+				continue // bucket neighbour
+			}
 			cmp, err := compareVecVals(probeKeyVec, p, buildKeyVec, int(bi))
 			if err != nil {
 				return nil, err
@@ -246,11 +388,7 @@ func (s *Sort) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	if part != 0 {
 		return nil, nil
 	}
-	bb := NewBatchBuilder(s.inputs[0].OutSchema())
-	for _, b := range inputs[0].Parts {
-		bb.Append(b)
-	}
-	dense := bb.Finish()
+	dense := concatParts(s.inputs[0].OutSchema(), inputs[0].Parts)
 	if dense == nil {
 		return nil, nil
 	}

@@ -1,11 +1,13 @@
 package engine
 
+import "slices"
+
 // BatchBuilder accumulates rows column-wise into one output batch. It is the
-// concatenation primitive for batch-native operators: pipeline sinks drain
-// their stream into a builder, exchange scatters selected rows from many
-// input batches into per-partition builders, and kernel flushes merge partial
-// batches. The finished batch is always dense (no selection vector) and plain
-// (no arena ownership), so it is safe to commit, checkpoint, or share.
+// concatenation primitive for batch-native operators: chained-stage sinks
+// merge their stream with it, sort and the join build side concatenate their
+// input partitions, and kernel flushes merge partial batches. The finished
+// batch is always dense (no selection vector) and plain (no arena ownership),
+// so it is safe to commit, checkpoint, or share.
 type BatchBuilder struct {
 	schema Schema
 	cols   []Vector
@@ -22,6 +24,26 @@ func (bb *BatchBuilder) Len() int {
 		return 0
 	}
 	return bb.cols[0].Len()
+}
+
+// Grow reserves room for rows more rows, so a caller that knows its total up
+// front appends into exact-size columns instead of growing them from zero.
+func (bb *BatchBuilder) Grow(rows int) {
+	if rows <= 0 {
+		return
+	}
+	bb.ensureCols()
+	for ci := range bb.cols {
+		c := &bb.cols[ci]
+		switch c.Type {
+		case TypeInt:
+			c.Ints = slices.Grow(c.Ints, rows)
+		case TypeFloat:
+			c.Floats = slices.Grow(c.Floats, rows)
+		default:
+			c.Strings = slices.Grow(c.Strings, rows)
+		}
+	}
 }
 
 // Append accumulates every logical row of b. The input is only read.
@@ -57,34 +79,6 @@ func (bb *BatchBuilder) Append(b *Batch) {
 				for _, p := range b.Sel {
 					dst.Strings = append(dst.Strings, src.Strings[p])
 				}
-			}
-		}
-	}
-}
-
-// AppendSel accumulates the physical positions sel of a columnar batch,
-// ignoring b's own selection vector (callers pass resolved positions). It is
-// the gather half of exchange's hash+scatter and of the join probe.
-func (bb *BatchBuilder) AppendSel(b *Batch, sel []int32) {
-	if len(sel) == 0 {
-		return
-	}
-	bb.ensureCols()
-	for ci := range bb.cols {
-		src := &b.Cols[ci]
-		dst := &bb.cols[ci]
-		switch dst.Type {
-		case TypeInt:
-			for _, p := range sel {
-				dst.Ints = append(dst.Ints, src.Ints[p])
-			}
-		case TypeFloat:
-			for _, p := range sel {
-				dst.Floats = append(dst.Floats, src.Floats[p])
-			}
-		default:
-			for _, p := range sel {
-				dst.Strings = append(dst.Strings, src.Strings[p])
 			}
 		}
 	}

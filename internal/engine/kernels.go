@@ -50,6 +50,7 @@ func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
 // Inputs are only read; single-batch outputs pass through without copying.
 func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, error) {
 	var outs []*Batch
+	total := 0
 	for _, in := range ins {
 		if in.Len() == 0 {
 			continue
@@ -60,6 +61,7 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 		}
 		if ob.Len() > 0 {
 			outs = append(outs, ob)
+			total += ob.Len()
 		}
 	}
 	fb, err := k.Flush()
@@ -68,6 +70,7 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 	}
 	if fb.Len() > 0 {
 		outs = append(outs, fb)
+		total += fb.Len()
 	}
 	switch len(outs) {
 	case 0:
@@ -76,6 +79,7 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 		return outs[0], nil
 	}
 	bb := NewBatchBuilder(outSchema)
+	bb.Grow(total)
 	for _, ob := range outs {
 		bb.Append(ob)
 	}

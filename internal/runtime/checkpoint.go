@@ -59,7 +59,7 @@ type checkpointWriter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending int
-	written map[string]bool
+	written map[partKey]bool
 	closed  bool
 	// err latches the first encode or store write failure; flush and close
 	// surface it so the query result is never reported durable on top of a
@@ -77,7 +77,7 @@ func newCheckpointWriter(pctx context.Context, store engine.Store, metrics *Metr
 		queue:    make(chan checkpointReq, 64),
 		writeCh:  make(chan encodedReq, 1),
 		stop:     make(chan struct{}),
-		written:  make(map[string]bool),
+		written:  make(map[partKey]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	//lint:ignore chanproto encodeLoop's writeCh send always completes: close() drains the write stage before the stop channel fires (see the ctxleak ignore at the send site)
@@ -195,7 +195,7 @@ func (w *checkpointWriter) settle(err error) {
 // be a committed (immutable, unpooled) result — the encode stage reads it
 // asynchronously.
 func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts int) bool {
-	key := fmt.Sprintf("%s/%d", op, part)
+	key := partKey{op, part}
 	w.mu.Lock()
 	if w.closed || w.written[key] {
 		w.mu.Unlock()

@@ -43,14 +43,20 @@ const maxAttemptsPerPartition = 1000
 // query (including coarse restarts), so scripted failure traces advance.
 type attempts struct {
 	mu sync.Mutex
-	m  map[string]int
+	m  map[partKey]int
 }
 
-func newAttempts() *attempts { return &attempts{m: make(map[string]int)} }
+// partKey identifies one partition of one operator's output.
+type partKey struct {
+	op   string
+	part int
+}
+
+func newAttempts() *attempts { return &attempts{m: make(map[partKey]int)} }
 
 // take returns the current attempt number for (op, part) and advances it.
 func (a *attempts) take(op string, part int) int {
-	key := fmt.Sprintf("%s/%d", op, part)
+	key := partKey{op, part}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := a.m[key]
@@ -61,42 +67,105 @@ func (a *attempts) take(op string, part int) int {
 // peek returns the attempt number the next take would hand out, without
 // advancing it — the task span's attempt label.
 func (a *attempts) peek(op string, part int) int {
-	key := fmt.Sprintf("%s/%d", op, part)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.m[key]
+	return a.m[partKey{op, part}]
 }
 
-// runPipeline executes one partition of a stage as a chain of goroutines
-// connected by buffered channels of typed columnar batches: the source
-// computes its output and streams it batch-at-a-time; every chained operator
-// transforms batches concurrently through a fresh kernel; the calling
-// goroutine is the sink, draining the stream column-wise into one committed
-// batch. Sending a batch down a channel transfers ownership: each stage of
-// the chain releases consumed batches into its own arena Local, so buffers
-// recycle batch over batch. An injected failure kills the worker mid-stream
-// by cancelling the partition context, which tears down the whole chain
-// (batches in flight then simply leak to the GC, which is always safe).
+// attempt takes op's next attempt number for the partition, enforces the retry
+// bound, and runs body under the attempt's pprof labels. Labels are
+// goroutine-local, so every goroutine that works for an operator — the stage
+// worker of a single-operator stage, each hop of a pipeline — re-applies the
+// query and stage labels ctx carries with its own op/attempt pair on top.
+func (rn *run) attempt(ctx context.Context, op engine.Operator, part int, body func(ctx context.Context, n int) error) error {
+	n := rn.attempts.take(op.Name(), part)
+	if n > maxAttemptsPerPartition {
+		return fmt.Errorf("runtime: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
+	}
+	var err error
+	prof.Do(ctx, prof.Labels{Op: op.Name(), Attempt: prof.AttemptLabel(n)}, func(ctx context.Context) {
+		err = body(ctx, n)
+	})
+	return err
+}
+
+// die records the injected death of the node computing (op, part) on attempt
+// n — one failure event, one open ledger entry — and returns the nodeFailure
+// the stage worker resolves.
+//
+//lint:spanpair recoverFine
+func (rn *run) die(op engine.Operator, part, n int) *nodeFailure {
+	rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
+	rn.metrics.Ledger().Fail(op.Name(), part)
+	return &nodeFailure{op: op.Name(), part: part}
+}
+
+// runPartition computes one partition of a stage. A stage that is just its
+// source has nothing to stream to, so the batch ComputeBatch returned is the
+// partition — no goroutine, channel or copy, and possibly a view over table
+// or input storage. When the failure injector fires for the attempt the node
+// dies with the work done and nothing handed over, the point at which a
+// streaming source dies. A chained stage runs as a pipeline.
+func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
+	if len(s.ops) > 1 {
+		return rn.runPipeline(ctx, s, part, inputs)
+	}
+	op := s.source()
+	var b *engine.Batch
+	err := rn.attempt(ctx, op, part, func(_ context.Context, n int) (err error) {
+		fail := rn.cfg.Injector.FailCompute(op.Name(), part, n)
+		// buildStages admitted only batch-native operators (engine.CheckColumnar).
+		b, err = op.(engine.BatchOperator).ComputeBatch(part, inputs)
+		if err == nil && fail {
+			err = rn.die(op, part, n)
+		}
+		return err
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	return b, err
+}
+
+// runPipeline executes one partition of a chained stage as a chain of
+// goroutines connected by buffered channels of typed columnar batches: the
+// source computes its output and streams it batch-at-a-time; every chained
+// operator transforms batches concurrently through a fresh kernel; the calling
+// goroutine is the sink, collecting the stream and concatenating it once, at
+// its exact size, into the committed batch. Sending a batch down a channel
+// transfers ownership: each stage of the chain releases consumed batches into
+// its own arena Local, so buffers recycle batch over batch. A hop that fails —
+// an injected death mid-stream, or a real error — cancels the partition
+// context, which tears down the whole chain (batches in flight then simply
+// leak to the GC, which is always safe).
 func (rn *run) runPipeline(ctx context.Context, s *stage, part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	nops := len(s.ops)
 	errCh := make(chan error, nops)
-	ch := make(chan *engine.Batch, channelDepth)
-	go func() { errCh <- rn.runSource(pctx, cancel, s, part, inputs, ch) }()
-	in := ch
-	for i := 1; i < len(s.ops); i++ {
-		out := make(chan *engine.Batch, channelDepth)
-		go func(op engine.Operator, in <-chan *engine.Batch, out chan<- *engine.Batch) {
-			errCh <- rn.runChainOp(pctx, cancel, op, part, in, out)
-		}(s.ops[i], in, out)
+	hop := func(op engine.Operator, body func(pctx context.Context, n int) error) {
+		err := rn.attempt(pctx, op, part, body)
+		if err != nil {
+			cancel()
+		}
+		errCh <- err
+	}
+	src := make(chan *engine.Batch, channelDepth)
+	go hop(s.source(), func(pctx context.Context, n int) error {
+		return rn.sourceStream(pctx, s.source(), part, n, inputs, src)
+	})
+	var in <-chan *engine.Batch = src
+	for _, op := range s.ops[1:] {
+		from, out := in, make(chan *engine.Batch, channelDepth)
+		go hop(op, func(pctx context.Context, n int) error {
+			return rn.chainStream(pctx, op, part, n, from, out)
+		})
 		in = out
 	}
 
-	loc := rn.cfg.Arena.Local()
-	defer loc.Close()
-	bb := engine.NewBatchBuilder(s.terminal().OutSchema())
+	var outs []*engine.Batch
+	total := 0
 	for open := true; open; {
 		select {
 		case b, ok := <-in:
@@ -104,8 +173,8 @@ func (rn *run) runPipeline(ctx context.Context, s *stage, part int, inputs []*en
 				open = false
 				break
 			}
-			bb.Append(b)
-			b.Release(loc)
+			outs = append(outs, b)
+			total += b.Len()
 		case <-pctx.Done():
 			open = false
 		}
@@ -139,42 +208,25 @@ func (rn *run) runPipeline(ctx context.Context, s *stage, part int, inputs []*en
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	loc := rn.cfg.Arena.Local()
+	defer loc.Close()
+	bb := engine.NewBatchBuilder(s.terminal().OutSchema())
+	bb.Grow(total)
+	for _, b := range outs {
+		bb.Append(b)
+		b.Release(loc)
+	}
 	return bb.Finish(), nil
 }
 
-// runSource computes the stage's source operator for one partition and
-// streams the result in batches. When the failure injector fires for this
-// attempt, the worker emits its first batch and then dies mid-stream. Its
-// failure events surface as a nodeFailure the stage worker resolves.
-//
-// Pipeline chain goroutines do not inherit the stage worker's pprof labels
-// (labels are goroutine-local), so each hop re-applies the query and stage
-// labels carried by pctx and adds its own op/attempt pair.
-func (rn *run) runSource(pctx context.Context, cancel context.CancelFunc, s *stage, part int, inputs []*engine.BatchResult, out chan<- *engine.Batch) error {
-	op := s.source()
-	n := rn.attempts.take(op.Name(), part)
-	if n > maxAttemptsPerPartition {
-		cancel()
-		return fmt.Errorf("runtime: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
-	}
-	var err error
-	prof.Do(pctx, prof.Labels{Op: op.Name(), Attempt: prof.AttemptLabel(n)}, func(pctx context.Context) {
-		err = rn.sourceStream(pctx, cancel, s, part, n, inputs, out)
-	})
-	return err
-}
-
-// sourceStream is runSource's labeled body: compute, slice, and stream the
-// source partition (dying mid-stream when the injector fired for attempt n).
-//
-//lint:spanpair recoverFine
-func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *stage, part, n int, inputs []*engine.BatchResult, out chan<- *engine.Batch) error {
-	op := s.source()
+// sourceStream computes the stage's source operator for one partition and
+// streams the result in batches. When the failure injector fired for attempt
+// n, the worker emits its first batch and then dies mid-stream.
+func (rn *run) sourceStream(pctx context.Context, op engine.Operator, part, n int, inputs []*engine.BatchResult, out chan<- *engine.Batch) error {
 	fail := rn.cfg.Injector.FailCompute(op.Name(), part, n)
 	// buildStages admitted only batch-native operators (engine.CheckColumnar).
 	b, err := op.(engine.BatchOperator).ComputeBatch(part, inputs)
 	if err != nil {
-		cancel()
 		return err
 	}
 	total := b.Len()
@@ -184,13 +236,7 @@ func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *
 	loc := rn.cfg.Arena.Local()
 	defer loc.Close()
 	size := rn.cfg.BatchSize
-	for start, i := 0, 0; start < total; start, i = start+size, i+1 {
-		if fail && i >= 1 {
-			rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-			rn.metrics.Ledger().Fail(op.Name(), part)
-			cancel()
-			return &nodeFailure{op: op.Name(), part: part}
-		}
+	for start, i := 0, 0; start < total && !(fail && i >= 1); start, i = start+size, i+1 {
 		end := start + size
 		if end > total {
 			end = total
@@ -203,42 +249,17 @@ func (rn *run) sourceStream(pctx context.Context, cancel context.CancelFunc, s *
 		}
 	}
 	if fail {
-		rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-		rn.metrics.Ledger().Fail(op.Name(), part)
-		cancel()
-		return &nodeFailure{op: op.Name(), part: part}
+		return rn.die(op, part, n)
 	}
 	close(out)
 	return nil
 }
 
-// runChainOp transforms batches for one pipelined operator through a fresh
+// chainStream transforms batches for one pipelined operator through a fresh
 // kernel instance (stateful kernels like partition-wise aggregation flush
 // their state at end of stream). A scripted failure kills the worker after
-// its first processed batch (or at stream end when the stream is shorter),
-// cancelling the partition context. Its failure events surface as a
-// nodeFailure the stage worker resolves.
-//
-// Like runSource, the chain hop re-applies pctx's inherited labels with its
-// own operator and attempt before doing any work.
-func (rn *run) runChainOp(pctx context.Context, cancel context.CancelFunc, op engine.Operator, part int, in <-chan *engine.Batch, out chan<- *engine.Batch) error {
-	n := rn.attempts.take(op.Name(), part)
-	if n > maxAttemptsPerPartition {
-		cancel()
-		return fmt.Errorf("runtime: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
-	}
-	var err error
-	prof.Do(pctx, prof.Labels{Op: op.Name(), Attempt: prof.AttemptLabel(n)}, func(pctx context.Context) {
-		err = rn.chainStream(pctx, cancel, op, part, n, in, out)
-	})
-	return err
-}
-
-// chainStream is runChainOp's labeled body: drive the kernel batch by batch
-// until end of stream, flush, and die on the scripted attempt.
-//
-//lint:spanpair recoverFine
-func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op engine.Operator, part, n int, in <-chan *engine.Batch, out chan<- *engine.Batch) error {
+// its first processed batch (or at stream end when the stream is shorter).
+func (rn *run) chainStream(pctx context.Context, op engine.Operator, part, n int, in <-chan *engine.Batch, out chan<- *engine.Batch) error {
 	// The kernel owns every batch it consumes: it recycles input buffers into
 	// this goroutine's Local and draws its outputs from the same freelists,
 	// so a steady-state chain reuses one working set of buffers.
@@ -246,7 +267,6 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 	defer loc.Close()
 	kern, ok := engine.NewOperatorKernelLocal(op, loc)
 	if !ok {
-		cancel()
 		return fmt.Errorf("runtime: operator %s has no batch kernel", op.Name())
 	}
 	fail := rn.cfg.Injector.FailCompute(op.Name(), part, n)
@@ -254,16 +274,12 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 	for {
 		select {
 		case b, chOpen := <-in:
+			if fail && (!chOpen || processed >= 1) {
+				return rn.die(op, part, n)
+			}
 			if !chOpen {
-				if fail {
-					rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-					rn.metrics.Ledger().Fail(op.Name(), part)
-					cancel()
-					return &nodeFailure{op: op.Name(), part: part}
-				}
 				fb, err := kern.Flush()
 				if err != nil {
-					cancel()
 					return err
 				}
 				if fb != nil && fb.Len() > 0 {
@@ -276,15 +292,8 @@ func (rn *run) chainStream(pctx context.Context, cancel context.CancelFunc, op e
 				close(out)
 				return nil
 			}
-			if fail && processed >= 1 {
-				rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-				rn.metrics.Ledger().Fail(op.Name(), part)
-				cancel()
-				return &nodeFailure{op: op.Name(), part: part}
-			}
 			res, err := kern.Process(b)
 			if err != nil {
-				cancel()
 				return err
 			}
 			processed++

@@ -99,10 +99,8 @@ func (rn *run) dropLineageOnNode(s *stage, node int) {
 			continue
 		}
 		if rn.done[a][node] {
-			res := rn.results[a]
-			rows := int64(res.Parts[node].Len())
-			res.Parts[node] = nil
-			res.Lost[node] = true
+			rows := int64(rn.results[a].Parts[node].Len())
+			rn.publishLocked(a, node, nil, true)
 			rn.done[a][node] = false
 			rn.prog[a].PartUndone(rows)
 		}

@@ -381,28 +381,21 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 			}
 		}
 	}
-	var inputs []*engine.BatchResult
-	if recovery {
-		inputs = rn.snapshotInputs(s)
-	} else {
-		// A concurrent recovery may have dropped volatile input partitions;
-		// wait for it and re-ensure before reading.
-		for {
-			var ready bool
-			inputs, ready = rn.snapshotInputsReady(s, part)
-			if ready {
-				break
-			}
-			rn.recoveryMu.Lock()
-			err := rn.ensureStageInputs(ctx, s, part)
-			rn.recoveryMu.Unlock()
-			if err != nil {
-				return err
-			}
+	// A concurrent recovery may have dropped volatile input partitions; wait
+	// for it and re-ensure before reading. (While recovering, the caller holds
+	// recoveryMu and has ensured them already.)
+	inputs, ready := rn.inputResults(s, part)
+	for !ready {
+		rn.recoveryMu.Lock()
+		err := rn.ensureStageInputs(ctx, s, part)
+		rn.recoveryMu.Unlock()
+		if err != nil {
+			return err
 		}
+		inputs, ready = rn.inputResults(s, part)
 	}
 	sp := rn.tracer.Begin(obs.KindTask, s.name(), part, rn.attempts.peek(s.name(), part))
-	b, err := rn.runPipeline(ctx, s, part, inputs)
+	b, err := rn.runPartition(ctx, s, part, inputs)
 	if err != nil {
 		sp.Fail(err.Error())
 		sp.End()
@@ -443,7 +436,9 @@ func (rn *run) stageRows(s *stage) int64 {
 // commit records a computed partition and, for materialization points,
 // hands it to the asynchronous checkpoint writer. The batch must be plain
 // (unpooled) — it becomes a shared, immutable stage result that consumers
-// and the async checkpoint encoder read concurrently.
+// and the async checkpoint encoder read concurrently. It may be a view: a
+// selection vector or column subset over table storage or over the stage's
+// own committed inputs.
 func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
 	if b.Len() == 0 {
 		b = nil // canonical empty-partition representation
@@ -453,9 +448,7 @@ func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
 		rn.mu.Unlock()
 		return
 	}
-	res := rn.results[s]
-	res.Parts[part] = b
-	res.Lost[part] = false
+	rn.publishLocked(s, part, b, false)
 	rn.done[s][part] = true
 	rn.mu.Unlock()
 	rn.prog[s].PartDone(int64(b.Len()))
@@ -472,18 +465,27 @@ func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
 	}
 }
 
-// snapshotInputs copies the input results' partition tables under the lock,
-// so pipeline workers never race with recovery mutating the originals.
-func (rn *run) snapshotInputs(s *stage) []*engine.BatchResult {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	return rn.snapshotInputsLocked(s)
+// publishLocked replaces one partition of s's result by publishing a new
+// BatchResult (rn.mu held). Published results are never written again:
+// workers read them without the lock, and wide operators hang the work their
+// partitions share (exchange scatter, join build side) off the result they
+// were handed. Every partition of a stage attempt is therefore handed the
+// same input results, and a recovery that dropped or recomputed an input
+// partition is handed new ones, whose shared state is rebuilt.
+func (rn *run) publishLocked(s *stage, part int, b *engine.Batch, lost bool) {
+	old := rn.results[s]
+	res := engine.NewBatchResult(old.Schema, len(old.Parts))
+	copy(res.Parts, old.Parts)
+	copy(res.Lost, old.Lost)
+	res.Parts[part], res.Lost[part] = b, lost
+	rn.results[s] = res
 }
 
-// snapshotInputsReady additionally verifies that every input partition this
-// stage partition reads is present (a concurrent recovery may have dropped
-// some); ready=false means the caller must re-ensure the inputs.
-func (rn *run) snapshotInputsReady(s *stage, part int) ([]*engine.BatchResult, bool) {
+// inputResults returns the current results of the stage's inputs, in the
+// source operator's input order, and whether every input partition this stage
+// partition reads is present (a concurrent recovery may have dropped some);
+// ready=false means the caller must re-ensure the inputs.
+func (rn *run) inputResults(s *stage, part int) (inputs []*engine.BatchResult, ready bool) {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 	for _, d := range s.deps {
@@ -500,19 +502,10 @@ func (rn *run) snapshotInputsReady(s *stage, part int) ([]*engine.BatchResult, b
 			}
 		}
 	}
-	return rn.snapshotInputsLocked(s), true
-}
-
-func (rn *run) snapshotInputsLocked(s *stage) []*engine.BatchResult {
 	ins := s.source().Inputs()
-	out := make([]*engine.BatchResult, len(ins))
+	inputs = make([]*engine.BatchResult, len(ins))
 	for i, in := range ins {
-		res := rn.results[rn.plan.byOp[in]]
-		out[i] = &engine.BatchResult{
-			Schema: res.Schema,
-			Parts:  append([]*engine.Batch(nil), res.Parts...),
-			Lost:   append([]bool(nil), res.Lost...),
-		}
+		inputs[i] = rn.results[rn.plan.byOp[in]]
 	}
-	return out
+	return inputs, true
 }

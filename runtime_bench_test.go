@@ -20,6 +20,8 @@ import (
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/prof"
 	"ftpde/internal/runtime"
+	"ftpde/internal/service"
+	"ftpde/internal/sql"
 	"ftpde/internal/tpch"
 )
 
@@ -151,6 +153,49 @@ func BenchmarkRuntimePipelinedQ1(b *testing.B) {
 			b.Fatal(err)
 		}
 		res, _, err := r.Execute(context.Background(), q1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.AllRows()) == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}
+
+// BenchmarkRuntimePipelinedQ5 is the six-way join the benchmark harness's
+// exec_scan_join workload runs, in the harness's shape: ftserve's Q5 template
+// compiled from SQL once, SF 0.005, 4 nodes, nothing materialized. Eleven of
+// its thirteen stages are a single scan or join, so its allocation ceiling is
+// what keeps stage boundaries from copying their batches again and wide
+// operators from doing their shared work once per partition.
+func BenchmarkRuntimePipelinedQ5(b *testing.B) {
+	cat, err := tpch.Generate(0.005, 4, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var q5 engine.Operator
+	for _, q := range service.TPCHQueries() {
+		if q.Name != "Q5" {
+			continue
+		}
+		stmt, err := sql.Parse(q.Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pp, err := sql.Compile(stmt, cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q5 = pp.Root
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := runtime.New(runtime.Config{Nodes: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err := r.Execute(context.Background(), q5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -339,11 +384,14 @@ type allocCeiling struct {
 
 // TestAllocBudget enforces the checked-in allocation ceilings in
 // alloc_budget.json: scan→filter→project through the columnar kernels and
-// TPC-H Q1 end to end on the pipelined runtime must not allocate past the
-// budget. The ceilings carry ~2x headroom over the measured steady state
-// (Q1 ~1000 allocs/op, scan-filter-project ~24), so a trip means the arena
-// or a kernel lost its recycling path, not timing noise — allocation counts
-// are deterministic in a way wall time is not. Gated behind ALLOC_BUDGET=1
+// TPC-H Q1 and Q5 end to end on the pipelined runtime must not allocate past
+// the budget. The ceilings carry ~2x headroom over the measured allocation
+// counts (Q1 ~420 allocs/op, Q5 ~1850, scan-filter-project ~24) and ~1.5x
+// over the pipelined queries' bytes (Q1 0.35 MB, Q5 20 MB), so a trip means
+// the arena or a kernel lost its recycling path, a stage boundary copies its
+// batch again, or a wide operator repeats its shared work per partition —
+// not timing noise: allocation figures are deterministic in a way wall time
+// is not. Gated behind ALLOC_BUDGET=1
 // because testing.Benchmark reruns each workload until timing stabilizes,
 // which is too slow for the default test sweep.
 func TestAllocBudget(t *testing.T) {
@@ -364,6 +412,7 @@ func TestAllocBudget(t *testing.T) {
 		})),
 		"pipelined_q1":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1)),
 		"pipelined_q1_progress": toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1Progress)),
+		"pipelined_q5":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ5)),
 	}
 	for name, ceiling := range budget {
 		got, ok := measured[name]
