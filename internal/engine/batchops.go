@@ -314,10 +314,10 @@ func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
 // shared by all output partitions (newJoinBuild); each partition scans its
 // probe rows emitting a matching (probe position, build position) selection
 // pair, and a single column-wise gather materializes the output vectors —
-// probe columns followed by build columns, rows in probe order with in-bucket
-// build order, byte-identical to the row loop. Rows sharing a bucket but not a
-// hash are skipped; equal hashes are resolved with the same typed comparison
-// (and error wording) as compareValues.
+// the project columns of probe ++ build and no others, rows in probe order
+// with in-bucket build order, byte-identical to the row loop. Rows sharing a
+// bucket but not a hash are skipped; equal hashes are resolved with the same
+// typed comparison (and error wording) as compareValues.
 func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	build, probe := inputs[0], inputs[1]
 	for _, b := range build.Parts {
@@ -370,12 +370,13 @@ func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 		return nil, nil
 	}
 
-	cols := make([]Vector, len(probeB.Cols)+len(dense.Cols))
-	for ci := range probeB.Cols {
-		cols[ci] = probeB.Cols[ci].gather(probeSel)
-	}
-	for ci := range dense.Cols {
-		cols[len(probeB.Cols)+ci] = dense.Cols[ci].gather(buildSel)
+	cols := make([]Vector, len(j.project))
+	for i, c := range j.project {
+		if c < j.probeWidth {
+			cols[i] = probeB.Cols[c].gather(probeSel)
+		} else {
+			cols[i] = dense.Cols[c-j.probeWidth].gather(buildSel)
+		}
 	}
 	return &Batch{Schema: j.schema, Cols: cols, nrows: len(probeSel)}, nil
 }

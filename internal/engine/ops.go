@@ -135,6 +135,7 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 		return nil, nil
 	}
 	var out []Row
+	var slab []Value // projected rows are cut from shared slabs, not allocated one at a time
 	for _, r := range s.table.Parts[part] {
 		if s.filter != nil {
 			ok, err := truthy(s.filter, r)
@@ -145,7 +146,19 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 				continue
 			}
 		}
-		out = append(out, projectRow(r, s.project))
+		if s.project != nil {
+			w := len(s.project)
+			if len(slab) < w {
+				slab = make([]Value, 256*w)
+			}
+			pr := Row(slab[:w:w])
+			slab = slab[w:]
+			for i, c := range s.project {
+				pr[i] = r[c]
+			}
+			r = pr
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -323,18 +336,36 @@ func (e *Exchange) Compute(part int, inputs []*PartitionedResult) ([]Row, error)
 // HashJoin joins a broadcast build side with a partition-wise probe side.
 // The build input (inputs[0]) is read in full by every partition (broadcast
 // join, suited to the smaller side); the probe input (inputs[1]) is read
-// partition-wise. Output schema is probe columns followed by build columns.
+// partition-wise. Output rows are the project columns of probe ++ build.
 type HashJoin struct {
 	base
 	buildKey, probeKey int
+	project            []int // output columns, as positions in probe ++ build
+	probeWidth         int   // project entries below it name a probe column
 }
 
-// NewHashJoin creates a broadcast hash join.
+// NewHashJoin creates a broadcast hash join that emits every probe column
+// followed by every build column.
 func NewHashJoin(name string, build, probe Operator, buildKey, probeKey int) *HashJoin {
-	schema := append(append(Schema{}, probe.OutSchema()...), build.OutSchema()...)
+	return NewHashJoinProject(name, build, probe, buildKey, probeKey, nil)
+}
+
+// NewHashJoinProject creates a broadcast hash join that emits only the listed
+// columns of probe ++ build, in list order (nil keeps all). The keys index the
+// inputs' own schemas, so a key that nothing above the join reads is simply
+// left out of the list.
+func NewHashJoinProject(name string, build, probe Operator, buildKey, probeKey int, project []int) *HashJoin {
+	full := append(append(Schema{}, probe.OutSchema()...), build.OutSchema()...)
+	if project == nil {
+		project = make([]int, len(full))
+		for i := range project {
+			project[i] = i
+		}
+	}
 	return &HashJoin{
-		base:     base{name: name, inputs: []Operator{build, probe}, schema: schema},
+		base:     base{name: name, inputs: []Operator{build, probe}, schema: projectSchema(full, project)},
 		buildKey: buildKey, probeKey: probeKey,
+		project: project, probeWidth: len(probe.OutSchema()),
 	}
 }
 
@@ -369,9 +400,14 @@ func (j *HashJoin) Compute(part int, inputs []*PartitionedResult) ([]Row, error)
 			if cmp != 0 {
 				continue // hash collision
 			}
-			nr := make(Row, 0, len(r)+len(b))
-			nr = append(nr, r...)
-			nr = append(nr, b...)
+			nr := make(Row, len(j.project))
+			for i, c := range j.project {
+				if c < j.probeWidth {
+					nr[i] = r[c]
+				} else {
+					nr[i] = b[c-j.probeWidth]
+				}
+			}
 			out = append(out, nr)
 		}
 	}
@@ -610,17 +646,6 @@ func projectSchema(s Schema, cols []int) Schema {
 	out := make(Schema, len(cols))
 	for i, c := range cols {
 		out[i] = s[c]
-	}
-	return out
-}
-
-func projectRow(r Row, cols []int) Row {
-	if cols == nil {
-		return r
-	}
-	out := make(Row, len(cols))
-	for i, c := range cols {
-		out[i] = r[c]
 	}
 	return out
 }

@@ -21,7 +21,9 @@ type PhysicalPlan struct {
 // Compile resolves and plans a parsed statement against the catalog:
 // predicate pushdown into scans, left-deep broadcast hash joins with the
 // smaller side as build, post-join filters, (grouped) aggregation, final
-// projection, ORDER BY and LIMIT.
+// projection, ORDER BY and LIMIT. Scans and joins emit live columns only: one
+// backward pass over the statement (lastUse) finds the last reader of every
+// column, and each operator drops what nothing later reads.
 func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 	if len(stmt.Select) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
@@ -40,12 +42,13 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 		return nil, fmt.Errorf("sql: %d joins for %d tables", len(stmt.Joins), len(stmt.From))
 	}
 
-	// Resolve tables and build the whole-query layout for predicate
-	// classification.
+	// Resolve tables and build the whole-query layout, in FROM order. Every
+	// column reference of the statement resolves against it (or a prefix of
+	// it), before anything is pruned; a column's index in it is its id below.
 	type source struct {
-		ref    TableRef
-		table  *engine.Table
-		layout layout
+		ref   TableRef
+		table *engine.Table
+		off   int // id of the table's first column
 	}
 	var sources []source
 	seen := map[string]bool{}
@@ -60,10 +63,10 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 			return nil, fmt.Errorf("sql: duplicate table qualifier %q", q)
 		}
 		seen[q] = true
-		l := tableLayout(q, t.Schema)
-		sources = append(sources, source{ref: tr, table: t, layout: l})
-		full = full.concat(l)
+		sources = append(sources, source{ref: tr, table: t, off: len(full)})
+		full = full.concat(tableLayout(q, t.Schema))
 	}
+	end := func(i int) int { return sources[i].off + len(sources[i].table.Schema) }
 
 	// Classify WHERE predicates: single-table ones are pushed into scans.
 	pushdown := map[string][]Predicate{}
@@ -76,15 +79,116 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 		}
 	}
 
-	// Build scans with pushed-down filters.
+	// Orient each ON condition: one side among the tables joined so far, the
+	// other in the new table.
+	accKey, nextKey := make([]int, len(stmt.Joins)), make([]int, len(stmt.Joins))
+	for i, jc := range stmt.Joins {
+		accLayout, nextLayout := full[:end(i)], full[end(i):end(i+1)]
+		lc, rc := jc.Left, jc.Right
+		if !accLayout.has(&lc) {
+			lc, rc = rc, lc
+		}
+		var err error
+		if accKey[i], err = accLayout.resolve(&lc); err != nil {
+			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
+		}
+		if nextKey[i], err = nextLayout.resolve(&rc); err != nil {
+			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
+		}
+		nextKey[i] += end(i)
+	}
+
+	hasAgg := len(stmt.GroupBy) > 0
+	for _, item := range stmt.Select {
+		if item.Agg != nil {
+			hasAgg = true
+		}
+	}
+
+	// Liveness. lastUse[g] is the last reader of column g along the join
+	// chain: -1 nothing (a pushed-down predicate does not count — the scan
+	// filters against the table's own schema before it projects), i the
+	// condition of join i, len(stmt.Joins) anything above the last join. A
+	// column is live above join i when lastUse > i, above its scan when
+	// lastUse > -1; so a join key dies at its own join unless something later
+	// still reads it.
+	lastUse := make([]int, len(full))
+	for g := range lastUse {
+		lastUse[g] = -1
+	}
+	for i := range stmt.Joins {
+		lastUse[accKey[i]], lastUse[nextKey[i]] = i, i
+	}
+	var above []ExprNode
+	for _, pred := range postJoin {
+		above = append(above, pred.Left, pred.Right)
+	}
+	for gi := range stmt.GroupBy {
+		above = append(above, &stmt.GroupBy[gi])
+	}
+	for _, item := range stmt.Select {
+		switch {
+		case item.Agg != nil:
+			if item.Agg.Arg != nil {
+				above = append(above, item.Agg.Arg)
+			}
+		case !hasAgg: // beside aggregates a bare item names a GROUP BY entry instead
+			above = append(above, item.Expr)
+		}
+	}
+	for _, e := range above {
+		for _, c := range columnRefs(e) {
+			g, err := full.resolve(c)
+			if err != nil {
+				return nil, err
+			}
+			lastUse[g] = len(stmt.Joins)
+		}
+	}
+	// live returns the positions in cols (column ids in row order) of the
+	// columns read after reader `after`. An operator nothing reads from still
+	// emits one narrow column: a zero-width batch carries no row count into
+	// the columnar checkpoint format.
+	live := func(cols []int, after int) []int {
+		var keep []int
+		for i, g := range cols {
+			if lastUse[g] > after {
+				keep = append(keep, i)
+			}
+		}
+		if keep != nil {
+			return keep
+		}
+		for i, g := range cols {
+			if full[g].typ != engine.TypeString {
+				return []int{i}
+			}
+		}
+		return []int{0}
+	}
+	pick := func(cols, positions []int) []int {
+		out := make([]int, len(positions))
+		for i, p := range positions {
+			out[i] = cols[p]
+		}
+		return out
+	}
+
+	// Build scans with pushed-down filters, projected to their live columns.
 	ops := make([]engine.Operator, len(sources))
+	opCols := make([][]int, len(sources)) // column ids each scan emits
 	rowEstimates := make([]float64, len(sources))
 	for i, src := range sources {
+		tableCols := make([]int, len(src.table.Schema))
+		for c := range tableCols {
+			tableCols[c] = src.off + c
+		}
 		var filter engine.Expr
 		if preds := pushdown[src.ref.Qualifier()]; len(preds) > 0 {
 			var conj engine.And
+			whole := bind(full, tableCols) // the filter runs before the projection
 			for _, pred := range preds {
-				e, err := toEnginePredicate(pred, src.layout)
+				e, err := toEnginePredicate(pred, whole)
 				if err != nil {
 					return nil, err
 				}
@@ -92,11 +196,13 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 			}
 			filter = conj
 		}
+		project := live(tableCols, -1)
+		opCols[i] = pick(tableCols, project)
 		name := fmt.Sprintf("scan-%s", src.ref.Qualifier())
 		if src.table.Replicated {
-			ops[i] = engine.NewScanOnce(name, src.table, filter, nil)
+			ops[i] = engine.NewScanOnce(name, src.table, filter, project)
 		} else {
-			ops[i] = engine.NewScan(name, src.table, filter, nil)
+			ops[i] = engine.NewScan(name, src.table, filter, project)
 		}
 		rowEstimates[i] = float64(src.table.Rows())
 		if filter != nil {
@@ -105,104 +211,94 @@ func Compile(stmt *SelectStmt, cat *engine.Catalog) (*PhysicalPlan, error) {
 	}
 
 	// Left-deep join chain in written order; the estimated-smaller side
-	// becomes the broadcast build side.
-	acc := ops[0]
-	accLayout := sources[0].layout
-	accRows := rowEstimates[0]
+	// becomes the broadcast build side. Each join emits, of probe ++ build,
+	// the columns still live above it, in that order.
+	type side struct {
+		op   engine.Operator
+		cols []int // column ids the operator emits, in row order
+		key  int   // id of its join key
+	}
+	keyPos := func(s side) int {
+		for i, g := range s.cols {
+			if g == s.key {
+				return i
+			}
+		}
+		panic("sql: join key pruned below its own join") // lastUse keeps it live up to join i
+	}
+	acc, accRows := side{op: ops[0], cols: opCols[0]}, rowEstimates[0]
 	var joins []*engine.HashJoin
-	for i, jc := range stmt.Joins {
-		next := ops[i+1]
-		nextLayout := sources[i+1].layout
-		nextRows := rowEstimates[i+1]
-
-		// Orient the ON condition: one side in acc, one in the new table.
-		lc, rc := jc.Left, jc.Right
-		if !accLayout.has(&lc) {
-			lc, rc = rc, lc
+	for i := range stmt.Joins {
+		acc.key = accKey[i]
+		build, probe := side{ops[i+1], opCols[i+1], nextKey[i]}, acc
+		if rowEstimates[i+1] > accRows {
+			build, probe = probe, build
+			accRows = rowEstimates[i+1]
 		}
-		accIdx, err := accLayout.resolve(&lc)
-		if err != nil {
-			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
-		}
-		nextIdx, err := nextLayout.resolve(&rc)
-		if err != nil {
-			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
-		}
-
-		name := fmt.Sprintf("join-%d", i+1)
-		var j *engine.HashJoin
-		if nextRows <= accRows {
-			// Build on the new table, probe the accumulated side.
-			j = engine.NewHashJoin(name, next, acc, nextIdx, accIdx)
-			accLayout = accLayout.concat(nextLayout)
-		} else {
-			j = engine.NewHashJoin(name, acc, next, accIdx, nextIdx)
-			accLayout = nextLayout.concat(accLayout)
-		}
-		if accRows < nextRows {
-			accRows = nextRows
-		}
-		acc = j
+		joined := append(append([]int{}, probe.cols...), build.cols...)
+		project := live(joined, i)
+		j := engine.NewHashJoinProject(fmt.Sprintf("join-%d", i+1), build.op, probe.op, keyPos(build), keyPos(probe), project)
+		acc = side{op: j, cols: pick(joined, project)}
 		joins = append(joins, j)
 	}
+	root, in := acc.op, bind(full, acc.cols)
 
 	// Post-join filters.
 	if len(postJoin) > 0 {
 		var conj engine.And
 		for _, pred := range postJoin {
-			e, err := toEnginePredicate(pred, accLayout)
+			e, err := toEnginePredicate(pred, in)
 			if err != nil {
 				return nil, err
 			}
 			conj = append(conj, e)
 		}
-		acc = engine.NewSelect("post-join-filter", acc, conj)
+		root = engine.NewSelect("post-join-filter", root, conj)
 	}
 
-	// Aggregation or plain projection.
-	hasAgg := len(stmt.GroupBy) > 0
-	for _, item := range stmt.Select {
-		if item.Agg != nil {
-			hasAgg = true
-		}
-	}
-
-	var outSchema engine.Schema
+	// Aggregation or plain projection. outLayout names the result columns for
+	// ORDER BY: an unaliased bare column keeps its table qualifier.
+	var outLayout layout
 	if hasAgg {
 		var err error
-		acc, outSchema, err = planAggregate(stmt, acc, accLayout)
+		root, outLayout, err = planAggregate(stmt, root, in)
 		if err != nil {
 			return nil, err
 		}
 	} else {
 		exprs := make([]engine.Expr, len(stmt.Select))
-		outSchema = make(engine.Schema, len(stmt.Select))
+		outLayout = make(layout, len(stmt.Select))
 		for i, item := range stmt.Select {
-			e, err := toEngineExpr(item.Expr, accLayout)
+			e, err := toEngineExpr(item.Expr, in)
 			if err != nil {
 				return nil, err
 			}
 			exprs[i] = e
-			outSchema[i] = engine.Column{Name: item.Name(i), Type: exprType(item.Expr, accLayout)}
+			outLayout[i] = boundCol{name: item.Name(i), typ: exprType(item.Expr, full)}
+			if c, ok := item.Expr.(*ColumnRef); ok && item.Alias == "" {
+				g, _ := full.resolve(c) // resolved by the liveness pass
+				outLayout[i].qualifier = full[g].qualifier
+			}
 		}
-		acc = engine.NewProject("project", acc, exprs, outSchema)
+		root = engine.NewProject("project", root, exprs, outLayout.schema())
 	}
+	outSchema := outLayout.schema()
 
 	// ORDER BY over the output columns.
 	if stmt.OrderBy != nil {
-		idx := outSchema.ColIndex(stmt.OrderBy.Col.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("sql: ORDER BY column %s is not in the select list", &stmt.OrderBy.Col)
+		idx, err := outLayout.resolve(&stmt.OrderBy.Col)
+		if err != nil {
+			return nil, fmt.Errorf("sql: ORDER BY column %s in the select list: %w", &stmt.OrderBy.Col, err)
 		}
-		acc = engine.NewSort("sort", acc, idx, stmt.OrderBy.Desc)
+		root = engine.NewSort("sort", root, idx, stmt.OrderBy.Desc)
 	}
 	if stmt.Limit >= 0 {
-		acc = engine.NewLimit("limit", acc, stmt.Limit)
+		root = engine.NewLimit("limit", root, stmt.Limit)
 	}
-	if err := checkColumnar(acc); err != nil {
+	if err := checkColumnar(root); err != nil {
 		return nil, fmt.Errorf("sql: %w", err)
 	}
-	return &PhysicalPlan{Root: acc, Output: outSchema, Joins: joins}, nil
+	return &PhysicalPlan{Root: root, Output: outSchema, Joins: joins}, nil
 }
 
 // checkColumnar rejects a plan holding an operator the runtime cannot execute
@@ -245,18 +341,26 @@ func rewriteDistinct(stmt *SelectStmt) (*SelectStmt, error) {
 }
 
 // planAggregate builds pre-projection + (exchange +) aggregation + final
-// reordering projection.
-func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Operator, engine.Schema, error) {
-	// Validate non-aggregate select items are bare group columns.
-	groupSet := map[string]int{} // rendered group col -> index in GroupBy
+// reordering projection, and returns the result's layout.
+func planAggregate(stmt *SelectStmt, in engine.Operator, b binding) (engine.Operator, layout, error) {
+	// The GROUP BY entries as a layout of their own: a non-aggregate select
+	// item names one of them by the same qualifier + name resolution as any
+	// other reference, so a.v and b.v stay distinct and an unqualified item
+	// matches a qualified entry when only one entry has that name.
+	groups := make(layout, len(stmt.GroupBy))
 	for gi := range stmt.GroupBy {
-		groupSet[stmt.GroupBy[gi].String()] = gi
+		g, err := b.full.resolve(&stmt.GroupBy[gi])
+		if err != nil {
+			return nil, nil, err
+		}
+		groups[gi] = b.full[g]
 	}
 	type aggItem struct {
 		sel  int // index in select list
 		spec AggExpr
 	}
 	var aggItems []aggItem
+	groupOf := make([]int, len(stmt.Select)) // select index -> GROUP BY entry of a non-aggregate item
 	for si, item := range stmt.Select {
 		if item.Agg != nil {
 			aggItems = append(aggItems, aggItem{sel: si, spec: *item.Agg})
@@ -266,47 +370,43 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 		if !ok {
 			return nil, nil, fmt.Errorf("sql: non-aggregate select item %q must be a grouping column", item.Expr)
 		}
-		if _, ok := groupSet[c.String()]; !ok {
-			// Allow unqualified match against a qualified GROUP BY entry.
-			found := false
-			for gi := range stmt.GroupBy {
-				if stmt.GroupBy[gi].Column == c.Column {
-					found = true
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("sql: column %s is neither aggregated nor grouped", c)
-			}
+		gi, err := groups.resolve(c)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sql: column %s is neither aggregated nor grouped: %w", c, err)
 		}
+		groupOf[si] = gi
 	}
 
 	// Pre-projection: group columns first, then aggregate arguments.
 	var preExprs []engine.Expr
 	var preSchema engine.Schema
 	for gi := range stmt.GroupBy {
-		e, err := toEngineExpr(&stmt.GroupBy[gi], l)
+		e, err := toEngineExpr(&stmt.GroupBy[gi], b)
 		if err != nil {
 			return nil, nil, err
 		}
 		preExprs = append(preExprs, e)
-		preSchema = append(preSchema, engine.Column{
-			Name: stmt.GroupBy[gi].Column, Type: exprType(&stmt.GroupBy[gi], l),
-		})
+		preSchema = append(preSchema, engine.Column{Name: groups[gi].name, Type: groups[gi].typ})
 	}
 	argCol := map[int]int{} // aggItems index -> pre-projection column
 	for ai, item := range aggItems {
 		if item.spec.Arg == nil {
 			continue // COUNT(*)
 		}
-		e, err := toEngineExpr(item.spec.Arg, l)
+		e, err := toEngineExpr(item.spec.Arg, b)
 		if err != nil {
 			return nil, nil, err
 		}
 		argCol[ai] = len(preExprs)
 		preExprs = append(preExprs, e)
 		preSchema = append(preSchema, engine.Column{
-			Name: fmt.Sprintf("agg_arg_%d", ai), Type: exprType(item.spec.Arg, l),
+			Name: fmt.Sprintf("agg_arg_%d", ai), Type: exprType(item.spec.Arg, b.full),
 		})
+	}
+	if len(preExprs) == 0 {
+		// COUNT(*) alone reads no column, but its input still has to carry the
+		// rows: pass the first one through (see live in Compile).
+		preExprs, preSchema = []engine.Expr{engine.Col(0)}, in.OutSchema()[:1]
 	}
 	op := engine.Operator(engine.NewProject("agg-input", in, preExprs, preSchema))
 
@@ -349,24 +449,22 @@ func planAggregate(stmt *SelectStmt, in engine.Operator, l layout) (engine.Opera
 
 	// Final projection reorders aggregate output into select-list order.
 	outExprs := make([]engine.Expr, len(stmt.Select))
-	outSchema := make(engine.Schema, len(stmt.Select))
+	out := make(layout, len(stmt.Select))
 	aggSeen := 0
 	for si, item := range stmt.Select {
 		if item.Agg != nil {
+			col := aggSchema[len(stmt.GroupBy)+aggSeen]
 			outExprs[si] = engine.Col(len(stmt.GroupBy) + aggSeen)
-			outSchema[si] = aggSchema[len(stmt.GroupBy)+aggSeen]
+			out[si] = boundCol{name: col.Name, typ: col.Type}
 			aggSeen++
 			continue
 		}
-		c := item.Expr.(*ColumnRef)
-		gi := -1
-		for g := range stmt.GroupBy {
-			if stmt.GroupBy[g].Column == c.Column {
-				gi = g
-			}
-		}
+		gi := groupOf[si]
 		outExprs[si] = engine.Col(gi)
-		outSchema[si] = engine.Column{Name: item.Name(si), Type: aggSchema[gi].Type}
+		out[si] = boundCol{name: item.Name(si), typ: groups[gi].typ}
+		if item.Alias == "" {
+			out[si].qualifier = groups[gi].qualifier
+		}
 	}
-	return engine.NewProject("project", op, outExprs, outSchema), outSchema, nil
+	return engine.NewProject("project", op, outExprs, out.schema()), out, nil
 }

@@ -26,7 +26,7 @@ func tableLayout(qualifier string, schema engine.Schema) layout {
 	return l
 }
 
-// concat returns probe ++ build, matching engine.HashJoin's output layout.
+// concat returns l followed by other.
 func (l layout) concat(other layout) layout {
 	out := make(layout, 0, len(l)+len(other))
 	out = append(out, l...)
@@ -54,6 +54,9 @@ func (l layout) resolve(c *ColumnRef) (int, error) {
 			continue
 		}
 		if found >= 0 {
+			if l[found] == bc {
+				continue // one column listed twice (GROUP BY a.v, a.v) is not two candidates
+			}
 			return 0, fmt.Errorf("sql: ambiguous column %s", c)
 		}
 		found = i
@@ -68,6 +71,40 @@ func (l layout) resolve(c *ColumnRef) (int, error) {
 func (l layout) has(c *ColumnRef) bool {
 	_, err := l.resolve(c)
 	return err == nil
+}
+
+// binding resolves column references for one operator. Names are matched
+// against the unpruned whole-query layout — a reference that is ambiguous in
+// the statement stays ambiguous whatever the liveness pass dropped — and pos
+// places each of that layout's columns in the operator's input row (-1 for a
+// column the input does not carry).
+type binding struct {
+	full layout
+	pos  []int
+}
+
+// bind places cols — whole-query column ids in physical row order — over full.
+func bind(full layout, cols []int) binding {
+	pos := make([]int, len(full))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, g := range cols {
+		pos[g] = i
+	}
+	return binding{full: full, pos: pos}
+}
+
+// resolve returns the position of the referenced column in the input row.
+func (b binding) resolve(c *ColumnRef) (int, error) {
+	g, err := b.full.resolve(c)
+	if err != nil {
+		return 0, err
+	}
+	if b.pos[g] < 0 {
+		return 0, fmt.Errorf("sql: column %s is not carried to this operator", c)
+	}
+	return b.pos[g], nil
 }
 
 // columnRefs collects every column reference in an expression.
@@ -107,11 +144,11 @@ func predicateQualifier(p Predicate, full layout) string {
 }
 
 // toEngineExpr converts an AST expression into an engine expression over the
-// given layout.
-func toEngineExpr(e ExprNode, l layout) (engine.Expr, error) {
+// bound input row.
+func toEngineExpr(e ExprNode, b binding) (engine.Expr, error) {
 	switch x := e.(type) {
 	case *ColumnRef:
-		i, err := l.resolve(x)
+		i, err := b.resolve(x)
 		if err != nil {
 			return nil, err
 		}
@@ -124,11 +161,11 @@ func toEngineExpr(e ExprNode, l layout) (engine.Expr, error) {
 	case *StringLit:
 		return engine.Const{V: x.Value}, nil
 	case *BinaryExpr:
-		left, err := toEngineExpr(x.Left, l)
+		left, err := toEngineExpr(x.Left, b)
 		if err != nil {
 			return nil, err
 		}
-		right, err := toEngineExpr(x.Right, l)
+		right, err := toEngineExpr(x.Right, b)
 		if err != nil {
 			return nil, err
 		}
@@ -140,12 +177,12 @@ func toEngineExpr(e ExprNode, l layout) (engine.Expr, error) {
 }
 
 // toEnginePredicate converts a predicate into an engine boolean expression.
-func toEnginePredicate(p Predicate, l layout) (engine.Expr, error) {
-	left, err := toEngineExpr(p.Left, l)
+func toEnginePredicate(p Predicate, b binding) (engine.Expr, error) {
+	left, err := toEngineExpr(p.Left, b)
 	if err != nil {
 		return nil, err
 	}
-	right, err := toEngineExpr(p.Right, l)
+	right, err := toEngineExpr(p.Right, b)
 	if err != nil {
 		return nil, err
 	}

@@ -162,20 +162,18 @@ func BenchmarkRuntimePipelinedQ1(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimePipelinedQ5 is the six-way join the benchmark harness's
-// exec_scan_join workload runs, in the harness's shape: ftserve's Q5 template
-// compiled from SQL once, SF 0.005, 4 nodes, nothing materialized. Eleven of
-// its thirteen stages are a single scan or join, so its allocation ceiling is
-// what keeps stage boundaries from copying their batches again and wide
-// operators from doing their shared work once per partition.
-func BenchmarkRuntimePipelinedQ5(b *testing.B) {
+// benchServedQuery runs one of ftserve's templates in the shape the benchmark
+// harness's exec_scan_join workload does: compiled from SQL once, SF 0.005, 4
+// nodes, nothing materialized. What it allocates is the planner's doing as
+// much as the engine's — which columns the compiled scans and joins carry.
+func benchServedQuery(b *testing.B, name string) {
 	cat, err := tpch.Generate(0.005, 4, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var q5 engine.Operator
+	var root engine.Operator
 	for _, q := range service.TPCHQueries() {
-		if q.Name != "Q5" {
+		if q.Name != name {
 			continue
 		}
 		stmt, err := sql.Parse(q.Text)
@@ -186,7 +184,7 @@ func BenchmarkRuntimePipelinedQ5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q5 = pp.Root
+		root = pp.Root
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -195,7 +193,7 @@ func BenchmarkRuntimePipelinedQ5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, _, err := r.Execute(context.Background(), q5)
+		res, _, err := r.Execute(context.Background(), root)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,6 +202,18 @@ func BenchmarkRuntimePipelinedQ5(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRuntimePipelinedQ5 is the served six-way join. Eleven of its
+// thirteen stages are a single scan or join, so its allocation ceiling is what
+// keeps stage boundaries from copying their batches again, wide operators from
+// doing their shared work once per partition, and the planner from carrying
+// dead columns through the joins.
+func BenchmarkRuntimePipelinedQ5(b *testing.B) { benchServedQuery(b, "Q5") }
+
+// BenchmarkRuntimePipelinedQ3SQL is the served three-way join —
+// BenchmarkRuntimePipelinedQ3 runs the hand-built plan, which projects at its
+// scans whatever sql.Compile does.
+func BenchmarkRuntimePipelinedQ3SQL(b *testing.B) { benchServedQuery(b, "Q3") }
 
 // BenchmarkRuntimePipelinedQ1Progress is the same workload with a live
 // obs.Progress attached, the way ftserve runs every query. The delta against
@@ -383,13 +393,15 @@ type allocCeiling struct {
 }
 
 // TestAllocBudget enforces the checked-in allocation ceilings in
-// alloc_budget.json: scan→filter→project through the columnar kernels and
-// TPC-H Q1 and Q5 end to end on the pipelined runtime must not allocate past
-// the budget. The ceilings carry ~2x headroom over the measured allocation
-// counts (Q1 ~420 allocs/op, Q5 ~1850, scan-filter-project ~24) and ~1.5x
-// over the pipelined queries' bytes (Q1 0.35 MB, Q5 20 MB), so a trip means
-// the arena or a kernel lost its recycling path, a stage boundary copies its
-// batch again, or a wide operator repeats its shared work per partition —
+// alloc_budget.json: scan→filter→project through the columnar kernels, TPC-H
+// Q1 end to end on the pipelined runtime, and the served Q3 and Q5 as
+// sql.Compile plans them must not allocate past the budget. The ceilings sit
+// ~1.5x over what the pipelined queries measure (Q1 0.35 MB / ~420 allocs,
+// SQL Q3 1.3 MB / ~12,000, SQL Q5 6.5 MB / ~1,750; Q1's and
+// scan-filter-project's object counts, small enough to move by a handful, keep
+// a wider margin), so a trip means the arena or a kernel lost its recycling
+// path, a stage boundary copies its batch again, a wide operator repeats its
+// shared work per partition, or the planner carries columns nothing reads —
 // not timing noise: allocation figures are deterministic in a way wall time
 // is not. Gated behind ALLOC_BUDGET=1
 // because testing.Benchmark reruns each workload until timing stabilizes,
@@ -413,6 +425,7 @@ func TestAllocBudget(t *testing.T) {
 		"pipelined_q1":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1)),
 		"pipelined_q1_progress": toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1Progress)),
 		"pipelined_q5":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ5)),
+		"pipelined_q3_sql":      toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ3SQL)),
 	}
 	for name, ceiling := range budget {
 		got, ok := measured[name]
