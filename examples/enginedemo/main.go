@@ -1,4 +1,4 @@
-// Engine demo: run TPC-H Q3 on the real row-level execution engine with an
+// Engine demo: run TPC-H Q3 on the execution runtime with an
 // injected mid-query node failure, and watch fine-grained recovery restore
 // the lost partitions — from the materialization store where available, via
 // lineage recomputation otherwise. The recovered result is verified against
@@ -6,13 +6,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 
 	"ftpde/internal/engine"
+	"ftpde/internal/runtime"
 	"ftpde/internal/tpch"
 )
+
+// execute runs root on a fresh runtime.
+func execute(cfg runtime.Config, root engine.Operator) (*engine.PartitionedResult, *engine.Report) {
+	r, err := runtime.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, rep, err := r.Execute(context.Background(), root)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res, rep
+}
 
 func main() {
 	const (
@@ -33,11 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	co := &engine.Coordinator{Nodes: nodes}
-	cleanRes, _, err := co.Execute(clean)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cleanRes, _ := execute(runtime.Config{Nodes: nodes}, clean)
 
 	// Same query with the joins materialized to the fault-tolerant store and
 	// two injected failures: node 1 dies while joining lineitem, node 0 dies
@@ -46,16 +57,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	co2 := &engine.Coordinator{
+	res, rep := execute(runtime.Config{
 		Nodes: nodes,
 		Injector: engine.NewScriptedFailures().
 			Add("q3-join-orders-lineitem", 1, 0).
 			Add("q3-agg", 0, 0),
-	}
-	res, rep, err := co2.Execute(q)
-	if err != nil {
-		log.Fatal(err)
-	}
+	}, q)
 
 	fmt.Printf("injected failures handled:    %d\n", rep.Failures)
 	fmt.Printf("partitions recomputed:        %d (lineage walk)\n", rep.RecomputedPartitions)

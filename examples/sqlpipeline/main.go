@@ -1,12 +1,13 @@
 // SQL pipeline: the full loop from query text to fault-tolerant execution.
 // A SQL query is parsed, statistics are collected from the data, the cost
 // planner produces a plan DAG, the paper's optimizer picks the checkpoints
-// for the cluster at hand — and the same query then runs on the row-level
-// engine with an injected node failure, recovering to the exact
+// for the cluster at hand — and the same query then runs on the execution
+// runtime with an injected node failure, recovering to the exact
 // failure-free result.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
 	"ftpde/internal/failure"
+	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
 	"ftpde/internal/stats"
 	"ftpde/internal/tpch"
@@ -28,6 +30,19 @@ const query = `
 	GROUP BY n_name
 	ORDER BY revenue DESC
 	LIMIT 5`
+
+// execute runs root on a fresh runtime.
+func execute(cfg runtime.Config, root engine.Operator) (*engine.PartitionedResult, *engine.Report) {
+	r, err := runtime.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, rep, err := r.Execute(context.Background(), root)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res, rep
+}
 
 func main() {
 	const nodes = 4
@@ -61,17 +76,13 @@ func main() {
 	fmt.Printf("cost-based checkpoints on %s: %s (estimated %.2fs under failures)\n\n",
 		spec, res.Config, res.Runtime)
 
-	// 3. Execute on the engine: clean run, then a run with the first join
+	// 3. Execute on the runtime: clean run, then a run with the first join
 	// materialized and a node killed mid-join.
 	clean, err := sql.Compile(stmt, cat)
 	if err != nil {
 		log.Fatal(err)
 	}
-	co := &engine.Coordinator{Nodes: nodes}
-	cleanRes, _, err := co.Execute(clean.Root)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cleanRes, _ := execute(runtime.Config{Nodes: nodes}, clean.Root)
 
 	failed, err := sql.Compile(stmt, cat)
 	if err != nil {
@@ -80,14 +91,10 @@ func main() {
 	for _, j := range failed.Joins {
 		j.SetMaterialize(true)
 	}
-	co2 := &engine.Coordinator{
+	gotRes, rep := execute(runtime.Config{
 		Nodes:    nodes,
 		Injector: engine.NewScriptedFailures().Add("join-2", 1, 0),
-	}
-	gotRes, rep, err := co2.Execute(failed.Root)
-	if err != nil {
-		log.Fatal(err)
-	}
+	}, failed.Root)
 
 	want, got := cleanRes.AllRows(), gotRes.AllRows()
 	if len(want) != len(got) {

@@ -10,16 +10,17 @@ import (
 
 // Arena recycles the backing arrays of batches and vectors across batches,
 // stages and queries. It is a set of size-classed freelists reached through
-// per-goroutine Locals: a pipeline goroutine checks a Local out of the
-// arena's sync.Pool, allocates and releases buffers through it without any
-// locking or interface boxing, and checks it back in when its stream ends.
+// per-goroutine Locals: the worker of a chained stage partition checks a Local
+// out of the arena's sync.Pool, allocates and releases buffers through it
+// without any locking or interface boxing, and checks it back in when the
+// partition is done.
 // Only *Local pointers cross the sync.Pool, so the steady state performs no
 // allocation at all — neither for the buffers nor for the pool traffic.
 //
 // Ownership discipline (enforced by the batchalias analyzer's
 // write-after-release rule and exercised by the pipelined equivalence tests):
-// a pooled buffer has exactly one owner at a time; sending a batch down a
-// pipeline channel transfers ownership; whoever consumes a batch releases it
+// a pooled buffer has exactly one owner at a time; handing a batch to a
+// kernel transfers ownership; whoever consumes a batch releases it
 // (Batch.Release) after its last read; anything still holding pooled buffers
 // when an error or cancellation tears a pipeline down simply leaks them to
 // the garbage collector, which is always safe.
@@ -109,7 +110,7 @@ func arenaClassOf(c int) int {
 
 // Local is one goroutine's private view of an arena: size-classed stacks of
 // released buffers plus freelists for batch shells. Locals are not safe for
-// concurrent use — each pipeline goroutine owns exactly one.
+// concurrent use — each partition worker owns exactly one.
 type Local struct {
 	arena *Arena
 
@@ -250,10 +251,10 @@ func (l *Local) putSel(b []int32) {
 }
 
 // maxFreeShells bounds a Local's freelists of batch structs and column-header
-// slices. Shells flow one way down a pipeline — the source's Local hands them
-// out, the sink's collects them — so a Local that mostly plays sink would
-// otherwise grow for as long as the arena keeps it. A chain's working set is
-// a few shells per hop; past the bound a released shell goes to the GC.
+// slices. A partition holds the shell of every output batch until its final
+// concatenation and then releases them all at once, so a Local would
+// otherwise grow to the longest stream it ever served. A chain's working set
+// is a few shells per operator; past the bound a released shell goes to the GC.
 const maxFreeShells = 64
 
 // newBatch returns an empty batch shell owned by the arena.

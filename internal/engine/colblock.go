@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -30,14 +29,14 @@ import (
 //	                              (uvarint length | bytes), in first-appearance
 //	                              order | nrows uvarint dictionary indexes
 //
-// Partitions whose rows are not strictly typed (mixed concrete types in a
-// column, ragged or zero widths, non-scalar values) fall back to gob behind
-// the "FTGB" magic. These two are the formats the store writes and the only
-// ones it reads: any other version or magic is a decode error, which
+// This is the one format the store writes and the only one it reads. Rows
+// that are not strictly typed (mixed concrete types in a column, ragged or
+// zero widths, non-scalar values) have no block form — EncodeBlockBytes
+// refuses them with ErrNotColumnar — and any other version or magic (the
+// retired "FTGB" gob fallback included) is a decode error, which
 // DiskStore.Get turns into a checkpoint miss and a recompute.
 const (
 	colBlockMagic   = "FTCB"
-	gobBlockMagic   = "FTGB"
 	colBlockVersion = 2
 
 	colEncPlain = 0
@@ -46,7 +45,7 @@ const (
 )
 
 // inferColumnTypes derives per-column concrete types from the rows; ok is
-// false when the rows are not strictly typed (the gob fallback handles them).
+// false when the rows are not strictly typed.
 func inferColumnTypes(rows []Row) ([]ColType, bool) {
 	if len(rows) == 0 {
 		return nil, true
@@ -148,9 +147,9 @@ func stringColSizes(rows []Row, c int) (plain, dict int64) {
 
 // ColumnBlockSize returns the exact encoded size of rows in the column-block
 // format — including the per-column encoding choices EncodeColumnBlock will
-// make — without building the encoding; ok is false when the rows would
-// take the gob fallback. It must stay byte-exact against the encoder, which
-// sizes its buffer with it.
+// make — without building the encoding; ok is false when the rows are not
+// strictly typed. It must stay byte-exact against the encoder, which sizes its
+// buffer with it.
 func ColumnBlockSize(rows []Row) (int64, bool) {
 	types, ok := inferColumnTypes(rows)
 	if !ok {
@@ -183,7 +182,7 @@ func ColumnBlockSize(rows []Row) (int64, bool) {
 }
 
 // EncodeColumnBlock serializes rows in the column-block format; ok is false
-// when the rows are not strictly typed and the caller must fall back to gob.
+// when the rows are not strictly typed.
 func EncodeColumnBlock(rows []Row) ([]byte, bool) {
 	types, ok := inferColumnTypes(rows)
 	if !ok {
@@ -285,9 +284,9 @@ func DecodeColumnBlock(r *bytes.Reader) ([]Row, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Every row has at least one column and every encoded value occupies at
-	// least one byte.
-	if left := uint64(r.Len()); nrows > left || (ncols > 0 && nrows > left/ncols) {
+	// Every row has at least one column (the encoder refuses zero-width
+	// rows) and every encoded value occupies at least one byte.
+	if left := uint64(r.Len()); (ncols == 0 && nrows > 0) || (ncols > 0 && nrows > left/ncols) {
 		return nil, fmt.Errorf("engine: column block header claims %d cols x %d rows in %d bytes", ncols, nrows, left)
 	}
 	rows := make([]Row, nrows)
@@ -390,21 +389,14 @@ func DecodeColumnBlock(r *bytes.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// DecodeBlockFile decodes a stored partition from data, dispatching on the
-// leading magic: column block or gob fallback.
+// DecodeBlockFile decodes a stored partition from data: a column block
+// behind its magic, anything else is an error.
 func DecodeBlockFile(data []byte) ([]Row, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("engine: block file of %d bytes has no magic", len(data))
 	}
-	switch string(data[:4]) {
-	case colBlockMagic:
-		return DecodeColumnBlock(bytes.NewReader(data[4:]))
-	case gobBlockMagic:
-		var rows []Row
-		if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&rows); err != nil {
-			return nil, fmt.Errorf("engine: gob block: %w", err)
-		}
-		return rows, nil
+	if string(data[:4]) != colBlockMagic {
+		return nil, fmt.Errorf("engine: block file has unknown magic %q", data[:4])
 	}
-	return nil, fmt.Errorf("engine: block file has unknown magic %q", data[:4])
+	return DecodeColumnBlock(bytes.NewReader(data[4:]))
 }

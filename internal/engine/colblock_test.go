@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -81,29 +82,47 @@ func TestColumnBlockRejectsUntypedRows(t *testing.T) {
 	}
 }
 
-func TestDiskStoreGobFallbackRoundTrip(t *testing.T) {
+// ftgbBlock is a block in the retired gob fallback format: the "FTGB" magic
+// followed by a gob stream of the rows.
+func ftgbBlock(t testing.TB, rows []Row) []byte {
+	t.Helper()
+	b := bytes.NewBufferString("FTGB")
+	if err := gob.NewEncoder(b).Encode(rows); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func TestDiskStoreRejectsUntypedRows(t *testing.T) {
 	// A column mixing int64 and float64 across rows cannot be a typed
-	// vector; the store must fall back to gob and still round-trip exactly.
+	// vector: it has no block form, so the checkpoint fails like any other
+	// write error and nothing is stored.
 	d, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := []Row{{int64(1)}, {2.5}}
-	if err := d.Put("mixed", 0, rows, 1); err != nil {
-		t.Fatal(err)
+	if _, err := EncodeBlockBytes(rows); !errors.Is(err, ErrNotColumnar) {
+		t.Fatalf("EncodeBlockBytes(mixed column) = %v, want ErrNotColumnar", err)
 	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
+	if err := d.Put("mixed", 0, rows, 1); !errors.Is(err, ErrNotColumnar) {
+		t.Fatalf("Put(mixed column) = %v, want ErrNotColumnar", err)
 	}
-	got, ok := d.Get("mixed", 0)
-	if !ok || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("gob fallback round trip: ok=%v got=%v", ok, got)
+	if !errors.Is(d.Err(), ErrNotColumnar) {
+		t.Fatalf("store did not latch the failed checkpoint: %v", d.Err())
+	}
+	if got, ok := d.Get("mixed", 0); ok {
+		t.Fatalf("a failed Put left a readable partition: %v", got)
+	}
+	if d.Len() != 0 {
+		t.Fatalf("a failed Put left %d operators in the store", d.Len())
 	}
 }
 
-// TestRetiredFormatsAreCheckpointMisses pins the read side to the two
-// formats the store writes: a version-1 column block and a headerless
-// whole-file gob stream are decode errors, which Get reports as a miss.
+// TestRetiredFormatsAreCheckpointMisses pins the read side to the one format
+// the store writes: a version-1 column block, a headerless whole-file gob
+// stream and an "FTGB" gob block are decode errors, which Get reports as a
+// miss.
 func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	rows := []Row{{int64(3), "legacy"}}
 	var plainGob bytes.Buffer
@@ -120,7 +139,7 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"gob": plainGob.Bytes(), "v1": v1} {
+	for name, data := range map[string][]byte{"gob": plainGob.Bytes(), "v1": v1, "ftgb": ftgbBlock(t, rows)} {
 		if got, err := DecodeBlockFile(data); err == nil {
 			t.Errorf("%s: retired format decoded to %v", name, got)
 		}
@@ -330,12 +349,11 @@ func TestColumnBlockCompressionShrinks(t *testing.T) {
 
 // TestEncodeBlockBytesMatchesStoreFiles pins the invariant the async
 // checkpoint writer's EncodedStore fast path relies on: the pre-encoded
-// bytes are identical to what a direct Put writes, for both the columnar
-// and the FTGB gob fallback encodings.
+// bytes are identical to what a direct Put writes.
 func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 	for name, rows := range map[string][]Row{
 		"columnar": {{int64(1), "x"}, {int64(2), "y"}},
-		"gob":      {{int64(1)}, {2.5}}, // mixed column -> FTGB fallback
+		"empty":    nil,
 	} {
 		data, err := EncodeBlockBytes(rows)
 		if err != nil {

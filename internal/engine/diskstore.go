@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,16 +40,8 @@ var (
 	_ EncodedStore = (*DiskStore)(nil)
 )
 
-func init() {
-	// Row values are interfaces; register the concrete value types so gob
-	// can encode them.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-}
-
 // DiskStore persists materialized partitions as column-block files under a
-// directory (gob fallback for partitions that are not strictly typed).
+// directory; rows that are not strictly typed fail their Put.
 // Unlike MatStore it survives engine restarts, so a re-submitted query can
 // resume from previously materialized intermediates.
 type DiskStore struct {
@@ -179,22 +169,17 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// EncodeBlockBytes serializes one partition to the bytes of its block file:
-// the column-block format when the rows are strictly typed, a magic-prefixed
-// gob stream otherwise. Put and the runtime's async checkpoint writer both
-// encode through it, so their files are identical.
+// EncodeBlockBytes serializes one partition to the bytes of its block file,
+// the column-block format. Rows that are not strictly typed have none: the
+// error wraps ErrNotColumnar and fails the checkpoint like any other write
+// error. Put and the runtime's async checkpoint writer both encode through
+// it, so their files are identical.
 func EncodeBlockBytes(rows []Row) ([]byte, error) {
-	if buf, ok := EncodeColumnBlock(rows); ok {
-		return buf, nil
+	buf, ok := EncodeColumnBlock(rows)
+	if !ok {
+		return nil, fmt.Errorf("engine: %d rows have no column-block form (mixed, ragged, zero-width or non-scalar values): %w", len(rows), ErrNotColumnar)
 	}
-	b := bytes.NewBufferString(gobBlockMagic)
-	if rows == nil {
-		rows = []Row{}
-	}
-	if err := gob.NewEncoder(b).Encode(rows); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return buf, nil
 }
 
 // Get implements Store. A file that does not decode (torn, corrupt, or in a

@@ -51,7 +51,7 @@ func TestTablePartitioning(t *testing.T) {
 		t.Errorf("rows = %d, want 100", tb.Rows())
 	}
 	// Hash partitioning should spread rows around.
-	for p, rows := range tb.Parts {
+	for p, rows := range tb.RowParts() {
 		if len(rows) == 0 {
 			t.Errorf("partition %d empty", p)
 		}
@@ -59,7 +59,7 @@ func TestTablePartitioning(t *testing.T) {
 	// Same key -> same partition.
 	tb2 := mustTable(t, "t2", kvSchema(), []Row{{int64(7), 1.0}, {int64(7), 2.0}}, 4, 0)
 	nonEmpty := 0
-	for _, rows := range tb2.Parts {
+	for _, rows := range tb2.RowParts() {
 		if len(rows) > 0 {
 			nonEmpty++
 		}
@@ -75,9 +75,46 @@ func TestReplicatedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		if len(tb.Parts[p]) != 3 {
-			t.Errorf("partition %d has %d rows, want 3", p, len(tb.Parts[p]))
+		if len(tb.RowParts()[p]) != 3 {
+			t.Errorf("partition %d has %d rows, want 3", p, len(tb.RowParts()[p]))
 		}
+	}
+}
+
+// A table holds its data once, as typed columns: nothing is boxed at
+// construction, the counts read the columns, and the row view the oracle
+// scans is derived on first use, cached, and shared by the partitions of a
+// replicated table.
+func TestTableDerivesRowsOnFirstUse(t *testing.T) {
+	tb := mustTable(t, "t", kvSchema(), kvRows(10), 4, 0)
+	rep, err := NewReplicatedTable("r", kvSchema(), kvRows(3), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Parts != nil || rep.Parts != nil {
+		t.Fatal("table construction filled the row view")
+	}
+	if tb.Rows() != 10 || tb.LogicalRows() != 10 || tb.Partitions() != 4 {
+		t.Errorf("partitioned table counts %d/%d/%d, want 10/10/4", tb.Rows(), tb.LogicalRows(), tb.Partitions())
+	}
+	if rep.Rows() != 12 || rep.LogicalRows() != 3 || rep.Partitions() != 4 {
+		t.Errorf("replicated table counts %d/%d/%d, want 12/3/4", rep.Rows(), rep.LogicalRows(), rep.Partitions())
+	}
+	if tb.Parts != nil || rep.Parts != nil {
+		t.Fatal("counting rows filled the row view")
+	}
+	view := tb.RowParts()
+	for p, b := range tb.ColParts {
+		if !reflect.DeepEqual(view[p], b.ToRows()) {
+			t.Errorf("partition %d: row view %v, columns hold %v", p, view[p], b.ToRows())
+		}
+	}
+	if again := tb.RowParts(); &again[0] != &view[0] {
+		t.Error("the row view was derived twice")
+	}
+	rv := rep.RowParts()
+	if &rv[0][0] != &rv[3][0] {
+		t.Error("replicated partitions do not share one row view")
 	}
 }
 
@@ -287,8 +324,9 @@ func TestCoordinatorValidation(t *testing.T) {
 }
 
 // TestOracleReadsOnlyRows pins the oracle's independence from the batch data
-// plane: with the table's columnar twin swapped for batches holding different
-// values, Coordinator.Execute must still return what Parts implies.
+// plane: once the table's row view exists, swapping its columns for batches
+// holding different values changes nothing — Coordinator.Execute still returns
+// what the rows imply.
 func TestOracleReadsOnlyRows(t *testing.T) {
 	rows := make([]Row, 10)
 	decoy := make([]Row, 10)
@@ -297,6 +335,7 @@ func TestOracleReadsOnlyRows(t *testing.T) {
 		decoy[i] = Row{int64(i), float64(1000 + i)}
 	}
 	tb := mustTable(t, "t", kvSchema(), rows, 2, -1)
+	tb.RowParts() // the view is derived from the columns once, here
 	tb.ColParts = mustTable(t, "decoy", kvSchema(), decoy, 2, -1).ColParts
 
 	scan := NewScan("scan", tb, Cmp{Op: GE, L: Col(0), R: Const{V: int64(1)}}, nil)
@@ -309,9 +348,9 @@ func TestOracleReadsOnlyRows(t *testing.T) {
 	root := NewLimit("limit", agg, 1)
 
 	res, _ := execute(t, &Coordinator{Nodes: 2}, root)
-	// Parts holds v = 1..4 after both filters; the decoy columns hold none.
+	// The rows hold v = 1..4 after both filters; the decoy columns hold none.
 	want := []Row{{20.0, int64(4)}}
 	if got := res.AllRows(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("oracle result = %v, want %v (what Table.Parts implies)", got, want)
+		t.Fatalf("oracle result = %v, want %v (what the table's rows imply)", got, want)
 	}
 }

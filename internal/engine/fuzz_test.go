@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -147,33 +148,43 @@ func FuzzCompiledExpr(f *testing.F) {
 
 // FuzzDecodeBlockFile feeds arbitrary bytes to the checkpoint decoder: the
 // outcome is rows or an error, never a panic or a header-sized allocation,
-// and decoded rows are a fixed point of encode→decode.
+// decoded rows are a fixed point of encode→decode, and a block in the retired
+// FTGB gob format is always an error — no input reaches a gob decoder.
 func FuzzDecodeBlockFile(f *testing.F) {
 	seeds := [][]Row{
 		{{int64(-1), 2.5, "x"}, {int64(1 << 40), math.Inf(-1), ""}}, // plain columns
 		{{int64(100)}, {int64(101)}, {int64(102)}, {int64(103)}},    // delta ints
 		{{"aa"}, {"aa"}, {"bb"}, {"aa"}, {"bb"}, {"aa"}},            // dictionary strings
-		{{int64(1)}, {2.5}}, // mixed column: FTGB gob fallback
 		nil,
 	}
+	blocks := [][]byte{ftgbBlock(f, []Row{{int64(1)}, {2.5}})}
 	for _, rows := range seeds {
 		data, err := EncodeBlockBytes(rows)
 		if err != nil {
 			f.Fatal(err)
 		}
+		blocks = append(blocks, data)
+	}
+	for _, data := range blocks {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(data[:len(data)-1])
 	}
 	f.Add(headerCrasher)
+	// Zero columns by 48 rows over trailing bytes: rows the encoder would
+	// refuse, so the decoder must too.
+	f.Add([]byte("FTCB\x02\x00" + strings.Repeat("0", 49)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := DecodeBlockFile(data)
 		if err != nil {
 			return
 		}
+		if bytes.HasPrefix(data, []byte("FTGB")) {
+			t.Fatalf("a retired FTGB block decoded to %v", rows)
+		}
 		enc, err := EncodeBlockBytes(rows)
 		if err != nil {
-			return // a gob stream can carry values (nil) the encoder refuses
+			t.Fatalf("decoded rows do not encode: %v", err)
 		}
 		again, err := DecodeBlockFile(enc)
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 // Process consumes one input batch and returns the output produced so far
 // (nil when the kernel buffers, e.g. aggregation); Flush emits whatever state
 // remains at end of stream. A kernel instance serves exactly one partition
-// stream — stateful kernels are created fresh per attempt. The runtime feeds
-// kernels batches straight off its channels.
+// stream — stateful kernels are created fresh per attempt. The runtime's
+// partition loop feeds them the source's slices one after the other.
 type BatchKernel interface {
 	Process(b *Batch) (*Batch, error)
 	Flush() (*Batch, error)

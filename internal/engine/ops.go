@@ -126,9 +126,11 @@ func (s *Scan) Wide() bool { return false }
 func (s *Scan) Compiled() bool { return s.cerr == nil }
 
 // Compute implements Operator: the interpreted loop over the partition's
-// rows (it never looks at the table's columnar twin).
+// rows — the table's row view, derived once; after that it never looks at the
+// columns again.
 func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
-	if part < 0 || part >= len(s.table.Parts) {
+	parts := s.table.RowParts()
+	if part < 0 || part >= len(parts) {
 		return nil, fmt.Errorf("engine: scan %s partition %d out of range", s.name, part)
 	}
 	if s.once && part != 0 {
@@ -136,7 +138,7 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 	}
 	var out []Row
 	var slab []Value // projected rows are cut from shared slabs, not allocated one at a time
-	for _, r := range s.table.Parts[part] {
+	for _, r := range parts[part] {
 		if s.filter != nil {
 			ok, err := truthy(s.filter, r)
 			if err != nil {

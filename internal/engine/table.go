@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Table is a horizontally partitioned base relation. Partition i is hosted
@@ -9,16 +10,36 @@ import (
 type Table struct {
 	Name   string
 	Schema Schema
-	Parts  [][]Row
-	// ColParts is the columnar twin of Parts: one typed batch per partition
-	// holding the same rows in the same order. Scans execute against
-	// ColParts; Parts remains the row-oriented view for the oracle, adapters
-	// and tests.
+	// ColParts holds the table's data, once: one typed batch per partition.
+	// The runtime's scans, the statistics collector and WriteTBL read it.
 	ColParts []*Batch
 	// Replicated marks tables whose every partition holds a full copy (the
 	// paper replicates NATION and REGION); scans over them must read a
 	// single partition to avoid duplicating rows.
 	Replicated bool
+	// Parts caches the boxed row view of ColParts for the row oracle. It is
+	// nil until RowParts derives it — read it through RowParts.
+	Parts    [][]Row
+	rowsOnce sync.Once
+}
+
+// RowParts returns the row-oriented view of the table, one slice of rows per
+// partition in ColParts order. It is derived on first use and cached — a
+// table nothing interprets row by row never pays for the boxed copy — and
+// partitions that share a batch (replicated tables) share their rows.
+func (t *Table) RowParts() [][]Row {
+	t.rowsOnce.Do(func() {
+		parts := make([][]Row, len(t.ColParts))
+		for p, b := range t.ColParts {
+			if p > 0 && b == t.ColParts[p-1] {
+				parts[p] = parts[p-1]
+				continue
+			}
+			parts[p] = b.ToRows()
+		}
+		t.Parts = parts
+	})
+	return t.Parts
 }
 
 // NewTable partitions rows across `parts` partitions by hashing the key
@@ -46,8 +67,7 @@ func NewReplicatedTable(name string, schema Schema, rows []Row, parts int) (*Tab
 
 // NewTableFromColumns builds a table directly from typed column vectors,
 // hash-partitioning column-wise on keyCol (round-robin when keyCol < 0)
-// without boxing any value; the row-oriented Parts view is derived from the
-// columnar partitions.
+// without boxing any value.
 func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, keyCol int) (*Table, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("engine: table %s needs at least one partition", name)
@@ -87,14 +107,13 @@ func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, k
 			}
 		}
 	}
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), ColParts: make([]*Batch, parts)}
+	t := &Table{Name: name, Schema: schema, ColParts: make([]*Batch, parts)}
 	for p := 0; p < parts; p++ {
 		b, err := NewBatchFromCols(schema, partCols[p])
 		if err != nil {
 			return nil, fmt.Errorf("engine: table %s: %v", name, err)
 		}
 		t.ColParts[p] = b
-		t.Parts[p] = b.ToRows()
 	}
 	return t, nil
 }
@@ -109,12 +128,8 @@ func NewReplicatedTableFromColumns(name string, schema Schema, cols []Vector, pa
 	if err != nil {
 		return nil, fmt.Errorf("engine: table %s: %v", name, err)
 	}
-	rows := b.ToRows()
-	t := &Table{Name: name, Schema: schema, Parts: make([][]Row, parts), ColParts: make([]*Batch, parts), Replicated: true}
-	for p := 0; p < parts; p++ {
-		cp := make([]Row, len(rows))
-		copy(cp, rows)
-		t.Parts[p] = cp
+	t := &Table{Name: name, Schema: schema, ColParts: make([]*Batch, parts), Replicated: true}
+	for p := range t.ColParts {
 		t.ColParts[p] = b
 	}
 	return t, nil
@@ -123,23 +138,32 @@ func NewReplicatedTableFromColumns(name string, schema Schema, cols []Vector, pa
 // Rows returns the total row count across partitions.
 func (t *Table) Rows() int {
 	n := 0
-	for _, p := range t.Parts {
-		n += len(p)
+	for _, b := range t.ColParts {
+		n += b.Len()
 	}
 	return n
+}
+
+// LogicalParts returns the partitions that together hold every distinct row
+// once: all of them, or the first one of a replicated table.
+func (t *Table) LogicalParts() []*Batch {
+	if t.Replicated && len(t.ColParts) > 0 {
+		return t.ColParts[:1]
+	}
+	return t.ColParts
 }
 
 // LogicalRows returns the number of distinct rows: replicated tables count
 // one copy, partitioned tables count all partitions.
 func (t *Table) LogicalRows() int {
-	if t.Replicated && len(t.Parts) > 0 {
-		return len(t.Parts[0])
+	if t.Replicated && len(t.ColParts) > 0 {
+		return t.ColParts[0].Len()
 	}
 	return t.Rows()
 }
 
 // Partitions returns the number of partitions.
-func (t *Table) Partitions() int { return len(t.Parts) }
+func (t *Table) Partitions() int { return len(t.ColParts) }
 
 // Catalog maps table names to tables (one database shard layout).
 type Catalog struct {

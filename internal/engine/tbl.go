@@ -9,41 +9,34 @@ import (
 )
 
 // WriteTBL serializes a table in dbgen's .tbl format: one row per line,
-// '|'-separated values with a trailing '|'. Replicated tables emit each row
-// once.
+// '|'-separated values with a trailing '|', read straight off the typed
+// columns. Replicated tables emit each row once.
 func WriteTBL(t *Table, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	parts := t.Parts
-	if t.Replicated {
-		parts = t.Parts[:1]
-	}
-	for _, p := range parts {
-		for _, r := range p {
-			for i, v := range r {
-				if i > 0 {
-					if err := bw.WriteByte('|'); err != nil {
-						return err
-					}
-				}
-				var s string
-				switch x := v.(type) {
-				case int64:
-					s = strconv.FormatInt(x, 10)
-				case float64:
-					s = strconv.FormatFloat(x, 'g', -1, 64)
-				case string:
-					if strings.ContainsAny(x, "|\n") {
-						return fmt.Errorf("engine: string value %q cannot be written to .tbl", x)
-					}
-					s = x
-				default:
-					return fmt.Errorf("engine: unsupported value type %T in .tbl", v)
-				}
-				if _, err := bw.WriteString(s); err != nil {
-					return err
-				}
+	var line []byte
+	for _, b := range t.LogicalParts() {
+		for i, n := 0, b.Len(); i < n; i++ {
+			p := i
+			if b.Sel != nil {
+				p = int(b.Sel[i])
 			}
-			if _, err := bw.WriteString("|\n"); err != nil {
+			line = line[:0]
+			for c := range b.Cols {
+				switch v := &b.Cols[c]; v.Type {
+				case TypeInt:
+					line = strconv.AppendInt(line, v.Ints[p], 10)
+				case TypeFloat:
+					line = strconv.AppendFloat(line, v.Floats[p], 'g', -1, 64)
+				default:
+					if strings.ContainsAny(v.Strings[p], "|\n") {
+						return fmt.Errorf("engine: string value %q cannot be written to .tbl", v.Strings[p])
+					}
+					line = append(line, v.Strings[p]...)
+				}
+				line = append(line, '|')
+			}
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}

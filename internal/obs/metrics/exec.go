@@ -19,9 +19,10 @@ const RuntimePipelined = "pipelined"
 // Ledger. The zero value is ready to use; methods on
 // a nil *Exec are no-ops so un-instrumented executions pay nothing.
 type Exec struct {
-	// Batches counts vectorized batches that crossed a pipeline channel: the
-	// source emissions and chained transforms of chained stages. A stage that
-	// is a single operator hands its batch over whole and counts nothing.
+	// Batches counts vectorized batches handed from one operator of a chained
+	// stage to the next: the source's slices and the chained transforms. A
+	// stage that is a single operator hands its batch over whole and counts
+	// nothing.
 	Batches atomic.Int64
 	// Rows counts rows produced at stage sinks (committed partitions).
 	Rows atomic.Int64
@@ -64,7 +65,7 @@ func (m *Exec) init() {
 			m.reg.MustRegisterFunc(Desc{Name: name, Help: help, Kind: KindCounter, Unit: unit},
 				func() []Sample { return []Sample{{Value: float64(v.Load())}} })
 		}
-		counter("ftpde_batches_total", "Vectorized batches that crossed a pipeline channel inside chained stages.", "", &m.Batches)
+		counter("ftpde_batches_total", "Vectorized batches handed from one operator to the next inside chained stages.", "", &m.Batches)
 		counter("ftpde_rows_total", "Rows produced at stage sinks (committed partitions).", "", &m.Rows)
 		counter("ftpde_checkpoint_parts_total", "Partitions written to the fault-tolerant store.", "", &m.CheckpointParts)
 		counter("ftpde_checkpoint_bytes_total", "Exact serialized size of written checkpoints.", "bytes", &m.CheckpointBytes)

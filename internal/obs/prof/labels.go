@@ -101,6 +101,17 @@ func Context(ctx context.Context, ls Labels) context.Context {
 	return rpprof.WithLabels(ctx, rpprof.Labels(kv...))
 }
 
+// Apply sets the calling goroutine's labels to the set ctx carries. A loop
+// that works for several operators in turn builds each one's set once with
+// Context and switches between them with Apply, which allocates nothing; the
+// caller restores its own set by applying the context it started from. When
+// profiling is off it is a single atomic load.
+func Apply(ctx context.Context) {
+	if enabled.Load() {
+		rpprof.SetGoroutineLabels(ctx)
+	}
+}
+
 // Do runs fn with ls merged into ctx's label map and applied to the current
 // goroutine for the duration of the call (restoring the previous labels
 // after). When profiling is off it is a plain call.

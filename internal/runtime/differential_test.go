@@ -257,9 +257,9 @@ type kill struct {
 
 // schedule draws one or two kills over the DAG's operators. The second is
 // either the retry of the first — attempt 1 of the same partition — or the
-// first attempt of any operator on another node: two operators of one
-// pipelined chain share a worker per partition, so a second death on the same
-// node could be hidden by the first.
+// first attempt of any operator on another node: the operators of one
+// pipelined chain run on one worker per partition and the first death ends the
+// attempt, so a second death scripted for the same attempt never happens.
 func (g *dagGen) schedule(ops []engine.Operator) []kill {
 	first := kill{ops[g.r.Intn(len(ops))].Name(), g.r.Intn(g.nodes), 0}
 	switch g.r.Intn(4) {

@@ -1,13 +1,15 @@
 // Package runtime is the concurrent pipelined execution runtime: it runs a
 // collapsed fault-tolerant plan as a DAG of stages. Each stage executes
-// partition-parallel on a bounded worker pool, rows flow between pipelined
-// operators through buffered channels in vectorized batches, and
-// materialization points are blocking barriers whose output is checkpointed
-// asynchronously to an engine.Store by a dedicated writer goroutine.
-// Failures are injected live — a worker dies mid-batch via context
-// cancellation — and a recovery manager either re-runs only the affected
-// partitions from the last materialized inputs (schemes.FineGrained) or
-// restarts the whole query (schemes.CoarseRestart).
+// partition-parallel on a bounded worker pool, the runtime's only source of
+// parallelism: a stage partition is one loop on the worker that holds the
+// pool slot, pushing vectorized batches through the stage's operators back to
+// back (the way the cost model prices a collapsed group). Materialization
+// points are blocking barriers whose output is checkpointed asynchronously to
+// an engine.Store by a dedicated writer. Failures are injected live — a
+// worker dies mid-stream, at a kill point that is a position in that loop —
+// and a recovery manager either re-runs only the affected partitions from the
+// last materialized inputs (schemes.FineGrained) or restarts the whole query
+// (schemes.CoarseRestart).
 //
 // The package is the product executor. engine.Coordinator, the row
 // interpreter in internal/engine, is its reference: both execute the same
@@ -35,8 +37,8 @@ import (
 type Config struct {
 	// Nodes is the cluster size (= partition count of every intermediate).
 	Nodes int
-	// BatchSize is the vector width of pipeline batches
-	// (default engine.DefaultBatchSize).
+	// BatchSize is the vector width of the slices a chained stage pushes
+	// through its kernels (default engine.DefaultBatchSize).
 	BatchSize int
 	// MaxWorkers bounds concurrently executing stage-partition workers
 	// (default GOMAXPROCS). Ignored when Pool is set.
@@ -64,16 +66,15 @@ type Config struct {
 	// Progress receives live per-stage completion for /debug/queries; nil
 	// disables tracking (every hook is a nil-tolerant atomic handle).
 	Progress *obs.Progress
-	// Arena recycles batch and vector buffers across pipeline batches; nil
-	// uses a process-wide shared arena so concurrent queries feed each
-	// other's freelists.
+	// Arena recycles batch and vector buffers across the batches of a
+	// chained stage partition; nil uses a process-wide shared arena so
+	// concurrent queries feed each other's freelists.
 	Arena *engine.Arena
 	// ProfLabels are the query-level pprof labels (query, tenant) every
 	// stage worker runs under when continuous profiling is on. Labels are
-	// goroutine-local, so each goroutine handoff — stage worker, pipeline
-	// chain operator, checkpoint writer — re-applies them from the task
-	// context and refines with stage/op/attempt. Zero cost while no sampler
-	// is running.
+	// goroutine-local, so each goroutine handoff — stage worker, checkpoint
+	// writer — re-applies them from the task context and refines with
+	// stage/op/attempt. Zero cost while no sampler is running.
 	ProfLabels prof.Labels
 }
 

@@ -25,7 +25,7 @@ const (
 
 // stage is one node of the runtime's execution DAG: a source operator
 // followed by a chain of streamable narrow operators. Within a stage,
-// typed columnar batches flow between operators through buffered channels;
+// typed columnar batches pass from one operator's kernel to the next;
 // stage boundaries are barriers where the full partitioned result is
 // buffered (and, for materialization points, checkpointed asynchronously).
 type stage struct {

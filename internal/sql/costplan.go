@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/plan"
@@ -38,33 +39,43 @@ func CollectStats(cat *engine.Catalog, tables []string) (map[string]TableStats, 
 			Distinct:   make(map[string]float64, len(t.Schema)),
 			Histograms: make(map[string]*stats.Histogram),
 		}
-		distinct := make([]map[string]bool, len(t.Schema))
-		numeric := make([][]float64, len(t.Schema))
-		for i := range distinct {
-			distinct[i] = make(map[string]bool)
+		parts := t.LogicalParts()
+		for _, b := range parts {
+			ts.Rows += float64(b.Len())
 		}
-		parts := t.Parts
-		if t.Replicated {
-			parts = t.Parts[:1]
-		}
-		for _, p := range parts {
-			for _, r := range p {
-				ts.Rows++
-				for i, v := range r {
-					distinct[i][fmt.Sprintf("%v", v)] = true
-					switch x := v.(type) {
-					case int64:
-						numeric[i] = append(numeric[i], float64(x))
-					case float64:
-						numeric[i] = append(numeric[i], x)
+		// The typed columns are read in place: no row is boxed and no value
+		// rendered (floats are told apart by their bits, as %v would).
+		for i, c := range t.Schema {
+			ints, floats, strs := map[int64]struct{}{}, map[uint64]struct{}{}, map[string]struct{}{}
+			var numeric []float64
+			if c.Type != engine.TypeString {
+				numeric = make([]float64, 0, int(ts.Rows))
+			}
+			for _, b := range parts {
+				if b.Len() == 0 {
+					continue
+				}
+				v := &b.Cols[i]
+				for r, n := 0, b.Len(); r < n; r++ {
+					p := r
+					if b.Sel != nil {
+						p = int(b.Sel[r])
+					}
+					switch c.Type {
+					case engine.TypeInt:
+						ints[v.Ints[p]] = struct{}{}
+						numeric = append(numeric, float64(v.Ints[p]))
+					case engine.TypeFloat:
+						floats[math.Float64bits(v.Floats[p])] = struct{}{}
+						numeric = append(numeric, v.Floats[p])
+					default:
+						strs[v.Strings[p]] = struct{}{}
 					}
 				}
 			}
-		}
-		for i, c := range t.Schema {
-			ts.Distinct[c.Name] = float64(len(distinct[i]))
-			if len(numeric[i]) > 0 {
-				h, err := stats.BuildHistogram(numeric[i], histogramBuckets)
+			ts.Distinct[c.Name] = float64(len(ints) + len(floats) + len(strs))
+			if len(numeric) > 0 {
+				h, err := stats.BuildHistogram(numeric, histogramBuckets)
 				if err == nil {
 					ts.Histograms[c.Name] = h
 				}

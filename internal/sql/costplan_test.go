@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"testing"
 
 	"ftpde/internal/core"
@@ -42,6 +43,41 @@ func TestCollectStats(t *testing.T) {
 	// Replicated table counted once.
 	if st["nat"].Rows != 5 {
 		t.Errorf("nat rows = %g, want 5 (replicas must not be double counted)", st["nat"].Rows)
+	}
+}
+
+// CollectStats reads the typed columns: it forces no table's row view, and
+// its distinct counts are those of the rendered values of the rows.
+func TestCollectStatsReadsColumns(t *testing.T) {
+	cat := testCatalog(t)
+	names := []string{"cust", "ord", "nat"}
+	st, err := CollectStats(cat, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		tb, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Parts != nil {
+			t.Errorf("%s: collecting statistics derived the row view", name)
+		}
+		rows := tb.RowParts()
+		if tb.Replicated {
+			rows = rows[:1]
+		}
+		for c, col := range tb.Schema {
+			seen := map[string]bool{}
+			for _, part := range rows {
+				for _, r := range part {
+					seen[fmt.Sprintf("%v", r[c])] = true
+				}
+			}
+			if got := st[name].Distinct[col.Name]; got != float64(len(seen)) {
+				t.Errorf("%s.%s: %g distinct values, the rows hold %d", name, col.Name, got, len(seen))
+			}
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func allRowsOf(t *testing.T, cat *engine.Catalog, table string) []engine.Row {
 		t.Fatal(err)
 	}
 	var rows []engine.Row
-	for _, p := range tb.Parts {
+	for _, p := range tb.RowParts() {
 		rows = append(rows, p...)
 	}
 	return rows
@@ -42,7 +42,7 @@ func TestGenerateCardinalities(t *testing.T) {
 		t.Errorf("lineitem = %d, out of expected band", tb.Rows())
 	}
 	nat, _ := cat.Table("nation")
-	if len(nat.Parts[0]) != 25 || len(nat.Parts[3]) != 25 {
+	if len(nat.RowParts()[0]) != 25 || len(nat.RowParts()[3]) != 25 {
 		t.Error("nation not replicated to all partitions")
 	}
 	ps, _ := cat.Table("partsupp")
@@ -73,8 +73,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	tc, _ := c.Table("lineitem")
 	if ta.Rows() == tc.Rows() {
 		// Row counts can coincide; compare first rows too.
-		if len(ta.Parts[0]) > 0 && len(tc.Parts[0]) > 0 {
-			ra, rc := ta.Parts[0][0], tc.Parts[0][0]
+		if len(ta.RowParts()[0]) > 0 && len(tc.RowParts()[0]) > 0 {
+			ra, rc := ta.RowParts()[0][0], tc.RowParts()[0][0]
 			same := true
 			for i := range ra {
 				if ra[i] != rc[i] {

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,6 +36,12 @@ func TestTBLRoundTrip(t *testing.T) {
 		}
 		if a.Rows() != b.Rows() {
 			t.Errorf("%s: %d rows loaded, want %d", name, b.Rows(), a.Rows())
+		}
+		if a.Parts != nil {
+			t.Errorf("%s: writing the table derived its row view", name)
+		}
+		if !reflect.DeepEqual(a.RowParts(), b.RowParts()) {
+			t.Errorf("%s: loaded rows differ from the generated ones", name)
 		}
 	}
 
