@@ -122,7 +122,7 @@ func TestDiskStoreRejectsUntypedRows(t *testing.T) {
 // TestRetiredFormatsAreCheckpointMisses pins the read side to the one format
 // the store writes: a version-1 column block, a headerless whole-file gob
 // stream and an "FTGB" gob block are decode errors, which Get reports as a
-// miss.
+// miss; so is any file under the ".gob" name earlier builds wrote.
 func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	rows := []Row{{int64(3), "legacy"}}
 	var plainGob bytes.Buffer
@@ -143,12 +143,27 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 		if got, err := DecodeBlockFile(data); err == nil {
 			t.Errorf("%s: retired format decoded to %v", name, got)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name+".part0.gob"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name+".part0.ftcb"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if got, ok := d.Get(name, 0); ok {
 			t.Errorf("%s: Get served a retired-format file: %v", name, got)
 		}
+	}
+	// The retired file name: a block this build would decode, under the
+	// ".gob" name earlier builds wrote, is neither served nor counted.
+	current, err := EncodeBlockBytes(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "oldname.part0.gob"), current, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := d.Get("oldname", 0); ok {
+		t.Errorf("Get served a file under the retired .gob name: %v", got)
+	}
+	if got := d.Len(); got != 3 {
+		t.Errorf("Len() = %d, want the 3 operators with a current-suffix file", got)
 	}
 }
 
@@ -374,11 +389,11 @@ func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 		if err := d2.PutEncoded("op", 0, data, 1); err != nil {
 			t.Fatal(err)
 		}
-		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.part0.gob"))
+		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.part0.ftcb"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.part0.gob"))
+		f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.part0.ftcb"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,10 +26,10 @@ type Store interface {
 
 // EncodedStore is implemented by stores that accept a partition already
 // serialized in the block-file format. The runtime's checkpoint writer uses
-// it to overlap encoding with the previous partition's write: the encode
-// stage produces the bytes off the write path, and the write stage persists
-// them without re-encoding. The data must come from EncodeBlockBytes so
-// every reader (Get, DecodeBlockFile) understands it.
+// it to overlap encoding with the previous partition's write: it produces the
+// bytes before it takes its turn at the store, which persists them without
+// re-encoding. The data must come from EncodeBlockBytes so every reader (Get,
+// DecodeBlockFile) understands it.
 type EncodedStore interface {
 	PutEncoded(op string, part int, data []byte, parts int) error
 }
@@ -47,8 +47,9 @@ var (
 type DiskStore struct {
 	dir string
 	mu  sync.Mutex
-	// err records the first write failure; subsequent Gets miss so the
-	// engine recomputes instead of reading torn state.
+	// err records the first write failure, for Err. Get does not consult
+	// it: the rename protocol never exposes a torn file, so whatever Get can
+	// open is a whole partition.
 	err error
 }
 
@@ -77,6 +78,11 @@ func (d *DiskStore) Err() error {
 	return d.err
 }
 
+// blockSuffix ends the name of every partition file this build writes. A file
+// under any other name (the ".gob" of earlier builds included) is not a stored
+// partition: Get never opens it and Len does not count it.
+const blockSuffix = ".ftcb"
+
 func (d *DiskStore) path(op string, part int) string {
 	// Operator names may contain characters unsuitable for filenames.
 	safe := strings.Map(func(r rune) rune {
@@ -87,71 +93,61 @@ func (d *DiskStore) path(op string, part int) string {
 			return '_'
 		}
 	}, op)
-	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d.gob", safe, part))
+	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d%s", safe, part, blockSuffix))
 }
 
-// Put implements Store. Writes are crash-safe: the partition is encoded to a
-// temp file, fsynced, then atomically renamed into place, and the directory
-// is fsynced so the rename itself survives a crash. A kill at any point
-// leaves either the old partition (or nothing) visible — never a torn file.
+// Put implements Store: EncodeBlockBytes, outside the lock, then PutEncoded.
 func (d *DiskStore) Put(op string, part int, rows []Row, parts int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.putLocked(op, part, rows); err != nil {
-		if d.err == nil {
-			d.err = err
-		}
-		return err
-	}
-	return nil
-}
-
-func (d *DiskStore) putLocked(op string, part int, rows []Row) error {
 	data, err := EncodeBlockBytes(rows)
 	if err != nil {
-		return err
+		return d.latch(err)
 	}
-	return d.putEncodedLocked(op, part, data)
+	return d.PutEncoded(op, part, data, parts)
 }
 
-// PutEncoded implements EncodedStore with the same crash-safe tmp+fsync+
-// rename protocol as Put, skipping the encode step.
+// PutEncoded implements EncodedStore. Writes are crash-safe: the bytes go to
+// a temp file, which is fsynced, then atomically renamed into place, and the
+// directory is fsynced so the rename itself survives a crash. A kill at any
+// point leaves either the old partition (or nothing) visible — never a torn
+// file.
 func (d *DiskStore) PutEncoded(op string, part int, data []byte, parts int) error {
+	return d.latch(d.write(d.path(op, part), data))
+}
+
+func (d *DiskStore) write(path string, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.putEncodedLocked(op, part, data); err != nil {
-		if d.err == nil {
-			d.err = err
-		}
-		return err
-	}
-	return nil
-}
-
-func (d *DiskStore) putEncodedLocked(op string, part int, data []byte) error {
 	tmp, err := os.CreateTemp(d.dir, "put-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), d.path(op, part)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
 	return syncDir(d.dir)
+}
+
+// latch records err as the store's first write failure, if it is one.
+func (d *DiskStore) latch(err error) error {
+	if err != nil {
+		d.mu.Lock()
+		if d.err == nil {
+			d.err = err
+		}
+		d.mu.Unlock()
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a preceding rename is durable. Some
@@ -206,7 +202,7 @@ func (d *DiskStore) Len() int {
 	ops := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
-		if i := strings.Index(name, ".part"); i > 0 {
+		if i := strings.Index(name, ".part"); i > 0 && strings.HasSuffix(name, blockSuffix) {
 			ops[name[:i]] = true
 		}
 	}

@@ -147,7 +147,7 @@ func TestDiskStoreMidWriteKill(t *testing.T) {
 
 	// (b) A torn file at the final path (what a non-atomic writer would
 	// leave): Get must report a miss so the engine recomputes.
-	tornPath := filepath.Join(dir, "join.part1.gob")
+	tornPath := filepath.Join(dir, "join.part1.ftcb")
 	if err := os.WriteFile(tornPath, []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,6 @@ func ProbClusterSuccess(t, mtbf float64, n int) float64 {
 	return math.Exp(-t * float64(n) / mtbf)
 }
 
-// ProbClusterFailure returns 1 - ProbClusterSuccess, the likelihood of at
-// least one failure within the cluster while running for time t.
-func ProbClusterFailure(t, mtbf float64, n int) float64 {
-	return 1 - ProbClusterSuccess(t, mtbf, n)
-}
-
 // WastedRuntimeExact returns w(c), the expected runtime lost by a single
 // failure that occurs during the execution of an operator with total runtime
 // t (Equation 3 in the paper):

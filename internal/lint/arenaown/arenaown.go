@@ -1,5 +1,5 @@
 // Package arenaown implements the ftlint analyzer that machine-checks the
-// arena ownership discipline (DESIGN.md §11): every arena-acquired Batch or
+// arena ownership discipline (DESIGN.md §7): every arena-acquired Batch or
 // Vector must be released exactly once or have its ownership transferred
 // (channel send, return, escape into a longer-lived structure). It detects
 // double-release, release-after-transfer, transfer-after-release, and

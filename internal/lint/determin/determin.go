@@ -1,6 +1,6 @@
 // Package determin implements the ftlint analyzer that statically guards the
 // determinism contract the recovery equivalence tests lean on (DESIGN.md
-// §12–13): replaying a stage from a checkpoint must reproduce byte-identical
+// §6–7): replaying a stage from a checkpoint must reproduce byte-identical
 // output, so map iteration order must never reach encoded output without an
 // intervening sort, and wall-clock or random values must never feed the cost
 // model or the compute path. The checks are interprocedural: map-order taint

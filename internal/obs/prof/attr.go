@@ -17,7 +17,7 @@ const maxTrackedQueries = 256
 // function→operator map learned from the labeled CPU samples (each ftpde
 // function is credited to the operator that spends the most CPU in it). The
 // heap join is therefore approximate — exact for functions exclusive to one
-// operator, majority-winner for shared kernels — which DESIGN.md §15 spells
+// operator, majority-winner for shared kernels — which DESIGN.md §14 spells
 // out.
 type Attribution struct {
 	funcPrefix string // only functions under this prefix feed the heap join

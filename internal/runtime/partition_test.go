@@ -7,7 +7,6 @@ import (
 	goruntime "runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
@@ -101,18 +100,12 @@ func (r *callRecorder) FailCompute(op string, part, attempt int) bool {
 }
 
 // waitForGoroutines polls until the process is back to at most want
-// goroutines: the checkpoint writer's two exit asynchronously after close.
+// goroutines: a checkpoint's persist goroutine settles its write, which is
+// what close waits for, a moment before it exits.
 func waitForGoroutines(t *testing.T, want int, when string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for goruntime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%s: %d goroutines outstanding after Execute, %d before it\n%s",
-				when, goruntime.NumGoroutine(), want, buf[:goruntime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%s: the process is back at its %d goroutines", when, want),
+		func() bool { return goruntime.NumGoroutine() <= want })
 }
 
 // TestChainedStageRunsOnThePoolWorker: with MaxWorkers 1 every operator of a

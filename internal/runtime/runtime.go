@@ -184,12 +184,8 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 		if err == nil {
 			// The query is only durably complete once every checkpoint the
 			// plan promised has landed.
-			stall, ferr := writer.flushWait()
-			if stall > 0 {
-				r.cfg.Metrics.Ledger().Attribute(metrics.CauseCheckpointStall, root.Name(), -1, stall)
-			}
-			if ferr != nil {
-				return nil, report, ferr
+			if err := writer.flush(root.Name(), -1); err != nil {
+				return nil, report, err
 			}
 			// The public contract stays row-partitioned; the root result is
 			// materialized once, at the very edge.
@@ -366,11 +362,7 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		return nil
 	}
 	if s.checkpoint {
-		stall, err := rn.writer.flushWait()
-		if stall > 0 {
-			rn.metrics.Ledger().Attribute(metrics.CauseCheckpointStall, s.name(), part, stall)
-		}
-		if err != nil {
+		if err := rn.writer.flush(s.name(), part); err != nil {
 			return err
 		}
 		if rows, ok := rn.cfg.Store.Get(s.name(), part); ok {

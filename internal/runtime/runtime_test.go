@@ -5,7 +5,6 @@ import (
 	"errors"
 	goruntime "runtime"
 	"testing"
-	"time"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/schemes"
@@ -314,11 +313,7 @@ func TestExecuteRejectsNonColumnarPlan(t *testing.T) {
 	if store.Len() != 0 {
 		t.Errorf("%d operators checkpointed by a refused plan", store.Len())
 	}
-	for deadline := time.Now().Add(time.Second); goruntime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before Execute, %d after", before, goruntime.NumGoroutine())
-		}
-	}
+	waitForGoroutines(t, before, "refused plan")
 }
 
 func TestAggregateOutputMustFitSchema(t *testing.T) {
