@@ -196,31 +196,26 @@ func (b *Batch) Len() int {
 	return b.nrows
 }
 
-// AppendRows materializes the logical rows as boxed engine rows, appending to
-// dst. This is the row bridge at package edges (stage sinks, checkpoints).
-// A nil batch (the empty-partition convention) appends nothing.
-func (b *Batch) AppendRows(dst []Row) []Row {
-	if b == nil {
-		return dst
-	}
+// ToRows materializes the logical rows as boxed engine rows: the row bridge at
+// package edges (the public Execute result, the block codec's row adapters).
+// Nil when empty — a nil batch included — matching the row-oriented operators'
+// convention.
+func (b *Batch) ToRows() []Row {
 	n := b.Len()
-	for i := 0; i < n; i++ {
-		p := i
-		if b.Sel != nil {
-			p = int(b.Sel[i])
-		}
+	if n == 0 {
+		return nil
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		p := at(b.Sel, i)
 		r := make(Row, len(b.Cols))
 		for ci := range b.Cols {
 			r[ci] = b.Cols[ci].Value(p)
 		}
-		dst = append(dst, r)
+		rows[i] = r
 	}
-	return dst
+	return rows
 }
-
-// ToRows materializes the logical rows (nil when empty, matching the
-// row-oriented operators' convention).
-func (b *Batch) ToRows() []Row { return b.AppendRows(nil) }
 
 // Slice returns the logical window [lo,hi) sharing column storage.
 func (b *Batch) Slice(lo, hi int) *Batch {

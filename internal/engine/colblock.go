@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // Column-block format: the serialized form of a materialized partition.
@@ -33,8 +33,9 @@ import (
 // that are not strictly typed (mixed concrete types in a column, ragged or
 // zero widths, non-scalar values) have no block form — EncodeBlockBytes
 // refuses them with ErrNotColumnar — and any other version or magic (the
-// retired "FTGB" gob fallback included) is a decode error, which
-// DiskStore.Get turns into a checkpoint miss and a recompute.
+// retired "FTGB" gob fallback included), like bytes after the last column, is
+// a decode error, which every reader turns into a checkpoint miss and a
+// recompute.
 const (
 	colBlockMagic   = "FTCB"
 	colBlockVersion = 2
@@ -44,359 +45,380 @@ const (
 	colEncDict  = 1 // TypeString only
 )
 
-// inferColumnTypes derives per-column concrete types from the rows; ok is
-// false when the rows are not strictly typed.
-func inferColumnTypes(rows []Row) ([]ColType, bool) {
-	if len(rows) == 0 {
-		return nil, true
+// The codec is columnar on both sides: EncodeBlock reads a batch's typed
+// vectors and DecodeBlock fills typed vectors, so no value is boxed between a
+// stage and the store. The row-typed functions at the end of the file (the
+// oracle's and the row stores' way in) convert and call the same two.
+
+func uvarintLen(x uint64) int64 { return int64(bits.Len64(x|1)+6) / 7 }
+
+func varintLen(x int64) int64 { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
+
+func stringLen(s string) int64 { return uvarintLen(uint64(len(s))) + int64(len(s)) }
+
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// at is the physical position of logical row i under the selection sel.
+func at(sel []int32, i int) int {
+	if sel != nil {
+		return int(sel[i])
 	}
-	width := len(rows[0])
-	if width == 0 {
-		// A block spends no bytes on zero-width rows, so the decoder could
-		// not bound their count by the file size.
-		return nil, false
-	}
-	types := make([]ColType, width)
-	for c := 0; c < width; c++ {
-		switch rows[0][c].(type) {
-		case int64:
-			types[c] = TypeInt
-		case float64:
-			types[c] = TypeFloat
-		case string:
-			types[c] = TypeString
-		default:
-			return nil, false
+	return i
+}
+
+// colPlan is the sizing pass's verdict on one column: its encoding, the exact
+// payload size under that encoding and, for a dictionary column, the
+// dictionary. The write pass follows it instead of deciding again.
+type colPlan struct {
+	enc     byte
+	size    int64
+	index   map[string]uint64 // colEncDict: value -> position in entries
+	entries []string          // colEncDict: values in first-appearance order
+}
+
+// planColumn sizes the n logical rows of v under every encoding its type has
+// and picks one: a compression only when it is strictly smaller than plain.
+func planColumn(v *Vector, sel []int32, n int) colPlan {
+	switch v.Type {
+	case TypeInt:
+		var plain, delta int64
+		prev := int64(0)
+		for i := 0; i < n; i++ {
+			x := v.Ints[at(sel, i)]
+			plain += varintLen(x)
+			// Two's-complement wrapping subtraction (the first value against
+			// 0): the decoder's wrapping addition round-trips every pair,
+			// including extreme values.
+			delta += varintLen(x - prev)
+			prev = x
 		}
-	}
-	for _, r := range rows {
-		if len(r) != width {
-			return nil, false
+		if delta < plain {
+			return colPlan{enc: colEncDelta, size: delta}
 		}
-		for c, v := range r {
-			switch types[c] {
-			case TypeInt:
-				if _, ok := v.(int64); !ok {
-					return nil, false
-				}
-			case TypeFloat:
-				if _, ok := v.(float64); !ok {
-					return nil, false
-				}
-			default:
-				if _, ok := v.(string); !ok {
-					return nil, false
-				}
+		return colPlan{enc: colEncPlain, size: plain}
+	case TypeFloat:
+		return colPlan{enc: colEncPlain, size: 8 * int64(n)}
+	default:
+		p := colPlan{enc: colEncDict, index: make(map[string]uint64)}
+		var plain, entries, indexes int64
+		for i := 0; i < n; i++ {
+			s := v.Strings[at(sel, i)]
+			plain += stringLen(s)
+			idx, ok := p.index[s]
+			if !ok {
+				idx = uint64(len(p.entries))
+				p.index[s] = idx
+				p.entries = append(p.entries, s)
+				entries += stringLen(s)
 			}
+			indexes += uvarintLen(idx)
 		}
-	}
-	return types, true
-}
-
-func uvarintLen(x uint64) int64 {
-	n := int64(1)
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(x int64) int64 {
-	return uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-// intColSizes returns the exact payload sizes of column c under the plain
-// and delta encodings.
-func intColSizes(rows []Row, c int) (plain, delta int64) {
-	prev := int64(0)
-	for i, r := range rows {
-		v := r[c].(int64)
-		plain += varintLen(v)
-		if i == 0 {
-			delta += varintLen(v)
-		} else {
-			// Two's-complement wrapping subtraction: the decoder's wrapping
-			// addition round-trips every pair, including extreme values.
-			delta += varintLen(v - prev)
+		p.size = uvarintLen(uint64(len(p.entries))) + entries + indexes
+		if p.size < plain {
+			return p
 		}
-		prev = v
+		return colPlan{enc: colEncPlain, size: plain}
 	}
-	return plain, delta
 }
 
-// stringColSizes returns the exact payload sizes of column c under the plain
-// and dictionary encodings.
-func stringColSizes(rows []Row, c int) (plain, dict int64) {
-	seen := make(map[string]uint64)
-	var entries, idxBytes int64
-	for _, r := range rows {
-		s := r[c].(string)
-		plain += uvarintLen(uint64(len(s))) + int64(len(s))
-		idx, ok := seen[s]
-		if !ok {
-			idx = uint64(len(seen))
-			seen[s] = idx
-			entries += uvarintLen(uint64(len(s))) + int64(len(s))
-		}
-		idxBytes += uvarintLen(idx)
+// planBlock sizes every column of b and returns the plans with the exact size
+// of the block they add up to. An empty batch is the two-zero header whatever
+// its schema; zero-width rows have no block form, because a block would spend
+// no bytes on them and the decoder could not bound their count by the file
+// size.
+func planBlock(b *Batch) ([]colPlan, int64, error) {
+	n := b.Len()
+	size := int64(len(colBlockMagic)) + 1
+	if n == 0 {
+		return nil, size + 2, nil
 	}
-	dict = uvarintLen(uint64(len(seen))) + entries + idxBytes
-	return plain, dict
+	if len(b.Cols) == 0 {
+		return nil, 0, fmt.Errorf("engine: %d zero-width rows have no column-block form: %w", n, ErrNotColumnar)
+	}
+	plans := make([]colPlan, len(b.Cols))
+	size += uvarintLen(uint64(len(plans))) + uvarintLen(uint64(n))
+	for c := range plans {
+		plans[c] = planColumn(&b.Cols[c], b.Sel, n)
+		size += 2 + plans[c].size // type byte + encoding byte + payload
+	}
+	return plans, size, nil
 }
 
-// ColumnBlockSize returns the exact encoded size of rows in the column-block
-// format — including the per-column encoding choices EncodeColumnBlock will
-// make — without building the encoding; ok is false when the rows are not
-// strictly typed. It must stay byte-exact against the encoder, which sizes its
-// buffer with it.
-func ColumnBlockSize(rows []Row) (int64, bool) {
-	types, ok := inferColumnTypes(rows)
-	if !ok {
-		return 0, false
+// EncodeBlock serializes the logical rows of b (nil is the empty partition)
+// to the bytes of its block file: one sizing pass per column, then one write
+// pass into a buffer of exactly that size.
+func EncodeBlock(b *Batch) ([]byte, error) {
+	plans, size, err := planBlock(b)
+	if err != nil {
+		return nil, err
 	}
-	n := int64(len(colBlockMagic)) + 1
-	n += uvarintLen(uint64(len(types))) + uvarintLen(uint64(len(rows)))
-	for c, t := range types {
-		n += 2 // type byte + encoding byte
-		switch t {
-		case TypeInt:
-			plain, delta := intColSizes(rows, c)
-			if delta < plain {
-				n += delta
-			} else {
-				n += plain
-			}
-		case TypeFloat:
-			n += int64(8 * len(rows))
-		default:
-			plain, dict := stringColSizes(rows, c)
-			if dict < plain {
-				n += dict
-			} else {
-				n += plain
-			}
-		}
-	}
-	return n, true
-}
-
-// EncodeColumnBlock serializes rows in the column-block format; ok is false
-// when the rows are not strictly typed.
-func EncodeColumnBlock(rows []Row) ([]byte, bool) {
-	types, ok := inferColumnTypes(rows)
-	if !ok {
-		return nil, false
-	}
-	size, _ := ColumnBlockSize(rows)
+	n := b.Len()
 	buf := make([]byte, 0, size)
 	buf = append(buf, colBlockMagic...)
 	buf = append(buf, colBlockVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(types)))
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	var scratch [8]byte
-	for c, t := range types {
-		buf = append(buf, byte(t))
-		switch t {
-		case TypeInt:
-			// Same tie rule as ColumnBlockSize: delta only when strictly
-			// smaller, so the size prediction stays byte-exact.
-			plain, delta := intColSizes(rows, c)
-			if delta < plain {
-				buf = append(buf, colEncDelta)
-				prev := int64(0)
-				for i, r := range rows {
-					v := r[c].(int64)
-					if i == 0 {
-						buf = binary.AppendVarint(buf, v)
-					} else {
-						buf = binary.AppendVarint(buf, v-prev)
-					}
-					prev = v
-				}
-			} else {
-				buf = append(buf, colEncPlain)
-				for _, r := range rows {
-					buf = binary.AppendVarint(buf, r[c].(int64))
+	buf = binary.AppendUvarint(buf, uint64(len(plans)))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for c, p := range plans {
+		v := &b.Cols[c]
+		buf = append(buf, byte(v.Type), p.enc)
+		switch {
+		case v.Type == TypeInt:
+			prev := int64(0)
+			for i := 0; i < n; i++ {
+				x := v.Ints[at(b.Sel, i)]
+				buf = binary.AppendVarint(buf, x-prev)
+				if p.enc == colEncDelta {
+					prev = x
 				}
 			}
-		case TypeFloat:
-			buf = append(buf, colEncPlain)
-			for _, r := range rows {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(r[c].(float64)))
-				buf = append(buf, scratch[:]...)
+		case v.Type == TypeFloat:
+			for i := 0; i < n; i++ {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[at(b.Sel, i)]))
+			}
+		case p.enc == colEncDict:
+			buf = binary.AppendUvarint(buf, uint64(len(p.entries)))
+			for _, s := range p.entries {
+				buf = appendString(buf, s)
+			}
+			for i := 0; i < n; i++ {
+				buf = binary.AppendUvarint(buf, p.index[v.Strings[at(b.Sel, i)]])
 			}
 		default:
-			plain, dict := stringColSizes(rows, c)
-			if dict < plain {
-				buf = append(buf, colEncDict)
-				seen := make(map[string]uint64)
-				var entries []string
-				for _, r := range rows {
-					s := r[c].(string)
-					if _, ok := seen[s]; !ok {
-						seen[s] = uint64(len(entries))
-						entries = append(entries, s)
-					}
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(entries)))
-				for _, s := range entries {
-					buf = binary.AppendUvarint(buf, uint64(len(s)))
-					buf = append(buf, s...)
-				}
-				for _, r := range rows {
-					buf = binary.AppendUvarint(buf, seen[r[c].(string)])
-				}
-			} else {
-				buf = append(buf, colEncPlain)
-				for _, r := range rows {
-					s := r[c].(string)
-					buf = binary.AppendUvarint(buf, uint64(len(s)))
-					buf = append(buf, s...)
-				}
+			for i := 0; i < n; i++ {
+				buf = appendString(buf, v.Strings[at(b.Sel, i)])
 			}
 		}
 	}
-	return buf, true
+	return buf, nil
 }
 
-// DecodeColumnBlock parses a version-2 column block (after its 4-byte magic
-// has been consumed) and materializes the rows. Returns nil rows for an empty
-// block. Every count read from the block is checked against the bytes that
-// remain before anything is allocated for it, so a corrupt or hostile header
-// is an error, never an out-of-memory crash.
-func DecodeColumnBlock(r *bytes.Reader) ([]Row, error) {
-	fail := func(err error) ([]Row, error) {
-		return nil, fmt.Errorf("engine: column block: %w", err)
+var errBlockTruncated = fmt.Errorf("engine: column block: %w", io.ErrUnexpectedEOF)
+
+// readStrings parses n length-prefixed strings off the front of d and returns
+// them with the rest of d. The values are substrings of one copy of the bytes
+// they span, so a column costs one string allocation however many values it
+// has. Nothing is allocated before the n lengths have been checked against d.
+func readStrings(d []byte, n uint64) ([]string, []byte, error) {
+	end := 0
+	for i := uint64(0); i < n; i++ {
+		ln, k := binary.Uvarint(d[end:])
+		if k <= 0 || ln > uint64(len(d)-end-k) {
+			return nil, nil, errBlockTruncated
+		}
+		end += k + int(ln)
 	}
-	version, err := r.ReadByte()
-	if err != nil {
-		return fail(err)
+	region := string(d[:end])
+	out := make([]string, n)
+	off := 0
+	for i := range out {
+		ln, k := binary.Uvarint(d[off:])
+		off += k + int(ln)
+		out[i] = region[off-int(ln) : off]
 	}
-	if version != colBlockVersion {
-		return nil, fmt.Errorf("engine: column block version %d unsupported", version)
+	return out, d[end:], nil
+}
+
+// DecodeBlock parses a block file straight into typed vectors. With a schema
+// the block must declare exactly its column types — another width or another
+// type in any column is an error — and a nil schema accepts what the block
+// declares (under empty column names). Every count read from the block is
+// checked against the bytes that remain before anything is allocated for it,
+// so a corrupt or hostile header is an error, never an out-of-memory crash;
+// so are bytes left after the last column. Every error is a checkpoint miss
+// to the caller.
+func DecodeBlock(data []byte, schema Schema) (*Batch, error) {
+	if len(data) < len(colBlockMagic) {
+		return nil, fmt.Errorf("engine: block file of %d bytes has no magic", len(data))
 	}
-	ncols, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fail(err)
+	if string(data[:len(colBlockMagic)]) != colBlockMagic {
+		return nil, fmt.Errorf("engine: block file has unknown magic %q", data[:len(colBlockMagic)])
 	}
-	nrows, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fail(err)
+	d := data[len(colBlockMagic):]
+	if len(d) == 0 {
+		return nil, errBlockTruncated
 	}
+	if d[0] != colBlockVersion {
+		return nil, fmt.Errorf("engine: column block version %d unsupported", d[0])
+	}
+	ncols, k := binary.Uvarint(d[1:])
+	if k <= 0 {
+		return nil, errBlockTruncated
+	}
+	d = d[1+k:]
+	nrows, k := binary.Uvarint(d)
+	if k <= 0 {
+		return nil, errBlockTruncated
+	}
+	d = d[k:]
 	// Every row has at least one column (the encoder refuses zero-width
-	// rows) and every encoded value occupies at least one byte.
-	if left := uint64(r.Len()); (ncols == 0 && nrows > 0) || (ncols > 0 && nrows > left/ncols) {
+	// rows), every encoded value occupies at least one byte and every column
+	// two more.
+	if left := uint64(len(d)); (ncols == 0 && nrows > 0) || ncols > left/2 || (ncols > 0 && nrows > left/ncols) {
 		return nil, fmt.Errorf("engine: column block header claims %d cols x %d rows in %d bytes", ncols, nrows, left)
 	}
-	rows := make([]Row, nrows)
-	for i := range rows {
-		rows[i] = make(Row, ncols)
+	fixed := schema != nil
+	if fixed && ncols > 0 && ncols != uint64(len(schema)) {
+		return nil, fmt.Errorf("engine: column block has %d columns, the schema %d", ncols, len(schema))
 	}
-	readString := func() (string, error) { // uvarint length, then the bytes
-		ln, err := binary.ReadUvarint(r)
-		if err != nil {
-			return "", err
-		}
-		if ln > uint64(r.Len()) {
-			return "", io.ErrUnexpectedEOF
-		}
-		b := make([]byte, ln)
-		_, err = io.ReadFull(r, b)
-		return string(b), err
+	if !fixed {
+		schema = make(Schema, ncols)
 	}
-	var scratch [8]byte
-	for c := uint64(0); c < ncols; c++ {
-		tb, err := r.ReadByte()
-		if err != nil {
-			return fail(err)
+	cols := make([]Vector, ncols)
+	for c := range cols {
+		if len(d) < 2 {
+			return nil, errBlockTruncated
 		}
-		enc, err := r.ReadByte()
-		if err != nil {
-			return fail(err)
+		t, enc := ColType(d[0]), d[1]
+		d = d[2:]
+		if t != TypeInt && t != TypeFloat && t != TypeString {
+			return nil, fmt.Errorf("engine: column block has unknown column type %d", t)
 		}
-		switch ColType(tb) {
+		if !fixed {
+			schema[c].Type = t
+		} else if schema[c].Type != t {
+			return nil, fmt.Errorf("engine: column block column %d is %s, the schema says %s", c, t, schema[c].Type)
+		}
+		v := &cols[c]
+		v.Type = t
+		switch t {
 		case TypeInt:
 			if enc != colEncPlain && enc != colEncDelta {
 				return nil, fmt.Errorf("engine: column block int encoding %d unsupported", enc)
 			}
+			v.Ints = make([]int64, nrows)
 			prev := int64(0)
-			for i := uint64(0); i < nrows; i++ {
-				v, err := binary.ReadVarint(r)
-				if err != nil {
-					return fail(err)
+			for i := range v.Ints {
+				x, k := binary.Varint(d)
+				if k <= 0 {
+					return nil, errBlockTruncated
 				}
+				d = d[k:]
+				x += prev // wrapping addition mirrors the encoder; prev stays 0 when plain
 				if enc == colEncDelta {
-					v += prev // wrapping addition mirrors the encoder
-					prev = v
+					prev = x
 				}
-				rows[i][c] = v
+				v.Ints[i] = x
 			}
 		case TypeFloat:
 			if enc != colEncPlain {
 				return nil, fmt.Errorf("engine: column block float encoding %d unsupported", enc)
 			}
-			for i := uint64(0); i < nrows; i++ {
-				if _, err := io.ReadFull(r, scratch[:]); err != nil {
-					return fail(err)
-				}
-				rows[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
+			if uint64(len(d))/8 < nrows {
+				return nil, errBlockTruncated
 			}
-		case TypeString:
+			v.Floats = make([]float64, nrows)
+			for i := range v.Floats {
+				v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[8*i:]))
+			}
+			d = d[8*nrows:]
+		default:
+			var err error
 			switch enc {
 			case colEncPlain:
-				for i := uint64(0); i < nrows; i++ {
-					s, err := readString()
-					if err != nil {
-						return fail(err)
-					}
-					rows[i][c] = s
+				v.Strings, d, err = readStrings(d, nrows)
+				if err != nil {
+					return nil, err
 				}
 			case colEncDict:
-				ndict, err := binary.ReadUvarint(r)
-				if err != nil {
-					return fail(err)
+				ndict, k := binary.Uvarint(d)
+				if k <= 0 {
+					return nil, errBlockTruncated
 				}
-				if ndict > uint64(r.Len()) {
+				d = d[k:]
+				if ndict > uint64(len(d)) {
 					return nil, fmt.Errorf("engine: column block dictionary size %d exceeds the block", ndict)
 				}
-				dict := make([]string, ndict)
-				for d := range dict {
-					if dict[d], err = readString(); err != nil {
-						return fail(err)
-					}
+				var dict []string
+				if dict, d, err = readStrings(d, ndict); err != nil {
+					return nil, err
 				}
-				for i := uint64(0); i < nrows; i++ {
-					idx, err := binary.ReadUvarint(r)
-					if err != nil {
-						return fail(err)
+				v.Strings = make([]string, nrows)
+				for i := range v.Strings {
+					idx, k := binary.Uvarint(d)
+					if k <= 0 {
+						return nil, errBlockTruncated
 					}
+					d = d[k:]
 					if idx >= ndict {
 						return nil, fmt.Errorf("engine: column block dictionary index %d out of range", idx)
 					}
-					rows[i][c] = dict[idx]
+					v.Strings[i] = dict[idx]
 				}
 			default:
 				return nil, fmt.Errorf("engine: column block string encoding %d unsupported", enc)
 			}
-		default:
-			return nil, fmt.Errorf("engine: column block has unknown column type %d", tb)
 		}
 	}
-	if nrows == 0 {
-		return nil, nil
+	if len(d) != 0 {
+		return nil, fmt.Errorf("engine: column block has %d bytes after its last column", len(d))
 	}
-	return rows, nil
+	if nrows == 0 {
+		return nil, nil // the empty partition, whatever the schema
+	}
+	return &Batch{Schema: schema, Cols: cols, nrows: int(nrows)}, nil
 }
 
-// DecodeBlockFile decodes a stored partition from data: a column block
-// behind its magic, anything else is an error.
+// rowsBatch is the row adapters' way in: the batch of strictly typed rows,
+// each column typed by the first row's value. Mixed concrete types in a
+// column, ragged widths and non-scalar values are ErrNotColumnar.
+func rowsBatch(rows []Row) (*Batch, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	schema := make(Schema, len(rows[0]))
+	for c, v := range rows[0] {
+		switch v.(type) {
+		case int64:
+			schema[c].Type = TypeInt
+		case float64:
+			schema[c].Type = TypeFloat
+		case string:
+			schema[c].Type = TypeString
+		default:
+			return nil, fmt.Errorf("engine: row 0 column %d: %T has no column type: %w", c, v, ErrNotColumnar)
+		}
+	}
+	return RowsToBatch(schema, rows)
+}
+
+// EncodeBlockBytes is EncodeBlock for boxed rows. Rows that are not strictly
+// typed have no block form: the error wraps ErrNotColumnar and fails the
+// checkpoint like any other write error.
+func EncodeBlockBytes(rows []Row) ([]byte, error) {
+	b, err := rowsBatch(rows)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeBlock(b)
+}
+
+// EncodeColumnBlock is EncodeBlockBytes with the error folded to ok.
+func EncodeColumnBlock(rows []Row) ([]byte, bool) {
+	buf, err := EncodeBlockBytes(rows)
+	return buf, err == nil
+}
+
+// ColumnBlockSize returns the exact size EncodeColumnBlock's block would have
+// — the per-column encoding choices included, since the encoder sizes its
+// buffer with the same plan — without building it; ok is false when the rows
+// are not strictly typed.
+func ColumnBlockSize(rows []Row) (int64, bool) {
+	b, err := rowsBatch(rows)
+	if err != nil {
+		return 0, false
+	}
+	_, size, err := planBlock(b)
+	return size, err == nil
+}
+
+// DecodeBlockFile is DecodeBlock for boxed rows, under the column types the
+// block itself declares; nil rows for an empty block.
 func DecodeBlockFile(data []byte) ([]Row, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("engine: block file of %d bytes has no magic", len(data))
+	b, err := DecodeBlock(data, nil)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:4]) != colBlockMagic {
-		return nil, fmt.Errorf("engine: block file has unknown magic %q", data[:4])
-	}
-	return DecodeColumnBlock(bytes.NewReader(data[4:]))
+	return b.ToRows(), nil
 }

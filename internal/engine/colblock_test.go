@@ -122,7 +122,8 @@ func TestDiskStoreRejectsUntypedRows(t *testing.T) {
 // TestRetiredFormatsAreCheckpointMisses pins the read side to the one format
 // the store writes: a version-1 column block, a headerless whole-file gob
 // stream and an "FTGB" gob block are decode errors, which Get reports as a
-// miss; so is any file under the ".gob" name earlier builds wrote.
+// miss; so is a whole block with bytes after it (a concatenated or partly
+// overwritten file) and any file under the ".gob" name earlier builds wrote.
 func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	rows := []Row{{int64(3), "legacy"}}
 	var plainGob bytes.Buffer
@@ -134,14 +135,24 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	v1 = binary.AppendUvarint(v1, 1)   // ncols
 	v1 = binary.AppendUvarint(v1, 1)   // nrows
 	v1 = append(v1, byte(TypeInt), 14) // type, then the value with no encoding byte
+	current, err := EncodeBlockBytes(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	d, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"gob": plainGob.Bytes(), "v1": v1, "ftgb": ftgbBlock(t, rows)} {
+	for name, data := range map[string][]byte{
+		"gob": plainGob.Bytes(), "v1": v1, "ftgb": ftgbBlock(t, rows),
+		"trailing": append(append([]byte{}, current...), "garbage"...),
+	} {
 		if got, err := DecodeBlockFile(data); err == nil {
 			t.Errorf("%s: retired format decoded to %v", name, got)
+		}
+		if got, err := DecodeBlock(data, Schema{{Type: TypeInt}, {Type: TypeString}}); err == nil {
+			t.Errorf("%s: retired format decoded to a batch of %d rows", name, got.Len())
 		}
 		if err := os.WriteFile(filepath.Join(dir, name+".part0.ftcb"), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -152,18 +163,14 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	}
 	// The retired file name: a block this build would decode, under the
 	// ".gob" name earlier builds wrote, is neither served nor counted.
-	current, err := EncodeBlockBytes(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(filepath.Join(dir, "oldname.part0.gob"), current, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := d.Get("oldname", 0); ok {
 		t.Errorf("Get served a file under the retired .gob name: %v", got)
 	}
-	if got := d.Len(); got != 3 {
-		t.Errorf("Len() = %d, want the 3 operators with a current-suffix file", got)
+	if got := d.Len(); got != 4 {
+		t.Errorf("Len() = %d, want the 4 operators with a current-suffix file", got)
 	}
 }
 
@@ -298,33 +305,10 @@ func TestColumnBlockCompressionRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := rows
-		if !equalRowsNaN(got, want) {
+		if !sameRowBits(got, want) {
 			t.Errorf("%s: round trip mismatch", name)
 		}
 	}
-}
-
-// equalRowsNaN is reflect.DeepEqual with NaN == NaN for float values.
-func equalRowsNaN(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for c := range a[i] {
-			af, aok := a[i][c].(float64)
-			bf, bok := b[i][c].(float64)
-			if aok && bok && math.IsNaN(af) && math.IsNaN(bf) {
-				continue
-			}
-			if !reflect.DeepEqual(a[i][c], b[i][c]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestColumnBlockCompressionShrinks asserts the encoder actually picks the
@@ -335,17 +319,29 @@ func TestColumnBlockCompressionShrinks(t *testing.T) {
 	for i := range ints {
 		ints[i] = Row{int64(5_000_000_000 + i)}
 	}
-	plain, delta := intColSizes(ints, 0)
-	if delta >= plain {
-		t.Fatalf("sequential ints: delta %d not smaller than plain %d", delta, plain)
+	ib, err := rowsBatch(ints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := refIntColSizes(ints, 0)
+	ip := planColumn(&ib.Cols[0], nil, len(ints))
+	delta := ip.size
+	if ip.enc != colEncDelta || delta >= plain {
+		t.Fatalf("sequential ints: encoding %d at %d bytes, want delta under plain's %d", ip.enc, delta, plain)
 	}
 	strs := make([]Row, 1000)
 	for i := range strs {
 		strs[i] = Row{[]string{"AUTOMOBILE", "FURNITURE"}[i%2]}
 	}
-	splain, dict := stringColSizes(strs, 0)
-	if dict >= splain {
-		t.Fatalf("low-cardinality strings: dict %d not smaller than plain %d", dict, splain)
+	sb, err := rowsBatch(strs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splain, _ := refStringColSizes(strs, 0)
+	sp := planColumn(&sb.Cols[0], nil, len(strs))
+	dict := sp.size
+	if sp.enc != colEncDict || dict >= splain {
+		t.Fatalf("low-cardinality strings: encoding %d at %d bytes, want dict under plain's %d", sp.enc, dict, splain)
 	}
 	// And the whole-block size reflects the choice.
 	both := make([]Row, 1000)

@@ -24,21 +24,53 @@ type Store interface {
 	Len() int
 }
 
-// EncodedStore is implemented by stores that accept a partition already
-// serialized in the block-file format. The runtime's checkpoint writer uses
-// it to overlap encoding with the previous partition's write: it produces the
-// bytes before it takes its turn at the store, which persists them without
-// re-encoding. The data must come from EncodeBlockBytes so every reader (Get,
-// DecodeBlockFile) understands it.
+// EncodedStore is a store that speaks the block-file format: it takes and
+// returns a partition as the bytes of EncodeBlock. It is the only contract
+// the runtime uses — the checkpoint writer encodes a committed batch before it
+// takes its turn at the store, a restore decodes straight into the stage's
+// typed vectors — so no row is boxed on either side. GetEncoded's bytes are
+// whatever is stored; the caller's DecodeBlock decides whether they are a
+// checkpoint.
 type EncodedStore interface {
 	PutEncoded(op string, part int, data []byte, parts int) error
+	GetEncoded(op string, part int) ([]byte, bool)
 }
 
 var (
 	_ Store        = (*MatStore)(nil)
 	_ Store        = (*DiskStore)(nil)
+	_ EncodedStore = (*MatStore)(nil)
 	_ EncodedStore = (*DiskStore)(nil)
 )
+
+// rowBlocks is the EncodedStore over a store that holds rows only: blocks are
+// decoded on the way in and encoded on the way out.
+type rowBlocks struct{ Store }
+
+// AsEncodedStore returns s itself when it speaks blocks, else s behind the
+// row adapter.
+func AsEncodedStore(s Store) EncodedStore {
+	if es, ok := s.(EncodedStore); ok {
+		return es
+	}
+	return rowBlocks{s}
+}
+
+func (s rowBlocks) PutEncoded(op string, part int, data []byte, parts int) error {
+	rows, err := DecodeBlockFile(data)
+	if err != nil {
+		return err
+	}
+	return s.Put(op, part, rows, parts)
+}
+
+func (s rowBlocks) GetEncoded(op string, part int) ([]byte, bool) {
+	rows, ok := s.Get(op, part)
+	if !ok {
+		return nil, false
+	}
+	return EncodeColumnBlock(rows)
+}
 
 // DiskStore persists materialized partitions as column-block files under a
 // directory; rows that are not strictly typed fail their Put.
@@ -83,17 +115,21 @@ func (d *DiskStore) Err() error {
 // partition: Get never opens it and Len does not count it.
 const blockSuffix = ".ftcb"
 
+// path names the file of one partition. Operator names may contain bytes
+// unsuitable for file names: every byte outside [A-Za-z0-9_-] is written %XX,
+// so distinct operators never share a file and no escaped name contains the
+// '.' that ends it.
 func (d *DiskStore) path(op string, part int) string {
-	// Operator names may contain characters unsuitable for filenames.
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
+	var safe strings.Builder
+	for i := 0; i < len(op); i++ {
+		switch c := op[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+			safe.WriteByte(c)
 		default:
-			return '_'
+			fmt.Fprintf(&safe, "%%%02X", c)
 		}
-	}, op)
-	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d%s", safe, part, blockSuffix))
+	}
+	return filepath.Join(d.dir, fmt.Sprintf("%s.part%d%s", safe.String(), part, blockSuffix))
 }
 
 // Put implements Store: EncodeBlockBytes, outside the lock, then PutEncoded.
@@ -165,31 +201,23 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// EncodeBlockBytes serializes one partition to the bytes of its block file,
-// the column-block format. Rows that are not strictly typed have none: the
-// error wraps ErrNotColumnar and fails the checkpoint like any other write
-// error. Put and the runtime's async checkpoint writer both encode through
-// it, so their files are identical.
-func EncodeBlockBytes(rows []Row) ([]byte, error) {
-	buf, ok := EncodeColumnBlock(rows)
-	if !ok {
-		return nil, fmt.Errorf("engine: %d rows have no column-block form (mixed, ragged, zero-width or non-scalar values): %w", len(rows), ErrNotColumnar)
-	}
-	return buf, nil
-}
-
 // Get implements Store. A file that does not decode (torn, corrupt, or in a
 // format this build does not write) is a miss, so the engine recomputes.
 func (d *DiskStore) Get(op string, part int) ([]Row, bool) {
-	data, err := os.ReadFile(d.path(op, part))
-	if err != nil {
+	data, ok := d.GetEncoded(op, part)
+	if !ok {
 		return nil, false
 	}
 	rows, err := DecodeBlockFile(data)
-	if err != nil {
-		return nil, false
-	}
-	return rows, true
+	return rows, err == nil
+}
+
+// GetEncoded implements EncodedStore: the partition's file, whole. The rename
+// protocol never exposes a torn file, but a file in another format may sit
+// under the name; decoding it is the caller's test.
+func (d *DiskStore) GetEncoded(op string, part int) ([]byte, bool) {
+	data, err := os.ReadFile(d.path(op, part))
+	return data, err == nil
 }
 
 // Len implements Store: the number of distinct operators with at least one

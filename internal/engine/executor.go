@@ -50,40 +50,77 @@ func (s *ScriptedFailures) FailCompute(op string, part, attempt int) bool {
 
 // MatStore is the fault-tolerant storage medium for materialized
 // intermediates (the paper's external iSCSI storage): writes survive node
-// failures.
+// failures. A partition is held in the form it arrived in — rows from the
+// oracle's Put, a block from the runtime's PutEncoded — and converted only
+// when the other half asks for it.
 type MatStore struct {
 	mu   sync.Mutex
-	data map[string][][]Row
+	data map[string][]matPart
+}
+
+// matPart is one stored partition: rows or block, never both; neither is
+// "not stored".
+type matPart struct {
+	rows  []Row
+	block []byte
 }
 
 // NewMatStore returns an empty store.
 func NewMatStore() *MatStore {
-	return &MatStore{data: make(map[string][][]Row)}
+	return &MatStore{data: make(map[string][]matPart)}
+}
+
+func (m *MatStore) put(op string, part int, p matPart, parts int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps, ok := m.data[op]
+	if !ok {
+		ps = make([]matPart, parts)
+		m.data[op] = ps
+	}
+	ps[part] = p
+}
+
+func (m *MatStore) get(op string, part int) matPart {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ps := m.data[op]; part < len(ps) {
+		return ps[part]
+	}
+	return matPart{}
 }
 
 // Put stores one partition of an operator's output. The in-memory store
 // cannot fail, so the error is always nil.
 func (m *MatStore) Put(op string, part int, rows []Row, parts int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.data[op]
-	if !ok {
-		ps = make([][]Row, parts)
-		m.data[op] = ps
-	}
-	ps[part] = rows
+	m.put(op, part, matPart{rows: rows}, parts)
 	return nil
 }
 
-// Get returns one stored partition; ok reports whether it exists.
+// PutEncoded implements EncodedStore.
+func (m *MatStore) PutEncoded(op string, part int, data []byte, parts int) error {
+	m.put(op, part, matPart{block: data}, parts)
+	return nil
+}
+
+// Get returns one stored partition; ok reports whether it exists. A block
+// that does not decode is a miss.
 func (m *MatStore) Get(op string, part int) ([]Row, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.data[op]
-	if !ok || part >= len(ps) || ps[part] == nil {
-		return nil, false
+	p := m.get(op, part)
+	if p.block != nil {
+		rows, err := DecodeBlockFile(p.block)
+		return rows, err == nil
 	}
-	return ps[part], true
+	return p.rows, p.rows != nil
+}
+
+// GetEncoded implements EncodedStore. Rows with no block form are a miss.
+func (m *MatStore) GetEncoded(op string, part int) ([]byte, bool) {
+	p := m.get(op, part)
+	if p.block != nil || p.rows == nil {
+		return p.block, p.block != nil
+	}
+	return EncodeColumnBlock(p.rows)
 }
 
 // Len returns the number of operators with stored output.

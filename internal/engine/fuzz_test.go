@@ -146,10 +146,34 @@ func FuzzCompiledExpr(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlockFile feeds arbitrary bytes to the checkpoint decoder: the
-// outcome is rows or an error, never a panic or a header-sized allocation,
-// decoded rows are a fixed point of encode→decode, and a block in the retired
-// FTGB gob format is always an error — no input reaches a gob decoder.
+// sameRowBits is row equality with floats compared by bit pattern, so NaN
+// payloads and the sign of zero count.
+func sameRowBits(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for c, av := range a[i] {
+			af, aok := av.(float64)
+			bf, bok := b[i][c].(float64)
+			if aok != bok || (aok && math.Float64bits(af) != math.Float64bits(bf)) || (!aok && av != b[i][c]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeBlockFile feeds arbitrary bytes to the checkpoint decoder,
+// differentially: the batch decoder (under no schema, and again under the
+// schema the block itself declares), its row adapter and the row-walking
+// reference decoder all error or all yield the same rows. The outcome is never
+// a panic or a header-sized allocation, decoded rows are a fixed point of
+// encode→decode, and a block in the retired FTGB gob format is always an
+// error — no input reaches a gob decoder.
 func FuzzDecodeBlockFile(f *testing.F) {
 	seeds := [][]Row{
 		{{int64(-1), 2.5, "x"}, {int64(1 << 40), math.Inf(-1), ""}}, // plain columns
@@ -174,26 +198,51 @@ func FuzzDecodeBlockFile(f *testing.F) {
 	// Zero columns by 48 rows over trailing bytes: rows the encoder would
 	// refuse, so the decoder must too.
 	f.Add([]byte("FTCB\x02\x00" + strings.Repeat("0", 49)))
+	// Whole blocks with bytes after them — a concatenated or partly
+	// overwritten file — must be errors, the empty block's included.
+	mustErr := [][]byte{
+		append(append([]byte{}, blocks[1]...), "garbage"...),
+		[]byte("FTCB\x02\x00\x00garbage"),
+		append(append([]byte{}, blocks[2]...), blocks[2]...),
+	}
+	for _, data := range mustErr {
+		if rows, err := DecodeBlockFile(data); err == nil {
+			f.Fatalf("a block followed by other bytes decoded to %v", rows)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := DecodeBlockFile(data)
+		ref, refErr := refDecodeBlockFile(data)
+		b, bErr := DecodeBlock(data, nil)
+		if (err == nil) != (refErr == nil) || (err == nil) != (bErr == nil) {
+			t.Fatalf("decoders disagree: row adapter %v, reference %v, batch %v", err, refErr, bErr)
+		}
 		if err != nil {
 			return
 		}
 		if bytes.HasPrefix(data, []byte("FTGB")) {
 			t.Fatalf("a retired FTGB block decoded to %v", rows)
 		}
+		if !sameRowBits(rows, ref) || !sameRowBits(rows, b.ToRows()) {
+			t.Fatalf("decoders disagree on the rows:\n  adapter %v\nreference %v\n    batch %v", rows, ref, b.ToRows())
+		}
+		if b != nil {
+			again, err := DecodeBlock(data, b.Schema)
+			if err != nil || !sameRowBits(rows, again.ToRows()) {
+				t.Fatalf("decoding under the block's own schema %v: err=%v rows=%v, want %v", b.Schema, err, again.ToRows(), rows)
+			}
+		}
 		enc, err := EncodeBlockBytes(rows)
 		if err != nil {
 			t.Fatalf("decoded rows do not encode: %v", err)
 		}
-		again, err := DecodeBlockFile(enc)
-		if err != nil {
-			t.Fatalf("re-encoded rows do not decode: %v", err)
+		if refEnc, ok := refEncodeColumnBlock(rows); !ok || !bytes.Equal(enc, refEnc) {
+			t.Fatalf("encoders disagree (reference ok=%v):\n    batch %x\nreference %x", ok, enc, refEnc)
 		}
-		// Compare encodings, not rows: NaN != NaN under DeepEqual.
-		enc2, err := EncodeBlockBytes(again)
-		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip is not a fixed point (err=%v):\n first %x\nsecond %x", err, enc, enc2)
+		again, err := DecodeBlockFile(enc)
+		if err != nil || !sameRowBits(rows, again) {
+			t.Fatalf("round trip is not a fixed point (err=%v):\n first %v\nsecond %v", err, rows, again)
 		}
 	})
 }

@@ -19,7 +19,7 @@ import (
 // recovery and query completion wait for all enqueued writes to land before
 // reading the store.
 type checkpointWriter struct {
-	store    engine.Store
+	store    blockSink
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	progress *obs.Progress
@@ -46,7 +46,12 @@ type checkpointWriter struct {
 	err error
 }
 
-func newCheckpointWriter(pctx context.Context, store engine.Store, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
+// blockSink is the half of engine.EncodedStore the writer uses.
+type blockSink interface {
+	PutEncoded(op string, part int, data []byte, parts int) error
+}
+
+func newCheckpointWriter(pctx context.Context, store blockSink, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
 	w := &checkpointWriter{
 		store:    store,
 		metrics:  metrics,
@@ -94,15 +99,11 @@ func (w *checkpointWriter) persist(op string, part int, b *engine.Batch, parts i
 	})
 }
 
-// write serializes one partition to the exact bytes the store's file format
-// uses and hands them to the store.
+// write serializes one partition, typed vectors to block bytes, and hands the
+// block to the store.
 func (w *checkpointWriter) write(op string, part int, b *engine.Batch, parts int) error {
 	w.encMu.Lock()
-	var rows []engine.Row
-	if b != nil {
-		rows = b.ToRows()
-	}
-	data, err := engine.EncodeBlockBytes(rows)
+	data, err := engine.EncodeBlock(b)
 	if err != nil {
 		w.encMu.Unlock()
 		return err
@@ -114,12 +115,7 @@ func (w *checkpointWriter) write(op string, part int, b *engine.Batch, parts int
 	sp := w.tracer.Begin(obs.KindCheckpoint, op, part, -1)
 	defer sp.End()
 	start := time.Now()
-	if es, ok := w.store.(engine.EncodedStore); ok {
-		err = es.PutEncoded(op, part, data, parts)
-	} else {
-		err = w.store.Put(op, part, rows, parts)
-	}
-	if err != nil {
+	if err = w.store.PutEncoded(op, part, data, parts); err != nil {
 		sp.Fail(err.Error())
 		return err
 	}

@@ -85,6 +85,9 @@ var sharedArena = engine.NewArena()
 // Runtime executes operator DAGs with the pipelined concurrent runtime.
 type Runtime struct {
 	cfg Config
+	// store is cfg.Store as the runtime talks to it: in blocks only. A store
+	// that holds rows only sits behind engine's row adapter.
+	store engine.EncodedStore
 }
 
 // New validates the configuration and fills defaults.
@@ -117,7 +120,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Arena = sharedArena
 	}
 	engine.RegisterArenaMetrics(cfg.Metrics.Registry(), cfg.Arena)
-	return &Runtime{cfg: cfg}, nil
+	return &Runtime{cfg: cfg, store: engine.AsEncodedStore(cfg.Store)}, nil
 }
 
 // Metrics returns the runtime's counter set.
@@ -148,7 +151,7 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 	}
 	report := &engine.Report{}
 	attempts := newAttempts()
-	writer := newCheckpointWriter(ctx, r.cfg.Store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
+	writer := newCheckpointWriter(ctx, r.store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
 	defer writer.close()
 
 	qspan := r.cfg.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
@@ -171,6 +174,7 @@ func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*en
 			metrics:  r.cfg.Metrics,
 			tracer:   r.cfg.Tracer,
 			writer:   writer,
+			store:    r.store,
 			pool:     r.cfg.Pool,
 			prog:     prog,
 			results:  make(map[*stage]*engine.BatchResult, len(plan.stages)),
@@ -222,6 +226,7 @@ type run struct {
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	writer   *checkpointWriter
+	store    engine.EncodedStore
 	pool     *Pool // bounded worker pool, possibly shared across queries
 	prog     map[*stage]*obs.StageProgress
 
@@ -365,10 +370,12 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		if err := rn.writer.flush(s.name(), part); err != nil {
 			return err
 		}
-		if rows, ok := rn.cfg.Store.Get(s.name(), part); ok {
-			// Rows that do not fit the stage schema are a checkpoint miss:
-			// the partition is recomputed and the checkpoint rewritten.
-			if b, err := engine.RowsToBatch(s.terminal().OutSchema(), rows); err == nil {
+		if data, ok := rn.store.GetEncoded(s.name(), part); ok {
+			// Bytes that do not decode into the stage schema (torn, another
+			// format, another plan's output under the same name) are a
+			// checkpoint miss: the partition is recomputed and the checkpoint
+			// rewritten.
+			if b, err := engine.DecodeBlock(data, s.terminal().OutSchema()); err == nil {
 				rn.commit(s, part, b, true)
 				return nil
 			}

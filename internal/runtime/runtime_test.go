@@ -335,6 +335,43 @@ func TestAggregateOutputMustFitSchema(t *testing.T) {
 	}
 }
 
+// A block of the stage's width with one column of another type (the same
+// operator name under another plan) is a checkpoint miss: that partition alone
+// is recomputed and rewritten, and the rows are the clean run's.
+func TestRetypedCheckpointColumnIsAMiss(t *testing.T) {
+	store, err := engine.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum, wantCnt, rep := runQuery(t, testPipeline(t, 4, true), Config{Nodes: 4, Store: store})
+	if rep.MaterializedPartitions != 4 {
+		t.Fatalf("first run materialized %d partitions, want 4", rep.MaterializedPartitions)
+	}
+	victim, rows := -1, []engine.Row(nil)
+	for part := 0; part < 4 && len(rows) == 0; part++ {
+		victim = part
+		rows, _ = store.Get("join", part)
+	}
+	if len(rows) == 0 {
+		t.Fatal("no join partition holds a row")
+	}
+	for _, r := range rows {
+		r[3] = int64(r[3].(float64)) // the join emits (int, float, int, float)
+	}
+	if err := store.Put("join", victim, rows, 4); err != nil {
+		t.Fatal(err)
+	}
+	for run, wantMat := range []int{1, 0} {
+		sum, cnt, rep := runQuery(t, testPipeline(t, 4, true), Config{Nodes: 4, Store: store})
+		if sum != wantSum || cnt != wantCnt {
+			t.Errorf("run %d over the retyped block = (%v, %d), clean run = (%v, %d)", run, sum, cnt, wantSum, wantCnt)
+		}
+		if rep.MaterializedPartitions != wantMat {
+			t.Errorf("run %d re-materialized %d partitions, want %d", run, rep.MaterializedPartitions, wantMat)
+		}
+	}
+}
+
 func TestMistypedCheckpointIsAMiss(t *testing.T) {
 	// A store holding rows that do not fit the stage schema (another query's
 	// output under the same name, a stale format) is a checkpoint miss: the

@@ -166,7 +166,9 @@ func BenchmarkRuntimePipelinedQ1(b *testing.B) {
 // harness's exec_scan_join workload does: compiled from SQL once, SF 0.005, 4
 // nodes, nothing materialized. What it allocates is the planner's doing as
 // much as the engine's — which columns the compiled scans and joins carry.
-func benchServedQuery(b *testing.B, name string) {
+// checkpointed materializes every join instead, into a DiskStore over a fresh
+// directory per iteration, so each run writes all its checkpoints.
+func benchServedQuery(b *testing.B, name string, checkpointed bool) {
 	cat, err := tpch.Generate(0.005, 4, 7)
 	if err != nil {
 		b.Fatal(err)
@@ -184,21 +186,32 @@ func benchServedQuery(b *testing.B, name string) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		for _, j := range pp.Joins {
+			j.SetMaterialize(checkpointed)
+		}
 		root = pp.Root
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := runtime.New(runtime.Config{Nodes: 4})
+		cfg := runtime.Config{Nodes: 4}
+		if checkpointed {
+			store, err := engine.NewDiskStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Store = store
+		}
+		r, err := runtime.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, _, err := r.Execute(context.Background(), root)
+		res, rep, err := r.Execute(context.Background(), root)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.AllRows()) == 0 {
-			b.Fatal("empty result")
+		if len(res.AllRows()) == 0 || (rep.MaterializedPartitions > 0) != checkpointed {
+			b.Fatalf("%d result rows, %d partitions materialized", len(res.AllRows()), rep.MaterializedPartitions)
 		}
 	}
 }
@@ -208,12 +221,18 @@ func benchServedQuery(b *testing.B, name string) {
 // keeps stage boundaries from copying their batches again, wide operators from
 // doing their shared work once per partition, and the planner from carrying
 // dead columns through the joins.
-func BenchmarkRuntimePipelinedQ5(b *testing.B) { benchServedQuery(b, "Q5") }
+func BenchmarkRuntimePipelinedQ5(b *testing.B) { benchServedQuery(b, "Q5", false) }
+
+// BenchmarkRuntimeCheckpointedQ5 is the same plan with all five joins
+// materialized to disk. Its ceiling is what keeps the checkpoint path
+// columnar: a boxed row between a stage and the store is an object per row of
+// every join output, several times the figure.
+func BenchmarkRuntimeCheckpointedQ5(b *testing.B) { benchServedQuery(b, "Q5", true) }
 
 // BenchmarkRuntimePipelinedQ3SQL is the served three-way join —
 // BenchmarkRuntimePipelinedQ3 runs the hand-built plan, which projects at its
 // scans whatever sql.Compile does.
-func BenchmarkRuntimePipelinedQ3SQL(b *testing.B) { benchServedQuery(b, "Q3") }
+func BenchmarkRuntimePipelinedQ3SQL(b *testing.B) { benchServedQuery(b, "Q3", false) }
 
 // BenchmarkRuntimePipelinedQ1Progress is the same workload with a live
 // obs.Progress attached, the way ftserve runs every query. The delta against
@@ -394,18 +413,20 @@ type allocCeiling struct {
 
 // TestAllocBudget enforces the checked-in allocation ceilings in
 // alloc_budget.json: scan→filter→project through the columnar kernels, TPC-H
-// Q1 end to end on the pipelined runtime, and the served Q3 and Q5 as
-// sql.Compile plans them must not allocate past the budget. The ceilings sit
-// ~1.5x over what the pipelined queries measure (Q1 0.35 MB / ~420 allocs,
-// SQL Q3 1.3 MB / ~12,000, SQL Q5 6.5 MB / ~1,750; Q1's and
+// Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
+// plans them, and Q5 again with every join checkpointed to disk must not
+// allocate past the budget. The ceilings sit ~1.5x over what the pipelined
+// queries measure (Q1 0.35 MB / ~420 allocs, SQL Q3 1.3 MB / ~12,000, SQL Q5
+// 6.5 MB / ~1,750, checkpointed Q5 8.1 MB / ~2,300; Q1's and
 // scan-filter-project's object counts, small enough to move by a handful, keep
 // a wider margin), so a trip means the arena or a kernel lost its recycling
 // path, a stage boundary copies its batch again, a wide operator repeats its
-// shared work per partition, or the planner carries columns nothing reads —
-// not timing noise: allocation figures are deterministic in a way wall time
-// is not. Gated behind ALLOC_BUDGET=1
-// because testing.Benchmark reruns each workload until timing stabilizes,
-// which is too slow for the default test sweep.
+// shared work per partition, the planner carries columns nothing reads, or a
+// boxed row is back between a stage and the checkpoint store (with one,
+// checkpointed Q5 reads 25 MB / ~400,000) — not timing noise: allocation
+// figures are deterministic in a way wall time is not. Gated behind
+// ALLOC_BUDGET=1 because testing.Benchmark reruns each workload until timing
+// stabilizes, which is too slow for the default test sweep.
 func TestAllocBudget(t *testing.T) {
 	if os.Getenv("ALLOC_BUDGET") == "" {
 		t.Skip("set ALLOC_BUDGET=1 to enforce the allocation ceilings")
@@ -425,6 +446,7 @@ func TestAllocBudget(t *testing.T) {
 		"pipelined_q1":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1)),
 		"pipelined_q1_progress": toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ1Progress)),
 		"pipelined_q5":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ5)),
+		"checkpointed_q5":       toAllocPoint(testing.Benchmark(BenchmarkRuntimeCheckpointedQ5)),
 		"pipelined_q3_sql":      toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ3SQL)),
 	}
 	for name, ceiling := range budget {
