@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -270,8 +272,9 @@ func TestBlockCodecAllocatesPerColumn(t *testing.T) {
 }
 
 // TestDiskStorePathIsInjective: operator names that differ only in bytes
-// unsafe for a file name are different files, a name of safe bytes keeps the
-// file name it always had, and Len still counts operators.
+// unsafe for a file name are stored under different names, in this process and
+// in one that reopens the directory, a name of safe bytes is written as it is,
+// and Len still counts operators.
 func TestDiskStorePathIsInjective(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDiskStore(dir)
@@ -287,16 +290,25 @@ func TestDiskStorePathIsInjective(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, op := range names {
-		got, ok := d.Get(op, 0)
-		if want := []Row{{op, int64(i)}}; !ok || !sameRowBits(got, want) {
-			t.Errorf("Get(%q, 0) = %v ok=%v, want %v", op, got, ok, want)
+	reopened, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*DiskStore{d, reopened} {
+		for i, op := range names {
+			got, ok := s.Get(op, 0)
+			if want := []Row{{op, int64(i)}}; !ok || !sameRowBits(got, want) {
+				t.Errorf("Get(%q, 0) = %v ok=%v, want %v", op, got, ok, want)
+			}
+		}
+		if got := s.Len(); got != len(names) {
+			t.Errorf("Len() = %d over %d operators of two partitions each", got, len(names))
 		}
 	}
-	if got := d.Len(); got != len(names) {
-		t.Errorf("Len() = %d over %d operators of two partitions each", got, len(names))
+	if err := d.Put("join-1_x", 3, nil, 4); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := d.path("join-1_x", 3), dir+"/join-1_x.part3.ftcb"; got != want {
-		t.Errorf("a safe name's file is %s, want %s", got, want)
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("join-1_x.%d.ftcg", 2*len(names)))); err != nil {
+		t.Errorf("a safe name's group file: %v", err)
 	}
 }

@@ -123,7 +123,8 @@ func TestDiskStoreRejectsUntypedRows(t *testing.T) {
 // the store writes: a version-1 column block, a headerless whole-file gob
 // stream and an "FTGB" gob block are decode errors, which Get reports as a
 // miss; so is a whole block with bytes after it (a concatenated or partly
-// overwritten file) and any file under the ".gob" name earlier builds wrote.
+// overwritten block) and any file under a name earlier builds wrote —
+// "<op>.part<N>.ftcb", "<op>.part<N>.gob" — whatever it holds.
 func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 	rows := []Row{{int64(3), "legacy"}}
 	var plainGob bytes.Buffer
@@ -154,23 +155,31 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 		if got, err := DecodeBlock(data, Schema{{Type: TypeInt}, {Type: TypeString}}); err == nil {
 			t.Errorf("%s: retired format decoded to a batch of %d rows", name, got.Len())
 		}
-		if err := os.WriteFile(filepath.Join(dir, name+".part0.ftcb"), data, 0o644); err != nil {
+		if err := d.PutEncoded(name, 0, data, 1); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := d.Get(name, 0); ok {
-			t.Errorf("%s: Get served a retired-format file: %v", name, got)
+	}
+	// The retired file names: a block this build would decode, under a name
+	// earlier builds wrote, is neither served nor counted, by this store or
+	// by one that opens the directory afterwards.
+	for _, name := range []string{"oldname.part0.gob", "oldname.part0.ftcb"} {
+		if err := os.WriteFile(filepath.Join(dir, name), current, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The retired file name: a block this build would decode, under the
-	// ".gob" name earlier builds wrote, is neither served nor counted.
-	if err := os.WriteFile(filepath.Join(dir, "oldname.part0.gob"), current, 0o644); err != nil {
+	reopened, err := NewDiskStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := d.Get("oldname", 0); ok {
-		t.Errorf("Get served a file under the retired .gob name: %v", got)
-	}
-	if got := d.Len(); got != 4 {
-		t.Errorf("Len() = %d, want the 4 operators with a current-suffix file", got)
+	for _, s := range []*DiskStore{d, reopened} {
+		for _, name := range []string{"gob", "v1", "ftgb", "trailing", "oldname"} {
+			if got, ok := s.Get(name, 0); ok {
+				t.Errorf("%s: Get served a retired format or name: %v", name, got)
+			}
+		}
+		if got := s.Len(); got != 4 {
+			t.Errorf("Len() = %d, want the 4 operators with a partition in a group file", got)
+		}
 	}
 }
 
@@ -385,16 +394,19 @@ func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 		if err := d2.PutEncoded("op", 0, data, 1); err != nil {
 			t.Fatal(err)
 		}
-		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.part0.ftcb"))
+		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.0.ftcg"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.part0.ftcb"))
+		f2, err := os.ReadFile(filepath.Join(dir, "enc", "op.0.ftcg"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(f1, f2) {
-			t.Errorf("%s: PutEncoded file differs from Put file (%d vs %d bytes)", name, len(f2), len(f1))
+		if !bytes.Equal(f1, f2) || !bytes.HasSuffix(f1, data) {
+			t.Errorf("%s: PutEncoded file differs from Put file (%d vs %d bytes), or does not end in the block", name, len(f2), len(f1))
+		}
+		if stored, ok := d1.GetEncoded("op", 0); !ok || !bytes.Equal(stored, data) {
+			t.Errorf("%s: GetEncoded returned %d bytes (ok=%v), want the block's %d", name, len(stored), ok, len(data))
 		}
 		got, ok := d2.Get("op", 0)
 		if !ok || !reflect.DeepEqual(got, rows) {

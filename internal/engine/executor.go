@@ -51,7 +51,7 @@ func (s *ScriptedFailures) FailCompute(op string, part, attempt int) bool {
 // MatStore is the fault-tolerant storage medium for materialized
 // intermediates (the paper's external iSCSI storage): writes survive node
 // failures. A partition is held in the form it arrived in — rows from the
-// oracle's Put, a block from the runtime's PutEncoded — and converted only
+// oracle's Put, a block from the runtime's PutGroup — and converted only
 // when the other half asks for it.
 type MatStore struct {
 	mu   sync.Mutex
@@ -97,9 +97,11 @@ func (m *MatStore) Put(op string, part int, rows []Row, parts int) error {
 	return nil
 }
 
-// PutEncoded implements EncodedStore.
-func (m *MatStore) PutEncoded(op string, part int, data []byte, parts int) error {
-	m.put(op, part, matPart{block: data}, parts)
+// PutGroup implements EncodedStore.
+func (m *MatStore) PutGroup(op string, parts int, group []PartBlock) error {
+	for _, g := range group {
+		m.put(op, g.Part, matPart{block: g.Data}, parts)
+	}
 	return nil
 }
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -243,6 +245,63 @@ func FuzzDecodeBlockFile(f *testing.F) {
 		again, err := DecodeBlockFile(enc)
 		if err != nil || !sameRowBits(rows, again) {
 			t.Fatalf("round trip is not a fixed point (err=%v):\n first %v\nsecond %v", err, rows, again)
+		}
+	})
+}
+
+// FuzzGroupIndex holds the group file's index reader to its contract on
+// arbitrary bytes: it never panics, every entry it returns lies wholly in the
+// file's block area, and a store opened over the file serves each partition's
+// first entry's bytes and nothing else. With fix set the index checksum is
+// recomputed first, so mutated counts, offsets and lengths get past it.
+func FuzzGroupIndex(f *testing.F) {
+	_, name, file, blocks := testGroup(f, "join")
+	indexLen := 8 + len(blocks)*groupEntrySize + 4
+	for _, cut := range []int{0, 7, 8, indexLen - 1, indexLen, indexLen + len(blocks[0]), len(file) - 1, len(file)} {
+		f.Add(file[:cut], false)
+	}
+	for _, bit := range []int{0, 33, 64, 64 + 8*8, 64 + 16*8 + 3, 8*indexLen - 1} {
+		flipped := append([]byte(nil), file...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped, false)
+		f.Add(flipped, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fix bool) {
+		if fix {
+			data = append([]byte(nil), data...)
+			fixIndexCRC(data)
+		}
+		locs := readGroupIndex(bytes.NewReader(data), int64(len(data)))
+		if len(locs) > len(data)/groupEntrySize {
+			t.Fatalf("%d entries out of %d bytes", len(locs), len(data))
+		}
+		first := map[int]blockLoc{}
+		for _, loc := range locs {
+			if loc.part < 0 || loc.n < 0 || loc.off < 8+int64(len(locs))*groupEntrySize+4 || loc.off+loc.n > int64(len(data)) {
+				t.Fatalf("entry %+v lies outside the blocks of a %d-byte file", loc, len(data))
+			}
+			if _, dup := first[loc.part]; !dup {
+				first[loc.part] = loc
+			}
+		}
+		if len(locs) == 0 {
+			return
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part, loc := range first {
+			if got, ok := d.GetEncoded("join", part); !ok || !bytes.Equal(got, data[loc.off:loc.off+loc.n]) {
+				t.Fatalf("partition %d: served %d bytes (ok=%v), want the %d at %d", part, len(got), ok, loc.n, loc.off)
+			}
+		}
+		if got := len(d.index["join"]); got != len(first) {
+			t.Fatalf("the store indexes %d partitions, the file names %d", got, len(first))
 		}
 	})
 }

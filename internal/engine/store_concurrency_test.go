@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,14 +76,98 @@ func TestMatStoreConcurrentPutGet(t *testing.T) {
 }
 
 func TestDiskStoreConcurrentPutGet(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir())
+	dir := t.TempDir()
+	d, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// While hammerStore writes its operators a partition at a time, two more
+	// are written — and rewritten — a whole stage at a time, with readers on
+	// them: no write waits for another's fsync, so every interleaving of
+	// index updates and removals of superseded files is on offer.
+	const parts, rounds = 8, 6
+	block := func(op, part, round int) []byte {
+		data, err := EncodeBlockBytes([]Row{{int64(op), int64(part), int64(round)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var wg sync.WaitGroup
+	for op := 0; op < 2; op++ {
+		name := fmt.Sprintf("stage-%d", op)
+		wg.Add(2)
+		go func(op int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				group := make([]PartBlock, parts)
+				for part := range group {
+					group[part] = PartBlock{Part: part, Data: block(op, part, round)}
+				}
+				if err := d.PutGroup(name, parts, group); err != nil {
+					t.Errorf("PutGroup %s round %d: %v", name, round, err)
+					return
+				}
+			}
+		}(op)
+		go func(op int) {
+			defer wg.Done()
+			last := make([]int64, parts)
+			for i := 0; i < 4*rounds*parts; i++ {
+				part := i % parts
+				got, ok := d.Get(name, part)
+				if !ok {
+					continue
+				}
+				if len(got) != 1 || got[0][0].(int64) != int64(op) || got[0][1].(int64) != int64(part) || got[0][2].(int64) < last[part] {
+					t.Errorf("torn or stale read of %s/%d after round %d: %v", name, part, last[part], got)
+					return
+				}
+				last[part] = got[0][2].(int64)
+				_, _ = d.Len(), d.Err()
+			}
+		}(op)
+	}
 	hammerStore(t, d)
+	wg.Wait()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
+	reopened, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*DiskStore{d, reopened} {
+		for op := 0; op < 2; op++ {
+			for part := 0; part < parts; part++ {
+				got, ok := s.GetEncoded(fmt.Sprintf("stage-%d", op), part)
+				if want := block(op, part, rounds-1); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("stage-%d/%d: the last round's block did not win (ok=%v)", op, part, ok)
+				}
+			}
+		}
+	}
+	// Every superseded group file is gone: what is left is one file per
+	// stage and hammerStore's one per partition.
+	if files, want := groupFiles(t, dir), 2+4*8; len(files) != want {
+		t.Errorf("%d group files left, want %d: %v", len(files), want, files)
+	}
+}
+
+// groupFiles lists the group files in dir.
+func groupFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), groupSuffix) {
+			names = append(names, e.Name())
+		}
+	}
+	return names
 }
 
 func TestDiskStoreConcurrentScriptedFailures(t *testing.T) {
@@ -145,14 +230,21 @@ func TestDiskStoreMidWriteKill(t *testing.T) {
 		t.Errorf("Len = %d, want 1 (temp orphan must not count)", d2.Len())
 	}
 
-	// (b) A torn file at the final path (what a non-atomic writer would
-	// leave): Get must report a miss so the engine recomputes.
-	tornPath := filepath.Join(dir, "join.part1.ftcb")
-	if err := os.WriteFile(tornPath, []byte("not a gob stream"), 0o644); err != nil {
+	// (b) A torn file at a final path (what a non-atomic writer would
+	// leave): the store that opens the directory must report a miss so the
+	// engine recomputes, and still serve what was committed before it.
+	if err := os.WriteFile(filepath.Join(dir, "join.7.ftcg"), []byte("FTG1\x01\x00\x00\x00not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err = NewDiskStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d2.Get("join", 1); ok {
-		t.Error("torn partition file decoded as valid data")
+		t.Error("torn group file decoded as valid data")
+	}
+	if got, ok := d2.Get("join", 0); !ok || got[0][1].(string) != "committed" {
+		t.Fatalf("a torn group file beside it lost the committed value: %v (ok=%v)", got, ok)
 	}
 
 	// New writes over a crashed state replace it atomically.

@@ -24,9 +24,11 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// storeMethods are the checkpoint-store entry points whose errors matter.
+// storeMethods are the checkpoint-store entry points whose errors matter:
+// the row-typed ones and the block-typed ones the runtime's writer calls.
 var storeMethods = map[string]bool{
 	"Put": true, "Get": true, "Delete": true, "Flush": true,
+	"PutEncoded": true, "PutGroup": true,
 }
 
 // codecFunc matches the block/checkpoint serialization helpers.
@@ -77,8 +79,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // isCheckpointAPI reports whether f is part of the checkpoint surface: a
-// Put/Get-style method on a *Store type, or a block/checkpoint codec
-// function. Matching is structural (type and function names), so fixtures
+// Put/Get-style method on a *Store type — or on a *Sink, the consumer-side
+// interface the runtime's writer holds its store by — or a block/checkpoint
+// codec function. Matching is structural (type and function names), so fixtures
 // and future stores are covered without importing the engine package.
 func isCheckpointAPI(f *types.Func) bool {
 	sig, ok := f.Type().(*types.Signature)
@@ -86,7 +89,8 @@ func isCheckpointAPI(f *types.Func) bool {
 		return false
 	}
 	if recv := sig.Recv(); recv != nil {
-		return storeMethods[f.Name()] && strings.Contains(analysis.NamedTypeName(recv.Type()), "Store")
+		name := analysis.NamedTypeName(recv.Type())
+		return storeMethods[f.Name()] && (strings.Contains(name, "Store") || strings.HasSuffix(name, "Sink"))
 	}
 	return codecFunc.MatchString(f.Name())
 }

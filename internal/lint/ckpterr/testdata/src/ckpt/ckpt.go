@@ -16,6 +16,14 @@ func (DiskStore) Put(op string, part int, rows []int) error {
 
 func (DiskStore) Get(op string, part int) ([]int, error) { return nil, nil }
 
+// PutGroup is the block-typed write: a whole stage's partitions in one call.
+func (DiskStore) PutGroup(op string, parts int, group [][]byte) error { return nil }
+
+// blockSink is how a writer holds its store: by the one method it calls.
+type blockSink interface {
+	PutGroup(op string, parts int, group [][]byte) error
+}
+
 // Len has no error result; calling it bare is fine.
 func (DiskStore) Len() int { return 0 }
 
@@ -34,6 +42,17 @@ func bad(s DiskStore) {
 	defer s.Put("op", 2, nil)      // want `error returned by Put is unobservable in a go/defer`
 	go s.Put("op", 3, nil)         // want `error returned by Put is unobservable in a go/defer`
 	_ = rows
+}
+
+func badGroup(s DiskStore, sink blockSink) {
+	s.PutGroup("op", 4, nil)        // want `error returned by PutGroup is silently discarded`
+	_ = sink.PutGroup("op", 4, nil) // want `error returned by PutGroup is discarded with _`
+	go sink.PutGroup("op", 4, nil)  // want `error returned by PutGroup is unobservable in a go/defer`
+}
+
+func goodGroup(sink blockSink) error {
+	err := sink.PutGroup("op", 4, nil)
+	return err
 }
 
 func good(s DiskStore) error {

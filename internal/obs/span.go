@@ -27,8 +27,9 @@ const (
 	// KindTask spans one partition attempt of a stage (a worker's unit of
 	// work). Failed attempts carry Err.
 	KindTask Kind = "task"
-	// KindCheckpoint spans one partition write to the fault-tolerant store;
-	// Bytes holds the exact encoded size.
+	// KindCheckpoint spans one write to the fault-tolerant store: a group of
+	// an operator's partitions (Part is -1). Bytes holds the exact encoded
+	// size of their blocks, Rows their rows.
 	KindCheckpoint Kind = "checkpoint"
 	// KindFailure is an instant event: an injected node failure killed the
 	// worker computing (Name, Part) on attempt Attempt.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,11 +14,13 @@ import (
 )
 
 // checkpointWriter persists materialized partitions to the fault-tolerant
-// store off the stage workers' critical path: every enqueued partition gets
-// one persist call on a goroutine of its own — serialize to block-file bytes
-// (per-column compression included), write, settle. flush is the barrier:
-// recovery and query completion wait for all enqueued writes to land before
-// reading the store.
+// store off the stage workers' critical path, a stage at a time: every
+// enqueued partition is serialized to block-file bytes (per-column
+// compression included) on a goroutine of its own and buffered in its
+// operator's group, which goes to the store in one write when it holds the
+// whole stage. A barrier writes what is buffered short of that: flush waits
+// for everything enqueued — query completion does — and wait for a single
+// partition, before the restore probe.
 type checkpointWriter struct {
 	store    blockSink
 	metrics  *Metrics
@@ -28,27 +31,35 @@ type checkpointWriter struct {
 	// to the operator that caused it.
 	pctx context.Context
 
-	// encMu and writeMu are the double buffer, taken hand over hand: encMu is
-	// held from the start of an encode until that partition owns writeMu,
-	// writeMu for the store write. Encoding partition k overlaps the write of
-	// partition k-1, and at most one encoded partition waits while another is
-	// on disk.
-	encMu, writeMu sync.Mutex
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending int
-	written map[partKey]bool
-	closed  bool
-	// err latches the first encode or store write failure; flush and close
+	mu   sync.Mutex
+	cond *sync.Cond
+	// inFlight holds every partition enqueue has accepted, true until its
+	// write has settled; pending counts the true ones.
+	inFlight map[partKey]bool
+	pending  int
+	groups   []*group // one per operator, in the order they first committed
+	closed   bool
+	// err latches the first encode or store write failure; the barriers
 	// surface it so the query result is never reported durable on top of a
 	// torn checkpoint.
 	err error
 }
 
+// group buffers the encoded partitions of one operator until one store write
+// takes them all. A kill in the middle of a stage therefore leaves a partial
+// group — the restore probe's barrier writes it — and, after the restart, a
+// second one with the rest.
+type group struct {
+	op       string
+	parts    int // the stage's partition count: that many blocks are a write
+	encoding int // partitions accepted and not yet encoded
+	blocks   []engine.PartBlock
+	rows     int64
+}
+
 // blockSink is the half of engine.EncodedStore the writer uses.
 type blockSink interface {
-	PutEncoded(op string, part int, data []byte, parts int) error
+	PutGroup(op string, parts int, group []engine.PartBlock) error
 }
 
 func newCheckpointWriter(pctx context.Context, store blockSink, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
@@ -58,7 +69,7 @@ func newCheckpointWriter(pctx context.Context, store blockSink, metrics *Metrics
 		tracer:   tracer,
 		progress: progress,
 		pctx:     pctx,
-		written:  make(map[partKey]bool),
+		inFlight: make(map[partKey]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	return w
@@ -72,88 +83,146 @@ func newCheckpointWriter(pctx context.Context, store blockSink, metrics *Metrics
 func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts int) bool {
 	key := partKey{op, part}
 	w.mu.Lock()
-	if w.closed || w.written[key] {
+	if _, dup := w.inFlight[key]; dup || w.closed {
 		w.mu.Unlock()
 		return false
 	}
-	w.written[key] = true
+	w.inFlight[key] = true
 	w.pending++
+	i := slices.IndexFunc(w.groups, func(g *group) bool { return g.op == op })
+	if i < 0 {
+		i = len(w.groups)
+		w.groups = append(w.groups, &group{op: op, parts: parts})
+	}
+	g := w.groups[i]
+	g.encoding++
 	w.mu.Unlock()
-	go w.persist(op, part, b, parts)
+	go w.persist(g, part, b)
 	return true
 }
 
-// persist is one checkpoint, start to finish, under the checkpointed
-// operator's labels: serialize, write, settle. Its goroutine ends when the
-// write has settled; flush and close wait for it through the pending count.
-func (w *checkpointWriter) persist(op string, part int, b *engine.Batch, parts int) {
-	prof.Do(w.pctx, prof.Labels{Stage: op, Op: op}, func(context.Context) {
-		err := w.write(op, part, b, parts)
+// persist serializes one partition, typed vectors to block bytes, under the
+// checkpointed operator's labels, adds the block to the operator's group and
+// writes the group if that completed the stage. Its goroutine ends there; the
+// barriers wait for it through the pending count.
+func (w *checkpointWriter) persist(g *group, part int, b *engine.Batch) {
+	prof.Do(w.pctx, prof.Labels{Stage: g.op, Op: g.op}, func(context.Context) {
+		data, err := engine.EncodeBlock(b)
 		w.mu.Lock()
-		if err != nil && w.err == nil {
-			w.err = fmt.Errorf("runtime: checkpoint %s/%d: %w", op, part, err)
+		defer w.mu.Unlock()
+		g.encoding--
+		if err != nil {
+			w.settle(g.op, []engine.PartBlock{{Part: part}}, fmt.Errorf("partition %d: %w", part, err))
+		} else {
+			g.blocks = append(g.blocks, engine.PartBlock{Part: part, Data: data})
+			g.rows += int64(b.Len())
 		}
-		w.pending--
-		w.cond.Broadcast()
-		w.mu.Unlock()
+		if len(g.blocks) == g.parts {
+			w.write(g)
+		}
+		w.cond.Broadcast() // a barrier waits for the encode before it writes the group
 	})
 }
 
-// write serializes one partition, typed vectors to block bytes, and hands the
-// block to the store.
-func (w *checkpointWriter) write(op string, part int, b *engine.Batch, parts int) error {
-	w.encMu.Lock()
-	data, err := engine.EncodeBlock(b)
-	if err != nil {
-		w.encMu.Unlock()
-		return err
-	}
-	w.writeMu.Lock()
-	w.encMu.Unlock()
-	defer w.writeMu.Unlock()
-
-	sp := w.tracer.Begin(obs.KindCheckpoint, op, part, -1)
-	defer sp.End()
+// write empties g into the store, one call for all it held, and settles those
+// partitions. mu is held, and released for the call.
+func (w *checkpointWriter) write(g *group) {
+	op := g.op
+	blocks, rows := g.blocks, g.rows
+	g.blocks, g.rows = nil, 0
+	w.mu.Unlock()
+	sp := w.tracer.Begin(obs.KindCheckpoint, op, -1, -1)
 	start := time.Now()
-	if err = w.store.PutEncoded(op, part, data, parts); err != nil {
+	err := w.store.PutGroup(op, g.parts, blocks)
+	if err != nil {
 		sp.Fail(err.Error())
-		return err
+	} else {
+		w.metrics.ObserveCheckpointWrite(metrics.RuntimePipelined, time.Since(start))
+		var n int64
+		for _, b := range blocks {
+			n += int64(len(b.Data))
+		}
+		w.metrics.CheckpointParts.Add(int64(len(blocks)))
+		w.metrics.CheckpointBytes.Add(n)
+		w.progress.AddCheckpointBytesFor(op, n)
+		sp.SetBytes(n)
+		sp.SetRows(rows)
 	}
-	w.metrics.ObserveCheckpointWrite(metrics.RuntimePipelined, time.Since(start))
-	w.metrics.CheckpointParts.Add(1)
-	n := int64(len(data))
-	w.metrics.CheckpointBytes.Add(n)
-	w.progress.AddCheckpointBytesFor(op, n)
-	sp.SetBytes(n)
-	sp.SetRows(int64(b.Len()))
-	return nil
+	sp.End()
+	w.mu.Lock()
+	w.settle(op, blocks, err)
 }
 
-// flush blocks until every enqueued write has reached the store and returns
-// the first write error, if any. The time the caller actually spent blocked
-// is the checkpoint stall, booked to the ledger against (op, part); a flush
-// that finds nothing pending books nothing and does not read the clock.
-func (w *checkpointWriter) flush(op string, part int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.pending > 0 {
-		start := time.Now()
-		for w.pending > 0 {
+// settle ends the flight of the given partitions of op, latching err if it
+// is the first (mu held).
+func (w *checkpointWriter) settle(op string, blocks []engine.PartBlock, err error) {
+	if err != nil && w.err == nil {
+		w.err = fmt.Errorf("runtime: checkpoint %s: %w", op, err)
+	}
+	for _, b := range blocks {
+		w.inFlight[partKey{op, b.Part}] = false
+	}
+	w.pending -= len(blocks)
+	w.cond.Broadcast()
+}
+
+// await blocks until done holds, writing on the way the group of op that
+// holds part — every operator's group when op is "" — once its partitions are
+// all encoded, however few they are (mu held).
+func (w *checkpointWriter) await(op string, part int, done func() bool) {
+	holds := func(b engine.PartBlock) bool { return b.Part == part }
+	for !done() {
+		wrote := false
+		for _, g := range w.groups {
+			if g.encoding == 0 && len(g.blocks) > 0 && (op == "" || g.op == op && slices.ContainsFunc(g.blocks, holds)) {
+				w.write(g)
+				wrote = true
+				break // the lock was released: look at the groups afresh
+			}
+		}
+		if !wrote {
 			w.cond.Wait()
 		}
+	}
+}
+
+// barrier is await with the books kept: the time the caller actually spent
+// blocked is the checkpoint stall, booked to the ledger against (op, part); a
+// barrier that finds nothing to wait for books nothing and does not read the
+// clock. It returns the first write error, if any.
+func (w *checkpointWriter) barrier(groupOf string, done func() bool, op string, part int) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !done() {
+		start := time.Now()
+		w.await(groupOf, part, done)
 		w.metrics.Ledger().Attribute(metrics.CauseCheckpointStall, op, part, time.Since(start))
 	}
 	return w.err
 }
 
-// close waits for every enqueued write, refuses further ones, and returns the
-// first write error.
+func (w *checkpointWriter) idle() bool { return w.pending == 0 }
+
+// flush blocks until every enqueued partition has reached the store.
+func (w *checkpointWriter) flush(op string, part int) error {
+	return w.barrier("", w.idle, op, part)
+}
+
+// wait blocks while this writer has (op, part) in flight — committed before a
+// coarse restart, its group still filling or being written: a probe of the
+// store now would miss it, and the partition would be computed and counted
+// twice. No other operator's write is waited for.
+func (w *checkpointWriter) wait(op string, part int) error {
+	key := partKey{op, part}
+	return w.barrier(op, func() bool { return !w.inFlight[key] }, op, part)
+}
+
+// close waits for every enqueued partition, refuses further ones, and returns
+// the first write error.
 func (w *checkpointWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.pending > 0 {
-		w.cond.Wait()
-	}
+	w.await("", -1, w.idle)
 	w.closed = true
 	return w.err
 }

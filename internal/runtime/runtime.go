@@ -367,7 +367,7 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		return nil
 	}
 	if s.checkpoint {
-		if err := rn.writer.flush(s.name(), part); err != nil {
+		if err := rn.writer.wait(s.name(), part); err != nil {
 			return err
 		}
 		if data, ok := rn.store.GetEncoded(s.name(), part); ok {
