@@ -275,9 +275,15 @@ type joinBuild struct {
 	head   []int32  // bucket → first dense row, -1 when empty
 	next   []int32  // dense row → next row of its bucket in insertion order, -1 at the end
 	mask   uint64   // len(head) - 1, a power of two minus one
+	badKey bool     // keyCol is out of range for some build row; nothing is indexed
 }
 
 func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
+	for _, b := range parts {
+		if b.Len() > 0 && keyCol >= len(b.Cols) {
+			return &joinBuild{badKey: true}
+		}
+	}
 	dense := concatParts(schema, parts)
 	if dense == nil {
 		return &joinBuild{}
@@ -308,25 +314,53 @@ func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
 	return jb
 }
 
-// ComputeBatch implements BatchOperator: the vectorized broadcast hash join.
-// The build side — one dense columnar batch plus a hash index over its key,
-// in the row path's exact insertion order — is built once per build input and
-// shared by all output partitions (newJoinBuild); each partition scans its
-// probe rows emitting a matching (probe position, build position) selection
-// pair, and a single column-wise gather materializes the output vectors —
-// the project columns of probe ++ build and no others, rows in probe order
-// with in-bucket build order, byte-identical to the row loop. Rows sharing a
-// bucket but not a hash are skipped; equal hashes are resolved with the same
-// typed comparison (and error wording) as compareValues.
+// ComputeBatch implements BatchOperator: the vectorized broadcast hash join
+// as a stage source (its probe input is materialized or shared), one probe
+// over the whole partition with plain allocations.
 func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
-	build, probe := inputs[0], inputs[1]
-	for _, b := range build.Parts {
-		if b.Len() > 0 && j.buildKey >= len(b.Cols) {
-			return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
-		}
+	return j.probe(inputs[0], inputs[1].Parts[part], nil)
+}
+
+// JoinKernel returns the join chained onto its probe input's stage: a kernel
+// that probes each batch of the probe stream against build and releases it
+// into loc, drawing its output from loc.
+func (j *HashJoin) JoinKernel(build *BatchResult, loc *Local) BatchKernel {
+	return &joinKernel{op: j, build: build, loc: loc}
+}
+
+type joinKernel struct {
+	op    *HashJoin
+	build *BatchResult
+	loc   *Local
+}
+
+func (k *joinKernel) Process(b *Batch) (*Batch, error) {
+	out, err := k.op.probe(k.build, b, k.loc)
+	if err == nil {
+		// The output is gathered, so the probe batch is no longer read. (On
+		// error out is nil and b leaks to the GC, which is always safe.)
+		b.Release(k.loc)
 	}
-	probeB := probe.Parts[part]
-	if probeB.Len() == 0 {
+	return out, err
+}
+
+func (k *joinKernel) Flush() (*Batch, error) { return nil, nil }
+
+// probe is the vectorized broadcast hash join of one probe batch, whole
+// partition or stream slice. The build side — one dense columnar batch plus a
+// hash index over its key, in the row path's exact insertion order — is built
+// once per build result and shared by every caller (newJoinBuild); probe
+// scans the probe rows emitting a matching (probe position, build position)
+// selection pair, and a single column-wise gather materializes the output
+// vectors — the project columns of probe ++ build and no others, rows in probe
+// order with in-bucket build order, byte-identical to the row loop. Rows
+// sharing a bucket but not a hash are skipped; equal hashes are resolved with
+// the same typed comparison (and error wording) as compareValues. The
+// selections and the output come from loc (plain allocations when nil); the
+// probe batch is only read.
+func (j *HashJoin) probe(build *BatchResult, probeB *Batch, loc *Local) (*Batch, error) {
+	np := probeB.Len()
+	if np == 0 {
 		return nil, nil
 	}
 	if j.probeKey >= len(probeB.Cols) {
@@ -335,6 +369,9 @@ func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 	jb := sharedOnce(&build.builds, j.buildKey, func() *joinBuild {
 		return newJoinBuild(j.inputs[0].OutSchema(), build.Parts, j.buildKey)
 	})
+	if jb.badKey {
+		return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
+	}
 	dense := jb.dense
 	if dense == nil {
 		return nil, nil
@@ -342,9 +379,8 @@ func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 
 	buildKeyVec := &dense.Cols[j.buildKey]
 	probeKeyVec := &probeB.Cols[j.probeKey]
-	np := probeB.Len()
-	probeSel := make([]int32, 0, np)
-	buildSel := make([]int32, 0, np)
+	probeSel := loc.sel(np)[:0]
+	buildSel := loc.sel(np)[:0]
 	for i := 0; i < np; i++ {
 		p := i
 		if probeB.Sel != nil {
@@ -366,19 +402,25 @@ func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 			buildSel = append(buildSel, bi)
 		}
 	}
-	if len(probeSel) == 0 {
-		return nil, nil
-	}
-
-	cols := make([]Vector, len(j.project))
-	for i, c := range j.project {
-		if c < j.probeWidth {
-			cols[i] = probeB.Cols[c].gather(probeSel)
-		} else {
-			cols[i] = dense.Cols[c-j.probeWidth].gather(buildSel)
+	var out *Batch
+	if n := len(probeSel); n > 0 {
+		cols := loc.cols(len(j.project))
+		for i, c := range j.project {
+			if c < j.probeWidth {
+				cols[i] = loc.gatherVector(&probeB.Cols[c], probeSel, n)
+			} else {
+				cols[i] = loc.gatherVector(&dense.Cols[c-j.probeWidth], buildSel, n)
+			}
 		}
+		out = loc.newBatch()
+		out.Schema = j.schema
+		out.Cols = cols
+		out.colsPooled = loc != nil
+		out.nrows = n
 	}
-	return &Batch{Schema: j.schema, Cols: cols, nrows: len(probeSel)}, nil
+	loc.putSel(probeSel)
+	loc.putSel(buildSel)
+	return out, nil
 }
 
 // ComputeBatch implements BatchOperator: a global sort as one stable index

@@ -18,7 +18,8 @@ type BatchKernel interface {
 
 // NewOperatorKernel returns a fresh kernel for op, or false when the operator
 // has no batch kernel (wide or multi-input operators compute whole
-// partitions).
+// partitions; a join probed by a stream takes its build side through
+// HashJoin.JoinKernel).
 func NewOperatorKernel(op Operator) (BatchKernel, bool) {
 	return NewOperatorKernelLocal(op, nil)
 }

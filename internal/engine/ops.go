@@ -373,7 +373,11 @@ func NewHashJoinProject(name string, build, probe Operator, buildKey, probeKey i
 
 // Wide implements Operator. The build side is read in full; recovery of any
 // partition therefore needs all build partitions (and one probe partition —
-// the engine conservatively treats the operator as wide).
+// the engine conservatively treats the operator as wide). That describes the
+// join as a stage source (ComputeBatch, when its probe input is materialized
+// or shared); chained onto its probe input's stage (JoinKernel) it streams
+// the probe partition, and the runtime reads and recovers the build side in
+// full as a side of that stage.
 func (j *HashJoin) Wide() bool { return true }
 
 // Compute implements Operator.

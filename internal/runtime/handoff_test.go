@@ -20,18 +20,21 @@ import (
 
 // tapOp is a wide pass-through operator that records the input results each
 // ComputeBatch call was handed — the runtime's side of the contract, seen
-// from where an operator stands.
+// from where an operator stands. As a chain's source it is handed the sides'
+// results too. gate, when set, is called after recording with the call's
+// partition and how many calls that partition had before.
 type tapOp struct {
 	name string
 	in   engine.Operator
+	gate func(part, nth int)
 
 	mu    sync.Mutex
 	calls []tapCall
 }
 
 type tapCall struct {
-	part  int
-	input *engine.BatchResult
+	part   int
+	inputs []*engine.BatchResult
 }
 
 func (o *tapOp) Name() string              { return o.name }
@@ -46,9 +49,24 @@ func (o *tapOp) Compute(part int, inputs []*engine.PartitionedResult) ([]engine.
 
 func (o *tapOp) ComputeBatch(part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
 	o.mu.Lock()
-	o.calls = append(o.calls, tapCall{part, inputs[0]})
+	nth := len(o.callsOf(part))
+	o.calls = append(o.calls, tapCall{part, inputs})
 	o.mu.Unlock()
+	if o.gate != nil {
+		o.gate(part, nth)
+	}
 	return inputs[0].Parts[part], nil
+}
+
+// callsOf returns the recorded calls for one partition, in call order.
+func (o *tapOp) callsOf(part int) []tapCall {
+	var out []tapCall
+	for _, c := range o.calls {
+		if c.part == part {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func handoffTable(t *testing.T, name string, rows, parts int) *engine.Table {
@@ -98,7 +116,7 @@ func TestScanStageCommitsTableStorage(t *testing.T) {
 	if len(tap.calls) != nodes {
 		t.Fatalf("tap computed %d partitions, want %d", len(tap.calls), nodes)
 	}
-	for p, got := range tap.calls[0].input.Parts {
+	for p, got := range tap.calls[0].inputs[0].Parts {
 		want := tb.ColParts[p]
 		if got.Len() != want.Len() {
 			t.Fatalf("partition %d: %d rows committed, table holds %d", p, got.Len(), want.Len())
@@ -139,16 +157,18 @@ func TestSingleOpStageAllocatesNoCopy(t *testing.T) {
 	}
 }
 
-// killPlan is scan → join(dim) → sort, every stage a single operator; matBuild
-// checkpoints the join's build input.
+// killPlan is scan → join(dim) → sort, every stage a single operator: the
+// probe scan is checkpointed, so the join cannot chain onto it and is a stage
+// source. matBuild checkpoints the join's build input too.
 func killPlan(t *testing.T, nodes int, matBuild bool) engine.Operator {
 	t.Helper()
 	fact := handoffTable(t, "fact", 300, nodes)
 	dim := handoffTable(t, "dim", 7, nodes)
 	build := engine.NewScan("dimscan", dim, nil, []int{0, 2})
 	build.SetMaterialize(matBuild)
-	join := engine.NewHashJoin("join", build,
-		engine.NewScan("scan", fact, engine.Cmp{Op: engine.LT, L: engine.Col(2), R: engine.Const{V: 120.0}}, nil), 0, 1)
+	probe := engine.NewScan("scan", fact, engine.Cmp{Op: engine.LT, L: engine.Col(2), R: engine.Const{V: 120.0}}, nil)
+	probe.SetMaterialize(true)
+	join := engine.NewHashJoin("join", build, probe, 0, 1)
 	return engine.NewSort("sort", join, 2, true)
 }
 
@@ -160,8 +180,8 @@ func TestKillSingleOpStages(t *testing.T) {
 		recomputed int // partitions fine-grained recovery re-runs: the victim plus its volatile lineage on the node
 	}{
 		{"scan", 1, 1},
-		{"join", 2, 3},
-		{"sort", 0, 4},
+		{"join", 2, 2}, // dimscan/2, join/2
+		{"sort", 0, 3}, // dimscan/0, join/0, sort/0
 	} {
 		for _, recovery := range []schemes.Recovery{schemes.FineGrained, schemes.CoarseRestart} {
 			t.Run(fmt.Sprintf("%s/%v", tc.op, recovery), func(t *testing.T) {
@@ -282,6 +302,56 @@ func TestJoinRecoveryReprobesOrRebuilds(t *testing.T) {
 	}
 }
 
+// A chained join's build side is a side of its stage: when a failure takes a
+// volatile build partition with the node, the retried partition is handed a
+// new build result — whose hash index is built afresh — while a partition
+// already running keeps probing the old one, which nothing writes.
+func TestChainedJoinRecoveryRebuildsItsSide(t *testing.T) {
+	const nodes = 4
+	started0, release := make(chan struct{}), make(chan struct{})
+	tap := &tapOp{name: "tap", in: engine.NewScan("scan", handoffTable(t, "fact", 400, nodes), nil, nil),
+		gate: func(part, nth int) {
+			switch {
+			case part == 0:
+				close(started0)
+				<-release // running across partition 1's failure and recovery
+			case part == 1 && nth == 0:
+				<-started0
+			case part == 1 && nth == 1:
+				close(release) // partition 1's retry has its inputs
+			}
+		}}
+	dim := engine.NewScan("dimscan", handoffTable(t, "dim", 7, nodes), nil, nil)
+	root := engine.NewHashJoin("join", dim, tap, 0, 1) // chains onto tap's stage
+	kill := func() engine.FailureInjector { return engine.NewScriptedFailures().Add("join", 1, 0) }
+
+	want, _, err := (&engine.Coordinator{Nodes: nodes, Injector: kill()}).Execute(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rep := mustExecute(t, Config{Nodes: nodes, MaxWorkers: 2, Injector: kill()}, root)
+	if !reflect.DeepEqual(got.Parts, want.Parts) {
+		t.Fatal("rows differ from the oracle's")
+	}
+	if rep.Failures != 1 || rep.RecomputedPartitions != 3 { // scan/1, dimscan/1, the chain's partition 1
+		t.Errorf("report %+v, want one failure and three recomputed partitions", *rep)
+	}
+	side := func(c tapCall) *engine.BatchResult { return c.inputs[len(c.inputs)-1] }
+	p0, p1 := tap.callsOf(0), tap.callsOf(1)
+	if len(p0) != 1 || len(p1) != 2 {
+		t.Fatalf("partition 0 computed %d times, partition 1 %d times; want 1 and 2", len(p0), len(p1))
+	}
+	if n := len(p1[0].inputs); n != 2 {
+		t.Fatalf("the chain's source was handed %d inputs, want its own plus one side", n)
+	}
+	if side(p1[1]) == side(p1[0]) {
+		t.Error("the failure dropped a volatile build partition, but the retry was handed the old build result")
+	}
+	if side(p0[0]) != side(p1[0]) {
+		t.Error("partition 0 ran across the recovery but was not handed the build result partition 1 first saw")
+	}
+}
+
 // What a wide operator's partitions share hangs off the input result they are
 // handed, so the runtime hands all of them the same one — and a recovery gets
 // a new one exactly when the failure replaced a partition of that input.
@@ -301,7 +371,7 @@ func TestWideStageSharesOneInputResult(t *testing.T) {
 		t.Fatalf("clean run computed %d partitions, want %d", len(clean), nodes)
 	}
 	for _, c := range clean {
-		if c.input != clean[0].input {
+		if c.inputs[0] != clean[0].inputs[0] {
 			t.Fatalf("clean run: partitions %d and %d were handed different input results", clean[0].part, c.part)
 		}
 	}
@@ -312,7 +382,7 @@ func TestWideStageSharesOneInputResult(t *testing.T) {
 		t.Fatalf("killed run computed %d partitions, want %d", len(survived), nodes+1)
 	}
 	for _, c := range survived {
-		if c.input != survived[0].input {
+		if c.inputs[0] != survived[0].inputs[0] {
 			t.Errorf("checkpointed input survived the kill, but partition %d was handed a new input result", c.part)
 		}
 	}
@@ -323,7 +393,7 @@ func TestWideStageSharesOneInputResult(t *testing.T) {
 	var attempts []*engine.BatchResult
 	for _, c := range lost {
 		if c.part == 1 {
-			attempts = append(attempts, c.input)
+			attempts = append(attempts, c.inputs[0])
 		}
 	}
 	if len(lost) != nodes+1 || len(attempts) != 2 {

@@ -69,6 +69,26 @@ func aggChain(tb *engine.Table) engine.Operator {
 		engine.Schema{{Name: "n", Type: engine.TypeInt}, {Name: "g", Type: engine.TypeInt}})
 }
 
+// dimTable maps the fact tables' g column (0..2) to one row each, spread over
+// the partitions by key.
+func dimTable(t *testing.T) *engine.Table {
+	t.Helper()
+	tb, err := engine.NewTable("dim", engine.Schema{{Name: "g", Type: engine.TypeInt}, {Name: "x", Type: engine.TypeFloat}},
+		[]engine.Row{{int64(0), 0.5}, {int64(1), 1.5}, {int64(2), 2.5}}, chainNodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// joinChain is scan → join → join, one stage of three operators whose sides
+// are two scans of dim; every fact row matches one dim row in each, so each
+// slice reaches the last kernel.
+func joinChain(tb, dim *engine.Table) engine.Operator {
+	first := engine.NewHashJoin("join1", engine.NewScan("dim1", dim, nil, nil), engine.NewScan("scan", tb, nil, nil), 0, 1)
+	return engine.NewHashJoin("join2", engine.NewScan("dim2", dim, nil, nil), first, 0, 1)
+}
+
 // failCall is one FailCompute decision as the injector saw it.
 type failCall struct {
 	op            string
@@ -166,7 +186,13 @@ func TestChainedStageRunsOnThePoolWorker(t *testing.T) {
 // batches the partition's attempt counted before the death: a function of the
 // schedule alone, so the same on every run.
 func TestKillPoints(t *testing.T) {
-	chains := map[string]func(*engine.Table) engine.Operator{"filter": filterChain, "agg": aggChain}
+	dim := dimTable(t)
+	chains := map[string]func(*engine.Table) engine.Operator{"filter": filterChain, "agg": aggChain,
+		"join": func(tb *engine.Table) engine.Operator { return joinChain(tb, dim) }}
+	// Fine recovery re-runs the killed chain partition plus the volatile
+	// lineage on its node: for the join chain, the partitions of its two
+	// sides there.
+	recomputed := map[string]int{"filter": 1, "agg": 1, "join": 3}
 	for _, tc := range []struct {
 		chain   string
 		killed  string
@@ -192,6 +218,10 @@ func TestKillPoints(t *testing.T) {
 		{"agg", "project", 0, 0, "nothing flushed, dies at end of stream"},
 		{"agg", "project", 3, 3, "the flushed batch is its first; dies at end of stream"},
 		{"agg", "project", 10, 7, "three slices absorbed, the flushed batch projected, dies at end of stream"},
+		{"join", "scan", 10, 3, "first slice probed by both joins, then the source dies"},
+		{"join", "join1", 10, 4, "dies on receiving the second slice"},
+		{"join", "join2", 0, 0, "dies at end of stream"},
+		{"join", "join2", 3, 3, "one slice probed by both joins, dies at end of stream"},
 	} {
 		for _, recovery := range []schemes.Recovery{schemes.FineGrained, schemes.CoarseRestart} {
 			t.Run(fmt.Sprintf("%s/%s/rows=%d/%v", tc.chain, tc.killed, tc.rows, recovery), func(t *testing.T) {
@@ -252,6 +282,9 @@ func TestKillPoints(t *testing.T) {
 					if recovery == schemes.FineGrained {
 						if got, want := m.Batches.Load(), cleanMetrics.Batches.Load()+int64(tc.batches); got != want {
 							t.Fatalf("run %d: %d batches in all, want the clean run's %d plus the dying attempt's %d", run, got, cleanMetrics.Batches.Load(), tc.batches)
+						}
+						if rep.RecomputedPartitions != recomputed[tc.chain] {
+							t.Fatalf("run %d: recomputed %d partitions, want %d", run, rep.RecomputedPartitions, recomputed[tc.chain])
 						}
 					}
 				}

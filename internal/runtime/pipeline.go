@@ -98,8 +98,11 @@ type task struct {
 // stage cuts the source's batch into BatchSize slices, pushes each through the
 // chained operators' kernels in order, flushes the kernels in order at end of
 // stream (a flushed batch goes through the kernels after it) and concatenates
-// what fell out of the last kernel once, at its exact size. Every consumed
-// batch is released into one arena Local, so buffers recycle slice over slice.
+// what fell out of the last kernel once, at its exact size. A chained join's
+// kernel probes each slice against its side — inputs holds the source's
+// inputs, then one side result per chained join — so an intermediate join
+// output exists one slice at a time. Every consumed batch is released into one
+// arena Local, so buffers recycle slice over slice.
 //
 // The kill points are part of the schedule: a killed source dies with the work
 // done — after handing over its first slice when it streams, with nothing
@@ -137,9 +140,15 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 
 	loc := rn.cfg.Arena.Local()
 	defer loc.Close()
+	sides := inputs[len(src.op.Inputs()):]
 	for i := 1; i < len(tasks); i++ {
-		// buildStages chained only operators that have a kernel.
-		tasks[i].kern, _ = engine.NewOperatorKernelLocal(tasks[i].op, loc)
+		// buildStages chained only operators that have a kernel, and one side
+		// per join.
+		if j, ok := tasks[i].op.(*engine.HashJoin); ok {
+			tasks[i].kern, sides = j.JoinKernel(sides[0], loc), sides[1:]
+		} else {
+			tasks[i].kern, _ = engine.NewOperatorKernelLocal(tasks[i].op, loc)
+		}
 	}
 	var outs []*engine.Batch
 	rows := 0

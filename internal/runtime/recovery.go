@@ -64,24 +64,31 @@ func (rn *run) ensurePartition(ctx context.Context, s *stage, part int) error {
 
 // ensureStageInputs recovers the input partitions a stage partition reads:
 // wide sources need every partition of every input stage, narrow sources
-// need the matching partition, scans need nothing.
+// need the matching partition, scans need nothing — and a chained join needs
+// every partition of its side.
 func (rn *run) ensureStageInputs(ctx context.Context, s *stage, part int) error {
-	switch s.kind {
-	case srcScan:
-		return nil
-	case srcWide:
-		for _, d := range s.deps {
-			for q := 0; q < rn.cfg.Nodes; q++ {
-				if err := rn.ensurePartition(ctx, d, q); err != nil {
-					return err
-				}
-			}
+	for _, d := range s.deps {
+		if err := rn.ensurePartitions(ctx, d, part, s.kind == srcWide); err != nil {
+			return err
 		}
-	case srcNarrow:
-		for _, d := range s.deps {
-			if err := rn.ensurePartition(ctx, d, part); err != nil {
-				return err
-			}
+	}
+	for _, d := range s.sides {
+		if err := rn.ensurePartitions(ctx, d, part, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ensurePartitions ensures partition part of d, or every partition when all
+// is set.
+func (rn *run) ensurePartitions(ctx context.Context, d *stage, part int, all bool) error {
+	if !all {
+		return rn.ensurePartition(ctx, d, part)
+	}
+	for q := 0; q < rn.cfg.Nodes; q++ {
+		if err := rn.ensurePartition(ctx, d, q); err != nil {
+			return err
 		}
 	}
 	return nil

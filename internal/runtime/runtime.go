@@ -1,9 +1,13 @@
 // Package runtime is the concurrent pipelined execution runtime: it runs a
-// collapsed fault-tolerant plan as a DAG of stages. Each stage executes
-// partition-parallel on a bounded worker pool, the runtime's only source of
-// parallelism: a stage partition is one loop on the worker that holds the
-// pool slot, pushing vectorized batches through the stage's operators back to
-// back (the way the cost model prices a collapsed group). Materialization
+// collapsed fault-tolerant plan as a DAG of stages. A stage is a source
+// operator and everything that streams from it up to the next stage boundary
+// — narrow operators, and broadcast joins probed by the stream, whose build
+// sides are stages of their own that every partition reads in full. Each
+// stage executes partition-parallel on a bounded worker pool, the runtime's
+// only source of parallelism: a stage partition is one loop on the worker
+// that holds the pool slot, pushing vectorized batches through the stage's
+// operators back to back (the way the cost model prices a collapsed group),
+// so an intermediate join output exists one slice at a time. Materialization
 // points are blocking barriers whose output is checkpointed asynchronously to
 // an engine.Store by a dedicated writer. Failures are injected live — a
 // worker dies mid-stream, at a kill point that is a position in that loop —
@@ -241,7 +245,8 @@ type run struct {
 }
 
 // execute schedules the stage DAG: every stage gets a goroutine that waits
-// for its producer stages, then fans its partitions out to the worker pool.
+// for its producer stages (deps and sides), then fans its partitions out to
+// the worker pool.
 func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -264,11 +269,13 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 		wg.Add(1)
 		go func(s *stage) {
 			defer wg.Done()
-			for _, d := range s.deps {
-				select {
-				case <-doneOf[d]:
-				case <-ctx.Done():
-					return
+			for _, ds := range [][]*stage{s.deps, s.sides} {
+				for _, d := range ds {
+					select {
+					case <-doneOf[d]:
+					case <-ctx.Done():
+						return
+					}
 				}
 			}
 			if err := rn.runStage(ctx, s); err != nil {
@@ -481,31 +488,45 @@ func (rn *run) publishLocked(s *stage, part int, b *engine.Batch, lost bool) {
 	rn.results[s] = res
 }
 
-// inputResults returns the current results of the stage's inputs, in the
-// source operator's input order, and whether every input partition this stage
-// partition reads is present (a concurrent recovery may have dropped some);
-// ready=false means the caller must re-ensure the inputs.
+// inputResults returns the current results of the stage's inputs — the source
+// operator's, in its input order, then the sides', in chain order — and
+// whether every input partition this stage partition reads is present (a
+// concurrent recovery may have dropped some); ready=false means the caller
+// must re-ensure the inputs.
 func (rn *run) inputResults(s *stage, part int) (inputs []*engine.BatchResult, ready bool) {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 	for _, d := range s.deps {
-		switch s.kind {
-		case srcWide:
-			for q := 0; q < rn.cfg.Nodes; q++ {
-				if !rn.done[d][q] {
-					return nil, false
-				}
-			}
-		case srcNarrow:
-			if !rn.done[d][part] {
-				return nil, false
-			}
+		if !rn.doneLocked(d, part, s.kind == srcWide) {
+			return nil, false
+		}
+	}
+	for _, d := range s.sides {
+		if !rn.doneLocked(d, part, true) {
+			return nil, false
 		}
 	}
 	ins := s.source().Inputs()
-	inputs = make([]*engine.BatchResult, len(ins))
-	for i, in := range ins {
-		inputs[i] = rn.results[rn.plan.byOp[in]]
+	inputs = make([]*engine.BatchResult, 0, len(ins)+len(s.sides))
+	for _, in := range ins {
+		inputs = append(inputs, rn.results[rn.plan.byOp[in]])
+	}
+	for _, d := range s.sides {
+		inputs = append(inputs, rn.results[d])
 	}
 	return inputs, true
+}
+
+// doneLocked reports whether partition part of d — every partition when all
+// is set — is committed (rn.mu held).
+func (rn *run) doneLocked(d *stage, part int, all bool) bool {
+	if !all {
+		return rn.done[d][part]
+	}
+	for _, ok := range rn.done[d] {
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -24,19 +24,23 @@ const (
 )
 
 // stage is one node of the runtime's execution DAG: a source operator
-// followed by a chain of streamable narrow operators. Within a stage,
-// typed columnar batches pass from one operator's kernel to the next;
-// stage boundaries are barriers where the full partitioned result is
-// buffered (and, for materialization points, checkpointed asynchronously).
+// followed by a chain of streamable narrow operators and broadcast joins
+// probed by the stream. Within a stage, typed columnar batches pass from one
+// operator's kernel to the next; stage boundaries are barriers where the full
+// partitioned result is buffered (and, for materialization points,
+// checkpointed asynchronously).
 type stage struct {
 	id   int
 	kind sourceKind
-	// ops is the pipeline chain; ops[0] is the source, the rest are
-	// streamable narrow operators executed through fresh batch kernels
-	// (engine.NewOperatorKernel) per attempt.
+	// ops is the pipeline chain; ops[0] is the source, the rest are executed
+	// through fresh batch kernels per attempt (engine.NewOperatorKernel, or
+	// HashJoin.JoinKernel for a join probed by the stream).
 	ops []engine.Operator
 	// deps are the producer stages of the source's inputs, in input order.
 	deps []*stage
+	// sides are the build stages of the chained joins, in chain order: read
+	// in full by every partition, so waited for and ensured like wide deps.
+	sides []*stage
 	// ancestors is the transitive dependency closure including the stage
 	// itself — the lineage dropped on a node failure.
 	ancestors []*stage
@@ -61,13 +65,19 @@ type stagePlan struct {
 }
 
 // buildStages cuts the operator DAG into pipelined stages. An operator joins
-// its input's stage when it can stream batch-at-a-time from it: single
-// input, narrow, row-local (engine.Streamable), the input is not a
-// materialization point, and the input has no other consumer. Everything
-// else — scans, wide operators, consumers of materialized or shared
-// outputs — starts a new stage. A plan with an operator that cannot execute
-// on typed columns is rejected here (engine.ErrNotColumnar), before any
-// goroutine starts or checkpoint is written.
+// the stage of the input it streams from when that input is the stage's
+// terminal, not a materialization point, and has no other consumer — so
+// everything between two stage boundaries runs as one loop, the way
+// cost.Collapse folds an operator with m(o) = 0 into its consumer. Two kinds
+// of operator stream: a single-input narrow one with a kernel
+// (engine.Streamable), from its input; and a broadcast hash join, from its
+// probe input, whose build stage becomes a side of the chain (a join that
+// builds and probes one operator gives it two consumers, so it never
+// chains). Everything else — scans, wide operators, consumers of
+// materialized or shared outputs — starts a new stage. A plan with an
+// operator that cannot execute on typed columns is rejected here
+// (engine.ErrNotColumnar), before any goroutine starts or checkpoint is
+// written.
 func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("runtime: nil plan root")
@@ -77,27 +87,37 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 		return nil, err
 	}
 	plan := &stagePlan{byOp: make(map[engine.Operator]*stage, len(order))}
+	// chainTail returns the stage op can stream from through input in, or nil.
+	chainTail := func(in engine.Operator) *stage {
+		if s := plan.byOp[in]; !in.Materialize() && consumers[in] == 1 && s.terminal() == in {
+			return s
+		}
+		return nil
+	}
 	for _, op := range order {
 		if err := engine.CheckColumnar(op); err != nil {
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
 		ins := op.Inputs()
-		if len(ins) == 1 && engine.Streamable(op) {
-			in := ins[0]
-			if !in.Materialize() && consumers[in] == 1 {
-				s := plan.byOp[in]
-				if s.terminal() == in { // input is still a chain tail
-					if _, ok := engine.NewOperatorKernel(op); !ok {
-						return nil, fmt.Errorf("runtime: streamable operator %s has no batch kernel", op.Name())
-					}
-					s.ops = append(s.ops, op)
-					s.checkpoint = op.Materialize()
-					plan.byOp[op] = s
-					continue
+		var s *stage
+		if _, ok := op.(*engine.HashJoin); ok {
+			if s = chainTail(ins[1]); s != nil {
+				s.sides = append(s.sides, plan.byOp[ins[0]])
+			}
+		} else if len(ins) == 1 && engine.Streamable(op) {
+			if s = chainTail(ins[0]); s != nil {
+				if _, ok := engine.NewOperatorKernel(op); !ok {
+					return nil, fmt.Errorf("runtime: streamable operator %s has no batch kernel", op.Name())
 				}
 			}
 		}
-		s := &stage{id: len(plan.stages), ops: []engine.Operator{op}, checkpoint: op.Materialize()}
+		if s != nil {
+			s.ops = append(s.ops, op)
+			s.checkpoint = op.Materialize()
+			plan.byOp[op] = s
+			continue
+		}
+		s = &stage{id: len(plan.stages), ops: []engine.Operator{op}, checkpoint: op.Materialize()}
 		switch {
 		case len(ins) == 0:
 			s.kind = srcScan
@@ -127,7 +147,7 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 	return plan, nil
 }
 
-// collectAncestors returns s plus its transitive dependencies.
+// collectAncestors returns s plus its transitive dependencies, sides included.
 func collectAncestors(s *stage) []*stage {
 	seen := make(map[*stage]bool)
 	var out []*stage
@@ -139,6 +159,9 @@ func collectAncestors(s *stage) []*stage {
 		seen[x] = true
 		out = append(out, x)
 		for _, d := range x.deps {
+			visit(d)
+		}
+		for _, d := range x.sides {
 			visit(d)
 		}
 	}

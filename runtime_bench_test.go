@@ -216,11 +216,13 @@ func benchServedQuery(b *testing.B, name string, checkpointed bool) {
 	}
 }
 
-// BenchmarkRuntimePipelinedQ5 is the served six-way join. Eleven of its
-// thirteen stages are a single scan or join, so its allocation ceiling is what
-// keeps stage boundaries from copying their batches again, wide operators from
-// doing their shared work once per partition, and the planner from carrying
-// dead columns through the joins.
+// BenchmarkRuntimePipelinedQ5 is the served six-way join. It runs in eight
+// stages: the nation scan streams through two joins and the lineitem scan
+// through three, and four are a single scan. Its allocation ceiling is what
+// keeps chained joins from materializing their outputs, stage boundaries from
+// copying their batches again, wide operators from doing their shared work
+// once per partition, and the planner from carrying dead columns through the
+// joins.
 func BenchmarkRuntimePipelinedQ5(b *testing.B) { benchServedQuery(b, "Q5", false) }
 
 // BenchmarkRuntimeCheckpointedQ5 is the same plan with all five joins
@@ -416,13 +418,15 @@ type allocCeiling struct {
 // Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
 // plans them, and Q5 again with every join checkpointed to disk must not
 // allocate past the budget. The ceilings sit ~1.5x over what the pipelined
-// queries measure (Q1 0.35 MB / ~420 allocs, SQL Q3 1.3 MB / ~12,000, SQL Q5
-// 6.5 MB / ~1,750, checkpointed Q5 8.1 MB / ~2,300; Q1's and
-// scan-filter-project's object counts, small enough to move by a handful, keep
-// a wider margin), so a trip means the arena or a kernel lost its recycling
-// path, a stage boundary copies its batch again, a wide operator repeats its
-// shared work per partition, the planner carries columns nothing reads, or a
-// boxed row is back between a stage and the checkpoint store (with one,
+// queries measure (Q1 0.35 MB / ~420 allocs, SQL Q3 0.86 MB / ~11,800, SQL Q5
+// 2.0 MB / ~1,100, checkpointed Q5 8.0 MB / ~2,000; Q1's, SQL Q3's and
+// scan-filter-project's object counts, small enough or noisy enough to move by
+// a handful, keep a wider margin), so a trip means the arena or a kernel lost
+// its recycling path, a stage boundary copies its batch again, a join chained
+// onto its probe stream materializes its output again (SQL Q5 read 6.4 MB
+// before joins chained), a wide operator repeats its shared work per
+// partition, the planner carries columns nothing reads, or a boxed row is
+// back between a stage and the checkpoint store (with one,
 // checkpointed Q5 reads 25 MB / ~400,000) — not timing noise: allocation
 // figures are deterministic in a way wall time is not. Gated behind
 // ALLOC_BUDGET=1 because testing.Benchmark reruns each workload until timing
