@@ -220,15 +220,16 @@ func AttachCPU(rep *AuditReport, opCPU map[string]float64, opAlloc map[string]in
 // -explain-analyze prints: one row per collapsed operator with the model's
 // tr/tm/t/a/T forecast, the observed wall time, attempts, wasted runtime,
 // materialized bytes, measured CPU (when a profiler was attached) with its
-// busy fraction of task wall, and relative error, followed by dominant-path
-// and failure-timeline summaries.
+// busy fraction of task wall, relative error and, last and in full, the
+// group's engine operators, followed by dominant-path and failure-timeline
+// summaries.
 func (r *AuditReport) String() string {
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	w("%-12s %-34s %1s %1s  %10s %10s %8s %10s  %10s %4s %8s %10s %10s %9s %5s %8s\n",
-		"collapsed", "engine ops", "M", "D",
+	w("%-12s %1s %1s  %10s %10s %8s %10s  %10s %4s %8s %10s %10s %9s %5s %8s  %s\n",
+		"collapsed", "M", "D",
 		"tr(c)", "tm(c)", "a(c)", "T(c) pred",
-		"actual", "att", "fails", "wasted", "ckpt B", "cpu", "busy", "relerr")
+		"actual", "att", "fails", "wasted", "ckpt B", "cpu", "busy", "relerr", "engine ops")
 	w("%s\n", strings.Repeat("-", 166))
 	var totalCPU float64
 	var totalTask time.Duration
@@ -240,19 +241,15 @@ func (r *AuditReport) String() string {
 		if row.Pred.Dominant {
 			dom = "*"
 		}
-		ops := strings.Join(row.Pred.Ops, ",")
-		if len(ops) > 34 {
-			ops = ops[:31] + "..."
-		}
 		totalCPU += row.Obs.CPUSeconds
 		totalTask += row.Obs.TaskWall
-		w("%-12s %-34s %1s %1s  %10.4g %10.4g %8.3g %10.4g  %10s %4d %8d %10s %10d %9s %5s %8s\n",
-			row.Pred.Name, ops, mat, dom,
+		w("%-12s %1s %1s  %10.4g %10.4g %8.3g %10.4g  %10s %4d %8d %10s %10d %9s %5s %8s  %s\n",
+			row.Pred.Name, mat, dom,
 			row.Pred.TR, row.Pred.TM, row.Pred.Attempts, row.Pred.Runtime,
 			fmtDur(row.Obs.Wall), row.Obs.Attempts, row.Obs.Failures,
 			fmtDur(row.Obs.WastedWall), row.Obs.CheckpointBytes,
 			fmtCPU(row.Obs.CPUSeconds), fmtBusy(row.Obs.CPUSeconds, row.Obs.TaskWall),
-			fmtErr(row.RelErr))
+			fmtErr(row.RelErr), strings.Join(row.Pred.Ops, ","))
 	}
 	w("\ndominant path: predicted T=%.4gs, observed %s (relerr %s); query wall %s\n",
 		r.PredictedRuntime, fmtDur(r.DominantActual), fmtErr(r.DominantRelErr), fmtDur(r.ActualRuntime))

@@ -1,12 +1,16 @@
 package runtime
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"ftpde/internal/cost"
 	"ftpde/internal/engine"
+	"ftpde/internal/plan"
 	"ftpde/internal/sql"
+	"ftpde/internal/stats"
 	"ftpde/internal/tpch"
 )
 
@@ -237,6 +241,144 @@ func TestBuildStagesChainsServedQ5(t *testing.T) {
 	}
 	if got, want := stageNames(s.sides), []string{"join-2", "scan-orders", "scan-customer"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("stage sides %v, want %v", got, want)
+	}
+}
+
+// The cost model prices collapsed operators (cost.Collapse); the runtime runs
+// and recovers stages (buildStages). For every materialization configuration
+// of the served queries and of the other shapes sql.Compile emits (a scan
+// alone, ORDER BY, LIMIT, DISTINCT, a global aggregate, a post-join filter),
+// each engine operator belongs to exactly one collapsed group and each group
+// is a union of whole stages.
+// Inside a group, stages meet only at a boundary the model prices as part of
+// one pipelined group:
+//   - a wide source: the stage's source reads every partition of its input
+//     (exchange, join, global aggregation, sort, limit);
+//   - a broadcast side: the build input of a join chained onto its probe;
+//   - the group's own checkpoint, read by the unpriced filter and projection
+//     placed after its terminal.
+func TestCollapsedGroupsAreStages(t *testing.T) {
+	cat, err := tpch.Generate(0.001, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tstats, err := sql.CollectStats(cat, []string{"region", "nation", "supplier", "customer", "orders", "lineitem"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: 4}
+	m := cost.Model{MTBF: 3600, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 4}
+	for _, q := range []struct{ name, text string }{
+		{"Q1", `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, SUM(l_extendedprice) AS sum_price, COUNT(*) AS cnt
+			FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus`},
+		{"Q3", `SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+			FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey
+			WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 1200
+			GROUP BY l_orderkey ORDER BY revenue DESC`},
+		{"Q5", `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+			FROM region JOIN nation ON r_regionkey = n_regionkey JOIN supplier ON n_nationkey = s_nationkey
+			JOIN lineitem ON s_suppkey = l_suppkey JOIN orders ON l_orderkey = o_orderkey
+			JOIN customer ON o_custkey = c_custkey
+			GROUP BY n_name ORDER BY revenue DESC`},
+		{"scan-only", `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_shipdate <= 1200`},
+		{"order-by", `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_shipdate <= 1200 ORDER BY l_quantity`},
+		{"limit", `SELECT o_orderkey FROM orders JOIN customer ON o_custkey = c_custkey LIMIT 5`},
+		{"distinct", `SELECT DISTINCT n_name FROM nation JOIN supplier ON n_nationkey = s_nationkey ORDER BY n_name`},
+		{"global-aggregate", `SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+			WHERE o_orderdate < 1200`},
+		{"post-join-filter", `SELECT c_custkey, o_orderkey FROM customer JOIN orders ON c_custkey = o_custkey
+			WHERE o_orderkey > c_custkey`},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			stmt, err := sql.Parse(q.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audit, err := sql.BuildAuditPlan(stmt, cat, tstats, cp, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := sql.CostPlan(stmt, cat, tstats, cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free := p.FreeOperators()
+			for mask := uint64(0); mask < 1<<len(free); mask++ {
+				cfg := p.Clone()
+				if err := cfg.Apply(plan.ConfigFromMask(free, mask)); err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range cfg.Operators() {
+					ops := audit.Ops[op.ID]
+					ops[len(ops)-1].(interface{ SetMaterialize(bool) }).SetMaterialize(op.Materialize)
+				}
+				c, err := cost.Collapse(cfg, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp, err := buildStages(audit.Phys.Root, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGroupsAreStages(t, fmt.Sprintf("mask %b", mask), cfg, c, audit.Ops, sp)
+			}
+		})
+	}
+}
+
+func checkGroupsAreStages(t *testing.T, label string, p *plan.Plan, c *cost.Collapsed, ops map[plan.OpID][]engine.Operator, sp *stagePlan) {
+	t.Helper()
+	group := map[engine.Operator]plan.OpID{}
+	for cid, members := range c.Members {
+		for _, id := range members {
+			for _, op := range ops[id] {
+				if g, dup := group[op]; dup {
+					t.Errorf("%s: %s is in groups %s and %s", label, op.Name(), c.P.Op(g).Name, c.P.Op(cid).Name)
+				}
+				group[op] = cid
+			}
+		}
+	}
+	if len(group) != len(sp.byOp) {
+		t.Errorf("%s: the groups hold %d engine operators, the plan %d", label, len(group), len(sp.byOp))
+	}
+	stageGroup := map[*stage]plan.OpID{}
+	for _, s := range sp.stages {
+		for _, op := range s.ops {
+			g, ok := group[op]
+			if !ok {
+				t.Fatalf("%s: %s is in no group", label, op.Name())
+			}
+			if sg, seen := stageGroup[s]; seen && sg != g {
+				t.Errorf("%s: stage %s spans groups %s and %s", label, s.name(), c.P.Op(sg).Name, c.P.Op(g).Name)
+			}
+			stageGroup[s] = g
+		}
+	}
+	for _, s := range sp.stages {
+		for _, d := range s.deps { // a side is always a priced boundary
+			if stageGroup[d] != stageGroup[s] || s.kind == srcWide {
+				continue
+			}
+			unpriced := true
+			for _, op := range s.ops {
+				switch op.(type) {
+				case *engine.Select, *engine.Project:
+				default:
+					unpriced = false
+				}
+			}
+			if !d.checkpoint || !unpriced {
+				t.Errorf("%s: stages %s and %s of group %s meet at a boundary the model does not price",
+					label, d.name(), s.name(), c.P.Op(stageGroup[s]).Name)
+			}
+		}
+	}
+	for _, op := range p.Operators() {
+		mat := ops[op.ID][len(ops[op.ID])-1]
+		if s := sp.byOp[mat]; op.Materialize && (s.terminal() != mat || !s.checkpoint) {
+			t.Errorf("%s: %s materializes, but %s does not end a checkpointed stage", label, op.Name, mat.Name())
+		}
 	}
 }
 

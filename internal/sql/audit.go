@@ -1,9 +1,6 @@
 package sql
 
 import (
-	"fmt"
-	"strings"
-
 	"ftpde/internal/core"
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
@@ -13,10 +10,13 @@ import (
 )
 
 // AuditPlan couples a compiled physical plan with the fault-tolerance
-// optimizer's forecast for it: the physical plan carries the optimizer's
-// materialization choice, and Pred is the plan-time capture of the cost
-// model's per-collapsed-operator predictions, resolved to engine operator
-// names so obs.BuildAudit can join them against observed spans.
+// optimizer's forecast for it. Both are built from one resolved statement,
+// slot by slot: each operator of the cost plan is one slot (a scan, a join,
+// the aggregate, the sort/limit), and Ops holds the engine operators that
+// execute it. The physical plan carries the optimizer's materialization
+// choice, and Pred is the plan-time capture of the cost model's
+// per-collapsed-operator predictions, with the engine operator names
+// obs.BuildAudit joins against observed spans.
 type AuditPlan struct {
 	// Phys is the executable plan with the optimizer's MatConfig applied.
 	Phys *PhysicalPlan
@@ -24,149 +24,57 @@ type AuditPlan struct {
 	Opt *core.Result
 	// Pred is the prediction capture for obs.BuildAudit.
 	Pred obs.Prediction
+	// Ops maps each operator of Opt.Plan to the engine operators of Phys it
+	// executes as: the unpriced post-join filter and projection placed with
+	// it, then its own in execution order. The last carries its
+	// materialization flag.
+	Ops map[plan.OpID][]engine.Operator
 }
 
 // BuildAuditPlan compiles stmt and predicts its execution: the written-order
 // cost plan (the shape Compile produces) is run through the fault-tolerance
 // optimizer, the winning materialization configuration is applied to the
 // physical operators, and every collapsed operator's tr/tm/t/a/T forecast is
-// captured with the engine operator names it will execute as.
+// captured with the engine operators it will execute as.
 //
 // The audit deliberately scores the written join order rather than phase 1's
 // enumerated orders: -explain-analyze audits the plan that actually runs,
 // and Compile always builds the left-deep chain in written order.
 func BuildAuditPlan(stmt *SelectStmt, cat *engine.Catalog, tstats map[string]TableStats, cp stats.CostParams, m cost.Model) (*AuditPlan, error) {
-	p, err := CostPlan(stmt, cat, tstats, cp)
+	r, err := resolve(stmt, cat)
 	if err != nil {
 		return nil, err
 	}
+	pr, err := r.priced(tstats, cp)
+	if err != nil {
+		return nil, err
+	}
+	p, ids := pr.writtenOrder()
 	res, err := core.Optimize(p, core.Options{Model: m, MemoizePaths: true})
 	if err != nil {
 		return nil, err
 	}
-	pp, err := Compile(stmt, cat)
+	pp, slots, err := r.compile()
 	if err != nil {
 		return nil, err
 	}
-	names, roots, err := mapCostToEngine(res.Plan, pp)
+	ops := make(map[plan.OpID][]engine.Operator, len(ids))
+	for i, id := range ids {
+		ops[id] = slots[i].ops
+		if res.Plan.Op(id).Materialize {
+			slots[i].mat.SetMaterialize(true)
+		}
+	}
+	pred, err := buildPrediction(res.Plan, m, ops)
 	if err != nil {
 		return nil, err
 	}
-	// Apply the optimizer's materialization choice to the physical plan.
-	for _, op := range res.Plan.Operators() {
-		if !op.Materialize {
-			continue
-		}
-		setter, ok := roots[op.ID].(interface{ SetMaterialize(bool) })
-		if !ok {
-			return nil, fmt.Errorf("sql: audit: cost operator %q maps to engine operator %q which cannot materialize",
-				op.Name, roots[op.ID].Name())
-		}
-		setter.SetMaterialize(true)
-	}
-	pred, err := buildPrediction(res.Plan, m, names)
-	if err != nil {
-		return nil, err
-	}
-	return &AuditPlan{Phys: pp, Opt: res, Pred: pred}, nil
-}
-
-// mapCostToEngine resolves every cost-plan operator to the engine operators
-// it executes as (names) and to the engine operator that terminates the group
-// (roots, the target of SetMaterialize). Engine operators the cost plan does
-// not model (post-join-filter, project) attach to the adjacent cost operator
-// they pipeline with.
-func mapCostToEngine(p *plan.Plan, pp *PhysicalPlan) (map[plan.OpID][]string, map[plan.OpID]engine.Operator, error) {
-	engOps := map[string]engine.Operator{}
-	var walk func(op engine.Operator)
-	walk = func(op engine.Operator) {
-		if _, seen := engOps[op.Name()]; seen {
-			return
-		}
-		engOps[op.Name()] = op
-		for _, in := range op.Inputs() {
-			walk(in)
-		}
-	}
-	walk(pp.Root)
-
-	names := make(map[plan.OpID][]string)
-	roots := make(map[plan.OpID]engine.Operator)
-	claimed := map[string]bool{}
-	claim := func(id plan.OpID, engName string) bool {
-		op, ok := engOps[engName]
-		if !ok {
-			return false
-		}
-		names[id] = append(names[id], engName)
-		roots[id] = op
-		claimed[engName] = true
-		return true
-	}
-
-	var aggID, sortID, lastJoinID, lastScanID plan.OpID
-	for _, op := range p.Operators() {
-		switch {
-		case strings.HasPrefix(op.Name, "Scan σ("):
-			q := strings.TrimSuffix(strings.TrimPrefix(op.Name, "Scan σ("), ")")
-			if !claim(op.ID, "scan-"+q) {
-				return nil, nil, fmt.Errorf("sql: audit: no engine scan for cost operator %q", op.Name)
-			}
-			lastScanID = op.ID
-		case strings.HasPrefix(op.Name, "⨝"):
-			var i int
-			if _, err := fmt.Sscanf(op.Name, "⨝%d", &i); err != nil {
-				return nil, nil, fmt.Errorf("sql: audit: cannot parse join index from %q", op.Name)
-			}
-			if !claim(op.ID, fmt.Sprintf("join-%d", i)) {
-				return nil, nil, fmt.Errorf("sql: audit: no engine join for cost operator %q", op.Name)
-			}
-			if op.ID > lastJoinID {
-				lastJoinID = op.ID
-			}
-		case op.Name == "Γ aggregate":
-			claim(op.ID, "agg-input")
-			claim(op.ID, "agg-exchange")
-			if !claim(op.ID, "aggregate") {
-				return nil, nil, fmt.Errorf("sql: audit: no engine aggregate for cost operator %q", op.Name)
-			}
-			aggID = op.ID
-		case op.Name == "sort/limit":
-			sorted := claim(op.ID, "sort")
-			limited := claim(op.ID, "limit")
-			if !sorted && !limited {
-				return nil, nil, fmt.Errorf("sql: audit: no engine sort or limit for cost operator %q", op.Name)
-			}
-			sortID = op.ID
-		default:
-			return nil, nil, fmt.Errorf("sql: audit: unrecognized cost operator %q", op.Name)
-		}
-	}
-
-	// Attach unmodeled engine operators to the cost group they pipeline with:
-	// the post-join filter feeds the aggregation (or the sort, or stays with
-	// the last join); the projection feeds the sort (or belongs to the final
-	// aggregation / join / scan group).
-	attach := func(engName string, candidates ...plan.OpID) {
-		if _, ok := engOps[engName]; !ok || claimed[engName] {
-			return
-		}
-		for _, id := range candidates {
-			if id != 0 {
-				names[id] = append(names[id], engName)
-				claimed[engName] = true
-				return
-			}
-		}
-	}
-	attach("post-join-filter", aggID, sortID, lastJoinID)
-	attach("project", sortID, aggID, lastJoinID, lastScanID)
-	return names, roots, nil
+	return &AuditPlan{Phys: pp, Opt: res, Pred: pred, Ops: ops}, nil
 }
 
 // buildPrediction collapses the optimized cost plan and captures every
 // collapsed operator's forecast together with the dominant path.
-func buildPrediction(p *plan.Plan, m cost.Model, names map[plan.OpID][]string) (obs.Prediction, error) {
+func buildPrediction(p *plan.Plan, m cost.Model, ops map[plan.OpID][]engine.Operator) (obs.Prediction, error) {
 	c, err := cost.Collapse(p, m)
 	if err != nil {
 		return obs.Prediction{}, err
@@ -186,7 +94,9 @@ func buildPrediction(p *plan.Plan, m cost.Model, names map[plan.OpID][]string) (
 		oc := m.OperatorCost(op.TotalCost())
 		var engNames []string
 		for _, member := range c.Members[cid] {
-			engNames = append(engNames, names[member]...)
+			for _, op := range ops[member] {
+				engNames = append(engNames, op.Name())
+			}
 		}
 		pred.Ops = append(pred.Ops, obs.OpPrediction{
 			Name:        op.Name,

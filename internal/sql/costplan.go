@@ -93,157 +93,147 @@ const (
 )
 
 // CostPlan compiles the statement into a cost-level plan.Plan for the
-// fault-tolerance optimizer: scans and final operators bound, joins and
-// mid-plan aggregations free, with tr/tm derived from estimated
-// cardinalities via the given cost parameters.
+// fault-tolerance optimizer: one operator per slot of the written join
+// order, scans and final operators bound, joins and mid-plan aggregations
+// free, with tr/tm derived from estimated cardinalities via the given cost
+// parameters. It builds no engine operator.
 func CostPlan(stmt *SelectStmt, cat *engine.Catalog, tstats map[string]TableStats, cp stats.CostParams) (*plan.Plan, error) {
-	if err := cp.Validate(); err != nil {
+	r, err := resolve(stmt, cat)
+	if err != nil {
 		return nil, err
 	}
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("sql: no FROM tables")
+	pr, err := r.priced(tstats, cp)
+	if err != nil {
+		return nil, err
 	}
-	if len(stmt.Joins) != len(stmt.From)-1 {
-		return nil, fmt.Errorf("sql: %d joins for %d tables", len(stmt.Joins), len(stmt.From))
-	}
-	if stmt.Distinct {
-		rewritten, err := rewriteDistinct(stmt)
-		if err != nil {
-			return nil, err
-		}
-		stmt = rewritten
-	}
-
-	p := plan.New()
-
-	// Whole-query layout for predicate classification.
-	var full layout
-	var sources []srcInfo
-	for _, tr := range stmt.From {
-		t, err := cat.Table(tr.Table)
-		if err != nil {
-			return nil, err
-		}
-		ts, ok := tstats[tr.Table]
-		if !ok {
-			return nil, fmt.Errorf("sql: no statistics for table %s", tr.Table)
-		}
-		l := tableLayout(tr.Qualifier(), t.Schema)
-		sources = append(sources, srcInfo{ref: tr, st: ts, l: l})
-		full = full.concat(l)
-	}
-
-	pushdown := map[string][]Predicate{}
-	postJoinSel := 1.0
-	for _, pred := range stmt.Where {
-		if q := predicateQualifier(pred, full); q != "" {
-			pushdown[q] = append(pushdown[q], pred)
-		} else {
-			postJoinSel *= defaultRangeSelectivity
-		}
-	}
-
-	// Scans (bound): output rows after pushdown selectivity.
-	scanIDs := make([]plan.OpID, len(sources))
-	outRows := make([]float64, len(sources))
-	for i, s := range sources {
-		rows := s.st.Rows
-		sel := 1.0
-		for _, pred := range pushdown[s.ref.Qualifier()] {
-			sel *= predicateSelectivity(pred, s.st)
-		}
-		out := rows * sel
-		tr, tm := cp.OpCosts(rows, out)
-		scanIDs[i] = p.Add(plan.Operator{
-			Name: "Scan σ(" + s.ref.Qualifier() + ")", Kind: plan.KindScan,
-			RunCost: tr, MatCost: tm, Rows: out, Bound: true,
-		})
-		outRows[i] = out
-	}
-
-	// Left-deep joins (free).
-	accID := scanIDs[0]
-	accRows := outRows[0]
-	accLayout := sources[0].l
-	for i, jc := range stmt.Joins {
-		s := sources[i+1]
-		lc, rc := jc.Left, jc.Right
-		if !accLayout.has(&lc) {
-			lc, rc = rc, lc
-		}
-		if !accLayout.has(&lc) {
-			return nil, fmt.Errorf("sql: join %d condition %s = %s does not connect to prior tables",
-				i+1, &jc.Left, &jc.Right)
-		}
-		sel := joinSelectivity(lc, rc, sources, i+1)
-		out := accRows * outRows[i+1] * sel
-		work := accRows + outRows[i+1] + out
-		tr, tm := cp.OpCosts(work, out)
-		jid := p.Add(plan.Operator{
-			Name: fmt.Sprintf("⨝%d %s=%s", i+1, &lc, &rc), Kind: plan.KindHashJoin,
-			RunCost: tr, MatCost: tm, Rows: out,
-		})
-		p.MustConnect(accID, jid)
-		p.MustConnect(scanIDs[i+1], jid)
-		accID = jid
-		accRows = out
-		accLayout = accLayout.concat(s.l)
-	}
-	accRows *= postJoinSel
-
-	// Aggregation: free when it is a mid-plan operator (something follows),
-	// bound when it is the sink.
-	hasAgg := len(stmt.GroupBy) > 0
-	for _, item := range stmt.Select {
-		if item.Agg != nil {
-			hasAgg = true
-		}
-	}
-	followed := stmt.OrderBy != nil || stmt.Limit >= 0
-	if hasAgg {
-		groups := 1.0
-		for gi := range stmt.GroupBy {
-			if i, err := full.resolve(&stmt.GroupBy[gi]); err == nil {
-				q := full[i].qualifier
-				for _, s := range sources {
-					if s.ref.Qualifier() == q {
-						if d := s.st.Distinct[stmt.GroupBy[gi].Column]; d > 0 {
-							groups *= d
-						}
-					}
-				}
-			}
-		}
-		if groups > accRows {
-			groups = accRows
-		}
-		tr, tm := cp.OpCosts(accRows, groups)
-		aid := p.Add(plan.Operator{
-			Name: "Γ aggregate", Kind: plan.KindAggregate,
-			RunCost: tr, MatCost: tm, Rows: groups, Bound: !followed,
-		})
-		p.MustConnect(accID, aid)
-		accID = aid
-		accRows = groups
-	}
-
-	if followed {
-		rows := accRows
-		if stmt.Limit >= 0 && float64(stmt.Limit) < rows {
-			rows = float64(stmt.Limit)
-		}
-		tr, tm := cp.OpCosts(accRows, rows)
-		sid := p.Add(plan.Operator{
-			Name: "sort/limit", Kind: plan.KindSort,
-			RunCost: tr, MatCost: tm, Rows: rows, Bound: true,
-		})
-		p.MustConnect(accID, sid)
-	}
-
+	p, _ := pr.writtenOrder()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// pricing is a resolved statement with its tables' statistics: what the cost
+// plans of every join order are priced from.
+type pricing struct {
+	*resolved
+	st []TableStats // per source
+	cp stats.CostParams
+}
+
+// priced looks up the statistics of the statement's tables.
+func (r *resolved) priced(tstats map[string]TableStats, cp stats.CostParams) (*pricing, error) {
+	if err := cp.Validate(); err != nil {
+		return nil, err
+	}
+	pr := &pricing{resolved: r, st: make([]TableStats, len(r.sources)), cp: cp}
+	for i, s := range r.sources {
+		ts, ok := tstats[s.ref.Table]
+		if !ok {
+			return nil, fmt.Errorf("sql: no statistics for table %s", s.ref.Table)
+		}
+		pr.st[i] = ts
+	}
+	return pr, nil
+}
+
+// writtenOrder prices the slots of the written join order and returns the
+// plan with each slot's operator, in slot order.
+func (pr *pricing) writtenOrder() (*plan.Plan, []plan.OpID) {
+	p := plan.New()
+	var slots []plan.OpID
+	rows := make([]float64, len(pr.sources))
+	for i, s := range pr.sources {
+		rows[i] = pr.scanRows(i)
+		tr, tm := pr.cp.OpCosts(pr.st[i].Rows, rows[i])
+		slots = append(slots, p.Add(plan.Operator{
+			Name: "Scan σ(" + s.ref.Qualifier() + ")", Kind: plan.KindScan,
+			RunCost: tr, MatCost: tm, Rows: rows[i], Bound: true,
+		}))
+	}
+	acc, accRows := slots[0], rows[0]
+	for i, j := range pr.joins {
+		out := accRows * rows[i+1] * pr.joinSelectivity(i)
+		tr, tm := pr.cp.OpCosts(accRows+rows[i+1]+out, out)
+		jid := p.Add(plan.Operator{
+			Name: fmt.Sprintf("⨝%d %s=%s", i+1, &j.cond.Left, &j.cond.Right), Kind: plan.KindHashJoin,
+			RunCost: tr, MatCost: tm, Rows: out,
+		})
+		p.MustConnect(acc, jid)
+		p.MustConnect(slots[i+1], jid)
+		slots = append(slots, jid)
+		acc, accRows = jid, out
+	}
+	return p, append(slots, pr.tail(p, acc, accRows)...)
+}
+
+// tail adds the aggregate and sort/limit slots above acc, whose rows are the
+// join result before the post-join filter, and returns their operators. The
+// aggregate is free when something follows it, bound when it is the sink.
+func (pr *pricing) tail(p *plan.Plan, acc plan.OpID, rows float64) []plan.OpID {
+	sel := 1.0
+	for range pr.postJoin {
+		sel *= defaultRangeSelectivity
+	}
+	rows *= sel
+	var slots []plan.OpID
+	add := func(op plan.Operator) {
+		id := p.Add(op)
+		p.MustConnect(acc, id)
+		slots, acc, rows = append(slots, id), id, op.Rows
+	}
+	if pr.hasAgg {
+		groups := 1.0
+		for _, g := range pr.groups {
+			if d := pr.distinct(g); d > 0 {
+				groups *= d
+			}
+		}
+		if groups > rows {
+			groups = rows
+		}
+		tr, tm := pr.cp.OpCosts(rows, groups)
+		add(plan.Operator{
+			Name: "Γ aggregate", Kind: plan.KindAggregate,
+			RunCost: tr, MatCost: tm, Rows: groups, Bound: !pr.sortLimit(),
+		})
+	}
+	if pr.sortLimit() {
+		out := rows
+		if pr.stmt.Limit >= 0 && float64(pr.stmt.Limit) < out {
+			out = float64(pr.stmt.Limit)
+		}
+		tr, tm := pr.cp.OpCosts(rows, out)
+		add(plan.Operator{
+			Name: "sort/limit", Kind: plan.KindSort,
+			RunCost: tr, MatCost: tm, Rows: out, Bound: true,
+		})
+	}
+	return slots
+}
+
+// scanRows estimates source i's rows after its pushed-down predicates.
+func (pr *pricing) scanRows(i int) float64 {
+	sel := 1.0
+	for _, pred := range pr.pushdown[i] {
+		sel *= predicateSelectivity(pred, pr.st[i])
+	}
+	return pr.st[i].Rows * sel
+}
+
+// distinct returns the number of distinct values of column id g in its own
+// table.
+func (pr *pricing) distinct(g int) float64 {
+	return pr.st[pr.sourceOf(g)].Distinct[pr.full[g].name]
+}
+
+// joinSelectivity prices join i at 1/max(distinct) of its two key columns.
+func (pr *pricing) joinSelectivity(i int) float64 {
+	d := math.Max(pr.distinct(pr.joins[i].acc), pr.distinct(pr.joins[i].next))
+	if d <= 1 {
+		return defaultEqSelectivity
+	}
+	return 1 / d
 }
 
 // predicateSelectivity estimates a pushed-down predicate's selectivity:
@@ -290,28 +280,4 @@ func predicateSelectivity(pred Predicate, ts TableStats) float64 {
 		return defaultEqSelectivity
 	}
 	return defaultRangeSelectivity
-}
-
-// srcInfo couples a FROM entry with its statistics and layout.
-type srcInfo struct {
-	ref TableRef
-	st  TableStats
-	l   layout
-}
-
-// joinSelectivity uses 1/max(distinct(left), distinct(right)).
-func joinSelectivity(lc, rc ColumnRef, sources []srcInfo, rightIdx int) float64 {
-	d := 0.0
-	for _, s := range sources {
-		if v, ok := s.st.Distinct[lc.Column]; ok && v > d {
-			d = v
-		}
-	}
-	if v, ok := sources[rightIdx].st.Distinct[rc.Column]; ok && v > d {
-		d = v
-	}
-	if d <= 1 {
-		return defaultEqSelectivity
-	}
-	return 1 / d
 }

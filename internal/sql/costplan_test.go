@@ -196,6 +196,102 @@ func TestCostPlanErrors(t *testing.T) {
 	}
 }
 
+// Compile, CostPlan, FTPlan and BuildAuditPlan start from one resolved
+// statement, so a statement one of them rejects, all of them reject.
+func TestEntryPointsRejectTheSameStatements(t *testing.T) {
+	cat := testCatalog(t)
+	st, _ := collect(t)
+	cp := stats.CostParams{CPUPerRow: 1, WritePerRow: 10, Nodes: 4}
+	m := ftplanModel()
+	entries := map[string]func(*SelectStmt) error{
+		"Compile":  func(s *SelectStmt) error { _, err := Compile(s, cat); return err },
+		"CostPlan": func(s *SelectStmt) error { _, err := CostPlan(s, cat, st, cp); return err },
+		"FTPlan":   func(s *SelectStmt) error { _, err := FTPlan(s, cat, st, cp, m, 5); return err },
+		"BuildAuditPlan": func(s *SelectStmt) error {
+			_, err := BuildAuditPlan(s, cat, st, cp, m)
+			return err
+		},
+	}
+	for _, q := range []string{
+		"SELECT x FROM cust",                                            // unknown column
+		"SELECT c_id FROM nosuch",                                       // unknown table
+		"SELECT c_id FROM cust JOIN ord ON c_id = nope",                 // unknown join col
+		"SELECT c_id FROM cust c JOIN ord c ON c_id = o_cust",           // dup qualifier
+		"SELECT o_id FROM ord JOIN ord ON o_id = o_cust",                // a table joined with itself
+		"SELECT c_id, SUM(o_total) FROM cust JOIN ord ON c_id = o_cust", // non-grouped col
+		"SELECT c_id FROM cust ORDER BY nope",                           // unknown order col
+		"SELECT o_id FROM ord JOIN cust ON n_id = c_id",                 // join col from absent table
+		"SELECT c_id FROM cust JOIN ord ON n_id = o_cust",               // disconnected join condition
+	} {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		for name, plan := range entries {
+			if err := plan(stmt); err == nil {
+				t.Errorf("%s accepted %q", name, q)
+			}
+		}
+	}
+}
+
+// A join is priced from its two key columns' distinct counts in their own
+// tables, not from a same-named column of a table outside the join.
+func TestJoinSelectivityReadsTheJoinedTables(t *testing.T) {
+	cat, tables := propCatalog(t)
+	names := make([]string, len(tables))
+	for i, pt := range tables {
+		names[i] = pt.name
+	}
+	st, err := CollectStats(cat, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// c.id has 7 distinct values, b.v 5; a.id, outside the first join, 40.
+	if st["c"].Distinct["id"] != 7 || st["b"].Distinct["v"] != 5 || st["a"].Distinct["id"] != 40 {
+		t.Fatalf("catalog changed: %+v", st)
+	}
+	stmt, err := Parse("SELECT COUNT(*) FROM c JOIN b ON c.id = b.v JOIN a ON b.k = a.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 7 * 30 / 7.0 // |c| · |b| / max(7, 5)
+	cp := stats.CostParams{CPUPerRow: 1, WritePerRow: 10, Nodes: 4}
+	p, err := CostPlan(stmt, cat, st, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinOf := func(p *plan.Plan, names ...string) *plan.Operator {
+		for _, op := range p.Operators() {
+			for _, n := range names {
+				if op.Name == n {
+					return op
+				}
+			}
+		}
+		return nil
+	}
+	if j := joinOf(p, "⨝1 c.id=b.v"); j == nil || j.Rows != want {
+		t.Errorf("CostPlan prices c ⨝ b at %+v, want %g rows", j, want)
+	}
+	cands, err := enumerateJoinOrderPlans(stmt, cat, st, cp, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, p := range cands {
+		if j := joinOf(p, "Join (c JOIN b)", "Join (b JOIN c)"); j != nil {
+			seen++
+			if j.Rows != want {
+				t.Errorf("FTPlan prices %s at %g rows, want %g", j.Name, j.Rows, want)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Error("no enumerated order joins c and b first")
+	}
+}
+
 func TestHistogramSelectivityInCostPlan(t *testing.T) {
 	cat := testCatalog(t)
 	st, err := CollectStats(cat, []string{"ord"})

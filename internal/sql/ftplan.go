@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 
 	"ftpde/internal/core"
 	"ftpde/internal/cost"
@@ -21,32 +22,22 @@ import (
 // Queries over a single table skip phase 1 and optimize the straight cost
 // plan.
 func FTPlan(stmt *SelectStmt, cat *engine.Catalog, tstats map[string]TableStats, cp stats.CostParams, m cost.Model, topK int) (*core.Result, error) {
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
 	if topK < 1 {
 		return nil, fmt.Errorf("sql: topK must be at least 1, got %d", topK)
 	}
-	if stmt.Distinct {
-		rewritten, err := rewriteDistinct(stmt)
-		if err != nil {
-			return nil, err
-		}
-		stmt = rewritten
-	}
+	opts := core.Options{Model: m, MemoizePaths: true}
 	if len(stmt.From) <= 1 {
 		p, err := CostPlan(stmt, cat, tstats, cp)
 		if err != nil {
 			return nil, err
 		}
-		return core.Optimize(p, core.Options{Model: m, MemoizePaths: true})
+		return core.Optimize(p, opts)
 	}
-
 	candidates, err := enumerateJoinOrderPlans(stmt, cat, tstats, cp, topK)
 	if err != nil {
 		return nil, err
 	}
-	return core.FindBestFTPlan(candidates, core.Options{Model: m, MemoizePaths: true})
+	return core.FindBestFTPlan(candidates, opts)
 }
 
 // sqlCoster derives operator costs for enumerated join trees: scans touch
@@ -75,66 +66,25 @@ func (sc sqlCoster) JoinCosts(leftCard, rightCard, outCard float64) (float64, fl
 // top-k join orders into fault-tolerance-ready cost plans (scans bound,
 // joins free, the statement's aggregation/sort tail attached).
 func enumerateJoinOrderPlans(stmt *SelectStmt, cat *engine.Catalog, tstats map[string]TableStats, cp stats.CostParams, topK int) ([]*plan.Plan, error) {
-	if len(stmt.Joins) != len(stmt.From)-1 {
-		return nil, fmt.Errorf("sql: %d joins for %d tables", len(stmt.Joins), len(stmt.From))
+	r, err := resolve(stmt, cat)
+	if err != nil {
+		return nil, err
 	}
-
-	// Resolve sources and pushdown predicates exactly like CostPlan.
-	var full layout
-	var sources []srcInfo
-	for _, tr := range stmt.From {
-		t, err := cat.Table(tr.Table)
-		if err != nil {
-			return nil, err
-		}
-		ts, ok := tstats[tr.Table]
-		if !ok {
-			return nil, fmt.Errorf("sql: no statistics for table %s", tr.Table)
-		}
-		l := tableLayout(tr.Qualifier(), t.Schema)
-		sources = append(sources, srcInfo{ref: tr, st: ts, l: l})
-		full = full.concat(l)
-	}
-	pushdown := map[string][]Predicate{}
-	for _, pred := range stmt.Where {
-		if q := predicateQualifier(pred, full); q != "" {
-			pushdown[q] = append(pushdown[q], pred)
-		}
+	pr, err := r.priced(tstats, cp)
+	if err != nil {
+		return nil, err
 	}
 
 	// Join graph: relations carry post-pushdown rows; edges come from the ON
-	// conditions with 1/max-distinct selectivities.
+	// conditions, priced like the written order's joins.
 	g := join.NewGraph()
-	relIdx := map[string]int{} // qualifier -> graph index
-	fullRows := map[string]float64{}
-	for _, s := range sources {
-		out := s.st.Rows
-		for _, pred := range pushdown[s.ref.Qualifier()] {
-			out *= predicateSelectivity(pred, s.st)
-		}
-		if out < 1 {
-			out = 1
-		}
-		idx := g.AddRelation(join.Relation{Name: s.ref.Qualifier(), Rows: out})
-		relIdx[s.ref.Qualifier()] = idx
-		fullRows[s.ref.Qualifier()] = s.st.Rows
+	coster := sqlCoster{cp: cp, fullRows: map[string]float64{}}
+	for i, s := range pr.sources {
+		g.AddRelation(join.Relation{Name: s.ref.Qualifier(), Rows: math.Max(pr.scanRows(i), 1)})
+		coster.fullRows[s.ref.Qualifier()] = pr.st[i].Rows
 	}
-	for i, jc := range stmt.Joins {
-		lq, li, err := resolveSide(jc.Left, sources)
-		if err != nil {
-			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
-		}
-		rq, ri, err := resolveSide(jc.Right, sources)
-		if err != nil {
-			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
-		}
-		if lq == rq {
-			return nil, fmt.Errorf("sql: join %d joins table %q with itself", i+1, lq)
-		}
-		sel := joinSelectivity(ColumnRef{Qualifier: lq, Column: jc.Left.Column},
-			ColumnRef{Qualifier: rq, Column: jc.Right.Column}, sources, ri)
-		_ = li
-		if err := g.AddEdge(relIdx[lq], relIdx[rq], sel); err != nil {
+	for i, j := range pr.joins {
+		if err := g.AddEdge(pr.sourceOf(j.acc), i+1, pr.joinSelectivity(i)); err != nil {
 			return nil, fmt.Errorf("sql: join %d: %w", i+1, err)
 		}
 	}
@@ -143,7 +93,6 @@ func enumerateJoinOrderPlans(stmt *SelectStmt, cat *engine.Catalog, tstats map[s
 	if err != nil {
 		return nil, err
 	}
-	coster := sqlCoster{cp: cp, fullRows: fullRows}
 	plans := make([]*plan.Plan, 0, len(trees))
 	for _, tree := range trees {
 		p, root := join.ToPlan(tree, g, coster)
@@ -152,82 +101,11 @@ func enumerateJoinOrderPlans(stmt *SelectStmt, cat *engine.Catalog, tstats map[s
 				op.Bound = true
 			}
 		}
-		if err := attachTail(p, root, tree.Card, stmt, sources, full, cp); err != nil {
-			return nil, err
-		}
+		pr.tail(p, root, tree.Card)
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
 		plans = append(plans, p)
 	}
 	return plans, nil
-}
-
-// resolveSide maps one side of an ON condition to its table qualifier.
-func resolveSide(c ColumnRef, sources []srcInfo) (string, int, error) {
-	for i, s := range sources {
-		if s.l.has(&c) {
-			return s.ref.Qualifier(), i, nil
-		}
-	}
-	return "", 0, fmt.Errorf("unknown column %s", &c)
-}
-
-// attachTail appends the statement's aggregation and sort/limit operators to
-// an enumerated join plan, mirroring CostPlan's tail.
-func attachTail(p *plan.Plan, root plan.OpID, rootRows float64, stmt *SelectStmt, sources []srcInfo, full layout, cp stats.CostParams) error {
-	accID := root
-	accRows := rootRows
-	for _, pred := range stmt.Where {
-		if predicateQualifier(pred, full) == "" {
-			accRows *= defaultRangeSelectivity
-		}
-	}
-
-	hasAgg := len(stmt.GroupBy) > 0
-	for _, item := range stmt.Select {
-		if item.Agg != nil {
-			hasAgg = true
-		}
-	}
-	followed := stmt.OrderBy != nil || stmt.Limit >= 0
-	if hasAgg {
-		groups := 1.0
-		for gi := range stmt.GroupBy {
-			if i, err := full.resolve(&stmt.GroupBy[gi]); err == nil {
-				q := full[i].qualifier
-				for _, s := range sources {
-					if s.ref.Qualifier() == q {
-						if d := s.st.Distinct[stmt.GroupBy[gi].Column]; d > 0 {
-							groups *= d
-						}
-					}
-				}
-			}
-		}
-		if groups > accRows {
-			groups = accRows
-		}
-		tr, tm := cp.OpCosts(accRows, groups)
-		aid := p.Add(plan.Operator{
-			Name: "Γ aggregate", Kind: plan.KindAggregate,
-			RunCost: tr, MatCost: tm, Rows: groups, Bound: !followed,
-		})
-		p.MustConnect(accID, aid)
-		accID = aid
-		accRows = groups
-	}
-	if followed {
-		rows := accRows
-		if stmt.Limit >= 0 && float64(stmt.Limit) < rows {
-			rows = float64(stmt.Limit)
-		}
-		tr, tm := cp.OpCosts(accRows, rows)
-		sid := p.Add(plan.Operator{
-			Name: "sort/limit", Kind: plan.KindSort,
-			RunCost: tr, MatCost: tm, Rows: rows, Bound: true,
-		})
-		p.MustConnect(accID, sid)
-	}
-	return nil
 }
