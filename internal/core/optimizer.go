@@ -9,7 +9,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ftpde/internal/cost"
 	"ftpde/internal/plan"
@@ -112,7 +113,7 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 
 		p := cand.Clone()
 		f0 := len(p.FreeOperators())
-		res.Stats.FTPlansTotal += 1 << uint(f0)
+		addConfigs(&res.Stats.FTPlansTotal, f0, -1)
 
 		// Pruning rules 1 and 2 run before configuration enumeration.
 		var bound1, bound2 int
@@ -125,28 +126,26 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 		res.Stats.Rule1Bound += bound1
 		res.Stats.Rule2Bound += bound2
 		afterR1 := f0 - bound1
-		res.Stats.FTPlansPrunedRule1 += (1 << uint(f0)) - (1 << uint(afterR1))
+		addConfigs(&res.Stats.FTPlansPrunedRule1, f0, afterR1)
 		afterR2 := afterR1 - bound2
-		res.Stats.FTPlansPrunedRule2 += (1 << uint(afterR1)) - (1 << uint(afterR2))
+		addConfigs(&res.Stats.FTPlansPrunedRule2, afterR1, afterR2)
 
 		free := p.FreeOperators()
 		if len(free) > maxFree {
 			return nil, fmt.Errorf("core: plan has %d free operators after pruning (max %d)", len(free), maxFree)
 		}
 
+		// Every configuration is scored on one shape of the plan; only a new
+		// incumbent is collapsed into a plan of its own.
+		shape, err := opt.Model.Shape(p)
+		if err != nil {
+			return nil, err
+		}
 		for mask := uint64(0); mask < 1<<uint(len(free)); mask++ {
-			cfg := plan.ConfigFromMask(free, mask)
-			if err := p.Apply(cfg); err != nil {
-				return nil, err
-			}
+			shape.SetMask(mask)
 			res.Stats.FTPlansEnumerated++
 
-			collapsed, err := cost.Collapse(p, opt.Model)
-			if err != nil {
-				return nil, err
-			}
-
-			domTPt, stopped, cheap, paths := scoreFTPlan(collapsed, opt, res.Runtime, memo)
+			domTPt, stopped, cheap, paths := score(shape, opt, res.Runtime, memo)
 			res.Stats.PathsEvaluated += paths
 			if stopped {
 				res.Stats.FTPlansRule3Stopped++
@@ -156,13 +155,19 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 				continue
 			}
 			if domTPt < res.Runtime {
+				if err := p.Apply(plan.ConfigFromMask(free, mask)); err != nil {
+					return nil, err
+				}
+				collapsed, err := cost.Collapse(p, opt.Model)
+				if err != nil {
+					return nil, err
+				}
 				res.Runtime = domTPt
 				res.Plan = p.Clone()
 				res.Config = res.Plan.Config()
-				dom, _ := opt.Model.EstimateCollapsed(collapsed)
-				res.Dominant = dom
+				res.Dominant, _ = opt.Model.EstimateCollapsed(collapsed)
 				if opt.MemoizePaths {
-					memo.add(collapsed, dom)
+					memo.add(collapsed, res.Dominant)
 				}
 			}
 		}
@@ -179,18 +184,39 @@ func Optimize(p *plan.Plan, opt Options) (*Result, error) {
 	return FindBestFTPlan([]*plan.Plan{p}, opt)
 }
 
-// scoreFTPlan enumerates the execution paths of a collapsed plan, applying
-// pruning rule 3 against bestT (and the memoized dominant paths when
+// addConfigs adds 2^f − 2^rest to *n: the configurations of f free operators
+// that binding all but rest of them removes (rest < 0 removes all). Every
+// term saturates at math.MaxInt, since a long chain has more free operators
+// than an int has bits.
+func addConfigs(n *int, f, rest int) {
+	pow := func(k int) int {
+		switch {
+		case k < 0:
+			return 0
+		case k >= bits.UintSize-1:
+			return math.MaxInt
+		}
+		return 1 << uint(k)
+	}
+	if d := pow(f) - pow(rest); *n > math.MaxInt-d {
+		*n = math.MaxInt
+	} else {
+		*n += d
+	}
+}
+
+// score enumerates the execution paths of the shape's current configuration,
+// applying pruning rule 3 against bestT (and the memoized dominant paths when
 // enabled). It returns the dominant TPt, whether enumeration stopped early
 // (plan pruned), whether the stop fired before any estimateCost call, and
 // the number of paths whose TPt was evaluated.
-func scoreFTPlan(c *cost.Collapsed, opt Options, bestT float64, memo *pathMemo) (domTPt float64, stopped, cheap bool, paths int) {
-	c.P.VisitPaths(func(pt plan.Path) bool {
+func score(s *cost.Shape, opt Options, bestT float64, memo *pathMemo) (domTPt float64, stopped, cheap bool, paths int) {
+	s.Paths(func(pt []int) bool {
 		if !opt.DisableRule3 {
 			// Condition 1: RPt >= bestT — no estimateCost call needed.
 			rpt := 0.0
-			for _, id := range pt {
-				rpt += c.P.Op(id).TotalCost()
+			for _, g := range pt {
+				rpt += s.Total(g)
 			}
 			if rpt >= bestT {
 				stopped, cheap = true, paths == 0
@@ -198,20 +224,23 @@ func scoreFTPlan(c *cost.Collapsed, opt Options, bestT float64, memo *pathMemo) 
 			}
 			// Extended variant: Equation 9 comparison against memoized best
 			// dominant paths, still without calling estimateCost.
-			if opt.MemoizePaths && memo.dominates(c, pt) {
+			if opt.MemoizePaths && memo.dominates(s, pt) {
 				stopped, cheap = true, paths == 0
 				return false
 			}
 		}
-		pc := opt.Model.CostPath(c, pt)
+		tpt := 0.0
+		for _, g := range pt {
+			tpt += s.Runtime(g)
+		}
 		paths++
 		// Condition 2: TPt >= bestT.
-		if !opt.DisableRule3 && pc.Runtime >= bestT {
+		if !opt.DisableRule3 && tpt >= bestT {
 			stopped = true
 			return false
 		}
-		if pc.Runtime > domTPt {
-			domTPt = pc.Runtime
+		if tpt > domTPt {
+			domTPt = tpt
 		}
 		return true
 	})
@@ -222,6 +251,7 @@ func scoreFTPlan(c *cost.Collapsed, opt Options, bestT float64, memo *pathMemo) 
 // path seen so far as its t(c) values sorted descending (Section 4.3).
 type pathMemo struct {
 	byCount map[int][]float64
+	ts      []float64 // dominates' scratch
 }
 
 func newPathMemo() *pathMemo { return &pathMemo{byCount: make(map[int][]float64)} }
@@ -235,7 +265,8 @@ func (m *pathMemo) add(c *cost.Collapsed, dom cost.PathCost) {
 	for _, id := range dom.Path {
 		ts = append(ts, c.P.Op(id).TotalCost())
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ts)))
+	slices.Sort(ts)
+	slices.Reverse(ts)
 	n := len(ts)
 	old, ok := m.byCount[n]
 	if !ok || sumFloats(ts) < sumFloats(old) {
@@ -247,15 +278,17 @@ func (m *pathMemo) add(c *cost.Collapsed, dom cost.PathCost) {
 // path per Equation 9: sort both descending by t(c) and require
 // pt[i] >= memo[i] for every i. Memoized paths with fewer operators are
 // padded with zero-cost operators, as the paper allows.
-func (m *pathMemo) dominates(c *cost.Collapsed, pt plan.Path) bool {
+func (m *pathMemo) dominates(s *cost.Shape, pt []int) bool {
 	if len(m.byCount) == 0 {
 		return false
 	}
-	ts := make([]float64, 0, len(pt))
-	for _, id := range pt {
-		ts = append(ts, c.P.Op(id).TotalCost())
+	ts := m.ts[:0]
+	for _, g := range pt {
+		ts = append(ts, s.Total(g))
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ts)))
+	slices.Sort(ts)
+	slices.Reverse(ts)
+	m.ts = ts
 	for count, memoTs := range m.byCount {
 		if count > len(ts) {
 			continue

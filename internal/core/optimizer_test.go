@@ -33,20 +33,28 @@ func bruteForceBest(t *testing.T, p *plan.Plan, m cost.Model) (float64, plan.Mat
 	return best, bestCfg
 }
 
+// paperMTBFs and optionSets span the paper example's regimes: every pruning
+// rule on and off, with and without memoized dominant paths.
+var paperMTBFs = []float64{5, 20, 60, 600, 1e6}
+
+func optionSets(m cost.Model) []Options {
+	return []Options{
+		{Model: m},
+		{Model: m, DisableRule1: true, DisableRule2: true, DisableRule3: true},
+		{Model: m, MemoizePaths: true},
+		{Model: m, DisableRule1: true},
+		{Model: m, DisableRule2: true},
+		{Model: m, DisableRule3: true},
+	}
+}
+
 func TestOptimizeMatchesBruteForce(t *testing.T) {
-	for _, mtbf := range []float64{5, 20, 60, 600, 1e6} {
+	for _, mtbf := range paperMTBFs {
 		m := model(mtbf)
 		p := plan.PaperExample()
 		want, _ := bruteForceBest(t, p, m)
 
-		for _, opt := range []Options{
-			{Model: m},
-			{Model: m, DisableRule1: true, DisableRule2: true, DisableRule3: true},
-			{Model: m, MemoizePaths: true},
-			{Model: m, DisableRule1: true},
-			{Model: m, DisableRule2: true},
-			{Model: m, DisableRule3: true},
-		} {
+		for _, opt := range optionSets(m) {
 			res, err := Optimize(plan.PaperExample(), opt)
 			if err != nil {
 				t.Fatal(err)
@@ -194,6 +202,34 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if pruned.Stats.FTPlansEnumerated >= 128 && pruned.Stats.FTPlansRule3Stopped == 0 {
 		t.Log("no pruning occurred on the example plan (acceptable, depends on costs)")
+	}
+}
+
+// A chain longer than an int has bits: rule 2 binds all but the sink, so the
+// optimizer scores two configurations, and the counts of the 2^71 it did not
+// score saturate instead of wrapping.
+func TestStatsSaturateOnLongChains(t *testing.T) {
+	p := plan.New()
+	prev := p.Add(plan.Operator{Name: "op", RunCost: 1, MatCost: 1})
+	for i := 1; i < 71; i++ {
+		next := p.Add(plan.Operator{Name: "op", RunCost: 1, MatCost: 1})
+		p.MustConnect(prev, next)
+		prev = next
+	}
+	res, err := Optimize(p, Options{Model: model(1e12)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	if s.Rule2Bound != 70 || s.FTPlansEnumerated != 2 {
+		t.Fatalf("rule 2 bound %d, %d configurations scored; want 70 and 2", s.Rule2Bound, s.FTPlansEnumerated)
+	}
+	if s.FTPlansTotal != math.MaxInt || s.FTPlansPrunedRule1 != 0 || s.FTPlansPrunedRule2 != math.MaxInt-2 {
+		t.Errorf("total %d, pruned by rule 1 %d, by rule 2 %d; want %d, 0, %d",
+			s.FTPlansTotal, s.FTPlansPrunedRule1, s.FTPlansPrunedRule2, math.MaxInt, math.MaxInt-2)
+	}
+	if got := s.FTPlansEnumerated + s.FTPlansPrunedRule1 + s.FTPlansPrunedRule2; got != s.FTPlansTotal {
+		t.Errorf("enumerated+pruned = %d, want total %d", got, s.FTPlansTotal)
 	}
 }
 

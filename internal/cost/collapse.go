@@ -1,8 +1,9 @@
 package cost
 
 import (
-	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
 
 	"ftpde/internal/plan"
@@ -36,7 +37,8 @@ type Collapsed struct {
 // configuration. Roots are the operators with m(o) = 1 plus all sinks (a
 // query's final results are consumed even if not spooled to fault-tolerant
 // storage; they still delimit re-execution of downstream work because there
-// is none).
+// is none). The groups are the ones Shape scores a configuration on,
+// materialized as a plan of their own.
 func Collapse(p *plan.Plan, m Model) (*Collapsed, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -44,157 +46,253 @@ func Collapse(p *plan.Plan, m Model) (*Collapsed, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	s, err := m.Shape(p)
+	if err != nil {
+		return nil, err
+	}
+	s.collapse()
+	return s.collapsed(), nil
+}
 
-	isRoot := make(map[plan.OpID]bool)
-	for _, op := range p.Operators() {
-		if op.Materialize {
-			isRoot[op.ID] = true
+// Shape is a plan's structure in index space, built once and then collapsed
+// under any number of materialization configurations: Listing 1 scores 2^f
+// of them on one plan, and none changes an edge or a cost. Operator i is the
+// plan's i-th operator in OperatorIDs order; group g is the collapsed
+// operator of the g-th root in that order, which is the order Collapse
+// numbers collapsed operators in (group g is collapsed operator g+1).
+type Shape struct {
+	m      Model
+	p      *plan.Plan
+	ids    []plan.OpID
+	inputs [][]int // Inputs order
+	topo   []int   // producers before consumers
+	free   []int   // FreeOperators order: bit k of a mask is free[k]
+	read   []bool  // read by some operator: not a sink
+	rc, mc []float64
+	mat    []bool // m(o) of the configuration collapsed last
+
+	// Filled per configuration by collapse, reused across configurations.
+	group    []int     // operator -> its group if it is a root, else -1
+	roots    []int     // group -> root operator
+	longest  []float64 // operator -> tr-weighted longest path ending at it, through non-roots only
+	pred     []int     // operator -> its input on that path, -1 where the path starts
+	feeds    []uint64  // operator -> bitset of the groups whose roots it reads, directly or through non-roots
+	children [][]int   // group -> consumer groups, ascending
+	sources  []int     // groups no group feeds, ascending
+	total    []float64 // group -> t(c)
+	runtime  []float64 // group -> T(c), -1 until Runtime asks for it
+	path     []int
+}
+
+// Shape indexes p's structure and costs for collapsing. The configuration it
+// starts from is p's own; SetMask replaces the free operators' flags.
+func (m Model) Shape(p *plan.Plan) (*Shape, error) {
+	topo, err := p.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	ids := p.OperatorIDs()
+	n := len(ids)
+	index := make(map[plan.OpID]int, n)
+	for i, id := range ids {
+		index[id] = i
+	}
+	s := &Shape{
+		m: m, p: p, ids: ids,
+		inputs: make([][]int, n), topo: make([]int, n), read: make([]bool, n),
+		rc: make([]float64, n), mc: make([]float64, n), mat: make([]bool, n),
+		group: make([]int, n), roots: make([]int, 0, n), longest: make([]float64, n), pred: make([]int, n),
+		children: make([][]int, n), feeds: make([]uint64, n*((n+63)/64)),
+		total: make([]float64, n), runtime: make([]float64, n),
+	}
+	for i, id := range ids {
+		op := p.Op(id)
+		s.rc[i], s.mc[i], s.mat[i] = op.RunCost, op.MatCost, op.Materialize
+		if op.Free() {
+			s.free = append(s.free, i)
+		}
+		for _, pa := range p.Inputs(id) {
+			s.inputs[i] = append(s.inputs[i], index[pa])
+			s.read[index[pa]] = true
 		}
 	}
-	for _, s := range p.Sinks() {
-		isRoot[s] = true
+	for k, id := range topo {
+		s.topo[k] = index[id]
 	}
+	return s, nil
+}
 
-	var roots []plan.OpID
-	for _, id := range p.OperatorIDs() {
-		if isRoot[id] {
-			roots = append(roots, id)
+// SetMask collapses the plan under the configuration that materializes free
+// operator k exactly when bit k of mask is set (plan.ConfigFromMask over
+// FreeOperators); bound operators keep their flags.
+func (s *Shape) SetMask(mask uint64) {
+	for k, i := range s.free {
+		s.mat[i] = mask&(1<<uint(k)) != 0
+	}
+	s.collapse()
+}
+
+// collapse is the collapse rule, in one walk in topological order. Roots are
+// the materializing operators and the sinks. A non-root operator is folded
+// into every group downstream of it, and what it contributes does not depend
+// on the group: its longest tr-weighted path back through non-roots, and the
+// roots it reads through non-roots. So one value per operator serves every
+// group, and a root's values are its group's tr(c)/CONSTpipe, dom(c) and
+// producer groups.
+func (s *Shape) collapse() {
+	s.roots = s.roots[:0]
+	for i := range s.ids {
+		s.group[i] = -1
+		if s.mat[i] || !s.read[i] {
+			s.group[i] = len(s.roots)
+			s.roots = append(s.roots, i)
 		}
 	}
+	w := len(s.feeds) / len(s.ids)
+	for _, i := range s.topo {
+		feeds := s.feeds[i*w : (i+1)*w]
+		clear(feeds)
+		best, pred := 0.0, -1
+		for _, pa := range s.inputs[i] {
+			if g := s.group[pa]; g >= 0 {
+				feeds[g/64] |= 1 << uint(g%64)
+				continue
+			}
+			for k, x := range s.feeds[pa*w : (pa+1)*w] {
+				feeds[k] |= x
+			}
+			if v := s.longest[pa]; pred < 0 || v > best {
+				best, pred = v, pa
+			}
+		}
+		s.longest[i] = best + s.rc[i]
+		s.pred[i] = pred
+	}
 
+	s.sources = s.sources[:0]
+	for g := range s.roots {
+		s.children[g] = s.children[g][:0]
+	}
+	for g, r := range s.roots {
+		fed := false
+		for k, x := range s.feeds[r*w : (r+1)*w] {
+			for ; x != 0; x &= x - 1 {
+				from := k*64 + bits.TrailingZeros64(x)
+				s.children[from] = append(s.children[from], g)
+				fed = true
+			}
+		}
+		if !fed {
+			s.sources = append(s.sources, g)
+		}
+		s.total[g] = s.longest[r] * s.m.PipeConst
+		if s.mat[r] {
+			s.total[g] += s.mc[r]
+		}
+		s.runtime[g] = -1
+	}
+}
+
+// Total returns t(c) = tr(c) + tm(c)·m(c) of group g.
+func (s *Shape) Total(g int) float64 { return s.total[g] }
+
+// Runtime returns T(c) of group g (Eq. 8), evaluated at most once per
+// configuration.
+func (s *Shape) Runtime(g int) float64 {
+	if s.runtime[g] < 0 {
+		s.runtime[g] = s.m.OperatorCost(s.total[g]).Runtime
+	}
+	return s.runtime[g]
+}
+
+// Paths streams the collapsed plan's execution paths as groups, in the order
+// plan.Paths lists the paths of Collapse's plan (sources, then each group's
+// consumers, ascending), until fn returns false. fn must not keep the slice.
+func (s *Shape) Paths(fn func(groups []int) bool) {
+	s.path = s.path[:0]
+	for _, g := range s.sources {
+		if !s.walk(g, fn) {
+			return
+		}
+	}
+}
+
+func (s *Shape) walk(g int, fn func([]int) bool) bool {
+	s.path = append(s.path, g)
+	ok := true
+	if len(s.children[g]) == 0 {
+		ok = fn(s.path)
+	}
+	for _, c := range s.children[g] {
+		if ok = s.walk(c, fn); !ok {
+			break
+		}
+	}
+	s.path = s.path[:len(s.path)-1]
+	return ok
+}
+
+// collapsed materializes the configuration collapsed last as a Collapsed.
+func (s *Shape) collapsed() *Collapsed {
 	c := &Collapsed{
 		P:        plan.New(),
-		Source:   p,
-		Root:     make(map[plan.OpID]plan.OpID),
-		Members:  make(map[plan.OpID][]plan.OpID),
-		Dominant: make(map[plan.OpID][]plan.OpID),
-		ByRoot:   make(map[plan.OpID]plan.OpID),
+		Source:   s.p,
+		Root:     make(map[plan.OpID]plan.OpID, len(s.roots)),
+		Members:  make(map[plan.OpID][]plan.OpID, len(s.roots)),
+		Dominant: make(map[plan.OpID][]plan.OpID, len(s.roots)),
+		ByRoot:   make(map[plan.OpID]plan.OpID, len(s.roots)),
 	}
-
-	// For each root, gather coll(root): the root plus every non-root
-	// ancestor reachable through non-root operators only.
-	memberSets := make(map[plan.OpID]map[plan.OpID]bool, len(roots))
-	for _, r := range roots {
-		members := map[plan.OpID]bool{r: true}
-		var up func(plan.OpID)
-		up = func(id plan.OpID) {
-			for _, pa := range p.Inputs(id) {
-				if isRoot[pa] || members[pa] {
-					continue
-				}
-				members[pa] = true
-				up(pa)
-			}
-		}
-		up(r)
-		memberSets[r] = members
-	}
-
-	// Longest execution path inside the group ending at the root, weighted
-	// by tr(o); memoized per group.
-	for _, r := range roots {
-		members := memberSets[r]
-		longest := make(map[plan.OpID]float64)
-		pred := make(map[plan.OpID]plan.OpID)
-		var walk func(plan.OpID) float64
-		walk = func(id plan.OpID) float64 {
-			if v, ok := longest[id]; ok {
-				return v
-			}
-			best := 0.0
-			bestPa := plan.OpID(0)
-			for _, pa := range p.Inputs(id) {
-				if !members[pa] || isRoot[pa] {
-					continue
-				}
-				if v := walk(pa); bestPa == 0 || v > best {
-					best = v
-					bestPa = pa
+	in := make([]int, len(s.ids)) // 1 + the last group the operator was found in
+	for g, r := range s.roots {
+		// coll(c): the root and every non-root operator upstream of it
+		// through non-roots, consumers first.
+		var members []plan.OpID
+		in[r] = g + 1
+		for k := len(s.topo) - 1; k >= 0; k-- {
+			if i := s.topo[k]; in[i] == g+1 {
+				members = append(members, s.ids[i])
+				for _, pa := range s.inputs[i] {
+					if s.group[pa] < 0 {
+						in[pa] = g + 1
+					}
 				}
 			}
-			total := best + p.Op(id).RunCost
-			longest[id] = total
-			if bestPa != 0 {
-				pred[id] = bestPa
-			}
-			return total
 		}
-		domLen := walk(r)
-
-		var domPath []plan.OpID
-		for id := r; ; {
-			domPath = append([]plan.OpID{id}, domPath...)
-			pa, ok := pred[id]
-			if !ok {
-				break
-			}
-			id = pa
+		slices.Sort(members)
+		var dom []plan.OpID
+		for i := r; i >= 0; i = s.pred[i] {
+			dom = append(dom, s.ids[i])
 		}
+		slices.Reverse(dom)
 
-		rootOp := p.Op(r)
-		tr := domLen * m.PipeConst
 		tm := 0.0
-		if rootOp.Materialize {
-			tm = rootOp.MatCost
+		if s.mat[r] {
+			tm = s.mc[r]
 		}
-		sortedMembers := make([]plan.OpID, 0, len(members))
-		for id := range members {
-			sortedMembers = append(sortedMembers, id)
-		}
-		sort.Slice(sortedMembers, func(i, j int) bool { return sortedMembers[i] < sortedMembers[j] })
-
 		cid := c.P.Add(plan.Operator{
-			Name:        groupName(sortedMembers),
-			Kind:        rootOp.Kind,
-			RunCost:     tr,
+			Name:        groupName(members),
+			Kind:        s.p.Op(s.ids[r]).Kind,
+			RunCost:     s.longest[r] * s.m.PipeConst,
 			MatCost:     tm,
-			Materialize: rootOp.Materialize,
+			Materialize: s.mat[r],
 		})
-		c.Root[cid] = r
-		c.ByRoot[r] = cid
-		c.Members[cid] = sortedMembers
-		c.Dominant[cid] = domPath
+		c.Root[cid] = s.ids[r]
+		c.ByRoot[s.ids[r]] = cid
+		c.Members[cid] = members
+		c.Dominant[cid] = dom
 	}
-
-	// Edges between collapsed operators: root r1 feeds group of r2 when some
-	// member of coll(r2) consumes r1's output in the original plan.
-	type edge struct{ from, to plan.OpID }
-	seen := make(map[edge]bool)
-	for _, r2 := range roots {
-		cid2 := c.ByRoot[r2]
-		for _, member := range c.Members[cid2] {
-			for _, pa := range p.Inputs(member) {
-				if !isRoot[pa] {
-					continue
-				}
-				// pa is a root feeding this group. Skip the degenerate case
-				// where pa is the group's own root (can't happen: roots have
-				// no members besides themselves upstream).
-				cid1 := c.ByRoot[pa]
-				if cid1 == cid2 {
-					continue
-				}
-				e := edge{cid1, cid2}
-				if !seen[e] {
-					seen[e] = true
-					c.P.MustConnect(cid1, cid2)
-				}
-			}
+	for g := range s.roots {
+		for _, to := range s.children[g] {
+			c.P.MustConnect(plan.OpID(g+1), plan.OpID(to+1))
 		}
 	}
-
-	// A collapsed plan may legitimately consist of multiple disconnected
-	// groups (e.g. no-mat with several sinks), so only check acyclicity.
-	if _, err := c.P.TopoOrder(); err != nil {
-		return nil, fmt.Errorf("cost: collapsed plan invalid: %w", err)
-	}
-	return c, nil
+	return c
 }
 
 func groupName(members []plan.OpID) string {
 	parts := make([]string, len(members))
 	for i, id := range members {
-		parts[i] = fmt.Sprintf("%d", id)
+		parts[i] = strconv.Itoa(int(id))
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
@@ -203,19 +301,9 @@ func groupName(members []plan.OpID) string {
 // (order-insensitive), or 0 if none matches. Intended for tests and tools.
 func (c *Collapsed) OpByMembers(ids ...plan.OpID) plan.OpID {
 	want := append([]plan.OpID(nil), ids...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	for cid, members := range c.Members {
-		if len(members) != len(want) {
-			continue
-		}
-		match := true
-		for i := range members {
-			if members[i] != want[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.Equal(members, want) {
 			return cid
 		}
 	}

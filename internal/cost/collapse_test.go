@@ -219,6 +219,26 @@ func TestCollapseSharedSubplanDAG(t *testing.T) {
 	}
 }
 
+func TestShapePathsEarlyStop(t *testing.T) {
+	p := plan.PaperExample()
+	if err := p.Apply(plan.AllMat(p)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := paperModel().Shape(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetMask(1<<uint(len(p.FreeOperators())) - 1)
+	count := 0
+	s.Paths(func([]int) bool {
+		count++
+		return count < 2
+	})
+	if count != 2 {
+		t.Errorf("Paths did not stop early: visited %d of 4", count)
+	}
+}
+
 func TestCollapseInvalidInputs(t *testing.T) {
 	p := plan.New() // empty
 	if _, err := Collapse(p, paperModel()); err == nil {

@@ -149,18 +149,6 @@ type PathCost struct {
 	Ops []OpCost
 }
 
-// CostPath evaluates Equations 7/8 for one path of a collapsed plan.
-func (m Model) CostPath(c *Collapsed, path plan.Path) PathCost {
-	pc := PathCost{Path: append([]plan.OpID(nil), path...)}
-	for _, id := range path {
-		oc := m.OperatorCost(c.P.Op(id).TotalCost())
-		pc.Ops = append(pc.Ops, oc)
-		pc.RunCost += oc.Total
-		pc.Runtime += oc.Runtime
-	}
-	return pc
-}
-
 // Estimate collapses p under its current materialization configuration and
 // returns the dominant path cost (the maximal TPt over all source-to-sink
 // paths of the collapsed plan) together with all path costs.
@@ -174,10 +162,21 @@ func (m Model) Estimate(p *plan.Plan) (dominant PathCost, all []PathCost, err er
 }
 
 // EstimateCollapsed scores every execution path of an already-collapsed plan
-// and returns the dominant one.
+// (Equations 7/8) and returns the dominant one. T(c) is evaluated once per
+// collapsed operator, however many paths run through it.
 func (m Model) EstimateCollapsed(c *Collapsed) (dominant PathCost, all []PathCost) {
+	ops := make(map[plan.OpID]OpCost, c.P.Len())
+	for _, op := range c.P.Operators() {
+		ops[op.ID] = m.OperatorCost(op.TotalCost())
+	}
 	for _, path := range c.P.Paths() {
-		pc := m.CostPath(c, path)
+		pc := PathCost{Path: path}
+		for _, id := range path {
+			oc := ops[id]
+			pc.Ops = append(pc.Ops, oc)
+			pc.RunCost += oc.Total
+			pc.Runtime += oc.Runtime
+		}
 		all = append(all, pc)
 		if pc.Runtime > dominant.Runtime {
 			dominant = pc

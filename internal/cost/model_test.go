@@ -195,8 +195,8 @@ func TestCostPathBreakdownAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range c.P.Paths() {
-		pc := m.CostPath(c, path)
+	_, all := m.EstimateCollapsed(c)
+	for _, pc := range all {
 		if len(pc.Ops) != len(pc.Path) {
 			t.Fatalf("breakdown misaligned: %d ops for %d path entries", len(pc.Ops), len(pc.Path))
 		}

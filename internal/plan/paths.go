@@ -32,38 +32,6 @@ func (p *Plan) Paths() []Path {
 	return out
 }
 
-// VisitPaths streams paths to fn, stopping early when fn returns false.
-// This supports pruning rule 3, which abandons path enumeration for a
-// fault-tolerant plan as soon as one path exceeds the best memoized bound.
-func (p *Plan) VisitPaths(fn func(Path) bool) {
-	var cur Path
-	stopped := false
-	var dfs func(id OpID)
-	dfs = func(id OpID) {
-		if stopped {
-			return
-		}
-		cur = append(cur, id)
-		children := p.children[id]
-		if len(children) == 0 {
-			if !fn(cur) {
-				stopped = true
-			}
-		} else {
-			for _, c := range children {
-				dfs(c)
-			}
-		}
-		cur = cur[:len(cur)-1]
-	}
-	for _, s := range p.Sources() {
-		if stopped {
-			return
-		}
-		dfs(s)
-	}
-}
-
 // PathRunCost returns RPt = sum of t(o) over the path — the path runtime
 // without recovery costs.
 func (p *Plan) PathRunCost(pt Path) float64 {

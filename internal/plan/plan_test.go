@@ -141,18 +141,6 @@ func TestPathsPaperExample(t *testing.T) {
 	}
 }
 
-func TestVisitPathsEarlyStop(t *testing.T) {
-	p := PaperExample()
-	count := 0
-	p.VisitPaths(func(Path) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("VisitPaths did not stop early: visited %d", count)
-	}
-}
-
 func TestFreeOperators(t *testing.T) {
 	p := PaperExample()
 	if got := len(p.FreeOperators()); got != 7 {

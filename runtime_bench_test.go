@@ -16,9 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"ftpde/internal/core"
+	"ftpde/internal/cost"
 	"ftpde/internal/engine"
+	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/prof"
+	"ftpde/internal/plan"
 	"ftpde/internal/runtime"
 	"ftpde/internal/service"
 	"ftpde/internal/sql"
@@ -391,6 +395,41 @@ func BenchmarkScanFilterProjectRowBaseline(b *testing.B) {
 	benchScanFilterProject(b, false)
 }
 
+// BenchmarkFindBestFTPlanQ5 is the optimizer alone: findBestFTPlan over the
+// top-20 join orders of the paper's Q5 at SF 100 with memoized dominant
+// paths, under ftserve's plan-time model. Its ceiling is what keeps the
+// enumerator from building a collapsed plan per configuration it scores.
+func BenchmarkFindBestFTPlanQ5(b *testing.B) {
+	prm := tpch.Params{SF: 100, Nodes: 4}
+	graph, err := tpch.Q5JoinGraph(prm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coster, err := tpch.Q5Coster(prm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trees, err := graph.TopK(20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := make([]*plan.Plan, len(trees))
+	for i, t := range trees {
+		plans[i] = tpch.Q5PlanFromTree(t, graph, coster)
+	}
+	opt := core.Options{
+		Model:        cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 4},
+		MemoizePaths: true,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.FindBestFTPlan(plans, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // allocPoint records an allocation measurement from testing.Benchmark.
 type allocPoint struct {
 	SecondsPerOp float64 `json:"seconds_per_op"`
@@ -416,10 +455,11 @@ type allocCeiling struct {
 // TestAllocBudget enforces the checked-in allocation ceilings in
 // alloc_budget.json: scan→filter→project through the columnar kernels, TPC-H
 // Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
-// plans them, and Q5 again with every join checkpointed to disk must not
-// allocate past the budget. The ceilings sit ~1.5x over what the pipelined
-// queries measure (Q1 0.35 MB / ~420 allocs, SQL Q3 0.86 MB / ~11,800, SQL Q5
-// 2.0 MB / ~1,100, checkpointed Q5 8.0 MB / ~2,000; Q1's, SQL Q3's and
+// plans them, Q5 again with every join checkpointed to disk, and
+// findBestFTPlan over Q5's top-20 join orders must not allocate past the
+// budget. The ceilings sit ~1.5x over what they measure (Q1 0.35 MB / ~420
+// allocs, SQL Q3 0.86 MB / ~11,800, SQL Q5 2.0 MB / ~1,100, checkpointed Q5
+// 8.0 MB / ~2,000, the optimizer 0.20 MB / ~4,560; Q1's, SQL Q3's and
 // scan-filter-project's object counts, small enough or noisy enough to move by
 // a handful, keep a wider margin), so a trip means the arena or a kernel lost
 // its recycling path, a stage boundary copies its batch again, a join chained
@@ -427,10 +467,11 @@ type allocCeiling struct {
 // before joins chained), a wide operator repeats its shared work per
 // partition, the planner carries columns nothing reads, or a boxed row is
 // back between a stage and the checkpoint store (with one,
-// checkpointed Q5 reads 25 MB / ~400,000) — not timing noise: allocation
-// figures are deterministic in a way wall time is not. Gated behind
-// ALLOC_BUDGET=1 because testing.Benchmark reruns each workload until timing
-// stabilizes, which is too slow for the default test sweep.
+// checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds a plan per
+// configuration again (it read 1.11 MB / ~28,700 doing so) — not timing
+// noise: allocation figures are deterministic in a way wall time is not.
+// Gated behind ALLOC_BUDGET=1 because testing.Benchmark reruns each workload
+// until timing stabilizes, which is too slow for the default test sweep.
 func TestAllocBudget(t *testing.T) {
 	if os.Getenv("ALLOC_BUDGET") == "" {
 		t.Skip("set ALLOC_BUDGET=1 to enforce the allocation ceilings")
@@ -452,6 +493,7 @@ func TestAllocBudget(t *testing.T) {
 		"pipelined_q5":          toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ5)),
 		"checkpointed_q5":       toAllocPoint(testing.Benchmark(BenchmarkRuntimeCheckpointedQ5)),
 		"pipelined_q3_sql":      toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ3SQL)),
+		"findbest_q5_top20":     toAllocPoint(testing.Benchmark(BenchmarkFindBestFTPlanQ5)),
 	}
 	for name, ceiling := range budget {
 		got, ok := measured[name]
