@@ -49,10 +49,13 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list exited %d", code)
 	}
 	listing := readBack(t, stdout)
-	for _, name := range []string{"arenaown", "batchalias", "chanproto", "ckpterr", "costfloat", "ctxleak", "determin", "spanpair"} {
-		if !strings.Contains(listing, name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, listing)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(listing), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := "arenaown batchalias ckpterr costfloat determin spanpair"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("-list names = %q, want %q:\n%s", got, want, listing)
 	}
 }
 
@@ -91,14 +94,18 @@ func TestJSONFlag(t *testing.T) {
 	}
 }
 
+// TestUnknownAnalyzerExitsUsage also covers the retired channel-protocol
+// analyzers: their names are usage errors now, not silently empty runs.
 func TestUnknownAnalyzerExitsUsage(t *testing.T) {
-	stdout := tempFile(t)
-	stderr := tempFile(t)
-	if code := run([]string{"-run", "nosuch"}, stdout, stderr); code != 2 {
-		t.Fatalf("unknown analyzer exited %d, want 2", code)
-	}
-	if msg := readBack(t, stderr); !strings.Contains(msg, "unknown analyzer") {
-		t.Errorf("stderr missing diagnosis: %q", msg)
+	for _, name := range []string{"nosuch", "chanproto", "ctxleak"} {
+		stdout := tempFile(t)
+		stderr := tempFile(t)
+		if code := run([]string{"-run", name}, stdout, stderr); code != 2 {
+			t.Fatalf("-run %s exited %d, want 2", name, code)
+		}
+		if msg := readBack(t, stderr); !strings.Contains(msg, "unknown analyzer") {
+			t.Errorf("-run %s: stderr missing diagnosis: %q", name, msg)
+		}
 	}
 }
 

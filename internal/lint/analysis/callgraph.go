@@ -36,12 +36,6 @@ type CallNode struct {
 	// order), including functions outside the loaded packages — those have
 	// no CallNode and act as opaque leaves.
 	Calls []FuncID
-	// GoOnlyCalls marks callees this function reaches exclusively by
-	// launching them in a goroutine (`go f()`, or a call inside a
-	// go-launched function literal). Such a callee runs concurrently with
-	// the caller, so caller-blocking properties (an unguarded channel send,
-	// for instance) do not flow back across the edge.
-	GoOnlyCalls map[FuncID]bool
 }
 
 // CallGraph is the module-local call graph over every function declared in
@@ -71,63 +65,19 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				id := IDOf(obj)
 				node := &CallNode{ID: id, Decl: fd, Pkg: pkg}
 				seen := make(map[FuncID]bool)
-				launched := make(map[FuncID]bool) // called at least once under `go`
-				sync := make(map[FuncID]bool)     // called at least once synchronously
-				// goLaunch marks the CallExprs that are themselves `go f()`
-				// statements and the FuncLits that are go-launched bodies;
-				// calls lexically under the latter run in the new goroutine.
-				goLaunchCall := make(map[*ast.CallExpr]bool)
-				goLaunchLit := make(map[*ast.FuncLit]bool)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if g, ok := n.(*ast.GoStmt); ok {
-						if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-							goLaunchLit[lit] = true
-						} else {
-							goLaunchCall[g.Call] = true
-						}
-					}
-					return true
-				})
-				var stack []ast.Node
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if n == nil {
-						stack = stack[:len(stack)-1]
-						return true
-					}
-					stack = append(stack, n)
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
 					if callee := CalleeOf(pkg.TypesInfo, call); callee != nil {
-						cid := IDOf(callee)
-						if !seen[cid] {
+						if cid := IDOf(callee); !seen[cid] {
 							seen[cid] = true
 							node.Calls = append(node.Calls, cid)
-						}
-						inGo := goLaunchCall[call]
-						for _, anc := range stack {
-							if lit, ok := anc.(*ast.FuncLit); ok && goLaunchLit[lit] {
-								inGo = true
-								break
-							}
-						}
-						if inGo {
-							launched[cid] = true
-						} else {
-							sync[cid] = true
 						}
 					}
 					return true
 				})
-				for cid := range launched {
-					if !sync[cid] {
-						if node.GoOnlyCalls == nil {
-							node.GoOnlyCalls = make(map[FuncID]bool)
-						}
-						node.GoOnlyCalls[cid] = true
-					}
-				}
 				cg.Nodes[id] = node
 			}
 		}

@@ -51,12 +51,11 @@ type OrderSink struct {
 
 // FuncSummary captures the externally visible invariant-relevant behavior of
 // one function: what it does with ownership of its parameters, whether its
-// results are arena-owned or map-iteration-ordered, how it treats channels
-// it is handed, and which nondeterminism sources and span kinds it touches
-// directly. Summaries are computed bottom-up over the call graph's strongly
-// connected components, so these facts see through same-module helper
-// functions — including mutually recursive ones — regardless of package
-// boundaries.
+// results are arena-owned or map-iteration-ordered, and which nondeterminism
+// sources and span kinds it touches directly. Summaries are computed bottom-up
+// over the call graph's strongly connected components, so these facts see
+// through same-module helper functions — including mutually recursive ones —
+// regardless of package boundaries.
 type FuncSummary struct {
 	ID   FuncID
 	Decl *ast.FuncDecl
@@ -80,16 +79,6 @@ type FuncSummary struct {
 	// this function.
 	OrderSinks []OrderSink
 
-	// ClosesParams / SendsOnParams / ReceivesFromParams describe the
-	// channel protocol role the function takes for each channel parameter.
-	ClosesParams       []bool
-	SendsOnParams      []bool
-	ReceivesFromParams []bool
-
-	// NakedSends: blocking channel sends in this function's own scope with
-	// no done/stop guard (see UnguardedSends).
-	NakedSends []SendFinding
-
 	// TimeSites / RandSites: direct calls to time.Now/time.Since and
 	// math/rand in this function.
 	TimeSites []token.Pos
@@ -102,10 +91,6 @@ type FuncSummary struct {
 	// Calls: statically resolved callees, including opaque leaves outside
 	// the loaded packages.
 	Calls []FuncID
-
-	// GoOnlyCalls marks the subset of Calls reached exclusively via `go`
-	// (directly or inside a go-launched literal); see CallNode.GoOnlyCalls.
-	GoOnlyCalls map[FuncID]bool
 }
 
 // ParamEffect returns the ownership effect for parameter index i (0-based,
@@ -122,8 +107,7 @@ func (s *FuncSummary) ParamEffect(i int) OwnEffect {
 // export data in one package resolves to the summary computed from source in
 // another.
 type Summaries struct {
-	byID  map[FuncID]*FuncSummary
-	graph *CallGraph
+	byID map[FuncID]*FuncSummary
 }
 
 // ComputeSummaries builds the call graph over the loaded packages and
@@ -133,7 +117,7 @@ type Summaries struct {
 // iteration cap guards against surprises).
 func ComputeSummaries(pkgs []*Package) *Summaries {
 	cg := BuildCallGraph(pkgs)
-	s := &Summaries{byID: make(map[FuncID]*FuncSummary, len(cg.Nodes)), graph: cg}
+	s := &Summaries{byID: make(map[FuncID]*FuncSummary, len(cg.Nodes))}
 	for _, comp := range cg.SCCs() {
 		cyclic := len(comp) > 1 || selfLoop(comp[0])
 		for iter := 0; iter < 16; iter++ {
@@ -161,9 +145,6 @@ func selfLoop(n *CallNode) bool {
 	}
 	return false
 }
-
-// Graph returns the underlying call graph.
-func (s *Summaries) Graph() *CallGraph { return s.graph }
 
 // ByID returns the summary for id, or nil when the function was not loaded
 // from source (stdlib, interface methods, other modules).
@@ -198,15 +179,6 @@ func (s *Summaries) All() []*FuncSummary {
 // summary for opaque leaves (functions with no source), so seeds can match
 // stdlib calls like time.Now by FuncID alone.
 func (s *Summaries) Tainted(seed, through func(FuncID, *FuncSummary) bool) map[FuncID]bool {
-	return s.TaintedVia(seed, through, nil)
-}
-
-// TaintedVia is Tainted with an additional per-edge filter: taint flows from
-// callee to caller only when via(callerSum, calleeID) allows it (nil via
-// allows every edge). chanproto uses it to stop caller-blocking send facts
-// from crossing go-launch edges — a goroutine's send blocks the goroutine,
-// not whoever spawned it.
-func (s *Summaries) TaintedVia(seed, through func(FuncID, *FuncSummary) bool, via func(caller *FuncSummary, callee FuncID) bool) map[FuncID]bool {
 	tainted := make(map[FuncID]bool)
 	callers := make(map[FuncID][]FuncID)
 	var work []FuncID
@@ -222,9 +194,7 @@ func (s *Summaries) TaintedVia(seed, through func(FuncID, *FuncSummary) bool, vi
 			mark(id)
 		}
 		for _, c := range sum.Calls {
-			if via == nil || via(sum, c) {
-				callers[c] = append(callers[c], id)
-			}
+			callers[c] = append(callers[c], id)
 			if !seen[c] {
 				seen[c] = true
 				if s.byID[c] == nil && seed(c, nil) {
@@ -296,9 +266,6 @@ func (s *FuncSummary) fingerprint() uint64 {
 	count(s.OwnedResults)
 	count(s.OrderedResults)
 	count(s.SinksParams)
-	count(s.ClosesParams)
-	count(s.SendsOnParams)
-	count(s.ReceivesFromParams)
 	fp += uint64(len(s.OrderSinks)) << 24
 	fp += uint64(len(s.SpanKinds)) << 32
 	return fp
@@ -397,12 +364,11 @@ func summarize(node *CallNode, lookup func(FuncID) *FuncSummary) *FuncSummary {
 	}
 	fd := node.Decl
 	sum := &FuncSummary{
-		ID:          node.ID,
-		Decl:        fd,
-		Pkg:         node.Pkg,
-		Calls:       node.Calls,
-		GoOnlyCalls: node.GoOnlyCalls,
-		SpanKinds:   make(map[string]bool),
+		ID:        node.ID,
+		Decl:      fd,
+		Pkg:       node.Pkg,
+		Calls:     node.Calls,
+		SpanKinds: make(map[string]bool),
 	}
 	w.sum = sum
 
@@ -431,9 +397,6 @@ func summarize(node *CallNode, lookup func(FuncID) *FuncSummary) *FuncSummary {
 	}
 	sum.Params = make([]OwnEffect, nparams)
 	sum.SinksParams = make([]bool, nparams)
-	sum.ClosesParams = make([]bool, nparams)
-	sum.SendsOnParams = make([]bool, nparams)
-	sum.ReceivesFromParams = make([]bool, nparams)
 	nres := 0
 	if fd.Type.Results != nil {
 		for _, field := range fd.Type.Results.List {
@@ -447,11 +410,9 @@ func summarize(node *CallNode, lookup func(FuncID) *FuncSummary) *FuncSummary {
 	sum.OwnedResults = make([]bool, nres)
 	sum.OrderedResults = make([]bool, nres)
 
-	sum.NakedSends = UnguardedSends(node.Pkg.TypesInfo, node.Pkg.Files, fd.Body)
-
 	// One source-order walk: assignments and sort calls update the
-	// owned/ordered variable states; effects, sinks and protocol facts are
-	// recorded as encountered.
+	// owned/ordered variable states; effects and sinks are recorded as
+	// encountered.
 	var stack []ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -556,34 +517,11 @@ func (w *summarizer) visit(n ast.Node) {
 	case *ast.AssignStmt:
 		w.visitAssign(s)
 	case *ast.SendStmt:
-		if obj := w.argIdentObj(s.Chan); obj != nil {
-			if i, ok := w.paramIdx[obj]; ok {
-				w.sum.SendsOnParams[i] = true
-			}
-		}
+		// Sending a value on a channel hands its ownership to the receiver.
 		if obj := w.argIdentObj(s.Value); obj != nil {
 			w.paramEffect(obj, EffTransfers)
 		}
-	case *ast.UnaryExpr:
-		if s.Op == token.ARROW {
-			if obj := w.argIdentObj(s.X); obj != nil {
-				if i, ok := w.paramIdx[obj]; ok {
-					w.sum.ReceivesFromParams[i] = true
-				}
-			}
-		}
 	case *ast.RangeStmt:
-		// Ranging over a channel parameter is a receive; over a map, record
-		// the iteration variables.
-		if obj := w.argIdentObj(s.X); obj != nil {
-			if i, ok := w.paramIdx[obj]; ok {
-				if tv, ok := w.info.Types[s.X]; ok && tv.Type != nil {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						w.sum.ReceivesFromParams[i] = true
-					}
-				}
-			}
-		}
 		if w.isMapRange(s) {
 			for _, e := range []ast.Expr{s.Key, s.Value} {
 				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
@@ -694,28 +632,16 @@ func (w *summarizer) visitReturn(s *ast.ReturnStmt) {
 }
 
 func (w *summarizer) visitCall(call *ast.CallExpr) {
-	// Builtins: close and append.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch id.Name {
-		case "close":
-			if len(call.Args) == 1 {
-				if obj := w.argIdentObj(call.Args[0]); obj != nil {
-					if i, ok := w.paramIdx[obj]; ok {
-						w.sum.ClosesParams[i] = true
-					}
+	// The append builtin: appended values escape into the slice.
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
+		if len(call.Args) > 0 {
+			for _, arg := range call.Args[1:] {
+				if obj := w.argIdentObj(arg); obj != nil {
+					w.paramEffect(obj, EffTransfers)
 				}
 			}
-			return
-		case "append":
-			if len(call.Args) > 0 {
-				for _, arg := range call.Args[1:] {
-					if obj := w.argIdentObj(arg); obj != nil {
-						w.paramEffect(obj, EffTransfers)
-					}
-				}
-			}
-			return
 		}
+		return
 	}
 
 	callee := CalleeOf(w.info, call)
@@ -774,7 +700,7 @@ func (w *summarizer) visitCall(call *ast.CallExpr) {
 		}
 	}
 
-	// Per-argument facts: ownership effects, sink flow, close-through-callee.
+	// Per-argument facts: ownership effects and sink flow.
 	isSink := callee != nil && sinkNameRE.MatchString(callee.Name())
 	orderReported := false
 	for ai, arg := range call.Args {
@@ -782,21 +708,6 @@ func (w *summarizer) visitCall(call *ast.CallExpr) {
 		if gsum != nil && ai < len(gsum.Params) {
 			if eff := gsum.Params[ai]; eff.Consumes() && obj != nil {
 				w.paramEffect(obj, eff)
-			}
-			if gsum.ClosesParams[ai] && obj != nil {
-				if i, ok := w.paramIdx[obj]; ok {
-					w.sum.ClosesParams[i] = true
-				}
-			}
-			if gsum.SendsOnParams[ai] && obj != nil {
-				if i, ok := w.paramIdx[obj]; ok {
-					w.sum.SendsOnParams[i] = true
-				}
-			}
-			if gsum.ReceivesFromParams[ai] && obj != nil {
-				if i, ok := w.paramIdx[obj]; ok {
-					w.sum.ReceivesFromParams[i] = true
-				}
 			}
 		}
 		sinkArg := isSink || (gsum != nil && ai < len(gsum.SinksParams) && gsum.SinksParams[ai])

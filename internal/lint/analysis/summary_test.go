@@ -124,26 +124,6 @@ func TestMapOrderTaint(t *testing.T) {
 	}
 }
 
-func TestChannelProtocolFacts(t *testing.T) {
-	s := loadDemo(t)
-	if sum := mustSummary(t, s, demo+"/ordered.CloseIt"); !sum.ClosesParams[0] {
-		t.Error("CloseIt: direct close not recorded")
-	}
-	if sum := mustSummary(t, s, demo+"/ordered.CloseVia"); !sum.ClosesParams[0] {
-		t.Error("CloseVia: close through helper not propagated")
-	}
-	sr := mustSummary(t, s, demo+"/ordered.SendRecv")
-	if !sr.ReceivesFromParams[0] {
-		t.Error("SendRecv: receive from param 0 not recorded")
-	}
-	if !sr.SendsOnParams[1] {
-		t.Error("SendRecv: send on param 1 not recorded")
-	}
-	if len(sr.NakedSends) != 1 {
-		t.Errorf("SendRecv: want 1 naked send, got %d", len(sr.NakedSends))
-	}
-}
-
 func TestNondeterminismTaintClosure(t *testing.T) {
 	s := loadDemo(t)
 	if sum := mustSummary(t, s, demo+"/ordered.Stamp"); len(sum.TimeSites) == 0 {

@@ -1,5 +1,5 @@
-// Package ordered exercises map-order taint, channel-protocol facts, and
-// nondeterminism-source recording in summaries.
+// Package ordered exercises map-order taint and nondeterminism-source
+// recording in summaries.
 package ordered
 
 import (
@@ -51,22 +51,6 @@ func DumpInline(w io.Writer, m map[string]int) {
 	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v)
 	}
-}
-
-// CloseIt closes its channel parameter directly.
-func CloseIt(ch chan int) {
-	close(ch)
-}
-
-// CloseVia closes through a helper: ClosesParams must propagate.
-func CloseVia(ch chan int) {
-	CloseIt(ch)
-}
-
-// SendRecv records channel roles.
-func SendRecv(in <-chan int, out chan<- int) {
-	v := <-in
-	out <- v
 }
 
 // Stamp calls time.Now directly: one TimeSite.

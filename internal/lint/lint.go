@@ -7,10 +7,8 @@ import (
 	"ftpde/internal/lint/analysis"
 	"ftpde/internal/lint/arenaown"
 	"ftpde/internal/lint/batchalias"
-	"ftpde/internal/lint/chanproto"
 	"ftpde/internal/lint/ckpterr"
 	"ftpde/internal/lint/costfloat"
-	"ftpde/internal/lint/ctxleak"
 	"ftpde/internal/lint/determin"
 	"ftpde/internal/lint/spanpair"
 )
@@ -19,10 +17,8 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	arenaown.Analyzer,
 	batchalias.Analyzer,
-	chanproto.Analyzer,
 	ckpterr.Analyzer,
 	costfloat.Analyzer,
-	ctxleak.Analyzer,
 	determin.Analyzer,
 	spanpair.Analyzer,
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"reflect"
 	goruntime "runtime"
+	"runtime/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,6 +90,44 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting until %s\n%s", what, buf[:goruntime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// executeWithin is r.Execute bounded by within. Every test that runs a query
+// on its own goroutine goes through it, so a query that never returns fails
+// that test rather than the package's timeout.
+func executeWithin(t *testing.T, r *Runtime, ctx context.Context, root engine.Operator) (res *engine.PartitionedResult, rep *engine.Report, err error) {
+	t.Helper()
+	within(t, 10*time.Second, func() { res, rep, err = r.Execute(ctx, root) })
+	return res, rep, err
+}
+
+// hung is set once a within call has timed out. The goroutine it left blocked
+// may hold what later tests wait on, and the same defect would cost every later
+// call its whole deadline, so later calls fail at once instead.
+var hung atomic.Bool
+
+// within runs f and fails the test, with every goroutine's stack, if f has
+// not returned after d: a blocked channel operation fails the test that met it,
+// by name, instead of hanging the package until the go test timeout. f must not
+// call t.Fatal.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	if hung.Load() {
+		t.Fatal("not run: an earlier call did not return within its deadline")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		var stacks bytes.Buffer
+		pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		hung.Store(true)
+		t.Fatalf("did not return within %v\n%s", d, stacks.String())
 	}
 }
 
@@ -433,7 +473,7 @@ func TestStoreErrorFailsTheQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := goruntime.NumGoroutine()
-			res, _, err := r.Execute(context.Background(), root)
+			res, _, err := executeWithin(t, r, context.Background(), root)
 			waitForGoroutines(t, before, arm.name)
 			if !errors.Is(err, errDisk) || res != nil {
 				t.Fatalf("Execute = (%v, %v), want no result and an error wrapping %q", res, err, errDisk)

@@ -343,7 +343,7 @@ func TestDifferentialOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := outcomeOf(r.Execute(context.Background(), root))
+					got := outcomeOf(executeWithin(t, r, context.Background(), root))
 					if arm.kill && arm.recovery == schemes.CoarseRestart && overlapping && !got.err && got.failures == 1 {
 						got.failures = want.failures
 					}

@@ -101,7 +101,7 @@ func mustExecute(t *testing.T, cfg Config, root engine.Operator) (*engine.Partit
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := r.Execute(context.Background(), root)
+	res, rep, err := executeWithin(t, r, context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}

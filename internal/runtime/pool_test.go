@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,9 @@ func TestPoolAcquireRelease(t *testing.T) {
 	// A third acquire must respect context cancellation while parked.
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 	defer cancel()
-	if err := p.Acquire(cctx); !errors.Is(err, context.DeadlineExceeded) {
+	var err error
+	within(t, 5*time.Second, func() { err = p.Acquire(cctx) })
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("parked Acquire = %v, want deadline exceeded", err)
 	}
 	p.Release()
@@ -62,25 +65,47 @@ func TestPoolUtilizationCountsWaiters(t *testing.T) {
 	p.Release()
 }
 
-// TestPoolAcquireAfterCloseTypedError pins the typed error contract: both a
-// parked Acquire and a post-Close Acquire observe ErrPoolClosed.
+// TestPoolAcquireAfterCloseTypedError pins the typed error contract of a
+// parked Acquire on a full pool — its context's error on cancel, ErrPoolClosed
+// on Close — and of an Acquire after Close. Each release is bounded by within,
+// so an Acquire that blocks past it fails here by name.
 func TestPoolAcquireAfterCloseTypedError(t *testing.T) {
 	p := NewPool(1)
 	ctx := context.Background()
 	if err := p.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	parked := make(chan error, 1)
-	go func() { parked <- p.Acquire(ctx) }()
-	for i := 0; p.Waiting() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
+	before := goruntime.NumGoroutine()
+	// parkThenRelease parks one Acquire on the full pool, calls release, and
+	// returns what the parked Acquire returned.
+	parkThenRelease := func(ctx context.Context, release func()) error {
+		parked := make(chan error, 1)
+		go func() { parked <- p.Acquire(ctx) }()
+		waitFor(t, "an Acquire is parked", func() bool { return p.Waiting() == 1 })
+		var err error
+		within(t, 5*time.Second, func() {
+			release()
+			err = <-parked
+		})
+		return err
 	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	if err := parkThenRelease(cctx, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked Acquire on cancel = %v, want context.Canceled", err)
+	}
+	if got := p.Waiting(); got != 0 {
+		t.Fatalf("Waiting after the cancel = %d, want 0", got)
+	}
+
 	closed := make(chan struct{})
-	go func() {
-		p.Close()
-		close(closed)
-	}()
-	if err := <-parked; !errors.Is(err, ErrPoolClosed) {
+	closePool := func() {
+		go func() {
+			p.Close()
+			close(closed)
+		}()
+	}
+	if err := parkThenRelease(ctx, closePool); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("parked Acquire during Close = %v, want ErrPoolClosed", err)
 	}
 	select {
@@ -89,13 +114,14 @@ func TestPoolAcquireAfterCloseTypedError(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	p.Release()
-	<-closed
+	within(t, 5*time.Second, func() { <-closed })
 	if err := p.Acquire(ctx); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Acquire after Close = %v, want ErrPoolClosed", err)
 	}
 	if !p.Closed() {
 		t.Fatal("Closed() = false after Close")
 	}
+	waitForGoroutines(t, before, "after Close")
 }
 
 // TestPoolCloseDrainsOtherQueries verifies the shared-pool drain contract:
@@ -220,7 +246,7 @@ func TestSharedPoolExecuteAfterCloseFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = rt.Execute(context.Background(), tpchQueries()["q1"](t, cat))
+	_, _, err = executeWithin(t, rt, context.Background(), tpchQueries()["q1"](t, cat))
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Execute on closed pool = %v, want ErrPoolClosed", err)
 	}

@@ -3,7 +3,9 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 
 	"ftpde/internal/engine"
@@ -49,7 +51,7 @@ func runQuery(t *testing.T, root engine.Operator, cfg Config) (float64, int64, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := r.Execute(context.Background(), root)
+	res, rep, err := executeWithin(t, r, context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestCoarseRestartAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := r.Execute(context.Background(), testPipeline(t, 2, false))
+	_, rep, err := executeWithin(t, r, context.Background(), testPipeline(t, 2, false))
 	if err == nil {
 		t.Fatal("expected abort error")
 	}
@@ -264,8 +266,89 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Execute(ctx, testPipeline(t, 4, false)); err == nil {
+	if _, _, err := executeWithin(t, r, ctx, testPipeline(t, 4, false)); err == nil {
 		t.Fatal("expected error from cancelled context")
+	}
+}
+
+// cancelAt is a FailureInjector that kills where its script says and cancels
+// the query from inside FailCompute at one (op, part, attempt): the cut point
+// is a fixed position in the partition loop, not a timer.
+type cancelAt struct {
+	script  *engine.ScriptedFailures
+	op      string
+	part    int
+	attempt int
+	cancel  context.CancelFunc
+	fired   atomic.Bool
+}
+
+func (c *cancelAt) FailCompute(op string, part, attempt int) bool {
+	if op == c.op && part == c.part && attempt == c.attempt {
+		c.fired.Store(true)
+		c.cancel()
+	}
+	return c.script.FailCompute(op, part, attempt)
+}
+
+// TestCancelMidQueryTerminates: a query cancelled before it starts, while a
+// stage runs, during a fine recovery or during a coarse restart returns the
+// context's error within a deadline, leaves no goroutine behind, and writes
+// nothing to the store after Execute has returned. The materialized join keeps
+// checkpoint writes in flight at the cut.
+func TestCancelMidQueryTerminates(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		kill     bool // kill join/2 on its first attempt
+		attempt  int  // cancel on this attempt of join/2; -1 cancels before Execute
+		recovery schemes.Recovery
+	}{
+		{"pre-cancelled", false, -1, schemes.FineGrained},
+		{"first attempt, mid-stage", false, 0, schemes.FineGrained},
+		{"fine recovery, attempt 1", true, 1, schemes.FineGrained},
+		{"coarse restart", true, 1, schemes.CoarseRestart},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			inj := &cancelAt{script: engine.NewScriptedFailures(), op: "join", part: 2, attempt: row.attempt, cancel: cancel}
+			if row.kill {
+				inj.script.Add("join", 2, 0)
+			}
+			if row.attempt < 0 {
+				cancel()
+			}
+			store := &countingStore{MatStore: engine.NewMatStore(), groups: map[string][]int{}}
+			written := func() string {
+				store.mu.Lock()
+				defer store.mu.Unlock()
+				return fmt.Sprint(store.groups)
+			}
+			r, err := New(Config{Nodes: 4, Store: store, Injector: inj, Recovery: row.recovery, MaxRestarts: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := testPipeline(t, 4, true)
+			before := goruntime.NumGoroutine()
+			res, rep, err := executeWithin(t, r, ctx, root)
+			atReturn := written()
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("Execute = (%v, %v), want no result and context.Canceled", res, err)
+			}
+			if row.attempt >= 0 && !inj.fired.Load() {
+				t.Fatalf("join/2 never reached attempt %d", row.attempt)
+			}
+			if row.kill && rep.Failures == 0 {
+				t.Error("the kill before the cancel did not fire")
+			}
+			if row.recovery == schemes.CoarseRestart && rep.Restarts != 1 {
+				t.Errorf("restarts = %d, want 1", rep.Restarts)
+			}
+			waitForGoroutines(t, before, row.name)
+			if got := written(); got != atReturn {
+				t.Errorf("store written after Execute returned: %s, then %s", atReturn, got)
+			}
+		})
 	}
 }
 

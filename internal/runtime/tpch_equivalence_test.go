@@ -79,7 +79,7 @@ func pipelinedRows(t *testing.T, cat *engine.Catalog, build queryBuilder, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := r.Execute(context.Background(), build(t, cat))
+	res, rep, err := executeWithin(t, r, context.Background(), build(t, cat))
 	if err != nil {
 		t.Fatal(err)
 	}

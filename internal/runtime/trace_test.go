@@ -84,7 +84,7 @@ func TestPipelinedScriptedFailureTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Execute(context.Background(), q); err != nil {
+	if _, _, err := executeWithin(t, r, context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	spans := tracer.Snapshot()
@@ -139,7 +139,7 @@ func TestTracingDisabledIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, rep1, err := r1.Execute(context.Background(), build())
+	res1, rep1, err := executeWithin(t, r1, context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTracingDisabledIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, rep2, err := r2.Execute(context.Background(), build())
+	res2, rep2, err := executeWithin(t, r2, context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPipelinedLedgerReconcilesWithSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Execute(context.Background(), q); err != nil {
+	if _, _, err := executeWithin(t, r, context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	assertLedgerReconciles(t, m.Ledger().Snapshot(), tracer.Snapshot(), int64(len(points)))

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,26 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// within runs f and fails the test, with every goroutine's stack, if f has
+// not returned after d: a blocked channel operation fails the test that met it,
+// by name, instead of hanging the package until the go test timeout. f must not
+// call t.Fatal.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		var stacks bytes.Buffer
+		pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		t.Fatalf("did not return within %v\n%s", d, stacks.String())
+	}
 }
 
 func TestProtoRoundtrip(t *testing.T) {
@@ -129,6 +151,66 @@ func TestQueueFullTypedReject(t *testing.T) {
 	if err := <-parked; err != nil {
 		t.Fatalf("parked request failed after release: %v", err)
 	}
+}
+
+// TestParkedAdmissionIsReleased: a Submit parked in the admission queue
+// behind a held execution slot leaves it when its context is cancelled, with
+// the context's error, and when the server drains, with a draining reject;
+// neither leaves a waiter counted or a goroutine behind.
+func TestParkedAdmissionIsReleased(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	before := goruntime.NumGoroutine()
+	holder, rej, err := s.admitGlobal(context.Background(), "holder")
+	if err != nil || rej != nil {
+		t.Fatalf("holder admission failed: %v %v", err, rej)
+	}
+	// Registered after the server's Close, so it runs first: a Submit still
+	// parked when the test fails gets the slot, and Close's drain can end.
+	release := sync.OnceFunc(holder)
+	t.Cleanup(release)
+	// parkThenRelease parks one Submit behind the held slot, calls release,
+	// and returns what the parked Submit returned.
+	parkThenRelease := func(ctx context.Context, release func()) error {
+		parked := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(ctx, Request{Tenant: "queued", Query: "SELECT n_name FROM nation"})
+			parked <- err
+		}()
+		for i := 0; s.QueueDepth() == 0 && i < 5000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if s.QueueDepth() != 1 {
+			t.Fatal("request did not park in the waiter queue")
+		}
+		var err error
+		within(t, 5*time.Second, func() {
+			release()
+			err = <-parked
+		})
+		return err
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := parkThenRelease(ctx, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked Submit on cancel = %v, want context.Canceled", err)
+	}
+	if got := s.QueueDepth(); got != 0 {
+		t.Fatalf("queue depth after the cancel = %d, want 0", got)
+	}
+
+	err = parkThenRelease(context.Background(), s.Drain)
+	if rej, ok := AsReject(err); !ok || rej.Code != RejectDraining {
+		t.Fatalf("parked Submit on Drain = %v, want a draining Reject", err)
+	}
+	if got := s.QueueDepth(); got != 0 {
+		t.Fatalf("queue depth after the drain = %d, want 0", got)
+	}
+	release()
+	within(t, 5*time.Second, func() {
+		for goruntime.NumGoroutine() > before+1 { // +1: within's own goroutine
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // TestTenantQuotaReject: a tenant with an exhausted token bucket is shed
