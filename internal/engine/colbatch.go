@@ -101,6 +101,30 @@ func (v *Vector) gather(sel []int32) Vector {
 	return out
 }
 
+// appendAt appends element p of src, a vector of v's type.
+func (v *Vector) appendAt(src *Vector, p int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints = append(v.Ints, src.Ints[p])
+	case TypeFloat:
+		v.Floats = append(v.Floats, src.Floats[p])
+	default:
+		v.Strings = append(v.Strings, src.Strings[p])
+	}
+}
+
+// setAt overwrites element i with element p of src, a vector of v's type.
+func (v *Vector) setAt(i int, src *Vector, p int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints[i] = src.Ints[p]
+	case TypeFloat:
+		v.Floats[i] = src.Floats[p]
+	default:
+		v.Strings[i] = src.Strings[p]
+	}
+}
+
 // slice returns the [lo,hi) window sharing the underlying arrays.
 func (v *Vector) slice(lo, hi int) Vector {
 	out := Vector{Type: v.Type}

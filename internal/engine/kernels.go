@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 )
 
@@ -159,21 +160,34 @@ func (k *projectKernel) Process(b *Batch) (*Batch, error) {
 
 func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 
-// aggKernel is the stateful grouping kernel behind HashAggregate: it
-// accumulates group state across batches through typed column access and
-// emits the sorted result at Flush. It embeds the oracle's groupTable for the
-// group state and the output assembly (groupTable.rows); group signatures
-// render values the same way on both paths.
+// aggKernel is the typed grouping kernel behind HashAggregate's batch forms,
+// every phase of a two-phase aggregation included (the oracle's groupTable is
+// Compute's alone). It keeps a signature → group map, the key columns and
+// each aggregate's accumulators as typed slices indexed by group, and at Flush
+// sorts the groups by signature — the oracle's output order — and gathers
+// each output column once. No value is boxed.
 type aggKernel struct {
-	groupTable
-	loc *Local
-	sig []byte // reused per-row signature buffer
+	op    *HashAggregate
+	loc   *Local
+	sig   []byte           // reused per-row signature buffer
+	gids  []int32          // reused: each row's group, for the window at hand
+	index map[string]int32 // group signature → group
+	sigs  []string         // group → signature
+	keys  []Vector         // per group column: group → key value
+	accs  []aggAcc         // per aggregate: group → state
+}
+
+// aggAcc is one aggregate's state, indexed by group.
+type aggAcc struct {
+	sums   []float64 // SUM, AVG and its merge
+	counts []int64   // COUNT, AVG and their merges
+	ext    Vector    // MIN or MAX: the extreme value so far, in the argument's type
 }
 
 func newAggKernel(op *HashAggregate) *aggKernel { return newAggKernelLocal(op, nil) }
 
 func newAggKernelLocal(op *HashAggregate, loc *Local) *aggKernel {
-	return &aggKernel{groupTable: newGroupTable(op), loc: loc}
+	return &aggKernel{op: op, loc: loc, index: make(map[string]int32)}
 }
 
 // appendSigValue renders one group-key value exactly like the interpreted
@@ -190,81 +204,221 @@ func appendSigValue(dst []byte, v *Vector, p int) []byte {
 	return append(dst, '|')
 }
 
-func (k *aggKernel) Process(b *Batch) (*Batch, error) {
-	if b.Len() == 0 {
-		b.Release(k.loc)
-		return nil, nil
-	}
+// check rejects a batch the aggregate cannot fold, in the oracle's words
+// where the oracle has an error for it.
+func (k *aggKernel) check(b *Batch) error {
 	a := k.op
 	width := len(b.Cols)
 	for _, g := range a.groupCols {
 		if g >= width {
-			return nil, fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, g)
+			return fmt.Errorf("engine: aggregate %s group column %d out of range", a.name, g)
 		}
 	}
 	for _, spec := range a.aggs {
 		if spec.Kind == AggCount {
 			continue
 		}
-		if spec.Col >= width {
-			return nil, fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
+		if spec.Col >= width || (spec.Kind == aggAvgMerge && spec.Col+1 >= width) {
+			return fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
 		}
-		if (spec.Kind == AggSum || spec.Kind == AggAvg) && b.Cols[spec.Col].Type == TypeString {
-			return nil, fmt.Errorf("engine: aggregate %s over non-numeric string", a.name)
+		if spec.Kind == AggMin || spec.Kind == AggMax {
+			continue
+		}
+		if b.Cols[spec.Col].Type == TypeString {
+			return fmt.Errorf("engine: aggregate %s over non-numeric string", a.name)
+		}
+		count := -1 // the column holding partial counts, for a merge
+		switch spec.Kind {
+		case aggCountMerge:
+			count = spec.Col
+		case aggAvgMerge:
+			count = spec.Col + 1
+		}
+		if count >= 0 && b.Cols[count].Type != TypeInt {
+			return fmt.Errorf("engine: aggregate %s merges a count of type %s", a.name, goTypeName(b.Cols[count].Type))
 		}
 	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		p := i
-		if b.Sel != nil {
-			p = int(b.Sel[i])
+	return nil
+}
+
+func (k *aggKernel) Process(b *Batch) (*Batch, error) {
+	if b.Len() == 0 {
+		b.Release(k.loc)
+		return nil, nil
+	}
+	if err := k.check(b); err != nil {
+		return nil, err
+	}
+	a := k.op
+	if k.accs == nil { // every batch of the stream has the first one's column types
+		k.keys = make([]Vector, len(a.groupCols))
+		for ki, g := range a.groupCols {
+			k.keys[ki].Type = b.Cols[g].Type
 		}
-		k.sig = k.sig[:0]
-		for _, g := range a.groupCols {
-			k.sig = appendSigValue(k.sig, &b.Cols[g], p)
-		}
-		st, ok := k.groups[string(k.sig)]
-		if !ok {
-			key := make(Row, len(a.groupCols))
-			for gi, g := range a.groupCols {
-				key[gi] = b.Cols[g].Value(p)
-			}
-			st = newAggState(key, len(a.aggs))
-			sig := string(k.sig)
-			k.groups[sig] = st
-			k.order = append(k.order, sig)
-		}
+		k.accs = make([]aggAcc, len(a.aggs))
 		for si, spec := range a.aggs {
-			if spec.Kind == AggCount {
-				st.counts[si]++
-				continue
-			}
-			vec := &b.Cols[spec.Col]
-			if vec.Type != TypeString {
-				st.sums[si] += numAt(vec, p)
-			}
-			st.counts[si]++
 			if spec.Kind == AggMin || spec.Kind == AggMax {
-				st.updateMinMax(si, vec.Value(p))
+				k.accs[si].ext.Type = b.Cols[spec.Col].Type
 			}
 		}
 	}
-	// The group state boxes its own copies of the key values, so the input's
+	// A whole partition (the batch form) goes through in windows, so the
+	// per-row group buffer stays one window long.
+	for lo, n := 0, b.Len(); lo < n; lo += DefaultBatchSize {
+		gids := k.gids[:0]
+		for i := lo; i < min(lo+DefaultBatchSize, n); i++ {
+			p := at(b.Sel, i)
+			k.sig = k.sig[:0]
+			for _, g := range a.groupCols {
+				k.sig = appendSigValue(k.sig, &b.Cols[g], p)
+			}
+			gi, ok := k.index[string(k.sig)]
+			if !ok {
+				gi = k.newGroup(b, p)
+			}
+			gids = append(gids, gi)
+		}
+		k.gids = gids
+		for si, spec := range a.aggs {
+			k.accs[si].fold(spec, b, lo, gids)
+		}
+	}
+	// The state holds its own copies of the keys and values, so the input's
 	// storage is no longer referenced and can recycle.
 	b.Release(k.loc)
 	return nil, nil
 }
 
+// newGroup opens the group of row p, whose signature is in k.sig. MIN and MAX
+// start at the row's value, which the fold that follows compares to itself.
+func (k *aggKernel) newGroup(b *Batch, p int) int32 {
+	gi := int32(len(k.sigs))
+	sig := string(k.sig)
+	k.index[sig] = gi
+	k.sigs = append(k.sigs, sig)
+	for ki, g := range k.op.groupCols {
+		k.keys[ki].appendAt(&b.Cols[g], p)
+	}
+	for si, spec := range k.op.aggs {
+		acc := &k.accs[si]
+		acc.sums = append(acc.sums, 0)
+		acc.counts = append(acc.counts, 0)
+		if spec.Kind == AggMin || spec.Kind == AggMax {
+			acc.ext.appendAt(&b.Cols[spec.Col], p)
+		}
+	}
+	return gi
+}
+
+// fold adds the batch's rows from logical row lo on, row lo+i to group
+// gids[i], in row order: the oracle's order of float additions within a group.
+func (acc *aggAcc) fold(spec AggSpec, b *Batch, lo int, gids []int32) {
+	sel := b.Sel
+	switch spec.Kind {
+	case AggCount:
+		for _, g := range gids {
+			acc.counts[g]++
+		}
+	case AggSum, AggAvg, aggAvgMerge:
+		sumInto(acc.sums, &b.Cols[spec.Col], sel, lo, gids)
+		switch spec.Kind {
+		case AggAvg:
+			for _, g := range gids {
+				acc.counts[g]++
+			}
+		case aggAvgMerge:
+			countInto(acc.counts, b.Cols[spec.Col+1].Ints, sel, lo, gids)
+		}
+	case aggCountMerge:
+		countInto(acc.counts, b.Cols[spec.Col].Ints, sel, lo, gids)
+	case AggMin, AggMax:
+		want := -1
+		if spec.Kind == AggMax {
+			want = 1
+		}
+		v := &b.Cols[spec.Col]
+		for i, g := range gids {
+			p := at(sel, lo+i)
+			// One column type on both sides: the comparison cannot fail.
+			if c, _ := compareVecVals(v, p, &acc.ext, int(g)); c == want {
+				acc.ext.setAt(int(g), v, p)
+			}
+		}
+	}
+}
+
+// sumInto adds each value of v in the window to its group's sum.
+func sumInto(sums []float64, v *Vector, sel []int32, lo int, gids []int32) {
+	if v.Type == TypeInt {
+		for i, g := range gids {
+			sums[g] += float64(v.Ints[at(sel, lo+i)])
+		}
+		return
+	}
+	for i, g := range gids {
+		sums[g] += v.Floats[at(sel, lo+i)]
+	}
+}
+
+// countInto adds each partial count in the window to its group's count.
+func countInto(counts, partial []int64, sel []int32, lo int, gids []int32) {
+	for i, g := range gids {
+		counts[g] += partial[at(sel, lo+i)]
+	}
+}
+
+// Flush emits one row per group, ordered by signature: the group columns,
+// then each aggregate's value, gathered column by column. An output schema
+// the values do not fit is an ErrNotColumnar error.
 func (k *aggKernel) Flush() (*Batch, error) {
-	out, err := k.rows()
-	if err != nil || out == nil {
-		return nil, err
+	n := len(k.sigs)
+	if n == 0 {
+		return nil, nil
 	}
-	ob, err := RowsToBatch(k.op.schema, out)
-	if err != nil {
-		return nil, fmt.Errorf("engine: aggregate %s output: %w", k.op.name, err)
+	a := k.op
+	if len(a.schema) != len(a.groupCols)+len(a.aggs) {
+		return nil, fmt.Errorf("engine: aggregate %s yields %d columns, its schema %d: %w",
+			a.name, len(a.groupCols)+len(a.aggs), len(a.schema), ErrNotColumnar)
 	}
-	return ob, nil
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return k.sigs[order[i]] < k.sigs[order[j]] })
+	cols := make([]Vector, 0, len(a.schema))
+	for ki := range k.keys {
+		cols = append(cols, k.keys[ki].gather(order))
+	}
+	for si, spec := range a.aggs {
+		acc := &k.accs[si]
+		var v Vector
+		switch spec.Kind {
+		case AggSum:
+			v = Vector{Type: TypeFloat, Floats: acc.sums}
+		case AggCount, aggCountMerge:
+			v = Vector{Type: TypeInt, Ints: acc.counts}
+		case AggAvg, aggAvgMerge:
+			avgs := make([]float64, n)
+			for g, c := range acc.counts {
+				if c != 0 {
+					avgs[g] = acc.sums[g] / float64(c)
+				}
+			}
+			v = Vector{Type: TypeFloat, Floats: avgs}
+		case AggMin, AggMax:
+			v = acc.ext
+		default:
+			return nil, fmt.Errorf("engine: unknown aggregate kind %d", int(spec.Kind))
+		}
+		cols = append(cols, v.gather(order))
+	}
+	for ci := range cols {
+		if cols[ci].Type != a.schema[ci].Type {
+			return nil, fmt.Errorf("engine: aggregate %s output column %d (%s) holds %s values, column is %s: %w",
+				a.name, ci, a.schema[ci].Name, cols[ci].Type, a.schema[ci].Type, ErrNotColumnar)
+		}
+	}
+	return &Batch{Schema: a.schema, Cols: cols, nrows: n}, nil
 }
 
 // limitKernel passes through the first remaining rows of the stream — a

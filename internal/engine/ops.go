@@ -432,10 +432,48 @@ const (
 	AggAvg
 )
 
+// The merge kinds fold the partial rows of a two-phase aggregation (aggSplits).
+const (
+	// aggCountMerge adds up partial counts, an int64 column.
+	aggCountMerge AggKind = iota + AggAvg + 1
+	// aggAvgMerge adds up partial sums (column Col) and partial counts (Col+1)
+	// and divides.
+	aggAvgMerge
+)
+
+// aggOutType is the type of the value spec yields over rows of schema in: SUM
+// and AVG accumulate in float64, counts are int64, MIN and MAX hand back one
+// of the argument's own values.
+func aggOutType(spec AggSpec, in Schema) ColType {
+	switch spec.Kind {
+	case AggCount, aggCountMerge:
+		return TypeInt
+	case AggMin, AggMax:
+		return in[spec.Col].Type
+	}
+	return TypeFloat
+}
+
 // AggSpec is one aggregate over an input column.
 type AggSpec struct {
 	Kind AggKind
 	Col  int // ignored for AggCount
+}
+
+// aggSplits is the decomposition of each aggregate into a partial phase, run
+// partition-wise where the rows are, and a merge phase over the partials: the
+// partial aggregates it splits into (laid out in this order) and the kind that
+// merges them. SUM is a sum of sums, COUNT a sum of counts, MIN and MAX are
+// their own merge, AVG keeps a sum and a count and divides at the end.
+var aggSplits = [...]struct {
+	partial []AggKind
+	merge   AggKind
+}{
+	AggSum:   {[]AggKind{AggSum}, AggSum},
+	AggCount: {[]AggKind{AggCount}, aggCountMerge},
+	AggMin:   {[]AggKind{AggMin}, AggMin},
+	AggMax:   {[]AggKind{AggMax}, AggMax},
+	AggAvg:   {[]AggKind{AggSum, AggCount}, aggAvgMerge},
 }
 
 // HashAggregate groups rows and computes aggregates. When Global is set the
@@ -458,11 +496,51 @@ func NewHashAggregate(name string, in Operator, groupCols []int, aggs []AggSpec,
 	}
 }
 
+// NewPartialAggregate creates the partial phase of aggregating aggs over in,
+// grouped on groupCols: partition-wise, one row per group of the partition —
+// the group columns, then the partial aggregates aggSplits lists for each of
+// aggs, in order.
+func NewPartialAggregate(name string, in Operator, groupCols []int, aggs []AggSpec) *HashAggregate {
+	inSchema := in.OutSchema()
+	var schema Schema
+	for _, g := range groupCols {
+		schema = append(schema, inSchema[g])
+	}
+	var specs []AggSpec
+	for _, a := range aggs {
+		for _, k := range aggSplits[a.Kind].partial {
+			spec := AggSpec{Kind: k, Col: a.Col}
+			schema = append(schema, Column{Name: fmt.Sprintf("partial_%d", len(specs)), Type: aggOutType(spec, inSchema)})
+			specs = append(specs, spec)
+		}
+	}
+	return NewHashAggregate(name, in, groupCols, specs, false, schema)
+}
+
+// NewMergeAggregate creates the merge phase of a two-phase aggregation: in
+// carries the rows of a NewPartialAggregate with ngroups group columns (or an
+// exchange of them on a group column), and the result is what a one-phase
+// NewHashAggregate of aggs with outSchema would emit. global gathers every
+// partition's partials into partition 0.
+func NewMergeAggregate(name string, in Operator, ngroups int, aggs []AggSpec, global bool, outSchema Schema) *HashAggregate {
+	groups := make([]int, ngroups)
+	for i := range groups {
+		groups[i] = i
+	}
+	specs := make([]AggSpec, len(aggs))
+	col := ngroups
+	for i, a := range aggs {
+		split := aggSplits[a.Kind]
+		specs[i] = AggSpec{Kind: split.merge, Col: col}
+		col += len(split.partial)
+	}
+	return NewHashAggregate(name, in, groups, specs, global, outSchema)
+}
+
 // Wide implements Operator.
 func (a *HashAggregate) Wide() bool { return a.global }
 
-// aggState is the accumulator of one group, shared by the row loop and the
-// aggregation kernel's typed-column loop.
+// aggState is the accumulator of one group in the oracle's row loop.
 type aggState struct {
 	key    Row
 	sums   []float64
@@ -499,8 +577,7 @@ func (st *aggState) updateMinMax(i int, v Value) {
 }
 
 // groupTable is the group state of one aggregation in first-seen order: the
-// row-at-a-time accumulator behind HashAggregate's Compute, which the
-// aggregation kernel embeds so both assemble their output rows the same way.
+// oracle's row-at-a-time accumulator behind HashAggregate's Compute.
 type groupTable struct {
 	op     *HashAggregate
 	groups map[string]*aggState
@@ -534,17 +611,31 @@ func (g *groupTable) addRow(r Row) error {
 			st.counts[i]++
 			continue
 		}
-		if spec.Col >= len(r) {
+		if spec.Col >= len(r) || (spec.Kind == aggAvgMerge && spec.Col+1 >= len(r)) {
 			return fmt.Errorf("engine: aggregate %s column %d out of range", a.name, spec.Col)
 		}
 		v := r[spec.Col]
 		f, okf := toFloat(v)
-		if !okf && (spec.Kind == AggSum || spec.Kind == AggAvg) {
+		if !okf && spec.Kind != AggMin && spec.Kind != AggMax {
 			return fmt.Errorf("engine: aggregate %s over non-numeric %T", a.name, v)
 		}
-		st.sums[i] += f
-		st.counts[i]++
-		st.updateMinMax(i, v)
+		switch spec.Kind {
+		case aggCountMerge, aggAvgMerge:
+			cv := v
+			if spec.Kind == aggAvgMerge {
+				st.sums[i] += f
+				cv = r[spec.Col+1]
+			}
+			n, ok := cv.(int64)
+			if !ok {
+				return fmt.Errorf("engine: aggregate %s merges a count of type %T", a.name, cv)
+			}
+			st.counts[i] += n
+		default:
+			st.sums[i] += f
+			st.counts[i]++
+			st.updateMinMax(i, v)
+		}
 	}
 	return nil
 }
@@ -564,9 +655,9 @@ func (g *groupTable) rows() ([]Row, error) {
 			switch spec.Kind {
 			case AggSum:
 				r = append(r, st.sums[i])
-			case AggCount:
+			case AggCount, aggCountMerge:
 				r = append(r, st.counts[i])
-			case AggAvg:
+			case AggAvg, aggAvgMerge:
 				if st.counts[i] == 0 {
 					r = append(r, 0.0)
 				} else {

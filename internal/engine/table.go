@@ -21,6 +21,19 @@ type Table struct {
 	// nil until RowParts derives it — read it through RowParts.
 	Parts    [][]Row
 	rowsOnce sync.Once
+	// hashKey is 1 + the column NewTableFromColumns hash-partitioned the rows
+	// on; 0 — a round-robin, replicated or hand-built table — claims nothing.
+	hashKey int
+}
+
+// HashKey returns the column the table's rows are hash-partitioned on, so
+// that all rows holding one value of it share a partition; false when no
+// such column is known.
+func (t *Table) HashKey() (int, bool) {
+	if t.hashKey == 0 || t.Replicated {
+		return 0, false
+	}
+	return t.hashKey - 1, true
 }
 
 // RowParts returns the row-oriented view of the table, one slice of rows per
@@ -107,7 +120,7 @@ func NewTableFromColumns(name string, schema Schema, cols []Vector, parts int, k
 			}
 		}
 	}
-	t := &Table{Name: name, Schema: schema, ColParts: make([]*Batch, parts)}
+	t := &Table{Name: name, Schema: schema, ColParts: make([]*Batch, parts), hashKey: max(keyCol+1, 0)}
 	for p := 0; p < parts; p++ {
 		b, err := NewBatchFromCols(schema, partCols[p])
 		if err != nil {

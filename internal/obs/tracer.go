@@ -14,10 +14,11 @@ import (
 const DefaultCapacity = 1 << 14
 
 // Tracer collects spans into per-worker ring buffers. Emission takes one
-// shard mutex (shards are sized to GOMAXPROCS, so contention is low) and
-// never allocates beyond the pre-sized rings; a nil *Tracer is a valid
-// no-op tracer, which is the disabled fast path: Begin/Event return before
-// reading the clock.
+// shard mutex (shards are sized to GOMAXPROCS, so contention is low); a ring
+// grows by appending until it reaches its capacity and then wraps, so a
+// tracer that records a few dozen spans never pays for thousands. A nil
+// *Tracer is a valid no-op tracer, which is the disabled fast path:
+// Begin/Event return before reading the clock.
 type Tracer struct {
 	shards  []*ring
 	next    atomic.Uint64 // round-robin shard cursor
@@ -26,12 +27,14 @@ type Tracer struct {
 	epoch   time.Time
 }
 
-// ring is one fixed-capacity circular span buffer with its own lock.
+// ring is one circular span buffer of fixed capacity with its own lock. It
+// appends until it holds capacity spans; after that head is the oldest span,
+// which the next commit overwrites.
 type ring struct {
-	mu   sync.Mutex
-	buf  []Span
-	head int // next write position
-	full bool
+	mu       sync.Mutex
+	buf      []Span
+	capacity int
+	head     int
 }
 
 // NewTracer returns a tracer with the given total span capacity
@@ -50,7 +53,7 @@ func NewTracer(capacity int) *Tracer {
 	}
 	t := &Tracer{epoch: time.Now(), shards: make([]*ring, shards)}
 	for i := range t.shards {
-		t.shards[i] = &ring{buf: make([]Span, per)}
+		t.shards[i] = &ring{capacity: per}
 	}
 	return t
 }
@@ -137,21 +140,19 @@ func (t *Tracer) Event(kind Kind, name string, part, attempt int) {
 }
 
 // commit assigns an ID, picks a shard round-robin and appends, overwriting
-// the oldest span when the ring is full.
+// the oldest span once the ring holds its capacity.
 func (t *Tracer) commit(sp Span) {
 	sp.ID = t.ids.Add(1)
 	idx := int(t.next.Add(1)-1) % len(t.shards)
 	sp.Worker = idx
 	r := t.shards[idx]
 	r.mu.Lock()
-	if r.full {
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, sp)
+	} else {
 		t.dropped.Add(1)
-	}
-	r.buf[r.head] = sp
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-		r.full = true
+		r.buf[r.head] = sp
+		r.head = (r.head + 1) % r.capacity
 	}
 	r.mu.Unlock()
 }
@@ -178,12 +179,8 @@ func (t *Tracer) Snapshot() []Span {
 	var out []Span
 	for _, r := range t.shards {
 		r.mu.Lock()
-		if r.full {
-			out = append(out, r.buf[r.head:]...)
-			out = append(out, r.buf[:r.head]...)
-		} else {
-			out = append(out, r.buf[:r.head]...)
-		}
+		out = append(out, r.buf[r.head:]...)
+		out = append(out, r.buf[:r.head]...)
 		r.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {

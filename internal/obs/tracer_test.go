@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestTracerRingOverflowCountsDrops(t *testing.T) {
 	tr := NewTracer(1) // clamped to 64 per shard
 	total := 0
 	for _, r := range tr.shards {
-		total += len(r.buf)
+		total += r.capacity
 	}
 	for i := 0; i < total+100; i++ {
 		tr.Event(KindTask, "op", i, 0)
@@ -84,6 +85,29 @@ func TestTracerRingOverflowCountsDrops(t *testing.T) {
 	}
 	if tr.Dropped() != 100 {
 		t.Errorf("dropped = %d, want 100", tr.Dropped())
+	}
+}
+
+// A query's tracer has room for thousands of spans and records a few dozen;
+// its rings grow to what it records, so the room costs nothing.
+func TestQueryTracerAllocatesWhatItRecords(t *testing.T) {
+	const spans = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		tr := NewTracer(1 << 12)
+		for j := 0; j < spans; j++ {
+			sp := tr.Begin(KindTask, "op", j, 0)
+			sp.End()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 40 spans of ~150 B, doubled by append growth, plus the shards: well
+	// under the 590 KB a preallocated 4,096-span tracer zeroes.
+	const ceiling = 32 << 10
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > ceiling {
+		t.Errorf("a %d-span query tracer allocates %d B, ceiling %d", spans, got, ceiling)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ftpde/internal/engine"
@@ -168,6 +169,11 @@ func (g *dagGen) project(in engine.Operator) engine.Operator {
 	return engine.NewProject(g.name("project"), in, exprs, out)
 }
 
+// aggregate draws an aggregation over in: one phase (after an exchange on the
+// first group column unless global), or half the time the two phases Compile
+// plans — a partial aggregate where the rows are, an exchange of the partials
+// on their first group column, and the merge, which gathers instead when
+// nothing is grouped.
 func (g *dagGen) aggregate(in engine.Operator, global bool) engine.Operator {
 	s := in.OutSchema()
 	var groups []int
@@ -176,9 +182,6 @@ func (g *dagGen) aggregate(in engine.Operator, global bool) engine.Operator {
 		c := g.r.Intn(len(s))
 		groups = append(groups, c)
 		out = append(out, s[c])
-	}
-	if !global && len(groups) > 0 {
-		in = engine.NewExchange(g.name("exchange"), in, groups[0])
 	}
 	num := colsOf(s, isNumeric)
 	var aggs []engine.AggSpec
@@ -200,6 +203,16 @@ func (g *dagGen) aggregate(in engine.Operator, global bool) engine.Operator {
 		}
 		aggs = append(aggs, spec)
 		out = append(out, col)
+	}
+	if g.r.Intn(2) == 0 {
+		var partials engine.Operator = engine.NewPartialAggregate(g.name("partial"), in, groups, aggs)
+		if len(groups) > 0 {
+			partials = engine.NewExchange(g.name("exchange"), partials, 0)
+		}
+		return engine.NewMergeAggregate(g.name("merge"), partials, len(groups), aggs, len(groups) == 0, out)
+	}
+	if !global && len(groups) > 0 {
+		in = engine.NewExchange(g.name("exchange"), in, groups[0])
 	}
 	return engine.NewHashAggregate(g.name("agg"), in, groups, aggs, global, out)
 }
@@ -291,11 +304,25 @@ func outcomeOf(res *engine.PartitionedResult, rep *engine.Report, err error) out
 	return o
 }
 
+// twoPhaseRole names an operator's part in a two-phase aggregation ("" when
+// it has none).
+func twoPhaseRole(op engine.Operator) string {
+	name := op.Name()
+	switch {
+	case strings.HasPrefix(name, "partial-"), strings.HasPrefix(name, "merge-"):
+		return name[:strings.IndexByte(name, '-')]
+	case strings.HasPrefix(name, "exchange-") && strings.HasPrefix(op.Inputs()[0].Name(), "partial-"):
+		return "exchange of partials"
+	}
+	return ""
+}
+
 func TestDifferentialOracle(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
+	killed := map[string]int{} // kills per two-phase role
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := newDagGen(t, seed)
@@ -306,6 +333,13 @@ func TestDifferentialOracle(t *testing.T) {
 				op.(interface{ SetMaterialize(bool) }).SetMaterialize(g.r.Intn(3) == 0)
 			}
 			kills := g.schedule(ops)
+			for _, k := range kills {
+				for _, op := range ops {
+					if op.Name() == k.op && twoPhaseRole(op) != "" {
+						killed[twoPhaseRole(op)]++
+					}
+				}
+			}
 			// Two deaths on different nodes may overlap. The oracle restarts
 			// once per death; the runtime's workers run concurrently, so a
 			// coarse restart can take a second worker down before its own
@@ -357,4 +391,10 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 		})
 	}
+	for _, role := range []string{"partial", "exchange of partials", "merge"} {
+		if killed[role] == 0 && !testing.Short() {
+			t.Errorf("no schedule killed a two-phase aggregation's %s", role)
+		}
+	}
+	t.Logf("kills on two-phase aggregations: %v", killed)
 }

@@ -235,8 +235,9 @@ func TestBuildStagesChainsServedQ5(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := stageOf(t, plan, "join-5")
-	// agg-input, the projection feeding the aggregate, streams on too.
-	if got, want := opNames(s.ops), []string{"scan-lineitem", "join-3", "join-4", "join-5", "agg-input"}; !reflect.DeepEqual(got, want) {
+	// agg-input, the projection feeding the aggregate, streams on too, and so
+	// does the partial aggregate: n_name is no key lineitem is partitioned on.
+	if got, want := opNames(s.ops), []string{"scan-lineitem", "join-3", "join-4", "join-5", "agg-input", "agg-partial"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("stage ops %v, want %v", got, want)
 	}
 	if got, want := stageNames(s.sides), []string{"join-2", "scan-orders", "scan-customer"}; !reflect.DeepEqual(got, want) {

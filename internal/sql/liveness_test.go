@@ -668,14 +668,73 @@ func canonicalRows(rows []engine.Row) []string {
 	return out
 }
 
+// findOp returns the operator of the plan named name, or nil.
+func findOp(root engine.Operator, name string) engine.Operator {
+	if root.Name() == name {
+		return root
+	}
+	for _, in := range root.Inputs() {
+		if op := findOp(in, name); op != nil {
+			return op
+		}
+	}
+	return nil
+}
+
+// elided reports whether Compile aggregated the plan where its rows are, with
+// no exchange and no partial phase: the aggregate reads agg-input.
+func elided(pp *PhysicalPlan) bool {
+	agg := findOp(pp.Root, "aggregate")
+	return agg != nil && agg.Inputs()[0].Name() == "agg-input"
+}
+
+// checkCoLocated runs the aggregate of an elided plan on its own and fails
+// when a group key — its first ngroups columns — shows up in two partitions.
+func checkCoLocated(t *testing.T, label string, part func(engine.Operator) ([][]engine.Row, error), pp *PhysicalPlan, ngroups int) {
+	t.Helper()
+	parts, err := part(findOp(pp.Root, "aggregate"))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	home := map[string]int{}
+	for p, rows := range parts {
+		for _, r := range rows {
+			key := canonical(r[:ngroups])
+			if q, ok := home[key]; ok && q != p {
+				t.Errorf("%s: group %s is in partitions %d and %d", label, key, q, p)
+			}
+			home[key] = p
+		}
+	}
+}
+
 // Both data planes run the plan Compile pruned; the reference never sees a
-// plan. A failing seed replays with -run 'TestPrunedPlansMatchNestedLoop/seed=N'.
+// plan. Where Compile aggregates without an exchange, every group must also
+// come out of one partition on both. A failing seed replays with
+// -run 'TestPrunedPlansMatchNestedLoop/seed=N'.
 func TestPrunedPlansMatchNestedLoop(t *testing.T) {
 	cat, tables := propCatalog(t)
 	rt, err := runtime.New(runtime.Config{Nodes: cat.Partitions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	executors := map[string]func(engine.Operator) ([][]engine.Row, error){
+		"runtime": func(op engine.Operator) ([][]engine.Row, error) {
+			res, _, err := rt.Execute(context.Background(), op)
+			if err != nil {
+				return nil, err
+			}
+			return res.Parts, nil
+		},
+		"coordinator": func(op engine.Operator) ([][]engine.Row, error) {
+			res, _, err := (&engine.Coordinator{Nodes: cat.Partitions()}).Execute(op)
+			if err != nil {
+				return nil, err
+			}
+			return res.Parts, nil
+		},
+	}
+	coLocated := 0
 	for seed := int64(0); seed < 300; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := newPropQuery(rand.New(rand.NewSource(seed)), tables)
@@ -697,7 +756,78 @@ func TestPrunedPlansMatchNestedLoop(t *testing.T) {
 			if rows := canonicalRows(ref.AllRows()); !reflect.DeepEqual(rows, want) {
 				t.Errorf("%s:\n coordinator returned %d rows %v\n nested loop %d rows %v", text, len(rows), rows, len(want), want)
 			}
+			if elided(pp) {
+				coLocated++
+				for name, part := range executors {
+					checkCoLocated(t, text+" on the "+name, part, pp, len(g.q.groupBy))
+				}
+			}
 		})
+	}
+	if coLocated == 0 {
+		t.Error("no statement aggregated without an exchange: the co-located path went unchecked")
+	}
+	t.Logf("%d of 300 statements aggregated where their rows are", coLocated)
+}
+
+// The aggregate drops its exchange only where the probe stream starts at a
+// table hash-partitioned on a group column. A round-robin table, a replicated
+// one, a hand-built one (no known key) and a grouping on another column keep
+// the two phases; so does a stream that starts at the other side of a join.
+func TestAggregateElidesTheExchangeOnlyOnAHashKey(t *testing.T) {
+	schema := engine.Schema{{Name: "id", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeInt}}
+	var rows []engine.Row
+	for i := 0; i < 20; i++ {
+		rows = append(rows, engine.Row{int64(i), int64(i % 3)})
+	}
+	hashed, err := engine.NewTable("hashed", schema, rows, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	robin, err := engine.NewTable("robin", schema, rows, 4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := engine.NewReplicatedTable("repl", schema, rows, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := &engine.Table{Name: "hand", Schema: schema, ColParts: hashed.ColParts}
+	cat := engine.NewCatalog(4)
+	for _, tb := range []*engine.Table{hashed, robin, repl, hand} {
+		if err := cat.Add(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		q    string
+		want bool
+	}{
+		{"SELECT id, COUNT(*) FROM hashed GROUP BY id", true},
+		{"SELECT v, id, SUM(v) FROM hashed GROUP BY v, id", true},
+		{"SELECT v, COUNT(*) FROM hashed GROUP BY v", false},
+		{"SELECT COUNT(*) FROM hashed", false},
+		{"SELECT id, COUNT(*) FROM robin GROUP BY id", false},
+		{"SELECT id, COUNT(*) FROM repl GROUP BY id", false},
+		{"SELECT id, COUNT(*) FROM hand GROUP BY id", false},
+		// Equal estimates: the first table is the probe stream.
+		{"SELECT hashed.id, COUNT(*) FROM hashed JOIN robin ON hashed.v = robin.id GROUP BY hashed.id", true},
+		{"SELECT hashed.id, COUNT(*) FROM robin JOIN hashed ON robin.v = hashed.id GROUP BY hashed.id", false},
+	} {
+		pp := mustCompile(t, cat, tc.q)
+		if got := elided(pp); got != tc.want {
+			t.Errorf("%s: aggregated without an exchange = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+
+	tpch := tpchCatalog(t)
+	for _, tc := range []struct {
+		name, q string
+		want    bool
+	}{{"Q1", servedQ1, false}, {"Q3", servedQ3, true}, {"Q5", servedQ5, false}} {
+		if got := elided(mustCompile(t, tpch, tc.q)); got != tc.want {
+			t.Errorf("served %s: aggregated without an exchange = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -142,6 +142,7 @@ func (r *resolved) compile() (*PhysicalPlan, []slot, error) {
 		panic("sql: join key pruned below its own join") // lastUse keeps it live up to join i
 	}
 	acc, accRows := side{op: scans[0], cols: opCols[0]}, rowEstimates[0]
+	origin := 0 // the source whose scan the probe stream starts at
 	var joins []*engine.HashJoin
 	for i, rj := range r.joins {
 		acc.key = rj.acc
@@ -149,6 +150,7 @@ func (r *resolved) compile() (*PhysicalPlan, []slot, error) {
 		if rowEstimates[i+1] > accRows {
 			build, probe = probe, build
 			accRows = rowEstimates[i+1]
+			origin = i + 1
 		}
 		joined := append(append([]int{}, probe.cols...), build.cols...)
 		project := live(joined, i)
@@ -176,7 +178,7 @@ func (r *resolved) compile() (*PhysicalPlan, []slot, error) {
 	// Aggregation, then the projection into select-list order.
 	exprs := make([]engine.Expr, len(stmt.Select))
 	if r.hasAgg {
-		aggOps, agg, err := r.aggregate(root, in)
+		aggOps, agg, err := r.aggregate(root, in, r.sources[origin])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -237,13 +239,21 @@ func checkColumnar(op engine.Operator) error {
 	return nil
 }
 
-// aggregate builds pre-projection + (exchange +) aggregation over in and
-// returns the operators it built, the aggregate last.
-func (r *resolved) aggregate(in engine.Operator, b binding) ([]engine.Operator, *engine.HashAggregate, error) {
+// aggregate builds the aggregation over in, whose rows stream from a scan of
+// origin through broadcast joins and filters, and returns the operators it
+// built, the final aggregate last. A pre-projection (agg-input) lays out the
+// group columns, then the aggregate arguments. Where every group already lives
+// in one partition — origin's table is hash-partitioned on a group column —
+// the aggregate runs partition-wise on the stream. Otherwise a partial
+// aggregate runs there (agg-partial), and the partials are merged after an
+// exchange on the first group column, or gathered into one partition when
+// nothing is grouped.
+func (r *resolved) aggregate(in engine.Operator, b binding, origin source) ([]engine.Operator, *engine.HashAggregate, error) {
 	stmt := r.stmt
-	// Pre-projection: group columns first, then aggregate arguments.
 	var preExprs []engine.Expr
 	var preSchema engine.Schema
+	coLocated := false
+	key, hashed := origin.table.HashKey()
 	for gi := range stmt.GroupBy {
 		e, err := toEngineExpr(&stmt.GroupBy[gi], b)
 		if err != nil {
@@ -252,6 +262,7 @@ func (r *resolved) aggregate(in engine.Operator, b binding) ([]engine.Operator, 
 		g := r.full[r.groups[gi]]
 		preExprs = append(preExprs, e)
 		preSchema = append(preSchema, engine.Column{Name: g.name, Type: g.typ})
+		coLocated = coLocated || (hashed && r.groups[gi] == origin.off+key)
 	}
 	var specs []engine.AggSpec
 	aggSchema := append(engine.Schema{}, preSchema...)
@@ -279,18 +290,21 @@ func (r *resolved) aggregate(in engine.Operator, b binding) ([]engine.Operator, 
 		// rows: pass the first one through (see live in compile).
 		preExprs, preSchema = []engine.Expr{engine.Col(0)}, in.OutSchema()[:1]
 	}
-	ops := []engine.Operator{engine.NewProject("agg-input", in, preExprs, preSchema)}
-
-	// Grouped aggregation repartitions on the first group column so equal
-	// groups co-locate; global aggregation gathers.
-	global := len(stmt.GroupBy) == 0
-	if !global {
-		ops = append(ops, engine.NewExchange("agg-exchange", ops[0], 0))
-	}
+	input := engine.NewProject("agg-input", in, preExprs, preSchema)
 	groupIdxs := make([]int, len(stmt.GroupBy))
 	for i := range groupIdxs {
 		groupIdxs[i] = i
 	}
-	agg := engine.NewHashAggregate("aggregate", ops[len(ops)-1], groupIdxs, specs, global, aggSchema)
+	if coLocated {
+		agg := engine.NewHashAggregate("aggregate", input, groupIdxs, specs, false, aggSchema)
+		return []engine.Operator{input, agg}, agg, nil
+	}
+	partial := engine.NewPartialAggregate("agg-partial", input, groupIdxs, specs)
+	ops := []engine.Operator{input, partial}
+	global := len(groupIdxs) == 0
+	if !global {
+		ops = append(ops, engine.NewExchange("agg-exchange", partial, 0))
+	}
+	agg := engine.NewMergeAggregate("aggregate", ops[len(ops)-1], len(groupIdxs), specs, global, aggSchema)
 	return append(ops, agg), agg, nil
 }

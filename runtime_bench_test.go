@@ -457,14 +457,16 @@ type allocCeiling struct {
 // Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
 // plans them, Q5 again with every join checkpointed to disk, and
 // findBestFTPlan over Q5's top-20 join orders must not allocate past the
-// budget. The ceilings sit ~1.5x over what they measure (Q1 0.35 MB / ~420
-// allocs, SQL Q3 0.86 MB / ~11,800, SQL Q5 2.0 MB / ~1,100, checkpointed Q5
-// 8.0 MB / ~2,000, the optimizer 0.20 MB / ~4,560; Q1's, SQL Q3's and
+// budget. The ceilings sit ~1.5x over what they measure (Q1 0.35 MB / ~380
+// allocs, SQL Q3 0.56 MB / ~3,900, SQL Q5 0.40 MB / ~1,230, checkpointed Q5
+// 7.1 MB / ~2,100, the optimizer 0.20 MB / ~4,560; Q1's, SQL Q3's and
 // scan-filter-project's object counts, small enough or noisy enough to move by
 // a handful, keep a wider margin), so a trip means the arena or a kernel lost
 // its recycling path, a stage boundary copies its batch again, a join chained
 // onto its probe stream materializes its output again (SQL Q5 read 6.4 MB
-// before joins chained), a wide operator repeats its shared work per
+// before joins chained), an aggregation exchanges every row instead of its
+// partials (SQL Q5 read 2.0 MB so) or boxes its groups (SQL Q3 read ~11,800
+// allocs so), a wide operator repeats its shared work per
 // partition, the planner carries columns nothing reads, or a boxed row is
 // back between a stage and the checkpoint store (with one,
 // checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds a plan per
