@@ -19,7 +19,6 @@ import (
 	"ftpde/internal/experiments"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 )
 
 func main() {
@@ -33,8 +32,6 @@ func main() {
 		debug    = flag.String("debug-addr", "", "serve live experiment progress and pprof on this address during the run")
 		traceOut = flag.String("trace-out", "", "write the per-experiment timing timeline to this file in Chrome trace_event format")
 		metOut   = flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
-		profDir  = flag.String("profile-dir", "", "continuous profiling: rotate windowed CPU profiles into a crash-safe ring in this directory during the run")
-		profWin  = flag.Duration("profile-window", 0, "continuous profiling window length (memory-only when set without -profile-dir; default 5s)")
 	)
 	flag.Parse()
 
@@ -69,19 +66,6 @@ func main() {
 	done := 0
 	reg := metrics.NewRegistry()
 	obs.RegisterTraceMetrics(reg, tracer)
-	var sampler *prof.Sampler
-	if *profDir != "" || *profWin > 0 {
-		var perr error
-		sampler, perr = prof.New(prof.Config{Dir: *profDir, Window: *profWin})
-		if perr == nil {
-			perr = sampler.Start()
-		}
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-			os.Exit(1)
-		}
-		prof.RegisterSamplerMetrics(reg, sampler)
-	}
 	reg.MustRegisterFunc(metrics.Desc{
 		Name: "ftpde_experiments_done", Kind: metrics.KindGauge,
 		Help: "Experiments completed so far in this ftbench run.",
@@ -113,10 +97,6 @@ func main() {
 		done++
 		fmt.Println(tbl)
 		fmt.Printf("(%s regenerated in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
-	}
-	if sampler != nil {
-		sampler.Stop()
-		fmt.Fprintf(os.Stderr, "ftbench: %s\n", sampler.Summary())
 	}
 	if *traceOut != "" {
 		if err := obs.WriteChromeTraceFile(*traceOut, tracer); err != nil {

@@ -57,10 +57,6 @@ func main() {
 		forDir   = flag.String("forensics-dir", "", "write failure forensics bundles to this directory (empty disables)")
 		forMax   = flag.Int("forensics-max", 0, "bounded forensics ring size: oldest bundles beyond this are pruned (default 32)")
 		metOut   = flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON after graceful drain")
-		profDir  = flag.String("profile-dir", "", "continuous profiling: rotate windowed CPU profiles into a crash-safe ring in this directory, join samples to tenants/operators by pprof label")
-		profWin  = flag.Duration("profile-window", 0, "continuous profiling window length (enables memory-only profiling when set without -profile-dir; default 5s)")
-		profMax  = flag.Int("profile-max", 0, "bounded profile ring size per profile kind (default 16)")
-		profDuty = flag.Float64("profile-duty", 0.1, "fraction (0,1] of each window the CPU profiler is armed; attributed CPU is scaled by 1/duty, and the 0.1 default keeps the continuous profiling tax under the 2% budget")
 	)
 	flag.Parse()
 
@@ -73,8 +69,6 @@ func main() {
 		DisableLoadAware: *noLoad,
 		Coarse:           *coarse, MaxRestarts: *maxRst,
 		ForensicsDir: *forDir, ForensicsMax: *forMax,
-		ProfileDir: *profDir, ProfileWindow: *profWin, ProfileMax: *profMax,
-		ProfileDuty: *profDuty,
 	}
 	if *failSpec != "" {
 		inj, err := parseFailSpec(*failSpec)
@@ -107,9 +101,6 @@ func main() {
 	}
 	if *forDir != "" {
 		fmt.Printf("ftserve: forensics bundles in %s\n", *forDir)
-	}
-	if *profDir != "" || *profWin > 0 {
-		fmt.Printf("ftserve: continuous profiling on (dir=%q window=%s duty=%.2f)\n", *profDir, *profWin, *profDuty)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -18,7 +18,6 @@ import (
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
 	"ftpde/internal/stats"
@@ -255,7 +254,6 @@ func metricsTable() string {
 	obs.RegisterDriftMetrics(reg, nil)
 	obs.RegisterForensicsMetrics(reg, nil)
 	engine.RegisterArenaMetrics(reg, nil)
-	prof.RegisterSamplerMetrics(reg, nil)
 	return metrics.DescribeTable(reg.Describe())
 }
 

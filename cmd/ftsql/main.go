@@ -26,7 +26,6 @@ import (
 	"ftpde/internal/engine"
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/prof"
 	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
 	"ftpde/internal/stats"
@@ -57,8 +56,6 @@ func main() {
 		calRuns  = flag.Int("calibrate-runs", 3, "rounds of Q1/Q3/Q5 executed while calibrating")
 		calMTBF  = flag.Float64("calibrate-mtbf", 2, "per-node MTBF (seconds) of the Poisson failures injected while calibrating")
 		calWin   = flag.Float64("calibrate-window", 400, "failure-log horizon (seconds) backing the MTBF fit")
-		profDir  = flag.String("profile-dir", "", "continuous profiling: rotate windowed CPU profiles (plus heap snapshots) into a crash-safe ring in this directory and join samples to operators by pprof label")
-		profWin  = flag.Duration("profile-window", 0, "continuous profiling window length (enables memory-only profiling when set without -profile-dir; default 5s when only -profile-dir is set)")
 	)
 	flag.Parse()
 
@@ -193,22 +190,6 @@ func main() {
 		injector.Add(parts[0], part, attempt)
 	}
 
-	// Continuous profiling: start the sampler before execution so the whole
-	// query is covered, and label the CLI's single query "1" under tenant
-	// "cli" — the same vocabulary the service uses per tenant.
-	var sampler *prof.Sampler
-	var plabels prof.Labels
-	if *profDir != "" || *profWin > 0 {
-		sampler, err = prof.New(prof.Config{Dir: *profDir, Window: *profWin})
-		if err != nil {
-			fatal(err)
-		}
-		if err := sampler.Start(); err != nil {
-			fatal(err)
-		}
-		plabels = prof.Labels{Query: "1", Tenant: "cli"}
-	}
-
 	// One Exec aggregates counters, histograms and the wasted-work ledger of
 	// the execution; the debug server reads it live.
 	em := &runtime.Metrics{}
@@ -237,17 +218,11 @@ func main() {
 		res *engine.PartitionedResult
 		rep *engine.Report
 	)
-	r, err := runtime.New(runtime.Config{Nodes: *nodes, Injector: injector, BatchSize: *batch, Tracer: tracer, Metrics: em, Progress: prog, ProfLabels: plabels})
+	r, err := runtime.New(runtime.Config{Nodes: *nodes, Injector: injector, BatchSize: *batch, Tracer: tracer, Metrics: em, Progress: prog})
 	if err == nil {
 		res, rep, err = r.Execute(context.Background(), pp.Root)
 	}
 	progReg.End(prog, err)
-	if sampler != nil {
-		// Stop rotates the final window, so the attribution below covers the
-		// query end to end before anything is reported.
-		sampler.Stop()
-		fmt.Fprintf(os.Stderr, "ftsql: %s\n", sampler.Summary())
-	}
 	if err != nil {
 		fatal(err)
 	}
@@ -273,12 +248,6 @@ func main() {
 
 	if *analyze {
 		report := obs.BuildAudit(audit.Pred, tracer.Snapshot(), tracer.Dropped())
-		if sampler != nil {
-			// Join the profiler's measured per-operator CPU/alloc into the
-			// audit: the cpu and busy columns compare the model's tp-derived
-			// tr(c) against ground-truth on-CPU time rather than wall clock.
-			obs.AttachCPU(report, sampler.Attr().OpCPUSeconds(), sampler.Attr().OpAllocBytes())
-		}
 		fmt.Printf("materialization choice %s (estimated runtime %.4gs); %d result rows\n\n",
 			audit.Opt.Config, audit.Opt.Runtime, len(res.AllRows()))
 		fmt.Print(report.String())

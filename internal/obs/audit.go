@@ -69,14 +69,6 @@ type OpObservation struct {
 	CheckpointWall  time.Duration `json:"checkpoint_wall"`
 	// Rows is the number of rows committed at the group's stage sinks.
 	Rows int64 `json:"rows"`
-	// CPUSeconds is the group's measured on-CPU time from the continuous
-	// profiler's label join (AttachCPU) — the ground-truth tp(o) the wall
-	// columns only approximate. Zero when no profiler was attached.
-	CPUSeconds float64 `json:"cpu_seconds,omitempty"`
-	// AllocBytes is the group's attributed heap allocation volume from the
-	// profiler's heap snapshots (approximate: attributed through the
-	// function→operator map learned from labeled CPU samples).
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 }
 
 // AuditRow joins one collapsed operator's prediction with its observation.
@@ -197,42 +189,19 @@ func BuildAudit(pred Prediction, spans []Span, dropped int64) *AuditReport {
 	return rep
 }
 
-// AttachCPU joins the continuous profiler's per-operator measurements into an
-// existing audit report: each collapsed group's CPUSeconds / AllocBytes is the
-// sum over its member engine operators. Operators the profiler saw but the
-// plan does not know (e.g. the sampler's own "prof-ingest" bookkeeping) are
-// left out — they belong to process overhead, not to any group. Passing nil
-// maps is a no-op, so call sites need not gate on whether profiling ran.
-func AttachCPU(rep *AuditReport, opCPU map[string]float64, opAlloc map[string]int64) {
-	if rep == nil || (len(opCPU) == 0 && len(opAlloc) == 0) {
-		return
-	}
-	for i := range rep.Rows {
-		row := &rep.Rows[i]
-		for _, name := range row.Pred.Ops {
-			row.Obs.CPUSeconds += opCPU[name]
-			row.Obs.AllocBytes += opAlloc[name]
-		}
-	}
-}
-
 // String renders the audit as the predicted-vs-actual table ftsql
 // -explain-analyze prints: one row per collapsed operator with the model's
 // tr/tm/t/a/T forecast, the observed wall time, attempts, wasted runtime,
-// materialized bytes, measured CPU (when a profiler was attached) with its
-// busy fraction of task wall, relative error and, last and in full, the
-// group's engine operators, followed by dominant-path and failure-timeline
-// summaries.
+// materialized bytes, relative error and, last and in full, the group's
+// engine operators, followed by dominant-path and failure-timeline summaries.
 func (r *AuditReport) String() string {
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	w("%-12s %1s %1s  %10s %10s %8s %10s  %10s %4s %8s %10s %10s %9s %5s %8s  %s\n",
+	w("%-12s %1s %1s  %10s %10s %8s %10s  %10s %4s %8s %10s %10s %8s  %s\n",
 		"collapsed", "M", "D",
 		"tr(c)", "tm(c)", "a(c)", "T(c) pred",
-		"actual", "att", "fails", "wasted", "ckpt B", "cpu", "busy", "relerr", "engine ops")
-	w("%s\n", strings.Repeat("-", 166))
-	var totalCPU float64
-	var totalTask time.Duration
+		"actual", "att", "fails", "wasted", "ckpt B", "relerr", "engine ops")
+	w("%s\n", strings.Repeat("-", 150))
 	for _, row := range r.Rows {
 		mat, dom := " ", " "
 		if row.Pred.Materialize {
@@ -241,22 +210,15 @@ func (r *AuditReport) String() string {
 		if row.Pred.Dominant {
 			dom = "*"
 		}
-		totalCPU += row.Obs.CPUSeconds
-		totalTask += row.Obs.TaskWall
-		w("%-12s %1s %1s  %10.4g %10.4g %8.3g %10.4g  %10s %4d %8d %10s %10d %9s %5s %8s  %s\n",
+		w("%-12s %1s %1s  %10.4g %10.4g %8.3g %10.4g  %10s %4d %8d %10s %10d %8s  %s\n",
 			row.Pred.Name, mat, dom,
 			row.Pred.TR, row.Pred.TM, row.Pred.Attempts, row.Pred.Runtime,
 			fmtDur(row.Obs.Wall), row.Obs.Attempts, row.Obs.Failures,
 			fmtDur(row.Obs.WastedWall), row.Obs.CheckpointBytes,
-			fmtCPU(row.Obs.CPUSeconds), fmtBusy(row.Obs.CPUSeconds, row.Obs.TaskWall),
 			fmtErr(row.RelErr), strings.Join(row.Pred.Ops, ","))
 	}
 	w("\ndominant path: predicted T=%.4gs, observed %s (relerr %s); query wall %s\n",
 		r.PredictedRuntime, fmtDur(r.DominantActual), fmtErr(r.DominantRelErr), fmtDur(r.ActualRuntime))
-	if totalCPU > 0 {
-		w("profiled cpu: %.4gs across groups, %s of task wall on-CPU (remainder blocked on channels, I/O, or scheduling)\n",
-			totalCPU, fmtBusy(totalCPU, totalTask))
-	}
 	w("failure timeline: %d failures, %d fine-grained recoveries, %d restarts\n",
 		r.Failures, r.Recoveries, r.Restarts)
 	if r.Dropped > 0 {
@@ -277,25 +239,4 @@ func fmtErr(e float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%+.1f%%", e*100)
-}
-
-// fmtCPU renders measured CPU seconds, "-" when the profiler saw nothing.
-func fmtCPU(s float64) string {
-	if s <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.4gs", s)
-}
-
-// fmtBusy renders the busy split: the fraction of task wall the group spent
-// on-CPU. The remainder is blocked time — channel waits, I/O, scheduling.
-func fmtBusy(cpu float64, wall time.Duration) string {
-	if cpu <= 0 || wall <= 0 {
-		return "-"
-	}
-	frac := cpu / wall.Seconds()
-	if frac > 9.99 {
-		frac = 9.99 // >1 is possible when parallel tasks overlap; clamp display
-	}
-	return fmt.Sprintf("%.0f%%", frac*100)
 }

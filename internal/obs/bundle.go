@@ -42,47 +42,8 @@ type Bundle struct {
 	Registry metrics.RegistrySnapshot `json:"registry"`
 	// Drift is the server's online drift state when the query died.
 	Drift DriftSnapshot `json:"drift"`
-	// Prof is the continuous profiler's capture at death: the most recent CPU
-	// window's per-operator attribution plus raw CPU and heap profiles, when a
-	// sampler was attached.
-	Prof *ProfCapture `json:"prof,omitempty"`
 	// CreatedAt stamps the capture.
 	CreatedAt time.Time `json:"created_at"`
-}
-
-// OpCPU is one operator's measured CPU share inside a ProfCapture.
-type OpCPU struct {
-	Op      string  `json:"op"`
-	Seconds float64 `json:"seconds"`
-}
-
-// OpBytes is one operator's attributed heap allocation volume.
-type OpBytes struct {
-	Op    string `json:"op"`
-	Bytes int64  `json:"bytes"`
-}
-
-// ProfCapture freezes the continuous profiler's view of a dying query: the
-// last CPU window cut at the moment of death (TopCPU, label-joined), the
-// cumulative attributed allocation volume (TopAlloc), and the raw gzipped
-// profile.proto blobs for offline `go tool pprof`. The structure is plain data
-// so bundles round-trip through JSON without importing the profiler.
-type ProfCapture struct {
-	// Windows / Samples / JoinFrac summarize the sampler's whole run: how
-	// many windows rotated, how many CPU samples it saw, and what fraction
-	// joined to a known operator label.
-	Windows  int64   `json:"windows"`
-	Samples  int64   `json:"samples"`
-	JoinFrac float64 `json:"join_frac"`
-	// TopCPU ranks operators by CPU seconds in the final window — the "what
-	// was burning CPU at death" answer, descending.
-	TopCPU []OpCPU `json:"top_cpu,omitempty"`
-	// TopAlloc ranks operators by attributed allocation bytes, descending.
-	TopAlloc []OpBytes `json:"top_alloc,omitempty"`
-	// CPUProfile / HeapProfile are the raw gzipped profile.proto captures
-	// (base64 in JSON), directly loadable by go tool pprof.
-	CPUProfile  []byte `json:"cpu_profile,omitempty"`
-	HeapProfile []byte `json:"heap_profile,omitempty"`
 }
 
 // String renders the bundle as the forensics report -replay-bundle prints.
@@ -136,26 +97,6 @@ func (b *Bundle) String() string {
 	}
 	if b.Drift.Queries > 0 {
 		w("\n%s", b.Drift.String())
-	}
-	if p := b.Prof; p != nil {
-		w("\nprofiler at death: %d windows, %d samples, %.0f%% joined to operators\n",
-			p.Windows, p.Samples, p.JoinFrac*100)
-		if len(p.TopCPU) > 0 {
-			w("top-CPU operators (final window):\n")
-			for _, oc := range p.TopCPU {
-				w("  %-24s %8.4gs\n", oc.Op, oc.Seconds)
-			}
-		}
-		if len(p.TopAlloc) > 0 {
-			w("top-alloc operators (cumulative):\n")
-			for _, ob := range p.TopAlloc {
-				w("  %-24s %10d B\n", ob.Op, ob.Bytes)
-			}
-		}
-		if len(p.CPUProfile) > 0 || len(p.HeapProfile) > 0 {
-			w("raw profiles embedded: cpu=%dB heap=%dB (base64 in the bundle JSON, go tool pprof-loadable)\n",
-				len(p.CPUProfile), len(p.HeapProfile))
-		}
 	}
 	return sb.String()
 }

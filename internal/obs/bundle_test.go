@@ -131,6 +131,53 @@ func TestBundleString(t *testing.T) {
 	}
 }
 
+// TestReadBundleIgnoresProfilerCapture replays a bundle in the format written
+// while a continuous profiler was attached: a "prof" capture and per-group
+// cpu_seconds/alloc_bytes in the audit. Forensics rings outlive the binary
+// that wrote them, so such a bundle must load and render, without a profiler
+// section.
+func TestReadBundleIgnoresProfilerCapture(t *testing.T) {
+	const old = `{
+  "id": 9, "tenant": "victim", "query": "SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag",
+  "reason": "recovery_exhausted", "error": "runtime: query aborted after 1 restarts",
+  "mat_config": "{}",
+  "pred": {"ops": [{"name": "{1,2}", "ops": ["scan-lineitem", "aggregate"], "tr": 0.2, "tm": 0, "total": 0.2,
+    "wasted": 0, "attempts": 0, "runtime": 0.2, "materialize": false, "dominant": true}],
+    "dominant_runtime": 0.2, "mttr": 1},
+  "audit": {"rows": [{"pred": {"name": "{1,2}", "ops": ["scan-lineitem", "aggregate"], "tr": 0.2, "runtime": 0.2, "dominant": true},
+    "obs": {"wall": 4000000, "task_wall": 9000000, "attempts": 2, "failures": 2, "rows": 0,
+      "cpu_seconds": 0.008, "alloc_bytes": 65536}, "rel_err": 49}],
+    "predicted_runtime": 0.2, "actual_runtime": 5000000, "dominant_rel_err": 49, "failures": 2, "restarts": 2},
+  "ledger": {}, "registry": {}, "drift": {"queries": 6, "terms": [{"term": "tp_cpu", "model": 1, "estimate": 1.3}]},
+  "prof": {"windows": 3, "samples": 41, "join_frac": 0.95,
+    "top_cpu": [{"op": "aggregate", "seconds": 0.03}], "top_alloc": [{"op": "scan-lineitem", "bytes": 4096}],
+    "cpu_profile": "H4sIAAAAAAAA/wEAAP//AAAAAAAAAAA=", "heap_profile": "H4sIAAAAAAAA/wEAAP//AAAAAAAAAAA="},
+  "created_at": "2026-08-08T12:00:00Z"
+}`
+	path := filepath.Join(t.TempDir(), "bundle-000001.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBundle(path)
+	if err != nil {
+		t.Fatalf("ReadBundle: %v", err)
+	}
+	if b.ID != 9 || b.Audit == nil || len(b.Audit.Rows) != 1 || b.Audit.Rows[0].Obs.Failures != 2 {
+		t.Fatalf("bundle fields lost: %+v", b)
+	}
+	out := b.String()
+	for _, want := range []string{"forensics bundle: query 9 tenant=victim reason=recovery_exhausted", "scan-lineitem,aggregate", "cost-model drift after 6 queries"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("String() missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"profiler", "top-CPU", "raw profiles", "profiled cpu"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("String() renders %q:\n%s", gone, out)
+		}
+	}
+}
+
 func TestNilBundleWriter(t *testing.T) {
 	var w *BundleWriter
 	if path, err := w.Write(testBundle(1)); err != nil || path != "" {

@@ -20,13 +20,6 @@ const (
 	DriftTM   = "tm"   // per-operator materialization correction factor
 	DriftMTBF = "mtbf" // per-node mean time between failures
 	DriftMTTR = "mttr" // mean time to repair
-	// DriftTPCPU is the compute-cost correction factor estimated from the
-	// continuous profiler's measured per-operator CPU seconds rather than
-	// task wall clock. Where tr conflates compute with blocked time (channel
-	// waits, checkpoint stalls), tp_cpu compares tr(c) against ground-truth
-	// on-CPU time, so a mis-set tuple-processing cost tp(o) is corrected even
-	// when wall time is dominated by waiting.
-	DriftTPCPU = "tp_cpu"
 )
 
 // DriftConfig parameterizes a DriftDetector.
@@ -128,7 +121,7 @@ type DriftDetector struct {
 	repairs       *sampleRing
 	lastFailure   time.Time
 
-	trEWMA, tmEWMA, tpEWMA float64 // observed/predicted correction factors
+	trEWMA, tmEWMA float64 // observed/predicted correction factors
 
 	terms   map[string]*termState
 	queries int
@@ -143,13 +136,11 @@ func NewDriftDetector(cfg DriftConfig) *DriftDetector {
 		repairs:       newSampleRing(cfg.Window),
 		trEWMA:        1,
 		tmEWMA:        1,
-		tpEWMA:        1,
 		terms: map[string]*termState{
-			DriftTR:    {model: 1, estimate: 1},
-			DriftTM:    {model: 1, estimate: 1},
-			DriftTPCPU: {model: 1, estimate: 1},
-			DriftMTBF:  {model: cfg.ModelMTBF},
-			DriftMTTR:  {model: cfg.ModelMTTR},
+			DriftTR:   {model: 1, estimate: 1},
+			DriftTM:   {model: 1, estimate: 1},
+			DriftMTBF: {model: cfg.ModelMTBF},
+			DriftMTTR: {model: cfg.ModelMTTR},
 		},
 	}
 }
@@ -223,37 +214,6 @@ func (d *DriftDetector) ObserveQuery(pred Prediction, spans []Span) {
 	d.updateTerm(DriftMTTR, nMTTR, d.mttrLocked())
 	d.updateTerm(DriftTR, nTR, d.trEWMA)
 	d.updateTerm(DriftTM, nTM, d.tmEWMA)
-}
-
-// ObserveCPU ingests the continuous profiler's measured per-operator CPU
-// seconds for one finished query, paired against the same plan-time
-// prediction ObserveQuery joined spans with. Each collapsed group contributes
-// one (tr(c), measured CPU) pair; the query's slope folds into the tp_cpu
-// EWMA exactly like tr's, but against ground-truth on-CPU time instead of
-// wall clock. Call it after the sampler has rotated the query's last window
-// (CutWindow / Stop), else the tail of the query is invisible. Nil maps and
-// nil receivers are no-ops.
-func (d *DriftDetector) ObserveCPU(pred Prediction, opCPU map[string]float64) {
-	if d == nil || len(opCPU) == 0 || len(pred.Ops) == 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var tpPred, tpObs []float64
-	for _, op := range pred.Ops {
-		var cpu float64
-		for _, name := range op.Ops {
-			cpu += opCPU[name]
-		}
-		if op.TR > 0 && cpu > 0 {
-			tpPred = append(tpPred, op.TR)
-			tpObs = append(tpObs, cpu)
-		}
-	}
-	if f, ok := querySlope(tpPred, tpObs); ok {
-		d.tpEWMA += d.cfg.Alpha * (f - d.tpEWMA)
-		d.updateTerm(DriftTPCPU, len(tpPred), d.tpEWMA)
-	}
 }
 
 // querySlope is the calibrator's least-squares slope through the origin for
@@ -368,10 +328,7 @@ func (d *DriftDetector) CorrectedModel(base cost.Model) cost.Model {
 }
 
 // CorrectedParams returns base with the per-row constants scaled by flagged
-// correction factors (the online analogue of Estimator.Params). For
-// CPUPerRow, the profiler-derived tp_cpu factor outranks the wall-clock tr
-// factor when both are flagged: measured on-CPU seconds isolate compute cost
-// from blocked time, so tp_cpu is the stronger signal for tp(o).
+// correction factors (the online analogue of Estimator.Params).
 func (d *DriftDetector) CorrectedParams(base stats.CostParams) stats.CostParams {
 	if d == nil {
 		return base
@@ -379,9 +336,7 @@ func (d *DriftDetector) CorrectedParams(base stats.CostParams) stats.CostParams 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := base
-	if st := d.terms[DriftTPCPU]; st.flagged && st.estimate > 0 {
-		out.CPUPerRow *= st.estimate
-	} else if st := d.terms[DriftTR]; st.flagged && st.estimate > 0 {
+	if st := d.terms[DriftTR]; st.flagged && st.estimate > 0 {
 		out.CPUPerRow *= st.estimate
 	}
 	if st := d.terms[DriftTM]; st.flagged && st.estimate > 0 {

@@ -134,76 +134,6 @@ func TestDriftTRFactorFlagsAndScalesParams(t *testing.T) {
 	}
 }
 
-// TestDriftTPCPUCorrectsMisSetTPWithinTenQueries is the acceptance bar for
-// the profiler feed: a tuple-processing cost tp(o) mis-set by 4x must be
-// flagged and corrected to within 25% of ground truth inside 10 queries of
-// measured per-operator CPU, with the tp_cpu factor outranking wall-clock tr
-// when CPUPerRow is corrected.
-func TestDriftTPCPUCorrectsMisSetTPWithinTenQueries(t *testing.T) {
-	d := NewDriftDetector(DriftConfig{Nodes: 1, ModelMTBF: 100})
-	// The model predicts tr(c)=1s per group; the profiler measures 4s of
-	// on-CPU time — tp(o) is 4x too small.
-	pred := Prediction{Ops: []OpPrediction{
-		{Name: "{1}", Ops: []string{"scan", "filter"}, TR: 1, Runtime: 1},
-		{Name: "{2}", Ops: []string{"agg"}, TR: 0.5, Runtime: 0.5},
-	}}
-	opCPU := map[string]float64{"scan": 3, "filter": 1, "agg": 2}
-	flaggedAt := 0
-	for q := 1; q <= 10; q++ {
-		d.ObserveCPU(pred, opCPU)
-		if flaggedAt == 0 && d.Flagged(DriftTPCPU) {
-			flaggedAt = q
-		}
-	}
-	if flaggedAt == 0 {
-		t.Fatalf("tp_cpu never flagged within 10 queries: %+v", d.Snapshot())
-	}
-	t.Logf("tp_cpu flagged after %d queries", flaggedAt)
-	var est float64
-	for _, term := range d.Snapshot().Terms {
-		if term.Term == DriftTPCPU {
-			est = term.Estimate
-		}
-	}
-	if math.Abs(est-4)/4 > 0.25 {
-		t.Errorf("tp_cpu estimate %g not within 25%% of true factor 4", est)
-	}
-	// Correction: the profiler-derived factor scales CPUPerRow. Also flag tr
-	// with a wildly different factor and confirm tp_cpu wins the precedence.
-	base := stats.CostParams{CPUPerRow: 1e-6, Nodes: 1}
-	got := d.CorrectedParams(base)
-	if math.Abs(got.CPUPerRow-est*1e-6) > 1e-12 {
-		t.Errorf("CPUPerRow = %g, want %g", got.CPUPerRow, est*1e-6)
-	}
-	trPred, trSpans := trQuery(100)
-	for i := 0; i < 5; i++ {
-		d.ObserveQuery(trPred, trSpans)
-	}
-	if !d.Flagged(DriftTR) {
-		t.Fatalf("tr not flagged by 100x walls: %+v", d.Snapshot())
-	}
-	got = d.CorrectedParams(base)
-	if math.Abs(got.CPUPerRow-est*1e-6) > 1e-12 {
-		t.Errorf("tp_cpu did not outrank tr: CPUPerRow = %g, want %g", got.CPUPerRow, est*1e-6)
-	}
-}
-
-func TestDriftTPCPUNilAndEmptySafety(t *testing.T) {
-	var nilD *DriftDetector
-	nilD.ObserveCPU(Prediction{Ops: []OpPrediction{{TR: 1}}}, map[string]float64{"x": 1})
-	d := NewDriftDetector(DriftConfig{Nodes: 1})
-	d.ObserveCPU(Prediction{}, map[string]float64{"x": 1})
-	d.ObserveCPU(Prediction{Ops: []OpPrediction{{Ops: []string{"x"}, TR: 1}}}, nil)
-	if d.Flagged(DriftTPCPU) {
-		t.Error("empty observations flagged tp_cpu")
-	}
-	for _, term := range d.Snapshot().Terms {
-		if term.Term == DriftTPCPU && term.Samples != 0 {
-			t.Errorf("tp_cpu accumulated samples from empty input: %+v", term)
-		}
-	}
-}
-
 func TestDriftAccurateModelNeverFlags(t *testing.T) {
 	d := NewDriftDetector(DriftConfig{Nodes: 1, ModelMTBF: 10, ModelMTTR: 2, K: 2})
 	at := 0.0
@@ -227,11 +157,11 @@ func TestDriftSnapshotAndString(t *testing.T) {
 	d := NewDriftDetector(DriftConfig{Nodes: 1, ModelMTBF: 100})
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{0, 5}))
 	snap := d.Snapshot()
-	if snap.Queries != 1 || len(snap.Terms) != 5 {
+	if snap.Queries != 1 || len(snap.Terms) != 4 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	// Term-sorted: mtbf, mttr, tm, tp_cpu, tr.
-	order := []string{DriftMTBF, DriftMTTR, DriftTM, DriftTPCPU, DriftTR}
+	// Term-sorted: mtbf, mttr, tm, tr.
+	order := []string{DriftMTBF, DriftMTTR, DriftTM, DriftTR}
 	for i, term := range snap.Terms {
 		if term.Term != order[i] {
 			t.Fatalf("terms out of order: %+v", snap.Terms)
@@ -271,7 +201,7 @@ func TestRegisterDriftMetrics(t *testing.T) {
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{0, 5}))
 	snap := reg.Snapshot()
 	fam := snap.Family("ftpde_cost_drift")
-	if fam == nil || len(fam.Series) != 5 {
+	if fam == nil || len(fam.Series) != 4 {
 		t.Fatalf("ftpde_cost_drift family = %+v", fam)
 	}
 	mtbf := fam.Get(DriftMTBF)

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 )
 
 // checkpointWriter persists materialized partitions to the fault-tolerant
@@ -26,10 +24,6 @@ type checkpointWriter struct {
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	progress *obs.Progress
-	// pctx carries the query-level pprof labels; persist re-applies them with
-	// the checkpointed operator on top, so asynchronous checkpoint CPU joins
-	// to the operator that caused it.
-	pctx context.Context
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -62,13 +56,12 @@ type blockSink interface {
 	PutGroup(op string, parts int, group []engine.PartBlock) error
 }
 
-func newCheckpointWriter(pctx context.Context, store blockSink, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
+func newCheckpointWriter(store blockSink, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
 	w := &checkpointWriter{
 		store:    store,
 		metrics:  metrics,
 		tracer:   tracer,
 		progress: progress,
-		pctx:     pctx,
 		inFlight: make(map[partKey]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -101,27 +94,25 @@ func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts i
 	return true
 }
 
-// persist serializes one partition, typed vectors to block bytes, under the
-// checkpointed operator's labels, adds the block to the operator's group and
-// writes the group if that completed the stage. Its goroutine ends there; the
-// barriers wait for it through the pending count.
+// persist serializes one partition, typed vectors to block bytes, adds the
+// block to the operator's group and writes the group if that completed the
+// stage. Its goroutine ends there; the barriers wait for it through the
+// pending count.
 func (w *checkpointWriter) persist(g *group, part int, b *engine.Batch) {
-	prof.Do(w.pctx, prof.Labels{Stage: g.op, Op: g.op}, func(context.Context) {
-		data, err := engine.EncodeBlock(b)
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		g.encoding--
-		if err != nil {
-			w.settle(g.op, []engine.PartBlock{{Part: part}}, fmt.Errorf("partition %d: %w", part, err))
-		} else {
-			g.blocks = append(g.blocks, engine.PartBlock{Part: part, Data: data})
-			g.rows += int64(b.Len())
-		}
-		if len(g.blocks) == g.parts {
-			w.write(g)
-		}
-		w.cond.Broadcast() // a barrier waits for the encode before it writes the group
-	})
+	data, err := engine.EncodeBlock(b)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	g.encoding--
+	if err != nil {
+		w.settle(g.op, []engine.PartBlock{{Part: part}}, fmt.Errorf("partition %d: %w", part, err))
+	} else {
+		g.blocks = append(g.blocks, engine.PartBlock{Part: part, Data: data})
+		g.rows += int64(b.Len())
+	}
+	if len(g.blocks) == g.parts {
+		w.write(g)
+	}
+	w.cond.Broadcast() // a barrier waits for the encode before it writes the group
 }
 
 // write empties g into the store, one call for all it held, and settles those

@@ -8,7 +8,6 @@ import (
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/prof"
 )
 
 // nodeFailure reports an injected node failure while computing op's
@@ -83,7 +82,6 @@ type task struct {
 	op   engine.Operator
 	n    int                // attempt number
 	fail bool               // the injector kills this attempt
-	ctx  context.Context    // the partition context plus the op/attempt pprof labels
 	kern engine.BatchKernel // chained operators only, fresh per attempt
 	seen int                // batches received (chained operators)
 }
@@ -117,15 +115,10 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		if n > maxAttemptsPerPartition {
 			return nil, fmt.Errorf("runtime: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
 		}
-		tasks[i] = task{op: op, n: n, fail: rn.cfg.Injector.FailCompute(op.Name(), part, n),
-			ctx: prof.Context(ctx, prof.Labels{Op: op.Name(), Attempt: prof.AttemptLabel(n)})}
+		tasks[i] = task{op: op, n: n, fail: rn.cfg.Injector.FailCompute(op.Name(), part, n)}
 	}
-	// The worker switches to an operator's label set, built once above, before
-	// each of that operator's calls, and back to the stage's on the way out.
-	defer prof.Apply(ctx)
 
 	src := &tasks[0]
-	prof.Apply(src.ctx)
 	// buildStages admitted only batch-native operators (engine.CheckColumnar).
 	b, err := src.op.(engine.BatchOperator).ComputeBatch(part, inputs)
 	if err != nil {
@@ -161,7 +154,6 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 				return rn.die(t.op, part, t.n)
 			}
 			t.seen++
-			prof.Apply(t.ctx)
 			res, err := t.kern.Process(b)
 			if err != nil {
 				return err
@@ -187,7 +179,6 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 			return nil, err
 		}
 		rn.metrics.Batches.Add(1)
-		prof.Apply(src.ctx)
 		if err := push(1, b.SliceLocal(start, min(start+size, total), loc)); err != nil {
 			return nil, err
 		}
@@ -200,7 +191,6 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		if t.fail {
 			return nil, rn.die(t.op, part, t.n)
 		}
-		prof.Apply(t.ctx)
 		fb, err := t.kern.Flush()
 		if err != nil {
 			return nil, err

@@ -33,7 +33,6 @@ import (
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 	"ftpde/internal/schemes"
 )
 
@@ -74,12 +73,6 @@ type Config struct {
 	// chained stage partition; nil uses a process-wide shared arena so
 	// concurrent queries feed each other's freelists.
 	Arena *engine.Arena
-	// ProfLabels are the query-level pprof labels (query, tenant) every
-	// stage worker runs under when continuous profiling is on. Labels are
-	// goroutine-local, so each goroutine handoff — stage worker, checkpoint
-	// writer — re-applies them from the task context and refines with
-	// stage/op/attempt. Zero cost while no sampler is running.
-	ProfLabels prof.Labels
 }
 
 // sharedArena is the process-wide default buffer arena. Sharing it across
@@ -134,28 +127,13 @@ func (r *Runtime) Metrics() *Metrics { return r.cfg.Metrics }
 // along with an execution report. The report type is shared with the
 // reference Coordinator so recovery tests compare the two directly.
 func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.PartitionedResult, *engine.Report, error) {
-	// The scheduler goroutine does real work of its own (result
-	// materialization at the edge, flush barriers), so it runs labeled; the
-	// returned ctx carries the query-level labels every worker re-applies.
-	var (
-		res *engine.PartitionedResult
-		rep *engine.Report
-		err error
-	)
-	prof.Do(ctx, r.cfg.ProfLabels, func(ctx context.Context) {
-		res, rep, err = r.executeLabeled(ctx, root)
-	})
-	return res, rep, err
-}
-
-func (r *Runtime) executeLabeled(ctx context.Context, root engine.Operator) (*engine.PartitionedResult, *engine.Report, error) {
 	plan, err := buildStages(root, r.cfg.Nodes)
 	if err != nil {
 		return nil, nil, err
 	}
 	report := &engine.Report{}
 	attempts := newAttempts()
-	writer := newCheckpointWriter(ctx, r.store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
+	writer := newCheckpointWriter(r.store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
 	defer writer.close()
 
 	qspan := r.cfg.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
@@ -327,13 +305,7 @@ func (rn *run) runStage(ctx context.Context, s *stage) error {
 				return
 			}
 			defer rn.pool.Release()
-			// Stage workers are fresh goroutines: re-apply the query-level
-			// labels from ctx with this stage's name on top.
-			var err error
-			prof.Do(ctx, prof.Labels{Stage: s.name()}, func(ctx context.Context) {
-				err = rn.runStagePartition(ctx, s, part)
-			})
-			if err != nil {
+			if err := rn.runStagePartition(ctx, s, part); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	goruntime "runtime"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,7 +14,6 @@ import (
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
-	"ftpde/internal/obs/prof"
 	"ftpde/internal/runtime"
 	"ftpde/internal/schemes"
 	"ftpde/internal/sql"
@@ -91,21 +88,6 @@ type Config struct {
 	ForensicsDir string
 	ForensicsMax int
 
-	// ProfileDir / ProfileWindow enable the continuous profiler: every query
-	// runs under pprof labels (query, tenant, stage, op, attempt), CPU windows
-	// rotate into a crash-safe ring under ProfileDir (memory-only when empty),
-	// and the label join feeds per-tenant CPU metrics, the drift detector's
-	// tp_cpu term, and forensics bundles. Profiling is on when either field is
-	// set; ProfileMax bounds the on-disk ring per profile kind.
-	ProfileDir    string
-	ProfileWindow time.Duration
-	ProfileMax    int
-	// ProfileDuty is the fraction (0,1] of each window the CPU profiler is
-	// armed; attributed seconds are scaled by 1/duty so they stay unbiased.
-	// 0 means always on — ftserve's flag default (0.1) is what keeps a
-	// long-running server's profiling tax under the 2% budget.
-	ProfileDuty float64
-
 	// Registry receives the service metric families; nil allocates one.
 	Registry *metrics.Registry
 	// Tracer receives execution spans; nil allocates a small ring. Queries
@@ -177,7 +159,6 @@ type Server struct {
 	progress  *obs.ProgressRegistry
 	drift     *obs.DriftDetector
 	forensics *obs.BundleWriter
-	sampler   *prof.Sampler
 
 	slots chan struct{} // execution-slot semaphore (MaxConcurrent)
 	queue waitQueue
@@ -246,52 +227,8 @@ func New(cfg Config) (*Server, error) {
 		s.forensics = w
 		obs.RegisterForensicsMetrics(cfg.Registry, w)
 	}
-	if cfg.ProfileDir != "" || cfg.ProfileWindow > 0 {
-		sam, err := prof.New(prof.Config{
-			Dir:      cfg.ProfileDir,
-			Window:   cfg.ProfileWindow,
-			MaxFiles: cfg.ProfileMax,
-			Duty:     cfg.ProfileDuty,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: profiler: %w", err)
-		}
-		if err := sam.Start(); err != nil {
-			return nil, fmt.Errorf("service: profiler: %w", err)
-		}
-		s.sampler = sam
-		prof.RegisterSamplerMetrics(cfg.Registry, sam)
-		registerTenantCPU(cfg.Registry, sam)
-	}
 	s.met = newSvcMetrics(cfg.Registry, s)
 	return s, nil
-}
-
-// registerTenantCPU exposes the profiler's per-tenant CPU join as
-// ftserve_cpu_seconds{tenant} — the service-level answer to "which tenant is
-// burning the cluster's CPU", measured from sampled stacks rather than wall
-// clock. Idempotent like the other Register helpers.
-func registerTenantCPU(reg *metrics.Registry, sam *prof.Sampler) {
-	_ = reg.RegisterFunc(metrics.Desc{
-		Name: "ftserve_cpu_seconds", Kind: metrics.KindCounter, Unit: "seconds",
-		Labels: []string{"tenant"},
-		Help:   "On-CPU seconds attributed to each tenant by the continuous profiler's label join.",
-	}, func() []metrics.Sample {
-		if sam == nil {
-			return nil
-		}
-		byTenant := sam.Attr().TenantCPUSeconds()
-		tenants := make([]string, 0, len(byTenant))
-		for t := range byTenant {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		out := make([]metrics.Sample, 0, len(tenants))
-		for _, t := range tenants {
-			out = append(out, metrics.Sample{LabelValues: []string{t}, Value: byTenant[t]})
-		}
-		return out
-	})
 }
 
 // Progress exposes the live-query registry backing /debug/queries.
@@ -481,7 +418,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	prog.SetPrediction(audit.Pred.DominantRuntime, obs.StagePredictions(audit.Pred))
 
 	exec := &runtime.Metrics{}
-	queryLabel := strconv.FormatInt(prog.ID(), 10)
 	rcfg := runtime.Config{
 		Nodes:       s.cfg.Nodes,
 		BatchSize:   s.cfg.BatchSize,
@@ -491,7 +427,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 		Tracer:      qt,
 		Progress:    prog,
 		MaxRestarts: s.cfg.MaxRestarts,
-		ProfLabels:  prof.Labels{Query: queryLabel, Tenant: tenant},
 	}
 	if s.cfg.Coarse {
 		rcfg.Recovery = schemes.CoarseRestart
@@ -511,13 +446,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	}
 	s.progress.End(prog, nil)
 	s.drift.ObserveQuery(audit.Pred, spans)
-	if s.sampler != nil {
-		// Rotate the current CPU window (rate-limited) so this query's tail
-		// is joined, then drain its per-operator CPU into the drift
-		// detector's tp_cpu term — measured compute cost correcting tp(o).
-		s.sampler.CutWindow()
-		s.drift.ObserveCPU(audit.Pred, s.sampler.Attr().TakeQueryCPUSeconds(queryLabel))
-	}
 
 	rows, total := formatRows(res, req.MaxRows)
 	cols := make([]string, len(audit.Phys.Output))
@@ -575,10 +503,6 @@ func (s *Server) dumpForensics(req Request, tenant string, prog *obs.Progress,
 		reason = "rejected"
 	}
 	psnap := prog.Snapshot()
-	// Freeze the profiler's view of the death: cut the in-flight CPU window
-	// and grab a heap snapshot so the bundle answers "what was burning CPU
-	// when recovery gave up". Nil sampler yields a nil capture.
-	profCap := prof.CaptureBundle(s.sampler)
 	b := &obs.Bundle{
 		ID:        prog.ID(),
 		Tenant:    tenant,
@@ -593,7 +517,6 @@ func (s *Server) dumpForensics(req Request, tenant string, prog *obs.Progress,
 		Ledger:    exec.Ledger().Snapshot(),
 		Registry:  exec.Registry().Snapshot(),
 		Drift:     s.drift.Snapshot(),
-		Prof:      profCap,
 		CreatedAt: time.Now(),
 	}
 	if _, err := s.forensics.Write(b); err != nil {
@@ -679,11 +602,6 @@ func (s *Server) Drain() {
 	}
 	s.wg.Wait()
 	s.pool.Close()
-	if s.sampler != nil {
-		// Stop after the last query: Stop rotates the final window, so
-		// tenant/operator CPU totals include work that raced with the drain.
-		s.sampler.Stop()
-	}
 }
 
 // Close drains the server and tears down its listeners and connections.

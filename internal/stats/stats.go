@@ -35,11 +35,9 @@ func JoinCardinality(left, right, selectivity float64) float64 {
 // contributes when executed in parallel over all partitions.
 type CostParams struct {
 	// CPUPerRow is the processing cost per input/output row touched, summed
-	// over the cluster (seconds per row at CONSTcost = 1). Two online loops
-	// correct it when live execution disagrees: the drift detector's tr term
-	// (wall-clock spans) and, when the continuous profiler is attached, its
-	// tp_cpu term (measured on-CPU seconds per operator), which takes
-	// precedence because it excludes blocked time.
+	// over the cluster (seconds per row at CONSTcost = 1). The drift
+	// detector's tr term (failure-free task wall against tr(c)) corrects it
+	// online when live execution disagrees.
 	CPUPerRow float64
 	// WritePerRow is the cost per row written to the fault-tolerant storage
 	// medium. The paper's setup writes to a shared iSCSI target over 1 GbE,

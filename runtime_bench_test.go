@@ -14,14 +14,12 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"ftpde/internal/core"
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/prof"
 	"ftpde/internal/plan"
 	"ftpde/internal/runtime"
 	"ftpde/internal/service"
@@ -271,51 +269,6 @@ func BenchmarkRuntimePipelinedQ1Progress(b *testing.B) {
 			b.Fatal("empty result")
 		}
 		reg.End(prog, nil)
-	}
-}
-
-// BenchmarkRuntimePipelinedQ1Profiled is the same Q1 workload with the
-// continuous profiler attached the way ftserve runs it when -profile-dir is
-// set: pprof labels on every goroutine handoff plus a 100 Hz CPU sampler at
-// the server's default 10% duty cycle (armed for the first tenth of each
-// window, dark for the rest, attribution scaled by 1/duty). The window here is
-// 500ms rather than the server's 5s only so a ~1s measurement spans full
-// cycles. The delta against BenchmarkRuntimePipelinedQ1 is the whole cost of
-// continuous profiling, budgeted at 2%. (Always-on profiling — duty 1, what the
-// one-shot CLI uses — measures at several percent on a single-core box; the
-// duty cycle is precisely what buys the budget back for servers.)
-func BenchmarkRuntimePipelinedQ1Profiled(b *testing.B) {
-	cat, err := tpch.Generate(0.002, 4, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q1, err := tpch.EngineQ1(cat, 2500)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := prof.New(prof.Config{Window: 500 * time.Millisecond, Duty: 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Stop()
-	labels := prof.Labels{Query: "bench", Tenant: "bench"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := runtime.New(runtime.Config{Nodes: 4, ProfLabels: labels})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, _, err := r.Execute(context.Background(), q1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.AllRows()) == 0 {
-			b.Fatal("empty result")
-		}
 	}
 }
 
