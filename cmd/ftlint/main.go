@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go run ./cmd/ftlint ./...
-//	go run ./cmd/ftlint -run ckpterr,spanpair ./internal/engine/...
+//	go run ./cmd/ftlint -run ckpterr ./internal/engine/...
 //	go run ./cmd/ftlint -json ./... > findings.json
 //	go run ./cmd/ftlint -list
 package main

@@ -26,7 +26,8 @@ func moduleRoot(t *testing.T) string {
 
 // TestFtlintRepoIsClean is the gate the CI job enforces: the multichecker
 // over the whole module must exit 0. A regression that reintroduces a
-// discarded checkpoint error or an unpaired failure span fails this test.
+// discarded checkpoint error or an exact float comparison in the cost model
+// fails this test.
 func TestFtlintRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module; skipped in -short")
@@ -53,24 +54,24 @@ func TestListFlag(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(listing), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "arenaown batchalias ckpterr costfloat determin spanpair"
+	want := "ckpterr costfloat"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q:\n%s", got, want, listing)
 	}
 }
 
-// TestJSONFlag runs the real arenaown analyzer over its own fixture package
+// TestJSONFlag runs the real ckpterr analyzer over its own fixture package
 // (which contains deliberate violations) and checks the machine-readable
 // output shape plus the exit-code contract: findings still exit 1.
 func TestJSONFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks a fixture package; skipped in -short")
 	}
-	fixture := filepath.Join(moduleRoot(t), "internal", "lint", "arenaown", "testdata", "src", "internal", "engine")
+	fixture := filepath.Join(moduleRoot(t), "internal", "lint", "ckpterr", "testdata", "src", "ckpt")
 	t.Chdir(fixture)
 	stdout := tempFile(t)
 	stderr := tempFile(t)
-	code := run([]string{"-run", "arenaown", "-json", "."}, stdout, stderr)
+	code := run([]string{"-run", "ckpterr", "-json", "."}, stdout, stderr)
 	if code != 1 {
 		t.Fatalf("-json over fixture exited %d, want 1 (stderr: %s)", code, readBack(t, stderr))
 	}
@@ -85,19 +86,19 @@ func TestJSONFlag(t *testing.T) {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, readBack(t, stdout))
 	}
 	if len(findings) == 0 {
-		t.Fatal("expected findings from the arenaown fixture, got none")
+		t.Fatal("expected findings from the ckpterr fixture, got none")
 	}
 	for _, f := range findings {
-		if f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Analyzer != "arenaown" || f.Message == "" {
+		if f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Analyzer != "ckpterr" || f.Message == "" {
 			t.Errorf("malformed finding: %+v", f)
 		}
 	}
 }
 
-// TestUnknownAnalyzerExitsUsage also covers the retired channel-protocol
-// analyzers: their names are usage errors now, not silently empty runs.
+// TestUnknownAnalyzerExitsUsage also covers retired analyzers: their names
+// are usage errors now, not silently empty runs.
 func TestUnknownAnalyzerExitsUsage(t *testing.T) {
-	for _, name := range []string{"nosuch", "chanproto", "ctxleak"} {
+	for _, name := range []string{"nosuch", "chanproto", "ctxleak", "arenaown"} {
 		stdout := tempFile(t)
 		stderr := tempFile(t)
 		if code := run([]string{"-run", name}, stdout, stderr); code != 2 {

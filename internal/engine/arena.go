@@ -17,17 +17,18 @@ import (
 // Only *Local pointers cross the sync.Pool, so the steady state performs no
 // allocation at all — neither for the buffers nor for the pool traffic.
 //
-// Ownership discipline (enforced by the batchalias analyzer's
-// write-after-release rule and exercised by the pipelined equivalence tests):
-// a pooled buffer has exactly one owner at a time; handing a batch to a
-// kernel transfers ownership; whoever consumes a batch releases it
-// (Batch.Release) after its last read; anything still holding pooled buffers
-// when an error or cancellation tears a pipeline down simply leaks them to
-// the garbage collector, which is always safe.
+// Ownership discipline (checked by the differential tests' balance check on
+// Outstanding and exercised by the pipelined equivalence tests): a pooled
+// buffer has exactly one owner at a time; handing a batch to a kernel
+// transfers ownership; whoever consumes a batch releases it (Batch.Release)
+// after its last read; anything still holding pooled buffers when an error or
+// cancellation tears a pipeline down simply leaks them to the garbage
+// collector, which is always safe.
 type Arena struct {
 	pool sync.Pool // of *Local
 	gets atomic.Uint64
 	hits atomic.Uint64
+	puts atomic.Uint64
 }
 
 // NewArena creates an empty arena.
@@ -57,6 +58,13 @@ func (a *Arena) HitRatio() float64 {
 		return 0
 	}
 	return float64(a.hits.Load()) / float64(gets)
+}
+
+// Outstanding reports buffers handed out minus buffers released, over the
+// Locals closed so far: 0 after a clean query on a private arena, positive
+// when buffers leaked to the GC.
+func (a *Arena) Outstanding() int64 {
+	return int64(a.gets.Load() - a.puts.Load())
 }
 
 // RegisterArenaMetrics exposes the arena's recycling effectiveness as the
@@ -122,7 +130,7 @@ type Local struct {
 	batchFree []*Batch
 	colsFree  [][]Vector
 
-	gets, hits uint64
+	gets, hits, puts uint64
 }
 
 // Close returns the Local (and everything it has accumulated) to the arena,
@@ -134,7 +142,8 @@ func (l *Local) Close() {
 	}
 	l.arena.gets.Add(l.gets)
 	l.arena.hits.Add(l.hits)
-	l.gets, l.hits = 0, 0
+	l.arena.puts.Add(l.puts)
+	l.gets, l.hits, l.puts = 0, 0, 0
 	l.arena.pool.Put(l)
 }
 
@@ -160,6 +169,7 @@ func (l *Local) putInts(b []int64) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	if cls := arenaClassOf(cap(b)); cls >= 0 {
 		l.intBufs[cls] = append(l.intBufs[cls], b[:0])
 	}
@@ -187,6 +197,7 @@ func (l *Local) putFloats(b []float64) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	if cls := arenaClassOf(cap(b)); cls >= 0 {
 		l.floatBufs[cls] = append(l.floatBufs[cls], b[:0])
 	}
@@ -214,6 +225,7 @@ func (l *Local) putStrs(b []string) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	// Drop the string references so released buffers don't pin their data.
 	for i := range b {
 		b[i] = ""
@@ -245,6 +257,7 @@ func (l *Local) putSel(b []int32) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	if cls := arenaClassOf(cap(b)); cls >= 0 {
 		l.selBufs[cls] = append(l.selBufs[cls], b[:0])
 	}
@@ -277,9 +290,9 @@ func (l *Local) putBatch(b *Batch) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	// The batch is released — ownership has transferred to the freelist, and
 	// zeroing it here is what guarantees no stale reference survives reuse.
-	//lint:ignore batchalias putBatch is the ownership sink; the shell is being recycled, not read
 	*b = Batch{}
 	if len(l.batchFree) < maxFreeShells {
 		l.batchFree = append(l.batchFree, b)
@@ -308,6 +321,7 @@ func (l *Local) putCols(s []Vector) {
 	if l == nil {
 		return
 	}
+	l.puts++
 	if len(l.colsFree) >= maxFreeShells {
 		return
 	}

@@ -400,19 +400,6 @@ func EncodeColumnBlock(rows []Row) ([]byte, bool) {
 	return buf, err == nil
 }
 
-// ColumnBlockSize returns the exact size EncodeColumnBlock's block would have
-// — the per-column encoding choices included, since the encoder sizes its
-// buffer with the same plan — without building it; ok is false when the rows
-// are not strictly typed.
-func ColumnBlockSize(rows []Row) (int64, bool) {
-	b, err := rowsBatch(rows)
-	if err != nil {
-		return 0, false
-	}
-	_, size, err := planBlock(b)
-	return size, err == nil
-}
-
 // DecodeBlockFile is DecodeBlock for boxed rows, under the column types the
 // block itself declares; nil rows for an empty block.
 func DecodeBlockFile(data []byte) ([]Row, error) {

@@ -24,8 +24,8 @@ func TestColumnBlockRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("strictly typed rows refused column-block encoding")
 	}
-	if size, ok := ColumnBlockSize(rows); !ok || size != int64(len(buf)) {
-		t.Fatalf("ColumnBlockSize = %d ok=%v, encoded %d bytes", size, ok, len(buf))
+	if len(buf) != cap(buf) {
+		t.Fatalf("encoded %d bytes into a buffer of %d: the size plan missed", len(buf), cap(buf))
 	}
 	got, err := DecodeBlockFile(buf)
 	if err != nil {
@@ -75,9 +75,6 @@ func TestColumnBlockRejectsUntypedRows(t *testing.T) {
 	for i, rows := range cases {
 		if _, ok := EncodeColumnBlock(rows); ok {
 			t.Errorf("case %d: untyped rows accepted by column-block encoding", i)
-		}
-		if _, ok := ColumnBlockSize(rows); ok {
-			t.Errorf("case %d: untyped rows got a column-block size", i)
 		}
 	}
 }
@@ -249,8 +246,8 @@ func TestDiskStoreGCsOrphanedTempFiles(t *testing.T) {
 // v2 format can choose — plain and delta ints (including wrap-around at the
 // int64 extremes), plain floats with NaN/±Inf/-0, plain and dictionary
 // strings — and checks the property the checkpoint-bytes metric depends on:
-// ColumnBlockSize predicts the encoder byte-for-byte, and decode(encode(x))
-// == x.
+// the size plan predicts the encoder byte-for-byte (the buffer is allocated
+// at the planned size and never grows), and decode(encode(x)) == x.
 func TestColumnBlockCompressionRoundTrip(t *testing.T) {
 	cases := map[string][]Row{
 		"sorted-ints-delta": func() []Row {
@@ -306,8 +303,8 @@ func TestColumnBlockCompressionRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: strictly typed rows refused encoding", name)
 		}
-		if size, ok := ColumnBlockSize(rows); !ok || size != int64(len(buf)) {
-			t.Errorf("%s: ColumnBlockSize = %d, encoded %d bytes", name, size, len(buf))
+		if len(buf) != cap(buf) {
+			t.Errorf("%s: encoded %d bytes into a buffer of %d", name, len(buf), cap(buf))
 		}
 		got, err := DecodeBlockFile(buf)
 		if err != nil {
@@ -357,10 +354,11 @@ func TestColumnBlockCompressionShrinks(t *testing.T) {
 	for i := range both {
 		both[i] = Row{ints[i][0], strs[i][0]}
 	}
-	size, ok := ColumnBlockSize(both)
+	buf, ok := EncodeColumnBlock(both)
 	if !ok {
-		t.Fatal("typed rows refused sizing")
+		t.Fatal("typed rows refused encoding")
 	}
+	size := int64(len(buf))
 	header := int64(len(colBlockMagic)) + 1 + uvarintLen(2) + uvarintLen(1000) + 2*2
 	if size != header+delta+dict {
 		t.Fatalf("block size %d does not reflect compressed choices (want %d)", size, header+delta+dict)

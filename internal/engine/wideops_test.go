@@ -192,3 +192,44 @@ func TestArenaShellFreelists(t *testing.T) {
 		t.Errorf("a 16-column request under a 2-column slice missed the freelist (cap %d, hits %d)", cap(got), l.hits)
 	}
 }
+
+// Outstanding counts every buffer handed out against every buffer released,
+// including shells the freelists drop past their bound, and only over Locals
+// already closed: a released batch balances
+// exactly, an unreleased one stays outstanding.
+func TestArenaOutstanding(t *testing.T) {
+	a := NewArena()
+	build := func(l *Local) *Batch {
+		b := l.newBatch()
+		b.Cols, b.colsPooled = l.cols(2), true
+		b.Cols[0] = l.gatherVector(&Vector{Type: TypeInt, Ints: []int64{1, 2, 3}}, nil, 3)
+		b.Cols[1] = l.gatherVector(&Vector{Type: TypeString, Strings: []string{"a", "b", "c"}}, nil, 3)
+		b.Sel, b.selPooled = l.sel(2), true
+		return b
+	}
+
+	l := a.Local()
+	kept := build(l)
+	build(l).Release(l)
+	if got := a.Outstanding(); got != 0 {
+		t.Fatalf("Outstanding = %d before any Local closed, want 0", got)
+	}
+	l.Close()
+	if got := a.Outstanding(); got != 5 {
+		t.Fatalf("Outstanding = %d with one unreleased 5-buffer batch, want 5", got)
+	}
+
+	l = a.Local()
+	kept.Release(l)
+	shells := make([]*Batch, 2*maxFreeShells)
+	for i := range shells {
+		shells[i] = l.newBatch()
+	}
+	for _, b := range shells {
+		l.putBatch(b) // past the bound a shell goes to the GC, still counted
+	}
+	l.Close()
+	if got := a.Outstanding(); got != 0 {
+		t.Errorf("Outstanding = %d after every buffer was released, want 0", got)
+	}
+}

@@ -43,11 +43,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Summaries is the module-local interprocedural summary store, computed
-	// once per Run over every loaded package. Analyzers consult it to see
-	// through function boundaries: ownership effects, map-order taint,
-	// blocking sends, channel protocol roles (see FuncSummary).
-	Summaries *Summaries
 	// Report delivers one diagnostic. Analyzers usually call Reportf.
 	Report func(Diagnostic)
 }

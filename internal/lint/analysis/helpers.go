@@ -25,24 +25,6 @@ func (p *Pass) WithStack(fn func(n ast.Node, stack []ast.Node) bool) {
 	}
 }
 
-// FuncDecls maps each function or method object declared in the package to
-// its declaration. Analyzers use it to resolve same-package calls statically.
-func (p *Pass) FuncDecls() map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := p.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				out[obj] = fd
-			}
-		}
-	}
-	return out
-}
-
 // CalleeFunc resolves a call expression to the function or method object it
 // statically invokes, or nil for dynamic calls (function values, interface
 // methods resolve to the interface method object). Generic calls resolve to
@@ -51,30 +33,40 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return CalleeOf(p.TypesInfo, call)
 }
 
-// LocalCalls returns the same-package functions a function body statically
-// calls (declarations resolved through decls).
-func (p *Pass) LocalCalls(body ast.Node, decls map[*types.Func]*ast.FuncDecl) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	seen := make(map[*ast.FuncDecl]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// CalleeOf resolves a call expression to the function or method object it
+// statically invokes, or nil for dynamic calls. It sees through parentheses
+// and the explicit type-argument syntax of generic calls (f[T](x)), and
+// normalizes instantiated methods to their origin.
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	// Generic instantiation: f[T] or f[T1, T2].
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fn := fun.(type) {
+	case *ast.Ident:
+		if f, ok := info.Uses[fn].(*types.Func); ok {
+			return f.Origin()
 		}
-		if f := p.CalleeFunc(call); f != nil {
-			if fd, ok := decls[f]; ok && !seen[fd] {
-				seen[fd] = true
-				out = append(out, fd)
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fn]; ok {
+			if f, ok := sel.Obj().(*types.Func); ok {
+				return f.Origin()
 			}
 		}
-		return true
-	})
-	return out
+		if f, ok := info.Uses[fn.Sel].(*types.Func); ok {
+			return f.Origin()
+		}
+	}
+	return nil
 }
 
 // NamedTypeName returns the name of the (possibly pointer-wrapped) named type
 // of t, or "" when t is not a named type. It is the structural hook the
-// analyzers use so fixtures can declare their own Store/Tracer/Batch types.
+// analyzers use so fixtures can declare their own Store types.
 func NamedTypeName(t types.Type) string {
 	if t == nil {
 		return ""

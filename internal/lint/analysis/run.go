@@ -27,7 +27,6 @@ func (f Finding) String() string {
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	seen := make(map[string]bool) // dedupe across test-variant overlap
-	sums := ComputeSummaries(pkgs)
 	for _, pkg := range pkgs {
 		sup, supFindings := suppressions(pkg)
 		findings = append(findings, supFindings...)
@@ -38,7 +37,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Summaries: sums,
 			}
 			var runErr error
 			pass.Report = func(d Diagnostic) {

@@ -37,18 +37,11 @@ func TestData() string {
 
 // Run loads every fixture package named by pkgs (paths relative to
 // testdata/src) and reports mismatches between the analyzer's findings and
-// the fixtures' want comments. A path ending in "/..." loads the whole
-// fixture tree as one multi-package universe: summaries are computed across
-// all of its packages, so interprocedural fixtures can split caller and
-// helper across package boundaries.
+// the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, rel := range pkgs {
-		dir, pattern := filepath.Join(testdata, "src", rel), "."
-		if sub, ok := strings.CutSuffix(rel, "/..."); ok {
-			dir, pattern = filepath.Join(testdata, "src", sub), "./..."
-		}
-		loaded, err := analysis.Load(dir, pattern)
+		loaded, err := analysis.Load(filepath.Join(testdata, "src", rel), ".")
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", rel, err)
 		}
@@ -112,7 +105,7 @@ func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Find
 
 // parseWant extracts the quoted regexps of a `// want` expectation ("" or “
 // quoting), returning nil when the comment carries none. The marker may
-// appear mid-comment so that directive lines (e.g. //lint:spanpair) can hold
+// appear mid-comment so that directive lines (e.g. //lint:ignore) can hold
 // expectations about themselves.
 func parseWant(comment string) ([]*regexp.Regexp, error) {
 	i := strings.Index(comment, "// want ")

@@ -5,22 +5,14 @@ package lint
 
 import (
 	"ftpde/internal/lint/analysis"
-	"ftpde/internal/lint/arenaown"
-	"ftpde/internal/lint/batchalias"
 	"ftpde/internal/lint/ckpterr"
 	"ftpde/internal/lint/costfloat"
-	"ftpde/internal/lint/determin"
-	"ftpde/internal/lint/spanpair"
 )
 
 // Analyzers lists every analyzer ftlint runs, in report order.
 var Analyzers = []*analysis.Analyzer{
-	arenaown.Analyzer,
-	batchalias.Analyzer,
 	ckpterr.Analyzer,
 	costfloat.Analyzer,
-	determin.Analyzer,
-	spanpair.Analyzer,
 }
 
 // ByName returns the named analyzer, or nil.

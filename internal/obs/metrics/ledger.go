@@ -49,8 +49,9 @@ const maxLedgerEntries = 1 << 15
 // Ledger attributes every lost second of execution to a cause. Failure sites
 // record Fail entries; recovery paths record Attribute entries carrying the
 // wasted wall time. The pairing invariant — every failure entry is eventually
-// followed by a resolving attribution — is what the ledger tests (and the CI
-// pairing check) enforce, mirroring the spanpair analyzer's rule for spans.
+// followed by a resolving attribution — is what the ledger tests enforce;
+// the runtime's TestPipelinedLedgerReconcilesWithSpans checks it against the
+// failure and recovery spans of the same execution.
 //
 // The zero value is ready to use and safe for concurrent use. Methods on a
 // nil *Ledger are no-ops, so disabled-metrics paths pay nothing.

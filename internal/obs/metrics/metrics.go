@@ -297,15 +297,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // DefaultLatencyBuckets spans 1µs to ~67s in powers of four — wide enough for
 // checkpoint writes and stage wall times across scale factors without
 // per-query tuning.

@@ -134,12 +134,6 @@ func TestBucketConstructors(t *testing.T) {
 			t.Errorf("ExpBuckets[%d] = %g, want %g", i, exp[i], want)
 		}
 	}
-	lin := LinearBuckets(10, 5, 3)
-	for i, want := range []float64{10, 15, 20} {
-		if lin[i] != want {
-			t.Errorf("LinearBuckets[%d] = %g, want %g", i, lin[i], want)
-		}
-	}
 	db := DefaultLatencyBuckets()
 	if db[0] != 1e-6 || db[len(db)-1] < 60 {
 		t.Errorf("default latency buckets do not span 1µs..>60s: %v", db)
@@ -162,7 +156,7 @@ func TestRegistryDuplicateRegistration(t *testing.T) {
 
 func TestRegistrySnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.NewGauge("zzz", "", "")
+	r.NewGaugeVec("zzz", "", "", nil)
 	r.NewCounter("aaa_total", "")
 	v := r.NewHistogramVec("hist", "", "seconds", []string{"l"}, []float64{1})
 	v.With("b").Observe(0.1)
@@ -182,34 +176,6 @@ func TestRegistrySnapshotDeterministicOrder(t *testing.T) {
 	}
 	if got := hist.Get("b"); got == nil || got.Hist == nil || got.Hist.Count != 1 {
 		t.Errorf("Get(b) = %+v", got)
-	}
-}
-
-func TestRegistrySnapshotMerge(t *testing.T) {
-	build := func(counter float64, gauge float64, obs ...float64) RegistrySnapshot {
-		r := NewRegistry()
-		c := r.NewCounter("ops_total", "")
-		c.Add(int64(counter))
-		g := r.NewGauge("depth", "", "")
-		g.Set(gauge)
-		h := r.NewHistogram("lat", "", "seconds", []float64{1, 10})
-		for _, v := range obs {
-			h.Observe(v)
-		}
-		return r.Snapshot()
-	}
-	a := build(3, 1.0, 0.5)
-	b := build(4, 9.0, 5, 50)
-	m := a.Merge(b)
-	if got := m.Family("ops_total").Get().Value; got != 7 {
-		t.Errorf("merged counter = %g, want 7", got)
-	}
-	if got := m.Family("depth").Get().Value; got != 9 {
-		t.Errorf("merged gauge = %g, want 9 (other wins)", got)
-	}
-	h := m.Family("lat").Get().Hist
-	if h.Count != 3 || h.Sum != 55.5 {
-		t.Errorf("merged histogram = %+v", h)
 	}
 }
 

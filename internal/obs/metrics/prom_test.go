@@ -95,8 +95,7 @@ func TestWritePrometheusParses(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("ftpde_ops_total", "Operations with \"quotes\" and a \\ backslash.")
 	c.Add(42)
-	g := r.NewGauge("ftpde_depth", "Queue depth.", "")
-	g.Set(-1.5)
+	r.NewGaugeVec("ftpde_depth", "Queue depth.", "", nil).With().Set(-1.5)
 	v := r.NewHistogramVec("ftpde_lat_seconds", "Latency.", "seconds", []string{"stage"}, []float64{0.001, 0.01, 0.1})
 	v.With("scan").Observe(0.0005)
 	v.With("scan").Observe(0.05)
@@ -171,7 +170,7 @@ func TestWritePrometheusParses(t *testing.T) {
 
 func TestWritePrometheusCumulativeBucketValues(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("h", "x", "", []float64{1, 10})
+	h := r.NewHistogramVec("h", "x", "", nil, []float64{1, 10}).With()
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(500)

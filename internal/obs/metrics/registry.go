@@ -89,25 +89,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return c
 }
 
-// NewGauge registers and returns a single-series gauge family.
-func (r *Registry) NewGauge(name, help, unit string) *Gauge {
-	g := &Gauge{}
-	r.MustRegisterFunc(Desc{Name: name, Help: help, Kind: KindGauge, Unit: unit}, func() []Sample {
-		return []Sample{{Value: g.Value()}}
-	})
-	return g
-}
-
-// NewHistogram registers and returns a single-series histogram family.
-func (r *Registry) NewHistogram(name, help, unit string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.MustRegisterFunc(Desc{Name: name, Help: help, Kind: KindHistogram, Unit: unit}, func() []Sample {
-		hs := h.Snapshot()
-		return []Sample{{Hist: &hs}}
-	})
-	return h
-}
-
 // NewHistogramVec registers and returns a labeled histogram family.
 func (r *Registry) NewHistogramVec(name, help, unit string, labels []string, bounds []float64) *HistogramVec {
 	v := NewHistogramVec(labels, bounds)
@@ -199,56 +180,6 @@ func (f *FamilySnapshot) Get(values ...string) *SeriesSnapshot {
 		}
 	}
 	return nil
-}
-
-// Merge combines two snapshots (e.g. from two worker processes) into one:
-// counters and histograms sum; for gauges the other snapshot wins (it is
-// taken to be the newer observation). Families present in only one input are
-// carried over unchanged. The result is re-sorted and deterministic.
-func (s RegistrySnapshot) Merge(o RegistrySnapshot) RegistrySnapshot {
-	byName := make(map[string]*FamilySnapshot, len(s.Families))
-	var out RegistrySnapshot
-	for _, f := range s.Families {
-		cp := f
-		cp.Series = append([]SeriesSnapshot(nil), f.Series...)
-		out.Families = append(out.Families, cp)
-		byName[f.Name] = &out.Families[len(out.Families)-1]
-	}
-	for _, of := range o.Families {
-		dst, ok := byName[of.Name]
-		if !ok {
-			cp := of
-			cp.Series = append([]SeriesSnapshot(nil), of.Series...)
-			out.Families = append(out.Families, cp)
-			continue
-		}
-		for _, os := range of.Series {
-			ds := dst.Get(os.LabelValues...)
-			if ds == nil {
-				dst.Series = append(dst.Series, os)
-				continue
-			}
-			switch dst.Kind {
-			case KindGauge:
-				ds.Value = os.Value
-			case KindHistogram:
-				if ds.Hist != nil && os.Hist != nil {
-					m := ds.Hist.Merge(*os.Hist)
-					ds.Hist = &m
-				} else if os.Hist != nil {
-					h := *os.Hist
-					ds.Hist = &h
-				}
-			default:
-				ds.Value += os.Value
-			}
-		}
-		sort.Slice(dst.Series, func(i, j int) bool {
-			return joinKey(dst.Series[i].LabelValues) < joinKey(dst.Series[j].LabelValues)
-		})
-	}
-	sort.Slice(out.Families, func(i, j int) bool { return out.Families[i].Name < out.Families[j].Name })
-	return out
 }
 
 // DescribeTable renders a fixed-width table of the registry's families — the

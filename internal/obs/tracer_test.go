@@ -14,7 +14,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	sp.SetBytes(1)
 	sp.SetRows(2)
 	sp.End()
-	//lint:ignore spanpair the test drives the tracer API; no real failure episode to resolve
 	tr.Event(KindFailure, "f", 0, 0)
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v, want nil", got)
@@ -31,7 +30,6 @@ func TestTracerRecordsSpansAndEvents(t *testing.T) {
 	sp.End()
 	task := tr.Begin(KindTask, "join-1", 2, 1)
 	task.Fail("node failure")
-	//lint:ignore spanpair the test drives the tracer API; no real failure episode to resolve
 	tr.Event(KindFailure, "join-1", 2, 1)
 
 	spans := tr.Snapshot()
@@ -60,7 +58,6 @@ func TestTracerRecordsSpansAndEvents(t *testing.T) {
 func TestTracerSnapshotSortedByStart(t *testing.T) {
 	tr := NewTracer(1024)
 	for i := 0; i < 50; i++ {
-		//lint:ignore spanpair the test drives the tracer API; no real failure episode to resolve
 		tr.Event(KindFailure, "op", i, 0)
 	}
 	spans := tr.Snapshot()
@@ -140,7 +137,6 @@ func TestTracerConcurrentEmitAndDrain(t *testing.T) {
 				sp.SetRows(int64(i))
 				sp.End()
 				if i%10 == 0 {
-					//lint:ignore spanpair the test drives the tracer API; no real failure episode to resolve
 					tr.Event(KindFailure, "op", w, i)
 				}
 			}
@@ -162,7 +158,6 @@ func TestChromeTraceExportParses(t *testing.T) {
 	sp := tr.Begin(KindStage, "aggregate", -1, -1)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	//lint:ignore spanpair the test drives the tracer API; no real failure episode to resolve
 	tr.Event(KindFailure, "aggregate", 1, 0)
 
 	var buf jsonBuffer

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -317,6 +319,44 @@ func twoPhaseRole(op engine.Operator) string {
 	return ""
 }
 
+// differentialCase draws seed's DAG, a random M_P over every one of its
+// operators and a kill schedule over them.
+func differentialCase(t *testing.T, seed int64) (g *dagGen, root engine.Operator, ops []engine.Operator, kills []kill) {
+	g = newDagGen(t, seed)
+	root = g.plan(4)
+	ops = reachable(root)
+	for _, op := range ops {
+		op.(interface{ SetMaterialize(bool) }).SetMaterialize(g.r.Intn(3) == 0)
+	}
+	return g, root, ops, g.schedule(ops)
+}
+
+// arm is one way of executing a differential case: clean, or under its kill
+// schedule with either recovery.
+type arm struct {
+	name     string
+	kill     bool
+	recovery schemes.Recovery
+}
+
+var arms = []arm{
+	{"clean", false, schemes.FineGrained},
+	{"fine", true, schemes.FineGrained},
+	{"coarse", true, schemes.CoarseRestart},
+}
+
+// script returns a fresh injector for the arm: nil when clean.
+func (a arm) script(kills []kill) engine.FailureInjector {
+	if !a.kill {
+		return nil
+	}
+	inj := engine.NewScriptedFailures()
+	for _, k := range kills {
+		inj.Add(k.op, k.part, k.attempt)
+	}
+	return inj
+}
+
 func TestDifferentialOracle(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -325,14 +365,7 @@ func TestDifferentialOracle(t *testing.T) {
 	killed := map[string]int{} // kills per two-phase role
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			g := newDagGen(t, seed)
-			root := g.plan(4)
-			ops := reachable(root)
-			// A random M_P over every operator of the DAG.
-			for _, op := range ops {
-				op.(interface{ SetMaterialize(bool) }).SetMaterialize(g.r.Intn(3) == 0)
-			}
-			kills := g.schedule(ops)
+			g, root, ops, kills := differentialCase(t, seed)
 			for _, k := range kills {
 				for _, op := range ops {
 					if op.Name() == k.op && twoPhaseRole(op) != "" {
@@ -347,37 +380,27 @@ func TestDifferentialOracle(t *testing.T) {
 			// restart answers both.
 			overlapping := len(kills) == 2 && kills[1].attempt == 0
 			batches := []int{1 + g.r.Intn(9), 256}
+			// Every buffer a clean execution draws from the arena goes back to
+			// it; a killed attempt leaks its batches in flight to the GC, so it
+			// may end with buffers out, never with more returned than drawn.
+			arena := engine.NewArena()
 
-			for _, arm := range []struct {
-				name     string
-				kill     bool
-				recovery schemes.Recovery
-			}{
-				{"clean", false, schemes.FineGrained},
-				{"fine", true, schemes.FineGrained},
-				{"coarse", true, schemes.CoarseRestart},
-			} {
-				script := func() engine.FailureInjector {
-					if !arm.kill {
-						return nil
-					}
-					inj := engine.NewScriptedFailures()
-					for _, k := range kills {
-						inj.Add(k.op, k.part, k.attempt)
-					}
-					return inj
-				}
-				co := &engine.Coordinator{Nodes: g.nodes, Injector: script(), Coarse: arm.recovery == schemes.CoarseRestart}
+			for _, arm := range arms {
+				co := &engine.Coordinator{Nodes: g.nodes, Injector: arm.script(kills), Coarse: arm.recovery == schemes.CoarseRestart}
 				want := outcomeOf(co.Execute(root))
 				if arm.kill && !want.err && want.failures != len(kills) {
 					t.Errorf("%s: oracle saw %d failures for the scripted kills %v", arm.name, want.failures, kills)
 				}
 				for _, batch := range batches {
-					r, err := New(Config{Nodes: g.nodes, BatchSize: batch, Injector: script(), Recovery: arm.recovery})
+					r, err := New(Config{Nodes: g.nodes, BatchSize: batch, Injector: arm.script(kills), Recovery: arm.recovery, Arena: arena})
 					if err != nil {
 						t.Fatal(err)
 					}
+					before := arena.Outstanding()
 					got := outcomeOf(executeWithin(t, r, context.Background(), root))
+					if out := arena.Outstanding() - before; out < 0 || (!arm.kill && out != 0) {
+						t.Errorf("seed %d, %s, batch=%d: %d arena buffers outstanding after the execution", seed, arm.name, batch, out)
+					}
 					if arm.kill && arm.recovery == schemes.CoarseRestart && overlapping && !got.err && got.failures == 1 {
 						got.failures = want.failures
 					}
@@ -397,4 +420,65 @@ func TestDifferentialOracle(t *testing.T) {
 		}
 	}
 	t.Logf("kills on two-phase aggregations: %v", killed)
+}
+
+// TestReplayIsByteIdentical: recovery re-executes a lost partition from its
+// materialized inputs and must reproduce what was lost byte for byte, so an
+// execution may depend on its plan and failure schedule only — not on
+// scheduling, map order or the clock. Each differential case runs twice and a
+// third time on one thread, each into a fresh store; the rows and every
+// stored block must be equal.
+func TestReplayIsByteIdentical(t *testing.T) {
+	seeds := 100
+	if testing.Short() {
+		seeds = 20
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			g, root, ops, kills := differentialCase(t, seed)
+			batch := 1 + g.r.Intn(9)
+			for _, arm := range arms {
+				// execute returns the rows per partition and the stored block
+				// of every operator partition (nil where none was stored).
+				execute := func() (outcome, [][]byte) {
+					store := engine.NewMatStore()
+					r, err := New(Config{Nodes: g.nodes, BatchSize: batch, Injector: arm.script(kills), Recovery: arm.recovery, Store: store})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := outcomeOf(executeWithin(t, r, context.Background(), root))
+					o.failures = 0 // overlapping coarse kills may merge into one restart
+					var blocks [][]byte
+					for _, op := range ops {
+						for part := 0; part < g.nodes; part++ {
+							data, _ := store.GetEncoded(op.Name(), part)
+							blocks = append(blocks, data)
+						}
+					}
+					return o, blocks
+				}
+				want, wantBlocks := execute()
+				again, againBlocks := execute()
+				prev := goruntime.GOMAXPROCS(1)
+				one, oneBlocks := execute()
+				goruntime.GOMAXPROCS(prev)
+				for _, run := range []struct {
+					name   string
+					got    outcome
+					blocks [][]byte
+				}{{"second run", again, againBlocks}, {"one thread", one, oneBlocks}} {
+					if !reflect.DeepEqual(run.got, want) {
+						t.Errorf("%s, %s: %d rows %v, err=%v; first run %d rows %v, err=%v",
+							arm.name, run.name, len(run.got.rows), run.got.parts, run.got.err, len(want.rows), want.parts, want.err)
+					}
+					for i := range wantBlocks {
+						if !bytes.Equal(run.blocks[i], wantBlocks[i]) {
+							t.Errorf("%s, %s: stored block of %s partition %d differs from the first run's\n got %x\nwant %x",
+								arm.name, run.name, ops[i/g.nodes].Name(), i%g.nodes, run.blocks[i], wantBlocks[i])
+						}
+					}
+				}
+			}
+		})
+	}
 }

@@ -69,8 +69,6 @@ func (a *attempts) peek(op string, part int) int {
 // die records the injected death of the node computing (op, part) on attempt
 // n — one failure event, one open ledger entry — and returns the nodeFailure
 // the stage worker resolves.
-//
-//lint:spanpair recoverFine
 func (rn *run) die(op engine.Operator, part, n int) *nodeFailure {
 	rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
 	rn.metrics.Ledger().Fail(op.Name(), part)
