@@ -103,7 +103,15 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 	}
 
 	res := &Result{Runtime: math.Inf(1)}
-	memo := newPathMemo()
+	memo := &pathMemo{}
+	// The incumbent is a candidate's shape, its configuration and the groups
+	// of its dominant path; Result is built from it once, at the end.
+	var (
+		win     *cost.Shape
+		winMask uint64
+		winPath []int
+		dom     []int
+	)
 
 	for _, cand := range candidates {
 		if err := cand.Validate(); err != nil {
@@ -111,17 +119,20 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 		}
 		res.Stats.PlansConsidered++
 
-		p := cand.Clone()
-		f0 := len(p.FreeOperators())
+		// Every configuration is scored on one shape of the candidate, which
+		// pruning rules 1 and 2 bind on before configuration enumeration.
+		shape, err := opt.Model.Shape(cand)
+		if err != nil {
+			return nil, err
+		}
+		f0 := shape.NumFree()
 		addConfigs(&res.Stats.FTPlansTotal, f0, -1)
-
-		// Pruning rules 1 and 2 run before configuration enumeration.
 		var bound1, bound2 int
 		if !opt.DisableRule1 {
-			bound1 = ApplyRule1(p, opt.Model)
+			bound1 = rule1(shape, opt.Model)
 		}
 		if !opt.DisableRule2 {
-			bound2 = ApplyRule2(p, opt.Model)
+			bound2 = rule2(shape, opt.Model)
 		}
 		res.Stats.Rule1Bound += bound1
 		res.Stats.Rule2Bound += bound2
@@ -130,22 +141,16 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 		afterR2 := afterR1 - bound2
 		addConfigs(&res.Stats.FTPlansPrunedRule2, afterR1, afterR2)
 
-		free := p.FreeOperators()
-		if len(free) > maxFree {
-			return nil, fmt.Errorf("core: plan has %d free operators after pruning (max %d)", len(free), maxFree)
+		free := shape.NumFree()
+		if free > maxFree {
+			return nil, fmt.Errorf("core: plan has %d free operators after pruning (max %d)", free, maxFree)
 		}
 
-		// Every configuration is scored on one shape of the plan; only a new
-		// incumbent is collapsed into a plan of its own.
-		shape, err := opt.Model.Shape(p)
-		if err != nil {
-			return nil, err
-		}
-		for mask := uint64(0); mask < 1<<uint(len(free)); mask++ {
+		for mask := uint64(0); mask < 1<<uint(free); mask++ {
 			shape.SetMask(mask)
 			res.Stats.FTPlansEnumerated++
 
-			domTPt, stopped, cheap, paths := score(shape, opt, res.Runtime, memo)
+			domTPt, stopped, cheap, paths := score(shape, opt, res.Runtime, memo, &dom)
 			res.Stats.PathsEvaluated += paths
 			if stopped {
 				res.Stats.FTPlansRule3Stopped++
@@ -155,26 +160,27 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 				continue
 			}
 			if domTPt < res.Runtime {
-				if err := p.Apply(plan.ConfigFromMask(free, mask)); err != nil {
-					return nil, err
-				}
-				collapsed, err := cost.Collapse(p, opt.Model)
-				if err != nil {
-					return nil, err
-				}
 				res.Runtime = domTPt
-				res.Plan = p.Clone()
-				res.Config = res.Plan.Config()
-				res.Dominant, _ = opt.Model.EstimateCollapsed(collapsed)
+				win, winMask, winPath = shape, mask, append(winPath[:0], dom...)
 				if opt.MemoizePaths {
-					memo.add(collapsed, res.Dominant)
+					memo.add(shape, dom)
 				}
 			}
 		}
 	}
 
-	if res.Plan == nil {
+	if win == nil {
 		return nil, fmt.Errorf("core: no fault-tolerant plan found")
+	}
+	res.Plan = win.Plan(winMask)
+	res.Config = res.Plan.Config()
+	win.SetMask(winMask)
+	for _, g := range winPath {
+		oc := opt.Model.OperatorCost(win.Total(g))
+		res.Dominant.Path = append(res.Dominant.Path, plan.OpID(g+1))
+		res.Dominant.Ops = append(res.Dominant.Ops, oc)
+		res.Dominant.RunCost += oc.Total
+		res.Dominant.Runtime += oc.Runtime
 	}
 	return res, nil
 }
@@ -209,8 +215,11 @@ func addConfigs(n *int, f, rest int) {
 // applying pruning rule 3 against bestT (and the memoized dominant paths when
 // enabled). It returns the dominant TPt, whether enumeration stopped early
 // (plan pruned), whether the stop fired before any estimateCost call, and
-// the number of paths whose TPt was evaluated.
-func score(s *cost.Shape, opt Options, bestT float64, memo *pathMemo) (domTPt float64, stopped, cheap bool, paths int) {
+// the number of paths whose TPt was evaluated. The dominant path's groups
+// are left in *dom: the first path of the maximal TPt, as
+// cost.EstimateCollapsed picks it.
+func score(s *cost.Shape, opt Options, bestT float64, memo *pathMemo, dom *[]int) (domTPt float64, stopped, cheap bool, paths int) {
+	*dom = (*dom)[:0]
 	s.Paths(func(pt []int) bool {
 		if !opt.DisableRule3 {
 			// Condition 1: RPt >= bestT — no estimateCost call needed.
@@ -241,6 +250,7 @@ func score(s *cost.Shape, opt Options, bestT float64, memo *pathMemo) (domTPt fl
 		}
 		if tpt > domTPt {
 			domTPt = tpt
+			*dom = append((*dom)[:0], pt...)
 		}
 		return true
 	})
@@ -250,26 +260,27 @@ func score(s *cost.Shape, opt Options, bestT float64, memo *pathMemo) (domTPt fl
 // pathMemo stores, per collapsed-operator count, the best (cheapest) dominant
 // path seen so far as its t(c) values sorted descending (Section 4.3).
 type pathMemo struct {
-	byCount map[int][]float64
-	ts      []float64 // dominates' scratch
+	byCount [][]float64 // count -> memoized t(c)s, empty where none is
+	ts      []float64   // dominates' scratch
 }
 
-func newPathMemo() *pathMemo { return &pathMemo{byCount: make(map[int][]float64)} }
-
-// add memoizes the dominant path of a newly-best fault-tolerant plan.
-func (m *pathMemo) add(c *cost.Collapsed, dom cost.PathCost) {
-	if len(dom.Path) == 0 {
+// add memoizes the dominant path, as groups of s, of a newly-best
+// fault-tolerant plan.
+func (m *pathMemo) add(s *cost.Shape, dom []int) {
+	if len(dom) == 0 {
 		return
 	}
-	ts := make([]float64, 0, len(dom.Path))
-	for _, id := range dom.Path {
-		ts = append(ts, c.P.Op(id).TotalCost())
+	ts := make([]float64, 0, len(dom))
+	for _, g := range dom {
+		ts = append(ts, s.Total(g))
 	}
 	slices.Sort(ts)
 	slices.Reverse(ts)
 	n := len(ts)
-	old, ok := m.byCount[n]
-	if !ok || sumFloats(ts) < sumFloats(old) {
+	for len(m.byCount) <= n {
+		m.byCount = append(m.byCount, nil)
+	}
+	if old := m.byCount[n]; len(old) == 0 || sumFloats(ts) < sumFloats(old) {
 		m.byCount[n] = ts
 	}
 }
@@ -289,8 +300,8 @@ func (m *pathMemo) dominates(s *cost.Shape, pt []int) bool {
 	slices.Sort(ts)
 	slices.Reverse(ts)
 	m.ts = ts
-	for count, memoTs := range m.byCount {
-		if count > len(ts) {
+	for _, memoTs := range m.byCount[:min(len(ts)+1, len(m.byCount))] {
+		if len(memoTs) == 0 {
 			continue
 		}
 		ok := true

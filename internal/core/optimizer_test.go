@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -110,22 +112,50 @@ func TestOptimizeResultConsistency(t *testing.T) {
 	}
 }
 
+// The optimizer scores a candidate without copying it, so rules 1 and 2 bind
+// on its shape only: every candidate encodes the same before and after, on
+// the paper example and on sets of random DAGs where both rules fire.
 func TestOptimizeDoesNotMutateCandidates(t *testing.T) {
-	p := plan.PaperExample()
-	before := p.Config()
-	freeBefore := len(p.FreeOperators())
-	if _, err := Optimize(p, Options{Model: model(10)}); err != nil {
+	check := func(name string, cands []*plan.Plan, opt Options) Stats {
+		t.Helper()
+		before := make([][]byte, len(cands))
+		for i, p := range cands {
+			before[i] = mustJSON(t, p)
+		}
+		res, err := FindBestFTPlan(cands, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, p := range cands {
+			if after := mustJSON(t, p); !bytes.Equal(after, before[i]) {
+				t.Errorf("%s: candidate %d mutated\nbefore %s\n after %s", name, i, before[i], after)
+			}
+		}
+		return res.Stats
+	}
+	for _, mtbf := range paperMTBFs {
+		check(fmt.Sprintf("paper/mtbf=%g", mtbf), []*plan.Plan{plan.PaperExample()}, Options{Model: model(mtbf)})
+	}
+	var rule1, rule2 int
+	for seed := int64(0); seed < 30; seed++ {
+		m := cost.Model{MTBF: []float64{10, 50, 500, 1e5}[seed%4], MTTR: 0.5, Percentile: 0.95, PipeConst: 1, Nodes: 4}
+		cands := []*plan.Plan{plan.RandomDAG(seed, 6), plan.RandomDAG(seed+1000, 8), plan.RandomDAG(seed+2000, 10)}
+		st := check(fmt.Sprintf("dags/seed=%d", seed), cands, Options{Model: m, MemoizePaths: seed%2 == 0})
+		rule1 += st.Rule1Bound
+		rule2 += st.Rule2Bound
+	}
+	if rule1 == 0 || rule2 == 0 {
+		t.Errorf("rule 1 bound %d and rule 2 bound %d operators; the test needs both to fire", rule1, rule2)
+	}
+}
+
+func mustJSON(t *testing.T, p *plan.Plan) []byte {
+	t.Helper()
+	b, err := p.MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := p.Config()
-	for id, v := range before {
-		if after[id] != v {
-			t.Errorf("candidate plan operator %d mutated", id)
-		}
-	}
-	if len(p.FreeOperators()) != freeBefore {
-		t.Error("candidate plan free set mutated by pruning rules")
-	}
+	return b
 }
 
 func TestFindBestFTPlanPicksCheaperCandidate(t *testing.T) {

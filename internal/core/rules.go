@@ -6,65 +6,59 @@ import (
 	"ftpde/internal/plan"
 )
 
-// groupCost returns t({os..., p}): the total runtime of the hypothetical
-// collapsed operator formed by folding the producers os into their consumer
-// p, with p materialized (Section 4.1). The dominant path of the group is
-// the longest producer followed by p, so
-//
-//	t = (max_i tr(oi) + tr(p)) * CONSTpipe + tm(p)
-func groupCost(p *plan.Plan, os []plan.OpID, parent plan.OpID, m cost.Model) float64 {
-	maxTr := 0.0
-	for _, o := range os {
-		if tr := p.Op(o).RunCost; tr > maxTr {
-			maxTr = tr
+// ApplyRule1 runs pruning rule 1 (rule1) on p: it binds the operators the
+// rule selects in p itself and returns how many it bound.
+func ApplyRule1(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule1) }
+
+// ApplyRule2 runs pruning rule 2 (rule2) on p: it binds the operators the
+// rule selects in p itself and returns how many it bound.
+func ApplyRule2(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule2) }
+
+func applyRule(p *plan.Plan, m cost.Model, rule func(*cost.Shape, cost.Model) int) int {
+	s, err := m.Shape(p)
+	if err != nil {
+		return 0
+	}
+	n := rule(s, m)
+	for i, id := range p.OperatorIDs() {
+		if op := p.Op(id); op.Free() && !s.Free(i) {
+			op.Materialize, op.Bound = false, true
 		}
 	}
-	pop := p.Op(parent)
-	return (maxTr+pop.RunCost)*m.PipeConst + pop.MatCost
+	return n
 }
 
-// soloCost returns t({o}) for operator o materialized on its own:
-// tr(o)*CONSTpipe + tm(o).
-func soloCost(p *plan.Plan, o plan.OpID, m cost.Model) float64 {
-	op := p.Op(o)
-	return op.RunCost*m.PipeConst + op.MatCost
-}
-
-// ApplyRule1 implements pruning rule 1 (high materialization costs): a free
-// operator o is marked non-materializable (m = 0, bound) when collapsing it
-// into its consumer p is guaranteed to cost no more than materializing it:
+// rule1 implements pruning rule 1 (high materialization costs): a free
+// operator o is bound non-materializable when collapsing it into its
+// consumer p is guaranteed to cost no more than materializing it:
 //
 //	unary parent:  t({o,p}) <= t({o})
 //	n-ary parent:  t({o1..ok,p}) <= t({oi}) for every free child oi
 //
-// Children that are already bound non-materializable take part in the
-// collapsed group (they end up inside it in every configuration) but need no
-// condition of their own; an always-materialized child makes the rule
-// inapplicable, as do children feeding more than one consumer.
-// ApplyRule1 mutates p and returns the number of operators bound.
-func ApplyRule1(p *plan.Plan, m cost.Model) int {
+// with t({o1..ok,p}) = (max_i tr(oi) + tr(p))·CONSTpipe + tm(p), the group's
+// dominant path being its longest producer followed by p (Section 4.1), and
+// t({o}) = tr(o)·CONSTpipe + tm(o). Children that are already bound
+// non-materializable take part in the group (they end up inside it in every
+// configuration) but need no condition of their own; an always-materialized
+// child makes the rule inapplicable, as do children feeding more than one
+// consumer. rule1 binds on s and returns the number of operators bound.
+func rule1(s *cost.Shape, m cost.Model) int {
 	bound := 0
-	for _, parent := range p.OperatorIDs() {
-		inputs := p.Inputs(parent)
+	var candidates []int
+	for parent := 0; parent < s.Len(); parent++ {
+		inputs := s.Inputs(parent)
 		if len(inputs) == 0 {
 			continue
 		}
-		var candidates, groupMembers []plan.OpID
+		candidates = candidates[:0]
+		maxTr := 0.0
 		applicable := true
 		for _, o := range inputs {
-			op := p.Op(o)
 			switch {
-			case op.Free():
-				if len(p.Outputs(o)) != 1 {
-					applicable = false
-					break
-				}
+			case s.Free(o):
+				applicable = s.Consumers(o) == 1
 				candidates = append(candidates, o)
-				groupMembers = append(groupMembers, o)
-			case !op.Materialize:
-				// Bound non-materializable: always inside the group.
-				groupMembers = append(groupMembers, o)
-			default:
+			case s.Materialized(o):
 				// Always-materialized child: a separate re-execution unit,
 				// the collapse argument does not apply verbatim.
 				applicable = false
@@ -72,14 +66,15 @@ func ApplyRule1(p *plan.Plan, m cost.Model) int {
 			if !applicable {
 				break
 			}
+			maxTr = max(maxTr, s.RunCost(o))
 		}
 		if !applicable || len(candidates) == 0 {
 			continue
 		}
-		group := groupCost(p, groupMembers, parent, m)
+		group := (maxTr+s.RunCost(parent))*m.PipeConst + s.MatCost(parent)
 		all := true
 		for _, o := range candidates {
-			if group > soloCost(p, o, m) {
+			if group > s.RunCost(o)*m.PipeConst+s.MatCost(o) {
 				all = false
 				break
 			}
@@ -88,71 +83,52 @@ func ApplyRule1(p *plan.Plan, m cost.Model) int {
 			continue
 		}
 		for _, o := range candidates {
-			op := p.Op(o)
-			op.Materialize = false
-			op.Bound = true
+			s.Bind(o)
 			bound++
 		}
 	}
 	return bound
 }
 
-// lineageCost returns the runtime of the collapsed operator that folds the
-// operator's entire upstream sub-plan into it under a configuration that
-// materializes nothing: the longest tr-weighted path from any source to the
-// operator, times CONSTpipe.
-func lineageCost(p *plan.Plan, target plan.OpID, m cost.Model) float64 {
-	memo := make(map[plan.OpID]float64)
-	var walk func(plan.OpID) float64
-	walk = func(id plan.OpID) float64 {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		best := 0.0
-		for _, pa := range p.Inputs(id) {
-			if v := walk(pa); v > best {
-				best = v
-			}
-		}
-		v := best + p.Op(id).RunCost
-		memo[id] = v
-		return v
-	}
-	return walk(target) * m.PipeConst
-}
-
-// ApplyRule2 implements pruning rule 2 (high probability of success): an
-// operator o that is the only child of a unary parent p is marked
+// rule2 implements pruning rule 2 (high probability of success): an
+// operator o that is the only child of a unary parent p is bound
 // non-materializable when the collapsed operator {o,p} already meets the
 // desired success percentile without materializing o:
 //
 //	gamma({o,p}) >= S
 //
 // Because rules run before any materialization is decided, the collapsed
-// operator pessimistically contains o's whole upstream lineage, and the
-// success probability must hold across all cluster nodes executing the
-// partition-parallel operator (gamma^Nodes). ApplyRule2 mutates p and
-// returns the number of operators bound.
-func ApplyRule2(p *plan.Plan, m cost.Model) int {
+// operator pessimistically contains o's whole upstream lineage — its
+// longest tr-weighted path from a source, times CONSTpipe — and the success
+// probability must hold across all cluster nodes executing the
+// partition-parallel operator (gamma^Nodes). rule2 binds on s and returns
+// the number of operators bound.
+func rule2(s *cost.Shape, m cost.Model) int {
 	nodes := m.Nodes
 	if nodes <= 0 {
 		nodes = 1
 	}
+	lineage := make([]float64, s.Len())
+	for _, i := range s.Topo() {
+		best := 0.0
+		for _, pa := range s.Inputs(i) {
+			best = max(best, lineage[pa])
+		}
+		lineage[i] = best + s.RunCost(i)
+	}
 	bound := 0
-	for _, parent := range p.OperatorIDs() {
-		inputs := p.Inputs(parent)
+	for parent := 0; parent < s.Len(); parent++ {
+		inputs := s.Inputs(parent)
 		if len(inputs) != 1 {
 			continue
 		}
 		o := inputs[0]
-		if !p.Op(o).Free() || len(p.Outputs(o)) != 1 {
+		if !s.Free(o) || s.Consumers(o) != 1 {
 			continue
 		}
-		t := lineageCost(p, parent, m) + p.Op(parent).MatCost
+		t := lineage[parent]*m.PipeConst + s.MatCost(parent)
 		if failure.ProbClusterSuccess(t, m.MTBF, nodes) >= m.Percentile {
-			op := p.Op(o)
-			op.Materialize = false
-			op.Bound = true
+			s.Bind(o)
 			bound++
 		}
 	}

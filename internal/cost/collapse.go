@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"errors"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -59,17 +60,19 @@ func Collapse(p *plan.Plan, m Model) (*Collapsed, error) {
 // of them on one plan, and none changes an edge or a cost. Operator i is the
 // plan's i-th operator in OperatorIDs order; group g is the collapsed
 // operator of the g-th root in that order, which is the order Collapse
-// numbers collapsed operators in (group g is collapsed operator g+1).
+// numbers collapsed operators in (group g is collapsed operator g+1). The
+// shape copies what it reads, so Bind and SetMask never write to the plan.
 type Shape struct {
-	m      Model
-	p      *plan.Plan
-	ids    []plan.OpID
-	inputs [][]int // Inputs order
-	topo   []int   // producers before consumers
-	free   []int   // FreeOperators order: bit k of a mask is free[k]
-	read   []bool  // read by some operator: not a sink
-	rc, mc []float64
-	mat    []bool // m(o) of the configuration collapsed last
+	m         Model
+	p         *plan.Plan
+	ids       []plan.OpID
+	inputs    [][]int // Inputs order
+	consumers []int   // operator -> how many operators read it; 0 for a sink
+	topo      []int   // producers before consumers
+	free      []int   // FreeOperators order: bit k of a mask is free[k]
+	bound     []bool
+	rc, mc    []float64
+	mat       []bool // m(o) of the configuration collapsed last
 
 	// Filled per configuration by collapse, reused across configurations.
 	group    []int     // operator -> its group if it is a root, else -1
@@ -85,7 +88,7 @@ type Shape struct {
 }
 
 // Shape indexes p's structure and costs for collapsing. The configuration it
-// starts from is p's own; SetMask replaces the free operators' flags.
+// starts from is p's own; Bind and SetMask change it.
 func (m Model) Shape(p *plan.Plan) (*Shape, error) {
 	topo, err := p.TopoOrder()
 	if err != nil {
@@ -93,33 +96,95 @@ func (m Model) Shape(p *plan.Plan) (*Shape, error) {
 	}
 	ids := p.OperatorIDs()
 	n := len(ids)
-	index := make(map[plan.OpID]int, n)
+	if n == 0 {
+		return nil, errors.New("cost: empty plan")
+	}
+	index := make([]int, slices.Max(ids)+1)
 	for i, id := range ids {
 		index[id] = i
 	}
 	s := &Shape{
 		m: m, p: p, ids: ids,
-		inputs: make([][]int, n), topo: make([]int, n), read: make([]bool, n),
+		inputs: make([][]int, n), consumers: make([]int, n), topo: make([]int, n), free: make([]int, 0, n), bound: make([]bool, n),
 		rc: make([]float64, n), mc: make([]float64, n), mat: make([]bool, n),
 		group: make([]int, n), roots: make([]int, 0, n), longest: make([]float64, n), pred: make([]int, n),
 		children: make([][]int, n), feeds: make([]uint64, n*((n+63)/64)),
 		total: make([]float64, n), runtime: make([]float64, n),
 	}
+	in := make([]int, 0, 2*n) // every operator's inputs, in one array
+	ends := make([]int, n)
 	for i, id := range ids {
 		op := p.Op(id)
-		s.rc[i], s.mc[i], s.mat[i] = op.RunCost, op.MatCost, op.Materialize
+		s.rc[i], s.mc[i], s.mat[i], s.bound[i] = op.RunCost, op.MatCost, op.Materialize, op.Bound
 		if op.Free() {
 			s.free = append(s.free, i)
 		}
 		for _, pa := range p.Inputs(id) {
-			s.inputs[i] = append(s.inputs[i], index[pa])
-			s.read[index[pa]] = true
+			in = append(in, index[pa])
+			s.consumers[index[pa]]++
 		}
+		ends[i] = len(in)
+	}
+	start := 0
+	for i, end := range ends {
+		s.inputs[i] = in[start:end:end]
+		start = end
 	}
 	for k, id := range topo {
 		s.topo[k] = index[id]
 	}
 	return s, nil
+}
+
+// Len returns the number of operators.
+func (s *Shape) Len() int { return len(s.ids) }
+
+// Inputs returns the operators operator i reads, in plan.Inputs order. The
+// caller must not modify the slice.
+func (s *Shape) Inputs(i int) []int { return s.inputs[i] }
+
+// Consumers returns how many operators read operator i's output.
+func (s *Shape) Consumers(i int) int { return s.consumers[i] }
+
+// Topo returns the operators in topological order. The caller must not
+// modify the slice.
+func (s *Shape) Topo() []int { return s.topo }
+
+// RunCost returns tr(o) of operator i.
+func (s *Shape) RunCost(i int) float64 { return s.rc[i] }
+
+// MatCost returns tm(o) of operator i.
+func (s *Shape) MatCost(i int) float64 { return s.mc[i] }
+
+// Free reports whether the enumeration may set operator i's flag.
+func (s *Shape) Free(i int) bool { return !s.bound[i] }
+
+// Materialized returns m(o) of operator i in the configuration collapsed
+// last, or the fixed flag of a bound operator.
+func (s *Shape) Materialized(i int) bool { return s.mat[i] }
+
+// NumFree returns the number of free operators: a mask has that many bits.
+func (s *Shape) NumFree() int { return len(s.free) }
+
+// Bind makes free operator i bound and non-materialized, as pruning rules 1
+// and 2 do; the free operators after it move down one mask bit.
+func (s *Shape) Bind(i int) {
+	s.bound[i], s.mat[i] = true, false
+	s.free = slices.DeleteFunc(s.free, func(j int) bool { return j == i })
+}
+
+// Plan returns a copy of the shape's plan with the operators Bind bound and
+// the free operators set as mask sets them (plan.ConfigFromMask).
+func (s *Shape) Plan(mask uint64) *plan.Plan {
+	q := s.p.Clone()
+	for i, id := range s.ids {
+		op := q.Op(id)
+		op.Bound, op.Materialize = s.bound[i], s.mat[i]
+	}
+	for k, i := range s.free {
+		q.Op(s.ids[i]).Materialize = mask&(1<<uint(k)) != 0
+	}
+	return q
 }
 
 // SetMask collapses the plan under the configuration that materializes free
@@ -143,7 +208,7 @@ func (s *Shape) collapse() {
 	s.roots = s.roots[:0]
 	for i := range s.ids {
 		s.group[i] = -1
-		if s.mat[i] || !s.read[i] {
+		if s.mat[i] || s.consumers[i] == 0 {
 			s.group[i] = len(s.roots)
 			s.roots = append(s.roots, i)
 		}

@@ -1,8 +1,9 @@
 package join
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Tree is a binary join tree. A leaf has Rel >= 0 and nil children; an inner
@@ -151,9 +152,11 @@ func (g *Graph) CountOrders() (int, error) {
 
 // TopK returns the k cheapest join trees by C_out cost, ascending. It runs
 // dynamic programming over connected subsets keeping the k best partial
-// plans per subset — the approximate first phase of enumFTPlans ("use
-// dynamic programming to find the top-k plans ordered ascending by their
-// cost without mid-query failures").
+// plans per subset — the first phase of enumFTPlans ("use dynamic
+// programming to find the top-k plans ordered ascending by their cost
+// without mid-query failures"). The ranking is exact for C_out: a tree's cost
+// grows with each subtree's, so both subtrees of a tree in a subset's top k
+// are in their own subsets' top k.
 func (g *Graph) TopK(k int) ([]*Tree, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -164,53 +167,50 @@ func (g *Graph) TopK(k int) ([]*Tree, error) {
 	n := uint(len(g.rels))
 	full := uint(1)<<n - 1
 
-	best := make(map[uint][]*Tree)
+	best := make([][]*Tree, full+1) // subset -> its k cheapest trees
 	for i := uint(0); i < n; i++ {
 		best[1<<i] = []*Tree{g.leaf(int(i))}
 	}
 
-	// Enumerate subsets in increasing popcount order.
-	masks := make([]uint, 0, full)
-	for m := uint(1); m <= full; m++ {
-		masks = append(masks, m)
+	// A candidate is ranked as a value; only the k kept become Trees.
+	type cand struct {
+		l, r       *Tree
+		card, cost float64
 	}
-	sort.Slice(masks, func(i, j int) bool { return popcount(masks[i]) < popcount(masks[j]) })
-
-	for _, mask := range masks {
+	var cands []cand
+	// Every proper subset of a mask is a smaller number, so ascending order
+	// visits the parts of a split before the subset they form.
+	for mask := uint(1); mask <= full; mask++ {
 		if mask&(mask-1) == 0 || !g.connected(mask) {
 			continue
 		}
-		var cands []*Tree
+		cands = cands[:0]
 		subsetsOf(mask, func(s1 uint) bool {
 			s2 := mask ^ s1
 			if !g.connected(s1) || !g.connected(s2) || !g.joinable(s1, s2) {
 				return true
 			}
+			sel := g.crossSelectivity(s1, s2)
 			for _, l := range best[s1] {
 				for _, r := range best[s2] {
-					cands = append(cands, g.joinNodes(l, r))
+					card := l.Card * r.Card * sel
+					cands = append(cands, cand{l, r, card, l.Cost + r.Cost + card})
 				}
 			}
 			return true
 		})
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
-		if len(cands) > k {
-			cands = cands[:k]
+		slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.cost, b.cost) })
+		kept := make([]Tree, min(k, len(cands)))
+		best[mask] = make([]*Tree, len(kept))
+		for i := range kept {
+			c := cands[i]
+			kept[i] = Tree{Rel: -1, Left: c.l, Right: c.r, Card: c.card, Cost: c.cost, mask: mask}
+			best[mask][i] = &kept[i]
 		}
-		best[mask] = cands
 	}
 	out := best[full]
 	if len(out) == 0 {
 		return nil, fmt.Errorf("join: no plan found (graph disconnected?)")
 	}
 	return out, nil
-}
-
-func popcount(x uint) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

@@ -23,17 +23,24 @@ type Relation struct {
 // Graph is a join graph: relations plus join edges with selectivities.
 type Graph struct {
 	rels  []Relation
-	edges map[[2]int]float64 // canonical (lo,hi) -> selectivity
+	nbrs  []uint // relation -> bitset of the relations it shares an edge with
+	edges []edge // AddEdge order
+}
+
+type edge struct {
+	a, b int
+	sel  float64
 }
 
 // NewGraph returns an empty join graph.
 func NewGraph() *Graph {
-	return &Graph{edges: make(map[[2]int]float64)}
+	return &Graph{}
 }
 
 // AddRelation adds a relation and returns its index.
 func (g *Graph) AddRelation(r Relation) int {
 	g.rels = append(g.rels, r)
+	g.nbrs = append(g.nbrs, 0)
 	return len(g.rels) - 1
 }
 
@@ -49,15 +56,15 @@ func (g *Graph) AddEdge(a, b int, selectivity float64) error {
 	if selectivity <= 0 || selectivity > 1 {
 		return fmt.Errorf("join: selectivity must be in (0,1], got %g", selectivity)
 	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
+	for _, e := range g.edges {
+		if (e.a == a && e.b == b) || (e.a == b && e.b == a) {
+			return fmt.Errorf("join: duplicate edge (%d,%d)", a, b)
+		}
 	}
-	key := [2]int{lo, hi}
-	if _, dup := g.edges[key]; dup {
-		return fmt.Errorf("join: duplicate edge (%d,%d)", a, b)
-	}
-	g.edges[key] = selectivity
+	g.edges = append(g.edges, edge{a, b, selectivity})
+	// Beyond a word's bits the shift yields 0; Validate rejects such graphs.
+	g.nbrs[a] |= 1 << uint(b)
+	g.nbrs[b] |= 1 << uint(a)
 	return nil
 }
 
@@ -72,37 +79,21 @@ func (g *Graph) connected(mask uint) bool {
 	if mask == 0 {
 		return false
 	}
-	start := uint(bits.TrailingZeros(mask))
-	seen := uint(1) << start
-	frontier := []uint{start}
-	for len(frontier) > 0 {
-		v := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for key := range g.edges {
-			a, b := uint(key[0]), uint(key[1])
-			var other uint
-			switch v {
-			case a:
-				other = b
-			case b:
-				other = a
-			default:
-				continue
-			}
-			if mask&(1<<other) != 0 && seen&(1<<other) == 0 {
-				seen |= 1 << other
-				frontier = append(frontier, other)
-			}
-		}
+	seen := mask & -mask
+	for frontier := seen; frontier != 0; {
+		v := bits.TrailingZeros(frontier)
+		frontier &^= 1 << uint(v)
+		next := g.nbrs[v] & mask &^ seen
+		seen |= next
+		frontier |= next
 	}
 	return seen == mask
 }
 
 // joinable reports whether any edge connects the two disjoint sets.
 func (g *Graph) joinable(m1, m2 uint) bool {
-	for key := range g.edges {
-		a, b := uint(key[0]), uint(key[1])
-		if (m1&(1<<a) != 0 && m2&(1<<b) != 0) || (m1&(1<<b) != 0 && m2&(1<<a) != 0) {
+	for x := m1; x != 0; x &= x - 1 {
+		if g.nbrs[bits.TrailingZeros(x)]&m2 != 0 {
 			return true
 		}
 	}
@@ -110,13 +101,14 @@ func (g *Graph) joinable(m1, m2 uint) bool {
 }
 
 // crossSelectivity returns the product of the selectivities of all edges
-// between the two disjoint sets (1.0 if none — callers ensure joinable).
+// between the two disjoint sets (1.0 if none — callers ensure joinable),
+// multiplied in AddEdge order so that the product is the same on every run.
 func (g *Graph) crossSelectivity(m1, m2 uint) float64 {
 	sel := 1.0
-	for key, s := range g.edges {
-		a, b := uint(key[0]), uint(key[1])
-		if (m1&(1<<a) != 0 && m2&(1<<b) != 0) || (m1&(1<<b) != 0 && m2&(1<<a) != 0) {
-			sel *= s
+	for _, e := range g.edges {
+		a, b := uint(1)<<uint(e.a), uint(1)<<uint(e.b)
+		if (m1&a != 0 && m2&b != 0) || (m1&b != 0 && m2&a != 0) {
+			sel *= e.sel
 		}
 	}
 	return sel

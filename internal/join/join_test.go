@@ -2,6 +2,7 @@ package join
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -159,8 +160,46 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 }
 
+// graphOf builds a graph of the given relation sizes and edges, in order.
+func graphOf(rows []float64, edges [][2]int, sels []float64) *Graph {
+	g := NewGraph()
+	for i, r := range rows {
+		g.AddRelation(Relation{Name: string(rune('A' + i)), Rows: r})
+	}
+	for i, e := range edges {
+		if err := g.AddEdge(e[0], e[1], sels[i]); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
+// cyclic5 is a five-relation ring with one chord.
+func cyclic5() *Graph {
+	return graphOf([]float64{40, 3000, 120000, 800, 25000},
+		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}},
+		[]float64{0.01, 0.002, 0.3, 0.0007, 0.05, 0.13})
+}
+
+// k4 is the complete graph on four relations: the split {A,B} | {C,D} is
+// crossed by four edges.
+func k4() *Graph {
+	return graphOf([]float64{1000, 2000, 3000, 4000},
+		[][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
+		[]float64{0.1, 0.7, 0.13, 0.11, 0.03, 0.3})
+}
+
+// TopK's ranking is exact for C_out at every rank, not only the first: its
+// costs, rank by rank, are the exhaustive enumeration's sorted costs.
 func TestTopKMatchesExhaustiveMinimum(t *testing.T) {
-	g := chain6()
+	for name, g := range map[string]*Graph{"chain6": chain6(), "cyclic5": cyclic5()} {
+		assertTopKExact(t, name, g, 50)
+	}
+}
+
+// assertTopKExact checks g.TopK(k) rank by rank against EnumerateAll.
+func assertTopKExact(t *testing.T, name string, g *Graph, k int) {
+	t.Helper()
 	all, err := g.EnumerateAll()
 	if err != nil {
 		t.Fatal(err)
@@ -170,23 +209,44 @@ func TestTopKMatchesExhaustiveMinimum(t *testing.T) {
 		costs[i] = tr.Cost
 	}
 	sort.Float64s(costs)
-
-	top, err := g.TopK(10)
+	top, err := g.TopK(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 10 {
-		t.Fatalf("TopK returned %d plans, want 10", len(top))
+	if want := min(k, len(all)); len(top) != want {
+		t.Fatalf("%s: TopK(%d) returned %d plans, want %d", name, k, len(top), want)
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Cost < top[i-1].Cost {
-			t.Error("TopK result not ascending")
+	for i, tr := range top {
+		if tr.Cost != costs[i] {
+			t.Errorf("%s: rank %d: TopK cost %v, exhaustive %v", name, i, tr.Cost, costs[i])
 		}
 	}
-	// The best plan must match the exhaustive minimum exactly. (Top-k DP is
-	// exact for the single best plan; deeper ranks are approximate.)
-	if math.Abs(top[0].Cost-costs[0]) > 1e-6*costs[0] {
-		t.Errorf("TopK best = %g, exhaustive best = %g", top[0].Cost, costs[0])
+}
+
+// The cardinality of a join multiplies the selectivities of every edge
+// crossing it in AddEdge order, so a cyclic graph gives bit-identical
+// estimates on every build.
+func TestCyclicEstimatesAreDeterministic(t *testing.T) {
+	fingerprint := func(g *Graph) []uint64 {
+		all, err := g.EnumerateAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := g.TopK(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, tr := range append(all, top...) {
+			out = append(out, math.Float64bits(tr.Card), math.Float64bits(tr.Cost))
+		}
+		return out
+	}
+	want := fingerprint(k4())
+	for i := 0; i < 50; i++ {
+		if got := fingerprint(k4()); !slices.Equal(got, want) {
+			t.Fatalf("build %d: estimates differ from the first build", i+1)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ type MatConfig map[OpID]bool
 // may not be reconfigured; attempting to flip one returns an error.
 func (p *Plan) Apply(cfg MatConfig) error {
 	for id, m := range cfg {
-		op := p.ops[id]
+		op := p.Op(id)
 		if op == nil {
 			return fmt.Errorf("plan: config references unknown operator %d", id)
 		}

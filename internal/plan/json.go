@@ -49,8 +49,13 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jp)
 }
 
+// maxJSONID bounds the operator IDs UnmarshalJSON accepts: a plan is indexed
+// by ID, so one stray huge ID would otherwise allocate its whole range.
+const maxJSONID = 1 << 20
+
 // UnmarshalJSON decodes a plan produced by MarshalJSON (or hand-written in
-// the same format). Operator IDs in the input are preserved.
+// the same format). Operator IDs in the input are preserved; they must lie
+// in [1, 1<<20].
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var jp jsonPlan
 	if err := json.Unmarshal(data, &jp); err != nil {
@@ -58,23 +63,21 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	}
 	*p = *New()
 	for _, jo := range jp.Operators {
-		if jo.ID <= 0 {
-			return fmt.Errorf("plan: operator id must be positive, got %d", jo.ID)
+		if jo.ID <= 0 || jo.ID > maxJSONID {
+			return fmt.Errorf("plan: operator id must be in [1, %d], got %d", maxJSONID, jo.ID)
 		}
-		if _, dup := p.ops[jo.ID]; dup {
+		if p.Op(jo.ID) != nil {
 			return fmt.Errorf("plan: duplicate operator id %d", jo.ID)
 		}
 		kind, ok := kindByName[jo.Kind]
 		if !ok {
 			return fmt.Errorf("plan: unknown operator kind %q", jo.Kind)
 		}
-		op := &Operator{
+		p.place(&Operator{
 			ID: jo.ID, Name: jo.Name, Kind: kind,
 			RunCost: jo.RunCost, MatCost: jo.MatCost,
 			Materialize: jo.Materialize, Bound: jo.Bound, Rows: jo.Rows,
-		}
-		p.ops[jo.ID] = op
-		p.order = append(p.order, jo.ID)
+		})
 		if jo.ID >= p.nextID {
 			p.nextID = jo.ID + 1
 		}

@@ -46,6 +46,9 @@ func (p *Plan) PathRunCost(pt Path) float64 {
 // following data-flow edges.
 func (p *Plan) Reachable(id OpID) map[OpID]bool {
 	seen := make(map[OpID]bool)
+	if p.Op(id) == nil {
+		return seen
+	}
 	var dfs func(OpID)
 	dfs = func(o OpID) {
 		for _, c := range p.children[o] {

@@ -9,7 +9,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // OpID identifies an operator within a plan. IDs are assigned by AddOperator
@@ -103,23 +103,30 @@ func (o *Operator) TotalCost() float64 {
 }
 
 // Plan is a DAG-structured execution plan. Edges point from producers to
-// consumers (data-flow direction).
+// consumers (data-flow direction). Operators and edges are indexed by OpID;
+// a slot no operator has is nil.
 type Plan struct {
-	ops      map[OpID]*Operator
-	order    []OpID          // insertion order
-	children map[OpID][]OpID // producer -> consumers
-	parents  map[OpID][]OpID // consumer -> producers
+	ops      []*Operator
+	order    []OpID   // insertion order
+	children [][]OpID // producer -> consumers
+	parents  [][]OpID // consumer -> producers
 	nextID   OpID
 }
 
 // New returns an empty plan.
 func New() *Plan {
-	return &Plan{
-		ops:      make(map[OpID]*Operator),
-		children: make(map[OpID][]OpID),
-		parents:  make(map[OpID][]OpID),
-		nextID:   1,
+	return &Plan{nextID: 1}
+}
+
+// place stores op under its ID, growing the ID-indexed slices to reach it.
+func (p *Plan) place(op *Operator) {
+	for len(p.ops) <= int(op.ID) {
+		p.ops = append(p.ops, nil)
+		p.children = append(p.children, nil)
+		p.parents = append(p.parents, nil)
 	}
+	p.ops[op.ID] = op
+	p.order = append(p.order, op.ID)
 }
 
 // Add inserts op into the plan and assigns it the next ID. It returns the
@@ -127,28 +134,24 @@ func New() *Plan {
 func (p *Plan) Add(op Operator) OpID {
 	op.ID = p.nextID
 	p.nextID++
-	stored := op
-	p.ops[op.ID] = &stored
-	p.order = append(p.order, op.ID)
+	p.place(&op)
 	return op.ID
 }
 
 // Connect adds a data-flow edge from producer to consumer. Duplicate edges
 // are rejected.
 func (p *Plan) Connect(producer, consumer OpID) error {
-	if _, ok := p.ops[producer]; !ok {
+	if p.Op(producer) == nil {
 		return fmt.Errorf("plan: unknown producer %d", producer)
 	}
-	if _, ok := p.ops[consumer]; !ok {
+	if p.Op(consumer) == nil {
 		return fmt.Errorf("plan: unknown consumer %d", consumer)
 	}
 	if producer == consumer {
 		return fmt.Errorf("plan: self-edge on operator %d", producer)
 	}
-	for _, c := range p.children[producer] {
-		if c == consumer {
-			return fmt.Errorf("plan: duplicate edge %d -> %d", producer, consumer)
-		}
+	if slices.Contains(p.children[producer], consumer) {
+		return fmt.Errorf("plan: duplicate edge %d -> %d", producer, consumer)
 	}
 	p.children[producer] = append(p.children[producer], consumer)
 	p.parents[consumer] = append(p.parents[consumer], producer)
@@ -164,7 +167,12 @@ func (p *Plan) MustConnect(producer, consumer OpID) {
 }
 
 // Op returns the operator with the given ID, or nil.
-func (p *Plan) Op(id OpID) *Operator { return p.ops[id] }
+func (p *Plan) Op(id OpID) *Operator {
+	if id < 0 || int(id) >= len(p.ops) {
+		return nil
+	}
+	return p.ops[id]
+}
 
 // Len returns the number of operators.
 func (p *Plan) Len() int { return len(p.order) }
@@ -186,18 +194,18 @@ func (p *Plan) OperatorIDs() []OpID {
 }
 
 // Inputs returns the producers feeding op, sorted by ID.
-func (p *Plan) Inputs(id OpID) []OpID {
-	out := make([]OpID, len(p.parents[id]))
-	copy(out, p.parents[id])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (p *Plan) Inputs(id OpID) []OpID { return p.sortedEdges(p.parents, id) }
 
 // Outputs returns the consumers of op, sorted by ID.
-func (p *Plan) Outputs(id OpID) []OpID {
-	out := make([]OpID, len(p.children[id]))
-	copy(out, p.children[id])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+func (p *Plan) Outputs(id OpID) []OpID { return p.sortedEdges(p.children, id) }
+
+func (p *Plan) sortedEdges(edges [][]OpID, id OpID) []OpID {
+	if p.Op(id) == nil {
+		return []OpID{}
+	}
+	out := make([]OpID, len(edges[id]))
+	copy(out, edges[id])
+	slices.Sort(out)
 	return out
 }
 
@@ -263,25 +271,17 @@ func (p *Plan) Validate() error {
 // TopoOrder returns the operator IDs in a topological order (producers before
 // consumers) or an error if the graph contains a cycle.
 func (p *Plan) TopoOrder() ([]OpID, error) {
-	indeg := make(map[OpID]int, len(p.order))
+	indeg := make([]int, len(p.ops))
+	out := make([]OpID, 0, len(p.order)) // doubles as the queue: out[k:] is pending
 	for _, id := range p.order {
-		indeg[id] = len(p.parents[id])
-	}
-	var queue []OpID
-	for _, id := range p.order {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
+		if indeg[id] = len(p.parents[id]); indeg[id] == 0 {
+			out = append(out, id)
 		}
 	}
-	var out []OpID
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		out = append(out, id)
-		for _, c := range p.children[id] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
+	for k := 0; k < len(out); k++ {
+		for _, c := range p.children[out[k]] {
+			if indeg[c]--; indeg[c] == 0 {
+				out = append(out, c)
 			}
 		}
 	}
@@ -291,20 +291,33 @@ func (p *Plan) TopoOrder() ([]OpID, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the plan (operators and edges).
+// Clone returns a deep copy of the plan (operators and edges). The copy's
+// operators share one backing array, and so do its edges.
 func (p *Plan) Clone() *Plan {
-	q := New()
-	q.nextID = p.nextID
-	q.order = append([]OpID(nil), p.order...)
-	for id, op := range p.ops {
-		cp := *op
-		q.ops[id] = &cp
+	q := &Plan{
+		ops:      make([]*Operator, len(p.ops)),
+		order:    slices.Clone(p.order),
+		children: make([][]OpID, len(p.children)),
+		parents:  make([][]OpID, len(p.parents)),
+		nextID:   p.nextID,
 	}
-	for id, cs := range p.children {
-		q.children[id] = append([]OpID(nil), cs...)
+	ops := make([]Operator, len(p.order))
+	edges := 0
+	for _, id := range p.order {
+		edges += len(p.children[id])
 	}
-	for id, ps := range p.parents {
-		q.parents[id] = append([]OpID(nil), ps...)
+	buf := make([]OpID, 0, 2*edges)
+	// Full slice expressions, so an edge added to the copy reallocates
+	// instead of overwriting the next operator's edges.
+	cut := func(ids []OpID) []OpID {
+		buf = append(buf, ids...)
+		return buf[len(buf)-len(ids) : len(buf) : len(buf)]
+	}
+	for k, id := range p.order {
+		ops[k] = *p.ops[id]
+		q.ops[id] = &ops[k]
+		q.children[id] = cut(p.children[id])
+		q.parents[id] = cut(p.parents[id])
 	}
 	return q
 }

@@ -288,12 +288,32 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// IDs from a user's file are kept as given, however sparse, up to the bound;
+// operators added afterwards continue above the largest.
+func TestJSONKeepsSparseIDs(t *testing.T) {
+	q := New()
+	in := `{"operators":[{"id":7,"kind":"scan"},{"id":1048576,"kind":"sink"}],"edges":[[7,1048576]]}`
+	if err := q.UnmarshalJSON([]byte(in)); err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 2 || q.Op(7) == nil || q.Op(1048576) == nil || q.Op(8) != nil {
+		t.Fatalf("operators after decoding: %v", q.OperatorIDs())
+	}
+	if got := q.Outputs(7); len(got) != 1 || got[0] != 1048576 {
+		t.Errorf("Outputs(7) = %v, want [1048576]", got)
+	}
+	if id := q.Add(Operator{Name: "next"}); id != 1048577 {
+		t.Errorf("next ID = %d, want 1048577", id)
+	}
+}
+
 func TestJSONRejectsGarbage(t *testing.T) {
 	bad := []string{
 		`{"operators":[{"id":0,"kind":"scan"}]}`,
 		`{"operators":[{"id":1,"kind":"nope"}]}`,
 		`{"operators":[{"id":1,"kind":"scan"},{"id":1,"kind":"scan"}]}`,
 		`{"operators":[{"id":1,"kind":"scan"},{"id":2,"kind":"scan"}],"edges":[[1,3]]}`,
+		`{"operators":[{"id":1,"kind":"scan"},{"id":1048577,"kind":"sink"}],"edges":[[1,1048577]]}`,
 		`not json`,
 	}
 	for _, s := range bad {

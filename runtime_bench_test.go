@@ -351,7 +351,8 @@ func BenchmarkScanFilterProjectRowBaseline(b *testing.B) {
 // BenchmarkFindBestFTPlanQ5 is the optimizer alone: findBestFTPlan over the
 // top-20 join orders of the paper's Q5 at SF 100 with memoized dominant
 // paths, under ftserve's plan-time model. Its ceiling is what keeps the
-// enumerator from building a collapsed plan per configuration it scores.
+// enumerator from building a collapsed plan per configuration it scores, or
+// a copy of each candidate.
 func BenchmarkFindBestFTPlanQ5(b *testing.B) {
 	prm := tpch.Params{SF: 100, Nodes: 4}
 	graph, err := tpch.Q5JoinGraph(prm)
@@ -412,7 +413,7 @@ type allocCeiling struct {
 // findBestFTPlan over Q5's top-20 join orders must not allocate past the
 // budget. The ceilings sit ~1.5x over what they measure (Q1 0.35 MB / ~380
 // allocs, SQL Q3 0.56 MB / ~3,900, SQL Q5 0.40 MB / ~1,230, checkpointed Q5
-// 7.1 MB / ~2,100, the optimizer 0.20 MB / ~4,560; Q1's, SQL Q3's and
+// 7.1 MB / ~2,100, the optimizer 73 kB / ~820; Q1's, SQL Q3's and
 // scan-filter-project's object counts, small enough or noisy enough to move by
 // a handful, keep a wider margin), so a trip means the arena or a kernel lost
 // its recycling path, a stage boundary copies its batch again, a join chained
@@ -423,7 +424,8 @@ type allocCeiling struct {
 // partition, the planner carries columns nothing reads, or a boxed row is
 // back between a stage and the checkpoint store (with one,
 // checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds a plan per
-// configuration again (it read 1.11 MB / ~28,700 doing so) — not timing
+// configuration again (it read 1.11 MB / ~28,700 doing so) or copies and
+// re-collapses each candidate again (0.20 MB / ~4,560) — not timing
 // noise: allocation figures are deterministic in a way wall time is not.
 // Gated behind ALLOC_BUDGET=1 because testing.Benchmark reruns each workload
 // until timing stabilizes, which is too slow for the default test sweep.
