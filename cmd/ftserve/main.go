@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ftserve -addr :7070 -http :7071 -sf 0.01 -nodes 4
-//	ftserve -addr :7070 -mtbf 2            # serve under injected Poisson failures
+//	ftserve -addr :7070 -mtbf 0.01         # serve under failures drawn from a failure trace
 //	ftserve -addr :7070 -tenant-rate 10 -tenant-concurrency 2
 //	ftserve -addr :7070 -forensics-dir /tmp/forensics -metrics-out /tmp/met.json
 //
@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"ftpde/internal/engine"
@@ -46,8 +44,8 @@ func main() {
 		tRate    = flag.Float64("tenant-rate", 0, "per-tenant sustained queries/second (0 = unlimited)")
 		tBurst   = flag.Float64("tenant-burst", 0, "per-tenant burst budget (default tenant-rate)")
 		tConc    = flag.Int("tenant-concurrency", 0, "per-tenant in-flight query cap (0 = unlimited)")
-		mtbf     = flag.Float64("mtbf", 0, "injected per-node Poisson failure MTBF in seconds (0 = no injection)")
-		mSeed    = flag.Int64("fail-seed", 1, "failure injector seed")
+		mtbf     = flag.Float64("mtbf", 0, "per-node MTBF in model seconds of the failure trace each query is simulated against; the task attempts it kills are injected, replayably (0 = no injection)")
+		mSeed    = flag.Int64("fail-seed", 1, "failure trace seed, combined with each query's ID")
 		failSpec = flag.String("fail", "", "deterministic injected failures, comma-separated op/partition/attempt triples (overrides -mtbf)")
 		cMTBF    = flag.Float64("model-mtbf", 0, "cost-model per-node MTBF in seconds (default one hour)")
 		cMTTR    = flag.Float64("model-mttr", 0, "cost-model MTTR in seconds (default 1)")
@@ -71,7 +69,7 @@ func main() {
 		ForensicsDir: *forDir, ForensicsMax: *forMax,
 	}
 	if *failSpec != "" {
-		inj, err := parseFailSpec(*failSpec)
+		inj, err := engine.ParseFailures(*failSpec)
 		if err != nil {
 			fatal(err)
 		}
@@ -97,7 +95,7 @@ func main() {
 	if *failSpec != "" {
 		fmt.Printf("ftserve: injecting scripted failures %q\n", *failSpec)
 	} else if *mtbf > 0 {
-		fmt.Printf("ftserve: injecting Poisson failures, per-node MTBF %gs\n", *mtbf)
+		fmt.Printf("ftserve: injecting failures from a trace with per-node MTBF %g model s\n", *mtbf)
 	}
 	if *forDir != "" {
 		fmt.Printf("ftserve: forensics bundles in %s\n", *forDir)
@@ -115,29 +113,6 @@ func main() {
 		fmt.Printf("ftserve: wrote metrics snapshot to %s\n", *metOut)
 	}
 	fmt.Println("ftserve: drained")
-}
-
-// parseFailSpec parses comma-separated op/partition/attempt triples into a
-// scripted injector, mirroring ftsql's -fail vocabulary.
-func parseFailSpec(spec string) (engine.FailureInjector, error) {
-	inj := engine.NewScriptedFailures()
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		parts := strings.Split(entry, "/")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("bad -fail entry %q, want op/partition/attempt", entry)
-		}
-		part, err1 := strconv.Atoi(parts[1])
-		attempt, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad -fail entry %q", entry)
-		}
-		inj.Add(parts[0], part, attempt)
-	}
-	return inj, nil
 }
 
 // writeMetricsSnapshot persists the registry snapshot as indented JSON — the

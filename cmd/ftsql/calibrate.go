@@ -1,9 +1,11 @@
 // Calibration closes the paper's open loop: Section 3 assumes MTBF, MTTR,
 // tr(o) and tm(o) are known inputs to findBestFTPlan. Here ftsql measures
-// them — it executes TPC-H-shaped queries under an injected Poisson failure
-// process, fits the failure log and the per-operator audit rows with
-// stats/calibrate, and re-plans with the calibrated model to show how the
-// materialization choice moves.
+// them — it draws one failure.Trace at the injected per-node MTBF (model
+// seconds), executes TPC-H-shaped queries end to end on that trace's clock
+// with the kills the simulator schedules from it (so a run replays), fits
+// the trace and the per-operator audit rows with stats/calibrate, and
+// re-plans with the calibrated model to show how the materialization choice
+// moves.
 package main
 
 import (
@@ -15,6 +17,7 @@ import (
 
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
+	"ftpde/internal/exec"
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
@@ -62,8 +65,8 @@ type calibrateOptions struct {
 	Nodes  int
 	Seed   int64
 	Runs   int     // rounds of Q1/Q3/Q5 to execute
-	MTBF   float64 // injected per-node MTBF, seconds
-	Window float64 // failure-log horizon for the MTBF fit, seconds
+	MTBF   float64 // injected per-node MTBF, model seconds
+	Window float64 // failure-trace horizon for the MTBF fit, model seconds
 	TopK   int     // join orders enumerated when re-planning
 }
 
@@ -115,11 +118,17 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 	base := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: o.Nodes}
 
 	est := calibrate.New(o.Nodes)
-	inj := engine.NewPoissonFailures(o.MTBF, o.Nodes, o.Seed)
-	// The injector's schedule is the cluster failure log — what a production
-	// system reads from its monitoring history. Fitting it estimates the MTBF
-	// independent of how many arrivals happened to hit query execution.
-	est.ObserveArrivals(inj.Arrivals(o.Window))
+	spec := failure.Spec{Nodes: o.Nodes, MTBF: o.MTBF}
+	trace := failure.NewTrace(spec, o.Window, o.Seed)
+	// The trace is the cluster failure log — what a production system reads
+	// from its monitoring history. Fitting it estimates the MTBF independent
+	// of how many arrivals happened to hit query execution.
+	var log []float64
+	for _, times := range trace.PerNode {
+		log = append(log, times...)
+	}
+	est.ObserveArrivals(log)
+	clock := 0.0 // model time at which the next execution starts
 
 	out := &calibrateResult{Injected: o.MTBF}
 	for run := 0; run < o.Runs; run++ {
@@ -136,9 +145,15 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
 			}
+			kills, sim, err := exec.KillSchedule(audit.Opt.Plan, audit.Pred,
+				exec.Options{Cluster: spec, Model: base}, trace.From(clock))
+			if err != nil {
+				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
+			}
+			clock += sim.Runtime
 			tracer := obs.NewTracer(obs.DefaultCapacity)
 			em := &runtime.Metrics{}
-			r, err := runtime.New(runtime.Config{Nodes: o.Nodes, Injector: inj, Tracer: tracer, Metrics: em})
+			r, err := runtime.New(runtime.Config{Nodes: o.Nodes, Injector: kills, Tracer: tracer, Metrics: em})
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +240,7 @@ func tableNames(stmt *sql.SelectStmt) []string {
 // Report renders the calibration outcome for the CLI.
 func (r *calibrateResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "calibration over %d failures observed (%.4gs wasted, injected per-node MTBF %.4gs):\n",
+	fmt.Fprintf(&b, "calibration over %d failures observed (%.4gs wasted, injected per-node MTBF %.4g model s):\n",
 		r.Failures, r.Wasted, r.Injected)
 	fmt.Fprintf(&b, "%s\n\n", r.summary)
 	model, _ := json.Marshal(r.Model)

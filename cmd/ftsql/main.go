@@ -9,7 +9,7 @@
 //	ftsql -q "..." -fail "join-1/2/0,aggregate/0/0"    # op/partition/attempt
 //	ftsql -q "..." -explain -mtbf 3600                 # cost plan + FT choice
 //	ftsql -q "..." -stats                              # runtime metrics
-//	ftsql -calibrate -calibrate-mtbf 2                 # estimate MTBF/MTTR + tr/tm, re-plan
+//	ftsql -calibrate -calibrate-mtbf 0.05              # estimate MTBF/MTTR + tr/tm, re-plan
 //	ftsql -list-metrics                                # document the metric vocabulary
 package main
 
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"ftpde/internal/cost"
@@ -52,10 +51,10 @@ func main() {
 		metOut   = flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
 		listMet  = flag.Bool("list-metrics", false, "print every metric family this binary can expose, then exit")
 		replay   = flag.String("replay-bundle", "", "pretty-print a failure forensics bundle (JSON file written by ftserve -forensics-dir), then exit")
-		cal      = flag.Bool("calibrate", false, "run the calibration loop: execute rounds of TPC-H Q1/Q3/Q5 under injected Poisson failures, estimate MTBF/MTTR and tr/tm correction factors, and re-plan with the calibrated model")
+		cal      = flag.Bool("calibrate", false, "run the calibration loop: execute rounds of TPC-H Q1/Q3/Q5 under the failures of one seeded failure trace, estimate MTBF/MTTR and tr/tm correction factors, and re-plan with the calibrated model")
 		calRuns  = flag.Int("calibrate-runs", 3, "rounds of Q1/Q3/Q5 executed while calibrating")
-		calMTBF  = flag.Float64("calibrate-mtbf", 2, "per-node MTBF (seconds) of the Poisson failures injected while calibrating")
-		calWin   = flag.Float64("calibrate-window", 400, "failure-log horizon (seconds) backing the MTBF fit")
+		calMTBF  = flag.Float64("calibrate-mtbf", 2, "per-node MTBF in model seconds of the failure trace calibration runs against (replayable: kills are simulated from the trace, not timed)")
+		calWin   = flag.Float64("calibrate-window", 400, "failure-trace horizon in model seconds backing the MTBF fit")
 	)
 	flag.Parse()
 
@@ -176,18 +175,9 @@ func main() {
 		}
 	}
 
-	injector := engine.NewScriptedFailures()
-	for _, spec := range splitList(*failSpec) {
-		parts := strings.Split(spec, "/")
-		if len(parts) != 3 {
-			fatal(fmt.Errorf("bad -fail entry %q, want op/partition/attempt", spec))
-		}
-		part, err1 := strconv.Atoi(parts[1])
-		attempt, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			fatal(fmt.Errorf("bad -fail entry %q", spec))
-		}
-		injector.Add(parts[0], part, attempt)
+	injector, err := engine.ParseFailures(*failSpec)
+	if err != nil {
+		fatal(err)
 	}
 
 	// One Exec aggregates counters, histograms and the wasted-work ledger of

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCalibrateEstimatesInjectedMTBF is the acceptance check for the
-// calibration loop: running TPC-H queries under Poisson failure injection
-// with a known per-node MTBF, the estimator fit to the observed failure log
+// calibration loop: running TPC-H queries under the failures of a seeded
+// failure.Trace with a known per-node MTBF, the estimator fit to the trace
 // must land within 20% of the injected rate.
 func TestCalibrateEstimatesInjectedMTBF(t *testing.T) {
 	const injected = 2.0

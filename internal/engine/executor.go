@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -25,19 +27,49 @@ func (NoFailures) FailCompute(string, int, int) bool { return false }
 // (or an interactive driver) extend it.
 type ScriptedFailures struct {
 	mu     sync.Mutex
-	script map[string]bool
+	script map[failPoint]bool
+}
+
+// failPoint is one scripted kill: attempt of op's partition part.
+type failPoint struct {
+	op            string
+	part, attempt int
 }
 
 // NewScriptedFailures returns an empty script.
 func NewScriptedFailures() *ScriptedFailures {
-	return &ScriptedFailures{script: make(map[string]bool)}
+	return &ScriptedFailures{script: make(map[failPoint]bool)}
+}
+
+// ParseFailures reads a comma-separated list of op/partition/attempt
+// triples (the -fail vocabulary) into a script. Empty entries are skipped;
+// a negative partition or attempt is rejected, since it could never fire.
+func ParseFailures(spec string) (*ScriptedFailures, error) {
+	s := NewScriptedFailures()
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		f := strings.Split(entry, "/")
+		if len(f) != 3 || f[0] == "" {
+			return nil, fmt.Errorf("bad -fail entry %q, want op/partition/attempt", entry)
+		}
+		part, err1 := strconv.Atoi(f[1])
+		attempt, err2 := strconv.Atoi(f[2])
+		if err1 != nil || err2 != nil || part < 0 || attempt < 0 {
+			return nil, fmt.Errorf("bad -fail entry %q, want a non-negative partition and attempt", entry)
+		}
+		s.Add(f[0], part, attempt)
+	}
+	return s, nil
 }
 
 // Add schedules a failure when op's partition is computed the given attempt.
 func (s *ScriptedFailures) Add(op string, part, attempt int) *ScriptedFailures {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.script[fmt.Sprintf("%s/%d/%d", op, part, attempt)] = true
+	s.script[failPoint{op, part, attempt}] = true
 	return s
 }
 
@@ -45,7 +77,7 @@ func (s *ScriptedFailures) Add(op string, part, attempt int) *ScriptedFailures {
 func (s *ScriptedFailures) FailCompute(op string, part, attempt int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.script[fmt.Sprintf("%s/%d/%d", op, part, attempt)]
+	return s.script[failPoint{op, part, attempt}]
 }
 
 // MatStore is the fault-tolerant storage medium for materialized

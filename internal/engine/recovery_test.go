@@ -238,3 +238,51 @@ func sortableString(v Value) string {
 		return "?"
 	}
 }
+
+// TestParseFailures pins the -fail vocabulary: op/partition/attempt triples,
+// comma-separated, with blanks tolerated and anything that could never fire
+// rejected.
+func TestParseFailures(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		kills []failPoint // nil when the spec is malformed
+	}{
+		{"", []failPoint{}},
+		{" , ", []failPoint{}},
+		{"join-1/2/0", []failPoint{{"join-1", 2, 0}}},
+		{"join-1/2/0, aggregate/0/3,", []failPoint{{"join-1", 2, 0}, {"aggregate", 0, 3}}},
+		{"join-1/2/0,join-1/2/0", []failPoint{{"join-1", 2, 0}}},
+		{"join-1/2", nil},
+		{"join-1/2/0/1", nil},
+		{"/2/0", nil},
+		{"join-1/x/0", nil},
+		{"join-1/2/y", nil},
+		{"join-1/-1/0", nil},
+		{"join-1/2/-1", nil},
+		{"join-1/2/0,bad", nil},
+	} {
+		s, err := ParseFailures(tc.spec)
+		if tc.kills == nil {
+			if err == nil {
+				t.Errorf("%q: accepted, want an error", tc.spec)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+			continue
+		}
+		want := map[failPoint]bool{}
+		for _, k := range tc.kills {
+			want[k] = true
+		}
+		if !reflect.DeepEqual(s.script, want) {
+			t.Errorf("%q: script %v, want %v", tc.spec, s.script, want)
+		}
+		for k := range want {
+			if !s.FailCompute(k.op, k.part, k.attempt) || s.FailCompute(k.op, k.part, k.attempt+1) {
+				t.Errorf("%q: FailCompute disagrees with the script at %v", tc.spec, k)
+			}
+		}
+	}
+}

@@ -128,10 +128,10 @@ func runFine(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 		stage := StageReport{Name: c.P.Op(cid).Name, Start: start, Work: work}
 		stageEnd := start
 		for node := 0; node < opt.Cluster.Nodes; node++ {
-			cur := start
+			cur, from := start, start
 			attempt := 0
 			for {
-				f := tr.NextFailure(node, cur)
+				f := tr.NextFailure(node, from)
 				if f >= cur+work {
 					res.addSpan(obs.KindTask, stage.Name, node, attempt, cur, cur+work, "")
 					cur += work
@@ -147,7 +147,7 @@ func runFine(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 				led.Fail(stage.Name, node)
 				led.AttributeSeconds(metrics.CauseRecompute, stage.Name, node, f-cur)
 				led.AttributeSeconds(metrics.CauseMTTRWait, stage.Name, node, opt.Cluster.MTTR)
-				cur = f + opt.Cluster.MTTR
+				cur, from = f+opt.Cluster.MTTR, resume(f, opt.Cluster.MTTR)
 				attempt++
 			}
 			if cur > stageEnd {
@@ -176,9 +176,9 @@ func runCoarse(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 	res := &Result{}
 	var led metrics.Ledger
 	makespan := failureFreeMakespan(c)
-	start := 0.0
+	start, from := 0.0, 0.0
 	for {
-		f, node := tr.NextClusterFailure(start)
+		f, node := tr.NextClusterFailure(from)
 		if f >= start+makespan {
 			res.Runtime = start + makespan
 			res.addSpan(obs.KindTask, "query", -1, res.Restarts, start, res.Runtime, "")
@@ -203,8 +203,15 @@ func runCoarse(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 		}
 		res.addSpan(obs.KindRecovery, "query", node, -1, f, f+opt.Cluster.MTTR, "")
 		led.AttributeSeconds(metrics.CauseMTTRWait, "query", node, opt.Cluster.MTTR)
-		start = f + opt.Cluster.MTTR
+		start, from = f+opt.Cluster.MTTR, resume(f, opt.Cluster.MTTR)
 	}
+}
+
+// resume returns where the search for the next failure picks up after an
+// arrival at f and a repair of mttr: at the restart, but never at f itself,
+// so an arrival fires once even when mttr is 0.
+func resume(f, mttr float64) float64 {
+	return math.Max(f+mttr, math.Nextafter(f, math.Inf(1)))
 }
 
 // failureFreeMakespan returns the critical-path length of the collapsed plan

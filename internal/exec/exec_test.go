@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"testing"
+	"time"
 
 	"ftpde/internal/cost"
 	"ftpde/internal/failure"
@@ -259,6 +260,45 @@ func TestMeanRuntime(t *testing.T) {
 	}
 	if math.Abs(mean-9) > 1e-9 {
 		t.Errorf("mean runtime = %g, want 9", mean)
+	}
+}
+
+// TestZeroMTTRConsumesEachArrivalOnce: with no repair wait a task resumes at
+// the instant it failed, and the arrival that killed it must not fire again.
+// One operator of work 10 on one node, one arrival at 5: one failure, and the
+// retry runs [5, 15). The run is bounded by a timeout so a livelock fails the
+// test by name instead of exhausting memory.
+func TestZeroMTTRConsumesEachArrivalOnce(t *testing.T) {
+	p := plan.New()
+	p.Add(plan.Operator{Name: "scan", Kind: plan.KindScan, RunCost: 10})
+	tr := &failure.Trace{PerNode: [][]float64{{5}}}
+	for _, rec := range []schemes.Recovery{schemes.FineGrained, schemes.CoarseRestart} {
+		o := opts(1, rec)
+		o.Cluster.MTTR = 0
+		o.MaxRestarts = 3
+		done := make(chan *Result, 1)
+		go func() {
+			res, err := Run(p, o, tr)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		var res *Result
+		select {
+		case res = <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("recovery=%d: simulation did not terminate with MTTR 0", rec)
+		}
+		if res == nil {
+			continue
+		}
+		if res.Failures != 1 || res.Aborted {
+			t.Errorf("recovery=%d: failures %d aborted %v, want one failure and no abort", rec, res.Failures, res.Aborted)
+		}
+		if math.Abs(res.Runtime-15) > 1e-9 {
+			t.Errorf("recovery=%d: runtime %g, want 15", rec, res.Runtime)
+		}
 	}
 }
 

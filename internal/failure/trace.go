@@ -122,6 +122,18 @@ func (tr *Trace) NextClusterFailure(t float64) (float64, int) {
 	return best, node
 }
 
+// From returns the arrivals at or after t on a clock that starts at t:
+// executions laid end to end on one trace each see the rest of it.
+func (tr *Trace) From(t float64) *Trace {
+	out := &Trace{PerNode: make([][]float64, len(tr.PerNode))}
+	for i, times := range tr.PerNode {
+		for _, f := range times[sort.SearchFloat64s(times, t):] {
+			out.PerNode[i] = append(out.PerNode[i], f-t)
+		}
+	}
+	return out
+}
+
 // TotalFailures returns the number of failures across all nodes.
 func (tr *Trace) TotalFailures() int {
 	n := 0

@@ -2,6 +2,7 @@ package failure
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -194,5 +195,17 @@ func TestWeibullValidation(t *testing.T) {
 	trs, err := NewWeibullTraces(spec, 100, 1, 3, 1.2)
 	if err != nil || len(trs) != 3 {
 		t.Errorf("NewWeibullTraces failed: %v", err)
+	}
+}
+
+func TestTraceFrom(t *testing.T) {
+	tr := &Trace{PerNode: [][]float64{{1, 3, 5}, {}, {2}}}
+	got := tr.From(3)
+	want := [][]float64{{0, 2}, nil, nil}
+	if !reflect.DeepEqual(got.PerNode, want) {
+		t.Fatalf("From(3) = %v, want %v", got.PerNode, want)
+	}
+	if n := tr.From(0).TotalFailures(); n != 4 {
+		t.Errorf("From(0) kept %d arrivals, want 4", n)
 	}
 }

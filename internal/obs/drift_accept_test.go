@@ -2,21 +2,22 @@ package obs_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"ftpde/internal/cost"
-	"ftpde/internal/engine"
+	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 )
 
 // TestDriftDetectsInjectedMTBFWithinTenQueries is the acceptance criterion for
-// the online drift detector: feed it the failure log of a seeded Poisson
-// injector whose real per-node MTBF (2s) is 3x off the cost model's assumption
-// (6s), sliced into at most 10 queries, and require (a) the mtbf term flags
-// and (b) the rolling estimate lands within 25% of the injected rate. The
-// injector is seeded and the detector reads only span timestamps, so the test
-// is fully deterministic.
+// the online drift detector: feed it the arrivals of a seeded failure.Trace
+// whose per-node MTBF (2s) is 3x off the cost model's assumption (6s), sliced
+// into at most 10 queries, and require (a) the mtbf term flags and (b) the
+// rolling estimate lands within 25% of the injected rate. The trace is seeded
+// and the detector reads only span timestamps, so the test is fully
+// deterministic.
 func TestDriftDetectsInjectedMTBFWithinTenQueries(t *testing.T) {
 	const (
 		injectedMTBF = 2.0
@@ -25,7 +26,11 @@ func TestDriftDetectsInjectedMTBFWithinTenQueries(t *testing.T) {
 		horizon      = 400.0
 		queries      = 10
 	)
-	arrivals := engine.NewPoissonFailures(injectedMTBF, nodes, 7).Arrivals(horizon)
+	var arrivals []float64
+	for _, times := range failure.NewTrace(failure.Spec{Nodes: nodes, MTBF: injectedMTBF}, horizon, 7).PerNode {
+		arrivals = append(arrivals, times...)
+	}
+	sort.Float64s(arrivals)
 	if len(arrivals) < queries {
 		t.Fatalf("only %d arrivals in the horizon", len(arrivals))
 	}

@@ -116,7 +116,7 @@ func TestForensicsRingBoundAcrossQueries(t *testing.T) {
 }
 
 // TestDebugQueriesConcurrentWithFailures drives multiple tenants through the
-// shared pool under hot Poisson failure injection while hammering
+// shared pool under hot trace-drawn failure injection while hammering
 // /debug/queries and /metrics from other goroutines — the race-detector
 // coverage for Progress updates racing snapshots. Results must still match
 // the serial baseline, and the drift detector must have ingested every

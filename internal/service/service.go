@@ -11,6 +11,7 @@ import (
 
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
+	"ftpde/internal/exec"
 	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
@@ -66,12 +67,16 @@ type Config struct {
 	// plans price recovery as if the pool were idle regardless of load.
 	DisableLoadAware bool
 
-	// InjectMTBF > 0 runs every query under a shared Poisson failure
-	// injector with that per-node MTBF (seconds of wall time).
+	// InjectMTBF > 0 runs every query under failures drawn from a
+	// failure.Trace with that per-node MTBF, in model seconds (the planner's
+	// cost units, ≈ seconds once calibrated): the query's audited plan is
+	// simulated against the trace and the task attempts it kills become the
+	// runtime's kill schedule, so a query's failures replay on any host.
 	InjectMTBF float64
-	// InjectSeed seeds the failure injector (default 1).
+	// InjectSeed seeds each query's trace together with the query ID
+	// (default 1).
 	InjectSeed int64
-	// Injector overrides the Poisson injector built from InjectMTBF —
+	// Injector overrides the schedules built from InjectMTBF —
 	// deterministic failure drills (engine.ScriptedFailures) use this.
 	Injector engine.FailureInjector
 
@@ -148,13 +153,12 @@ func (cfg Config) withDefaults() Config {
 // Server is a multi-tenant query service: one TPC-H catalog, one shared
 // bounded worker pool, many concurrent stage-DAG executions.
 type Server struct {
-	cfg      Config
-	cat      *engine.Catalog
-	cp       stats.CostParams
-	base     cost.Model
-	pool     *runtime.Pool
-	injector engine.FailureInjector
-	met      *svcMetrics
+	cfg  Config
+	cat  *engine.Catalog
+	cp   stats.CostParams
+	base cost.Model
+	pool *runtime.Pool
+	met  *svcMetrics
 
 	progress  *obs.ProgressRegistry
 	drift     *obs.DriftDetector
@@ -205,12 +209,6 @@ func New(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenantState),
 		tstats:  make(map[string]sql.TableStats),
 		conns:   make(map[net.Conn]bool),
-	}
-	switch {
-	case cfg.Injector != nil:
-		s.injector = cfg.Injector
-	case cfg.InjectMTBF > 0:
-		s.injector = engine.NewPoissonFailures(cfg.InjectMTBF, cfg.Nodes, cfg.InjectSeed)
 	}
 	s.progress = obs.NewProgressRegistry(32)
 	s.drift = obs.NewDriftDetector(obs.DriftConfig{
@@ -422,7 +420,7 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 		Nodes:       s.cfg.Nodes,
 		BatchSize:   s.cfg.BatchSize,
 		Pool:        s.pool,
-		Injector:    s.injector,
+		Injector:    s.cfg.Injector,
 		Metrics:     exec,
 		Tracer:      qt,
 		Progress:    prog,
@@ -430,6 +428,12 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	}
 	if s.cfg.Coarse {
 		rcfg.Recovery = schemes.CoarseRestart
+	}
+	if rcfg.Injector == nil && s.cfg.InjectMTBF > 0 {
+		if rcfg.Injector, _, err = s.killSchedule(audit, m, rcfg.Recovery, prog.ID()); err != nil {
+			s.progress.End(prog, err)
+			return nil, &QueryError{Phase: "plan", Err: err}
+		}
 	}
 	rt, err := runtime.New(rcfg)
 	if err != nil {
@@ -467,6 +471,20 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 		Utilization:    util,
 		MatConfig:      audit.Opt.Config.String(),
 	}, nil
+}
+
+// killSchedule simulates query qid's audited plan against a trace drawn at
+// InjectMTBF, seeded from InjectSeed and qid. The trace covers ten
+// failure-free makespans, past which the query runs clean: that bounds what
+// an MTBF far below the query's runtime can schedule.
+func (s *Server) killSchedule(audit *sql.AuditPlan, m cost.Model, rec schemes.Recovery, qid int64) (*engine.ScriptedFailures, *exec.Result, error) {
+	makespan, err := exec.FailureFreeMakespan(audit.Opt.Plan, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := failure.Spec{Nodes: s.cfg.Nodes, MTBF: s.cfg.InjectMTBF}
+	tr := failure.NewTrace(spec, 10*makespan, s.cfg.InjectSeed^(qid+1)*0x5851F42D4C957F2D)
+	return exec.KillSchedule(audit.Opt.Plan, audit.Pred, exec.Options{Cluster: spec, Model: m, Recovery: rec, MaxRestarts: s.cfg.MaxRestarts}, tr)
 }
 
 // ingestSpans folds a finished query's private span slice into the shared

@@ -407,7 +407,7 @@ func TestConcurrentEquivalenceClean(t *testing.T) {
 	}
 }
 
-// TestConcurrentEquivalenceUnderFailures: same bar with Poisson failure
+// TestConcurrentEquivalenceUnderFailures: same bar with trace-drawn failure
 // injection hot enough that recoveries overlap across queries.
 func TestConcurrentEquivalenceUnderFailures(t *testing.T) {
 	want := serialBaseline(t, Config{})
