@@ -114,13 +114,11 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 	)
 
 	for _, cand := range candidates {
-		if err := cand.Validate(); err != nil {
-			return nil, err
-		}
 		res.Stats.PlansConsidered++
 
 		// Every configuration is scored on one shape of the candidate, which
-		// pruning rules 1 and 2 bind on before configuration enumeration.
+		// validates it, and which pruning rules 1 and 2 bind on before
+		// configuration enumeration.
 		shape, err := opt.Model.Shape(cand)
 		if err != nil {
 			return nil, err
@@ -174,7 +172,6 @@ func FindBestFTPlan(candidates []*plan.Plan, opt Options) (*Result, error) {
 	}
 	res.Plan = win.Plan(winMask)
 	res.Config = res.Plan.Config()
-	win.SetMask(winMask)
 	for _, g := range winPath {
 		oc := opt.Model.OperatorCost(win.Total(g))
 		res.Dominant.Path = append(res.Dominant.Path, plan.OpID(g+1))

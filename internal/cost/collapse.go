@@ -1,7 +1,7 @@
 package cost
 
 import (
-	"errors"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -41,9 +41,6 @@ type Collapsed struct {
 // is none). The groups are the ones Shape scores a configuration on,
 // materialized as a plan of their own.
 func Collapse(p *plan.Plan, m Model) (*Collapsed, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,74 +63,102 @@ type Shape struct {
 	m         Model
 	p         *plan.Plan
 	ids       []plan.OpID
-	inputs    [][]int // Inputs order
-	consumers []int   // operator -> how many operators read it; 0 for a sink
-	topo      []int   // producers before consumers
-	free      []int   // FreeOperators order: bit k of a mask is free[k]
-	bound     []bool
+	in, at    []int // operator i reads in[at[i]:at[i+1]], in plan.Inputs order
+	consumers []int // operator -> how many operators read it; 0 for a sink
+	topo      []int // producers before consumers
+	free      []int // FreeOperators order: bit k of a mask is free[k]
 	rc, mc    []float64
-	mat       []bool // m(o) of the configuration collapsed last
+	lnMiss    float64 // ln(1-S), which every T(c) needs
+
+	// A bitset of operators or groups is w words; member i is bit i%64 of
+	// word i/64.
+	w     int
+	bound []uint64 // operators: f(o) = 0
+	mat   []uint64 // operators: m(o) of the configuration collapsed last
+	sinks []uint64 // operators: those no operator reads
 
 	// Filled per configuration by collapse, reused across configurations.
-	group    []int     // operator -> its group if it is a root, else -1
-	roots    []int     // group -> root operator
-	longest  []float64 // operator -> tr-weighted longest path ending at it, through non-roots only
-	pred     []int     // operator -> its input on that path, -1 where the path starts
-	feeds    []uint64  // operator -> bitset of the groups whose roots it reads, directly or through non-roots
-	children [][]int   // group -> consumer groups, ascending
-	sources  []int     // groups no group feeds, ascending
-	total    []float64 // group -> t(c)
-	runtime  []float64 // group -> T(c), -1 until Runtime asks for it
-	path     []int
+	group   []int     // operator -> its group if it is a root; stale for the others
+	roots   []int     // group -> root operator
+	longest []float64 // operator -> tr-weighted longest path ending at it, through non-roots only
+	pred    []int     // operator -> its input on that path, -1 where the path starts
+	feeds   []uint64  // operator -> operators: the roots it reads, directly or through non-roots
+	kids    []uint64  // group -> groups: its consumers
+	sources []uint64  // groups: those no group feeds
+	total   []float64 // group -> t(c)
+	path    []int
+
+	// root operator -> the t(c) it last had T(c) evaluated for, and T(c)
+	tc, runtime []float64
 }
 
-// Shape indexes p's structure and costs for collapsing. The configuration it
-// starts from is p's own; Bind and SetMask change it.
+// Shape indexes p's structure and costs for collapsing, and checks what
+// plan.Validate checks. The configuration it starts from is p's own; Bind
+// and SetMask change it.
 func (m Model) Shape(p *plan.Plan) (*Shape, error) {
-	topo, err := p.TopoOrder()
+	topo, err := p.ValidOrder()
 	if err != nil {
 		return nil, err
 	}
 	ids := p.OperatorIDs()
-	n := len(ids)
-	if n == 0 {
-		return nil, errors.New("cost: empty plan")
+	n, w := len(ids), (len(ids)+63)/64
+	// The per-operator arrays are cut from one block per element type.
+	ints := make([]int, 10*n+1+int(slices.Max(ids))+1)
+	floats := make([]float64, 6*n)
+	words := make([]uint64, (2*n+4)*w)
+	s := &Shape{
+		m: m, p: p, ids: ids, lnMiss: m.lnMiss(), w: w,
+		in: take(&ints, 2*n)[:0], at: take(&ints, n+1), consumers: take(&ints, n), topo: take(&ints, n),
+		free: take(&ints, n)[:0], rc: take(&floats, n), mc: take(&floats, n),
+		bound: take(&words, w), mat: take(&words, w), sinks: take(&words, w), sources: take(&words, w),
+		feeds: take(&words, n*w), kids: take(&words, n*w),
+		group: take(&ints, n), roots: take(&ints, n)[:0], pred: take(&ints, n), path: take(&ints, n)[:0],
+		longest: take(&floats, n), total: take(&floats, n), tc: take(&floats, n), runtime: take(&floats, n),
 	}
-	index := make([]int, slices.Max(ids)+1)
+	t0 := m.opCost(0, s.lnMiss).Runtime // T(c) at t(c) = 0, where tc starts
+	for i := range s.runtime {
+		s.runtime[i] = t0
+	}
+	index := ints
 	for i, id := range ids {
 		index[id] = i
 	}
-	s := &Shape{
-		m: m, p: p, ids: ids,
-		inputs: make([][]int, n), consumers: make([]int, n), topo: make([]int, n), free: make([]int, 0, n), bound: make([]bool, n),
-		rc: make([]float64, n), mc: make([]float64, n), mat: make([]bool, n),
-		group: make([]int, n), roots: make([]int, 0, n), longest: make([]float64, n), pred: make([]int, n),
-		children: make([][]int, n), feeds: make([]uint64, n*((n+63)/64)),
-		total: make([]float64, n), runtime: make([]float64, n),
-	}
-	in := make([]int, 0, 2*n) // every operator's inputs, in one array
-	ends := make([]int, n)
+	var buf []plan.OpID
 	for i, id := range ids {
 		op := p.Op(id)
-		s.rc[i], s.mc[i], s.mat[i], s.bound[i] = op.RunCost, op.MatCost, op.Materialize, op.Bound
-		if op.Free() {
+		s.rc[i], s.mc[i] = op.RunCost, op.MatCost
+		if op.Materialize {
+			s.mat[i/64] |= 1 << (i % 64)
+		}
+		if op.Bound {
+			s.bound[i/64] |= 1 << (i % 64)
+		} else {
 			s.free = append(s.free, i)
 		}
-		for _, pa := range p.Inputs(id) {
-			in = append(in, index[pa])
+		buf = p.AppendInputs(buf[:0], id)
+		for _, pa := range buf {
+			s.in = append(s.in, index[pa])
 			s.consumers[index[pa]]++
 		}
-		ends[i] = len(in)
-	}
-	start := 0
-	for i, end := range ends {
-		s.inputs[i] = in[start:end:end]
-		start = end
+		s.at[i+1] = len(s.in)
 	}
 	for k, id := range topo {
 		s.topo[k] = index[id]
 	}
+	for i, c := range s.consumers {
+		if c == 0 {
+			s.sinks[i/64] |= 1 << (i % 64)
+		}
+	}
 	return s, nil
+}
+
+// take cuts the first k elements off *block, capped so that appending to
+// them cannot run into what follows.
+func take[T any](block *[]T, k int) []T {
+	b := (*block)[:k:k]
+	*block = (*block)[k:]
+	return b
 }
 
 // Len returns the number of operators.
@@ -141,7 +166,7 @@ func (s *Shape) Len() int { return len(s.ids) }
 
 // Inputs returns the operators operator i reads, in plan.Inputs order. The
 // caller must not modify the slice.
-func (s *Shape) Inputs(i int) []int { return s.inputs[i] }
+func (s *Shape) Inputs(i int) []int { return s.in[s.at[i]:s.at[i+1]] }
 
 // Consumers returns how many operators read operator i's output.
 func (s *Shape) Consumers(i int) int { return s.consumers[i] }
@@ -157,11 +182,11 @@ func (s *Shape) RunCost(i int) float64 { return s.rc[i] }
 func (s *Shape) MatCost(i int) float64 { return s.mc[i] }
 
 // Free reports whether the enumeration may set operator i's flag.
-func (s *Shape) Free(i int) bool { return !s.bound[i] }
+func (s *Shape) Free(i int) bool { return s.bound[i/64]>>(i%64)&1 == 0 }
 
 // Materialized returns m(o) of operator i in the configuration collapsed
 // last, or the fixed flag of a bound operator.
-func (s *Shape) Materialized(i int) bool { return s.mat[i] }
+func (s *Shape) Materialized(i int) bool { return s.mat[i/64]>>(i%64)&1 != 0 }
 
 // NumFree returns the number of free operators: a mask has that many bits.
 func (s *Shape) NumFree() int { return len(s.free) }
@@ -169,20 +194,20 @@ func (s *Shape) NumFree() int { return len(s.free) }
 // Bind makes free operator i bound and non-materialized, as pruning rules 1
 // and 2 do; the free operators after it move down one mask bit.
 func (s *Shape) Bind(i int) {
-	s.bound[i], s.mat[i] = true, false
+	s.bound[i/64] |= 1 << (i % 64)
+	s.mat[i/64] &^= 1 << (i % 64)
 	s.free = slices.DeleteFunc(s.free, func(j int) bool { return j == i })
 }
 
-// Plan returns a copy of the shape's plan with the operators Bind bound and
-// the free operators set as mask sets them (plan.ConfigFromMask).
+// Plan collapses the shape under mask, as SetMask does, and returns a copy
+// of its plan with the operators Bind bound and the free operators set as
+// mask sets them (plan.ConfigFromMask).
 func (s *Shape) Plan(mask uint64) *plan.Plan {
+	s.SetMask(mask)
 	q := s.p.Clone()
 	for i, id := range s.ids {
 		op := q.Op(id)
-		op.Bound, op.Materialize = s.bound[i], s.mat[i]
-	}
-	for k, i := range s.free {
-		q.Op(s.ids[i]).Materialize = mask&(1<<uint(k)) != 0
+		op.Bound, op.Materialize = !s.Free(i), s.Materialized(i)
 	}
 	return q
 }
@@ -192,7 +217,7 @@ func (s *Shape) Plan(mask uint64) *plan.Plan {
 // FreeOperators); bound operators keep their flags.
 func (s *Shape) SetMask(mask uint64) {
 	for k, i := range s.free {
-		s.mat[i] = mask&(1<<uint(k)) != 0
+		s.mat[i/64] = s.mat[i/64]&^(1<<(i%64)) | (mask>>k&1)<<(i%64)
 	}
 	s.collapse()
 }
@@ -205,26 +230,28 @@ func (s *Shape) SetMask(mask uint64) {
 // group, and a root's values are its group's tr(c)/CONSTpipe, dom(c) and
 // producer groups.
 func (s *Shape) collapse() {
+	w := s.w
 	s.roots = s.roots[:0]
-	for i := range s.ids {
-		s.group[i] = -1
-		if s.mat[i] || s.consumers[i] == 0 {
-			s.group[i] = len(s.roots)
-			s.roots = append(s.roots, i)
+	for k, x := range s.mat {
+		for x |= s.sinks[k]; x != 0; x &= x - 1 {
+			r := k*64 + bits.TrailingZeros64(x)
+			s.group[r] = len(s.roots)
+			s.roots = append(s.roots, r)
 		}
 	}
-	w := len(s.feeds) / len(s.ids)
+	clear(s.feeds)
 	for _, i := range s.topo {
-		feeds := s.feeds[i*w : (i+1)*w]
-		clear(feeds)
+		f := s.feeds[i*w : i*w+w]
 		best, pred := 0.0, -1
-		for _, pa := range s.inputs[i] {
-			if g := s.group[pa]; g >= 0 {
-				feeds[g/64] |= 1 << uint(g%64)
+		for _, pa := range s.Inputs(i) {
+			// An input has a consumer, so it is a root exactly when it
+			// materializes.
+			if word, bit := uint(pa)/64, uint(pa)%64; s.mat[word]>>bit&1 != 0 {
+				f[word] |= 1 << bit
 				continue
 			}
-			for k, x := range s.feeds[pa*w : (pa+1)*w] {
-				feeds[k] |= x
+			for k := range f {
+				f[k] |= s.feeds[pa*w+k]
 			}
 			if v := s.longest[pa]; pred < 0 || v > best {
 				best, pred = v, pa
@@ -234,40 +261,38 @@ func (s *Shape) collapse() {
 		s.pred[i] = pred
 	}
 
-	s.sources = s.sources[:0]
-	for g := range s.roots {
-		s.children[g] = s.children[g][:0]
-	}
+	clear(s.kids[:len(s.roots)*w])
+	clear(s.sources)
 	for g, r := range s.roots {
-		fed := false
-		for k, x := range s.feeds[r*w : (r+1)*w] {
-			for ; x != 0; x &= x - 1 {
-				from := k*64 + bits.TrailingZeros64(x)
-				s.children[from] = append(s.children[from], g)
-				fed = true
+		var fed uint64
+		for k, x := range s.feeds[r*w : r*w+w] {
+			for fed |= x; x != 0; x &= x - 1 {
+				from := s.group[k*64+bits.TrailingZeros64(x)]
+				s.kids[from*w+g/64] |= 1 << (g % 64)
 			}
 		}
-		if !fed {
-			s.sources = append(s.sources, g)
+		if fed == 0 {
+			s.sources[g/64] |= 1 << (g % 64)
 		}
 		s.total[g] = s.longest[r] * s.m.PipeConst
-		if s.mat[r] {
+		if s.Materialized(r) {
 			s.total[g] += s.mc[r]
 		}
-		s.runtime[g] = -1
 	}
 }
 
 // Total returns t(c) = tr(c) + tm(c)·m(c) of group g.
 func (s *Shape) Total(g int) float64 { return s.total[g] }
 
-// Runtime returns T(c) of group g (Eq. 8), evaluated at most once per
-// configuration.
+// Runtime returns T(c) of group g (Eq. 8). It is evaluated again only when
+// t(c) of the group's root differs from the last time it was: a
+// configuration that keeps the flags upstream of a root keeps its t(c).
 func (s *Shape) Runtime(g int) float64 {
-	if s.runtime[g] < 0 {
-		s.runtime[g] = s.m.OperatorCost(s.total[g]).Runtime
+	r, t := s.roots[g], s.total[g]
+	if math.Float64bits(t) != math.Float64bits(s.tc[r]) {
+		s.tc[r], s.runtime[r] = t, s.m.opCost(t, s.lnMiss).Runtime
 	}
-	return s.runtime[g]
+	return s.runtime[r]
 }
 
 // Paths streams the collapsed plan's execution paths as groups, in the order
@@ -275,26 +300,30 @@ func (s *Shape) Runtime(g int) float64 {
 // consumers, ascending), until fn returns false. fn must not keep the slice.
 func (s *Shape) Paths(fn func(groups []int) bool) {
 	s.path = s.path[:0]
-	for _, g := range s.sources {
-		if !s.walk(g, fn) {
-			return
-		}
-	}
+	s.walk(s.sources, fn)
 }
 
-func (s *Shape) walk(g int, fn func([]int) bool) bool {
-	s.path = append(s.path, g)
-	ok := true
-	if len(s.children[g]) == 0 {
-		ok = fn(s.path)
-	}
-	for _, c := range s.children[g] {
-		if ok = s.walk(c, fn); !ok {
-			break
+// walk appends each group of set to the path in turn, ascending, and streams
+// the paths that continue below it. A group ends a path when its root is a
+// sink: any other root has a consumer, which some group downstream reads.
+func (s *Shape) walk(set []uint64, fn func([]int) bool) bool {
+	for k, x := range set {
+		for ; x != 0; x &= x - 1 {
+			g := k*64 + bits.TrailingZeros64(x)
+			s.path = append(s.path, g)
+			var ok bool
+			if s.consumers[s.roots[g]] == 0 {
+				ok = fn(s.path)
+			} else {
+				ok = s.walk(s.kids[g*s.w:(g+1)*s.w], fn)
+			}
+			s.path = s.path[:len(s.path)-1]
+			if !ok {
+				return false
+			}
 		}
 	}
-	s.path = s.path[:len(s.path)-1]
-	return ok
+	return true
 }
 
 // collapsed materializes the configuration collapsed last as a Collapsed.
@@ -316,8 +345,8 @@ func (s *Shape) collapsed() *Collapsed {
 		for k := len(s.topo) - 1; k >= 0; k-- {
 			if i := s.topo[k]; in[i] == g+1 {
 				members = append(members, s.ids[i])
-				for _, pa := range s.inputs[i] {
-					if s.group[pa] < 0 {
+				for _, pa := range s.Inputs(i) {
+					if !s.Materialized(pa) {
 						in[pa] = g + 1
 					}
 				}
@@ -331,7 +360,7 @@ func (s *Shape) collapsed() *Collapsed {
 		slices.Reverse(dom)
 
 		tm := 0.0
-		if s.mat[r] {
+		if s.Materialized(r) {
 			tm = s.mc[r]
 		}
 		cid := c.P.Add(plan.Operator{
@@ -339,7 +368,7 @@ func (s *Shape) collapsed() *Collapsed {
 			Kind:        s.p.Op(s.ids[r]).Kind,
 			RunCost:     s.longest[r] * s.m.PipeConst,
 			MatCost:     tm,
-			Materialize: s.mat[r],
+			Materialize: s.Materialized(r),
 		})
 		c.Root[cid] = s.ids[r]
 		c.ByRoot[s.ids[r]] = cid
@@ -347,8 +376,10 @@ func (s *Shape) collapsed() *Collapsed {
 		c.Dominant[cid] = dom
 	}
 	for g := range s.roots {
-		for _, to := range s.children[g] {
-			c.P.MustConnect(plan.OpID(g+1), plan.OpID(to+1))
+		for k, x := range s.kids[g*s.w : (g+1)*s.w] {
+			for ; x != 0; x &= x - 1 {
+				c.P.MustConnect(plan.OpID(g+1), plan.OpID(k*64+bits.TrailingZeros64(x)+1))
+			}
 		}
 	}
 	return c

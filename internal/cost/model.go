@@ -7,6 +7,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"ftpde/internal/failure"
 	"ftpde/internal/plan"
@@ -109,6 +110,20 @@ type OpCost struct {
 // OperatorCost evaluates the failure-aware runtime of one collapsed operator
 // with total cost t (Equations 4, 5, 6 and 8).
 func (m Model) OperatorCost(t float64) OpCost {
+	oc := m.opCost(t, m.lnMiss())
+	oc.Gamma = failure.ProbSuccess(t, m.effMTBF())
+	return oc
+}
+
+// lnMiss returns ln(1-S), the numerator of a(c) for every t.
+func (m Model) lnMiss() float64 {
+	//lint:ignore costfloat it must be failure.Attempts's ln(1-S) bit for bit; Validate keeps S in (0,1)
+	return math.Log(1 - m.Percentile)
+}
+
+// opCost is OperatorCost without γ, which T(c) does not need; lnMiss is
+// m.lnMiss().
+func (m Model) opCost(t, lnMiss float64) OpCost {
 	mtbf := m.effMTBF()
 	var w float64
 	if m.ExactWasted {
@@ -118,22 +133,13 @@ func (m Model) OperatorCost(t float64) OpCost {
 	}
 	// Under shared-pool contention every recovery runs stretched: the lost
 	// work and the repair both take longer when they compete for workers.
-	if m.RecoveryStretch > 1 {
-		w *= m.RecoveryStretch
-	}
 	mttr := m.MTTR
 	if m.RecoveryStretch > 1 {
+		w *= m.RecoveryStretch
 		mttr *= m.RecoveryStretch
 	}
-	gamma := failure.ProbSuccess(t, mtbf)
-	a := failure.Attempts(t, mtbf, m.Percentile)
-	return OpCost{
-		Total:    t,
-		Wasted:   w,
-		Gamma:    gamma,
-		Attempts: a,
-		Runtime:  t + a*w + a*mttr,
-	}
+	a := failure.AttemptsLn(t, mtbf, lnMiss)
+	return OpCost{Total: t, Wasted: w, Attempts: a, Runtime: t + a*w + a*mttr}
 }
 
 // PathCost aggregates the cost of one execution path through a collapsed

@@ -91,7 +91,11 @@ func WastedRuntimeApprox(t float64) float64 {
 //	a(c) = max(ln(1-S)/ln(eta) - 1, 0)
 //
 // where eta = 1 - e^(-t/MTBF) is the per-attempt failure probability.
-func Attempts(t, mtbf, s float64) float64 {
+func Attempts(t, mtbf, s float64) float64 { return AttemptsLn(t, mtbf, math.Log(1-s)) }
+
+// AttemptsLn is Attempts for a caller that evaluates many t at one S and
+// passes lnMiss = ln(1-S) once.
+func AttemptsLn(t, mtbf, lnMiss float64) float64 {
 	if t <= 0 {
 		return 0
 	}
@@ -102,7 +106,7 @@ func Attempts(t, mtbf, s float64) float64 {
 	if eta >= 1 {
 		return math.Inf(1)
 	}
-	a := math.Log(1-s)/math.Log(eta) - 1
+	a := lnMiss/math.Log(eta) - 1
 	if a < 0 || math.IsNaN(a) {
 		return 0
 	}

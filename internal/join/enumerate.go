@@ -3,7 +3,6 @@ package join
 import (
 	"cmp"
 	"fmt"
-	"slices"
 )
 
 // Tree is a binary join tree. A leaf has Rel >= 0 and nil children; an inner
@@ -74,9 +73,9 @@ func subsetsOf(mask uint, fn func(uint) bool) {
 }
 
 // EnumerateAll returns every ordered bushy join tree without cartesian
-// products. The result size grows exponentially; Validate limits the graph to
-// 30 relations, and callers should keep well below that for full enumeration
-// (the paper enumerates 1344 orders for the six relations of TPC-H Q5).
+// products. The result size grows exponentially: keep full enumeration to a
+// handful of relations, far below the maxRelations Validate allows (the
+// paper enumerates 1344 orders for the six relations of TPC-H Q5).
 func (g *Graph) EnumerateAll() ([]*Tree, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -167,50 +166,64 @@ func (g *Graph) TopK(k int) ([]*Tree, error) {
 	n := uint(len(g.rels))
 	full := uint(1)<<n - 1
 
-	best := make([][]*Tree, full+1) // subset -> its k cheapest trees
+	best := make([][]Tree, full+1) // subset -> its k cheapest trees
 	for i := uint(0); i < n; i++ {
-		best[1<<i] = []*Tree{g.leaf(int(i))}
+		best[1<<i] = []Tree{*g.leaf(int(i))}
 	}
 
-	// A candidate is ranked as a value; only the k kept become Trees.
+	// A candidate is ranked as a value; only the k kept become Trees. It
+	// goes after every kept one it does not cost less than: where a stable
+	// sort of all of them by cmp.Compare puts it (NaN first).
 	type cand struct {
 		l, r       *Tree
 		card, cost float64
 	}
-	var cands []cand
+	var top []cand
 	// Every proper subset of a mask is a smaller number, so ascending order
 	// visits the parts of a split before the subset they form.
 	for mask := uint(1); mask <= full; mask++ {
 		if mask&(mask-1) == 0 || !g.connected(mask) {
 			continue
 		}
-		cands = cands[:0]
+		top = top[:0]
 		subsetsOf(mask, func(s1 uint) bool {
 			s2 := mask ^ s1
 			if !g.connected(s1) || !g.connected(s2) || !g.joinable(s1, s2) {
 				return true
 			}
 			sel := g.crossSelectivity(s1, s2)
-			for _, l := range best[s1] {
-				for _, r := range best[s2] {
+			for i := range best[s1] {
+				for j := range best[s2] {
+					l, r := &best[s1][i], &best[s2][j]
 					card := l.Card * r.Card * sel
-					cands = append(cands, cand{l, r, card, l.Cost + r.Cost + card})
+					c := cand{l, r, card, l.Cost + r.Cost + card}
+					at := len(top)
+					for at > 0 && cmp.Compare(c.cost, top[at-1].cost) < 0 {
+						at--
+					}
+					if at < k {
+						if len(top) < k {
+							top = append(top, c)
+						}
+						copy(top[at+1:], top[at:])
+						top[at] = c
+					}
 				}
 			}
 			return true
 		})
-		slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.cost, b.cost) })
-		kept := make([]Tree, min(k, len(cands)))
-		best[mask] = make([]*Tree, len(kept))
-		for i := range kept {
-			c := cands[i]
+		kept := make([]Tree, len(top))
+		for i, c := range top {
 			kept[i] = Tree{Rel: -1, Left: c.l, Right: c.r, Card: c.card, Cost: c.cost, mask: mask}
-			best[mask][i] = &kept[i]
 		}
+		best[mask] = kept
 	}
-	out := best[full]
-	if len(out) == 0 {
+	if len(best[full]) == 0 {
 		return nil, fmt.Errorf("join: no plan found (graph disconnected?)")
+	}
+	out := make([]*Tree, len(best[full]))
+	for i := range out {
+		out[i] = &best[full][i]
 	}
 	return out, nil
 }

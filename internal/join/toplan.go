@@ -47,27 +47,30 @@ func (c SimpleCoster) JoinCosts(leftCard, rightCard, outCard float64) (float64, 
 // aggregations or sinks on top.
 func ToPlan(t *Tree, g *Graph, c Coster) (*plan.Plan, plan.OpID) {
 	p := plan.New()
-	root := addTree(p, t, g, c)
+	root, _ := addTree(p, t, g, c)
 	return p, root
 }
 
-func addTree(p *plan.Plan, t *Tree, g *Graph, c Coster) plan.OpID {
+// addTree adds t's operators to p and returns t's root operator and its
+// rendering (Tree.Render), which names the join above it.
+func addTree(p *plan.Plan, t *Tree, g *Graph, c Coster) (plan.OpID, string) {
 	if t.IsLeaf() {
 		rel := g.rels[t.Rel]
 		run, mat := c.ScanCosts(rel)
 		return p.Add(plan.Operator{
 			Name: "Scan " + rel.Name, Kind: plan.KindScan,
 			RunCost: run, MatCost: mat, Rows: rel.Rows,
-		})
+		}), rel.Name
 	}
-	l := addTree(p, t.Left, g, c)
-	r := addTree(p, t.Right, g, c)
+	l, ln := addTree(p, t.Left, g, c)
+	r, rn := addTree(p, t.Right, g, c)
+	name := "Join (" + ln + " JOIN " + rn + ")"
 	run, mat := c.JoinCosts(t.Left.Card, t.Right.Card, t.Card)
 	id := p.Add(plan.Operator{
-		Name: "Join " + t.Render(g), Kind: plan.KindHashJoin,
+		Name: name, Kind: plan.KindHashJoin,
 		RunCost: run, MatCost: mat, Rows: t.Card,
 	})
 	p.MustConnect(l, id)
 	p.MustConnect(r, id)
-	return id
+	return id, name[len("Join "):]
 }

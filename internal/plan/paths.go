@@ -41,23 +41,3 @@ func (p *Plan) PathRunCost(pt Path) float64 {
 	}
 	return s
 }
-
-// Reachable returns the set of operators reachable from id (excluding id)
-// following data-flow edges.
-func (p *Plan) Reachable(id OpID) map[OpID]bool {
-	seen := make(map[OpID]bool)
-	if p.Op(id) == nil {
-		return seen
-	}
-	var dfs func(OpID)
-	dfs = func(o OpID) {
-		for _, c := range p.children[o] {
-			if !seen[c] {
-				seen[c] = true
-				dfs(c)
-			}
-		}
-	}
-	dfs(id)
-	return seen
-}

@@ -111,11 +111,17 @@ type Plan struct {
 	children [][]OpID // producer -> consumers
 	parents  [][]OpID // consumer -> producers
 	nextID   OpID
+
+	// Add and Connect carve from these; a full block is replaced, not grown.
+	slab  []Operator
+	edges []OpID
 }
 
-// New returns an empty plan.
+// New returns an empty plan, with room for 16 operators.
 func New() *Plan {
-	return &Plan{nextID: 1}
+	const n = 16
+	return &Plan{ops: make([]*Operator, 0, n+1), order: make([]OpID, 0, n),
+		children: make([][]OpID, 0, n+1), parents: make([][]OpID, 0, n+1), nextID: 1}
 }
 
 // place stores op under its ID, growing the ID-indexed slices to reach it.
@@ -134,7 +140,11 @@ func (p *Plan) place(op *Operator) {
 func (p *Plan) Add(op Operator) OpID {
 	op.ID = p.nextID
 	p.nextID++
-	p.place(&op)
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]Operator, 0, max(16, len(p.order)))
+	}
+	p.slab = append(p.slab, op)
+	p.place(&p.slab[len(p.slab)-1])
 	return op.ID
 }
 
@@ -153,9 +163,22 @@ func (p *Plan) Connect(producer, consumer OpID) error {
 	if slices.Contains(p.children[producer], consumer) {
 		return fmt.Errorf("plan: duplicate edge %d -> %d", producer, consumer)
 	}
-	p.children[producer] = append(p.children[producer], consumer)
-	p.parents[consumer] = append(p.parents[consumer], producer)
+	p.children[producer] = p.appendEdge(p.children[producer], consumer)
+	p.parents[consumer] = p.appendEdge(p.parents[consumer], producer)
 	return nil
+}
+
+// appendEdge appends id to an operator's edge list, whose first two edges
+// are carved from the plan's edge block; a longer list gets its own array.
+func (p *Plan) appendEdge(ids []OpID, id OpID) []OpID {
+	if cap(ids) == 0 {
+		if cap(p.edges)-len(p.edges) < 2 {
+			p.edges = make([]OpID, 0, 64)
+		}
+		n := len(p.edges)
+		p.edges, ids = p.edges[:n+2], p.edges[n:n:n+2]
+	}
+	return append(ids, id)
 }
 
 // MustConnect is Connect but panics on error; for use in plan builders whose
@@ -194,19 +217,21 @@ func (p *Plan) OperatorIDs() []OpID {
 }
 
 // Inputs returns the producers feeding op, sorted by ID.
-func (p *Plan) Inputs(id OpID) []OpID { return p.sortedEdges(p.parents, id) }
+func (p *Plan) Inputs(id OpID) []OpID { return p.AppendInputs([]OpID{}, id) }
+
+// AppendInputs appends Inputs(id) to dst and returns the extended slice.
+func (p *Plan) AppendInputs(dst []OpID, id OpID) []OpID { return p.appendSorted(dst, p.parents, id) }
 
 // Outputs returns the consumers of op, sorted by ID.
-func (p *Plan) Outputs(id OpID) []OpID { return p.sortedEdges(p.children, id) }
+func (p *Plan) Outputs(id OpID) []OpID { return p.appendSorted([]OpID{}, p.children, id) }
 
-func (p *Plan) sortedEdges(edges [][]OpID, id OpID) []OpID {
+func (p *Plan) appendSorted(dst []OpID, edges [][]OpID, id OpID) []OpID {
 	if p.Op(id) == nil {
-		return []OpID{}
+		return dst
 	}
-	out := make([]OpID, len(edges[id]))
-	copy(out, edges[id])
-	slices.Sort(out)
-	return out
+	dst = append(dst, edges[id]...)
+	slices.Sort(dst[len(dst)-len(edges[id]):])
+	return dst
 }
 
 // Sources returns operators with no inputs (e.g. scans), sorted by ID.
@@ -247,25 +272,28 @@ func (p *Plan) FreeOperators() []OpID {
 // non-negative costs, and that every operator is connected (plans with more
 // than one operator must not contain isolated nodes).
 func (p *Plan) Validate() error {
+	_, err := p.ValidOrder()
+	return err
+}
+
+// ValidOrder checks what Validate checks and returns TopoOrder's order.
+func (p *Plan) ValidOrder() ([]OpID, error) {
 	if len(p.order) == 0 {
-		return fmt.Errorf("plan: empty")
+		return nil, fmt.Errorf("plan: empty")
 	}
 	for _, id := range p.order {
 		op := p.ops[id]
 		if op.RunCost < 0 {
-			return fmt.Errorf("plan: operator %d (%s) has negative run cost %g", id, op.Name, op.RunCost)
+			return nil, fmt.Errorf("plan: operator %d (%s) has negative run cost %g", id, op.Name, op.RunCost)
 		}
 		if op.MatCost < 0 {
-			return fmt.Errorf("plan: operator %d (%s) has negative materialization cost %g", id, op.Name, op.MatCost)
+			return nil, fmt.Errorf("plan: operator %d (%s) has negative materialization cost %g", id, op.Name, op.MatCost)
 		}
 		if len(p.order) > 1 && len(p.parents[id]) == 0 && len(p.children[id]) == 0 {
-			return fmt.Errorf("plan: operator %d (%s) is disconnected", id, op.Name)
+			return nil, fmt.Errorf("plan: operator %d (%s) is disconnected", id, op.Name)
 		}
 	}
-	if _, err := p.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return p.TopoOrder()
 }
 
 // TopoOrder returns the operator IDs in a topological order (producers before

@@ -240,22 +240,6 @@ func TestPathRunCost(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	p := PaperExample()
-	r := p.Reachable(1)
-	for _, want := range []OpID{3, 4, 5, 6, 7} {
-		if !r[want] {
-			t.Errorf("op %d should be reachable from 1", want)
-		}
-	}
-	if r[2] || r[1] {
-		t.Error("reachability includes unrelated or self")
-	}
-	if len(p.Reachable(6)) != 0 {
-		t.Error("sink should reach nothing")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	p := PaperExample()
 	data, err := p.MarshalJSON()

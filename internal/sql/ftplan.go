@@ -102,9 +102,6 @@ func enumerateJoinOrderPlans(stmt *SelectStmt, cat *engine.Catalog, tstats map[s
 			}
 		}
 		pr.tail(p, root, tree.Card)
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
 		plans = append(plans, p)
 	}
 	return plans, nil

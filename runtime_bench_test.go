@@ -24,6 +24,7 @@ import (
 	"ftpde/internal/runtime"
 	"ftpde/internal/service"
 	"ftpde/internal/sql"
+	"ftpde/internal/stats"
 	"ftpde/internal/tpch"
 )
 
@@ -384,6 +385,40 @@ func BenchmarkFindBestFTPlanQ5(b *testing.B) {
 	}
 }
 
+// BenchmarkFTPlanQ5 is both phases of the optimizer on a served query:
+// sql.FTPlan on ftserve's Q5 at SF 0.005 ranks the top-20 join orders, builds
+// a cost plan for each and scores their materialization configurations,
+// under ftserve's plan-time cost constants. Its ceiling is what keeps the
+// join enumerator from allocating per candidate it ranks, and plan
+// construction from allocating per operator.
+func BenchmarkFTPlanQ5(b *testing.B) {
+	cat, err := tpch.Generate(0.005, 4, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stmt, err := sql.Parse(service.TPCHQueries()[2].Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables := make([]string, 0, len(stmt.From))
+	for _, tr := range stmt.From {
+		tables = append(tables, tr.Table)
+	}
+	tstats, err := sql.CollectStats(cat, tables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: 4}
+	m := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sql.FTPlan(stmt, cat, tstats, cp, m, 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // allocPoint records an allocation measurement from testing.Benchmark.
 type allocPoint struct {
 	SecondsPerOp float64 `json:"seconds_per_op"`
@@ -409,11 +444,12 @@ type allocCeiling struct {
 // TestAllocBudget enforces the checked-in allocation ceilings in
 // alloc_budget.json: scan→filter→project through the columnar kernels, TPC-H
 // Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
-// plans them, Q5 again with every join checkpointed to disk, and
-// findBestFTPlan over Q5's top-20 join orders must not allocate past the
-// budget. The ceilings sit ~1.5x over what they measure (Q1 0.35 MB / ~380
-// allocs, SQL Q3 0.56 MB / ~3,900, SQL Q5 0.40 MB / ~1,230, checkpointed Q5
-// 7.1 MB / ~2,100, the optimizer 73 kB / ~820; Q1's, SQL Q3's and
+// plans them, Q5 again with every join checkpointed to disk, findBestFTPlan
+// over Q5's top-20 join orders, and both optimizer phases on the served Q5
+// must not allocate past the budget. The ceilings sit ~1.5x over what they
+// measure (Q1 0.35 MB / ~380 allocs, SQL Q3 0.56 MB / ~3,900, SQL Q5
+// 0.40 MB / ~1,230, checkpointed Q5 7.1 MB / ~2,100, findBestFTPlan 63 kB /
+// ~220, sql.FTPlan 156 kB / ~750; Q1's, SQL Q3's and
 // scan-filter-project's object counts, small enough or noisy enough to move by
 // a handful, keep a wider margin), so a trip means the arena or a kernel lost
 // its recycling path, a stage boundary copies its batch again, a join chained
@@ -424,8 +460,11 @@ type allocCeiling struct {
 // partition, the planner carries columns nothing reads, or a boxed row is
 // back between a stage and the checkpoint store (with one,
 // checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds a plan per
-// configuration again (it read 1.11 MB / ~28,700 doing so) or copies and
-// re-collapses each candidate again (0.20 MB / ~4,560) — not timing
+// configuration again (it read 1.11 MB / ~28,700 doing so), copies and
+// re-collapses each candidate again (0.20 MB / ~4,560), allocates per
+// operator array of a candidate's shape again (73 kB / ~820), or the join
+// enumerator and plan construction allocate per candidate, operator and
+// edge again (sql.FTPlan read 223 kB / ~2,720 so) — not timing
 // noise: allocation figures are deterministic in a way wall time is not.
 // Gated behind ALLOC_BUDGET=1 because testing.Benchmark reruns each workload
 // until timing stabilizes, which is too slow for the default test sweep.
@@ -451,6 +490,7 @@ func TestAllocBudget(t *testing.T) {
 		"checkpointed_q5":       toAllocPoint(testing.Benchmark(BenchmarkRuntimeCheckpointedQ5)),
 		"pipelined_q3_sql":      toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ3SQL)),
 		"findbest_q5_top20":     toAllocPoint(testing.Benchmark(BenchmarkFindBestFTPlanQ5)),
+		"ftplan_q5_top20":       toAllocPoint(testing.Benchmark(BenchmarkFTPlanQ5)),
 	}
 	for name, ceiling := range budget {
 		got, ok := measured[name]
