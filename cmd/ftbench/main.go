@@ -86,14 +86,12 @@ func main() {
 
 	for _, r := range runners {
 		start := time.Now()
-		sp := tracer.Begin(obs.KindStage, r.ID, -1, -1)
 		tbl, err := r.Run(cfg)
 		if err != nil {
-			sp.Fail(err.Error())
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		sp.End()
+		tracer.Record(obs.Span{Kind: obs.KindStage, Name: r.ID, Part: -1, Attempt: -1, Start: start, End: time.Now()})
 		done++
 		fmt.Println(tbl)
 		fmt.Printf("(%s regenerated in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))

@@ -124,7 +124,9 @@ func main() {
 	}
 	if *debug != "" {
 		tracer := obs.NewTracer(len(res.Spans) * 2)
-		tracer.Ingest(res.Spans)
+		for _, sp := range res.Spans {
+			tracer.Record(sp)
+		}
 		srv, err := obs.StartDebug(*debug, tracer, func() any { return res }, simRegistry(res), nil)
 		if err != nil {
 			fatal(err)

@@ -46,12 +46,12 @@ func (c Cause) resolving() bool { return c == CauseRecompute || c == CauseRestar
 // maxLedgerEntries caps the per-event entry log; totals stay exact beyond it.
 const maxLedgerEntries = 1 << 15
 
-// Ledger attributes every lost second of execution to a cause. Failure sites
-// record Fail entries; recovery paths record Attribute entries carrying the
-// wasted wall time. The pairing invariant — every failure entry is eventually
-// followed by a resolving attribution — is what the ledger tests enforce;
-// the runtime's TestPipelinedLedgerReconcilesWithSpans checks it against the
-// failure and recovery spans of the same execution.
+// Ledger attributes every lost second of execution to a cause: Fail entries
+// record failures, Attribute entries the wasted wall time. The runtime's
+// ledger is a fold over its events (obs.Exec.Observe), the simulator books
+// its synthetic one directly. The pairing invariant — every failure entry is
+// eventually followed by a resolving attribution — is what the ledger tests
+// enforce.
 //
 // The zero value is ready to use and safe for concurrent use. Methods on a
 // nil *Ledger are no-ops, so disabled-metrics paths pay nothing.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -224,47 +223,5 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 	}
 	if total != writers*perWriter {
 		t.Errorf("observations lost under concurrency: %d, want %d", total, writers*perWriter)
-	}
-}
-
-// TestExecNilSafety pins the disabled-metrics contract: every method on a nil
-// *Exec and nil *Ledger is a no-op, so uninstrumented paths pay nothing.
-func TestExecNilSafety(t *testing.T) {
-	var m *Exec
-	m.ObserveStageWall(RuntimePipelined, "scan", time.Millisecond)
-	m.ObserveCheckpointWrite(RuntimePipelined, time.Millisecond)
-	m.AddStageRows("scan", 5)
-	m.Ledger().Fail("scan", 0)
-	m.Ledger().Attribute(CauseRecompute, "scan", 0, time.Millisecond)
-	if m.Registry() != nil {
-		t.Error("nil Exec returned a registry")
-	}
-	if s := m.Snapshot(); s.Rows != 0 {
-		t.Errorf("nil Exec snapshot = %+v", s)
-	}
-}
-
-func TestExecHistogramsFeedSnapshot(t *testing.T) {
-	m := &Exec{}
-	m.ObserveCheckpointWrite(RuntimePipelined, 2*time.Millisecond)
-	m.ObserveCheckpointWrite("other", 4*time.Millisecond)
-	m.ObserveStageWall(RuntimePipelined, "scan", 3*time.Millisecond)
-	s := m.Snapshot()
-	if s.CheckpointMin != 2*time.Millisecond || s.CheckpointMax != 4*time.Millisecond {
-		t.Errorf("checkpoint min/max = %v/%v, want 2ms/4ms", s.CheckpointMin, s.CheckpointMax)
-	}
-	if s.CheckpointAvg != 3*time.Millisecond {
-		t.Errorf("checkpoint avg = %v, want 3ms", s.CheckpointAvg)
-	}
-	if s.StageWall["scan"] != 3*time.Millisecond {
-		t.Errorf("stage wall = %v", s.StageWall)
-	}
-	reg := m.Registry().Snapshot()
-	hist := reg.Family("ftpde_checkpoint_write_seconds")
-	if hist == nil || len(hist.Series) != 2 {
-		t.Fatalf("checkpoint histogram family missing series: %+v", hist)
-	}
-	if got := hist.Get(RuntimePipelined); got == nil || got.Hist.Count != 1 {
-		t.Errorf("pipelined checkpoint series = %+v", got)
 	}
 }

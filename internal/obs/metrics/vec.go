@@ -112,6 +112,9 @@ func (v *CounterVec) Samples() []Sample { return v.snapshot() }
 // Samples returns the family's current label-sorted samples.
 func (v *GaugeVec) Samples() []Sample { return v.snapshot() }
 
+// Samples returns the histogram vector's series, label-sorted.
+func (v *HistogramVec) Samples() []Sample { return v.snapshot() }
+
 // sortedSamples flattens a key table into deterministic scalar samples.
 func sortedSamples(keys map[string][]string, value func(key string) float64) []Sample {
 	sorted := make([]string, 0, len(keys))

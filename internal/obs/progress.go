@@ -13,168 +13,132 @@ import (
 
 // Progress tracks one in-flight query's execution state for live
 // introspection: per-stage completed/total partitions, committed rows and
-// checkpoint bytes, plus restart/failure counters. The runtime feeds it per
-// stage, and the /debug/queries endpoint snapshots it without stopping the
-// query.
+// checkpoint bytes, plus restart/failure counters. It is a fold over the
+// runtime's events (Observe), and the /debug/queries endpoint snapshots it
+// without stopping the query. A stage appears with its first event.
 //
-// The hot path is a handful of atomic adds on a *StageProgress handle
-// resolved once at plan time; every method tolerates a nil receiver so
-// untracked executions pay a single nil check.
+// Every method tolerates a nil receiver, so untracked executions pay a
+// single nil check per event.
 type Progress struct {
 	id     int64
 	tenant string
 	name   string
 	start  time.Time
 
-	restarts atomic.Int64
-	failures atomic.Int64
-
-	mu      sync.Mutex
-	stages  []*StageProgress
-	byName  map[string]*StageProgress
-	pred    map[string]float64 // per-stage predicted runtime T(c), seconds
-	predTot float64            // dominant-path predicted runtime, seconds
-
-	done    atomic.Bool
-	endNS   atomic.Int64 // wall time of completion, ns since start
-	lastErr atomic.Value // string
+	mu       sync.Mutex
+	stages   []StageSnapshot // in order of first event; Frac and PredRuntime are filled at snapshot
+	restarts int64
+	failures int64
+	pred     map[string]StagePrediction
+	groups   []float64 // predicted runtime T(c) per collapsed group
+	predTot  float64   // dominant-path predicted runtime, seconds
+	done     bool
+	elapsed  time.Duration // wall time at completion
+	err      string
 }
 
-// StageProgress is the per-stage handle the runtimes hold: all counters are
-// atomics, so recording progress never takes a lock.
-type StageProgress struct {
-	name  string
-	total int64
-
-	doneParts atomic.Int64
-	rows      atomic.Int64
-	ckptBytes atomic.Int64
+// StagePrediction is the forecast a runtime stage picks up by the name of
+// its operator: the collapsed group the operator belongs to (an index into
+// Prediction.Ops) and that group's predicted runtime T(c).
+type StagePrediction struct {
+	Group   int
+	Runtime float64
 }
 
-// EnsureStage registers (or returns the existing) stage handle. totalParts is
-// the partition count the stage fans out over; registration happens during
-// plan setup, off the hot path.
-func (p *Progress) EnsureStage(name string, totalParts int) *StageProgress {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.byName == nil {
-		p.byName = make(map[string]*StageProgress)
-	}
-	if sp, ok := p.byName[name]; ok {
-		return sp
-	}
-	sp := &StageProgress{name: name, total: int64(totalParts)}
-	p.byName[name] = sp
-	p.stages = append(p.stages, sp)
-	return sp
-}
-
-// SetPrediction attaches the cost model's forecast: perStage maps collapsed
-// operator names to their predicted runtime T(c) (stages pick their own name
-// up; names that never become stages are ignored), total is the dominant-path
+// SetPrediction attaches the cost model's forecast: perStage maps engine
+// operator names to their collapsed group (stages pick their own name up;
+// names that never become stages are ignored), total is the dominant-path
 // runtime TPt. The ETA in snapshots is derived from these — the same tr/tm
 // terms the optimizer used.
-func (p *Progress) SetPrediction(total float64, perStage map[string]float64) {
+func (p *Progress) SetPrediction(total float64, perStage map[string]StagePrediction) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.predTot = total
-	if len(perStage) > 0 {
-		p.pred = make(map[string]float64, len(perStage))
-		for k, v := range perStage {
-			p.pred[k] = v
+	p.pred = make(map[string]StagePrediction, len(perStage))
+	p.groups = nil
+	for name, sp := range perStage {
+		p.pred[name] = sp
+		for len(p.groups) <= sp.Group {
+			p.groups = append(p.groups, 0)
 		}
+		p.groups[sp.Group] = sp.Runtime
 	}
 }
 
-// StagePredictions flattens a cost-model Prediction into the per-stage map
-// SetPrediction expects: every collapsed operator name inside a predicted
-// group maps to that group's runtime, so whichever name a runtime picks for
-// its stage finds the forecast.
-func StagePredictions(pred Prediction) map[string]float64 {
-	out := make(map[string]float64)
-	for _, op := range pred.Ops {
+// StagePredictions flattens a cost-model Prediction into the per-operator
+// map SetPrediction expects: every engine operator inside a predicted group
+// maps to that group, so whichever name a runtime picks for its stage finds
+// the forecast.
+func StagePredictions(pred Prediction) map[string]StagePrediction {
+	out := make(map[string]StagePrediction)
+	for g, op := range pred.Ops {
 		for _, name := range op.Ops {
-			out[name] = op.Runtime
+			out[name] = StagePrediction{Group: g, Runtime: op.Runtime}
 		}
 	}
 	return out
 }
 
-// PartDone records one committed partition carrying rows rows.
-func (sp *StageProgress) PartDone(rows int64) {
-	if sp == nil {
-		return
-	}
-	sp.doneParts.Add(1)
-	sp.rows.Add(rows)
-}
-
-// PartUndone retracts one committed partition: fine-grained recovery dropped
-// it from a failed node and will recompute it.
-func (sp *StageProgress) PartUndone(rows int64) {
-	if sp == nil {
-		return
-	}
-	sp.doneParts.Add(-1)
-	sp.rows.Add(-rows)
-}
-
-// AddCheckpointBytes records encoded checkpoint bytes written for the stage.
-func (sp *StageProgress) AddCheckpointBytes(n int64) {
-	if sp == nil {
-		return
-	}
-	sp.ckptBytes.Add(n)
-}
-
-// Reset zeroes the stage's counters (a coarse restart recomputes everything).
-func (sp *StageProgress) Reset() {
-	if sp == nil {
-		return
-	}
-	sp.doneParts.Store(0)
-	sp.rows.Store(0)
-}
-
-// Restart records a coarse whole-query restart and resets per-stage
+// Observe folds one runtime event: a committed or restored partition counts
+// done, a lost one undone, a landed checkpoint adds its bytes to its stage,
+// a recovery or restart counts a failure, and a restart resets per-stage
 // completion (checkpoint bytes persist: restored partitions were paid for).
-func (p *Progress) Restart() {
-	if p == nil {
-		return
-	}
-	p.restarts.Add(1)
-	p.mu.Lock()
-	stages := p.stages
-	p.mu.Unlock()
-	for _, sp := range stages {
-		sp.Reset()
-	}
-}
-
-// Failure records one injected/observed node failure hitting the query.
-func (p *Progress) Failure() {
-	if p == nil {
-		return
-	}
-	p.failures.Add(1)
-}
-
-// AddCheckpointBytesFor resolves the stage by name (mutex-guarded map read;
-// used by the async checkpoint writer, off the compute hot path).
-func (p *Progress) AddCheckpointBytesFor(stage string, n int64) {
+func (p *Progress) Observe(sp Span) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	sp := p.byName[stage]
-	p.mu.Unlock()
-	sp.AddCheckpointBytes(n)
+	defer p.mu.Unlock()
+	switch sp.Kind {
+	case KindTask, KindRestore:
+		if st := p.stage(sp.Name, sp.Parts); sp.Err == "" {
+			st.DoneParts++
+			st.Rows += sp.Rows
+		}
+	case KindLost:
+		st := p.stage(sp.Name, sp.Parts)
+		st.DoneParts--
+		st.Rows -= sp.Rows
+	case KindStage:
+		p.stage(sp.Name, sp.Parts)
+	case KindCheckpoint:
+		if i := p.index(sp.Name); i >= 0 && sp.Err == "" {
+			p.stages[i].CheckpointBytes += sp.Bytes
+		}
+	case KindRecovery:
+		p.failures++
+	case KindRestart:
+		p.failures++
+		p.restarts++
+		for i := range p.stages {
+			p.stages[i].DoneParts, p.stages[i].Rows = 0, 0
+		}
+	}
+}
+
+// stage returns the named stage, registering it on its first event (p.mu
+// held).
+func (p *Progress) stage(name string, parts int) *StageSnapshot {
+	i := p.index(name)
+	if i < 0 {
+		i = len(p.stages)
+		p.stages = append(p.stages, StageSnapshot{Name: name, TotalParts: int64(parts)})
+	}
+	return &p.stages[i]
+}
+
+// index returns the position of the named stage, -1 before its first event
+// (p.mu held).
+func (p *Progress) index(name string) int {
+	for i := range p.stages {
+		if p.stages[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // finish marks the query complete; err is recorded when non-nil.
@@ -182,11 +146,13 @@ func (p *Progress) finish(err error) {
 	if p == nil {
 		return
 	}
-	p.endNS.Store(int64(time.Since(p.start)))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.elapsed = time.Since(p.start)
 	if err != nil {
-		p.lastErr.Store(err.Error())
+		p.err = err.Error()
 	}
-	p.done.Store(true)
+	p.done = true
 }
 
 // StageSnapshot is one stage's progress at snapshot time.
@@ -216,74 +182,66 @@ type ProgressSnapshot struct {
 }
 
 // Snapshot captures the query's current progress. Safe to call concurrently
-// with the runtimes recording into the handles.
+// with the runtime folding events into it.
+//
+// The ETA is Σ over predicted groups of T(c)·(1 − the group's done
+// fraction), the fraction taken over the partitions of the group's stages
+// that have reported, so a group that spans several runtime stages is
+// counted once.
 func (p *Progress) Snapshot() ProgressSnapshot {
 	if p == nil {
 		return ProgressSnapshot{}
 	}
 	p.mu.Lock()
-	stages := append([]*StageProgress(nil), p.stages...)
-	pred := p.pred
-	predTot := p.predTot
-	p.mu.Unlock()
-
+	defer p.mu.Unlock()
 	snap := ProgressSnapshot{
-		ID:       p.id,
-		Tenant:   p.tenant,
-		Name:     p.name,
-		Attempts: p.restarts.Load() + 1,
-		Failures: p.failures.Load(),
-		Done:     p.done.Load(),
+		ID:             p.id,
+		Tenant:         p.tenant,
+		Name:           p.name,
+		ElapsedSeconds: time.Since(p.start).Seconds(),
+		Attempts:       p.restarts + 1,
+		Failures:       p.failures,
+		Done:           p.done,
+		Err:            p.err,
+		Stages:         append([]StageSnapshot(nil), p.stages...),
 	}
-	if snap.Done {
-		snap.ElapsedSeconds = time.Duration(p.endNS.Load()).Seconds()
-	} else {
-		snap.ElapsedSeconds = time.Since(p.start).Seconds()
+	if p.done {
+		snap.ElapsedSeconds = p.elapsed.Seconds()
 	}
-	if e, ok := p.lastErr.Load().(string); ok {
-		snap.Err = e
-	}
+	groupDone := make([]int64, len(p.groups))
+	groupTotal := make([]int64, len(p.groups))
 	var doneParts, totalParts int64
-	var etaKnown bool
-	var eta float64
-	for _, sp := range stages {
-		ss := StageSnapshot{
-			Name:            sp.name,
-			DoneParts:       sp.doneParts.Load(),
-			TotalParts:      sp.total,
-			Rows:            sp.rows.Load(),
-			CheckpointBytes: sp.ckptBytes.Load(),
-		}
-		if ss.TotalParts > 0 {
-			ss.Frac = float64(ss.DoneParts) / float64(ss.TotalParts)
-			if ss.Frac > 1 {
-				ss.Frac = 1
-			}
-		}
-		if pr, ok := pred[sp.name]; ok && pr > 0 {
-			ss.PredRuntime = pr
-			eta += pr * (1 - ss.Frac)
-			etaKnown = true
+	for i := range snap.Stages {
+		ss := &snap.Stages[i]
+		ss.Frac = fraction(ss.DoneParts, ss.TotalParts)
+		if pr, ok := p.pred[ss.Name]; ok {
+			ss.PredRuntime = pr.Runtime
+			groupDone[pr.Group] += ss.DoneParts
+			groupTotal[pr.Group] += ss.TotalParts
 		}
 		doneParts += ss.DoneParts
 		totalParts += ss.TotalParts
-		snap.Stages = append(snap.Stages, ss)
 	}
-	if totalParts > 0 {
-		snap.Frac = float64(doneParts) / float64(totalParts)
-		if snap.Frac > 1 {
-			snap.Frac = 1
-		}
-	}
+	snap.Frac = fraction(doneParts, totalParts)
 	switch {
 	case snap.Done:
 		// No ETA for finished queries.
-	case etaKnown:
-		snap.EtaSeconds = eta
-	case predTot > 0:
-		snap.EtaSeconds = predTot * (1 - snap.Frac)
+	case len(p.groups) > 0:
+		for g, runtime := range p.groups {
+			snap.EtaSeconds += runtime * (1 - fraction(groupDone[g], groupTotal[g]))
+		}
+	case p.predTot > 0:
+		snap.EtaSeconds = p.predTot * (1 - snap.Frac)
 	}
 	return snap
+}
+
+// fraction is done/total clamped to [0, 1]; 0 when total is 0.
+func fraction(done, total int64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return max(0, min(1, float64(done)/float64(total)))
 }
 
 // ProgressRegistry indexes in-flight (and recently finished) queries for the
@@ -296,8 +254,7 @@ type ProgressRegistry struct {
 	recent []*Progress // ring of completed queries, newest last
 	keep   int
 
-	begun     atomic.Int64
-	completed atomic.Int64
+	begun atomic.Int64
 }
 
 // NewProgressRegistry returns a registry retaining the last keep completed
@@ -347,7 +304,6 @@ func (r *ProgressRegistry) End(p *Progress, err error) {
 	if len(r.recent) > r.keep {
 		r.recent = r.recent[len(r.recent)-r.keep:]
 	}
-	r.completed.Add(1)
 }
 
 // QueriesSnapshot is the /debug/queries JSON document.

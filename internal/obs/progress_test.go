@@ -10,17 +10,23 @@ import (
 	"ftpde/internal/obs/metrics"
 )
 
+// task is the event of a partition committed by stage name, one of parts.
+func task(name string, rows int64, parts int) Span {
+	return Span{Kind: KindTask, Name: name, Part: 0, Attempt: 0, Rows: rows, Parts: parts}
+}
+
 func TestProgressSnapshotFractionsAndETA(t *testing.T) {
 	r := NewProgressRegistry(4)
 	p := r.Begin("t1", "aggregate")
-	scan := p.EnsureStage("scan", 4)
-	agg := p.EnsureStage("aggregate", 4)
-	p.SetPrediction(10, map[string]float64{"scan": 4, "aggregate": 6})
+	p.SetPrediction(10, map[string]StagePrediction{"scan": {Group: 0, Runtime: 4}, "aggregate": {Group: 1, Runtime: 6}})
 
-	scan.PartDone(100)
-	scan.PartDone(50)
-	agg.PartDone(10)
-	agg.AddCheckpointBytes(2048)
+	p.Observe(task("scan", 100, 4))
+	p.Observe(task("scan", 50, 4))
+	failed := task("scan", 70, 4)
+	failed.Err = "node failure"
+	p.Observe(failed)
+	p.Observe(task("aggregate", 10, 4))
+	p.Observe(Span{Kind: KindCheckpoint, Name: "aggregate", Part: -1, Bytes: 2048, Parts: 1})
 
 	snap := p.Snapshot()
 	if len(snap.Stages) != 2 {
@@ -36,7 +42,7 @@ func TestProgressSnapshotFractionsAndETA(t *testing.T) {
 	if want := 3.0 / 8.0; snap.Frac != want {
 		t.Errorf("frac = %g, want %g", snap.Frac, want)
 	}
-	// ETA from per-stage predictions: 4*(1-0.5) + 6*(1-0.25) = 6.5.
+	// ETA from per-group predictions: 4*(1-0.5) + 6*(1-0.25) = 6.5.
 	if want := 4*0.5 + 6*0.75; snap.EtaSeconds != want {
 		t.Errorf("eta = %g, want %g", snap.EtaSeconds, want)
 	}
@@ -45,21 +51,40 @@ func TestProgressSnapshotFractionsAndETA(t *testing.T) {
 	}
 }
 
+// A collapsed group that runs as several runtime stages is one term of the
+// ETA, weighted by the done fraction of all its stages' partitions.
+func TestProgressETACountsEachGroupOnce(t *testing.T) {
+	p := NewProgressRegistry(1).Begin("", "q")
+	p.SetPrediction(5, map[string]StagePrediction{
+		"scan": {Group: 0, Runtime: 5}, "agg-partial": {Group: 0, Runtime: 5}, "aggregate": {Group: 0, Runtime: 5},
+		"sort": {Group: 1, Runtime: 1},
+	})
+	if got := p.Snapshot().EtaSeconds; got != 6 {
+		t.Errorf("eta at zero progress = %g, want the summed group prediction 6", got)
+	}
+	p.Observe(task("scan", 1, 2))
+	p.Observe(task("scan", 1, 2))
+	p.Observe(task("aggregate", 1, 2))
+	p.Observe(Span{Kind: KindTask, Name: "aggregate", Part: 1, Parts: 2, Err: "node failure"})
+	// Group 0 holds 3 of its 4 reported partitions; sort has not reported.
+	if got, want := p.Snapshot().EtaSeconds, 5*0.25+1; got != want {
+		t.Errorf("eta = %g, want %g", got, want)
+	}
+}
+
 func TestProgressUndoneAndRestart(t *testing.T) {
 	r := NewProgressRegistry(0)
 	p := r.Begin("", "q")
-	st := p.EnsureStage("join", 2)
-	st.PartDone(10)
-	st.PartDone(20)
-	st.AddCheckpointBytes(100)
-	st.PartUndone(20)
+	p.Observe(task("join", 10, 2))
+	p.Observe(task("join", 20, 2))
+	p.Observe(Span{Kind: KindCheckpoint, Name: "join", Part: -1, Bytes: 100, Parts: 2})
+	p.Observe(Span{Kind: KindLost, Name: "join", Part: 1, Rows: 20, Parts: 2})
 	snap := p.Snapshot()
 	if snap.Stages[0].DoneParts != 1 || snap.Stages[0].Rows != 10 {
-		t.Errorf("after undo: %+v", snap.Stages[0])
+		t.Errorf("after loss: %+v", snap.Stages[0])
 	}
 
-	p.Failure()
-	p.Restart()
+	p.Observe(Span{Kind: KindRestart, Name: "join", Part: 1, Attempt: 1})
 	snap = p.Snapshot()
 	if snap.Attempts != 2 || snap.Failures != 1 {
 		t.Errorf("attempts=%d failures=%d, want 2/1", snap.Attempts, snap.Failures)
@@ -71,32 +96,35 @@ func TestProgressUndoneAndRestart(t *testing.T) {
 	if snap.Stages[0].CheckpointBytes != 100 {
 		t.Errorf("restart cleared checkpoint bytes: %+v", snap.Stages[0])
 	}
+	p.Observe(Span{Kind: KindRestore, Name: "join", Part: 0, Rows: 10, Parts: 2})
+	p.Observe(Span{Kind: KindRecovery, Name: "join", Part: 0})
+	if snap = p.Snapshot(); snap.Stages[0].DoneParts != 1 || snap.Stages[0].Rows != 10 || snap.Failures != 2 {
+		t.Errorf("after restore and recovery: %+v", snap)
+	}
 }
 
+// A landed checkpoint adds its bytes to its stage; a failed write or one of a
+// stage that has not reported adds nothing.
 func TestProgressAddCheckpointBytesFor(t *testing.T) {
 	r := NewProgressRegistry(0)
 	p := r.Begin("", "q")
-	p.EnsureStage("scan", 2)
-	p.AddCheckpointBytesFor("scan", 7)
-	p.AddCheckpointBytesFor("missing", 3) // unknown stage is a no-op
-	if got := p.Snapshot().Stages[0].CheckpointBytes; got != 7 {
-		t.Errorf("ckpt bytes = %d, want 7", got)
+	p.Observe(task("scan", 1, 2))
+	p.Observe(Span{Kind: KindCheckpoint, Name: "scan", Part: -1, Bytes: 7, Parts: 1})
+	p.Observe(Span{Kind: KindCheckpoint, Name: "scan", Part: -1, Bytes: 5, Parts: 1, Err: "disk full"})
+	p.Observe(Span{Kind: KindCheckpoint, Name: "missing", Part: -1, Bytes: 3, Parts: 1})
+	snap := p.Snapshot()
+	if len(snap.Stages) != 1 || snap.Stages[0].CheckpointBytes != 7 {
+		t.Errorf("stages = %+v, want scan with 7 checkpoint bytes", snap.Stages)
 	}
 }
 
 func TestProgressNilSafety(t *testing.T) {
 	var p *Progress
-	var sp *StageProgress
 	var r *ProgressRegistry
-	sp = p.EnsureStage("x", 1)
-	sp.PartDone(1)
-	sp.PartUndone(1)
-	sp.AddCheckpointBytes(1)
-	sp.Reset()
 	p.SetPrediction(1, nil)
-	p.Restart()
-	p.Failure()
-	p.AddCheckpointBytesFor("x", 1)
+	for _, k := range []Kind{KindTask, KindRestore, KindLost, KindCheckpoint, KindRecovery, KindRestart} {
+		p.Observe(Span{Kind: k, Name: "x"})
+	}
 	if p.ID() != 0 {
 		t.Error("nil progress has non-zero ID")
 	}
@@ -145,7 +173,7 @@ func TestProgressRegistryLifecycle(t *testing.T) {
 func TestProgressRegistryServeHTTP(t *testing.T) {
 	r := NewProgressRegistry(4)
 	p := r.Begin("t1", "q1")
-	p.EnsureStage("scan", 2).PartDone(5)
+	p.Observe(task("scan", 5, 2))
 	done := r.Begin("t2", "q2")
 	r.End(done, errors.New("exhausted"))
 
@@ -200,7 +228,7 @@ func TestStagePredictions(t *testing.T) {
 		{Name: "{3}", Ops: []string{"join-1"}, Runtime: 5},
 	}}
 	m := StagePredictions(pred)
-	if m["scan-a"] != 3 || m["filter-a"] != 3 || m["join-1"] != 5 {
+	if m["scan-a"] != (StagePrediction{0, 3}) || m["filter-a"] != (StagePrediction{0, 3}) || m["join-1"] != (StagePrediction{1, 5}) {
 		t.Errorf("stage predictions = %v", m)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,8 +13,7 @@ import (
 
 func TestDebugServerEndpoints(t *testing.T) {
 	tr := NewTracer(256)
-	sp := tr.Begin(KindStage, "scan", -1, -1)
-	sp.End()
+	tr.Record(instant(KindStage, "scan", -1, -1))
 	reg := metrics.NewRegistry()
 	RegisterTraceMetrics(reg, tr)
 	c := reg.NewCounter("ftpde_test_rows_total", "Rows for the endpoint test.")
@@ -88,10 +86,9 @@ func TestDebugServerEndpoints(t *testing.T) {
 // TestMetricsEndpointServesPrometheus is the acceptance check that
 // `curl /metrics` returns valid Prometheus text exposition.
 func TestMetricsEndpointServesPrometheus(t *testing.T) {
-	tr := NewTracer(4) // clamps to 64 spans per shard; overflow every shard
-	for i := 0; i < 65*runtime.GOMAXPROCS(0); i++ {
-		sp := tr.Begin(KindStage, "s", -1, -1)
-		sp.End()
+	tr := NewTracer(4) // clamps to 64 spans; overflow the ring
+	for i := 0; i < 65; i++ {
+		tr.Record(instant(KindStage, "s", -1, -1))
 	}
 	if tr.Dropped() == 0 {
 		t.Fatal("tracer ring did not overflow; test setup is wrong")
@@ -206,8 +203,8 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pr := NewProgressRegistry(4)
 	p := pr.Begin("tenant-a", "q1")
-	p.EnsureStage("scan", 4).PartDone(25)
-	p.SetPrediction(2, map[string]float64{"scan": 2})
+	p.Observe(Span{Kind: KindTask, Name: "scan", Part: 0, Rows: 25, Parts: 4})
+	p.SetPrediction(2, map[string]StagePrediction{"scan": {Runtime: 2}})
 
 	srv, err := StartDebug("127.0.0.1:0", nil, nil, reg, pr)
 	if err != nil {

@@ -1,43 +1,70 @@
-// Package obs is the observability layer of the reproduction: a structured
-// tracing facility (per-worker ring buffers of timestamped spans and events),
+// Package obs is the observability layer of the reproduction: one event type
+// (Span) that every runtime fact is recorded as, the folds over it (the
+// runtime's counters, histograms, per-stage table and wasted-work ledger in
+// Exec; live per-query progress in Progress; the cost-model audit and the
+// drift detector), a tracer that records the events in a ring buffer,
 // exporters for the merged timeline (plain JSON and Chrome trace_event
-// format, loadable in chrome://tracing or Perfetto), a cost-model audit that
-// joins the planner's per-collapsed-operator predictions against observed
-// spans, and an opt-in debug HTTP server (metrics snapshot, live timeline,
-// pprof).
+// format, loadable in chrome://tracing or Perfetto), and an opt-in debug HTTP
+// server (metrics snapshot, live timeline, queries, pprof).
 //
-// The package depends only on the standard library so every layer — the
-// runtime, the cluster simulator and the CLIs —
-// can emit into it without import cycles. All tracer entry points tolerate a
-// nil *Tracer and become no-ops, so instrumented code pays a single nil
-// check when tracing is disabled.
+// Every fold and the tracer tolerate a nil receiver and become no-ops, so
+// uninstrumented executions pay a single nil check per event.
 package obs
 
 import "time"
 
-// Kind classifies a span or event on the execution timeline.
+// Kind classifies a span or event on the execution timeline. Each kind has
+// one meaning on the runtime's timeline; where the simulator's synthetic
+// timeline (internal/exec) uses a kind for a different window, the constant
+// says so.
 type Kind string
 
 const (
 	// KindQuery spans one whole query execution (including restarts).
 	KindQuery Kind = "query"
-	// KindStage spans the execution of one stage / operator across all of
-	// its partitions.
+	// KindStage spans the execution of one stage across all of its
+	// partitions; Rows holds the rows its committed partitions hold at the
+	// end, Parts its partition count.
 	KindStage Kind = "stage"
 	// KindTask spans one partition attempt of a stage (a worker's unit of
-	// work). Failed attempts carry Err.
+	// work). A task without Err committed its partition: Rows are the
+	// committed rows and Parts the stage's partition count. Recompute marks
+	// the attempts fine-grained recovery's lineage walk ran. Failed attempts
+	// carry Err.
 	KindTask Kind = "task"
+	// KindRestore spans reading one partition back from the fault-tolerant
+	// store instead of computing it; Rows are the restored rows, Parts the
+	// stage's partition count.
+	KindRestore Kind = "restore"
+	// KindLost is an instant event: a failed node's memory held a committed,
+	// volatile partition of the stage (Name, Part), which is dropped and must
+	// be recomputed. Rows are the rows dropped, Parts the stage's partition
+	// count.
+	KindLost Kind = "lost"
 	// KindCheckpoint spans one write to the fault-tolerant store: a group of
-	// an operator's partitions (Part is -1). Bytes holds the exact encoded
-	// size of their blocks, Rows their rows.
+	// an operator's partitions (Part is -1). Parts is how many partitions the
+	// write held, Bytes the exact encoded size of their blocks, Rows their
+	// rows. A write that failed carries Err.
 	KindCheckpoint Kind = "checkpoint"
+	// KindStall spans the time a barrier (the restore probe of (Name, Part),
+	// or query completion) blocked waiting for checkpoint writes to land. It
+	// is only emitted when the barrier actually blocked.
+	KindStall Kind = "stall"
 	// KindFailure is an instant event: an injected node failure killed the
 	// worker computing (Name, Part) on attempt Attempt.
 	KindFailure Kind = "failure"
-	// KindRecovery spans one fine-grained recovery: the lineage walk and
-	// recomputation that repairs a failed partition.
+	// KindRecovery spans one fine-grained recovery of the failure of (Name,
+	// Part). On the runtime's timeline it is the recompute window: the
+	// lineage walk and the recomputation that repair the failed partition,
+	// booked to the ledger as recompute. On the simulator's timeline it is
+	// the MTTR repair window, booked as mttr_wait. The drift detector and
+	// ftsql -calibrate read both as repair time.
 	KindRecovery Kind = "recovery"
-	// KindRestart is an instant event: a coarse-grained whole-query restart.
+	// KindRestart is a coarse-grained whole-query restart. On the runtime's
+	// timeline it spans the aborted attempt, from its start to the failure of
+	// (Name, Part) that ended it; Attempt numbers the restart, and Err is set
+	// when the restart bound was exceeded and the query aborted. On the
+	// simulator's timeline it is an instant event at the failure.
 	KindRestart Kind = "restart"
 )
 
@@ -58,9 +85,6 @@ type Span struct {
 	// Attempt is the per-(operator, partition) attempt number, -1 when not
 	// attempt-scoped.
 	Attempt int `json:"attempt"`
-	// Worker is the ring-buffer shard the span was recorded on — a cheap
-	// stand-in for the emitting worker.
-	Worker int `json:"worker"`
 	// Start and End delimit the interval; instant events have End == Start.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
@@ -68,6 +92,11 @@ type Span struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// Rows carries the row count for task/stage spans when known.
 	Rows int64 `json:"rows,omitempty"`
+	// Parts is a partition count: the stage's (task, restore, lost and stage
+	// spans) or the checkpoint write's (checkpoint spans).
+	Parts int `json:"parts,omitempty"`
+	// Recompute marks a task that fine-grained recovery ran.
+	Recompute bool `json:"recompute,omitempty"`
 	// Err marks spans that ended in a failure (e.g. "node failure").
 	Err string `json:"err,omitempty"`
 }

@@ -8,13 +8,16 @@ import (
 	"time"
 )
 
+// instant returns an instant event of kind at the current time.
+func instant(kind Kind, name string, part, attempt int) Span {
+	now := time.Now()
+	return Span{Kind: kind, Name: name, Part: part, Attempt: attempt, Start: now, End: now}
+}
+
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	sp := tr.Begin(KindStage, "s", -1, -1)
-	sp.SetBytes(1)
-	sp.SetRows(2)
-	sp.End()
-	tr.Event(KindFailure, "f", 0, 0)
+	tr.Record(Span{Kind: KindStage, Name: "s", Part: -1, Attempt: -1, Bytes: 1, Rows: 2})
+	tr.Record(instant(KindFailure, "f", 0, 0))
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v, want nil", got)
 	}
@@ -25,12 +28,10 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestTracerRecordsSpansAndEvents(t *testing.T) {
 	tr := NewTracer(1024)
-	sp := tr.Begin(KindStage, "join-1", -1, -1)
-	sp.SetRows(42)
-	sp.End()
-	task := tr.Begin(KindTask, "join-1", 2, 1)
-	task.Fail("node failure")
-	tr.Event(KindFailure, "join-1", 2, 1)
+	start := time.Now()
+	tr.Record(Span{Kind: KindStage, Name: "join-1", Part: -1, Attempt: -1, Start: start, End: time.Now(), Rows: 42})
+	tr.Record(Span{Kind: KindTask, Name: "join-1", Part: 2, Attempt: 1, Start: start, End: time.Now(), Err: "node failure"})
+	tr.Record(instant(KindFailure, "join-1", 2, 1))
 
 	spans := tr.Snapshot()
 	if len(spans) != 3 {
@@ -58,7 +59,7 @@ func TestTracerRecordsSpansAndEvents(t *testing.T) {
 func TestTracerSnapshotSortedByStart(t *testing.T) {
 	tr := NewTracer(1024)
 	for i := 0; i < 50; i++ {
-		tr.Event(KindFailure, "op", i, 0)
+		tr.Record(instant(KindFailure, "op", i, 0))
 	}
 	spans := tr.Snapshot()
 	for i := 1; i < len(spans); i++ {
@@ -69,13 +70,10 @@ func TestTracerSnapshotSortedByStart(t *testing.T) {
 }
 
 func TestTracerRingOverflowCountsDrops(t *testing.T) {
-	tr := NewTracer(1) // clamped to 64 per shard
-	total := 0
-	for _, r := range tr.shards {
-		total += r.capacity
-	}
+	tr := NewTracer(1) // clamped to 64
+	total := tr.capacity
 	for i := 0; i < total+100; i++ {
-		tr.Event(KindTask, "op", i, 0)
+		tr.Record(instant(KindTask, "op", i, 0))
 	}
 	if got := len(tr.Snapshot()); got != total {
 		t.Errorf("snapshot has %d spans, want ring capacity %d", got, total)
@@ -95,13 +93,12 @@ func TestQueryTracerAllocatesWhatItRecords(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		tr := NewTracer(1 << 12)
 		for j := 0; j < spans; j++ {
-			sp := tr.Begin(KindTask, "op", j, 0)
-			sp.End()
+			tr.Record(instant(KindTask, "op", j, 0))
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 40 spans of ~150 B, doubled by append growth, plus the shards: well
-	// under the 590 KB a preallocated 4,096-span tracer zeroes.
+	// 40 spans of ~150 B, doubled by append growth: well under the 590 KB
+	// a preallocated 4,096-span tracer zeroes.
 	const ceiling = 32 << 10
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > ceiling {
 		t.Errorf("a %d-span query tracer allocates %d B, ceiling %d", spans, got, ceiling)
@@ -133,11 +130,11 @@ func TestTracerConcurrentEmitAndDrain(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.Begin(KindTask, "op", w, i)
-				sp.SetRows(int64(i))
-				sp.End()
+				sp := instant(KindTask, "op", w, i)
+				sp.Rows = int64(i)
+				tr.Record(sp)
 				if i%10 == 0 {
-					tr.Event(KindFailure, "op", w, i)
+					tr.Record(instant(KindFailure, "op", w, i))
 				}
 			}
 		}(w)
@@ -155,10 +152,10 @@ func TestTracerConcurrentEmitAndDrain(t *testing.T) {
 
 func TestChromeTraceExportParses(t *testing.T) {
 	tr := NewTracer(256)
-	sp := tr.Begin(KindStage, "aggregate", -1, -1)
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.End()
-	tr.Event(KindFailure, "aggregate", 1, 0)
+	tr.Record(Span{Kind: KindStage, Name: "aggregate", Part: -1, Attempt: -1, Start: start, End: time.Now()})
+	tr.Record(instant(KindFailure, "aggregate", 1, 0))
 
 	var buf jsonBuffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {
@@ -184,7 +181,7 @@ func TestChromeTraceExportParses(t *testing.T) {
 
 func TestWriteJSONTimeline(t *testing.T) {
 	tr := NewTracer(256)
-	tr.Event(KindRestart, "query", -1, -1)
+	tr.Record(instant(KindRestart, "query", -1, -1))
 	var buf jsonBuffer
 	if err := WriteJSON(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -203,19 +200,4 @@ type jsonBuffer struct{ b []byte }
 func (j *jsonBuffer) Write(p []byte) (int, error) {
 	j.b = append(j.b, p...)
 	return len(p), nil
-}
-
-func (s SpanScope) open() bool { return s.t != nil }
-
-func TestSpanScopeDoubleEndIsSafe(t *testing.T) {
-	tr := NewTracer(256)
-	sp := tr.Begin(KindTask, "op", 0, 0)
-	sp.End()
-	if sp.open() {
-		t.Fatal("scope still open after End")
-	}
-	sp.End() // must not record a second span
-	if got := len(tr.Snapshot()); got != 1 {
-		t.Fatalf("double End recorded %d spans, want 1", got)
-	}
 }

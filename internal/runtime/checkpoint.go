@@ -8,7 +8,6 @@ import (
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
 )
 
 // checkpointWriter persists materialized partitions to the fault-tolerant
@@ -20,10 +19,8 @@ import (
 // for everything enqueued — query completion does — and wait for a single
 // partition, before the restore probe.
 type checkpointWriter struct {
-	store    blockSink
-	metrics  *Metrics
-	tracer   *obs.Tracer
-	progress *obs.Progress
+	store  blockSink
+	events *events
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -56,12 +53,10 @@ type blockSink interface {
 	PutGroup(op string, parts int, group []engine.PartBlock) error
 }
 
-func newCheckpointWriter(store blockSink, metrics *Metrics, tracer *obs.Tracer, progress *obs.Progress) *checkpointWriter {
+func newCheckpointWriter(store blockSink, events *events) *checkpointWriter {
 	w := &checkpointWriter{
 		store:    store,
-		metrics:  metrics,
-		tracer:   tracer,
-		progress: progress,
+		events:   events,
 		inFlight: make(map[partKey]bool),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -69,8 +64,7 @@ func newCheckpointWriter(store blockSink, metrics *Metrics, tracer *obs.Tracer, 
 }
 
 // enqueue schedules one partition write. It returns false when the partition
-// was already written (or enqueued) by this writer, so callers can keep
-// materialization counters exact across recovery re-commits, and after close.
+// was already written (or enqueued) by this writer, and after close.
 // The batch must be a committed (immutable, unpooled) result — persist reads
 // it asynchronously.
 func (w *checkpointWriter) enqueue(op string, part int, b *engine.Batch, parts int) bool {
@@ -122,24 +116,18 @@ func (w *checkpointWriter) write(g *group) {
 	blocks, rows := g.blocks, g.rows
 	g.blocks, g.rows = nil, 0
 	w.mu.Unlock()
-	sp := w.tracer.Begin(obs.KindCheckpoint, op, -1, -1)
 	start := time.Now()
 	err := w.store.PutGroup(op, g.parts, blocks)
+	sp := obs.Span{Kind: obs.KindCheckpoint, Name: op, Part: -1, Attempt: -1, Start: start, End: time.Now(), Parts: len(blocks)}
 	if err != nil {
-		sp.Fail(err.Error())
+		sp.Err = err.Error()
 	} else {
-		w.metrics.ObserveCheckpointWrite(metrics.RuntimePipelined, time.Since(start))
-		var n int64
 		for _, b := range blocks {
-			n += int64(len(b.Data))
+			sp.Bytes += int64(len(b.Data))
 		}
-		w.metrics.CheckpointParts.Add(int64(len(blocks)))
-		w.metrics.CheckpointBytes.Add(n)
-		w.progress.AddCheckpointBytesFor(op, n)
-		sp.SetBytes(n)
-		sp.SetRows(rows)
+		sp.Rows = rows
 	}
-	sp.End()
+	w.events.emit(sp)
 	w.mu.Lock()
 	w.settle(op, blocks, err)
 }
@@ -178,16 +166,16 @@ func (w *checkpointWriter) await(op string, part int, done func() bool) {
 }
 
 // barrier is await with the books kept: the time the caller actually spent
-// blocked is the checkpoint stall, booked to the ledger against (op, part); a
-// barrier that finds nothing to wait for books nothing and does not read the
-// clock. It returns the first write error, if any.
+// blocked is a checkpoint stall of (op, part); a barrier that finds nothing
+// to wait for emits nothing and does not read the clock. It returns the
+// first write error, if any.
 func (w *checkpointWriter) barrier(groupOf string, done func() bool, op string, part int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !done() {
 		start := time.Now()
 		w.await(groupOf, part, done)
-		w.metrics.Ledger().Attribute(metrics.CauseCheckpointStall, op, part, time.Since(start))
+		w.events.emit(obs.Span{Kind: obs.KindStall, Name: op, Part: part, Attempt: -1, Start: start, End: time.Now()})
 	}
 	return w.err
 }

@@ -413,7 +413,7 @@ func TestCheckpointWriter(t *testing.T) {
 				s.gate = make(chan struct{})
 			}
 			m := &Metrics{}
-			w := newCheckpointWriter(s, m, nil, nil)
+			w := newCheckpointWriter(s, &events{metrics: m})
 			tc.run(t, w, s, m)
 			_ = w.close() // every case has checked the error it expects
 			waitForGoroutines(t, before, tc.name)

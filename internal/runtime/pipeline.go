@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
@@ -66,12 +67,11 @@ func (a *attempts) peek(op string, part int) int {
 	return a.m[partKey{op, part}]
 }
 
-// die records the injected death of the node computing (op, part) on attempt
-// n — one failure event, one open ledger entry — and returns the nodeFailure
-// the stage worker resolves.
+// die emits the injected death of the node computing (op, part) on attempt
+// n and returns the nodeFailure the stage worker resolves.
 func (rn *run) die(op engine.Operator, part, n int) *nodeFailure {
-	rn.tracer.Event(obs.KindFailure, op.Name(), part, n)
-	rn.metrics.Ledger().Fail(op.Name(), part)
+	now := time.Now()
+	rn.events.emit(obs.Span{Kind: obs.KindFailure, Name: op.Name(), Part: part, Attempt: n, Start: now, End: now})
 	return &nodeFailure{op: op.Name(), part: part}
 }
 
@@ -156,7 +156,7 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 			if err != nil {
 				return err
 			}
-			rn.metrics.Batches.Add(1)
+			rn.cfg.Metrics.Batches.Add(1)
 			if res.Len() == 0 {
 				res.Release(loc)
 				return nil
@@ -176,7 +176,7 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rn.metrics.Batches.Add(1)
+		rn.cfg.Metrics.Batches.Add(1)
 		if err := push(1, b.SliceLocal(start, min(start+size, total), loc)); err != nil {
 			return nil, err
 		}

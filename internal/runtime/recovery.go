@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
 )
 
 // recoverFine handles an injected node failure under fine-grained recovery:
@@ -18,34 +17,22 @@ func (rn *run) recoverFine(ctx context.Context, s *stage, part int, nf *nodeFail
 	rn.recoveryMu.Lock()
 	defer rn.recoveryMu.Unlock()
 	for {
-		rn.mu.Lock()
-		rn.report.Failures++
-		rn.mu.Unlock()
-		rn.metrics.Failures.Add(1)
-		rn.cfg.Progress.Failure()
 		rn.dropLineageOnNode(s, nf.part)
-
-		sp := rn.tracer.Begin(obs.KindRecovery, nf.op, nf.part, -1)
 		start := time.Now()
 		err := rn.ensurePartition(ctx, s, part)
 		// The whole recovery window is wasted work the failure caused — the
-		// realized w(c) — and it is booked even when the window itself died
-		// to a nested failure (that work was thrown away too). The window
-		// matches the recovery span, so ledger totals reconcile with the
-		// span timeline.
-		rn.metrics.Ledger().Attribute(metrics.CauseRecompute, nf.op, nf.part, time.Since(start))
-		if next, ok := asNodeFailure(err); ok {
-			sp.Fail(next.Error())
+		// realized w(c) — and the ledger books it even when the window itself
+		// died to a nested failure (that work was thrown away too).
+		sp := obs.Span{Kind: obs.KindRecovery, Name: nf.op, Part: nf.part, Attempt: -1, Start: start, End: time.Now()}
+		next, nested := asNodeFailure(err)
+		if nested {
+			sp.Err = next.Error()
 		}
-		sp.End()
-		if err == nil {
-			return nil
+		rn.events.emit(sp)
+		if !nested {
+			return err
 		}
-		if next, ok := asNodeFailure(err); ok {
-			nf = next
-			continue
-		}
-		return err
+		nf = next
 	}
 }
 
@@ -106,10 +93,11 @@ func (rn *run) dropLineageOnNode(s *stage, node int) {
 			continue
 		}
 		if rn.done[a][node] {
-			rows := int64(rn.results[a].Parts[node].Len())
+			now := time.Now()
+			rn.events.emit(obs.Span{Kind: obs.KindLost, Name: a.name(), Part: node, Attempt: -1,
+				Start: now, End: now, Rows: int64(rn.results[a].Parts[node].Len()), Parts: rn.cfg.Nodes})
 			rn.publishLocked(a, node, nil, true)
 			rn.done[a][node] = false
-			rn.prog[a].PartUndone(rows)
 		}
 	}
 }

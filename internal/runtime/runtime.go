@@ -32,7 +32,6 @@ import (
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
 	"ftpde/internal/schemes"
 )
 
@@ -61,13 +60,14 @@ type Config struct {
 	// Store is the fault-tolerant checkpoint medium; nil allocates a fresh
 	// in-memory MatStore.
 	Store engine.Store
-	// Metrics receives runtime counters; nil allocates a private set.
+	// Metrics folds the execution's events into counters, histograms, the
+	// per-stage table and the wasted-work ledger; nil allocates a private
+	// set.
 	Metrics *Metrics
-	// Tracer receives execution spans and failure/recovery events; nil
-	// disables tracing (the no-op fast path never reads the clock).
+	// Tracer records every event of the execution; nil records nothing.
 	Tracer *obs.Tracer
-	// Progress receives live per-stage completion for /debug/queries; nil
-	// disables tracking (every hook is a nil-tolerant atomic handle).
+	// Progress folds the events into live per-stage completion for
+	// /debug/queries; nil disables tracking.
 	Progress *obs.Progress
 	// Arena recycles batch and vector buffers across the batches of a
 	// chained stage partition; nil uses a process-wide shared arena so
@@ -131,34 +131,27 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	if err != nil {
 		return nil, nil, err
 	}
-	report := &engine.Report{}
+	ev := &events{metrics: r.cfg.Metrics, progress: r.cfg.Progress, tracer: r.cfg.Tracer}
+	report := &ev.report
 	attempts := newAttempts()
-	writer := newCheckpointWriter(r.store, r.cfg.Metrics, r.cfg.Tracer, r.cfg.Progress)
+	writer := newCheckpointWriter(r.store, ev)
 	defer writer.close()
 
-	qspan := r.cfg.Tracer.Begin(obs.KindQuery, root.Name(), -1, -1)
-	defer qspan.End()
+	start := time.Now()
+	defer func() {
+		ev.emit(obs.Span{Kind: obs.KindQuery, Name: root.Name(), Part: -1, Attempt: -1, Start: start, End: time.Now()})
+	}()
 
-	// Progress handles are resolved once here so the per-partition hot path
-	// is a pair of atomic adds.
-	prog := make(map[*stage]*obs.StageProgress, len(plan.stages))
-	for _, s := range plan.stages {
-		prog[s] = r.cfg.Progress.EnsureStage(s.name(), r.cfg.Nodes)
-	}
-
-	for {
+	for restarts := 0; ; restarts++ {
 		attemptStart := time.Now()
 		rn := &run{
 			cfg:      r.cfg,
 			plan:     plan,
 			attempts: attempts,
-			report:   report,
-			metrics:  r.cfg.Metrics,
-			tracer:   r.cfg.Tracer,
+			events:   ev,
 			writer:   writer,
 			store:    r.store,
 			pool:     r.cfg.Pool,
-			prog:     prog,
 			results:  make(map[*stage]*engine.BatchResult, len(plan.stages)),
 			done:     make(map[*stage][]bool, len(plan.stages)),
 		}
@@ -177,24 +170,21 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 			// materialized once, at the very edge.
 			return res.ToPartitioned(), report, nil
 		}
-		if nf, ok := asNodeFailure(err); ok && r.cfg.Recovery == schemes.CoarseRestart {
-			report.Failures++
-			report.Restarts++
-			r.cfg.Metrics.Failures.Add(1)
-			r.cfg.Metrics.Restarts.Add(1)
-			r.cfg.Progress.Failure()
-			r.cfg.Progress.Restart()
-			r.cfg.Tracer.Event(obs.KindRestart, nf.op, nf.part, report.Restarts)
-			// The aborted attempt's elapsed time is pure waste: everything it
-			// computed (minus surviving checkpoints) is thrown away.
-			r.cfg.Metrics.Ledger().Attribute(metrics.CauseRestart, nf.op, nf.part, time.Since(attemptStart))
-			if report.Restarts > r.cfg.MaxRestarts {
-				report.Aborted = true
-				return nil, report, fmt.Errorf("runtime: query aborted after %d restarts", report.Restarts-1)
-			}
-			continue // restart from scratch; checkpoints and attempts persist
+		nf, ok := asNodeFailure(err)
+		if !ok || r.cfg.Recovery != schemes.CoarseRestart {
+			return nil, report, err
 		}
-		return nil, report, err
+		// The aborted attempt's elapsed time is pure waste: everything it
+		// computed (minus surviving checkpoints) is thrown away.
+		sp := obs.Span{Kind: obs.KindRestart, Name: nf.op, Part: nf.part, Attempt: restarts + 1, Start: attemptStart, End: time.Now()}
+		if restarts+1 > r.cfg.MaxRestarts {
+			sp.Err = "restart limit exceeded"
+		}
+		ev.emit(sp)
+		if sp.Err != "" {
+			return nil, report, fmt.Errorf("runtime: query aborted after %d restarts", restarts)
+		}
+		// Restart from scratch; checkpoints and attempts persist.
 	}
 }
 
@@ -204,15 +194,12 @@ type run struct {
 	cfg      Config
 	plan     *stagePlan
 	attempts *attempts
-	report   *engine.Report
-	metrics  *Metrics
-	tracer   *obs.Tracer
+	events   *events
 	writer   *checkpointWriter
 	store    engine.EncodedStore
 	pool     *Pool // bounded worker pool, possibly shared across queries
-	prog     map[*stage]*obs.StageProgress
 
-	mu      sync.Mutex // guards results, done and report
+	mu      sync.Mutex // guards results and done
 	results map[*stage]*engine.BatchResult
 	done    map[*stage][]bool
 
@@ -274,14 +261,12 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 }
 
 // runStage executes every partition of a stage on the bounded worker pool
-// and records the stage's wall time.
+// and emits the stage's span when it ends.
 func (rn *run) runStage(ctx context.Context, s *stage) error {
 	start := time.Now()
-	sp := rn.tracer.Begin(obs.KindStage, s.name(), -1, -1)
 	defer func() {
-		rn.metrics.ObserveStageWall(metrics.RuntimePipelined, s.name(), time.Since(start))
-		sp.SetRows(rn.stageRows(s))
-		sp.End()
+		rn.events.emit(obs.Span{Kind: obs.KindStage, Name: s.name(), Part: -1, Attempt: -1,
+			Start: start, End: time.Now(), Rows: rn.stageRows(s), Parts: rn.cfg.Nodes})
 	}()
 
 	var wg sync.WaitGroup
@@ -349,13 +334,15 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		if err := rn.writer.wait(s.name(), part); err != nil {
 			return err
 		}
+		start := time.Now()
 		if data, ok := rn.store.GetEncoded(s.name(), part); ok {
 			// Bytes that do not decode into the stage schema (torn, another
 			// format, another plan's output under the same name) are a
 			// checkpoint miss: the partition is recomputed and the checkpoint
 			// rewritten.
 			if b, err := engine.DecodeBlock(data, s.terminal().OutSchema()); err == nil {
-				rn.commit(s, part, b, true)
+				rn.finish(s, part, b, obs.Span{Kind: obs.KindRestore, Name: s.name(), Part: part, Attempt: -1,
+					Start: start, End: time.Now(), Parts: rn.cfg.Nodes})
 				return nil
 			}
 		}
@@ -373,23 +360,15 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		}
 		inputs, ready = rn.inputResults(s, part)
 	}
-	sp := rn.tracer.Begin(obs.KindTask, s.name(), part, rn.attempts.peek(s.name(), part))
+	sp := obs.Span{Kind: obs.KindTask, Name: s.name(), Part: part, Attempt: rn.attempts.peek(s.name(), part),
+		Start: time.Now(), Parts: rn.cfg.Nodes, Recompute: recovery}
 	b, err := rn.runPartition(ctx, s, part, inputs)
+	sp.End = time.Now()
 	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		return err
+		sp.Err = err.Error()
 	}
-	sp.SetRows(int64(b.Len()))
-	sp.End()
-	rn.commit(s, part, b, false)
-	if recovery {
-		rn.mu.Lock()
-		rn.report.RecomputedPartitions++
-		rn.mu.Unlock()
-		rn.metrics.Recoveries.Add(1)
-	}
-	return nil
+	rn.finish(s, part, b, sp)
+	return err
 }
 
 func (rn *run) isDone(s *stage, part int) bool {
@@ -412,35 +391,32 @@ func (rn *run) stageRows(s *stage) int64 {
 	return n
 }
 
-// commit records a computed partition and, for materialization points,
-// hands it to the asynchronous checkpoint writer. The batch must be plain
-// (unpooled) — it becomes a shared, immutable stage result that consumers
-// and the async checkpoint encoder read concurrently. It may be a view: a
-// selection vector or column subset over table storage or over the stage's
-// own committed inputs.
-func (rn *run) commit(s *stage, part int, b *engine.Batch, fromStore bool) {
-	if b.Len() == 0 {
-		b = nil // canonical empty-partition representation
-	}
-	rn.mu.Lock()
-	if rn.done[s][part] {
-		rn.mu.Unlock()
-		return
-	}
-	rn.publishLocked(s, part, b, false)
-	rn.done[s][part] = true
-	rn.mu.Unlock()
-	rn.prog[s].PartDone(int64(b.Len()))
-	if !fromStore {
-		rn.metrics.Rows.Add(int64(b.Len()))
-		rn.metrics.AddStageRows(s.name(), int64(b.Len()))
-	}
-	if s.checkpoint && !fromStore {
-		if rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes) {
-			rn.mu.Lock()
-			rn.report.MaterializedPartitions++
-			rn.mu.Unlock()
+// finish ends a task (sp) that computed partition part of s, or the
+// restore (sp) that read it back from a checkpoint: unless sp carries an
+// error it commits b as the partition, then it emits sp and, for a computed
+// materialization point, hands the partition to the asynchronous checkpoint
+// writer. The batch must be plain (unpooled) — it becomes a shared,
+// immutable stage result that consumers and the async checkpoint encoder
+// read concurrently. It may be a view: a selection vector or column subset
+// over table storage or over the stage's own committed inputs.
+func (rn *run) finish(s *stage, part int, b *engine.Batch, sp obs.Span) {
+	if sp.Err == "" {
+		if b.Len() == 0 {
+			b = nil // canonical empty-partition representation
 		}
+		sp.Rows = int64(b.Len())
+		rn.mu.Lock()
+		if rn.done[s][part] {
+			sp.Err = errSuperseded
+		} else {
+			rn.publishLocked(s, part, b, false)
+			rn.done[s][part] = true
+		}
+		rn.mu.Unlock()
+	}
+	rn.events.emit(sp)
+	if sp.Err == "" && sp.Kind == obs.KindTask && s.checkpoint {
+		rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes)
 	}
 }
 

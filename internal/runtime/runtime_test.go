@@ -251,7 +251,7 @@ func TestMetricsCounters(t *testing.T) {
 	if snap.Recoveries == 0 {
 		t.Error("no recoveries counted")
 	}
-	if len(snap.StageWall) == 0 {
+	if len(snap.Stages) == 0 {
 		t.Error("no per-stage wall time recorded")
 	}
 	if snap.String() == "" {

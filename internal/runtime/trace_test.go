@@ -2,14 +2,15 @@ package runtime
 
 import (
 	"context"
-	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"ftpde/internal/engine"
 	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
+	"ftpde/internal/schemes"
 	"ftpde/internal/tpch"
 )
 
@@ -164,52 +165,81 @@ func TestTracingDisabledIsNoop(t *testing.T) {
 	}
 }
 
-// assertLedgerReconciles checks the acceptance bar that ledger totals agree
-// with the span timeline: booked recompute seconds must match the summed
-// KindRecovery span durations within 1% (the spans strictly contain the
-// attributed windows, so the slack is a few clock reads per recovery).
-func assertLedgerReconciles(t *testing.T, led metrics.LedgerSnapshot, spans []obs.Span, wantFailures int64) {
-	t.Helper()
-	if led.Failures != wantFailures {
-		t.Errorf("ledger failures = %d, want %d", led.Failures, wantFailures)
-	}
-	if led.Unresolved != 0 {
-		t.Errorf("ledger left %d failures unresolved", led.Unresolved)
-	}
-	if open := led.Paired(); len(open) != 0 {
-		t.Errorf("unpaired failure entries: %v", open)
-	}
-	booked := led.Seconds(metrics.CauseRecompute)
-	if booked <= 0 {
-		t.Fatalf("no recompute seconds booked: %s", led.String())
-	}
-	var spanSum float64
-	for _, sp := range spans {
-		if sp.Kind == obs.KindRecovery {
-			spanSum += sp.End.Sub(sp.Start).Seconds()
-		}
-	}
-	if spanSum <= 0 {
-		t.Fatal("no recovery spans in the timeline")
-	}
-	diff := math.Abs(spanSum - booked)
-	if diff > 0.01*spanSum && diff > 5e-3 {
-		t.Errorf("ledger recompute %.6fs does not reconcile with recovery spans %.6fs", booked, spanSum)
-	}
-}
+// TestFoldsReplayFromTrace holds the one emission path to its contract: the
+// tracer records every event the live folds saw, in emission order, so
+// folding the recorded spans offline in ID order reproduces the execution's
+// report, metrics snapshot, ledger (entry by entry) and progress exactly.
+// Scripted Q3 failures with a checkpointed stage exercise every event kind
+// between them: fine recovery drops lineage and recomputes it, coarse
+// recovery aborts attempts and restores the checkpointed stage.
+func TestFoldsReplayFromTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		recovery schemes.Recovery
+		kinds    []obs.Kind
+	}{
+		{"fine", schemes.FineGrained, []obs.Kind{obs.KindFailure, obs.KindLost, obs.KindRecovery, obs.KindCheckpoint}},
+		{"coarse", schemes.CoarseRestart, []obs.Kind{obs.KindFailure, obs.KindRestart, obs.KindRestore, obs.KindCheckpoint}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, inj, points := q3Trace(t)
+			tracer := obs.NewTracer(obs.DefaultCapacity)
+			m := &Metrics{}
+			prog := obs.NewProgressRegistry(1).Begin("tenant", "q3")
+			r, err := New(Config{Nodes: eqNodes, Injector: inj, Recovery: tc.recovery, Tracer: tracer, Metrics: m, Progress: prog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := executeWithin(t, r, context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := tracer.Snapshot()
+			if tracer.Dropped() != 0 {
+				t.Fatalf("tracer dropped %d spans", tracer.Dropped())
+			}
+			sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
+			seen := map[obs.Kind]bool{}
+			for _, sp := range spans {
+				seen[sp.Kind] = true
+			}
+			for _, k := range tc.kinds {
+				if !seen[k] {
+					t.Errorf("no %s event: the scenario does not exercise its fold", k)
+				}
+			}
 
-func TestPipelinedLedgerReconcilesWithSpans(t *testing.T) {
-	q, inj, points := q3Trace(t)
-	tracer := obs.NewTracer(obs.DefaultCapacity)
-	m := &Metrics{}
-	r, err := New(Config{Nodes: eqNodes, Injector: inj, Tracer: tracer, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
+			replay := &events{metrics: &Metrics{}, progress: obs.NewProgressRegistry(1).Begin("tenant", "q3")}
+			for _, sp := range spans {
+				replay.emit(sp)
+			}
+
+			if replay.report != *rep {
+				t.Errorf("replayed report %+v, live %+v", replay.report, *rep)
+			}
+			if rep.Failures != len(points) {
+				t.Errorf("report counts %d failures, want %d", rep.Failures, len(points))
+			}
+			live, offline := m.Snapshot(), replay.metrics.Snapshot()
+			live.Batches = 0 // the one counter the runtime adds to per batch, not per event
+			if !reflect.DeepEqual(offline, live) {
+				t.Errorf("replayed metrics\n%+v\nlive\n%+v", offline, live)
+			}
+			led, offLed := m.Ledger().Snapshot(), replay.metrics.Ledger().Snapshot()
+			if !reflect.DeepEqual(offLed, led) {
+				t.Errorf("replayed ledger\n%s\nlive\n%s", offLed, led)
+			}
+			if led.Failures != int64(len(points)) || led.Unresolved != 0 || len(led.Paired()) != 0 || led.DroppedEntries != 0 {
+				t.Errorf("ledger does not pair %d failures: %s (unpaired %v)", len(points), led, led.Paired())
+			}
+			// Elapsed time is the snapshot's clock, not an event.
+			ps, offPs := prog.Snapshot(), replay.progress.Snapshot()
+			ps.ElapsedSeconds, offPs.ElapsedSeconds = 0, 0
+			if !reflect.DeepEqual(offPs, ps) {
+				t.Errorf("replayed progress\n%+v\nlive\n%+v", offPs, ps)
+			}
+		})
 	}
-	if _, _, err := executeWithin(t, r, context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	assertLedgerReconciles(t, m.Ledger().Snapshot(), tracer.Snapshot(), int64(len(points)))
 }
 
 // TestLedgerAttributionUnderConcurrentFailures drives several runtimes at
@@ -255,15 +285,12 @@ func TestMetricsCheckpointLatencyAndStageRows(t *testing.T) {
 		t.Errorf("checkpoint latency not min<=avg<=max>0: min=%v avg=%v max=%v",
 			snap.CheckpointMin, snap.CheckpointAvg, snap.CheckpointMax)
 	}
-	if len(snap.StageRows) == 0 {
-		t.Error("no per-stage row counts recorded")
+	if len(snap.Stages) == 0 {
+		t.Error("no per-stage rows recorded")
 	}
-	for stage, rows := range snap.StageRows {
-		if rows <= 0 {
-			t.Errorf("stage %q recorded %d rows", stage, rows)
-		}
-		if _, ok := snap.StageWall[stage]; !ok {
-			t.Errorf("stage %q has rows but no wall time", stage)
+	for _, st := range snap.Stages {
+		if st.Rows <= 0 || st.WallNS <= 0 {
+			t.Errorf("stage %q recorded %d rows in %v", st.Stage, st.Rows, st.WallNS)
 		}
 	}
 	// The rendering must be deterministic (sorted stages) for log diffing.

@@ -390,8 +390,8 @@ func (s *Server) stats(stmt *sql.SelectStmt) (map[string]sql.TableStats, error) 
 // per-query metric set keeps the wasted-work ledger attributable to this
 // query's tenant (a shared ledger would interleave failure/recovery pairs
 // from concurrently recovering queries), and a fresh per-query tracer keeps
-// the span slice attributable to this query — its spans are folded into the
-// shared tracer tagged with the query ID, feed the drift detector on
+// the span slice attributable to this query — its spans are recorded into
+// the shared tracer tagged with the query ID, feed the drift detector on
 // success, and freeze into a forensics bundle on death.
 func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Response, error) {
 	start := time.Now()
@@ -442,7 +442,10 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	}
 	res, report, err := rt.Execute(ctx, audit.Phys.Root)
 	spans := qt.Snapshot()
-	s.ingestSpans(prog.ID(), spans)
+	for _, sp := range spans {
+		sp.Query = int(prog.ID())
+		s.cfg.Tracer.Record(sp)
+	}
 	if err != nil {
 		s.progress.End(prog, err)
 		s.dumpForensics(req, tenant, prog, audit, spans, exec, report, err)
@@ -485,21 +488,6 @@ func (s *Server) killSchedule(audit *sql.AuditPlan, m cost.Model, rec schemes.Re
 	spec := failure.Spec{Nodes: s.cfg.Nodes, MTBF: s.cfg.InjectMTBF}
 	tr := failure.NewTrace(spec, 10*makespan, s.cfg.InjectSeed^(qid+1)*0x5851F42D4C957F2D)
 	return exec.KillSchedule(audit.Opt.Plan, audit.Pred, exec.Options{Cluster: spec, Model: m, Recovery: rec, MaxRestarts: s.cfg.MaxRestarts}, tr)
-}
-
-// ingestSpans folds a finished query's private span slice into the shared
-// tracer, tagged with the query ID so concurrent tenants stay separable on
-// /debug/timeline.
-func (s *Server) ingestSpans(qid int64, spans []obs.Span) {
-	if len(spans) == 0 {
-		return
-	}
-	tagged := make([]obs.Span, len(spans))
-	for i, sp := range spans {
-		sp.Query = int(qid)
-		tagged[i] = sp
-	}
-	s.cfg.Tracer.Ingest(tagged)
 }
 
 // dumpForensics freezes a dead query into a diagnostic bundle on the
