@@ -1,12 +1,15 @@
 // Command ftbench regenerates the tables and figures of "Cost-based
 // Fault-tolerance for Parallel Data Processing" (SIGMOD'15) on the simulated
-// cluster substrate.
+// cluster substrate. `-exp sim` runs a single cell instead: one query under
+// one scheme against one failure trace, printed as a stage timeline.
 //
 // Usage:
 //
 //	ftbench -list
 //	ftbench -exp all
 //	ftbench -exp fig8a -traces 20 -seed 7
+//	ftbench -exp sim -query Q5 -scheme cost-based -sf 100 -mtbf 3600 -seed 3
+//	ftbench -exp sim -query Q1C -scheme all-mat -mtbf 1800
 package main
 
 import (
@@ -17,20 +20,25 @@ import (
 	"time"
 
 	"ftpde/internal/experiments"
+	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list), 'all' (paper exhibits), 'extras' (ablations/extensions), or 'everything'")
+		exp      = flag.String("exp", "all", "experiment id (see -list), 'all' (paper exhibits), 'extras' (ablations/extensions), 'everything', or 'sim' (one query on the simulated cluster)")
 		list     = flag.Bool("list", false, "list available experiments")
 		nodes    = flag.Int("nodes", 10, "cluster size")
 		traces   = flag.Int("traces", 10, "failure traces per MTBF")
 		seed     = flag.Int64("seed", 1, "trace generation seed")
 		sf       = flag.Float64("sf", 100, "TPC-H scale factor for fixed-scale experiments")
-		debug    = flag.String("debug-addr", "", "serve live experiment progress and pprof on this address during the run")
-		traceOut = flag.String("trace-out", "", "write the per-experiment timing timeline to this file in Chrome trace_event format")
+		query    = flag.String("query", "Q5", "-exp sim: TPC-H query: Q1, Q3, Q5, Q1C, Q2C")
+		scheme   = flag.String("scheme", "cost-based", "-exp sim: fault-tolerance scheme: all-mat, no-mat-lineage, no-mat-restart, cost-based")
+		mtbf     = flag.Float64("mtbf", failure.OneHour, "-exp sim: per-node MTBF (seconds)")
+		mttr     = flag.Float64("mttr", 1, "-exp sim: mean time to repair (seconds)")
+		debug    = flag.String("debug-addr", "", "serve live experiment progress (-exp sim: the simulated timeline, until interrupted) and pprof on this address")
+		traceOut = flag.String("trace-out", "", "write the per-experiment timing timeline (-exp sim: the simulated timeline) to this file in Chrome trace_event format")
 		metOut   = flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
 	)
 	flag.Parse()
@@ -39,6 +47,14 @@ func main() {
 		for _, r := range experiments.Everything() {
 			fmt.Printf("%-20s %s\n", r.ID, r.Desc)
 		}
+		fmt.Printf("%-20s %s\n", "sim", "One query under one scheme against one failure trace (-query, -scheme, -mtbf, -mttr)")
+		return
+	}
+	if *exp == "sim" {
+		runSim(simOptions{
+			query: *query, scheme: *scheme, sf: *sf, mtbf: *mtbf, mttr: *mttr, nodes: *nodes, seed: *seed,
+			traceOut: *traceOut, debug: *debug, metricsOut: *metOut,
+		})
 		return
 	}
 
@@ -64,14 +80,7 @@ func main() {
 		tracer = obs.NewTracer(obs.DefaultCapacity)
 	}
 	done := 0
-	reg := metrics.NewRegistry()
-	obs.RegisterTraceMetrics(reg, tracer)
-	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftpde_experiments_done", Kind: metrics.KindGauge,
-		Help: "Experiments completed so far in this ftbench run.",
-	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: float64(done)}}
-	})
+	reg := benchRegistry(tracer, &done)
 	if *debug != "" {
 		srv, err := obs.StartDebug(*debug, tracer, func() any {
 			return map[string]any{"experiments_total": len(runners), "experiments_done": done}
@@ -114,4 +123,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "ftbench: wrote metrics snapshot to %s\n", *metOut)
 	}
+}
+
+// benchRegistry is an experiments run's registry: the tracer's families and
+// the number of experiments done so far.
+func benchRegistry(tracer *obs.Tracer, done *int) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	obs.RegisterTraceMetrics(reg, tracer)
+	reg.MustRegisterFunc(metrics.Desc{
+		Name: "ftpde_experiments_done", Kind: metrics.KindGauge,
+		Help: "Experiments completed so far in this ftbench run.",
+	}, func() []metrics.Sample {
+		return []metrics.Sample{{Value: float64(*done)}}
+	})
+	return reg
 }

@@ -1,17 +1,7 @@
-// Command xdbsim runs one TPC-H query under one fault-tolerance scheme on a
-// simulated shared-nothing cluster with an injected failure trace, printing
-// the per-stage timeline — the reproduction of a single cell of the paper's
-// overhead figures.
-//
-// Usage:
-//
-//	xdbsim -query Q5 -scheme cost-based -sf 100 -mtbf 3600 -seed 3
-//	xdbsim -query Q1C -scheme all-mat -mtbf 1800
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -25,42 +15,41 @@ import (
 	"ftpde/internal/tpch"
 )
 
-func main() {
-	var (
-		query    = flag.String("query", "Q5", "TPC-H query: Q1, Q3, Q5, Q1C, Q2C")
-		scheme   = flag.String("scheme", "cost-based", "fault-tolerance scheme: all-mat, no-mat-lineage, no-mat-restart, cost-based")
-		sf       = flag.Float64("sf", 100, "TPC-H scale factor")
-		nodes    = flag.Int("nodes", 10, "cluster size")
-		mtbf     = flag.Float64("mtbf", failure.OneHour, "per-node MTBF (seconds)")
-		mttr     = flag.Float64("mttr", 1, "mean time to repair (seconds)")
-		seed     = flag.Int64("seed", 1, "failure trace seed")
-		traceOut = flag.String("trace-out", "", "write the simulated timeline to this file in Chrome trace_event format")
-		debug    = flag.String("debug-addr", "", "serve the simulated timeline and pprof on this address until interrupted")
-		metOut   = flag.String("metrics-out", "", "write the simulated run's metrics registry snapshot to this file as JSON")
-	)
-	flag.Parse()
+// simOptions are the flags of `ftbench -exp sim`.
+type simOptions struct {
+	query, scheme               string
+	sf, mtbf, mttr              float64
+	nodes                       int
+	seed                        int64
+	traceOut, debug, metricsOut string
+}
 
+// runSim runs one TPC-H query under one fault-tolerance scheme on a
+// simulated shared-nothing cluster with an injected failure trace, printing
+// the per-stage timeline: the reproduction of a single cell of the paper's
+// overhead figures.
+func runSim(o simOptions) {
 	builders := map[string]func(tpch.Params) (*tpch.Query, error){
 		"Q1": tpch.Q1, "Q3": tpch.Q3, "Q5": tpch.Q5, "Q1C": tpch.Q1C, "Q2C": tpch.Q2C,
 	}
-	build, ok := builders[*query]
+	build, ok := builders[o.query]
 	if !ok {
-		fatal(fmt.Errorf("unknown query %q", *query))
+		fatal(fmt.Errorf("unknown query %q", o.query))
 	}
 	kinds := map[string]schemes.Kind{
 		"all-mat": schemes.AllMat, "no-mat-lineage": schemes.NoMatLineage,
 		"no-mat-restart": schemes.NoMatRestart, "cost-based": schemes.CostBased,
 	}
-	kind, ok := kinds[*scheme]
+	kind, ok := kinds[o.scheme]
 	if !ok {
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+		fatal(fmt.Errorf("unknown scheme %q", o.scheme))
 	}
 
-	q, err := build(tpch.Params{SF: *sf, Nodes: *nodes})
+	q, err := build(tpch.Params{SF: o.sf, Nodes: o.nodes})
 	if err != nil {
 		fatal(err)
 	}
-	spec := failure.Spec{Nodes: *nodes, MTBF: *mtbf, MTTR: *mttr}
+	spec := failure.Spec{Nodes: o.nodes, MTBF: o.mtbf, MTTR: o.mttr}
 	model := cost.DefaultModel(spec)
 
 	cfg, err := kind.Configure(q.Plan, model)
@@ -72,7 +61,7 @@ func main() {
 		fatal(err)
 	}
 
-	trace := failure.NewTrace(spec, 500*q.Baseline, *seed)
+	trace := failure.NewTrace(spec, 500*q.Baseline, o.seed)
 	res, err := exec.Run(p, exec.Options{Cluster: spec, Model: model, Recovery: kind.Recovery()}, trace)
 	if err != nil {
 		fatal(err)
@@ -106,28 +95,28 @@ func main() {
 		printGantt(res.Stages, res.Runtime)
 	}
 
-	if *traceOut != "" {
-		if err := obs.WriteChromeTraceSpans(*traceOut, exec.SimEpoch, res.Spans); err != nil {
+	if o.traceOut != "" {
+		if err := obs.WriteChromeTraceSpans(o.traceOut, exec.SimEpoch, res.Spans); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwrote Chrome trace to %s (simulated seconds map to wall-clock seconds)\n", *traceOut)
+		fmt.Printf("\nwrote Chrome trace to %s (simulated seconds map to wall-clock seconds)\n", o.traceOut)
 	}
-	if *metOut != "" {
+	if o.metricsOut != "" {
 		data, err := json.MarshalIndent(simRegistry(res).Snapshot(), "", "  ")
 		if err == nil {
-			err = os.WriteFile(*metOut, append(data, '\n'), 0o644)
+			err = os.WriteFile(o.metricsOut, append(data, '\n'), 0o644)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwrote metrics snapshot to %s\n", *metOut)
+		fmt.Printf("\nwrote metrics snapshot to %s\n", o.metricsOut)
 	}
-	if *debug != "" {
+	if o.debug != "" {
 		tracer := obs.NewTracer(len(res.Spans) * 2)
 		for _, sp := range res.Spans {
 			tracer.Record(sp)
 		}
-		srv, err := obs.StartDebug(*debug, tracer, func() any { return res }, simRegistry(res), nil)
+		srv, err := obs.StartDebug(o.debug, tracer, func() any { return res }, simRegistry(res), nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -208,6 +197,6 @@ func printGantt(stages []exec.StageReport, total float64) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xdbsim:", err)
+	fmt.Fprintln(os.Stderr, "ftbench:", err)
 	os.Exit(1)
 }

@@ -152,7 +152,7 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 		if got, err := DecodeBlock(data, Schema{{Type: TypeInt}, {Type: TypeString}}); err == nil {
 			t.Errorf("%s: retired format decoded to a batch of %d rows", name, got.Len())
 		}
-		if err := d.PutEncoded(name, 0, data, 1); err != nil {
+		if err := d.PutGroup(name, 1, []PartBlock{{0, data}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +389,7 @@ func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.PutEncoded("op", 0, data, 1); err != nil {
+		if err := d2.PutGroup("op", 1, []PartBlock{{0, data}}); err != nil {
 			t.Fatal(err)
 		}
 		f1, err := os.ReadFile(filepath.Join(dir, "put", "op.0.ftcg"))
@@ -401,14 +401,14 @@ func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(f1, f2) || !bytes.HasSuffix(f1, data) {
-			t.Errorf("%s: PutEncoded file differs from Put file (%d vs %d bytes), or does not end in the block", name, len(f2), len(f1))
+			t.Errorf("%s: PutGroup file differs from Put file (%d vs %d bytes), or does not end in the block", name, len(f2), len(f1))
 		}
 		if stored, ok := d1.GetEncoded("op", 0); !ok || !bytes.Equal(stored, data) {
 			t.Errorf("%s: GetEncoded returned %d bytes (ok=%v), want the block's %d", name, len(stored), ok, len(data))
 		}
 		got, ok := d2.Get("op", 0)
 		if !ok || !reflect.DeepEqual(got, rows) {
-			t.Errorf("%s: PutEncoded read-back mismatch: ok=%v got=%v", name, ok, got)
+			t.Errorf("%s: PutGroup read-back mismatch: ok=%v got=%v", name, ok, got)
 		}
 	}
 }

@@ -56,40 +56,6 @@ var (
 	_ EncodedStore = (*DiskStore)(nil)
 )
 
-// rowBlocks is the EncodedStore over a store that holds rows only: blocks are
-// decoded on the way in and encoded on the way out.
-type rowBlocks struct{ Store }
-
-// AsEncodedStore returns s itself when it speaks blocks, else s behind the
-// row adapter.
-func AsEncodedStore(s Store) EncodedStore {
-	if es, ok := s.(EncodedStore); ok {
-		return es
-	}
-	return rowBlocks{s}
-}
-
-func (s rowBlocks) PutGroup(op string, parts int, group []PartBlock) error {
-	for _, g := range group {
-		rows, err := DecodeBlockFile(g.Data)
-		if err == nil {
-			err = s.Put(op, g.Part, rows, parts)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s rowBlocks) GetEncoded(op string, part int) ([]byte, bool) {
-	rows, ok := s.Get(op, part)
-	if !ok {
-		return nil, false
-	}
-	return EncodeColumnBlock(rows)
-}
-
 // DiskStore persists materialized partitions in group files under a
 // directory; rows that are not strictly typed fail their Put. Unlike MatStore
 // it survives engine restarts, so a re-submitted query can resume from
@@ -220,17 +186,12 @@ func escapeOp(op string) string {
 	return safe.String()
 }
 
-// Put implements Store: EncodeBlockBytes, then PutEncoded.
+// Put implements Store: EncodeBlockBytes, then a group of one.
 func (d *DiskStore) Put(op string, part int, rows []Row, parts int) error {
 	data, err := EncodeBlockBytes(rows)
 	if err != nil {
 		return d.latch(err)
 	}
-	return d.PutEncoded(op, part, data, parts)
-}
-
-// PutEncoded stores one encoded partition: a group of one.
-func (d *DiskStore) PutEncoded(op string, part int, data []byte, parts int) error {
 	return d.PutGroup(op, parts, []PartBlock{{part, data}})
 }
 

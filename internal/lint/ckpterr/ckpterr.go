@@ -28,7 +28,7 @@ var Analyzer = &analysis.Analyzer{
 // the row-typed ones and the block-typed ones the runtime's writer calls.
 var storeMethods = map[string]bool{
 	"Put": true, "Get": true, "Delete": true, "Flush": true,
-	"PutEncoded": true, "PutGroup": true,
+	"PutGroup": true,
 }
 
 // codecFunc matches the block/checkpoint serialization helpers.

@@ -15,12 +15,14 @@ import (
 const runtimeLabel = "pipelined"
 
 // Exec is the runtime's counter set (one per runtime.Config): a fold over
-// the runtime's events. Observe turns each span into counter adds, histogram
-// observations (stage wall time, checkpoint write latency), a row of the
-// per-stage table and wasted-work Ledger entries. Batches is the one counter
-// the runtime adds to directly, because it moves per batch, not per event.
-// The zero value is ready to use and safe for concurrent use; a nil *Exec
-// folds nothing, so un-instrumented executions pay nothing.
+// the runtime's events. Observe turns each span into counter adds, a row of
+// the per-stage table (committed rows, summed wall time and the histogram of
+// the stage's wall times), the checkpoint write-latency histogram and
+// wasted-work Ledger entries. Batches is the one counter the runtime adds to
+// directly, because it moves per batch, not per event. The registry's
+// families are collectors over these fields. The zero value is ready to use
+// and safe for concurrent use; a nil *Exec folds nothing, so
+// un-instrumented executions pay nothing.
 type Exec struct {
 	// Batches counts vectorized batches handed from one operator of a chained
 	// stage to the next: the source's slices and the chained transforms. A
@@ -42,27 +44,56 @@ type Exec struct {
 	// Restarts counts coarse-grained whole-query restarts.
 	Restarts atomic.Int64
 
-	once      sync.Once
-	reg       *metrics.Registry
-	stageHist *metrics.HistogramVec
-	ckptHist  *metrics.HistogramVec
-	ledger    metrics.Ledger
+	once   sync.Once
+	reg    *metrics.Registry
+	ledger metrics.Ledger
+
+	ckpt *metrics.Histogram // latency of the checkpoint writes that landed
 
 	mu     sync.Mutex
-	stages map[string]StageMetric
+	stages map[string]*stageRow
 }
 
-// init lazily builds the registry and histogram families, so the zero value
-// stays directly usable (tests construct &Exec{} / &runtime.Metrics{}).
+// stageRow is one stage's row of the per-stage table.
+type stageRow struct {
+	StageMetric
+	wall *metrics.Histogram // the stage span's durations
+}
+
+// init lazily builds the registry, the checkpoint histogram and the stage
+// table, so the zero value stays directly usable (tests construct &Exec{} /
+// &runtime.Metrics{}).
 func (m *Exec) init() {
 	m.once.Do(func() {
 		m.reg = metrics.NewRegistry()
-		m.stageHist = m.reg.NewHistogramVec("ftpde_stage_wall_seconds",
-			"Wall time of stage executions.", "seconds",
-			[]string{"runtime", "stage"}, metrics.DefaultLatencyBuckets())
-		m.ckptHist = m.reg.NewHistogramVec("ftpde_checkpoint_write_seconds",
-			"Latency of individual checkpoint store writes.", "seconds",
-			[]string{"runtime"}, metrics.DefaultLatencyBuckets())
+		m.ckpt = metrics.NewHistogram(metrics.DefaultLatencyBuckets())
+		m.stages = make(map[string]*stageRow)
+		// A histogram's series exists once it has an observation: no wall
+		// series for a stage whose span has not ended, no checkpoint series
+		// before the first write.
+		m.reg.MustRegisterFunc(metrics.Desc{
+			Name: "ftpde_stage_wall_seconds", Kind: metrics.KindHistogram, Unit: "seconds",
+			Labels: []string{"runtime", "stage"}, Help: "Wall time of stage executions.",
+		}, func() []metrics.Sample {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			var out []metrics.Sample
+			for name, st := range m.stages {
+				if h := st.wall.Snapshot(); h.Count > 0 {
+					out = append(out, metrics.Sample{LabelValues: []string{runtimeLabel, name}, Hist: &h})
+				}
+			}
+			return out
+		})
+		m.reg.MustRegisterFunc(metrics.Desc{
+			Name: "ftpde_checkpoint_write_seconds", Kind: metrics.KindHistogram, Unit: "seconds",
+			Labels: []string{"runtime"}, Help: "Latency of individual checkpoint store writes.",
+		}, func() []metrics.Sample {
+			if h := m.ckpt.Snapshot(); h.Count > 0 {
+				return []metrics.Sample{{LabelValues: []string{runtimeLabel}, Hist: &h}}
+			}
+			return nil
+		})
 		counter := func(name, help, unit string, v *atomic.Int64) {
 			m.reg.MustRegisterFunc(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Unit: unit},
 				func() []metrics.Sample { return []metrics.Sample{{Value: float64(v.Load())}} })
@@ -124,18 +155,23 @@ func (m *Exec) Observe(sp Span) {
 			return
 		}
 		m.Rows.Add(sp.Rows)
-		m.addStage(sp.Name, 0, sp.Rows)
+		m.mu.Lock()
+		m.stage(sp.Name).Rows += sp.Rows
+		m.mu.Unlock()
 		if sp.Recompute {
 			m.Recoveries.Add(1)
 		}
 	case KindStage:
-		m.stageHist.With(runtimeLabel, sp.Name).Observe(sp.Duration().Seconds())
-		m.addStage(sp.Name, sp.Duration(), 0)
+		m.mu.Lock()
+		st := m.stage(sp.Name)
+		st.WallNS += sp.Duration()
+		st.wall.Observe(sp.Duration().Seconds())
+		m.mu.Unlock()
 	case KindCheckpoint:
 		if sp.Err != "" {
 			return
 		}
-		m.ckptHist.With(runtimeLabel).Observe(sp.Duration().Seconds())
+		m.ckpt.Observe(sp.Duration().Seconds())
 		m.CheckpointParts.Add(int64(sp.Parts))
 		m.CheckpointBytes.Add(sp.Bytes)
 	case KindFailure:
@@ -152,19 +188,15 @@ func (m *Exec) Observe(sp Span) {
 	}
 }
 
-// addStage accumulates wall time and committed rows into the stage's row of
-// the per-stage table.
-func (m *Exec) addStage(stage string, wall time.Duration, rows int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stages == nil {
-		m.stages = make(map[string]StageMetric)
+// stage returns the stage's row, creating it on first use. The caller holds
+// m.mu.
+func (m *Exec) stage(name string) *stageRow {
+	st := m.stages[name]
+	if st == nil {
+		st = &stageRow{StageMetric: StageMetric{Stage: name}, wall: metrics.NewHistogram(metrics.DefaultLatencyBuckets())}
+		m.stages[name] = st
 	}
-	st := m.stages[stage]
-	st.Stage = stage
-	st.WallNS += wall
-	st.Rows += rows
-	m.stages[stage] = st
+	return st
 }
 
 // stageTable returns the per-stage table, name-sorted.
@@ -176,7 +208,7 @@ func (m *Exec) stageTable() []StageMetric {
 	}
 	out := make([]StageMetric, 0, len(m.stages))
 	for _, st := range m.stages {
-		out = append(out, st)
+		out = append(out, st.StageMetric)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
 	return out
@@ -184,7 +216,7 @@ func (m *Exec) stageTable() []StageMetric {
 
 // ExecSnapshot is a plain-value copy of the counters for reporting. Its JSON
 // shape predates the registry and is kept stable; the checkpoint min/avg/max
-// fields are derived from the exact extremes the latency histograms track.
+// fields are derived from the exact extremes the latency histogram tracks.
 type ExecSnapshot struct {
 	Batches         int64 `json:"batches"`
 	Rows            int64 `json:"rows"`
@@ -229,14 +261,10 @@ func (m *Exec) Snapshot() ExecSnapshot {
 		Restarts:        m.Restarts.Load(),
 		Stages:          m.stageTable(),
 	}
-	var merged metrics.HistogramSnapshot
-	for _, sample := range m.ckptHist.Samples() {
-		merged = merged.Merge(*sample.Hist)
-	}
-	if merged.Count > 0 {
-		s.CheckpointMin = secondsToDuration(merged.Min)
-		s.CheckpointAvg = secondsToDuration(merged.Sum / float64(merged.Count))
-		s.CheckpointMax = secondsToDuration(merged.Max)
+	if h := m.ckpt.Snapshot(); h.Count > 0 {
+		s.CheckpointMin = secondsToDuration(h.Min)
+		s.CheckpointAvg = secondsToDuration(h.Sum / float64(h.Count))
+		s.CheckpointMax = secondsToDuration(h.Max)
 	}
 	s.WastedSeconds = m.ledger.Snapshot().WastedSeconds()
 	return s

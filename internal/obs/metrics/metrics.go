@@ -1,19 +1,21 @@
-// Package metrics is a dependency-free telemetry layer: atomic counters,
-// gauges and fixed-bucket latency histograms with a lock-free hot path,
-// grouped into labeled families by a Registry that produces deterministic,
-// mergeable snapshots and Prometheus text exposition.
+// Package metrics is a dependency-free telemetry layer: a fixed-bucket
+// latency Histogram with a lock-free hot path, the wasted-work Ledger (the
+// measured counterpart of the paper's w(c) and a(c)·MTTR terms), and a
+// Registry of collectors that produces deterministic snapshots and
+// Prometheus text exposition.
+//
+// The registry holds no values of its own. Each family is a collector over
+// a record its owner keeps (the runtime's obs.Exec, a service tenant, a
+// tracer), read at collection time, so every number has one home.
 //
 // The package deliberately depends on nothing but the standard library so
 // every layer of the system (engine, runtime, simulator, CLIs) can share one
-// metric vocabulary without import cycles. The runtime's counter set lives
-// in Exec; the wasted-work ledger — the measured
-// counterpart of the paper's w(c) and a(c)·MTTR terms — lives in Ledger.
+// metric vocabulary without import cycles.
 package metrics
 
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -63,39 +65,10 @@ func (f *atomicFloat) setMax(v float64) {
 	}
 }
 
-// Counter is a monotonically increasing value.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n (n must be >= 0 for meaningful rates; the
-// type does not enforce it).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.v.Store(v) }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta float64) { g.v.Add(delta) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
-
 // Histogram observes a distribution over fixed bucket upper bounds. Observe
 // is lock-free: one atomic add on the bucket, plus CAS updates of the exact
-// sum/min/max. Construct with NewHistogram (or a Registry helper); the zero
-// value is not usable because min/max need sentinel initialization.
+// sum/min/max. Construct with NewHistogram; the zero value is not usable
+// because min/max need sentinel initialization.
 type Histogram struct {
 	bounds []float64 // sorted inclusive upper bounds ("le")
 	counts []atomic.Uint64
@@ -202,87 +175,6 @@ func sameBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// HistogramVec is a histogram family partitioned by label values.
-type HistogramVec struct {
-	bounds []float64
-	labels []string
-
-	mu     sync.RWMutex
-	series map[string]*Histogram
-	keys   map[string][]string
-}
-
-const labelSep = "\x1f"
-
-// NewHistogramVec returns a histogram family keyed by len(labels) values.
-func NewHistogramVec(labels []string, bounds []float64) *HistogramVec {
-	return &HistogramVec{
-		bounds: append([]float64(nil), bounds...),
-		labels: append([]string(nil), labels...),
-		series: make(map[string]*Histogram),
-		keys:   make(map[string][]string),
-	}
-}
-
-// With returns the histogram for the given label values, creating it on first
-// use. The read path is a shared-lock map hit; creation takes the write lock.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key := joinKey(values)
-	v.mu.RLock()
-	h, ok := v.series[key]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.series[key]; ok {
-		return h
-	}
-	h = NewHistogram(v.bounds)
-	v.series[key] = h
-	v.keys[key] = append([]string(nil), values...)
-	return h
-}
-
-// snapshot returns label-sorted samples for every series.
-func (v *HistogramVec) snapshot() []Sample {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Sample, 0, len(keys))
-	for _, k := range keys {
-		hs := v.series[k].Snapshot()
-		out = append(out, Sample{LabelValues: append([]string(nil), v.keys[k]...), Hist: &hs})
-	}
-	v.mu.RUnlock()
-	return out
-}
-
-func joinKey(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	n := len(values) - 1
-	for _, s := range values {
-		n += len(s)
-	}
-	b := make([]byte, 0, n)
-	for i, s := range values {
-		if i > 0 {
-			b = append(b, labelSep...)
-		}
-		b = append(b, s...)
-	}
-	return string(b)
 }
 
 // ExpBuckets returns n exponentially growing upper bounds starting at start

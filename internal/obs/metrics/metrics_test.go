@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
-	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", g.Value())
-	}
-}
-
 func TestHistogramObserveAndSnapshot(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
@@ -105,27 +90,6 @@ func TestHistogramSnapshotMergeEmptySides(t *testing.T) {
 	}
 }
 
-func TestHistogramVecSeriesIdentity(t *testing.T) {
-	v := NewHistogramVec([]string{"runtime", "stage"}, []float64{1})
-	h1 := v.With("pipelined", "scan")
-	h2 := v.With("pipelined", "scan")
-	if h1 != h2 {
-		t.Error("same label values produced distinct series")
-	}
-	if v.With("staged", "scan") == h1 {
-		t.Error("distinct label values share a series")
-	}
-	h1.Observe(0.5)
-	samples := v.snapshot()
-	if len(samples) != 2 {
-		t.Fatalf("series = %d, want 2", len(samples))
-	}
-	// snapshot() must be label-sorted for deterministic output.
-	if samples[0].LabelValues[0] != "pipelined" || samples[1].LabelValues[0] != "staged" {
-		t.Errorf("snapshot not label-sorted: %v then %v", samples[0].LabelValues, samples[1].LabelValues)
-	}
-}
-
 func TestBucketConstructors(t *testing.T) {
 	exp := ExpBuckets(1, 2, 4)
 	for i, want := range []float64{1, 2, 4, 8} {
@@ -141,7 +105,7 @@ func TestBucketConstructors(t *testing.T) {
 
 func TestRegistryDuplicateRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("x_total", "first")
+	value(r, Desc{Name: "x_total", Help: "first", Kind: KindCounter}, new(float64))
 	if err := r.RegisterFunc(Desc{Name: "x_total", Kind: KindCounter}, nil); err == nil {
 		t.Error("duplicate registration did not error")
 	}
@@ -155,11 +119,12 @@ func TestRegistryDuplicateRegistration(t *testing.T) {
 
 func TestRegistrySnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.NewGaugeVec("zzz", "", "", nil)
-	r.NewCounter("aaa_total", "")
-	v := r.NewHistogramVec("hist", "", "seconds", []string{"l"}, []float64{1})
-	v.With("b").Observe(0.1)
-	v.With("a").Observe(0.2)
+	value(r, Desc{Name: "zzz", Kind: KindGauge}, new(float64))
+	value(r, Desc{Name: "aaa_total", Kind: KindCounter}, new(float64))
+	hs := map[string]*Histogram{"b": NewHistogram([]float64{1}), "a": NewHistogram([]float64{1})}
+	histFamily(r, Desc{Name: "hist", Kind: KindHistogram, Unit: "seconds", Labels: []string{"l"}}, hs)
+	hs["b"].Observe(0.1)
+	hs["a"].Observe(0.2)
 
 	snap := r.Snapshot()
 	if snap.Families[0].Name != "aaa_total" || snap.Families[2].Name != "zzz" {
@@ -181,8 +146,11 @@ func TestRegistrySnapshotDeterministicOrder(t *testing.T) {
 // TestConcurrentObserveSnapshotMerge is the race-detector coverage for the
 // histogram hot path: writers hammer Observe while readers snapshot and merge.
 func TestConcurrentObserveSnapshotMerge(t *testing.T) {
-	v := NewHistogramVec([]string{"stage"}, DefaultLatencyBuckets())
-	stages := []string{"scan", "join", "agg"}
+	stages := []*Histogram{
+		NewHistogram(DefaultLatencyBuckets()),
+		NewHistogram(DefaultLatencyBuckets()),
+		NewHistogram(DefaultLatencyBuckets()),
+	}
 	const writers = 8
 	const perWriter = 2000
 
@@ -193,7 +161,7 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				v.With(stages[i%len(stages)]).Observe(float64(i%100) * 1e-5)
+				stages[i%len(stages)].Observe(float64(i%100) * 1e-5)
 			}
 		}(w)
 	}
@@ -208,8 +176,8 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 				return
 			default:
 			}
-			for _, s := range v.snapshot() {
-				acc = acc.Merge(*s.Hist)
+			for _, h := range stages {
+				acc = acc.Merge(h.Snapshot())
 			}
 		}
 	}()
@@ -218,10 +186,32 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 	readers.Wait()
 
 	var total uint64
-	for _, s := range v.snapshot() {
-		total += s.Hist.Count
+	for _, h := range stages {
+		total += h.Snapshot().Count
 	}
 	if total != writers*perWriter {
 		t.Errorf("observations lost under concurrency: %d, want %d", total, writers*perWriter)
 	}
+}
+
+// value registers a single-series family that reads *v.
+func value(r *Registry, d Desc, v *float64) {
+	r.MustRegisterFunc(d, func() []Sample { return []Sample{{Value: *v}} })
+}
+
+// histFamily registers a histogram family with one series per entry of hs,
+// keyed by its one label value (or by "" when the family has no labels).
+func histFamily(r *Registry, d Desc, hs map[string]*Histogram) {
+	r.MustRegisterFunc(d, func() []Sample {
+		var out []Sample
+		for lv, h := range hs {
+			s := h.Snapshot()
+			smp := Sample{Hist: &s}
+			if len(d.Labels) > 0 {
+				smp.LabelValues = []string{lv}
+			}
+			out = append(out, smp)
+		}
+		return out
+	})
 }

@@ -93,13 +93,15 @@ func seriesNamed(series []promSeries, name string) []promSeries {
 
 func TestWritePrometheusParses(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("ftpde_ops_total", "Operations with \"quotes\" and a \\ backslash.")
-	c.Add(42)
-	r.NewGaugeVec("ftpde_depth", "Queue depth.", "", nil).With().Set(-1.5)
-	v := r.NewHistogramVec("ftpde_lat_seconds", "Latency.", "seconds", []string{"stage"}, []float64{0.001, 0.01, 0.1})
-	v.With("scan").Observe(0.0005)
-	v.With("scan").Observe(0.05)
-	v.With(`we"ird`).Observe(0.2)
+	ops, depth := 42.0, -1.5
+	value(r, Desc{Name: "ftpde_ops_total", Help: "Operations with \"quotes\" and a \\ backslash.", Kind: KindCounter}, &ops)
+	value(r, Desc{Name: "ftpde_depth", Help: "Queue depth.", Kind: KindGauge}, &depth)
+	bounds := []float64{0.001, 0.01, 0.1}
+	hs := map[string]*Histogram{"scan": NewHistogram(bounds), `we"ird`: NewHistogram(bounds)}
+	histFamily(r, Desc{Name: "ftpde_lat_seconds", Help: "Latency.", Kind: KindHistogram, Unit: "seconds", Labels: []string{"stage"}}, hs)
+	hs["scan"].Observe(0.0005)
+	hs["scan"].Observe(0.05)
+	hs[`we"ird`].Observe(0.2)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -170,7 +172,8 @@ func TestWritePrometheusParses(t *testing.T) {
 
 func TestWritePrometheusCumulativeBucketValues(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogramVec("h", "x", "", nil, []float64{1, 10}).With()
+	h := NewHistogram([]float64{1, 10})
+	histFamily(r, Desc{Name: "h", Help: "x", Kind: KindHistogram}, map[string]*Histogram{"": h})
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(500)
@@ -192,8 +195,8 @@ func TestWritePrometheusCumulativeBucketValues(t *testing.T) {
 
 func TestDescribeTableListsEveryFamily(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("a_total", "Counts a.")
-	r.NewHistogramVec("b_seconds", "Times b.", "seconds", []string{"x", "y"}, []float64{1})
+	value(r, Desc{Name: "a_total", Help: "Counts a.", Kind: KindCounter}, new(float64))
+	histFamily(r, Desc{Name: "b_seconds", Help: "Times b.", Kind: KindHistogram, Unit: "seconds", Labels: []string{"x", "y"}}, nil)
 	table := DescribeTable(r.Describe())
 	for _, want := range []string{"a_total", "counter", "b_seconds", "histogram", "x,y", "Counts a.", "seconds"} {
 		if !strings.Contains(table, want) {
@@ -208,8 +211,9 @@ func TestDescribeTableListsEveryFamily(t *testing.T) {
 
 func ExampleWritePrometheusSnapshot() {
 	r := NewRegistry()
-	c := r.NewCounter("demo_total", "A demo counter.")
-	c.Add(3)
+	demo := 3.0
+	r.MustRegisterFunc(Desc{Name: "demo_total", Help: "A demo counter.", Kind: KindCounter},
+		func() []Sample { return []Sample{{Value: demo}} })
 	var b strings.Builder
 	WritePrometheusSnapshot(&b, r.Snapshot())
 	fmt.Print(b.String())

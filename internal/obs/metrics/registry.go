@@ -36,16 +36,16 @@ type Sample struct {
 	Hist        *HistogramSnapshot
 }
 
-// family pairs a Desc with its collector. Instrument-backed families close
-// over their instrument; func-backed families read foreign state (an Exec's
-// atomics, a tracer's counters) at collection time.
+// family pairs a Desc with its collector, which reads its owner's record
+// (an Exec's counters and stage table, a tenant, a tracer) at collection
+// time.
 type family struct {
 	desc    Desc
 	collect func() []Sample
 }
 
 // Registry holds metric families and produces deterministic snapshots. All
-// methods are safe for concurrent use; collection never blocks Observe paths.
+// methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -78,22 +78,6 @@ func (r *Registry) MustRegisterFunc(d Desc, collect func() []Sample) {
 	if err := r.RegisterFunc(d, collect); err != nil {
 		panic(err)
 	}
-}
-
-// NewCounter registers and returns a single-series counter family.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.MustRegisterFunc(Desc{Name: name, Help: help, Kind: KindCounter}, func() []Sample {
-		return []Sample{{Value: float64(c.Value())}}
-	})
-	return c
-}
-
-// NewHistogramVec registers and returns a labeled histogram family.
-func (r *Registry) NewHistogramVec(name, help, unit string, labels []string, bounds []float64) *HistogramVec {
-	v := NewHistogramVec(labels, bounds)
-	r.MustRegisterFunc(Desc{Name: name, Help: help, Kind: KindHistogram, Unit: unit, Labels: labels}, v.snapshot)
-	return v
 }
 
 // Describe returns every registered Desc, name-sorted.
@@ -157,6 +141,11 @@ type SeriesSnapshot struct {
 	Value       float64            `json:"value"`
 	Hist        *HistogramSnapshot `json:"histogram,omitempty"`
 }
+
+const labelSep = "\x1f"
+
+// joinKey is a series' sort and lookup key: its label values joined.
+func joinKey(values []string) string { return strings.Join(values, labelSep) }
 
 // Family returns the named family snapshot, or nil.
 func (s RegistrySnapshot) Family(name string) *FamilySnapshot {

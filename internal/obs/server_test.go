@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"ftpde/internal/obs/metrics"
 )
@@ -16,11 +17,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	tr.Record(instant(KindStage, "scan", -1, -1))
 	reg := metrics.NewRegistry()
 	RegisterTraceMetrics(reg, tr)
-	c := reg.NewCounter("ftpde_test_rows_total", "Rows for the endpoint test.")
-	c.Add(7)
-	h := reg.NewHistogramVec("ftpde_test_wall_seconds", "Wall time.", "seconds",
-		[]string{"stage"}, []float64{0.001, 0.1})
-	h.With("scan").Observe(0.01)
+	reg.MustRegisterFunc(metrics.Desc{Name: "ftpde_test_rows_total", Help: "Rows for the endpoint test.", Kind: metrics.KindCounter},
+		func() []metrics.Sample { return []metrics.Sample{{Value: 7}} })
 	srv, err := StartDebug("127.0.0.1:0", tr, func() any {
 		return map[string]int{"rows": 7}
 	}, reg, nil)
@@ -93,13 +91,12 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 	if tr.Dropped() == 0 {
 		t.Fatal("tracer ring did not overflow; test setup is wrong")
 	}
-	reg := metrics.NewRegistry()
+	m := &Exec{}
+	m.Observe(span(KindStage, "scan", 2*time.Millisecond))
+	m.Observe(span(KindStage, "join", 4*time.Millisecond))
+	reg := m.Registry()
 	RegisterTraceMetrics(reg, tr)
 	RegisterTraceMetrics(reg, tr) // idempotent: second call must not panic
-	h := reg.NewHistogramVec("ftpde_stage_wall_seconds", "Stage wall time.", "seconds",
-		[]string{"runtime", "stage"}, metrics.DefaultLatencyBuckets())
-	h.With("pipelined", "scan").Observe(0.002)
-	h.With("staged", "scan").Observe(0.004)
 
 	srv, err := StartDebug("127.0.0.1:0", tr, nil, reg, nil)
 	if err != nil {

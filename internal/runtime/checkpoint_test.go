@@ -421,30 +421,35 @@ func TestCheckpointWriter(t *testing.T) {
 	}
 }
 
-// failingStore is a row-only engine.Store (no PutGroup) whose Put fails for
-// one partition; the others land in the MatStore behind it. The one
-// checkpointed operator's groups reach the row adapter one at a time, so the
-// counts need no lock of their own.
+// failingStore is a MatStore that refuses one partition: PutGroup lands a
+// group's partitions one at a time and fails when it reaches the bad one, so
+// the partitions before it have landed. The one checkpointed operator's
+// groups arrive one at a time, so the counts need no lock of their own.
 type failingStore struct {
-	engine.Store
+	*engine.MatStore
 	bad            partKey
 	err            error
 	landed, failed int
 }
 
-func (s *failingStore) Put(op string, part int, rows []engine.Row, parts int) error {
-	if (partKey{op, part}) == s.bad {
-		s.failed++
-		return s.err
+func (s *failingStore) PutGroup(op string, parts int, group []engine.PartBlock) error {
+	for _, b := range group {
+		if (partKey{op, b.Part}) == s.bad {
+			s.failed++
+			return s.err
+		}
+		if err := s.MatStore.PutGroup(op, parts, []engine.PartBlock{b}); err != nil {
+			return err
+		}
+		s.landed++
 	}
-	s.landed++
-	return s.Store.Put(op, part, rows, parts)
+	return nil
 }
 
 // TestStoreErrorFailsTheQuery: a checkpoint the store refuses is the query's
 // error — no result is reported on top of it — whichever barrier meets it
 // first, and no partition of the refused group is counted as a checkpoint,
-// whatever part of it the row adapter had put before the refusal.
+// whatever part of it had landed before the refusal.
 func TestStoreErrorFailsTheQuery(t *testing.T) {
 	errDisk := errors.New("disk full")
 	for _, arm := range []struct {
@@ -462,7 +467,7 @@ func TestStoreErrorFailsTheQuery(t *testing.T) {
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			root := testPipeline(t, 4, true)
-			store := &failingStore{Store: engine.NewMatStore(), bad: partKey{"join", 2}, err: errDisk}
+			store := &failingStore{MatStore: engine.NewMatStore(), bad: partKey{"join", 2}, err: errDisk}
 			inj := engine.NewScriptedFailures()
 			if arm.kill {
 				inj.Add("join", 2, 0).Add("join", 3, 0)

@@ -9,7 +9,7 @@
 // operators back to back (the way the cost model prices a collapsed group),
 // so an intermediate join output exists one slice at a time. Materialization
 // points are blocking barriers whose output is checkpointed asynchronously to
-// an engine.Store by a dedicated writer. Failures are injected live — a
+// an engine.EncodedStore by a dedicated writer. Failures are injected live — a
 // worker dies mid-stream, at a kill point that is a position in that loop —
 // and a recovery manager either re-runs only the affected partitions from the
 // last materialized inputs (schemes.FineGrained) or restarts the whole query
@@ -57,9 +57,9 @@ type Config struct {
 	Recovery schemes.Recovery
 	// MaxRestarts bounds coarse recovery (0 = 100, as in the paper).
 	MaxRestarts int
-	// Store is the fault-tolerant checkpoint medium; nil allocates a fresh
-	// in-memory MatStore.
-	Store engine.Store
+	// Store is the fault-tolerant checkpoint medium, spoken to in blocks
+	// only; nil allocates a fresh in-memory MatStore.
+	Store engine.EncodedStore
 	// Metrics folds the execution's events into counters, histograms, the
 	// per-stage table and the wasted-work ledger; nil allocates a private
 	// set.
@@ -82,9 +82,6 @@ var sharedArena = engine.NewArena()
 // Runtime executes operator DAGs with the pipelined concurrent runtime.
 type Runtime struct {
 	cfg Config
-	// store is cfg.Store as the runtime talks to it: in blocks only. A store
-	// that holds rows only sits behind engine's row adapter.
-	store engine.EncodedStore
 }
 
 // New validates the configuration and fills defaults.
@@ -117,7 +114,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Arena = sharedArena
 	}
 	engine.RegisterArenaMetrics(cfg.Metrics.Registry(), cfg.Arena)
-	return &Runtime{cfg: cfg, store: engine.AsEncodedStore(cfg.Store)}, nil
+	return &Runtime{cfg: cfg}, nil
 }
 
 // Metrics returns the runtime's counter set.
@@ -134,7 +131,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	ev := &events{metrics: r.cfg.Metrics, progress: r.cfg.Progress, tracer: r.cfg.Tracer}
 	report := &ev.report
 	attempts := newAttempts()
-	writer := newCheckpointWriter(r.store, ev)
+	writer := newCheckpointWriter(r.cfg.Store, ev)
 	defer writer.close()
 
 	start := time.Now()
@@ -150,7 +147,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 			attempts: attempts,
 			events:   ev,
 			writer:   writer,
-			store:    r.store,
+			store:    r.cfg.Store,
 			pool:     r.cfg.Pool,
 			results:  make(map[*stage]*engine.BatchResult, len(plan.stages)),
 			done:     make(map[*stage][]bool, len(plan.stages)),

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"ftpde/internal/obs/metrics"
 )
 
 // RejectCode classifies a load-shed decision.
@@ -71,14 +73,23 @@ func (b *tokenBucket) take(now time.Time) (bool, time.Duration) {
 	return false, wait
 }
 
-// tenantState tracks one tenant's quota bucket and in-flight count.
+// tenantState is a tenant's one record: its quota bucket and in-flight
+// count, and every total the tenant-labelled ftserve_* families and Stats
+// read. mu guards all of it, and a reader copies the record under mu, so
+// every copy has Admitted >= Completed + Failed.
 type tenantState struct {
-	name string
-
 	mu       sync.Mutex
 	bucket   tokenBucket
 	inflight int
 	cap      int // max concurrent queries; <= 0 means unlimited
+	tenantRecord
+}
+
+// tenantRecord is what a tenant has counted.
+type tenantRecord struct {
+	TenantTotals
+	rejected map[RejectCode]int64 // Rejected by reason
+	latency  *metrics.Histogram   // nil until the first completion
 }
 
 // admit claims one slot, checking the concurrency cap before spending a
@@ -88,10 +99,10 @@ func (t *tenantState) admit(now time.Time, busyHint time.Duration) *Reject {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cap > 0 && t.inflight >= t.cap {
-		return &Reject{Code: RejectTenantBusy, Tenant: t.name, RetryAfter: busyHint}
+		return &Reject{Code: RejectTenantBusy, Tenant: t.Tenant, RetryAfter: busyHint}
 	}
 	if ok, wait := t.bucket.take(now); !ok {
-		return &Reject{Code: RejectQuota, Tenant: t.name, RetryAfter: wait}
+		return &Reject{Code: RejectQuota, Tenant: t.Tenant, RetryAfter: wait}
 	}
 	t.inflight++
 	return nil
@@ -104,6 +115,44 @@ func (t *tenantState) release() {
 	t.mu.Unlock()
 }
 
+// reject counts a refusal of one of the tenant's queries and returns it.
+func (t *tenantState) reject(rej *Reject) *Reject {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.rejected == nil {
+		t.rejected = make(map[RejectCode]int64)
+	}
+	t.rejected[rej.Code]++
+	t.Rejected++
+	return rej
+}
+
+// admitted counts a query that passed global admission.
+func (t *tenantState) admitted() {
+	t.mu.Lock()
+	t.Admitted++
+	t.mu.Unlock()
+}
+
+// finished counts the outcome of an admitted query: a failure, or a result
+// with its latency, failures, recovered partitions and wasted seconds.
+func (t *tenantState) finished(resp *Response, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err != nil {
+		t.Failed++
+		return
+	}
+	t.Completed++
+	t.Failures += int64(resp.Failures)
+	t.Recovered += int64(resp.Recovered)
+	t.WastedSeconds += resp.WastedSeconds
+	if t.latency == nil {
+		t.latency = metrics.NewHistogram(metrics.DefaultLatencyBuckets())
+	}
+	t.latency.Observe(resp.ElapsedSeconds)
+}
+
 // tenant returns (creating on first use) the state for a tenant name.
 func (s *Server) tenant(name string) *tenantState {
 	s.tmu.Lock()
@@ -111,12 +160,12 @@ func (s *Server) tenant(name string) *tenantState {
 	t, ok := s.tenants[name]
 	if !ok {
 		t = &tenantState{
-			name: name,
 			bucket: tokenBucket{
 				rate:  s.cfg.TenantRate,
 				burst: s.cfg.TenantBurst,
 			},
-			cap: s.cfg.TenantConcurrency,
+			cap:          s.cfg.TenantConcurrency,
+			tenantRecord: tenantRecord{TenantTotals: TenantTotals{Tenant: name}},
 		}
 		s.tenants[name] = t
 	}

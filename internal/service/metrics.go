@@ -1,75 +1,98 @@
 package service
 
 import (
+	"maps"
+	"sort"
+
 	"ftpde/internal/obs/metrics"
 )
 
-// svcMetrics is the per-tenant labeled metric set of the query service,
-// registered into the obs/metrics registry and served at /metrics.
-type svcMetrics struct {
-	admitted  *metrics.CounterVec   // ftserve_admitted_total{tenant}
-	rejected  *metrics.CounterVec   // ftserve_rejected_total{tenant,reason}
-	completed *metrics.CounterVec   // ftserve_completed_total{tenant}
-	failed    *metrics.CounterVec   // ftserve_failed_total{tenant}
-	failures  *metrics.CounterVec   // ftserve_injected_failures_total{tenant}
-	recovered *metrics.CounterVec   // ftserve_recovered_partitions_total{tenant}
-	latency   *metrics.HistogramVec // ftserve_latency_seconds{tenant}
-	wasted    *metrics.GaugeVec     // ftserve_wasted_seconds_total{tenant}
-
-	bundleErrors *metrics.Counter // ftserve_forensics_errors_total
+// records copies every tenant's record under its lock, name-sorted.
+func (s *Server) records() []tenantRecord {
+	s.tmu.Lock()
+	ts := make([]*tenantState, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		ts = append(ts, t)
+	}
+	s.tmu.Unlock()
+	out := make([]tenantRecord, len(ts))
+	for i, t := range ts {
+		t.mu.Lock()
+		out[i] = t.tenantRecord
+		out[i].rejected = maps.Clone(t.rejected)
+		t.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	return out
 }
 
-// newSvcMetrics registers the service families. Queue depth, in-flight count
-// and pool utilization are func-gauges sampling live server state, so a
-// scrape always sees the current value without a write on the query path.
-func newSvcMetrics(reg *metrics.Registry, s *Server) *svcMetrics {
-	m := &svcMetrics{
-		admitted: reg.NewCounterVec("ftserve_admitted_total",
-			"Queries admitted past global and tenant admission control.", []string{"tenant"}),
-		rejected: reg.NewCounterVec("ftserve_rejected_total",
-			"Queries shed by admission control, by reject reason.", []string{"tenant", "reason"}),
-		completed: reg.NewCounterVec("ftserve_completed_total",
-			"Queries that returned a result.", []string{"tenant"}),
-		failed: reg.NewCounterVec("ftserve_failed_total",
-			"Admitted queries that failed in planning or execution.", []string{"tenant"}),
-		failures: reg.NewCounterVec("ftserve_injected_failures_total",
-			"Injected node failures absorbed while executing a tenant's queries.", []string{"tenant"}),
-		recovered: reg.NewCounterVec("ftserve_recovered_partitions_total",
-			"Partitions recomputed by fine-grained recovery for a tenant.", []string{"tenant"}),
-		latency: reg.NewHistogramVec("ftserve_latency_seconds",
-			"End-to-end latency of completed queries.", "seconds",
-			[]string{"tenant"}, metrics.DefaultLatencyBuckets()),
-		wasted: metrics.NewGaugeVec([]string{"tenant"}),
-		bundleErrors: reg.NewCounter("ftserve_forensics_errors_total",
-			"Forensics bundles that failed to persist (the query error itself is never masked)."),
+// registerMetrics registers the service families, each a collector over
+// live server state: the tenant families read the tenants' records, so a
+// series appears once its tenant has something to count, and queue depth,
+// in-flight count and pool utilization sample the server at scrape time.
+func (s *Server) registerMetrics(reg *metrics.Registry) {
+	perTenant := func(name, help, unit string, value func(r tenantRecord) (float64, bool)) {
+		reg.MustRegisterFunc(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Unit: unit, Labels: []string{"tenant"}},
+			func() []metrics.Sample {
+				var out []metrics.Sample
+				for _, r := range s.records() {
+					if v, ok := value(r); ok {
+						out = append(out, metrics.Sample{LabelValues: []string{r.Tenant}, Value: v})
+					}
+				}
+				return out
+			})
 	}
-	// Wasted seconds accumulate fractional values, which Counter (int64)
-	// cannot hold; a monotone GaugeVec exposed with counter semantics keeps
-	// the Prometheus type honest.
+	perTenant("ftserve_admitted_total", "Queries admitted past global and tenant admission control.", "",
+		func(r tenantRecord) (float64, bool) { return float64(r.Admitted), r.Admitted > 0 })
+	perTenant("ftserve_completed_total", "Queries that returned a result.", "",
+		func(r tenantRecord) (float64, bool) { return float64(r.Completed), r.Completed > 0 })
+	perTenant("ftserve_failed_total", "Admitted queries that failed in planning or execution.", "",
+		func(r tenantRecord) (float64, bool) { return float64(r.Failed), r.Failed > 0 })
+	perTenant("ftserve_injected_failures_total", "Injected node failures absorbed while executing a tenant's queries.", "",
+		func(r tenantRecord) (float64, bool) { return float64(r.Failures), r.Completed > 0 })
+	perTenant("ftserve_recovered_partitions_total", "Partitions recomputed by fine-grained recovery for a tenant.", "",
+		func(r tenantRecord) (float64, bool) { return float64(r.Recovered), r.Completed > 0 })
+	perTenant("ftserve_wasted_seconds_total", "Ledger-attributed recovery seconds wasted on a tenant's queries.", "seconds",
+		func(r tenantRecord) (float64, bool) { return r.WastedSeconds, r.Completed > 0 })
 	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftserve_wasted_seconds_total", Kind: metrics.KindCounter, Unit: "seconds",
-		Help:   "Ledger-attributed recovery seconds wasted on a tenant's queries.",
-		Labels: []string{"tenant"},
-	}, m.wasted.Samples)
-	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftserve_queue_depth", Kind: metrics.KindGauge,
-		Help: "Requests parked waiting for an execution slot.",
+		Name: "ftserve_rejected_total", Kind: metrics.KindCounter, Labels: []string{"tenant", "reason"},
+		Help: "Queries shed by admission control, by reject reason.",
 	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: float64(s.queue.Depth())}}
+		var out []metrics.Sample
+		for _, r := range s.records() {
+			for code, n := range r.rejected {
+				out = append(out, metrics.Sample{LabelValues: []string{r.Tenant, string(code)}, Value: float64(n)})
+			}
+		}
+		return out
 	})
 	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftserve_inflight", Kind: metrics.KindGauge,
-		Help: "Queries currently holding an execution slot.",
+		Name: "ftserve_latency_seconds", Kind: metrics.KindHistogram, Unit: "seconds", Labels: []string{"tenant"},
+		Help: "End-to-end latency of completed queries.",
 	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: float64(len(s.slots))}}
+		var out []metrics.Sample
+		for _, r := range s.records() {
+			if r.latency != nil {
+				h := r.latency.Snapshot()
+				out = append(out, metrics.Sample{LabelValues: []string{r.Tenant}, Hist: &h})
+			}
+		}
+		return out
 	})
-	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftserve_pool_utilization", Kind: metrics.KindGauge,
-		Help: "Shared worker pool utilization: (busy + waiting) / capacity.",
-	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: s.pool.Utilization()}}
-	})
-	return m
+	gauge := func(name string, kind metrics.Kind, help string, value func() float64) {
+		reg.MustRegisterFunc(metrics.Desc{Name: name, Kind: kind, Help: help},
+			func() []metrics.Sample { return []metrics.Sample{{Value: value()}} })
+	}
+	gauge("ftserve_forensics_errors_total", metrics.KindCounter,
+		"Forensics bundles that failed to persist (the query error itself is never masked).",
+		func() float64 { return float64(s.bundleErrors.Load()) })
+	gauge("ftserve_queue_depth", metrics.KindGauge, "Requests parked waiting for an execution slot.",
+		func() float64 { return float64(s.queue.Depth()) })
+	gauge("ftserve_inflight", metrics.KindGauge, "Queries currently holding an execution slot.",
+		func() float64 { return float64(len(s.slots)) })
+	gauge("ftserve_pool_utilization", metrics.KindGauge, "Shared worker pool utilization: (busy + waiting) / capacity.",
+		s.pool.Utilization)
 }
 
 // TenantTotals is one tenant's aggregate accounting, for Stats.
@@ -93,7 +116,8 @@ type Stats struct {
 	Tenants     []TenantTotals `json:"tenants,omitempty"`
 }
 
-// Stats returns the live server snapshot served under /debug/vars.
+// Stats returns the live server snapshot served under /debug/vars: a copy
+// of each tenant's record that has been admitted or shed at least once.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Draining:    s.Draining(),
@@ -101,48 +125,10 @@ func (s *Server) Stats() Stats {
 		InFlight:    len(s.slots),
 		Utilization: s.pool.Utilization(),
 	}
-	totals := map[string]*TenantTotals{}
-	get := func(tenant string) *TenantTotals {
-		t, ok := totals[tenant]
-		if !ok {
-			t = &TenantTotals{Tenant: tenant}
-			totals[tenant] = t
+	for _, r := range s.records() {
+		if r.Admitted > 0 || r.Rejected > 0 {
+			st.Tenants = append(st.Tenants, r.TenantTotals)
 		}
-		return t
 	}
-	for _, smp := range s.met.admitted.Samples() {
-		get(smp.LabelValues[0]).Admitted = int64(smp.Value)
-	}
-	for _, smp := range s.met.rejected.Samples() {
-		get(smp.LabelValues[0]).Rejected += int64(smp.Value)
-	}
-	for _, smp := range s.met.completed.Samples() {
-		get(smp.LabelValues[0]).Completed = int64(smp.Value)
-	}
-	for _, smp := range s.met.failed.Samples() {
-		get(smp.LabelValues[0]).Failed = int64(smp.Value)
-	}
-	for _, smp := range s.met.failures.Samples() {
-		get(smp.LabelValues[0]).Failures = int64(smp.Value)
-	}
-	for _, smp := range s.met.recovered.Samples() {
-		get(smp.LabelValues[0]).Recovered = int64(smp.Value)
-	}
-	for _, smp := range s.met.wasted.Samples() {
-		get(smp.LabelValues[0]).WastedSeconds = smp.Value
-	}
-	for _, t := range totals {
-		st.Tenants = append(st.Tenants, *t)
-	}
-	sortTenants(st.Tenants)
 	return st
-}
-
-// sortTenants orders totals by tenant name for deterministic output.
-func sortTenants(ts []TenantTotals) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Tenant < ts[j-1].Tenant; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestPerTenantMetricsAndWastedAttribution: per-tenant families account
@@ -88,6 +90,82 @@ func TestStatsMultiTenantOrdering(t *testing.T) {
 	for i, want := range []string{"alpha", "mid", "zeta"} {
 		if st.Tenants[i].Tenant != want {
 			t.Fatalf("tenants[%d] = %s, want %s (deterministic order)", i, st.Tenants[i].Tenant, want)
+		}
+	}
+}
+
+// TestStatsSnapshotsAreConsistent: every Stats snapshot copies each
+// tenant's one record whole, so no snapshot shows a query as finished that
+// it does not show as admitted, however the snapshot interleaves with
+// submissions; /metrics is scraped throughout for the race detector. The
+// final totals are what was submitted.
+func TestStatsSnapshotsAreConsistent(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 8, QueueDepth: 32})
+	tenants := []string{"a", "b", "c"}
+	const perTenant, goodEvery = 12, 3 // every third statement does not plan
+	var submitters sync.WaitGroup
+	for _, tenant := range tenants {
+		for g := 0; g < 2; g++ {
+			submitters.Add(1)
+			go func(tenant string, g int) {
+				defer submitters.Done()
+				for i := g; i < perTenant; i += 2 {
+					q := "SELECT n_name FROM nation"
+					if i%goodEvery == 0 {
+						q = "SELECT nope FROM nowhere"
+					}
+					s.Submit(context.Background(), Request{Tenant: tenant, Query: q})
+				}
+			}(tenant, g)
+		}
+	}
+	check := func(st Stats) {
+		for _, tt := range st.Tenants {
+			if tt.Admitted < tt.Completed+tt.Failed {
+				t.Errorf("%s: admitted %d < completed %d + failed %d", tt.Tenant, tt.Admitted, tt.Completed, tt.Failed)
+			}
+		}
+	}
+	done := make(chan struct{})
+	var pollers sync.WaitGroup
+	pollers.Add(2)
+	go func() {
+		defer pollers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				check(s.Stats())
+			}
+		}
+	}()
+	go func() {
+		defer pollers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				var b strings.Builder
+				s.Registry().WritePrometheus(&b)
+			}
+		}
+	}()
+	within(t, 30*time.Second, submitters.Wait)
+	close(done)
+	within(t, 10*time.Second, pollers.Wait)
+
+	st := s.Stats()
+	check(st)
+	if len(st.Tenants) != len(tenants) {
+		t.Fatalf("tenants = %+v, want %v", st.Tenants, tenants)
+	}
+	bad := int64((perTenant + goodEvery - 1) / goodEvery)
+	for _, tt := range st.Tenants {
+		want := TenantTotals{Tenant: tt.Tenant, Admitted: perTenant, Completed: perTenant - bad, Failed: bad}
+		if tt != want {
+			t.Errorf("final totals %+v, want %+v", tt, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ftpde/internal/cost"
@@ -158,7 +159,8 @@ type Server struct {
 	cp   stats.CostParams
 	base cost.Model
 	pool *runtime.Pool
-	met  *svcMetrics
+
+	bundleErrors atomic.Int64 // forensics bundles that failed to persist
 
 	progress  *obs.ProgressRegistry
 	drift     *obs.DriftDetector
@@ -225,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 		s.forensics = w
 		obs.RegisterForensicsMetrics(cfg.Registry, w)
 	}
-	s.met = newSvcMetrics(cfg.Registry, s)
+	s.registerMetrics(cfg.Registry)
 	return s, nil
 }
 
@@ -305,23 +307,20 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		tenantName = "default"
 	}
 
+	tn := s.tenant(tenantName)
 	// Draining check and in-flight registration are one atomic step so
 	// Drain's wg.Wait cannot miss a query admitted concurrently.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		rej := &Reject{Code: RejectDraining, Tenant: tenantName, RetryAfter: s.retryHint()}
-		s.met.rejected.With(tenantName, string(rej.Code)).Inc()
-		return nil, rej
+		return nil, tn.reject(&Reject{Code: RejectDraining, Tenant: tenantName, RetryAfter: s.retryHint()})
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
 	defer s.wg.Done()
 
-	tn := s.tenant(tenantName)
 	if rej := tn.admit(time.Now(), s.retryHint()); rej != nil {
-		s.met.rejected.With(tenantName, string(rej.Code)).Inc()
-		return nil, rej
+		return nil, tn.reject(rej)
 	}
 	defer tn.release()
 
@@ -330,22 +329,16 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	if rej != nil {
-		s.met.rejected.With(tenantName, string(rej.Code)).Inc()
-		return nil, rej
+		return nil, tn.reject(rej)
 	}
 	defer release()
-	s.met.admitted.With(tenantName).Inc()
+	tn.admitted()
 
 	resp, err := s.execute(ctx, req, tenantName)
+	tn.finished(resp, err)
 	if err != nil {
-		s.met.failed.With(tenantName).Inc()
 		return nil, err
 	}
-	s.met.completed.With(tenantName).Inc()
-	s.met.latency.With(tenantName).Observe(resp.ElapsedSeconds)
-	s.met.wasted.With(tenantName).Add(resp.WastedSeconds)
-	s.met.failures.With(tenantName).Add(int64(resp.Failures))
-	s.met.recovered.With(tenantName).Add(int64(resp.Recovered))
 	s.observeLatency(resp.ElapsedSeconds)
 	return resp, nil
 }
@@ -526,7 +519,7 @@ func (s *Server) dumpForensics(req Request, tenant string, prog *obs.Progress,
 		CreatedAt: time.Now(),
 	}
 	if _, err := s.forensics.Write(b); err != nil {
-		s.met.bundleErrors.Add(1)
+		s.bundleErrors.Add(1)
 	}
 }
 
