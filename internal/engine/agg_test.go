@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,14 +18,23 @@ var aggInput = Schema{
 	{Name: "s", Type: TypeString},
 	{Name: "x", Type: TypeFloat},
 	{Name: "m", Type: TypeInt}, // a partial count: ≥ 0
+	{Name: "z", Type: TypeFloat},
+	{Name: "t", Type: TypeString}, // beside s, signatures collide: ("a", "b|") and ("a|b", "")
 }
 
-// aggRow draws one row of aggInput. Keys repeat, and floats are multiples of
-// 1/4 below 2^10, so every sum of them is exact whatever the order.
+// aggOddFloats are the float keys whose signature and bits disagree: two NaN
+// payloads (one group, "NaN|"), and −0 and +0 (two groups, "-0|" and "0|").
+var aggOddFloats = []float64{
+	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), 0, 1.5,
+}
+
+// aggRow draws one row of aggInput. Keys repeat, and floats other than z are
+// multiples of 1/4 below 2^10, so every sum of them is exact whatever the order.
 func aggRow(r *rand.Rand) Row {
 	return Row{
 		int64(r.Intn(5)), float64(r.Intn(16)) / 4, int64(r.Intn(4)),
 		[]string{"", "a", "b|", "a|b"}[r.Intn(4)], float64(r.Intn(4000)) / 4, int64(r.Intn(3)),
+		aggOddFloats[r.Intn(len(aggOddFloats))], []string{"", "a", "b|", "a|b"}[r.Intn(4)],
 	}
 }
 
@@ -81,11 +91,12 @@ func aggOutSchema(groups []int, specs []AggSpec) Schema {
 
 // The typed kernel and the oracle's boxed group table are two implementations
 // of one aggregation: over the same batches they must emit the same rows in
-// the same order, for every kind (the merge kinds included), keys of every
-// type, zero to three group columns, selection vectors and empty input.
+// the same order, bit for bit, for every kind (the merge kinds included), keys
+// of every type (strings whose signatures collide, NaN payloads, signed
+// zeros), zero to three group columns, selection vectors and empty input.
 func TestAggKernelMatchesGroupTable(t *testing.T) {
 	src := NewScan("src", mustTable(t, "src", aggInput, nil, 1, -1), nil, nil)
-	keyCols := []int{0, 1, 3, 4, 5}
+	keyCols := []int{0, 1, 3, 4, 5, 6, 7}
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		var groups []int
@@ -136,7 +147,7 @@ func TestAggKernelMatchesGroupTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
-		if got := fb.ToRows(); !reflect.DeepEqual(got, want) {
+		if got := fb.ToRows(); !sameRowBits(got, want) {
 			t.Errorf("seed %d: groups %v, aggregates %v over %d rows:\n kernel %v\n oracle %v", seed, groups, specs, len(rows), got, want)
 		}
 	}

@@ -268,15 +268,51 @@ func scatterColumn[T any](outs, parts []*Batch, ci int, dest []int32, vals func(
 
 // joinBuild is the build side of a broadcast hash join, shared read-only by
 // every probe partition: the dense concatenation of the build input and a
-// chained hash index over its key column.
+// chained hash index over its key column. An int key is indexed by intHash
+// and probed by int keys with no stored hashes; every other pairing of key
+// types walks chains of hashVectorAt, the row path's hash.
 type joinBuild struct {
-	dense  *Batch   // every build row, in (partition, row) order; nil when empty
-	hashes []uint64 // key hash of each dense row
-	head   []int32  // bucket → first dense row, -1 when empty
-	next   []int32  // dense row → next row of its bucket in insertion order, -1 at the end
-	mask   uint64   // len(head) - 1, a power of two minus one
-	badKey bool     // keyCol is out of range for some build row; nothing is indexed
+	dense  *Batch // every build row, in (partition, row) order; nil when empty
+	keyCol int
+	ints   chainIndex // over an int key by intHash; empty otherwise
+	badKey bool       // keyCol is out of range for some build row; nothing is indexed
+
+	genOnce sync.Once
+	gen     chainIndex // over hashVectorAt, built on first use
+	hashes  []uint64   // hashVectorAt of each dense row, for gen
 }
+
+// chainIndex chains the rows of a dense key column by bucket: head[bucket] is
+// the first row, next[row] the row after it, -1 at the end; every chain is in
+// ascending row order, the row path's in-bucket insertion order.
+type chainIndex struct {
+	head, next []int32
+	shift      uint // a hash's bucket is its top bits: h >> shift
+}
+
+func newChainIndex(n int, hash func(i int) uint64) chainIndex {
+	size, shift := 1, uint(64)
+	for size < n {
+		size, shift = size<<1, shift-1
+	}
+	x := chainIndex{head: make([]int32, size), next: make([]int32, n), shift: shift}
+	for i := range x.head {
+		x.head[i] = -1
+	}
+	// Pushing rows at the bucket head in reverse leaves every chain in
+	// ascending row order.
+	for i := n - 1; i >= 0; i-- {
+		b := hash(i) >> shift
+		x.next[i] = x.head[b]
+		x.head[b] = int32(i)
+	}
+	return x
+}
+
+// intHash is Fibonacci hashing: one multiply, whose top bits (the bucket)
+// depend on every bit of x. It only places rows in the join index and groups
+// in the aggregate's; where a row lives is hashVectorAt's to decide.
+func intHash(x int64) uint64 { return uint64(x) * 0x9e3779b97f4a7c15 }
 
 func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
 	for _, b := range parts {
@@ -284,34 +320,27 @@ func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
 			return &joinBuild{badKey: true}
 		}
 	}
-	dense := concatParts(schema, parts)
-	if dense == nil {
-		return &joinBuild{}
-	}
-	nb := dense.Len()
-	size := 1
-	for size < nb {
-		size <<= 1
-	}
-	jb := &joinBuild{
-		dense:  dense,
-		hashes: make([]uint64, nb),
-		head:   make([]int32, size),
-		next:   make([]int32, nb),
-		mask:   uint64(size - 1),
-	}
-	for i := range jb.head {
-		jb.head[i] = -1
-	}
-	// Pushing rows at the bucket head in reverse leaves every chain in
-	// ascending row order — the row path's in-bucket insertion order.
-	for i := nb - 1; i >= 0; i-- {
-		h := hashVectorAt(&dense.Cols[keyCol], i)
-		jb.hashes[i] = h
-		jb.next[i] = jb.head[h&jb.mask]
-		jb.head[h&jb.mask] = int32(i)
+	jb := &joinBuild{dense: concatParts(schema, parts), keyCol: keyCol}
+	if jb.dense != nil && jb.dense.Cols[keyCol].Type == TypeInt {
+		keys := jb.dense.Cols[keyCol].Ints
+		jb.ints = newChainIndex(len(keys), func(i int) uint64 { return intHash(keys[i]) })
 	}
 	return jb
+}
+
+// generic returns the index of the build key under hashVectorAt and each
+// row's hash, building them on first use: for a non-int key, or an int key
+// probed by a non-int one.
+func (jb *joinBuild) generic() (*chainIndex, []uint64) {
+	jb.genOnce.Do(func() {
+		key := &jb.dense.Cols[jb.keyCol]
+		jb.hashes = make([]uint64, jb.dense.Len())
+		for i := range jb.hashes {
+			jb.hashes[i] = hashVectorAt(key, i)
+		}
+		jb.gen = newChainIndex(len(jb.hashes), func(i int) uint64 { return jb.hashes[i] })
+	})
+	return &jb.gen, jb.hashes
 }
 
 // ComputeBatch implements BatchOperator: the vectorized broadcast hash join
@@ -353,11 +382,12 @@ func (k *joinKernel) Flush() (*Batch, error) { return nil, nil }
 // scans the probe rows emitting a matching (probe position, build position)
 // selection pair, and a single column-wise gather materializes the output
 // vectors — the project columns of probe ++ build and no others, rows in probe
-// order with in-bucket build order, byte-identical to the row loop. Rows
-// sharing a bucket but not a hash are skipped; equal hashes are resolved with
-// the same typed comparison (and error wording) as compareValues. The
-// selections and the output come from loc (plain allocations when nil); the
-// probe batch is only read.
+// order with in-bucket build order, byte-identical to the row loop. Int keys
+// on both sides match when equal. Every other pairing walks the row path's
+// hash chains: rows sharing a bucket but not a hash are skipped, and equal
+// hashes are resolved with the same typed comparison (and error wording) as
+// compareValues. The selections and the output come from loc (plain
+// allocations when nil); the probe batch is only read.
 func (j *HashJoin) probe(build *BatchResult, probeB *Batch, loc *Local) (*Batch, error) {
 	np := probeB.Len()
 	if np == 0 {
@@ -381,25 +411,37 @@ func (j *HashJoin) probe(build *BatchResult, probeB *Batch, loc *Local) (*Batch,
 	probeKeyVec := &probeB.Cols[j.probeKey]
 	probeSel := loc.sel(np)[:0]
 	buildSel := loc.sel(np)[:0]
-	for i := 0; i < np; i++ {
-		p := i
-		if probeB.Sel != nil {
-			p = int(probeB.Sel[i])
+	if buildKeyVec.Type == TypeInt && probeKeyVec.Type == TypeInt {
+		keys, idx := buildKeyVec.Ints, &jb.ints
+		for i := 0; i < np; i++ {
+			p := at(probeB.Sel, i)
+			k := probeKeyVec.Ints[p]
+			for bi := idx.head[intHash(k)>>idx.shift]; bi >= 0; bi = idx.next[bi] {
+				if keys[bi] == k {
+					probeSel = append(probeSel, int32(p))
+					buildSel = append(buildSel, bi)
+				}
+			}
 		}
-		h := hashVectorAt(probeKeyVec, p)
-		for bi := jb.head[h&jb.mask]; bi >= 0; bi = jb.next[bi] {
-			if jb.hashes[bi] != h {
-				continue // bucket neighbour
+	} else {
+		idx, hashes := jb.generic()
+		for i := 0; i < np; i++ {
+			p := at(probeB.Sel, i)
+			h := hashVectorAt(probeKeyVec, p)
+			for bi := idx.head[h>>idx.shift]; bi >= 0; bi = idx.next[bi] {
+				if hashes[bi] != h {
+					continue // bucket neighbour
+				}
+				cmp, err := compareVecVals(probeKeyVec, p, buildKeyVec, int(bi))
+				if err != nil {
+					return nil, err
+				}
+				if cmp != 0 {
+					continue // hash collision
+				}
+				probeSel = append(probeSel, int32(p))
+				buildSel = append(buildSel, bi)
 			}
-			cmp, err := compareVecVals(probeKeyVec, p, buildKeyVec, int(bi))
-			if err != nil {
-				return nil, err
-			}
-			if cmp != 0 {
-				continue // hash collision
-			}
-			probeSel = append(probeSel, int32(p))
-			buildSel = append(buildSel, bi)
 		}
 	}
 	var out *Batch

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 )
 
 // CompiledExpr is an Expr compiled against a fixed input schema into a typed
@@ -352,145 +353,182 @@ func compileArith(a Arith, schema Schema) (*CompiledExpr, error) {
 // CompiledPredicate is a compiled boolean filter: it evaluates the predicate
 // over a batch and returns the physical positions of the rows that pass.
 type CompiledPredicate struct {
-	conjuncts []*CompiledExpr // top-level AND split for progressive narrowing
-	fromAnd   bool            // error wording differs between AND and bare predicates
+	conjuncts []narrowFunc // top-level AND split for progressive narrowing
 }
+
+// narrowFunc is one conjunct of a predicate: it appends to dst, in order, the
+// positions of sel (rows 0..n-1 of b when sel is nil) on which it holds. dst
+// may share sel's array: it writes dst[j] only once it has read sel[j].
+type narrowFunc func(b *Batch, sel, dst []int32, loc *Local) ([]int32, error)
 
 // CompilePredicate compiles a filter expression. Top-level AND conjunctions
 // are evaluated with progressive selection narrowing, so later conjuncts only
-// run over rows the earlier ones kept.
+// run over rows the earlier ones kept. A conjunct comparing a column with a
+// constant narrows the selection directly (cmpNarrow); any other is evaluated
+// to a vector whose non-zero rows pass (truthyNarrow).
 func CompilePredicate(e Expr, schema Schema) (*CompiledPredicate, error) {
-	var exprs []Expr
-	fromAnd := false
+	exprs, fromAnd := []Expr{e}, false
 	if a, ok := e.(And); ok {
-		exprs = a
-		fromAnd = true
-	} else {
-		exprs = []Expr{e}
+		exprs, fromAnd = a, true
 	}
-	p := &CompiledPredicate{conjuncts: make([]*CompiledExpr, len(exprs)), fromAnd: fromAnd}
+	p := &CompiledPredicate{conjuncts: make([]narrowFunc, len(exprs))}
 	for i, sub := range exprs {
 		c, err := Compile(sub, schema)
 		if err != nil {
 			return nil, err
 		}
-		p.conjuncts[i] = c
+		if p.conjuncts[i] = cmpNarrow(sub, schema); p.conjuncts[i] == nil {
+			p.conjuncts[i] = truthyNarrow(c, fromAnd)
+		}
 	}
 	return p, nil
 }
 
-// Filter returns the physical positions of b's logical rows that satisfy the
-// predicate, in order. The result is always an explicit selection (never the
-// nil "all rows" shorthand). Error semantics match the interpreted truthy()
-// loop: non-numeric predicate results and evaluation errors surface only for
-// rows that are actually evaluated.
-func (p *CompiledPredicate) Filter(b *Batch) ([]int32, error) {
-	sel := b.Sel
-	n := selCount(b, sel)
-	if n == 0 {
-		return []int32{}, nil
-	}
-	first := true
-	for _, c := range p.conjuncts {
-		if !first && len(sel) == 0 {
-			break
-		}
-		v, err := c.eval(b, sel, nil)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type == TypeString {
-			if p.fromAnd {
-				return nil, fmt.Errorf("engine: AND over non-numeric string")
-			}
-			return nil, fmt.Errorf("engine: predicate returned non-numeric string")
-		}
-		cnt := selCount(b, sel)
-		var next []int32
-		for i := 0; i < cnt; i++ {
-			if numAt(&v, i) == 0 {
-				continue
-			}
-			if sel != nil {
-				next = append(next, sel[i])
-			} else {
-				next = append(next, int32(i))
-			}
-		}
-		sel = next
-		if sel == nil {
-			sel = []int32{} // non-nil: an empty selection, not "all rows"
-		}
-		first = false
-	}
-	if sel == nil {
-		// No conjuncts at all: every logical row passes.
-		sel = make([]int32, n)
-		for i := range sel {
-			sel[i] = int32(i)
-		}
-	}
-	return sel, nil
-}
-
-// filterInto is Filter with arena-recycled selection buffers: the returned
-// selection is always a fresh buffer owned by loc (never b.Sel, so the caller
-// may mark it pooled and release it independently of the input), and conjunct
-// result vectors are recycled as soon as each narrowing pass consumes them.
-// Selection order and error semantics match Filter exactly.
-func (p *CompiledPredicate) filterInto(b *Batch, loc *Local) ([]int32, error) {
-	sel := b.Sel
-	owned := false // whether sel is a loc-owned buffer we may recycle
-	n := selCount(b, sel)
-	if n == 0 {
-		return loc.sel(0), nil
-	}
-	first := true
-	for _, c := range p.conjuncts {
-		if !first && len(sel) == 0 {
-			break
-		}
+// truthyNarrow keeps the rows on which c evaluates to a non-zero number (NaN
+// included), as the interpreted truthy() does; a string result is an error,
+// worded as an AND's when the predicate is one.
+func truthyNarrow(c *CompiledExpr, fromAnd bool) narrowFunc {
+	return func(b *Batch, sel, dst []int32, loc *Local) ([]int32, error) {
 		v, err := c.eval(b, sel, loc)
 		if err != nil {
 			return nil, err
 		}
 		if c.Type == TypeString {
-			if p.fromAnd {
+			if fromAnd {
 				return nil, fmt.Errorf("engine: AND over non-numeric string")
 			}
 			return nil, fmt.Errorf("engine: predicate returned non-numeric string")
 		}
-		cnt := selCount(b, sel)
-		next := loc.sel(cnt)[:0]
-		for i := 0; i < cnt; i++ {
-			if numAt(&v, i) == 0 {
-				continue
-			}
-			if sel != nil {
-				next = append(next, sel[i])
-			} else {
-				next = append(next, int32(i))
+		for i, n := 0, selCount(b, sel); i < n; i++ {
+			if numAt(&v, i) != 0 {
+				dst = append(dst, int32(at(sel, i)))
 			}
 		}
 		v.Release(loc)
-		if owned {
-			loc.putSel(sel)
-		}
-		sel, owned = next, true
-		first = false
+		return dst, nil
 	}
-	if !owned {
-		// No conjunct ran (or none at all): copy the identity / inherited
-		// selection into an owned buffer so the caller never frees b.Sel.
-		out := loc.sel(n)
-		if sel == nil {
-			for i := range out {
-				out[i] = int32(i)
+}
+
+// cmpNarrow compiles a comparison between a column and a constant (either
+// side) to a loop that reads the column at the selected positions and
+// compares it with the constant converted once: to float64 for numbers, the
+// coercion numAt applies, so ints past 2^53 compare as the interpreted path
+// compares them. It builds neither a constant vector nor a 0/1 vector. It returns nil for any
+// other shape, and for a number compared with a string, which fails on the
+// compiled comparison's own path.
+func cmpNarrow(e Expr, schema Schema) narrowFunc {
+	c, ok := e.(Cmp)
+	if !ok {
+		return nil
+	}
+	col, colLeft := c.L.(Col)
+	k, constRight := c.R.(Const)
+	swapped := false
+	if !colLeft || !constRight {
+		col, colLeft = c.R.(Col)
+		k, constRight = c.L.(Const)
+		if !colLeft || !constRight {
+			return nil
+		}
+		swapped = true
+	}
+	// accept[cmp+1] reports whether the comparison holds when the column
+	// value compares cmp (-1, 0, 1) to the constant; NaN compares 0.
+	var accept [3]bool
+	for cmp := -1; cmp <= 1; cmp++ {
+		accept[cmp+1] = cmpResult(c.Op, cmp) == 1
+	}
+	if swapped {
+		accept[0], accept[2] = accept[2], accept[0]
+	}
+	idx := int(col)
+	var num float64
+	switch v := k.V.(type) {
+	case int64:
+		num = float64(v)
+	case float64:
+		num = v
+	case string:
+		if schema[idx].Type != TypeString {
+			return nil
+		}
+		return func(b *Batch, sel, dst []int32, _ *Local) ([]int32, error) {
+			vals := b.Cols[idx].Strings
+			for i, n := 0, selCount(b, sel); i < n; i++ {
+				p := at(sel, i)
+				if accept[strings.Compare(vals[p], v)+1] {
+					dst = append(dst, int32(p))
+				}
 			}
-		} else {
-			copy(out, sel)
+			return dst, nil
+		}
+	default:
+		return nil
+	}
+	switch schema[idx].Type {
+	case TypeInt:
+		return func(b *Batch, sel, dst []int32, _ *Local) ([]int32, error) {
+			return narrowNum(b.Cols[idx].Ints, num, &accept, sel, dst, selCount(b, sel)), nil
+		}
+	case TypeFloat:
+		return func(b *Batch, sel, dst []int32, _ *Local) ([]int32, error) {
+			return narrowNum(b.Cols[idx].Floats, num, &accept, sel, dst, selCount(b, sel)), nil
+		}
+	}
+	return nil
+}
+
+// narrowNum appends the positions of sel (0..n-1 when nil) whose value,
+// coerced to float64, compares to k as accept allows.
+func narrowNum[T int64 | float64](vals []T, k float64, accept *[3]bool, sel, dst []int32, n int) []int32 {
+	for i := 0; i < n; i++ {
+		p := at(sel, i)
+		x, c := float64(vals[p]), 1
+		if x < k {
+			c = 0
+		} else if x > k {
+			c = 2
+		}
+		if accept[c] {
+			dst = append(dst, int32(p))
+		}
+	}
+	return dst
+}
+
+// Filter returns the physical positions of b's logical rows that satisfy the
+// predicate, in order, in plain allocations: filterInto with no arena.
+func (p *CompiledPredicate) Filter(b *Batch) ([]int32, error) { return p.filterInto(b, nil) }
+
+// filterInto returns the physical positions of b's logical rows that satisfy
+// the predicate, in order, in one fresh selection buffer from loc (a plain
+// allocation when loc is nil): never b.Sel and never the nil "all rows"
+// shorthand, so the caller may mark it pooled and release it independently of
+// the input. Conjuncts after the first narrow the buffer in place, which is
+// safe because a conjunct writes position j of its output only after reading
+// position j of its input. Errors match the interpreted truthy() loop: they
+// surface only for rows that are actually evaluated.
+func (p *CompiledPredicate) filterInto(b *Batch, loc *Local) ([]int32, error) {
+	n := selCount(b, b.Sel)
+	out := loc.sel(n)
+	if n == 0 {
+		return out, nil
+	}
+	if len(p.conjuncts) == 0 {
+		for i := range out {
+			out[i] = int32(at(b.Sel, i))
 		}
 		return out, nil
+	}
+	sel := b.Sel
+	for i, c := range p.conjuncts {
+		if i > 0 && len(sel) == 0 {
+			break
+		}
+		var err error
+		if sel, err = c(b, sel, out[:0], loc); err != nil {
+			return nil, err
+		}
 	}
 	return sel, nil
 }

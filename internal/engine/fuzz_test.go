@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,15 +36,17 @@ func (g *exprGen) schema() Schema {
 	return s
 }
 
-func (g *exprGen) value(t ColType) Value {
+func (g *exprGen) value(t ColType) Value { return valueOf(t, g.byte()) }
+
+func valueOf(t ColType, b byte) Value {
 	switch t {
 	case TypeInt:
-		return int64(g.byte()) - 16 // small ints, including 0 and negatives
+		return int64(b) - 16 // small ints, including 0 and negatives
 	case TypeFloat:
 		// Divide so zero divisors and NaN-free small floats both occur.
-		return float64(int64(g.byte())-8) / 4
+		return float64(int64(b)-8) / 4
 	default:
-		return []string{"", "a", "bb", "Z|"}[g.byte()%4]
+		return []string{"", "a", "bb", "Z|"}[b%4]
 	}
 }
 
@@ -144,6 +147,146 @@ func FuzzCompiledExpr(f *testing.F) {
 			if got := vec.Value(i); !sameValue(got, want[i]) {
 				t.Fatalf("row %d: compiled=%v interpreted=%v\nexpr=%#v rows=%v", i, got, want[i], e, rows)
 			}
+		}
+	})
+}
+
+// predSpecial are the values a predicate case draws for bytes 0xf0 and up,
+// beside exprGen's small ones: the first integers float64 cannot tell apart,
+// the int64 extremes, NaN, both zeros and infinities.
+var predSpecial = map[ColType][]Value{
+	TypeInt:    {int64(1 << 53), int64(1<<53 + 1), int64(math.MaxInt64), int64(math.MinInt64)},
+	TypeFloat:  {float64(1 << 53), math.NaN(), math.Copysign(0, -1), math.Inf(1), float64(1<<53 + 2)},
+	TypeString: {"a|", "", "zz"},
+}
+
+func (g *exprGen) predValue(t ColType) Value {
+	b := g.byte()
+	if vs := predSpecial[t]; b >= 0xf0 {
+		return vs[int(b-0xf0)%len(vs)]
+	}
+	return valueOf(t, b)
+}
+
+// conjunct draws one conjunct: any expression, or a column compared with a
+// constant on either side (the shape a predicate fuses).
+func (g *exprGen) conjunct(s Schema) Expr {
+	kind := g.byte() % 3
+	if kind == 0 {
+		return g.expr(s, 2)
+	}
+	op := CmpOp(g.byte() % 6)
+	col := Col(int(g.byte()) % len(s))
+	k := Const{V: g.predValue(ColType(g.byte() % 3))}
+	if kind == 1 {
+		return Cmp{Op: op, L: col, R: k}
+	}
+	return Cmp{Op: op, L: k, R: col}
+}
+
+// FuzzCompiledPredicate differentially fuzzes compiled filters against the
+// interpreted truthy() loop: on every generated (schema, rows, selection,
+// predicate) case where the predicate compiles, Filter and filterInto under
+// an arena select exactly the rows truthy() keeps, in order, and fail exactly
+// when it does (with one wording between them); a successful filterInto
+// leaves the arena balanced once its selection is released.
+func FuzzCompiledPredicate(f *testing.F) {
+	f.Add([]byte{})
+	// An int column holding 2^53 and 2^53+1 against the float 2^53: EQ, LT, GE.
+	for _, op := range []byte{0, 2, 5} {
+		f.Add([]byte{0, 0, 2, 0xf0, 0xf1, 0, 0, 1, op, 0, 1, 0xf0})
+		f.Add([]byte{0, 0, 2, 0xf0, 0xf1, 0, 0, 2, op, 0, 1, 0xf4})
+	}
+	// A float column holding NaN, 1.5 and -0 against NaN and -0 constants.
+	for _, k := range []byte{0xf1, 0xf2} {
+		for _, op := range []byte{0, 1, 3, 4} {
+			f.Add([]byte{0, 1, 3, 0xf1, 14, 0xf2, 0, 0, 1, op, 0, 1, k})
+		}
+	}
+	// An And of a fused conjunct and an unfused one (a division that fails
+	// on the rows the first one keeps), behind a selection vector.
+	f.Add([]byte{1, 0, 1, 4, 0xf0, 0xf1, 20, 10, 0xf1, 0xf2, 5, 0xf1, 0x80, 0x0d,
+		9, 1, 5, 0, 1, 0xf0, 0, 2, 2, 5, 3, 0, 0, 0, 1, 1, 1, 8})
+	// A string column against a string constant, and against a number.
+	f.Add([]byte{0, 2, 3, 0xf0, 1, 2, 0, 5, 1, 2, 0, 2, 0xf0})
+	f.Add([]byte{0, 2, 3, 0xf0, 1, 2, 0, 9, 2, 0, 0, 2, 1, 1, 0, 0, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &exprGen{data: data}
+		schema := g.schema()
+		rows := make([]Row, int(g.byte())%6)
+		for i := range rows {
+			rows[i] = make(Row, len(schema))
+			for c := range schema {
+				rows[i][c] = g.predValue(schema[c].Type)
+			}
+		}
+		var sel []int32
+		if m := g.byte(); m&0x80 != 0 {
+			mask := g.byte()
+			sel = []int32{}
+			for i := range rows {
+				if mask&(1<<i) != 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+		}
+		var e Expr
+		if kind := g.byte(); kind%4 == 0 {
+			e = g.conjunct(schema)
+		} else {
+			and := make(And, int(kind/4)%4)
+			for i := range and {
+				and[i] = g.conjunct(schema)
+			}
+			e = and
+		}
+
+		// Interpreted reference over the selected rows: first error wins.
+		want := []int32{}
+		var wantErr error
+		for i := range rows {
+			if sel != nil && !slices.Contains(sel, int32(i)) {
+				continue
+			}
+			ok, err := truthy(e, rows[i])
+			if err != nil {
+				wantErr = err
+				break
+			}
+			if ok {
+				want = append(want, int32(i))
+			}
+		}
+
+		cp, err := CompilePredicate(e, schema)
+		if err != nil {
+			return
+		}
+		b, err := RowsToBatch(schema, rows)
+		if err != nil {
+			t.Fatalf("generated rows are not strictly typed: %v", err)
+		}
+		b.Sel = sel
+		got, ferr := cp.Filter(b)
+		arena := NewArena()
+		loc := arena.Local()
+		pooled, perr := cp.filterInto(b, loc)
+		if (ferr == nil) != (perr == nil) || (ferr != nil && ferr.Error() != perr.Error()) {
+			t.Fatalf("Filter error %v, filterInto error %v\npred=%#v rows=%v sel=%v", ferr, perr, e, rows, sel)
+		}
+		if (wantErr == nil) != (ferr == nil) {
+			t.Fatalf("interpreted error %v, compiled error %v\npred=%#v rows=%v sel=%v", wantErr, ferr, e, rows, sel)
+		}
+		if ferr != nil {
+			return
+		}
+		if !slices.Equal(got, want) || !slices.Equal(pooled, want) {
+			t.Fatalf("Filter %v, filterInto %v, interpreted %v\npred=%#v rows=%v sel=%v", got, pooled, want, e, rows, sel)
+		}
+		loc.putSel(pooled)
+		loc.Close()
+		if o := arena.Outstanding(); o != 0 {
+			t.Fatalf("filterInto left %d arena buffers outstanding", o)
 		}
 	})
 }

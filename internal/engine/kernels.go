@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -162,22 +163,32 @@ func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 
 // aggKernel is the typed grouping kernel behind HashAggregate's batch forms,
 // every phase of a two-phase aggregation included (the oracle's groupTable is
-// Compute's alone). It keeps a signature → group map, the key columns and
-// each aggregate's accumulators as typed slices indexed by group, and at Flush
-// sorts the groups by signature — the oracle's output order — and gathers
-// each output column once. No value is boxed.
+// Compute's alone). It finds each row's group through an open-addressing
+// table over the typed key values, keeps the key columns and each aggregate's
+// accumulators as typed slices indexed by group, and at Flush sorts the
+// groups by signature — the oracle's output order — and gathers each output
+// column once. No value is boxed.
+//
+// Group identity is the oracle's: the signature, fmt's "%v|" per key column.
+// Keys the table holds as one (equal ints or strings, floats of equal bits,
+// any two NaNs) share a signature, so only a key the table lacks renders one,
+// and the signature map decides whether it opens a group or joins the group
+// of another key with that signature, as two string keys holding '|' can.
 type aggKernel struct {
 	op    *HashAggregate
 	loc   *Local
-	sig   []byte           // reused per-row signature buffer
+	sig   []byte           // reused signature buffer
 	gids  []int32          // reused: each row's group, for the window at hand
+	slots []int32          // open addressing: group+1, 0 when free
+	shift uint             // a key hash's home slot is its top bits: h >> shift
 	index map[string]int32 // group signature → group
 	sigs  []string         // group → signature
 	keys  []Vector         // per group column: group → key value
 	accs  []aggAcc         // per aggregate: group → state
 }
 
-// aggAcc is one aggregate's state, indexed by group.
+// aggAcc is one aggregate's state, indexed by group; a kind keeps only the
+// slices it reads.
 type aggAcc struct {
 	sums   []float64 // SUM, AVG and its merge
 	counts []int64   // COUNT, AVG and their merges
@@ -261,22 +272,14 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 				k.accs[si].ext.Type = b.Cols[spec.Col].Type
 			}
 		}
+		k.slots, k.shift = make([]int32, 8), 64-3
 	}
 	// A whole partition (the batch form) goes through in windows, so the
 	// per-row group buffer stays one window long.
 	for lo, n := 0, b.Len(); lo < n; lo += DefaultBatchSize {
 		gids := k.gids[:0]
 		for i := lo; i < min(lo+DefaultBatchSize, n); i++ {
-			p := at(b.Sel, i)
-			k.sig = k.sig[:0]
-			for _, g := range a.groupCols {
-				k.sig = appendSigValue(k.sig, &b.Cols[g], p)
-			}
-			gi, ok := k.index[string(k.sig)]
-			if !ok {
-				gi = k.newGroup(b, p)
-			}
-			gids = append(gids, gi)
+			gids = append(gids, k.group(b, at(b.Sel, i)))
 		}
 		k.gids = gids
 		for si, spec := range a.aggs {
@@ -287,6 +290,92 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 	// storage is no longer referenced and can recycle.
 	b.Release(k.loc)
 	return nil, nil
+}
+
+// keyHash folds element p of one key column into h. Floats hash by bits with
+// every NaN alike, strings by FNV-1a (hashString).
+func keyHash(h uint64, v *Vector, p int) uint64 {
+	var x uint64
+	switch v.Type {
+	case TypeInt:
+		x = uint64(v.Ints[p])
+	case TypeFloat:
+		if f := v.Floats[p]; f == f {
+			x = math.Float64bits(f)
+		}
+	default:
+		x = hashString(v.Strings[p])
+	}
+	return intHash(int64(h ^ x))
+}
+
+// group returns the group of row p of b.
+func (k *aggKernel) group(b *Batch, p int) int32 {
+	cols := k.op.groupCols
+	var h uint64
+	for _, g := range cols {
+		h = keyHash(h, &b.Cols[g], p)
+	}
+	mask := len(k.slots) - 1
+probe:
+	for s := int(h >> k.shift); ; s = (s + 1) & mask {
+		gi := k.slots[s] - 1
+		if gi < 0 {
+			return k.newKey(b, p, s)
+		}
+		for ki, g := range cols {
+			if !sameKey(&k.keys[ki], int(gi), &b.Cols[g], p) {
+				continue probe
+			}
+		}
+		return gi
+	}
+}
+
+// sameKey reports whether element i of a and element p of v, vectors of one
+// type, are one key: equal ints or strings, floats of equal bits, or NaNs.
+func sameKey(a *Vector, i int, v *Vector, p int) bool {
+	switch a.Type {
+	case TypeInt:
+		return a.Ints[i] == v.Ints[p]
+	case TypeFloat:
+		x, y := a.Floats[i], v.Floats[p]
+		return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+	default:
+		return a.Strings[i] == v.Strings[p]
+	}
+}
+
+// newKey returns the group of row p of b, whose key the table lacks: the
+// group its signature names, or a new one, entered at free slot s (the table
+// doubles past half full). A key aliasing another group's signature stays
+// out of the table, so its rows render the signature every time.
+func (k *aggKernel) newKey(b *Batch, p, s int) int32 {
+	k.sig = k.sig[:0]
+	for _, g := range k.op.groupCols {
+		k.sig = appendSigValue(k.sig, &b.Cols[g], p)
+	}
+	if gi, ok := k.index[string(k.sig)]; ok {
+		return gi
+	}
+	gi := k.newGroup(b, p)
+	k.slots[s] = gi + 1
+	if 2*len(k.sigs) > len(k.slots) {
+		k.slots, k.shift = make([]int32, 2*len(k.slots)), k.shift-1
+		mask := len(k.slots) - 1
+		for g := range k.sigs {
+			var h uint64
+			for ki := range k.keys {
+				h = keyHash(h, &k.keys[ki], g)
+			}
+			s := int(h >> k.shift)
+			for k.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
+			k.slots[s] = int32(g) + 1
+		}
+	}
+	return gi
 }
 
 // newGroup opens the group of row p, whose signature is in k.sig. MIN and MAX
@@ -301,10 +390,15 @@ func (k *aggKernel) newGroup(b *Batch, p int) int32 {
 	}
 	for si, spec := range k.op.aggs {
 		acc := &k.accs[si]
-		acc.sums = append(acc.sums, 0)
-		acc.counts = append(acc.counts, 0)
-		if spec.Kind == AggMin || spec.Kind == AggMax {
+		switch spec.Kind {
+		case AggMin, AggMax:
 			acc.ext.appendAt(&b.Cols[spec.Col], p)
+			continue
+		case AggSum, AggAvg, aggAvgMerge:
+			acc.sums = append(acc.sums, 0)
+		}
+		if spec.Kind != AggSum {
+			acc.counts = append(acc.counts, 0)
 		}
 	}
 	return gi

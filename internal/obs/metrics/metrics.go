@@ -134,49 +134,6 @@ type HistogramSnapshot struct {
 	Max    float64   `json:"max"`
 }
 
-// Merge adds another snapshot of a histogram with identical bounds into s.
-// Mismatched bounds keep s's shape and fold the other's totals in, so merged
-// aggregates (count/sum/min/max) stay exact even when bucket detail cannot.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Bounds: append([]float64(nil), s.Bounds...),
-		Counts: append([]uint64(nil), s.Counts...),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	if len(o.Counts) == len(s.Counts) && sameBounds(s.Bounds, o.Bounds) {
-		for i, c := range o.Counts {
-			out.Counts[i] += c
-		}
-	} else if len(out.Counts) > 0 {
-		out.Counts[len(out.Counts)-1] += o.Count
-	}
-	switch {
-	case s.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
-	case o.Count == 0:
-		out.Min, out.Max = s.Min, s.Max
-	default:
-		out.Min = math.Min(s.Min, o.Min)
-		out.Max = math.Max(s.Max, o.Max)
-	}
-	return out
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		// Bucket layouts come from shared constructors, so bit equality is
-		// the right test (no arithmetic is involved).
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ExpBuckets returns n exponentially growing upper bounds starting at start
 // and multiplying by factor.
 func ExpBuckets(start, factor float64, n int) []float64 {
