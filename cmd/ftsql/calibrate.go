@@ -3,9 +3,9 @@
 // them — it draws one failure.Trace at the injected per-node MTBF (model
 // seconds), executes TPC-H-shaped queries end to end on that trace's clock
 // with the kills the simulator schedules from it (so a run replays), fits
-// the trace and the per-operator audit rows with stats/calibrate, and
-// re-plans with the calibrated model to show how the materialization choice
-// moves.
+// the trace and every run's spans with the drift detector ftserve runs
+// online, and re-plans with the calibrated model to show how the
+// materialization choice moves.
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"ftpde/internal/cost"
@@ -24,7 +25,6 @@ import (
 	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
 	"ftpde/internal/stats"
-	"ftpde/internal/stats/calibrate"
 	"ftpde/internal/tpch"
 )
 
@@ -81,19 +81,16 @@ type queryDelta struct {
 }
 
 type calibrateResult struct {
-	Injected  float64                `json:"injected_mtbf"`
-	Estimate  calibrate.MTBFEstimate `json:"mtbf_estimate"`
-	MTTR      float64                `json:"mttr"`
-	MTTRCount int                    `json:"mttr_samples"`
-	TRFactor  float64                `json:"tr_factor"`
-	TMFactor  float64                `json:"tm_factor"`
-	Model     cost.Model             `json:"model"`
-	Params    stats.CostParams       `json:"params"`
-	Failures  int                    `json:"failures"`
-	Wasted    float64                `json:"wasted_seconds"`
-	Queries   []queryDelta           `json:"queries"`
-
-	summary string
+	Injected float64            `json:"injected_mtbf"`
+	Estimate stats.MTBFEstimate `json:"mtbf_estimate"`
+	TRFactor float64            `json:"tr_factor"`
+	TMFactor float64            `json:"tm_factor"`
+	Model    cost.Model         `json:"model"`
+	Params   stats.CostParams   `json:"params"`
+	Failures int                `json:"failures"`
+	Wasted   float64            `json:"wasted_seconds"`
+	Queries  []queryDelta       `json:"queries"`
+	Drift    obs.DriftSnapshot  `json:"drift"`
 }
 
 // runCalibrate executes the calibration loop and returns everything the
@@ -117,7 +114,6 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: o.Nodes}
 	base := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: o.Nodes}
 
-	est := calibrate.New(o.Nodes)
 	spec := failure.Spec{Nodes: o.Nodes, MTBF: o.MTBF}
 	trace := failure.NewTrace(spec, o.Window, o.Seed)
 	// The trace is the cluster failure log — what a production system reads
@@ -127,7 +123,13 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 	for _, times := range trace.PerNode {
 		log = append(log, times...)
 	}
-	est.ObserveArrivals(log)
+	// Every sample is one log arrival or one recorded span, and a run
+	// records at most obs.DefaultCapacity spans: this window forgets none.
+	det := obs.NewDriftDetector(obs.DriftConfig{
+		Nodes: o.Nodes, ModelMTBF: base.MTBF, ModelMTTR: base.MTTR,
+		Window: len(log) + o.Runs*len(calibrateQueries)*obs.DefaultCapacity,
+	})
+	det.ObserveArrivals(log)
 	clock := 0.0 // model time at which the next execution starts
 
 	out := &calibrateResult{Injected: o.MTBF}
@@ -164,38 +166,18 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 			out.Failures += rep.Failures
 			out.Wasted += em.Ledger().Snapshot().WastedSeconds()
 
-			spans := tracer.Snapshot()
-			report := obs.BuildAudit(audit.Pred, spans, tracer.Dropped())
-			for _, row := range report.Rows {
-				// tr is calibrated against failure-free work: total task wall
-				// minus the attempts a failure destroyed.
-				obsTR := (row.Obs.TaskWall - row.Obs.WastedWall).Seconds()
-				predTM, obsTM := 0.0, 0.0
-				if row.Pred.Materialize {
-					predTM = row.Pred.TM
-					// Observed tm(c) is the wall time of the actual
-					// checkpoint writes — compressed FTCB blocks — so the
-					// tm factor folds the compression ratio into WritePerRow
-					// and re-planning prices materialization at its real
-					// (smaller) cost.
-					obsTM = row.Obs.CheckpointWall.Seconds()
-				}
-				est.ObserveOp(row.Pred.TR, obsTR, predTM, obsTM)
-			}
-			for _, sp := range spans {
-				if sp.Kind == obs.KindRecovery {
-					est.ObserveRepair(sp.Duration().Seconds())
-				}
-			}
+			// Failure spans carry wall-clock times, the log model seconds:
+			// the MTBF fit is the log's alone.
+			spans := slices.DeleteFunc(tracer.Snapshot(), func(sp obs.Span) bool { return sp.Kind == obs.KindFailure })
+			det.ObserveQuery(audit.Pred, spans)
 		}
 	}
 
-	out.Estimate = est.MTBF()
-	out.MTTR, out.MTTRCount = est.MTTR()
-	out.TRFactor, out.TMFactor = est.Factors()
-	out.Model = est.Model(base)
-	out.Params = est.Params(cp)
-	out.summary = est.Summary()
+	out.Drift = det.Snapshot()
+	out.Estimate = out.Drift.MTBF
+	out.TRFactor = out.Drift.Term(obs.DriftTR).Estimate
+	out.TMFactor = out.Drift.Term(obs.DriftTM).Estimate
+	out.Model, out.Params = calibrated(out.Drift, base, cp)
 
 	// Re-plan every query under the prior and the calibrated model and report
 	// how the materialization choice moved.
@@ -229,6 +211,24 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 	return out, nil
 }
 
+// calibrated replaces the prior's failure terms by every estimate samples
+// back and scales its per-row constants by the fitted factors. Unlike
+// ftserve's CorrectedModel/CorrectedParams, no term waits for a drift flag:
+// calibration reports what it measured. The tm factor is fitted against the
+// actual checkpoint writes (compressed blocks), so re-planning prices
+// materialization at its real cost.
+func calibrated(s obs.DriftSnapshot, m cost.Model, cp stats.CostParams) (cost.Model, stats.CostParams) {
+	if s.MTBF.Valid() {
+		m.MTBF = s.MTBF.PerNode
+	}
+	if t := s.Term(obs.DriftMTTR); t.Samples > 0 && t.Estimate > 0 {
+		m.MTTR = t.Estimate
+	}
+	cp.CPUPerRow *= s.Term(obs.DriftTR).Estimate
+	cp.WritePerRow *= s.Term(obs.DriftTM).Estimate
+	return m, cp
+}
+
 func tableNames(stmt *sql.SelectStmt) []string {
 	names := make([]string, 0, len(stmt.From))
 	for _, tr := range stmt.From {
@@ -242,7 +242,9 @@ func (r *calibrateResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "calibration over %d failures observed (%.4gs wasted, injected per-node MTBF %.4g model s):\n",
 		r.Failures, r.Wasted, r.Injected)
-	fmt.Fprintf(&b, "%s\n\n", r.summary)
+	mttr, tr, tm := r.Drift.Term(obs.DriftMTTR), r.Drift.Term(obs.DriftTR), r.Drift.Term(obs.DriftTM)
+	fmt.Fprintf(&b, "MTBF per node: %s\nMTTR: %.4gs (%d recovery windows)\ntr factor: %.4g (%d ops), tm factor: %.4g (%d ops)\n\n",
+		r.Estimate, mttr.Estimate, mttr.Samples, tr.Estimate, tr.Samples, tm.Estimate, tm.Samples)
 	model, _ := json.Marshal(r.Model)
 	params, _ := json.Marshal(r.Params)
 	fmt.Fprintf(&b, "calibrated cost.Model:  %s\n", model)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"ftpde/internal/cost"
 	"ftpde/internal/obs/metrics"
 	"ftpde/internal/stats"
-	"ftpde/internal/stats/calibrate"
 )
 
 // Drift terms: the four cost-model inputs the online detector tracks. They
@@ -31,85 +31,90 @@ type DriftConfig struct {
 	// estimates are compared against.
 	ModelMTBF float64
 	ModelMTTR float64
-	// Window bounds the rolling sample rings (default 64).
+	// Window bounds each rolling sample ring (default 64). A window that
+	// holds every sample fed makes the fit the offline one.
 	Window int
-	// Threshold is the |relative error| above which a term counts as
-	// drifting for one query (default 0.5: model off by more than 50%).
-	Threshold float64
-	// K is how many consecutive contributing queries must exceed Threshold
-	// before the term is flagged (default 3).
-	K int
-	// Alpha is the EWMA smoothing factor for the tr/tm correction factors
-	// (default 0.25).
-	Alpha float64
 }
 
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Nodes < 1 {
-		c.Nodes = 1
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.5
-	}
-	if c.K <= 0 {
-		c.K = 3
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	return c
+const (
+	// driftThreshold is the |relative error| above which a term counts as
+	// drifting for one query: the model off by more than 50%.
+	driftThreshold = 0.5
+	// driftK is how many consecutive contributing queries must exceed
+	// driftThreshold before the term is flagged.
+	driftK = 3
+)
+
+// ring is a FIFO of at most max samples that overwrites the oldest once
+// full. It grows by appending, so a window sized to cover every sample
+// costs only the samples fed. Fits read buf in storage order.
+type ring[T any] struct {
+	buf  []T
+	next int // the slot the next push overwrites once buf is full
+	max  int
 }
 
-// sampleRing is a bounded FIFO of float64 samples.
-type sampleRing struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newSampleRing(n int) *sampleRing { return &sampleRing{buf: make([]float64, n)} }
-
-func (r *sampleRing) push(v float64) {
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, v)
+		return
+	}
 	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
+	r.next = (r.next + 1) % r.max
+}
+
+// fitPair is one collapsed operator's predicted and observed seconds.
+type fitPair struct{ pred, obs float64 }
+
+// slope is the least-squares slope through the origin of observed against
+// predicted (Σ pred·obs / Σ pred²): the multiplier that makes the model's
+// per-operator forecasts best fit what execution measured. Without a pair
+// it is 1.
+func slope(pairs []fitPair) float64 {
+	var num, den float64
+	for _, p := range pairs {
+		num += p.pred * p.obs
+		den += p.pred * p.pred
 	}
-}
-
-func (r *sampleRing) samples() []float64 {
-	if r.full {
-		out := make([]float64, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		return append(out, r.buf[:r.next]...)
+	if den <= 0 || num <= 0 {
+		return 1
 	}
-	return append([]float64(nil), r.buf[:r.next]...)
+	return num / den
 }
 
-// termState tracks one cost-model term's drift.
-type termState struct {
-	model    float64 // the model's assumed value (factor terms assume 1)
-	estimate float64 // rolling estimate
-	relErr   float64 // (model - estimate) / estimate, audit convention
-	samples  int     // total samples ever ingested
-	consec   int     // consecutive contributing queries over threshold
-	flagged  bool
+func mean(samples []float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	var total float64
+	for _, v := range samples {
+		total += v
+	}
+	return total / float64(len(samples))
 }
 
-// DriftDetector is the online half of the calibration loop: it ingests each
-// finished query's span slice (KindFailure arrival times, KindRecovery
+// The detector keeps its terms in this order, sorted by name, which is the
+// order snapshots and metrics show them in.
+const (
+	termMTBF = iota
+	termMTTR
+	termTM
+	termTR
+)
+
+// DriftDetector is the one estimator of the cost model's inputs. It ingests
+// each finished query's span slice (KindFailure arrival times, KindRecovery
 // durations, task/checkpoint walls joined against the plan-time prediction)
-// and maintains rolling estimates of MTBF, MTTR and the tr/tm correction
-// factors using the same math as the offline calibrator
-// (calibrate.FitMTBF, slope-through-origin factors smoothed by EWMA).
+// and fits, over rings bounded by Window: MTBF by exponential MLE
+// (stats.FitMTBF), MTTR as the mean repair, and tr/tm correction factors as
+// least-squares slopes through the origin of the (predicted, observed)
+// pairs. ftserve runs it online; ftsql -calibrate runs it with a window that
+// covers every run.
 //
 // A term is *flagged* once its |relative error| against the model exceeds
-// Threshold for K consecutive contributing queries — the signal that planning
-// should switch to CorrectedModel/CorrectedParams. All methods are safe for
-// concurrent use and tolerate a nil receiver.
+// driftThreshold for driftK consecutive contributing queries — the signal
+// that planning should switch to CorrectedModel/CorrectedParams. All methods
+// are safe for concurrent use and tolerate a nil receiver.
 //
 // Determinism: the detector reads only span timestamps, never the wall
 // clock, so replaying a recorded span log reproduces its state exactly.
@@ -117,39 +122,40 @@ type DriftDetector struct {
 	mu  sync.Mutex
 	cfg DriftConfig
 
-	interarrivals *sampleRing
-	repairs       *sampleRing
-	lastFailure   time.Time
+	interarrivals, repairs ring[float64] // seconds
+	tr, tm                 ring[fitPair]
+	lastFailure            time.Time
 
-	trEWMA, tmEWMA float64 // observed/predicted correction factors
-
-	terms   map[string]*termState
+	terms   [4]TermDrift
 	queries int
 }
 
 // NewDriftDetector returns a detector for the given configuration.
 func NewDriftDetector(cfg DriftConfig) *DriftDetector {
-	cfg = cfg.withDefaults()
+	cfg.Nodes = max(cfg.Nodes, 1)
+	if cfg.Window <= 0 {
+		cfg.Window = 64
+	}
 	return &DriftDetector{
 		cfg:           cfg,
-		interarrivals: newSampleRing(cfg.Window),
-		repairs:       newSampleRing(cfg.Window),
-		trEWMA:        1,
-		tmEWMA:        1,
-		terms: map[string]*termState{
-			DriftTR:   {model: 1, estimate: 1},
-			DriftTM:   {model: 1, estimate: 1},
-			DriftMTBF: {model: cfg.ModelMTBF},
-			DriftMTTR: {model: cfg.ModelMTTR},
+		interarrivals: ring[float64]{max: cfg.Window},
+		repairs:       ring[float64]{max: cfg.Window},
+		tr:            ring[fitPair]{max: cfg.Window},
+		tm:            ring[fitPair]{max: cfg.Window},
+		terms: [...]TermDrift{
+			termMTBF: {Term: DriftMTBF, Model: cfg.ModelMTBF},
+			termMTTR: {Term: DriftMTTR, Model: cfg.ModelMTTR},
+			termTM:   {Term: DriftTM, Model: 1, Estimate: 1},
+			termTR:   {Term: DriftTR, Model: 1, Estimate: 1},
 		},
 	}
 }
 
 // ObserveQuery ingests one finished query: the plan-time prediction and the
 // query's span slice. Failure spans extend the rolling inter-arrival window
-// (the detector remembers the previous failure's timestamp across queries),
-// recovery spans the repair window, and task/checkpoint spans update the
-// EWMA tr/tm factors through the same prediction join the audit uses.
+// (the detector remembers the latest failure's timestamp across queries),
+// recovery spans the repair window, and task/checkpoint spans the tr/tm
+// pairs through the same prediction join the audit uses.
 func (d *DriftDetector) ObserveQuery(pred Prediction, spans []Span) {
 	if d == nil {
 		return
@@ -173,109 +179,86 @@ func (d *DriftDetector) ObserveQuery(pred Prediction, spans []Span) {
 	}
 	sort.Slice(failures, func(i, j int) bool { return failures[i].Before(failures[j]) })
 	for _, ts := range failures {
-		if !d.lastFailure.IsZero() {
-			if dt := ts.Sub(d.lastFailure).Seconds(); dt >= 0 {
-				d.interarrivals.push(dt)
-				nMTBF++
-			}
+		switch {
+		case d.lastFailure.IsZero():
+		case ts.Before(d.lastFailure):
+			// Concurrent queries finish out of failure order: this
+			// failure lies inside a gap already counted, so it is dropped.
+			continue
+		default:
+			d.interarrivals.push(ts.Sub(d.lastFailure).Seconds())
+			nMTBF++
 		}
 		d.lastFailure = ts
 	}
 
-	// tr/tm: pair predictions with observations exactly as the offline
-	// calibrator does — failure-free task wall against tr(c), checkpoint
-	// write wall against tm(c) — then fold each query's slope into the EWMA.
+	// tr is fitted against failure-free work (task wall minus the attempts
+	// a failure destroyed), tm against the checkpoint writes' wall.
 	if len(pred.Ops) > 0 {
-		rep := BuildAudit(pred, spans, 0)
-		var trPred, trObs, tmPred, tmObs []float64
-		for _, row := range rep.Rows {
-			obsTR := (row.Obs.TaskWall - row.Obs.WastedWall).Seconds()
-			if row.Pred.TR > 0 && obsTR > 0 {
-				trPred = append(trPred, row.Pred.TR)
-				trObs = append(trObs, obsTR)
+		for _, row := range BuildAudit(pred, spans, 0).Rows {
+			if p, o := row.Pred.TR, (row.Obs.TaskWall - row.Obs.WastedWall).Seconds(); p > 0 && o > 0 {
+				d.tr.push(fitPair{p, o})
+				nTR++
 			}
-			obsTM := row.Obs.CheckpointWall.Seconds()
-			if row.Pred.TM > 0 && obsTM > 0 {
-				tmPred = append(tmPred, row.Pred.TM)
-				tmObs = append(tmObs, obsTM)
+			if p, o := row.Pred.TM, row.Obs.CheckpointWall.Seconds(); p > 0 && o > 0 {
+				d.tm.push(fitPair{p, o})
+				nTM++
 			}
-		}
-		if f, ok := querySlope(trPred, trObs); ok {
-			d.trEWMA += d.cfg.Alpha * (f - d.trEWMA)
-			nTR = len(trPred)
-		}
-		if f, ok := querySlope(tmPred, tmObs); ok {
-			d.tmEWMA += d.cfg.Alpha * (f - d.tmEWMA)
-			nTM = len(tmPred)
 		}
 	}
 
-	d.updateTerm(DriftMTBF, nMTBF, d.mtbfLocked())
-	d.updateTerm(DriftMTTR, nMTTR, d.mttrLocked())
-	d.updateTerm(DriftTR, nTR, d.trEWMA)
-	d.updateTerm(DriftTM, nTM, d.tmEWMA)
+	d.updateTerm(termMTBF, nMTBF, d.mtbfLocked())
+	d.updateTerm(termMTTR, nMTTR, mean(d.repairs.buf))
+	d.updateTerm(termTR, nTR, slope(d.tr.buf))
+	d.updateTerm(termTM, nTM, slope(d.tm.buf))
 }
 
-// querySlope is the calibrator's least-squares slope through the origin for
-// one query's pairs; ok is false when the query carried no signal.
-func querySlope(pred, obs []float64) (float64, bool) {
-	var num, den float64
-	for i := range pred {
-		num += pred[i] * obs[i]
-		den += pred[i] * pred[i]
+// ObserveArrivals ingests a failure log: absolute arrival times in seconds,
+// in any order. Its consecutive gaps join the inter-arrival window, and it
+// counts as one contribution to the mtbf term's streak. The log need not
+// share the spans' clock, so it leaves the last failure ObserveQuery
+// measures from alone.
+func (d *DriftDetector) ObserveArrivals(times []float64) {
+	if d == nil || len(times) < 2 {
+		return
 	}
-	if den <= 0 || num <= 0 {
-		return 1, false
+	ts := append([]float64(nil), times...)
+	sort.Float64s(ts)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := 1; i < len(ts); i++ {
+		d.interarrivals.push(ts[i] - ts[i-1])
 	}
-	return num / den, true
+	d.updateTerm(termMTBF, len(ts)-1, d.mtbfLocked())
 }
 
 func (d *DriftDetector) mtbfLocked() float64 {
-	return calibrate.FitMTBF(d.interarrivals.samples(), d.cfg.Nodes).PerNode
-}
-
-func (d *DriftDetector) mttrLocked() float64 {
-	s := d.repairs.samples()
-	if len(s) == 0 {
-		return 0
-	}
-	var total float64
-	for _, v := range s {
-		total += v
-	}
-	return total / float64(len(s))
+	return stats.FitMTBF(d.interarrivals.buf, d.cfg.Nodes).PerNode
 }
 
 // updateTerm folds one query's contribution into a term: queries that carried
 // no samples for the term leave its consecutive-over-threshold streak alone.
-func (d *DriftDetector) updateTerm(term string, newSamples int, estimate float64) {
-	st := d.terms[term]
+func (d *DriftDetector) updateTerm(term, newSamples int, estimate float64) {
+	st := &d.terms[term]
 	if newSamples == 0 {
 		return
 	}
-	st.samples += newSamples
-	st.estimate = estimate
+	st.Samples += newSamples
+	st.Estimate = estimate
 	if estimate > 0 {
-		st.relErr = (st.model - estimate) / estimate
+		st.RelErr = (st.Model - estimate) / estimate
 	} else {
-		st.relErr = 0
+		st.RelErr = 0
 	}
-	if abs(st.relErr) > d.cfg.Threshold {
-		st.consec++
+	if math.Abs(st.RelErr) > driftThreshold {
+		st.Consecutive++
 	} else {
-		st.consec = 0
+		st.Consecutive = 0
 	}
-	st.flagged = st.consec >= d.cfg.K
+	st.Flagged = st.Consecutive >= driftK
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Flagged reports whether the term has exceeded the drift threshold for K
+// Flagged reports whether the term has exceeded driftThreshold for driftK
 // consecutive contributing queries.
 func (d *DriftDetector) Flagged(term string) bool {
 	if d == nil {
@@ -283,8 +266,7 @@ func (d *DriftDetector) Flagged(term string) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.terms[term]
-	return ok && st.flagged
+	return DriftSnapshot{Terms: d.terms[:]}.Term(term).Flagged
 }
 
 // MTBF returns the rolling per-node MTBF estimate in seconds (0 until the
@@ -305,12 +287,12 @@ func (d *DriftDetector) MTTR() float64 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.mttrLocked()
+	return mean(d.repairs.buf)
 }
 
 // CorrectedModel returns base with every *flagged* failure term replaced by
-// its rolling estimate — the online analogue of calibrate.Estimator.Model,
-// but conservative: un-flagged terms keep the operator-supplied values.
+// its rolling estimate. Conservative: un-flagged terms keep the
+// operator-supplied values.
 func (d *DriftDetector) CorrectedModel(base cost.Model) cost.Model {
 	if d == nil {
 		return base
@@ -318,17 +300,17 @@ func (d *DriftDetector) CorrectedModel(base cost.Model) cost.Model {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := base
-	if st := d.terms[DriftMTBF]; st.flagged && st.estimate > 0 {
-		out.MTBF = st.estimate
+	if st := d.terms[termMTBF]; st.Flagged && st.Estimate > 0 {
+		out.MTBF = st.Estimate
 	}
-	if st := d.terms[DriftMTTR]; st.flagged && st.estimate > 0 {
-		out.MTTR = st.estimate
+	if st := d.terms[termMTTR]; st.Flagged && st.Estimate > 0 {
+		out.MTTR = st.Estimate
 	}
 	return out
 }
 
 // CorrectedParams returns base with the per-row constants scaled by flagged
-// correction factors (the online analogue of Estimator.Params).
+// correction factors.
 func (d *DriftDetector) CorrectedParams(base stats.CostParams) stats.CostParams {
 	if d == nil {
 		return base
@@ -336,11 +318,11 @@ func (d *DriftDetector) CorrectedParams(base stats.CostParams) stats.CostParams 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := base
-	if st := d.terms[DriftTR]; st.flagged && st.estimate > 0 {
-		out.CPUPerRow *= st.estimate
+	if st := d.terms[termTR]; st.Flagged && st.Estimate > 0 {
+		out.CPUPerRow *= st.Estimate
 	}
-	if st := d.terms[DriftTM]; st.flagged && st.estimate > 0 {
-		out.WritePerRow *= st.estimate
+	if st := d.terms[termTM]; st.Flagged && st.Estimate > 0 {
+		out.WritePerRow *= st.Estimate
 	}
 	return out
 }
@@ -360,6 +342,18 @@ type TermDrift struct {
 type DriftSnapshot struct {
 	Queries int         `json:"queries"`
 	Terms   []TermDrift `json:"terms"`
+	// MTBF is the fit over the inter-arrival window with its 95% interval.
+	MTBF stats.MTBFEstimate `json:"mtbf_fit"`
+}
+
+// Term returns the named term's state (zero when the snapshot lacks it).
+func (s DriftSnapshot) Term(name string) TermDrift {
+	for _, t := range s.Terms {
+		if t.Term == name {
+			return t
+		}
+	}
+	return TermDrift{}
 }
 
 // Snapshot captures the detector's current state.
@@ -369,16 +363,11 @@ func (d *DriftDetector) Snapshot() DriftSnapshot {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	snap := DriftSnapshot{Queries: d.queries}
-	for term, st := range d.terms {
-		snap.Terms = append(snap.Terms, TermDrift{
-			Term: term, Model: st.model, Estimate: st.estimate,
-			RelErr: st.relErr, Samples: st.samples,
-			Consecutive: st.consec, Flagged: st.flagged,
-		})
+	return DriftSnapshot{
+		Queries: d.queries,
+		Terms:   append([]TermDrift(nil), d.terms[:]...),
+		MTBF:    stats.FitMTBF(d.interarrivals.buf, d.cfg.Nodes).WithInterval(),
 	}
-	sort.Slice(snap.Terms, func(i, j int) bool { return snap.Terms[i].Term < snap.Terms[j].Term })
-	return snap
 }
 
 // String renders the drift state as a small table for CLI/forensics output.
@@ -391,6 +380,9 @@ func (s DriftSnapshot) String() string {
 		fmt.Fprintf(&b, "%-6s %12.4g %12.4g %+8.1f%% %8d %7d %7v\n",
 			t.Term, t.Model, t.Estimate, t.RelErr*100, t.Samples, t.Consecutive, t.Flagged)
 	}
+	if s.MTBF.Valid() {
+		fmt.Fprintf(&b, "MTBF per node: %s\n", s.MTBF)
+	}
 	return b.String()
 }
 
@@ -400,24 +392,16 @@ func (s DriftSnapshot) String() string {
 // exceeded the threshold for K consecutive queries). Idempotent like
 // RegisterTraceMetrics.
 func RegisterDriftMetrics(reg *metrics.Registry, d *DriftDetector) {
-	collect := func(pick func(*termState) float64) func() []metrics.Sample {
+	collect := func(pick func(TermDrift) float64) func() []metrics.Sample {
 		return func() []metrics.Sample {
 			if d == nil {
 				return nil
 			}
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			terms := make([]string, 0, len(d.terms))
-			for t := range d.terms {
-				terms = append(terms, t)
-			}
-			sort.Strings(terms)
-			out := make([]metrics.Sample, 0, len(terms))
-			for _, t := range terms {
-				out = append(out, metrics.Sample{
-					LabelValues: []string{t},
-					Value:       pick(d.terms[t]),
-				})
+			out := make([]metrics.Sample, 0, len(d.terms))
+			for _, t := range d.terms {
+				out = append(out, metrics.Sample{LabelValues: []string{t.Term}, Value: pick(t)})
 			}
 			return out
 		}
@@ -425,12 +409,12 @@ func RegisterDriftMetrics(reg *metrics.Registry, d *DriftDetector) {
 	_ = reg.RegisterFunc(metrics.Desc{
 		Name: "ftpde_cost_drift", Kind: metrics.KindGauge, Labels: []string{"term"},
 		Help: "Signed relative error of the cost model's term against the rolling online estimate.",
-	}, collect(func(st *termState) float64 { return st.relErr }))
+	}, collect(func(t TermDrift) float64 { return t.RelErr }))
 	_ = reg.RegisterFunc(metrics.Desc{
 		Name: "ftpde_cost_drift_flagged", Kind: metrics.KindGauge, Labels: []string{"term"},
 		Help: "1 when the term's drift has exceeded the threshold for K consecutive queries.",
-	}, collect(func(st *termState) float64 {
-		if st.flagged {
+	}, collect(func(t TermDrift) float64 {
+		if t.Flagged {
 			return 1
 		}
 		return 0
