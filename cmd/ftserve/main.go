@@ -49,7 +49,6 @@ func main() {
 		failSpec = flag.String("fail", "", "deterministic injected failures, comma-separated op/partition/attempt triples (overrides -mtbf)")
 		cMTBF    = flag.Float64("model-mtbf", 0, "cost-model per-node MTBF in seconds (default one hour)")
 		cMTTR    = flag.Float64("model-mttr", 0, "cost-model MTTR in seconds (default 1)")
-		noLoad   = flag.Bool("no-load-aware", false, "disable utilization-scaled recovery costing")
 		coarse   = flag.Bool("coarse", false, "force the coarse restart recovery scheme (default fine-grained)")
 		maxRst   = flag.Int("max-restarts", 0, "coarse-restart attempts before a query aborts with a forensics bundle (0 = runtime default)")
 		forDir   = flag.String("forensics-dir", "", "write failure forensics bundles to this directory (empty disables)")
@@ -64,8 +63,7 @@ func main() {
 		TenantRate: *tRate, TenantBurst: *tBurst, TenantConcurrency: *tConc,
 		InjectMTBF: *mtbf, InjectSeed: *mSeed,
 		ModelMTBF: *cMTBF, ModelMTTR: *cMTTR,
-		DisableLoadAware: *noLoad,
-		Coarse:           *coarse, MaxRestarts: *maxRst,
+		Coarse: *coarse, MaxRestarts: *maxRst,
 		ForensicsDir: *forDir, ForensicsMax: *forMax,
 	}
 	if *failSpec != "" {

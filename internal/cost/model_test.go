@@ -210,3 +210,26 @@ func TestCostPathBreakdownAligned(t *testing.T) {
 		}
 	}
 }
+
+func TestClusterAwareModel(t *testing.T) {
+	base := Model{MTBF: 1000, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 10}
+	aware := base
+	aware.ClusterAware = true
+	// Cluster-aware estimates must never be lower: n nodes fail n times as
+	// often.
+	for _, tt := range []float64{1, 50, 200, 1000} {
+		b := base.OperatorCost(tt).Runtime
+		a := aware.OperatorCost(tt).Runtime
+		if a < b-1e-9 {
+			t.Errorf("t=%g: cluster-aware %g < per-node %g", tt, a, b)
+		}
+	}
+	// With one node both agree.
+	one := base
+	one.Nodes = 1
+	oneAware := one
+	oneAware.ClusterAware = true
+	if !ApproxEq(one.OperatorCost(100).Runtime, oneAware.OperatorCost(100).Runtime) {
+		t.Error("single-node cluster-aware should equal per-node")
+	}
+}

@@ -10,12 +10,11 @@ import (
 	"ftpde/internal/plan"
 	"ftpde/internal/schemes"
 	"ftpde/internal/tpch"
-	"ftpde/internal/workload"
 )
 
 // Extras returns experiments beyond the paper's exhibits: ablations of the
-// design choices DESIGN.md calls out, and implementations of the paper's
-// future-work extensions.
+// design choices DESIGN.md calls out, and extensions that probe the cost
+// model's assumptions.
 func Extras() []Runner {
 	return []Runner{
 		{"ablation-wasted", "Ablation: exact Eq.3 wasted-runtime vs the paper's t/2 approximation", AblationWasted},
@@ -23,9 +22,6 @@ func Extras() []Runner {
 		{"ablation-topk", "Ablation: top-k join-order depth vs chosen fault-tolerant plan quality", AblationTopK},
 		{"ablation-memo", "Ablation: rule 3 with plain bestT vs memoized dominant paths (Eq.9)", AblationMemo},
 		{"ext-clusteraware", "Extension: cluster-aware failure rates improve cost-model accuracy", ExtClusterAware},
-		{"ext-checkpoint", "Extension (paper future work): mid-operator state checkpointing", ExtCheckpoint},
-		{"ext-workload", "Extension: total cost of a mixed workload per scheme and cluster", ExtWorkload},
-		{"ext-adaptive", "Extension (paper future work): re-optimization at materialization points under skew", ExtAdaptive},
 		{"ext-weibull", "Extension: sensitivity of the exponential-arrivals assumption (Weibull failures)", ExtWeibull},
 		{"ext-audit", "Extension: live cost-model audit — predicted vs observed spans on the concurrent runtime", ExtAudit},
 	}
@@ -256,116 +252,6 @@ func ExtClusterAware(c Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtCheckpoint evaluates mid-operator state checkpointing (the paper's
-// future-work item) on a long-running operator: estimated and simulated
-// runtime across checkpoint intervals.
-func ExtCheckpoint(c Config) (*Table, error) {
-	c = c.withDefaults()
-	const (
-		opWork = 2 * failure.OneHour // a 2-hour operator
-		cpCost = 30.0                // 30 s to snapshot operator state
-	)
-	spec := failure.Spec{Nodes: c.Nodes, MTBF: failure.OneHour, MTTR: 1}
-	m := cost.DefaultModel(spec)
-	traces := failure.NewTraces(spec, 500*opWork, c.Seed, c.Traces)
-
-	t := &Table{
-		Title:  "Extension: mid-operator checkpointing — 2h operator, MTBF=1 hour, checkpoint cost 30s",
-		Header: []string{"interval", "segments", "estimated (s)", "simulated (s)"},
-		Notes: []string{
-			"without checkpoints the operator outlives the MTBF and retries dominate;",
-			"a sweet-spot interval minimizes lost work + checkpoint overhead (paper Section 7 future work)",
-		},
-	}
-	intervals := []float64{0, opWork / 2, opWork / 4, opWork / 8, opWork / 16, opWork / 64}
-	for _, interval := range intervals {
-		var est float64
-		if interval == 0 {
-			est = m.OperatorCost(opWork).Runtime
-		} else {
-			oc, err := m.CheckpointedCost(opWork, interval, cpCost)
-			if err != nil {
-				return nil, err
-			}
-			est = oc.Runtime
-		}
-		sum := 0.0
-		for _, tr := range traces {
-			cp := cpCost
-			if interval == 0 {
-				cp = 0
-			}
-			rt, err := exec.SimulateCheckpointed(opWork, interval, cp, spec, tr)
-			if err != nil {
-				return nil, err
-			}
-			sum += rt
-		}
-		label := "none"
-		segs := 1
-		if interval > 0 {
-			label = failure.FormatDuration(interval)
-			segs = int(opWork/interval + 0.5)
-		}
-		t.AddRow(label, fmt.Sprintf("%d", segs), fsec(est), fsec(sum/float64(len(traces))))
-	}
-	return t, nil
-}
-
-// ExtAdaptive evaluates dynamic re-optimization at materialization points
-// (the paper's future-work answer to skewed data and hard-to-estimate
-// statistics) on a UDF pipeline whose fourth stage suffers cardinality skew
-// (its true runtime and output size are a multiple of the estimate). Static
-// planning uses the wrong estimates throughout; adaptive re-plans whenever a
-// stage materializes and the next operator's actual cost surfaces; the
-// oracle plans with true statistics upfront.
-//
-// Adaptation helps exactly when a materialization point precedes the skewed
-// operator — information revealed inside a running stage comes too late.
-// That conditional is the experiment's point.
-func ExtAdaptive(c Config) (*Table, error) {
-	c = c.withDefaults()
-	build := func() (*plan.Plan, plan.OpID) {
-		p := plan.New()
-		scan := p.Add(plan.Operator{Name: "scan", Kind: plan.KindScan, RunCost: 20, MatCost: 100, Bound: true})
-		a := p.Add(plan.Operator{Name: "udf-a", Kind: plan.KindMapUDF, RunCost: 100, MatCost: 10})
-		b := p.Add(plan.Operator{Name: "udf-b", Kind: plan.KindMapUDF, RunCost: 100, MatCost: 10})
-		cc := p.Add(plan.Operator{Name: "udf-c (skewed)", Kind: plan.KindMapUDF, RunCost: 100, MatCost: 10})
-		agg := p.Add(plan.Operator{Name: "agg", Kind: plan.KindAggregate, RunCost: 20, MatCost: 1, Bound: true})
-		p.MustConnect(scan, a)
-		p.MustConnect(a, b)
-		p.MustConnect(b, cc)
-		p.MustConnect(cc, agg)
-		return p, cc
-	}
-	p, skewedOp := build()
-	const mtbf = 300.0
-	spec := failure.Spec{Nodes: c.Nodes, MTBF: mtbf, MTTR: 1}
-	opt := exec.Options{Cluster: spec, Model: cost.DefaultModel(spec)}
-	t := &Table{
-		Title:  "Extension: adaptive re-optimization under skew — UDF pipeline, MTBF=300s (mean runtime, s)",
-		Header: []string{"skew factor on udf-c", "static (misestimated)", "adaptive", "oracle (true stats)"},
-		Notes: []string{
-			"adaptive re-optimizes the remaining free operators at every materialization point once actual costs surface;",
-			"it recovers the oracle's plan here because a checkpoint precedes the skewed operator — skew discovered",
-			"inside a running stage would surface too late, which is why the paper pairs this with operator-state checkpointing",
-		},
-	}
-	for _, factor := range []float64{1, 5, 15, 40} {
-		traces := failure.NewTraces(spec, 2e4*factor, c.Seed, c.Traces)
-		var actual map[plan.OpID]float64
-		if factor != 1 {
-			actual = map[plan.OpID]float64{skewedOp: factor}
-		}
-		static, adaptive, oracle, err := exec.AdaptiveComparison(p, opt, traces, actual)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("x%g", factor), fsec(static), fsec(adaptive), fsec(oracle))
-	}
-	return t, nil
-}
-
 // ExtWeibull probes the paper's exponential-arrivals assumption (Section 2.2
 // "as other work, we assume exponential arrival times between failures"):
 // the same query and cost-based plan run against Weibull failure traces with
@@ -412,45 +298,5 @@ func ExtWeibull(c Config) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%g", shape), regimes[shape],
 			fsec(actual), fpct((res.Runtime-actual)/actual*100))
 	}
-	return t, nil
-}
-
-// ExtWorkload evaluates the four schemes over a generated mixed workload on
-// a reliable and a flaky cluster: the motivating scenario, quantified end to
-// end.
-func ExtWorkload(c Config) (*Table, error) {
-	c = c.withDefaults()
-	w, err := workload.GenerateStratified(workload.DefaultMix(), 12, c.Nodes, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Extension: mixed workload (12 queries, baseline %.0fs) — total runtime by scheme",
-			w.TotalBaseline()),
-		Header: []string{"Scheme", "reliable (MTBF=1w) total s", "aborted", "flaky (MTBF=1h) total s", "aborted"},
-		Notes:  []string{"cost-based should match the per-cluster best static scheme; no static scheme wins on both clusters"},
-	}
-	clusters := []failure.Spec{
-		{Nodes: c.Nodes, MTBF: failure.OneWeek, MTTR: 1},
-		{Nodes: c.Nodes, MTBF: failure.OneHour, MTTR: 1},
-	}
-	for _, k := range schemes.All() {
-		row := []string{k.String()}
-		for _, spec := range clusters {
-			res, err := workload.Evaluate(w, k, spec, min(3, c.Traces), c.Seed+7)
-			if err != nil {
-				return nil, err
-			}
-			total := fsec(res.Total)
-			if res.Aborted > 0 {
-				total = ">=" + total // total excludes the unfinishable queries
-			}
-			row = append(row, total, fmt.Sprintf("%d", res.Aborted))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"the flaky-cluster batch queries run for hours against an hourly MTBF: even cost-based pays heavily,",
-		"which is exactly the regime the mid-operator checkpointing extension (ext-checkpoint) addresses")
 	return t, nil
 }

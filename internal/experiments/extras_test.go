@@ -1,20 +1,34 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestExtrasRegistry(t *testing.T) {
 	extras := Extras()
-	if len(extras) != 10 {
-		t.Fatalf("want 10 extras, got %d", len(extras))
+	if len(extras) != 7 {
+		t.Fatalf("want 7 extras, got %d", len(extras))
 	}
-	if len(Everything()) != len(All())+len(extras) {
+	all := Everything()
+	if len(all) != len(All())+len(extras) {
 		t.Error("Everything() should concatenate All and Extras")
 	}
-	if _, err := ByID("ext-checkpoint"); err != nil {
-		t.Error("extras not reachable via ByID")
+	seen := make(map[string]bool, len(all))
+	for _, r := range all {
+		if seen[r.ID] {
+			t.Errorf("experiment ID %q registered twice", r.ID)
+		}
+		seen[r.ID] = true
+		got, err := ByID(r.ID)
+		if err != nil {
+			t.Errorf("ByID(%q): %v", r.ID, err)
+			continue
+		}
+		if got.ID != r.ID || got.Desc != r.Desc || reflect.ValueOf(got.Run).Pointer() != reflect.ValueOf(r.Run).Pointer() {
+			t.Errorf("ByID(%q) returned a different runner: %q", r.ID, got.Desc)
+		}
 	}
 }
 
@@ -68,60 +82,6 @@ func TestAblationMemoShape(t *testing.T) {
 	}
 }
 
-func TestExtCheckpointShape(t *testing.T) {
-	tbl, err := ExtCheckpoint(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	none := cellFloat(t, tbl.Rows[0][3])
-	best := none
-	for _, row := range tbl.Rows[1:] {
-		if v := cellFloat(t, row[3]); v < best {
-			best = v
-		}
-	}
-	if best >= none {
-		t.Errorf("no checkpoint interval beat the un-checkpointed operator: none=%g best=%g", none, best)
-	}
-	// Sweet spot: the most aggressive interval should NOT be the best
-	// (checkpoint overhead kicks in).
-	last := cellFloat(t, tbl.Rows[len(tbl.Rows)-1][3])
-	if last <= best {
-		t.Log("most aggressive interval happened to win; acceptable but unexpected")
-	}
-}
-
-func TestExtAdaptiveShape(t *testing.T) {
-	tbl, err := ExtAdaptive(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tbl.Rows {
-		static := cellFloat(t, row[1])
-		adaptive := cellFloat(t, row[2])
-		oracle := cellFloat(t, row[3])
-		if adaptive > static*1.01+1 {
-			t.Errorf("adaptive worse than static at %s: %v", row[0], row)
-		}
-		if oracle > adaptive*1.01+1 {
-			t.Errorf("oracle worse than adaptive at %s: %v", row[0], row)
-		}
-		if row[0] == "x1" && (static != adaptive || adaptive != oracle) {
-			t.Errorf("no-skew row should coincide: %v", row)
-		}
-	}
-	// Somewhere in the sweep, adaptation must provide a real win.
-	won := false
-	for _, row := range tbl.Rows {
-		if cellFloat(t, row[2]) < cellFloat(t, row[1])*0.95 {
-			won = true
-		}
-	}
-	if !won {
-		t.Error("adaptive never beat static by >5% across the skew sweep")
-	}
-}
-
 func TestExtClusterAwareShape(t *testing.T) {
 	tbl, err := ExtClusterAware(fastConfig())
 	if err != nil {
@@ -157,22 +117,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-func TestExtWorkloadShape(t *testing.T) {
-	tbl, err := ExtWorkload(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("want 4 scheme rows, got %d", len(tbl.Rows))
-	}
-	// Cost-based never aborts.
-	for _, row := range tbl.Rows {
-		if row[0] == "cost-based" && (row[2] != "0" || row[4] != "0") {
-			t.Errorf("cost-based aborted queries: %v", row)
-		}
-	}
 }
 
 func TestExtWeibullShape(t *testing.T) {

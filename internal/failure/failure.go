@@ -9,7 +9,6 @@
 package failure
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -174,11 +173,6 @@ func (s Spec) Validate() error {
 func (s Spec) String() string {
 	return fmt.Sprintf("cluster{n=%d, MTBF=%s, MTTR=%s}", s.Nodes, FormatDuration(s.MTBF), FormatDuration(s.MTTR))
 }
-
-// ErrNeverSucceeds is returned by estimators when the failure probability of
-// an operator is so high that no finite number of attempts reaches the target
-// percentile under floating-point arithmetic.
-var ErrNeverSucceeds = errors.New("failure: operator cannot reach target success probability")
 
 // Common MTBF values used across the paper's experiments, in seconds.
 const (

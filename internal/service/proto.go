@@ -19,11 +19,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 // MaxFrameBytes bounds a single protocol frame; larger frames indicate a
 // corrupt stream (or an abusive client) and kill the connection.
 const MaxFrameBytes = 64 << 20
+
+// frameChunk bounds what ReadFrame allocates before a frame's bytes arrive.
+const frameChunk = 64 << 10
 
 // Request is one query submission.
 type Request struct {
@@ -103,9 +107,20 @@ func ReadFrame(r io.Reader, v any) error {
 	if n > MaxFrameBytes {
 		return fmt.Errorf("service: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	// The header is only the peer's claim: the body grows with the bytes
+	// that arrive (doubling, at most to n), so a header claiming
+	// MaxFrameBytes followed by nothing costs one chunk, not the claim.
+	body := make([]byte, 0, min(int(n), frameChunk))
+	for len(body) < int(n) {
+		body = slices.Grow(body, min(int(n)-len(body), max(len(body), frameChunk)))
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), int(n))])
+		body = body[:len(body)+m]
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("service: decode frame: %w", err)

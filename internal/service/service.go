@@ -64,9 +64,6 @@ type Config struct {
 	// 1e-6 and 1.7e-5, ftsql's constants; PR-5 calibration can refine them).
 	CPUPerRow   float64
 	WritePerRow float64
-	// DisableLoadAware turns off utilization-scaled recovery costing, so
-	// plans price recovery as if the pool were idle regardless of load.
-	DisableLoadAware bool
 
 	// InjectMTBF > 0 runs every query under failures drawn from a
 	// failure.Trace with that per-node MTBF, in model seconds (the planner's
@@ -345,17 +342,13 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 
 // planModel samples pool utilization and returns the cost model queries are
 // planned with: drift-corrected when the online detector has flagged a
-// failure term, then load-aware unless disabled. The correction is the
-// online analogue of re-planning after `ftsql -calibrate`: once the rolling
-// MTBF/MTTR estimates disagree with the configured model for K consecutive
-// queries, new MatConfigs price against observed reality.
+// failure term, then load-aware. The correction is the online analogue of
+// re-planning after `ftsql -calibrate`: once the rolling MTBF/MTTR estimates
+// disagree with the configured model for K consecutive queries, new
+// MatConfigs price against observed reality.
 func (s *Server) planModel() (cost.Model, float64) {
 	util := s.pool.Utilization()
-	m := s.drift.CorrectedModel(s.base)
-	if !s.cfg.DisableLoadAware {
-		m = m.UnderLoad(util)
-	}
-	return m, util
+	return s.drift.CorrectedModel(s.base).UnderLoad(util), util
 }
 
 // stats returns (collecting and caching on first use) table statistics for

@@ -471,24 +471,3 @@ func TestLoadAwareFlip(t *testing.T) {
 	}
 	t.Logf("idle config %s (%d mats) -> saturated config %s (%d mats)", idleCfg, idleMats, hotCfg, hotMats)
 }
-
-// TestLoadAwareDisabled: with DisableLoadAware the same saturation changes
-// nothing.
-func TestLoadAwareDisabled(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, DisableLoadAware: true})
-	m, _ := s.planModel()
-	if m.RecoveryStretch != 0 {
-		t.Fatalf("idle stretch = %g, want 0", m.RecoveryStretch)
-	}
-	if err := s.pool.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer s.pool.Release()
-	m, util := s.planModel()
-	if util == 0 {
-		t.Fatal("utilization not observed")
-	}
-	if m.RecoveryStretch != 0 {
-		t.Fatalf("stretch with load-aware disabled = %g, want 0", m.RecoveryStretch)
-	}
-}

@@ -119,18 +119,6 @@ func (h *Histogram) SelectivityEq(v float64) float64 {
 	return 1 / h.DistinctEst
 }
 
-// SelectivityRange estimates P(lo <= col < hi).
-func (h *Histogram) SelectivityRange(lo, hi float64) float64 {
-	if hi <= lo {
-		return 0
-	}
-	s := h.SelectivityLess(hi) - h.SelectivityLess(lo)
-	if s < 0 {
-		return 0
-	}
-	return s
-}
-
 // Selectivity dispatches on a comparison operator string (the SQL dialect's
 // operators).
 func (h *Histogram) Selectivity(op string, v float64) (float64, error) {

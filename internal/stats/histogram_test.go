@@ -71,9 +71,6 @@ func TestHistogramUniformSelectivities(t *testing.T) {
 			t.Errorf("sel(col %s %g) = %.3f, want ~%.2f", c.op, c.v, got, c.want)
 		}
 	}
-	if s := h.SelectivityRange(20, 40); math.Abs(s-0.2) > 0.02 {
-		t.Errorf("range [20,40) = %.3f, want ~0.2", s)
-	}
 }
 
 func TestHistogramSkewedData(t *testing.T) {

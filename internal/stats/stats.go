@@ -1,8 +1,8 @@
 // Package stats provides the statistics layer the cost-based fault-tolerance
-// optimizer depends on: cardinality estimation primitives, derivation of
-// operator cost estimates tr(o)/tm(o) from cardinalities (paper Section 2.1:
-// "typically these estimates are calculated based on input/output
-// cardinalities of each operator"), and the perturbation helpers used by the
+// optimizer depends on: histogram selectivities, derivation of operator cost
+// estimates tr(o)/tm(o) from cardinalities (paper Section 2.1: "typically
+// these estimates are calculated based on input/output cardinalities of each
+// operator"), the MTBF fit, and the perturbation helpers used by the
 // robustness experiment (paper Table 3).
 package stats
 
@@ -11,24 +11,6 @@ import (
 
 	"ftpde/internal/plan"
 )
-
-// EqJoinSelectivity estimates the selectivity of an equi-join between columns
-// with d1 and d2 distinct values using the textbook 1/max(d1,d2) formula.
-func EqJoinSelectivity(d1, d2 float64) float64 {
-	m := d1
-	if d2 > m {
-		m = d2
-	}
-	if m <= 1 {
-		return 1
-	}
-	return 1 / m
-}
-
-// JoinCardinality estimates |L JOIN R| for the given selectivity.
-func JoinCardinality(left, right, selectivity float64) float64 {
-	return left * right * selectivity
-}
 
 // CostParams converts cardinalities into partition-parallel cost estimates.
 // All costs are "accumulated" per the paper: the wall time the operator

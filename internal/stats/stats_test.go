@@ -8,21 +8,6 @@ import (
 	"ftpde/internal/plan"
 )
 
-func TestEqJoinSelectivity(t *testing.T) {
-	if got := EqJoinSelectivity(100, 50); got != 0.01 {
-		t.Errorf("sel(100,50) = %g, want 0.01", got)
-	}
-	if got := EqJoinSelectivity(0.5, 0.1); got != 1 {
-		t.Errorf("degenerate distinct counts should clamp to 1, got %g", got)
-	}
-}
-
-func TestJoinCardinality(t *testing.T) {
-	if got := JoinCardinality(1000, 500, 0.002); got != 1000 {
-		t.Errorf("card = %g, want 1000", got)
-	}
-}
-
 func TestCostParams(t *testing.T) {
 	c := CostParams{CPUPerRow: 2, WritePerRow: 20, Nodes: 10}
 	if err := c.Validate(); err != nil {
