@@ -3,24 +3,15 @@ package cost
 import "math"
 
 // The expected-runtime formulas multiply long chains of probabilities and
-// exponentials (paper §5), so exact float64 equality is meaningless and
-// math.Exp/math.Log have domain cliffs that silently produce ±Inf/NaN. This
-// file holds the sanctioned alternatives; the costfloat analyzer points every
-// raw ==/!=/Exp/Log in the cost packages here.
+// exponentials (paper §5), so two costs computed along different routes
+// rarely agree to the last bit. ApproxEq is the comparison for such values;
+// a cost recomputed along the same route is compared exactly, since the
+// optimizer's determinism is bit for bit.
 
 // DefaultEpsilon is the tolerance ApproxEq uses: generous enough to absorb
 // accumulated rounding across a plan-sized product of probabilities, tight
 // enough to distinguish genuinely different costs.
 const DefaultEpsilon = 1e-9
-
-// maxExpArg is the largest argument math.Exp can take before overflowing to
-// +Inf (ln(MaxFloat64) ≈ 709.78).
-const maxExpArg = 709.0
-
-// minLogArg floors SafeLog's argument: probabilities and times in the model
-// are nonnegative, and a zero (or negative rounding artifact) would yield
-// -Inf/NaN that then poisons every downstream sum.
-const minLogArg = 1e-300
 
 // ApproxEq reports whether two cost-model values are equal within
 // DefaultEpsilon, absolutely for small magnitudes and relatively for large
@@ -31,7 +22,7 @@ func ApproxEq(a, b float64) bool {
 
 // ApproxEqEps is ApproxEq with an explicit tolerance.
 func ApproxEqEps(a, b, eps float64) bool {
-	//lint:ignore costfloat the epsilon helper is the one sanctioned exact-compare site (fast path for identical values, including ±Inf)
+	// Fast path for identical values, including ±Inf.
 	if a == b {
 		return true
 	}
@@ -40,26 +31,4 @@ func ApproxEqEps(a, b, eps float64) bool {
 		return true
 	}
 	return diff <= eps*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// SafeExp is math.Exp with the argument clamped to the representable domain:
-// huge positive arguments saturate at math.Exp(maxExpArg) instead of +Inf,
-// and huge negative ones underflow cleanly to 0.
-func SafeExp(x float64) float64 {
-	if x > maxExpArg {
-		x = maxExpArg
-	}
-	//lint:ignore costfloat the Safe* wrapper is the one sanctioned raw call site
-	return math.Exp(x)
-}
-
-// SafeLog is math.Log with the argument floored at minLogArg, so nonpositive
-// inputs (zero probabilities, negative rounding artifacts) yield a large
-// negative value instead of -Inf/NaN.
-func SafeLog(x float64) float64 {
-	if x < minLogArg {
-		x = minLogArg
-	}
-	//lint:ignore costfloat the Safe* wrapper is the one sanctioned raw call site
-	return math.Log(x)
 }

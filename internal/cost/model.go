@@ -115,9 +115,9 @@ func (m Model) OperatorCost(t float64) OpCost {
 	return oc
 }
 
-// lnMiss returns ln(1-S), the numerator of a(c) for every t.
+// lnMiss returns ln(1-S), the numerator of a(c) for every t. It must be
+// failure.Attempts's ln(1-S) bit for bit; Validate keeps S in (0,1).
 func (m Model) lnMiss() float64 {
-	//lint:ignore costfloat it must be failure.Attempts's ln(1-S) bit for bit; Validate keeps S in (0,1)
 	return math.Log(1 - m.Percentile)
 }
 
@@ -139,7 +139,13 @@ func (m Model) opCost(t, lnMiss float64) OpCost {
 		mttr *= m.RecoveryStretch
 	}
 	a := failure.AttemptsLn(t, mtbf, lnMiss)
-	return OpCost{Total: t, Wasted: w, Attempts: a, Runtime: t + a*w + a*mttr}
+	// a(c) is +Inf once η rounds to 1: a zero MTTR then adds nothing, not
+	// Inf·0 = NaN, which no dominant-path comparison would ever pick.
+	rt := t + a*w
+	if mttr > 0 {
+		rt += a * mttr
+	}
+	return OpCost{Total: t, Wasted: w, Attempts: a, Runtime: rt}
 }
 
 // PathCost aggregates the cost of one execution path through a collapsed

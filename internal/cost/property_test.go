@@ -1,8 +1,11 @@
 package cost
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"ftpde/internal/failure"
 	"ftpde/internal/plan"
 )
 
@@ -98,4 +101,66 @@ func TestCollapsedPathAtLeastCriticalPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailureMathIsNeverNaN sweeps t from 0 through sub-1e-6 values and
+// geometric steps to 1e6 against MTBFs from 1e-3 to 1e6, under both w(c)
+// formulas, with and without the cluster-aware MTBF, with and without a
+// repair time. w(c), a(c), T(c) (through OperatorCost) and the restart
+// scheme's expected runtime are never NaN, never negative and never fall as
+// t grows; γ stays a probability that never rises. T(c) is finite while
+// t/effMTBF ≤ 36: beyond about 36.7, η = 1 − e^(−t/MTBF) rounds to 1 and a(c)
+// is +Inf by design, so T(c) may be +Inf there but never NaN. The restart
+// E[T] is finite while its exponent n·t/MTBF stays below e^x's overflow.
+func TestFailureMathIsNeverNaN(t *testing.T) {
+	ts := []float64{0, 1e-300, 1e-15, 1e-12, 1e-9, 5e-7}
+	for x := 1e-6; x < 1e6; x *= 1.25 {
+		ts = append(ts, x)
+	}
+	ts = append(ts, 1e6)
+	for _, mtbf := range []float64{1e-3, 1, 3600, 1e6} {
+		for _, mttr := range []float64{0, 1} {
+			for _, exact := range []bool{false, true} {
+				for _, cluster := range []bool{false, true} {
+					m := Model{MTBF: mtbf, MTTR: mttr, Percentile: 0.95, PipeConst: 1, Nodes: 4,
+						ExactWasted: exact, ClusterAware: cluster}
+					if err := sweepFailureMath(m, ts); err != nil {
+						t.Errorf("MTBF=%g MTTR=%g exact=%v cluster=%v: %v", mtbf, mttr, exact, cluster, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepFailureMath returns the first value of m's failure math over the
+// ascending ts that breaks TestFailureMathIsNeverNaN's invariants.
+func sweepFailureMath(m Model, ts []float64) error {
+	names := [4]string{"w(c)", "a(c)", "T(c)", "restart E[T]"}
+	var prev [4]float64
+	prevGamma := 1.0
+	for _, t := range ts {
+		oc := m.OperatorCost(t)
+		restart := failure.ExpectedRestartRuntime(t, m.MTBF, m.MTTR, m.Nodes)
+		for i, v := range [4]float64{oc.Wasted, oc.Attempts, oc.Runtime, restart} {
+			if math.IsNaN(v) || v < 0 {
+				return fmt.Errorf("t=%g: %s = %g", t, names[i], v)
+			}
+			if v < prev[i] {
+				return fmt.Errorf("t=%g: %s fell from %g to %g", t, names[i], prev[i], v)
+			}
+			prev[i] = v
+		}
+		if g := oc.Gamma; math.IsNaN(g) || g < 0 || g > prevGamma {
+			return fmt.Errorf("t=%g: γ = %g after %g", t, g, prevGamma)
+		}
+		prevGamma = oc.Gamma
+		if t/m.effMTBF() <= 36 && math.IsInf(oc.Runtime, 0) {
+			return fmt.Errorf("t=%g: T(c) = %g at t/effMTBF = %g", t, oc.Runtime, t/m.effMTBF())
+		}
+		if t*float64(m.Nodes)/m.MTBF <= 700 && math.IsInf(restart, 0) {
+			return fmt.Errorf("t=%g: restart E[T] = %g", t, restart)
+		}
+	}
+	return nil
 }

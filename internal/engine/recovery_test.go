@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -162,6 +163,62 @@ func TestCoarseRestartAborts(t *testing.T) {
 	}
 	if rep.Restarts != 6 {
 		t.Errorf("restarts = %d, want 6 (MaxRestarts+1)", rep.Restarts)
+	}
+}
+
+// refusingStore is a MatStore whose Put refuses one partition and counts
+// the partitions it did store.
+type refusingStore struct {
+	*MatStore
+	op     string
+	part   int
+	err    error
+	landed int
+}
+
+func (s *refusingStore) Put(op string, part int, rows []Row, parts int) error {
+	if op == s.op && part == s.part {
+		return s.err
+	}
+	s.landed++
+	return s.MatStore.Put(op, part, rows, parts)
+}
+
+// TestCoordinatorStoreErrorFailsTheQuery: a checkpoint the store refuses is
+// the query's error, whichever recovery path commits the partition, and the
+// report counts only the partitions that landed.
+func TestCoordinatorStoreErrorFailsTheQuery(t *testing.T) {
+	errDisk := errors.New("disk full")
+	for _, arm := range []struct {
+		name   string
+		coarse bool
+		kill   bool
+	}{
+		{"clean", false, false},
+		{"fine, kill on the refused partition", false, true},
+		{"coarse, kill on the refused partition", true, true},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			root, co := pipeline(t, 4, true)
+			store := &refusingStore{MatStore: NewMatStore(), op: "join", part: 2, err: errDisk}
+			co.Store, co.Coarse = store, arm.coarse
+			if arm.kill {
+				co.Injector = NewScriptedFailures().Add("join", 2, 0)
+			}
+			res, rep, err := co.Execute(root)
+			if !errors.Is(err, errDisk) {
+				t.Fatalf("Execute error = %v, want one wrapping %v", err, errDisk)
+			}
+			if res != nil {
+				t.Error("a result was returned beside the store error")
+			}
+			if _, ok := store.Get("join", 2); ok {
+				t.Error("the refused partition reads as stored")
+			}
+			if rep.MaterializedPartitions != store.landed {
+				t.Errorf("MaterializedPartitions = %d, want the %d that landed", rep.MaterializedPartitions, store.landed)
+			}
+		})
 	}
 }
 

@@ -33,11 +33,6 @@ const (
 	CauseMTTRWait Cause = "mttr_wait"
 )
 
-// Causes lists every cause, in documentation order.
-func Causes() []Cause {
-	return []Cause{CauseRecompute, CauseRestart, CauseCheckpointStall, CauseMTTRWait}
-}
-
 // resolving reports whether an attribution with this cause settles
 // outstanding failure entries. Recompute and restart windows are the acts of
 // recovery; stalls and MTTR waits are side costs that resolve nothing.

@@ -68,25 +68,6 @@ func TestLedgerPairingInvariant(t *testing.T) {
 	}
 }
 
-func TestLedgerCausesAreClosedSet(t *testing.T) {
-	want := []Cause{CauseRecompute, CauseRestart, CauseCheckpointStall, CauseMTTRWait}
-	got := Causes()
-	if len(got) != len(want) {
-		t.Fatalf("Causes() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Causes()[%d] = %s, want %s", i, got[i], want[i])
-		}
-	}
-	if !CauseRecompute.resolving() || !CauseRestart.resolving() {
-		t.Error("recovery causes must be resolving")
-	}
-	if CauseCheckpointStall.resolving() || CauseMTTRWait.resolving() {
-		t.Error("overhead causes must not be resolving")
-	}
-}
-
 func TestLedgerNegativeClampsToZero(t *testing.T) {
 	var l Ledger
 	l.AttributeSeconds(CauseRecompute, "x", 0, -5)

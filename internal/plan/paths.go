@@ -31,13 +31,3 @@ func (p *Plan) Paths() []Path {
 	}
 	return out
 }
-
-// PathRunCost returns RPt = sum of t(o) over the path — the path runtime
-// without recovery costs.
-func (p *Plan) PathRunCost(pt Path) float64 {
-	s := 0.0
-	for _, id := range pt {
-		s += p.ops[id].TotalCost()
-	}
-	return s
-}

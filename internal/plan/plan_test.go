@@ -228,18 +228,6 @@ func TestTotalCosts(t *testing.T) {
 	}
 }
 
-func TestPathRunCost(t *testing.T) {
-	p := linearPlan(1, 2, 3)
-	paths := p.Paths()
-	if len(paths) != 1 {
-		t.Fatalf("want 1 path, got %d", len(paths))
-	}
-	// No materialization: RPt = 1+2+3.
-	if got := p.PathRunCost(paths[0]); got != 6 {
-		t.Errorf("PathRunCost = %g, want 6", got)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	p := PaperExample()
 	data, err := p.MarshalJSON()
