@@ -106,7 +106,7 @@ func main() {
 		fmt.Printf("(%s regenerated in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
-		if err := obs.WriteChromeTraceFile(*traceOut, tracer); err != nil {
+		if err := obs.WriteChromeTraceSpans(*traceOut, tracer.Epoch(), tracer.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -23,42 +23,11 @@ import (
 	"ftpde/internal/obs"
 	"ftpde/internal/obs/metrics"
 	"ftpde/internal/runtime"
+	"ftpde/internal/service"
 	"ftpde/internal/sql"
 	"ftpde/internal/stats"
 	"ftpde/internal/tpch"
 )
-
-// calibrateQueries are the TPC-H shapes the loop executes: Q1 (scan +
-// aggregate), Q3 (3-way join) and a Q5-like 6-way join — the same spread of
-// plan depths the paper's experiments cover.
-var calibrateQueries = []struct{ name, text string }{
-	{"Q1", `
-		SELECT l_returnflag, l_linestatus,
-		       SUM(l_quantity) AS sum_qty,
-		       SUM(l_extendedprice) AS sum_price,
-		       COUNT(*) AS cnt
-		FROM lineitem
-		WHERE l_shipdate <= 1200
-		GROUP BY l_returnflag, l_linestatus`},
-	{"Q3", `
-		SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue
-		FROM customer
-		JOIN orders ON c_custkey = o_custkey
-		JOIN lineitem ON o_orderkey = l_orderkey
-		WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 1200
-		GROUP BY l_orderkey
-		ORDER BY revenue DESC`},
-	{"Q5", `
-		SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
-		FROM region
-		JOIN nation ON r_regionkey = n_regionkey
-		JOIN supplier ON n_nationkey = s_nationkey
-		JOIN lineitem ON s_suppkey = l_suppkey
-		JOIN orders ON l_orderkey = o_orderkey
-		JOIN customer ON o_custkey = c_custkey
-		GROUP BY n_name
-		ORDER BY revenue DESC`},
-}
 
 type calibrateOptions struct {
 	SF     float64
@@ -110,6 +79,26 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 		return nil, err
 	}
 
+	// The loop executes ftserve's workload: Q1 (scan + aggregate), Q3 (3-way
+	// join) and Q5 (6-way join), the spread of plan depths the paper's
+	// experiments cover. A statement and its tables' statistics are fixed for
+	// the run, so each is parsed and collected once.
+	queries := service.TPCHQueries()
+	stmts := make([]*sql.SelectStmt, len(queries))
+	tstats := make([]map[string]sql.TableStats, len(queries))
+	for i, q := range queries {
+		if stmts[i], err = sql.Parse(q.Text); err != nil {
+			return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
+		}
+		var tables []string
+		for _, tr := range stmts[i].From {
+			tables = append(tables, tr.Table)
+		}
+		if tstats[i], err = sql.CollectStats(cat, tables); err != nil {
+			return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
+		}
+	}
+
 	// The uncalibrated prior: the defaults every other ftsql mode starts from.
 	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: o.Nodes}
 	base := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: o.Nodes}
@@ -127,30 +116,22 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 	// records at most obs.DefaultCapacity spans: this window forgets none.
 	det := obs.NewDriftDetector(obs.DriftConfig{
 		Nodes: o.Nodes, ModelMTBF: base.MTBF, ModelMTTR: base.MTTR,
-		Window: len(log) + o.Runs*len(calibrateQueries)*obs.DefaultCapacity,
+		Window: len(log) + o.Runs*len(queries)*obs.DefaultCapacity,
 	})
 	det.ObserveArrivals(log)
 	clock := 0.0 // model time at which the next execution starts
 
 	out := &calibrateResult{Injected: o.MTBF}
 	for run := 0; run < o.Runs; run++ {
-		for _, q := range calibrateQueries {
-			stmt, err := sql.Parse(q.text)
+		for i, q := range queries {
+			audit, err := sql.BuildAuditPlan(stmts[i], cat, tstats[i], cp, base)
 			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
-			}
-			tstats, err := sql.CollectStats(cat, tableNames(stmt))
-			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
-			}
-			audit, err := sql.BuildAuditPlan(stmt, cat, tstats, cp, base)
-			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
+				return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
 			kills, sim, err := exec.KillSchedule(audit.Opt.Plan, audit.Pred,
 				exec.Options{Cluster: spec, Model: base}, trace.From(clock))
 			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
+				return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
 			clock += sim.Runtime
 			tracer := obs.NewTracer(obs.DefaultCapacity)
@@ -161,7 +142,7 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 			}
 			_, rep, err := r.Execute(context.Background(), audit.Phys.Root)
 			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.name, err)
+				return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
 			out.Failures += rep.Failures
 			out.Wasted += em.Ledger().Snapshot().WastedSeconds()
@@ -181,25 +162,17 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 
 	// Re-plan every query under the prior and the calibrated model and report
 	// how the materialization choice moved.
-	for _, q := range calibrateQueries {
-		stmt, err := sql.Parse(q.text)
+	for i, q := range queries {
+		basePlan, err := sql.FTPlan(stmts[i], cat, tstats[i], cp, base, o.TopK)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("re-plan %s (prior): %w", q.Name, err)
 		}
-		tstats, err := sql.CollectStats(cat, tableNames(stmt))
+		calPlan, err := sql.FTPlan(stmts[i], cat, tstats[i], out.Params, out.Model, o.TopK)
 		if err != nil {
-			return nil, err
-		}
-		basePlan, err := sql.FTPlan(stmt, cat, tstats, cp, base, o.TopK)
-		if err != nil {
-			return nil, fmt.Errorf("re-plan %s (prior): %w", q.name, err)
-		}
-		calPlan, err := sql.FTPlan(stmt, cat, tstats, out.Params, out.Model, o.TopK)
-		if err != nil {
-			return nil, fmt.Errorf("re-plan %s (calibrated): %w", q.name, err)
+			return nil, fmt.Errorf("re-plan %s (calibrated): %w", q.Name, err)
 		}
 		d := queryDelta{
-			Name:        q.name,
+			Name:        q.Name,
 			BaseConfig:  basePlan.Config.String(),
 			CalConfig:   calPlan.Config.String(),
 			BaseRuntime: basePlan.Runtime,
@@ -227,14 +200,6 @@ func calibrated(s obs.DriftSnapshot, m cost.Model, cp stats.CostParams) (cost.Mo
 	cp.CPUPerRow *= s.Term(obs.DriftTR).Estimate
 	cp.WritePerRow *= s.Term(obs.DriftTM).Estimate
 	return m, cp
-}
-
-func tableNames(stmt *sql.SelectStmt) []string {
-	names := make([]string, 0, len(stmt.From))
-	for _, tr := range stmt.From {
-		names = append(names, tr.Table)
-	}
-	return names
 }
 
 // Report renders the calibration outcome for the CLI.

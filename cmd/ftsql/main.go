@@ -230,7 +230,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if werr := obs.WriteChromeTraceFile(*traceOut, tracer); werr != nil {
+		if werr := obs.WriteChromeTraceSpans(*traceOut, tracer.Epoch(), tracer.Snapshot()); werr != nil {
 			fatal(werr)
 		}
 		fmt.Fprintf(os.Stderr, "ftsql: wrote Chrome trace to %s (load in chrome://tracing or Perfetto)\n", *traceOut)

@@ -9,6 +9,7 @@ import (
 
 	"ftpde/internal/cost"
 	"ftpde/internal/obs"
+	"ftpde/internal/service"
 	"ftpde/internal/stats"
 )
 
@@ -40,8 +41,8 @@ func TestCalibrateEstimatesInjectedMTBF(t *testing.T) {
 	if res.Estimate.Lo >= res.Estimate.Hi {
 		t.Errorf("degenerate CI [%g, %g]", res.Estimate.Lo, res.Estimate.Hi)
 	}
-	if len(res.Queries) != len(calibrateQueries) {
-		t.Errorf("re-planned %d queries, want %d", len(res.Queries), len(calibrateQueries))
+	if len(res.Queries) != len(service.TPCHQueries()) {
+		t.Errorf("re-planned %d queries, want %d", len(res.Queries), len(service.TPCHQueries()))
 	}
 	if res.Model.MTBF != res.Estimate.PerNode {
 		t.Errorf("calibrated model MTBF %g != estimate %g", res.Model.MTBF, res.Estimate.PerNode)
@@ -75,7 +76,7 @@ func TestCalibratedModelAndParams(t *testing.T) {
 		{Kind: obs.KindRecovery, Name: "scan", Start: at(3), End: at(5)},                // MTTR 2
 	})
 	snap := d.Snapshot()
-	if snap.Term(obs.DriftMTBF).Flagged || snap.Term(obs.DriftTR).Flagged {
+	if snap.Term("mtbf").Flagged || snap.Term(obs.DriftTR).Flagged {
 		t.Fatal("one query flagged a term; the check below would not show the gate is skipped")
 	}
 

@@ -58,8 +58,8 @@ func TestRulesNeverFlipBoundOperators(t *testing.T) {
 			}
 		}
 		m := cost.Model{MTBF: 20, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 4}
-		ApplyRule1(p, m)
-		ApplyRule2(p, m)
+		applyRule1(p, m)
+		applyRule2(p, m)
 		for id, st := range before {
 			op := p.Op(id)
 			if op.Materialize != st.mat || !op.Bound {

@@ -3,30 +3,7 @@ package core
 import (
 	"ftpde/internal/cost"
 	"ftpde/internal/failure"
-	"ftpde/internal/plan"
 )
-
-// ApplyRule1 runs pruning rule 1 (rule1) on p: it binds the operators the
-// rule selects in p itself and returns how many it bound.
-func ApplyRule1(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule1) }
-
-// ApplyRule2 runs pruning rule 2 (rule2) on p: it binds the operators the
-// rule selects in p itself and returns how many it bound.
-func ApplyRule2(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule2) }
-
-func applyRule(p *plan.Plan, m cost.Model, rule func(*cost.Shape, cost.Model) int) int {
-	s, err := m.Shape(p)
-	if err != nil {
-		return 0
-	}
-	n := rule(s, m)
-	for i, id := range p.OperatorIDs() {
-		if op := p.Op(id); op.Free() && !s.Free(i) {
-			op.Materialize, op.Bound = false, true
-		}
-	}
-	return n
-}
 
 // rule1 implements pruning rule 1 (high materialization costs): a free
 // operator o is bound non-materializable when collapsing it into its

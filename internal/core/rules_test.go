@@ -11,6 +11,27 @@ func model(mtbf float64) cost.Model {
 	return cost.Model{MTBF: mtbf, MTTR: 0, Percentile: 0.95, PipeConst: 1}
 }
 
+// applyRule1 runs pruning rule 1 (rule1) on p: it binds the operators the
+// rule selects in p itself and returns how many it bound.
+func applyRule1(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule1) }
+
+// applyRule2 is applyRule1 for pruning rule 2 (rule2).
+func applyRule2(p *plan.Plan, m cost.Model) int { return applyRule(p, m, rule2) }
+
+func applyRule(p *plan.Plan, m cost.Model, rule func(*cost.Shape, cost.Model) int) int {
+	s, err := m.Shape(p)
+	if err != nil {
+		return 0
+	}
+	n := rule(s, m)
+	for i, id := range p.OperatorIDs() {
+		if op := p.Op(id); !op.Bound && !s.Free(i) {
+			op.Materialize, op.Bound = false, true
+		}
+	}
+	return n
+}
+
 // Figure 5 (left): unary parent, t({o,p}) = 4.2 < t({o}) = 12 -> bind o.
 func TestRule1Unary(t *testing.T) {
 	p := plan.New()
@@ -19,14 +40,14 @@ func TestRule1Unary(t *testing.T) {
 	p.MustConnect(o, pp)
 	m := model(60)
 	m.PipeConst = 0.8
-	bound := ApplyRule1(p, m)
+	bound := applyRule1(p, m)
 	if bound != 1 {
 		t.Fatalf("bound %d operators, want 1", bound)
 	}
-	if p.Op(o).Free() || p.Op(o).Materialize {
+	if !p.Op(o).Bound || p.Op(o).Materialize {
 		t.Error("o should be bound non-materializable")
 	}
-	if !p.Op(pp).Free() {
+	if p.Op(pp).Bound {
 		t.Error("p should remain free")
 	}
 }
@@ -41,10 +62,10 @@ func TestRule1Nary(t *testing.T) {
 	p.MustConnect(o2, pp)
 	m := model(60)
 	m.PipeConst = 0.8
-	if bound := ApplyRule1(p, m); bound != 2 {
+	if bound := applyRule1(p, m); bound != 2 {
 		t.Fatalf("bound %d operators, want 2", bound)
 	}
-	if p.Op(o1).Free() || p.Op(o2).Free() {
+	if !p.Op(o1).Bound || !p.Op(o2).Bound {
 		t.Error("o1 and o2 should be bound")
 	}
 }
@@ -56,7 +77,7 @@ func TestRule1NotAppliedWhenMaterializationCheap(t *testing.T) {
 	o := p.Add(plan.Operator{Name: "o", RunCost: 2, MatCost: 0.1})
 	pp := p.Add(plan.Operator{Name: "p", RunCost: 2, MatCost: 5})
 	p.MustConnect(o, pp)
-	if bound := ApplyRule1(p, model(60)); bound != 0 {
+	if bound := applyRule1(p, model(60)); bound != 0 {
 		t.Fatalf("bound %d operators, want 0", bound)
 	}
 }
@@ -70,7 +91,7 @@ func TestRule1SkipsSharedOutputs(t *testing.T) {
 	c2 := p.Add(plan.Operator{Name: "c2", RunCost: 2, MatCost: 1})
 	p.MustConnect(o, c1)
 	p.MustConnect(o, c2)
-	if bound := ApplyRule1(p, model(60)); bound != 0 {
+	if bound := applyRule1(p, model(60)); bound != 0 {
 		t.Fatalf("bound %d operators, want 0", bound)
 	}
 }
@@ -80,7 +101,7 @@ func TestRule1SkipsBoundChildren(t *testing.T) {
 	o := p.Add(plan.Operator{Name: "o", RunCost: 2, MatCost: 10, Bound: true, Materialize: true})
 	pp := p.Add(plan.Operator{Name: "p", RunCost: 2, MatCost: 1})
 	p.MustConnect(o, pp)
-	if bound := ApplyRule1(p, model(60)); bound != 0 {
+	if bound := applyRule1(p, model(60)); bound != 0 {
 		t.Fatalf("bound %d operators, want 0", bound)
 	}
 	if !p.Op(o).Materialize {
@@ -94,10 +115,10 @@ func TestRule2ShortRunningOperators(t *testing.T) {
 	o := p.Add(plan.Operator{Name: "o", RunCost: 0.5, MatCost: 1})
 	pp := p.Add(plan.Operator{Name: "p", RunCost: 0.2, MatCost: 0.15})
 	p.MustConnect(o, pp)
-	if bound := ApplyRule2(p, model(3600)); bound != 1 {
+	if bound := applyRule2(p, model(3600)); bound != 1 {
 		t.Fatalf("bound %d operators, want 1", bound)
 	}
-	if p.Op(o).Free() {
+	if !p.Op(o).Bound {
 		t.Error("o should be bound")
 	}
 }
@@ -108,7 +129,7 @@ func TestRule2NotAppliedUnderLowMTBF(t *testing.T) {
 	pp := p.Add(plan.Operator{Name: "p", RunCost: 0.2, MatCost: 0.15})
 	p.MustConnect(o, pp)
 	// MTBF = 1: gamma({o,p}) = e^-0.85 ~ 0.43 < 0.95.
-	if bound := ApplyRule2(p, model(1)); bound != 0 {
+	if bound := applyRule2(p, model(1)); bound != 0 {
 		t.Fatalf("bound %d operators, want 0", bound)
 	}
 }
@@ -120,7 +141,7 @@ func TestRule2OnlyUnaryParents(t *testing.T) {
 	pp := p.Add(plan.Operator{Name: "p", RunCost: 0.1, MatCost: 0.1})
 	p.MustConnect(o1, pp)
 	p.MustConnect(o2, pp)
-	if bound := ApplyRule2(p, model(1e9)); bound != 0 {
+	if bound := applyRule2(p, model(1e9)); bound != 0 {
 		t.Fatalf("rule 2 applied to n-ary parent: bound %d", bound)
 	}
 }
@@ -141,8 +162,8 @@ func TestRule2MoreOperatorsBoundAtHigherMTBF(t *testing.T) {
 	}
 	low := build()
 	high := build()
-	nLow := ApplyRule2(low, model(600))
-	nHigh := ApplyRule2(high, model(1e6))
+	nLow := applyRule2(low, model(600))
+	nHigh := applyRule2(high, model(1e6))
 	if nHigh < nLow {
 		t.Errorf("rule 2 bound fewer operators at higher MTBF: %d < %d", nHigh, nLow)
 	}

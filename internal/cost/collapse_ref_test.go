@@ -22,12 +22,9 @@ func refCollapse(p *plan.Plan, m Model) (*Collapsed, error) {
 
 	isRoot := make(map[plan.OpID]bool)
 	for _, op := range p.Operators() {
-		if op.Materialize {
+		if op.Materialize || len(p.Outputs(op.ID)) == 0 {
 			isRoot[op.ID] = true
 		}
-	}
-	for _, s := range p.Sinks() {
-		isRoot[s] = true
 	}
 
 	var roots []plan.OpID

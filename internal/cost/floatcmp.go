@@ -8,20 +8,20 @@ import "math"
 // a cost recomputed along the same route is compared exactly, since the
 // optimizer's determinism is bit for bit.
 
-// DefaultEpsilon is the tolerance ApproxEq uses: generous enough to absorb
+// epsilon is the tolerance ApproxEq uses: generous enough to absorb
 // accumulated rounding across a plan-sized product of probabilities, tight
 // enough to distinguish genuinely different costs.
-const DefaultEpsilon = 1e-9
+const epsilon = 1e-9
 
 // ApproxEq reports whether two cost-model values are equal within
-// DefaultEpsilon, absolutely for small magnitudes and relatively for large
+// epsilon, absolutely for small magnitudes and relatively for large
 // ones.
 func ApproxEq(a, b float64) bool {
-	return ApproxEqEps(a, b, DefaultEpsilon)
+	return approxEqEps(a, b, epsilon)
 }
 
-// ApproxEqEps is ApproxEq with an explicit tolerance.
-func ApproxEqEps(a, b, eps float64) bool {
+// approxEqEps is ApproxEq with an explicit tolerance.
+func approxEqEps(a, b, eps float64) bool {
 	// Fast path for identical values, including ±Inf.
 	if a == b {
 		return true

@@ -19,7 +19,7 @@ func TestLoadStretch(t *testing.T) {
 		{3, 20},    // oversubscribed (waiters beyond capacity): clamped
 	}
 	for _, c := range cases {
-		if got := LoadStretch(c.util); !ApproxEqEps(got, c.want, 1e-9) {
+		if got := LoadStretch(c.util); !approxEqEps(got, c.want, 1e-9) {
 			t.Errorf("LoadStretch(%g) = %g, want %g", c.util, got, c.want)
 		}
 	}
@@ -36,21 +36,21 @@ func TestUnderLoadScalesRecoveryOnly(t *testing.T) {
 
 	// Failure statistics are load-independent: load does not make nodes
 	// fail more often.
-	if !ApproxEqEps(hot.Gamma, idle.Gamma, 1e-12) {
+	if !approxEqEps(hot.Gamma, idle.Gamma, 1e-12) {
 		t.Errorf("gamma changed under load: %g vs %g", hot.Gamma, idle.Gamma)
 	}
-	if !ApproxEqEps(hot.Attempts, idle.Attempts, 1e-12) {
+	if !approxEqEps(hot.Attempts, idle.Attempts, 1e-12) {
 		t.Errorf("attempts changed under load: %g vs %g", hot.Attempts, idle.Attempts)
 	}
-	if !ApproxEqEps(hot.Total, idle.Total, 1e-12) {
+	if !approxEqEps(hot.Total, idle.Total, 1e-12) {
 		t.Errorf("clean runtime changed under load: %g vs %g", hot.Total, idle.Total)
 	}
 	// Recovery prices stretch by exactly LoadStretch(0.9) = 10.
-	if !ApproxEqEps(hot.Wasted, 10*idle.Wasted, 1e-9) {
+	if !approxEqEps(hot.Wasted, 10*idle.Wasted, 1e-9) {
 		t.Errorf("wasted = %g, want 10x idle %g", hot.Wasted, idle.Wasted)
 	}
 	wantRuntime := idle.Total + idle.Attempts*10*idle.Wasted + idle.Attempts*10*m.MTTR
-	if !ApproxEqEps(hot.Runtime, wantRuntime, 1e-9) {
+	if !approxEqEps(hot.Runtime, wantRuntime, 1e-9) {
 		t.Errorf("runtime = %g, want %g", hot.Runtime, wantRuntime)
 	}
 }
@@ -59,7 +59,7 @@ func TestUnderLoadIdleIsIdentity(t *testing.T) {
 	m := testModel()
 	idle := m.OperatorCost(10)
 	alsoIdle := m.UnderLoad(0).OperatorCost(10)
-	if !ApproxEqEps(idle.Runtime, alsoIdle.Runtime, 1e-12) {
+	if !approxEqEps(idle.Runtime, alsoIdle.Runtime, 1e-12) {
 		t.Errorf("UnderLoad(0) changed runtime: %g vs %g", alsoIdle.Runtime, idle.Runtime)
 	}
 }
@@ -81,7 +81,7 @@ func TestDefaultModelUnstretched(t *testing.T) {
 	m := DefaultModel(failure.Spec{MTBF: 100, MTTR: 1, Nodes: 4})
 	oc := m.OperatorCost(10)
 	want := oc.Total + oc.Attempts*oc.Wasted + oc.Attempts*m.MTTR
-	if !ApproxEqEps(oc.Runtime, want, 1e-12) {
+	if !approxEqEps(oc.Runtime, want, 1e-12) {
 		t.Errorf("zero-stretch runtime = %g, want %g", oc.Runtime, want)
 	}
 }

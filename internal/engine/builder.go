@@ -18,14 +18,6 @@ func NewBatchBuilder(schema Schema) *BatchBuilder {
 	return &BatchBuilder{schema: schema}
 }
 
-// Len returns the number of rows accumulated so far.
-func (bb *BatchBuilder) Len() int {
-	if len(bb.cols) == 0 {
-		return 0
-	}
-	return bb.cols[0].Len()
-}
-
 // Grow reserves room for rows more rows, so a caller that knows its total up
 // front appends into exact-size columns instead of growing them from zero.
 func (bb *BatchBuilder) Grow(rows int) {
@@ -87,11 +79,10 @@ func (bb *BatchBuilder) Append(b *Batch) {
 // Finish returns the accumulated batch (nil when empty, matching the
 // empty-partition convention). The builder must not be reused afterwards.
 func (bb *BatchBuilder) Finish() *Batch {
-	n := bb.Len()
-	if n == 0 {
+	if len(bb.cols) == 0 || bb.cols[0].Len() == 0 {
 		return nil
 	}
-	return &Batch{Schema: bb.schema, Cols: bb.cols, nrows: n}
+	return &Batch{Schema: bb.schema, Cols: bb.cols, nrows: bb.cols[0].Len()}
 }
 
 // ensureCols lazily allocates the output vectors.

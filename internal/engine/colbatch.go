@@ -40,8 +40,8 @@ func (v *Vector) Len() int {
 	}
 }
 
-// Value boxes the i-th element (used only at row-oriented package edges).
-func (v *Vector) Value(i int) Value {
+// value boxes the i-th element (used only at row-oriented package edges).
+func (v *Vector) value(i int) Value {
 	switch v.Type {
 	case TypeInt:
 		return v.Ints[i]
@@ -234,22 +234,17 @@ func (b *Batch) ToRows() []Row {
 		p := at(b.Sel, i)
 		r := make(Row, len(b.Cols))
 		for ci := range b.Cols {
-			r[ci] = b.Cols[ci].Value(p)
+			r[ci] = b.Cols[ci].value(p)
 		}
 		rows[i] = r
 	}
 	return rows
 }
 
-// Slice returns the logical window [lo,hi) sharing column storage.
-func (b *Batch) Slice(lo, hi int) *Batch {
-	return b.SliceLocal(lo, hi, nil)
-}
-
-// SliceLocal is Slice with arena-recycled shells: the returned batch's struct
-// (and, on the dense path, its column-header slice) come from l, while the
-// column storage and any selection subrange stay shared with — and owned by —
-// the source batch. Releasing a slice therefore never frees storage the
+// SliceLocal returns the logical window [lo,hi) in arena-recycled shells:
+// the returned batch's struct (and, on the dense path, its column-header
+// slice) come from l, while the column storage and any selection subrange
+// stay shared with — and owned by — the source batch. Releasing a slice therefore never frees storage the
 // source or sibling slices still read.
 func (b *Batch) SliceLocal(lo, hi int, l *Local) *Batch {
 	if b.Sel != nil {

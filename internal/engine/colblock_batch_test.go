@@ -301,8 +301,8 @@ func TestDiskStorePathIsInjective(t *testing.T) {
 				t.Errorf("Get(%q, 0) = %v ok=%v, want %v", op, got, ok, want)
 			}
 		}
-		if got := s.Len(); got != len(names) {
-			t.Errorf("Len() = %d over %d operators of two partitions each", got, len(names))
+		if got := storedOps(s); got != len(names) {
+			t.Errorf("storedOps = %d over %d operators of two partitions each", got, len(names))
 		}
 	}
 	if err := d.Put("join-1_x", 3, nil, 4); err != nil {

@@ -111,8 +111,8 @@ func TestDiskStoreRejectsUntypedRows(t *testing.T) {
 	if got, ok := d.Get("mixed", 0); ok {
 		t.Fatalf("a failed Put left a readable partition: %v", got)
 	}
-	if d.Len() != 0 {
-		t.Fatalf("a failed Put left %d operators in the store", d.Len())
+	if storedOps(d) != 0 {
+		t.Fatalf("a failed Put left %d operators in the store", storedOps(d))
 	}
 }
 
@@ -174,8 +174,8 @@ func TestRetiredFormatsAreCheckpointMisses(t *testing.T) {
 				t.Errorf("%s: Get served a retired format or name: %v", name, got)
 			}
 		}
-		if got := s.Len(); got != 4 {
-			t.Errorf("Len() = %d, want the 4 operators with a partition in a group file", got)
+		if got := storedOps(s); got != 4 {
+			t.Errorf("storedOps = %d, want the 4 operators with a partition in a group file", got)
 		}
 	}
 }

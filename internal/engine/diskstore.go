@@ -25,8 +25,6 @@ type Store interface {
 	Put(op string, part int, rows []Row, parts int) error
 	// Get returns a stored partition.
 	Get(op string, part int) ([]Row, bool)
-	// Len returns the number of operators with stored output.
-	Len() int
 }
 
 // PartBlock is one partition of a group: its number and its EncodeBlock bytes.
@@ -345,12 +343,4 @@ func (d *DiskStore) GetEncoded(op string, part int) ([]byte, bool) {
 	data := make([]byte, loc.n)
 	_, err := f.ReadAt(data, loc.off)
 	return data, err == nil
-}
-
-// Len implements Store: the number of distinct operators with at least one
-// stored partition.
-func (d *DiskStore) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.index)
 }

@@ -94,11 +94,11 @@ func TestTableDerivesRowsOnFirstUse(t *testing.T) {
 	if tb.Parts != nil || rep.Parts != nil {
 		t.Fatal("table construction filled the row view")
 	}
-	if tb.Rows() != 10 || tb.LogicalRows() != 10 || tb.Partitions() != 4 {
-		t.Errorf("partitioned table counts %d/%d/%d, want 10/10/4", tb.Rows(), tb.LogicalRows(), tb.Partitions())
+	if tb.Rows() != 10 || tb.LogicalRows() != 10 || len(tb.ColParts) != 4 {
+		t.Errorf("partitioned table counts %d/%d/%d, want 10/10/4", tb.Rows(), tb.LogicalRows(), len(tb.ColParts))
 	}
-	if rep.Rows() != 12 || rep.LogicalRows() != 3 || rep.Partitions() != 4 {
-		t.Errorf("replicated table counts %d/%d/%d, want 12/3/4", rep.Rows(), rep.LogicalRows(), rep.Partitions())
+	if rep.Rows() != 12 || rep.LogicalRows() != 3 || len(rep.ColParts) != 4 {
+		t.Errorf("replicated table counts %d/%d/%d, want 12/3/4", rep.Rows(), rep.LogicalRows(), len(rep.ColParts))
 	}
 	if tb.Parts != nil || rep.Parts != nil {
 		t.Fatal("counting rows filled the row view")

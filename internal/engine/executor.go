@@ -157,13 +157,6 @@ func (m *MatStore) GetEncoded(op string, part int) ([]byte, bool) {
 	return EncodeColumnBlock(p.rows)
 }
 
-// Len returns the number of operators with stored output.
-func (m *MatStore) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.data)
-}
-
 // Report summarizes an execution.
 type Report struct {
 	// Failures counts injected node failures.

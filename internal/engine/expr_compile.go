@@ -26,10 +26,6 @@ type CompiledExpr struct {
 	eval func(b *Batch, sel []int32, loc *Local) (Vector, error)
 }
 
-// Eval evaluates the expression over the logical rows of a columnar batch,
-// returning a dense vector aligned with the batch's selection.
-func (c *CompiledExpr) Eval(b *Batch) (Vector, error) { return c.eval(b, b.Sel, nil) }
-
 func selCount(b *Batch, sel []int32) int {
 	if sel != nil {
 		return len(sel)

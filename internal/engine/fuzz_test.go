@@ -144,7 +144,7 @@ func FuzzCompiledExpr(f *testing.F) {
 			t.Fatalf("compiled failed (%v) but interpreted succeeded\nexpr=%#v rows=%v", cerr, e, rows)
 		}
 		for i := range rows {
-			if got := vec.Value(i); !sameValue(got, want[i]) {
+			if got := vec.value(i); !sameValue(got, want[i]) {
 				t.Fatalf("row %d: compiled=%v interpreted=%v\nexpr=%#v rows=%v", i, got, want[i], e, rows)
 			}
 		}

@@ -121,10 +121,6 @@ func NewScanOnce(name string, t *Table, filter Expr, project []int) *Scan {
 // Wide implements Operator.
 func (s *Scan) Wide() bool { return false }
 
-// Compiled reports whether the scan's filter evaluates through a compiled
-// predicate (true when there is no filter: nothing runs interpreted).
-func (s *Scan) Compiled() bool { return s.cerr == nil }
-
 // Compute implements Operator: the interpreted loop over the partition's
 // rows — the table's row view, derived once; after that it never looks at the
 // columns again.
@@ -248,9 +244,6 @@ func NewSelect(name string, in Operator, pred Expr) *Select {
 // Wide implements Operator.
 func (s *Select) Wide() bool { return false }
 
-// Compiled reports whether the predicate evaluates through its compiled form.
-func (s *Select) Compiled() bool { return s.cerr == nil }
-
 // Compute implements Operator.
 func (s *Select) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {
 	return filterRows(s.pred, inputs[0].Parts[part])
@@ -292,10 +285,6 @@ func NewProject(name string, in Operator, exprs []Expr, outSchema Schema) *Proje
 
 // Wide implements Operator.
 func (p *Project) Wide() bool { return false }
-
-// Compiled reports whether every projection expression evaluates through its
-// compiled form.
-func (p *Project) Compiled() bool { return p.cerr == nil }
 
 // Compute implements Operator.
 func (p *Project) Compute(part int, inputs []*PartitionedResult) ([]Row, error) {

@@ -52,7 +52,6 @@ func hammerStore(t *testing.T, s Store) {
 							return
 						}
 					}
-					_ = s.Len()
 				}
 			}
 		}()
@@ -124,7 +123,7 @@ func TestDiskStoreConcurrentPutGet(t *testing.T) {
 					return
 				}
 				last[part] = got[0][2].(int64)
-				_, _ = d.Len(), d.Err()
+				_, _ = storedOps(d), d.Err()
 			}
 		}(op)
 	}
@@ -226,8 +225,8 @@ func TestDiskStoreMidWriteKill(t *testing.T) {
 	if !ok || got[0][1].(string) != "committed" {
 		t.Fatalf("restart after mid-write kill lost the committed value: %v (ok=%v)", got, ok)
 	}
-	if d2.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (temp orphan must not count)", d2.Len())
+	if storedOps(d2) != 1 {
+		t.Errorf("storedOps = %d, want 1 (temp orphan must not count)", storedOps(d2))
 	}
 
 	// (b) A torn file at a final path (what a non-atomic writer would

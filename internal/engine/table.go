@@ -175,9 +175,6 @@ func (t *Table) LogicalRows() int {
 	return t.Rows()
 }
 
-// Partitions returns the number of partitions.
-func (t *Table) Partitions() int { return len(t.ColParts) }
-
 // Catalog maps table names to tables (one database shard layout).
 type Catalog struct {
 	tables map[string]*Table
@@ -191,8 +188,8 @@ func NewCatalog(parts int) *Catalog {
 
 // Add registers a table; its partition count must match the catalog's.
 func (c *Catalog) Add(t *Table) error {
-	if t.Partitions() != c.parts {
-		return fmt.Errorf("engine: table %s has %d partitions, catalog expects %d", t.Name, t.Partitions(), c.parts)
+	if len(t.ColParts) != c.parts {
+		return fmt.Errorf("engine: table %s has %d partitions, catalog expects %d", t.Name, len(t.ColParts), c.parts)
 	}
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("engine: duplicate table %s", t.Name)

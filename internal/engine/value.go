@@ -56,8 +56,8 @@ type Column struct {
 // Schema is an ordered list of columns.
 type Schema []Column
 
-// ColIndex returns the index of the named column or -1.
-func (s Schema) ColIndex(name string) int {
+// colIndex returns the index of the named column or -1.
+func (s Schema) colIndex(name string) int {
 	for i, c := range s {
 		if c.Name == name {
 			return i
@@ -69,7 +69,7 @@ func (s Schema) ColIndex(name string) int {
 // MustCol returns the index of the named column, panicking if absent; for
 // use in hand-built query trees.
 func (s Schema) MustCol(name string) int {
-	i := s.ColIndex(name)
+	i := s.colIndex(name)
 	if i < 0 {
 		panic(fmt.Sprintf("engine: unknown column %q", name))
 	}

@@ -15,10 +15,10 @@ func TestColTypeString(t *testing.T) {
 
 func TestSchemaColIndex(t *testing.T) {
 	s := kvSchema()
-	if s.ColIndex("k") != 0 || s.ColIndex("v") != 1 {
-		t.Error("ColIndex wrong")
+	if s.colIndex("k") != 0 || s.colIndex("v") != 1 {
+		t.Error("colIndex wrong")
 	}
-	if s.ColIndex("nope") != -1 {
+	if s.colIndex("nope") != -1 {
 		t.Error("missing column should return -1")
 	}
 	if s.MustCol("v") != 1 {

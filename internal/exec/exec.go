@@ -27,9 +27,9 @@ import (
 	"ftpde/internal/schemes"
 )
 
-// DefaultMaxRestarts matches the paper: coarse-grained queries are aborted
+// defaultMaxRestarts matches the paper: coarse-grained queries are aborted
 // after 100 restarts.
-const DefaultMaxRestarts = 100
+const defaultMaxRestarts = 100
 
 // Options configures a simulated run.
 type Options struct {
@@ -41,7 +41,7 @@ type Options struct {
 	// Recovery selects fine-grained vs. coarse-grained recovery.
 	Recovery schemes.Recovery
 	// MaxRestarts aborts a coarse-grained query after this many full
-	// restarts; 0 means DefaultMaxRestarts.
+	// restarts; 0 means 100, as in the paper.
 	MaxRestarts int
 }
 
@@ -171,7 +171,7 @@ func runFine(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 func runCoarse(c *cost.Collapsed, opt Options, tr *failure.Trace) *Result {
 	maxRestarts := opt.MaxRestarts
 	if maxRestarts == 0 {
-		maxRestarts = DefaultMaxRestarts
+		maxRestarts = defaultMaxRestarts
 	}
 	res := &Result{}
 	var led metrics.Ledger

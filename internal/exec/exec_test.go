@@ -159,8 +159,8 @@ func TestCoarseRestartAborts(t *testing.T) {
 	if !res.Aborted {
 		t.Fatal("expected abort")
 	}
-	if res.Restarts != DefaultMaxRestarts+1 {
-		t.Errorf("restarts = %d, want %d", res.Restarts, DefaultMaxRestarts+1)
+	if res.Restarts != defaultMaxRestarts+1 {
+		t.Errorf("restarts = %d, want %d", res.Restarts, defaultMaxRestarts+1)
 	}
 }
 

@@ -53,19 +53,19 @@ func Figure12a(c Config) (*Table, error) {
 	return t, nil
 }
 
-// ConfigPoint is one materialization configuration's estimated and actual
+// configPoint is one materialization configuration's estimated and actual
 // runtime (Figure 12(b)).
-type ConfigPoint struct {
+type configPoint struct {
 	Config    plan.MatConfig
 	Estimated float64
 	Actual    float64
 }
 
-// Q5ConfigSweep scores every 2^5 materialization configuration of the Q5
+// q5ConfigSweep scores every 2^5 materialization configuration of the Q5
 // plan under the given MTBF: estimated via the cost model, actual via the
 // cluster simulator (mean over traces). Results are sorted ascending by
 // estimate.
-func Q5ConfigSweep(c Config, mtbf float64) ([]ConfigPoint, error) {
+func q5ConfigSweep(c Config, mtbf float64) ([]configPoint, error) {
 	c = c.withDefaults()
 	q, err := tpch.Q5(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {
@@ -77,7 +77,7 @@ func Q5ConfigSweep(c Config, mtbf float64) ([]ConfigPoint, error) {
 
 	free := q.Plan.FreeOperators()
 	p := q.Plan.Clone()
-	var points []ConfigPoint
+	var points []configPoint
 	for mask := uint64(0); mask < 1<<uint(len(free)); mask++ {
 		cfg := plan.ConfigFromMask(free, mask)
 		if err := p.Apply(cfg); err != nil {
@@ -96,7 +96,7 @@ func Q5ConfigSweep(c Config, mtbf float64) ([]ConfigPoint, error) {
 		if !ok {
 			return nil, fmt.Errorf("q5 config sweep: all runs aborted for %v", cfg)
 		}
-		points = append(points, ConfigPoint{Config: cfg, Estimated: est, Actual: actual})
+		points = append(points, configPoint{Config: cfg, Estimated: est, Actual: actual})
 	}
 	sort.SliceStable(points, func(i, j int) bool { return points[i].Estimated < points[j].Estimated })
 	return points, nil
@@ -106,7 +106,7 @@ func Q5ConfigSweep(c Config, mtbf float64) ([]ConfigPoint, error) {
 // all 32 enumerated materialization configurations of the Q5 plan at
 // MTBF = 1 hour, sorted ascending by estimate.
 func Figure12b(c Config) (*Table, error) {
-	points, err := Q5ConfigSweep(c, failure.OneHour)
+	points, err := q5ConfigSweep(c, failure.OneHour)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func Figure12b(c Config) (*Table, error) {
 
 // spearman computes the Spearman rank correlation between estimated and
 // actual runtimes.
-func spearman(points []ConfigPoint) float64 {
+func spearman(points []configPoint) float64 {
 	n := len(points)
 	if n < 2 {
 		return 1

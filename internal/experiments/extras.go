@@ -17,12 +17,12 @@ import (
 // model's assumptions.
 func Extras() []Runner {
 	return []Runner{
-		{"ablation-wasted", "Ablation: exact Eq.3 wasted-runtime vs the paper's t/2 approximation", AblationWasted},
-		{"ablation-percentile", "Ablation: sensitivity of plan choice to the success percentile S", AblationPercentile},
-		{"ablation-topk", "Ablation: top-k join-order depth vs chosen fault-tolerant plan quality", AblationTopK},
-		{"ablation-memo", "Ablation: rule 3 with plain bestT vs memoized dominant paths (Eq.9)", AblationMemo},
-		{"ext-clusteraware", "Extension: cluster-aware failure rates improve cost-model accuracy", ExtClusterAware},
-		{"ext-weibull", "Extension: sensitivity of the exponential-arrivals assumption (Weibull failures)", ExtWeibull},
+		{"ablation-wasted", "Ablation: exact Eq.3 wasted-runtime vs the paper's t/2 approximation", ablationWasted},
+		{"ablation-percentile", "Ablation: sensitivity of plan choice to the success percentile S", ablationPercentile},
+		{"ablation-topk", "Ablation: top-k join-order depth vs chosen fault-tolerant plan quality", ablationTopK},
+		{"ablation-memo", "Ablation: rule 3 with plain bestT vs memoized dominant paths (Eq.9)", ablationMemo},
+		{"ext-clusteraware", "Extension: cluster-aware failure rates improve cost-model accuracy", extClusterAware},
+		{"ext-weibull", "Extension: sensitivity of the exponential-arrivals assumption (Weibull failures)", extWeibull},
 		{"ext-audit", "Extension: live cost-model audit — predicted vs observed spans on the concurrent runtime", ExtAudit},
 	}
 }
@@ -32,11 +32,11 @@ func Everything() []Runner {
 	return append(All(), Extras()...)
 }
 
-// AblationWasted compares the optimizer under the exact Equation 3 for w(c)
+// ablationWasted compares the optimizer under the exact Equation 3 for w(c)
 // against the t/2 approximation the paper adopts: chosen configurations and
 // estimated runtimes across MTBFs. The paper argues the approximation is
 // accurate whenever MTBF > t(c).
-func AblationWasted(c Config) (*Table, error) {
+func ablationWasted(c Config) (*Table, error) {
 	c = c.withDefaults()
 	q, err := tpch.Q5(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {
@@ -67,10 +67,10 @@ func AblationWasted(c Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationPercentile sweeps the target success percentile S and reports the
+// ablationPercentile sweeps the target success percentile S and reports the
 // chosen configuration, its estimate, and the simulated overhead: a low S
 // under-provisions checkpoints, an extreme S over-provisions them.
-func AblationPercentile(c Config) (*Table, error) {
+func ablationPercentile(c Config) (*Table, error) {
 	c = c.withDefaults()
 	q, err := tpch.Q5(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {
@@ -104,10 +104,10 @@ func AblationPercentile(c Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationTopK measures how deep the first-phase join enumeration must go:
+// ablationTopK measures how deep the first-phase join enumeration must go:
 // the estimated runtime of the best fault-tolerant plan over the top-k join
 // orders, and the enumeration effort, for k = 1, 5, 20.
-func AblationTopK(c Config) (*Table, error) {
+func ablationTopK(c Config) (*Table, error) {
 	c = c.withDefaults()
 	prm := tpch.Params{SF: c.SF, Nodes: c.Nodes}
 	g, err := tpch.Q5JoinGraph(prm)
@@ -147,10 +147,10 @@ func AblationTopK(c Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationMemo compares rule 3 with and without the memoized-dominant-path
+// ablationMemo compares rule 3 with and without the memoized-dominant-path
 // extension (Equation 9) over all 1344 Q5 join orders: enumeration effort
 // saved for an identical result.
-func AblationMemo(c Config) (*Table, error) {
+func ablationMemo(c Config) (*Table, error) {
 	c = c.withDefaults()
 	candidates, err := q5Candidates(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {
@@ -176,13 +176,13 @@ func AblationMemo(c Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtClusterAware studies which failure-rate granularity the cost model
+// extClusterAware studies which failure-rate granularity the cost model
 // should use. For fine-grained recovery (only the failing node repeats its
 // partition work) the paper's per-node MTBF is the right choice; for
 // coarse-grained recovery (any node failure restarts the whole query) the
 // cluster-wide rate (MTBF/n, the ClusterAware extension) is. The experiment
 // validates both matches against the simulator.
-func ExtClusterAware(c Config) (*Table, error) {
+func extClusterAware(c Config) (*Table, error) {
 	c = c.withDefaults()
 	q, err := tpch.Q5(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {
@@ -252,14 +252,14 @@ func ExtClusterAware(c Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtWeibull probes the paper's exponential-arrivals assumption (Section 2.2
+// extWeibull probes the paper's exponential-arrivals assumption (Section 2.2
 // "as other work, we assume exponential arrival times between failures"):
 // the same query and cost-based plan run against Weibull failure traces with
 // the same per-node MTBF but different shapes. Shape 1 is the exponential
 // base case; shape < 1 (bursty, infant-mortality) and shape > 1 (regular,
 // wear-out) break memorylessness and shift both the actual overhead and the
 // model's estimation error.
-func ExtWeibull(c Config) (*Table, error) {
+func extWeibull(c Config) (*Table, error) {
 	c = c.withDefaults()
 	q, err := tpch.Q5(tpch.Params{SF: c.SF, Nodes: c.Nodes})
 	if err != nil {

@@ -33,7 +33,7 @@ func TestExtrasRegistry(t *testing.T) {
 }
 
 func TestAblationWastedShape(t *testing.T) {
-	tbl, err := AblationWasted(fastConfig())
+	tbl, err := ablationWasted(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAblationWastedShape(t *testing.T) {
 }
 
 func TestAblationPercentileShape(t *testing.T) {
-	tbl, err := AblationPercentile(fastConfig())
+	tbl, err := ablationPercentile(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAblationPercentileShape(t *testing.T) {
 }
 
 func TestAblationMemoShape(t *testing.T) {
-	tbl, err := AblationMemo(fastConfig())
+	tbl, err := ablationMemo(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAblationMemoShape(t *testing.T) {
 }
 
 func TestExtClusterAwareShape(t *testing.T) {
-	tbl, err := ExtClusterAware(fastConfig())
+	tbl, err := extClusterAware(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func abs(v float64) float64 {
 }
 
 func TestExtWeibullShape(t *testing.T) {
-	tbl, err := ExtWeibull(fastConfig())
+	tbl, err := extWeibull(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

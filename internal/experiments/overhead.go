@@ -24,13 +24,9 @@ type Config struct {
 	SF float64
 }
 
-// DefaultConfig mirrors the paper's setup.
-func DefaultConfig() Config {
-	return Config{Nodes: 10, Traces: 10, Seed: 1, SF: 100}
-}
-
+// withDefaults fills every zero field from the paper's setup.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
+	d := Config{Nodes: 10, Traces: 10, Seed: 1, SF: 100}
 	if c.Nodes == 0 {
 		c.Nodes = d.Nodes
 	}

@@ -10,8 +10,8 @@ import (
 	"ftpde/internal/tpch"
 )
 
-// PruningResult holds per-rule pruning percentages for one cluster setup.
-type PruningResult struct {
+// pruningResult holds per-rule pruning percentages for one cluster setup.
+type pruningResult struct {
 	MTBF     float64
 	Rule1    float64
 	Rule2    float64
@@ -43,12 +43,12 @@ func q5Candidates(prm tpch.Params) ([]*plan.Plan, error) {
 	return plans, nil
 }
 
-// PruningEffectiveness measures the share of the 43,008 fault-tolerant plans
+// pruningEffectiveness measures the share of the 43,008 fault-tolerant plans
 // (1344 join orders x 2^5 materialization configurations) pruned by each
 // rule in isolation and by all rules together, for one MTBF. Rule 3's
 // early-stopped plans are counted half, following the paper's accounting
 // ("in average half of the costs for analyzing the paths can be avoided").
-func PruningEffectiveness(candidates []*plan.Plan, spec failure.Spec) (*PruningResult, error) {
+func pruningEffectiveness(candidates []*plan.Plan, spec failure.Spec) (*pruningResult, error) {
 	m := cost.DefaultModel(spec)
 	run := func(opt core.Options) (*core.Stats, error) {
 		opt.Model = m
@@ -79,7 +79,7 @@ func PruningEffectiveness(candidates []*plan.Plan, spec failure.Spec) (*PruningR
 
 	total := float64(all.FTPlansTotal)
 	pct := func(v float64) float64 { return v / total * 100 }
-	return &PruningResult{
+	return &pruningResult{
 		MTBF:         spec.MTBF,
 		Rule1:        pct(float64(r1.FTPlansPrunedRule1)),
 		Rule2:        pct(float64(r2.FTPlansPrunedRule2)),
@@ -121,7 +121,7 @@ func Figure13(c Config) (*Table, error) {
 		{"Cluster B (MTBF=1 day)", failure.OneDay},
 		{"Cluster C (MTBF=1 hour)", failure.OneHour},
 	} {
-		res, err := PruningEffectiveness(candidates, failure.Spec{Nodes: c.Nodes, MTBF: setup.mtbf, MTTR: 1})
+		res, err := pruningEffectiveness(candidates, failure.Spec{Nodes: c.Nodes, MTBF: setup.mtbf, MTTR: 1})
 		if err != nil {
 			return nil, err
 		}

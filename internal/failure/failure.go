@@ -18,9 +18,9 @@ import (
 // in literature to represent the worst case").
 const DefaultPercentile = 0.95
 
-// ProbFailureWithin returns F(t) = 1 - e^(-t/mtbf), the probability that a
+// probFailureWithin returns F(t) = 1 - e^(-t/mtbf), the probability that a
 // single node fails at least once within time interval t.
-func ProbFailureWithin(t, mtbf float64) float64 {
+func probFailureWithin(t, mtbf float64) float64 {
 	if t <= 0 {
 		return 0
 	}
@@ -33,7 +33,7 @@ func ProbFailureWithin(t, mtbf float64) float64 {
 // ProbSuccess returns gamma(t) = e^(-t/mtbf), the probability that a single
 // node survives time interval t without failure.
 func ProbSuccess(t, mtbf float64) float64 {
-	return 1 - ProbFailureWithin(t, mtbf)
+	return 1 - probFailureWithin(t, mtbf)
 }
 
 // ProbClusterSuccess returns the probability that none of n nodes with
@@ -83,22 +83,19 @@ func WastedRuntimeApprox(t float64) float64 {
 	return t / 2
 }
 
-// Attempts returns a(c), the number of additional attempts (beyond the first)
-// needed for an operator with total runtime t to reach the desired cumulative
-// success probability s under the given MTBF (Equation 6):
+// AttemptsLn returns a(c), the number of additional attempts (beyond the
+// first) needed for an operator with total runtime t to reach the desired
+// cumulative success probability S under the given MTBF (Equation 6):
 //
 //	a(c) = max(ln(1-S)/ln(eta) - 1, 0)
 //
-// where eta = 1 - e^(-t/MTBF) is the per-attempt failure probability.
-func Attempts(t, mtbf, s float64) float64 { return AttemptsLn(t, mtbf, math.Log(1-s)) }
-
-// AttemptsLn is Attempts for a caller that evaluates many t at one S and
-// passes lnMiss = ln(1-S) once.
+// where eta = 1 - e^(-t/MTBF) is the per-attempt failure probability. The
+// caller evaluates many t at one S and passes lnMiss = ln(1-S) once.
 func AttemptsLn(t, mtbf, lnMiss float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	eta := ProbFailureWithin(t, mtbf)
+	eta := probFailureWithin(t, mtbf)
 	if eta <= 0 {
 		return 0
 	}
@@ -110,19 +107,6 @@ func AttemptsLn(t, mtbf, lnMiss float64) float64 {
 		return 0
 	}
 	return a
-}
-
-// CumulativeSuccess returns S(A <= N) = 1 - eta^(N+1), the probability that an
-// operator with per-attempt failure probability eta succeeds within N
-// additional attempts (Equation 5's closed form).
-func CumulativeSuccess(eta float64, n float64) float64 {
-	if eta <= 0 {
-		return 1
-	}
-	if eta >= 1 {
-		return 0
-	}
-	return 1 - math.Pow(eta, n+1)
 }
 
 // ExpectedRestartRuntime returns the expected completion time of a task of

@@ -10,6 +10,22 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
+// attempts is AttemptsLn at success percentile s.
+func attempts(t, mtbf, s float64) float64 { return AttemptsLn(t, mtbf, math.Log(1-s)) }
+
+// cumulativeSuccess returns S(A <= N) = 1 - eta^(N+1), the probability that
+// an operator with per-attempt failure probability eta succeeds within N
+// additional attempts (Equation 5's closed form).
+func cumulativeSuccess(eta float64, n float64) float64 {
+	if eta <= 0 {
+		return 1
+	}
+	if eta >= 1 {
+		return 0
+	}
+	return 1 - math.Pow(eta, n+1)
+}
+
 func TestProbFailureWithinBounds(t *testing.T) {
 	cases := []struct {
 		t, mtbf float64
@@ -17,7 +33,7 @@ func TestProbFailureWithinBounds(t *testing.T) {
 		{0, 100}, {1, 100}, {100, 100}, {1e6, 100}, {5, 0.1},
 	}
 	for _, c := range cases {
-		p := ProbFailureWithin(c.t, c.mtbf)
+		p := probFailureWithin(c.t, c.mtbf)
 		if p < 0 || p > 1 {
 			t.Errorf("ProbFailureWithin(%g,%g)=%g out of [0,1]", c.t, c.mtbf, p)
 		}
@@ -27,7 +43,7 @@ func TestProbFailureWithinBounds(t *testing.T) {
 func TestProbSuccessComplement(t *testing.T) {
 	for _, tt := range []float64{0, 0.5, 10, 1000} {
 		s := ProbSuccess(tt, 60)
-		f := ProbFailureWithin(tt, 60)
+		f := probFailureWithin(tt, 60)
 		if !almostEqual(s+f, 1, 1e-12) {
 			t.Errorf("gamma+eta != 1 for t=%g: %g", tt, s+f)
 		}
@@ -115,9 +131,9 @@ func TestWastedRuntimeProperties(t *testing.T) {
 
 func TestAttemptsTable2(t *testing.T) {
 	// Exact arithmetic: t=4, MTBF=60, S=0.95 -> a = ln(0.05)/ln(eta) - 1.
-	a := Attempts(4, 60, 0.95)
+	a := attempts(4, 60, 0.95)
 	if !almostEqual(a, 0.0928, 0.001) {
-		t.Errorf("Attempts(4,60,.95)=%g want ~0.0928 (paper reports 0.0648 from rounded gamma)", a)
+		t.Errorf("attempts(4,60,.95)=%g want ~0.0928 (paper reports 0.0648 from rounded gamma)", a)
 	}
 	// With the paper's rounded eta=0.06 we reproduce their 0.0648.
 	aPaper := math.Log(0.05)/math.Log(0.06) - 1
@@ -126,8 +142,8 @@ func TestAttemptsTable2(t *testing.T) {
 	}
 	// Short operators need no additional attempts at this percentile.
 	for _, tt := range []float64{3, 1, 2} {
-		if a := Attempts(tt, 60, 0.95); a != 0 {
-			t.Errorf("Attempts(%g,60,.95)=%g want 0", tt, a)
+		if a := attempts(tt, 60, 0.95); a != 0 {
+			t.Errorf("attempts(%g,60,.95)=%g want 0", tt, a)
 		}
 	}
 }
@@ -135,7 +151,7 @@ func TestAttemptsTable2(t *testing.T) {
 func TestAttemptsMonotone(t *testing.T) {
 	prev := -1.0
 	for tt := 1.0; tt < 500; tt += 7 {
-		a := Attempts(tt, 60, 0.95)
+		a := attempts(tt, 60, 0.95)
 		if a < prev {
 			t.Fatalf("Attempts not monotone in t at t=%g: %g < %g", tt, a, prev)
 		}
@@ -152,12 +168,12 @@ func TestCumulativeSuccessClosedForm(t *testing.T) {
 		for k := 0; k <= n; k++ {
 			sum += math.Pow(eta, float64(k)) * gamma
 		}
-		if !almostEqual(sum, CumulativeSuccess(eta, float64(n)), 1e-12) {
+		if !almostEqual(sum, cumulativeSuccess(eta, float64(n)), 1e-12) {
 			t.Errorf("closed form mismatch at N=%d", n)
 		}
 	}
 	// N -> inf: every operator eventually succeeds.
-	if !almostEqual(CumulativeSuccess(0.99, 1e6), 1, 1e-6) {
+	if !almostEqual(cumulativeSuccess(0.99, 1e6), 1, 1e-6) {
 		t.Error("cumulative success should approach 1")
 	}
 }
@@ -168,14 +184,14 @@ func TestAttemptsReachTargetPercentile(t *testing.T) {
 		tt := float64(tRaw) + 1
 		mtbf := float64(mRaw) + 1
 		s := 0.95
-		eta := ProbFailureWithin(tt, mtbf)
+		eta := probFailureWithin(tt, mtbf)
 		if eta >= 1-1e-12 {
 			// Degenerate regime: eta rounds to 1 in float64 and no finite
 			// number of attempts reaches the percentile.
 			return true
 		}
-		a := Attempts(tt, mtbf, s)
-		return CumulativeSuccess(eta, a) >= s-1e-9
+		a := attempts(tt, mtbf, s)
+		return cumulativeSuccess(eta, a) >= s-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -48,13 +48,13 @@ func NewTraces(spec Spec, horizon float64, seed int64, count int) []*Trace {
 	return traces
 }
 
-// NewWeibullTrace draws Weibull-distributed inter-arrival failure times with
+// newWeibullTrace draws Weibull-distributed inter-arrival failure times with
 // the given shape parameter and a scale chosen so the mean stays spec.MTBF.
 // Shape 1 recovers the exponential model the paper (and our cost model)
 // assumes; shape < 1 models infant mortality (bursty failures), shape > 1
 // models wear-out (failures cluster around the MTBF). Used to probe how the
 // memorylessness assumption affects estimate accuracy.
-func NewWeibullTrace(spec Spec, horizon float64, seed int64, shape float64) (*Trace, error) {
+func newWeibullTrace(spec Spec, horizon float64, seed int64, shape float64) (*Trace, error) {
 	if shape <= 0 {
 		return nil, fmt.Errorf("failure: Weibull shape must be positive, got %g", shape)
 	}
@@ -84,7 +84,7 @@ func NewWeibullTrace(spec Spec, horizon float64, seed int64, shape float64) (*Tr
 func NewWeibullTraces(spec Spec, horizon float64, seed int64, count int, shape float64) ([]*Trace, error) {
 	traces := make([]*Trace, count)
 	for i := range traces {
-		tr, err := NewWeibullTrace(spec, horizon, seed+int64(i), shape)
+		tr, err := newWeibullTrace(spec, horizon, seed+int64(i), shape)
 		if err != nil {
 			return nil, err
 		}
@@ -134,26 +134,5 @@ func (tr *Trace) From(t float64) *Trace {
 	return out
 }
 
-// TotalFailures returns the number of failures across all nodes.
-func (tr *Trace) TotalFailures() int {
-	n := 0
-	for _, times := range tr.PerNode {
-		n += len(times)
-	}
-	return n
-}
-
 // Nodes returns the number of nodes covered by the trace.
 func (tr *Trace) Nodes() int { return len(tr.PerNode) }
-
-// Validate checks that per-node failure times are strictly increasing.
-func (tr *Trace) Validate() error {
-	for i, times := range tr.PerNode {
-		for j := 1; j < len(times); j++ {
-			if times[j] <= times[j-1] {
-				return fmt.Errorf("failure: trace node %d not strictly increasing at index %d", i, j)
-			}
-		}
-	}
-	return nil
-}

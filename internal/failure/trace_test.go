@@ -1,16 +1,38 @@
 package failure
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 )
 
+// totalFailures returns the number of failures across all nodes of tr.
+func totalFailures(tr *Trace) int {
+	n := 0
+	for _, times := range tr.PerNode {
+		n += len(times)
+	}
+	return n
+}
+
+// validate checks that tr's per-node failure times are strictly increasing.
+func validate(tr *Trace) error {
+	for i, times := range tr.PerNode {
+		for j := 1; j < len(times); j++ {
+			if times[j] <= times[j-1] {
+				return fmt.Errorf("trace node %d not strictly increasing at index %d", i, j)
+			}
+		}
+	}
+	return nil
+}
+
 func TestTraceDeterministic(t *testing.T) {
 	spec := Spec{Nodes: 5, MTBF: 100, MTTR: 1}
 	a := NewTrace(spec, 10000, 42)
 	b := NewTrace(spec, 10000, 42)
-	if a.TotalFailures() != b.TotalFailures() {
+	if totalFailures(a) != totalFailures(b) {
 		t.Fatal("same seed produced different traces")
 	}
 	for i := range a.PerNode {
@@ -21,7 +43,7 @@ func TestTraceDeterministic(t *testing.T) {
 		}
 	}
 	c := NewTrace(spec, 10000, 43)
-	if a.TotalFailures() == c.TotalFailures() && a.TotalFailures() > 0 {
+	if totalFailures(a) == totalFailures(c) && totalFailures(a) > 0 {
 		same := true
 		for i := range a.PerNode {
 			if len(a.PerNode[i]) != len(c.PerNode[i]) {
@@ -44,12 +66,12 @@ func TestTraceValidateAndRate(t *testing.T) {
 	spec := Spec{Nodes: 20, MTBF: 50, MTTR: 1}
 	horizon := 100000.0
 	tr := NewTrace(spec, horizon, 7)
-	if err := tr.Validate(); err != nil {
+	if err := validate(tr); err != nil {
 		t.Fatal(err)
 	}
 	// Expected failures per node = horizon/MTBF = 2000; allow 10% slack.
 	want := horizon / spec.MTBF * float64(spec.Nodes)
-	got := float64(tr.TotalFailures())
+	got := float64(totalFailures(tr))
 	if math.Abs(got-want)/want > 0.10 {
 		t.Errorf("empirical failure count %g deviates from expectation %g by >10%%", got, want)
 	}
@@ -57,7 +79,7 @@ func TestTraceValidateAndRate(t *testing.T) {
 
 func TestNextFailure(t *testing.T) {
 	tr := &Trace{PerNode: [][]float64{{1, 5, 9}, {2}}}
-	if err := tr.Validate(); err != nil {
+	if err := validate(tr); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -94,7 +116,7 @@ func TestNewTraces(t *testing.T) {
 		if tr.Nodes() != 3 {
 			t.Errorf("trace %d has %d nodes", i, tr.Nodes())
 		}
-		if err := tr.Validate(); err != nil {
+		if err := validate(tr); err != nil {
 			t.Errorf("trace %d: %v", i, err)
 		}
 	}
@@ -102,7 +124,7 @@ func TestNewTraces(t *testing.T) {
 
 func TestTraceInvalid(t *testing.T) {
 	tr := &Trace{PerNode: [][]float64{{3, 2}}}
-	if err := tr.Validate(); err == nil {
+	if err := validate(tr); err == nil {
 		t.Error("non-increasing trace accepted")
 	}
 }
@@ -111,15 +133,15 @@ func TestWeibullTraceMeanMatchesMTBF(t *testing.T) {
 	spec := Spec{Nodes: 8, MTBF: 50, MTTR: 1}
 	horizon := 100000.0
 	for _, shape := range []float64{0.7, 1.0, 1.5, 3.0} {
-		tr, err := NewWeibullTrace(spec, horizon, 11, shape)
+		tr, err := newWeibullTrace(spec, horizon, 11, shape)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Validate(); err != nil {
+		if err := validate(tr); err != nil {
 			t.Fatal(err)
 		}
 		want := horizon / spec.MTBF * float64(spec.Nodes)
-		got := float64(tr.TotalFailures())
+		got := float64(totalFailures(tr))
 		if math.Abs(got-want)/want > 0.10 {
 			t.Errorf("shape %g: %g failures, want ~%g (mean must stay MTBF)", shape, got, want)
 		}
@@ -128,7 +150,7 @@ func TestWeibullTraceMeanMatchesMTBF(t *testing.T) {
 
 func TestWeibullShapeOneMatchesExponentialStatistics(t *testing.T) {
 	spec := Spec{Nodes: 4, MTBF: 20, MTTR: 1}
-	tr, err := NewWeibullTrace(spec, 50000, 3, 1.0)
+	tr, err := newWeibullTrace(spec, 50000, 3, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +180,7 @@ func TestWeibullShapeOneMatchesExponentialStatistics(t *testing.T) {
 func TestWeibullShapeThreeIsRegular(t *testing.T) {
 	// Wear-out failures are more regular: CV well below 1.
 	spec := Spec{Nodes: 4, MTBF: 20, MTTR: 1}
-	tr, err := NewWeibullTrace(spec, 50000, 3, 3.0)
+	tr, err := newWeibullTrace(spec, 50000, 3, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +208,7 @@ func TestWeibullShapeThreeIsRegular(t *testing.T) {
 
 func TestWeibullValidation(t *testing.T) {
 	spec := Spec{Nodes: 2, MTBF: 10, MTTR: 1}
-	if _, err := NewWeibullTrace(spec, 100, 1, 0); err == nil {
+	if _, err := newWeibullTrace(spec, 100, 1, 0); err == nil {
 		t.Error("shape 0 accepted")
 	}
 	if _, err := NewWeibullTraces(spec, 100, 1, 3, -1); err == nil {
@@ -205,7 +227,7 @@ func TestTraceFrom(t *testing.T) {
 	if !reflect.DeepEqual(got.PerNode, want) {
 		t.Fatalf("From(3) = %v, want %v", got.PerNode, want)
 	}
-	if n := tr.From(0).TotalFailures(); n != 4 {
+	if n := totalFailures(tr.From(0)); n != 4 {
 		t.Errorf("From(0) kept %d arrivals, want 4", n)
 	}
 }

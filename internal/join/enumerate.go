@@ -22,21 +22,10 @@ type Tree struct {
 // IsLeaf reports whether the node is a base relation.
 func (t *Tree) IsLeaf() bool { return t.Rel >= 0 }
 
-// Relations returns the number of leaves.
-func (t *Tree) Relations() int {
-	if t.IsLeaf() {
-		return 1
-	}
-	return t.Left.Relations() + t.Right.Relations()
-}
-
 // String renders e.g. "((R ⨝ N) ⨝ C)".
 func (t *Tree) String() string {
 	return t.render(nil)
 }
-
-// Render names leaves via the graph's relation names.
-func (t *Tree) Render(g *Graph) string { return t.render(g) }
 
 func (t *Tree) render(g *Graph) string {
 	if t.IsLeaf() {
@@ -115,38 +104,6 @@ func (g *Graph) EnumerateAll() ([]*Tree, error) {
 		return out
 	}
 	return build(full), nil
-}
-
-// CountOrders returns the number of ordered bushy join trees without
-// cartesian products, without materializing them.
-func (g *Graph) CountOrders() (int, error) {
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	n := uint(len(g.rels))
-	full := uint(1)<<n - 1
-	memo := make(map[uint]int)
-	var count func(mask uint) int
-	count = func(mask uint) int {
-		if c, ok := memo[mask]; ok {
-			return c
-		}
-		c := 0
-		if mask&(mask-1) == 0 {
-			c = 1
-		} else {
-			subsetsOf(mask, func(s1 uint) bool {
-				s2 := mask ^ s1
-				if g.connected(s1) && g.connected(s2) && g.joinable(s1, s2) {
-					c += count(s1) * count(s2)
-				}
-				return true
-			})
-		}
-		memo[mask] = c
-		return c
-	}
-	return count(full), nil
 }
 
 // TopK returns the k cheapest join trees by C_out cost, ascending. It runs

@@ -120,7 +120,7 @@ func TestToPlanNamesJoinsByRender(t *testing.T) {
 	if len(all) != 1344 {
 		t.Fatalf("%d orders, want 1344", len(all))
 	}
-	coster := SimpleCoster{ScanPerRow: 1, JoinPerInputRow: 1, JoinPerOutputRow: 1, MatPerRow: 1}
+	coster := simpleCoster{ScanPerRow: 1, JoinPerInputRow: 1, JoinPerOutputRow: 1, MatPerRow: 1}
 	for _, tree := range all {
 		// ToPlan adds operators in post-order, so its joins come in the
 		// order this walk finds the inner nodes.
@@ -140,13 +140,13 @@ func TestToPlanNamesJoinsByRender(t *testing.T) {
 			if op.Kind != plan.KindHashJoin {
 				continue
 			}
-			if want := "Join " + joins[k].Render(g); op.Name != want {
-				t.Fatalf("%s: join %d named %q, want %q", tree.Render(g), k, op.Name, want)
+			if want := "Join " + joins[k].render(g); op.Name != want {
+				t.Fatalf("%s: join %d named %q, want %q", tree.render(g), k, op.Name, want)
 			}
 			k++
 		}
 		if k != len(joins) {
-			t.Fatalf("%s: %d joins in the plan, want %d", tree.Render(g), k, len(joins))
+			t.Fatalf("%s: %d joins in the plan, want %d", tree.render(g), k, len(joins))
 		}
 	}
 }
@@ -172,7 +172,7 @@ func TestTooManyRelationsFailFast(t *testing.T) {
 		if _, err := g.EnumerateAll(); err == nil {
 			t.Fatalf("%d relations: EnumerateAll accepted the graph", n)
 		}
-		if _, err := g.CountOrders(); err == nil {
+		if _, err := countOrders(g); err == nil {
 			t.Fatalf("%d relations: CountOrders accepted the graph", n)
 		}
 		if d := time.Since(start); d > time.Second {

@@ -68,12 +68,6 @@ func (g *Graph) AddEdge(a, b int, selectivity float64) error {
 	return nil
 }
 
-// Relations returns the graph's relations.
-func (g *Graph) Relations() []Relation { return g.rels }
-
-// Len returns the number of relations.
-func (g *Graph) Len() int { return len(g.rels) }
-
 // connected reports whether the relations in mask form a connected subgraph.
 func (g *Graph) connected(mask uint) bool {
 	if mask == 0 {

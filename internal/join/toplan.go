@@ -15,31 +15,6 @@ type Coster interface {
 	JoinCosts(leftCard, rightCard, outCard float64) (run, mat float64)
 }
 
-// SimpleCoster is a linear cost model: tr = CPU cost per input row plus
-// per-output row, tm = I/O cost per output row written to fault-tolerant
-// storage.
-type SimpleCoster struct {
-	// ScanPerRow is the CPU+read cost per scanned row.
-	ScanPerRow float64
-	// JoinPerInputRow is the CPU cost per probe/build row.
-	JoinPerInputRow float64
-	// JoinPerOutputRow is the CPU cost per produced row.
-	JoinPerOutputRow float64
-	// MatPerRow is the cost per row materialized to fault-tolerant storage.
-	MatPerRow float64
-}
-
-// ScanCosts implements Coster.
-func (c SimpleCoster) ScanCosts(rel Relation) (float64, float64) {
-	return rel.Rows * c.ScanPerRow, rel.Rows * c.MatPerRow
-}
-
-// JoinCosts implements Coster.
-func (c SimpleCoster) JoinCosts(leftCard, rightCard, outCard float64) (float64, float64) {
-	run := (leftCard+rightCard)*c.JoinPerInputRow + outCard*c.JoinPerOutputRow
-	return run, outCard * c.MatPerRow
-}
-
 // ToPlan converts a join tree into a DAG-structured execution plan: one scan
 // operator per leaf, one hash-join operator per inner node, all free and
 // non-materialized (the fault-tolerance optimizer decides materialization).
@@ -52,7 +27,7 @@ func ToPlan(t *Tree, g *Graph, c Coster) (*plan.Plan, plan.OpID) {
 }
 
 // addTree adds t's operators to p and returns t's root operator and its
-// rendering (Tree.Render), which names the join above it.
+// rendering (Tree.render with g), which names the join above it.
 func addTree(p *plan.Plan, t *Tree, g *Graph, c Coster) (plan.OpID, string) {
 	if t.IsLeaf() {
 		rel := g.rels[t.Rel]

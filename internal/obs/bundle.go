@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -183,15 +184,15 @@ func (w *BundleWriter) Write(b *Bundle) (string, error) {
 		return "", fmt.Errorf("obs: rename bundle: %w", err)
 	}
 	if err := syncBundleDir(w.dir); err != nil {
-		return "", err
+		return "", fmt.Errorf("obs: sync bundle dir: %w", err)
 	}
 	w.written++
 	w.pruneLocked()
 	return final, nil
 }
 
-// Written reports how many bundles this writer has persisted.
-func (w *BundleWriter) Written() int64 {
+// count reports how many bundles this writer has persisted.
+func (w *BundleWriter) count() int64 {
 	if w == nil {
 		return 0
 	}
@@ -223,16 +224,18 @@ func (w *BundleWriter) pruneLocked() {
 }
 
 // syncBundleDir fsyncs the ring directory so a preceding rename is durable.
-// Some filesystems return EINVAL for fsync on directories; that is not a
-// durability failure worth surfacing.
+// Its contract is the DiskStore's: any error counts, except on Windows,
+// which cannot fsync a directory.
 func syncBundleDir(dir string) error {
 	f, err := os.Open(dir)
-	if err != nil {
+	if err == nil {
+		err = f.Sync()
+		f.Close()
+	}
+	if runtime.GOOS == "windows" {
 		return nil
 	}
-	defer f.Close()
-	_ = f.Sync()
-	return nil
+	return err
 }
 
 // ReadBundle loads one bundle from disk.
@@ -255,6 +258,6 @@ func RegisterForensicsMetrics(reg *metrics.Registry, w *BundleWriter) {
 		Name: "ftpde_forensics_bundles_total", Kind: metrics.KindCounter,
 		Help: "Failure forensics bundles written to the on-disk ring.",
 	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: float64(w.Written())}}
+		return []metrics.Sample{{Value: float64(w.count())}}
 	})
 }

@@ -50,8 +50,8 @@ func TestBundleWriteReadRoundTrip(t *testing.T) {
 	if got.Progress == nil || got.Progress.Stages[0].Name != "scan" {
 		t.Errorf("progress lost: %+v", got.Progress)
 	}
-	if w.Written() != 1 {
-		t.Errorf("Written = %d", w.Written())
+	if w.count() != 1 {
+		t.Errorf("Written = %d", w.count())
 	}
 }
 
@@ -183,8 +183,31 @@ func TestNilBundleWriter(t *testing.T) {
 	if path, err := w.Write(testBundle(1)); err != nil || path != "" {
 		t.Errorf("nil writer Write = %q, %v", path, err)
 	}
-	if w.Written() != 0 {
+	if w.count() != 0 {
 		t.Error("nil writer reports writes")
+	}
+}
+
+// TestBundleUnsyncableDirFailsTheWrite pins the DiskStore durability
+// contract: a bundle whose rename cannot be made durable (here the ring
+// directory cannot be opened for fsync) is an error, not a silent success.
+func TestBundleUnsyncableDirFailsTheWrite(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root opens a directory whatever its mode")
+	}
+	dir := t.TempDir()
+	w, err := NewBundleWriter(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Write and search, but no read: the temp file and the rename succeed,
+	// opening the directory to fsync it does not.
+	if err := os.Chmod(dir, 0o300); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(dir, 0o755)
+	if _, err := w.Write(testBundle(1)); err == nil || !strings.Contains(err.Error(), "sync bundle dir") {
+		t.Fatalf("Write into an unsyncable ring = %v, want a sync error", err)
 	}
 }
 
@@ -200,7 +223,7 @@ func TestRegisterForensicsMetrics(t *testing.T) {
 	if _, err := w.Write(testBundle(1)); err != nil {
 		t.Fatal(err)
 	}
-	fam := reg.Snapshot().Family("ftpde_forensics_bundles_total")
+	fam := familyOf(reg.Snapshot(), "ftpde_forensics_bundles_total")
 	if fam == nil || len(fam.Series) != 1 || fam.Series[0].Value != 1 {
 		t.Errorf("ftpde_forensics_bundles_total = %+v", fam)
 	}

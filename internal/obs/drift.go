@@ -14,11 +14,11 @@ import (
 )
 
 // Drift terms: the four cost-model inputs the online detector tracks. They
-// label the ftpde_cost_drift gauge families and key DriftDetector lookups.
+// label the ftpde_cost_drift gauge families and key DriftSnapshot.Term.
 const (
 	DriftTR   = "tr"   // per-operator runtime correction factor
 	DriftTM   = "tm"   // per-operator materialization correction factor
-	DriftMTBF = "mtbf" // per-node mean time between failures
+	driftMTBF = "mtbf" // per-node mean time between failures
 	DriftMTTR = "mttr" // mean time to repair
 )
 
@@ -143,7 +143,7 @@ func NewDriftDetector(cfg DriftConfig) *DriftDetector {
 		tr:            ring[fitPair]{max: cfg.Window},
 		tm:            ring[fitPair]{max: cfg.Window},
 		terms: [...]TermDrift{
-			termMTBF: {Term: DriftMTBF, Model: cfg.ModelMTBF},
+			termMTBF: {Term: driftMTBF, Model: cfg.ModelMTBF},
 			termMTTR: {Term: DriftMTTR, Model: cfg.ModelMTTR},
 			termTM:   {Term: DriftTM, Model: 1, Estimate: 1},
 			termTR:   {Term: DriftTR, Model: 1, Estimate: 1},
@@ -256,38 +256,6 @@ func (d *DriftDetector) updateTerm(term, newSamples int, estimate float64) {
 		st.Consecutive = 0
 	}
 	st.Flagged = st.Consecutive >= driftK
-}
-
-// Flagged reports whether the term has exceeded driftThreshold for driftK
-// consecutive contributing queries.
-func (d *DriftDetector) Flagged(term string) bool {
-	if d == nil {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return DriftSnapshot{Terms: d.terms[:]}.Term(term).Flagged
-}
-
-// MTBF returns the rolling per-node MTBF estimate in seconds (0 until the
-// window has at least one inter-arrival).
-func (d *DriftDetector) MTBF() float64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mtbfLocked()
-}
-
-// MTTR returns the rolling mean repair duration in seconds.
-func (d *DriftDetector) MTTR() float64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return mean(d.repairs.buf)
 }
 
 // CorrectedModel returns base with every *flagged* failure term replaced by

@@ -52,7 +52,7 @@ func TestDriftDetectsInjectedMTBFWithinTenQueries(t *testing.T) {
 			spans = append(spans, obs.Span{Kind: obs.KindFailure, Name: "scan", Part: 0, Start: ts, End: ts})
 		}
 		d.ObserveQuery(obs.Prediction{}, spans)
-		if flaggedAt == 0 && d.Flagged(obs.DriftMTBF) {
+		if flaggedAt == 0 && d.Snapshot().Term("mtbf").Flagged {
 			flaggedAt = q + 1
 		}
 	}
@@ -61,7 +61,7 @@ func TestDriftDetectsInjectedMTBFWithinTenQueries(t *testing.T) {
 	}
 	t.Logf("mtbf drift flagged after %d queries", flaggedAt)
 
-	est := d.MTBF()
+	est := d.Snapshot().MTBF.PerNode
 	if rel := math.Abs(est-injectedMTBF) / injectedMTBF; rel > 0.25 {
 		t.Errorf("rolling MTBF estimate %g not within 25%% of injected %g (rel %.3f)",
 			est, injectedMTBF, rel)

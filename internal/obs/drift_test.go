@@ -39,7 +39,7 @@ func TestDriftMTBFAcrossQueries(t *testing.T) {
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{0, 5, 10}))
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{15, 20}))
 	// Cluster mean 5s x 2 nodes = 10s per-node MTBF.
-	if got := d.MTBF(); math.Abs(got-10) > 1e-9 {
+	if got := d.Snapshot().MTBF.PerNode; math.Abs(got-10) > 1e-9 {
 		t.Errorf("MTBF = %g, want 10", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestDriftMTBFAcrossQueries(t *testing.T) {
 func TestDriftMTTR(t *testing.T) {
 	d := NewDriftDetector(DriftConfig{Nodes: 1, ModelMTTR: 1})
 	d.ObserveQuery(Prediction{}, []Span{recoverySpan(0, 2), recoverySpan(10, 4)})
-	if got := d.MTTR(); math.Abs(got-3) > 1e-9 {
+	if got := d.Snapshot().Term(DriftMTTR).Estimate; math.Abs(got-3) > 1e-9 {
 		t.Errorf("MTTR = %g, want 3", got)
 	}
 }
@@ -72,20 +72,20 @@ func TestDriftFlagRequiresConsecutiveQueries(t *testing.T) {
 		at += 10
 	}
 	feed()
-	if d.Flagged(DriftMTBF) {
+	if d.Snapshot().Term(driftMTBF).Flagged {
 		t.Fatal("flagged after 1 query, want K=3")
 	}
 	feed()
-	if d.Flagged(DriftMTBF) {
+	if d.Snapshot().Term(driftMTBF).Flagged {
 		t.Fatal("flagged after 2 queries, want K=3")
 	}
 	// A failure-free query carries no MTBF signal and must not break the streak.
 	d.ObserveQuery(Prediction{}, nil)
 	feed()
-	if !d.Flagged(DriftMTBF) {
+	if !d.Snapshot().Term(driftMTBF).Flagged {
 		t.Fatal("not flagged after 3 contributing queries over threshold")
 	}
-	if d.Flagged(DriftMTTR) || d.Flagged(DriftTR) || d.Flagged(DriftTM) {
+	if d.Snapshot().Term(DriftMTTR).Flagged || d.Snapshot().Term(DriftTR).Flagged || d.Snapshot().Term(DriftTM).Flagged {
 		t.Error("unrelated terms flagged")
 	}
 }
@@ -100,7 +100,7 @@ func TestDriftCorrectedModelOnlyFlaggedTerms(t *testing.T) {
 		d.ObserveQuery(Prediction{}, failureSpans([]float64{float64(20 * i), float64(20*i + 5)}))
 	}
 	got := d.CorrectedModel(base)
-	if !d.Flagged(DriftMTBF) {
+	if !d.Snapshot().Term(driftMTBF).Flagged {
 		t.Fatal("mtbf not flagged")
 	}
 	if got.MTBF == base.MTBF {
@@ -133,7 +133,7 @@ func TestDriftTRFactorFlagsAndScalesParams(t *testing.T) {
 	for i := 0; i < driftK; i++ {
 		d.ObserveQuery(pred, spans)
 	}
-	if !d.Flagged(DriftTR) || !d.Flagged(DriftTM) {
+	if !d.Snapshot().Term(DriftTR).Flagged || !d.Snapshot().Term(DriftTM).Flagged {
 		t.Fatalf("tr/tm not flagged: %+v", d.Snapshot())
 	}
 	base := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 2e-5, Nodes: 1}
@@ -173,7 +173,7 @@ func TestDriftSnapshotAndString(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	// Term-sorted: mtbf, mttr, tm, tr.
-	order := []string{DriftMTBF, DriftMTTR, DriftTM, DriftTR}
+	order := []string{driftMTBF, DriftMTTR, DriftTM, DriftTR}
 	for i, term := range snap.Terms {
 		if term.Term != order[i] {
 			t.Fatalf("terms out of order: %+v", snap.Terms)
@@ -183,7 +183,7 @@ func TestDriftSnapshotAndString(t *testing.T) {
 	if fit := snap.MTBF; fit.Samples != 1 || fit.PerNode != 5 || !(fit.Lo < 5 && 5 < fit.Hi) {
 		t.Errorf("snapshot MTBF fit = %+v, want 5s inside its interval", fit)
 	}
-	if got := snap.Term(DriftMTBF); got.Estimate != snap.MTBF.PerNode {
+	if got := snap.Term(driftMTBF); got.Estimate != snap.MTBF.PerNode {
 		t.Errorf("mtbf term %+v disagrees with the fit %+v", got, snap.MTBF)
 	}
 	out := snap.String()
@@ -197,7 +197,7 @@ func TestDriftSnapshotAndString(t *testing.T) {
 func TestDriftNilSafety(t *testing.T) {
 	var d *DriftDetector
 	d.ObserveQuery(Prediction{}, nil)
-	if d.Flagged(DriftMTBF) || d.MTBF() != 0 || d.MTTR() != 0 {
+	if d.Snapshot().Term(driftMTBF).Flagged || d.Snapshot().MTBF.PerNode != 0 || d.Snapshot().Term(DriftMTTR).Estimate != 0 {
 		t.Error("nil detector reported state")
 	}
 	base := cost.Model{MTBF: 7}
@@ -221,15 +221,15 @@ func TestRegisterDriftMetrics(t *testing.T) {
 		d.ObserveQuery(Prediction{}, failureSpans([]float64{float64(10 * i), float64(10*i + 5)}))
 	}
 	snap := reg.Snapshot()
-	fam := snap.Family("ftpde_cost_drift")
+	fam := familyOf(snap, "ftpde_cost_drift")
 	if fam == nil || len(fam.Series) != 4 {
 		t.Fatalf("ftpde_cost_drift family = %+v", fam)
 	}
-	mtbf := fam.Get(DriftMTBF)
+	mtbf := series(fam, driftMTBF)
 	if mtbf == nil || mtbf.Value == 0 {
 		t.Errorf("mtbf drift sample = %+v", mtbf)
 	}
-	flagged := snap.Family("ftpde_cost_drift_flagged").Get(DriftMTBF)
+	flagged := series(familyOf(snap, "ftpde_cost_drift_flagged"), driftMTBF)
 	if flagged == nil || flagged.Value != 1 {
 		t.Errorf("mtbf flagged sample = %+v (driftK queries over threshold)", flagged)
 	}
@@ -243,7 +243,7 @@ func TestDriftOutOfOrderFailuresCountEachGapOnce(t *testing.T) {
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{10, 20}))
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{15}))
 	d.ObserveQuery(Prediction{}, failureSpans([]float64{30}))
-	if got := d.MTBF(); got != 10 {
+	if got := d.Snapshot().MTBF.PerNode; got != 10 {
 		t.Errorf("MTBF = %g, want 10 (gaps 10 and 10)", got)
 	}
 	if n := d.Snapshot().MTBF.Samples; n != 2 {

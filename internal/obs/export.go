@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Timeline is the plain-JSON export envelope.
-type Timeline struct {
+// timeline is the plain-JSON export envelope.
+type timeline struct {
 	// Epoch is the tracer's zero point (spans carry absolute times).
 	Epoch time.Time `json:"epoch"`
 	// Dropped counts spans lost to ring overflow.
@@ -20,7 +20,7 @@ type Timeline struct {
 func WriteJSON(w io.Writer, t *Tracer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(Timeline{Epoch: t.Epoch(), Dropped: t.Dropped(), Spans: t.Snapshot()})
+	return enc.Encode(timeline{Epoch: t.Epoch(), Dropped: t.Dropped(), Spans: t.Snapshot()})
 }
 
 // chromeEvent is one entry of the Chrome trace_event format
@@ -44,11 +44,11 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTrace converts spans into the Chrome trace_event envelope. Each
+// newChromeTrace converts spans into the Chrome trace_event envelope. Each
 // partition gets its own track (tid = part+1; partition-less spans land on
 // track 0), so failure, recovery and checkpoint events line up under the
 // partition they belong to in chrome://tracing / Perfetto.
-func ChromeTrace(epoch time.Time, spans []Span) chromeTrace {
+func newChromeTrace(epoch time.Time, spans []Span) chromeTrace {
 	base := epoch
 	if base.IsZero() && len(spans) > 0 {
 		base = spans[0].Start
@@ -89,30 +89,18 @@ func ChromeTrace(epoch time.Time, spans []Span) chromeTrace {
 // format.
 func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTrace(t.Epoch(), t.Snapshot()))
+	return enc.Encode(newChromeTrace(t.Epoch(), t.Snapshot()))
 }
 
-// WriteChromeTraceFile writes the Chrome trace to path.
-func WriteChromeTraceFile(path string, t *Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteChromeTraceSpans writes an already-assembled span timeline (e.g. the
-// simulator's synthetic one) in Chrome trace_event format.
+// WriteChromeTraceSpans writes a span timeline to path in Chrome
+// trace_event format: a tracer's (t.Epoch(), t.Snapshot()) or the
+// simulator's synthetic one.
 func WriteChromeTraceSpans(path string, epoch time.Time, spans []Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := json.NewEncoder(f).Encode(ChromeTrace(epoch, spans)); err != nil {
+	if err := json.NewEncoder(f).Encode(newChromeTrace(epoch, spans)); err != nil {
 		f.Close()
 		return err
 	}

@@ -126,15 +126,15 @@ func (l *Ledger) append(e LedgerEntry) {
 	l.entries = append(l.entries, e)
 }
 
-// Unresolved returns the number of failure entries not yet followed by a
-// resolving attribution. A finished run must report zero.
-func (l *Ledger) Unresolved() int64 {
+// counts returns the failure entries recorded and those still unresolved,
+// without copying the entry log.
+func (l *Ledger) counts() (failures, unresolved int64) {
 	if l == nil {
-		return 0
+		return 0, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.unresolved
+	return l.failures, l.unresolved
 }
 
 // Seconds returns the total booked against one cause.
@@ -192,34 +192,6 @@ func (s LedgerSnapshot) WastedSeconds() float64 {
 	return sum
 }
 
-// Seconds returns the total booked against one cause.
-func (s LedgerSnapshot) Seconds(cause Cause) float64 {
-	for _, t := range s.Totals {
-		if t.Cause == cause {
-			return t.Seconds
-		}
-	}
-	return 0
-}
-
-// Paired verifies the ledger pairing invariant entry-by-entry: every failure
-// entry must be followed (in sequence order) by a resolving attribution. It
-// returns the sequence numbers of unpaired failures, empty when the ledger is
-// consistent. Entry-level verification is only exact while the entry log has
-// not overflowed; callers should check DroppedEntries first.
-func (s LedgerSnapshot) Paired() []int64 {
-	var open []int64
-	for _, e := range s.Entries {
-		switch {
-		case e.Kind == "failure":
-			open = append(open, e.Seq)
-		case e.Kind == "waste" && e.Cause.resolving():
-			open = open[:0]
-		}
-	}
-	return append([]int64(nil), open...)
-}
-
 // String renders the ledger compactly for CLI output.
 func (s LedgerSnapshot) String() string {
 	var b strings.Builder
@@ -265,12 +237,14 @@ func RegisterLedger(r *Registry, l *Ledger) {
 		Name: "ftpde_ledger_failures_total", Kind: KindCounter,
 		Help: "Failure entries recorded in the wasted-work ledger.",
 	}, func() []Sample {
-		return []Sample{{Value: float64(l.Snapshot().Failures)}}
+		failures, _ := l.counts()
+		return []Sample{{Value: float64(failures)}}
 	})
 	r.MustRegisterFunc(Desc{
 		Name: "ftpde_ledger_unresolved", Kind: KindGauge,
 		Help: "Failure entries not yet settled by a resolving attribution.",
 	}, func() []Sample {
-		return []Sample{{Value: float64(l.Unresolved())}}
+		_, unresolved := l.counts()
+		return []Sample{{Value: float64(unresolved)}}
 	})
 }

@@ -20,7 +20,7 @@ func TestLedgerAttributionTotals(t *testing.T) {
 	if s.Failures != 2 {
 		t.Errorf("failures = %d, want 2", s.Failures)
 	}
-	if got := s.Seconds(CauseRecompute); math.Abs(got-0.5) > 1e-9 {
+	if got := l.Seconds(CauseRecompute); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("recompute seconds = %g, want 0.5", got)
 	}
 	if got := s.WastedSeconds(); math.Abs(got-0.55) > 1e-9 {
@@ -39,6 +39,23 @@ func TestLedgerAttributionTotals(t *testing.T) {
 	}
 }
 
+// unpaired checks the ledger pairing invariant entry by entry: every failure
+// entry must be followed (in sequence order) by a resolving attribution. It
+// returns the sequence numbers of unpaired failures, empty when the ledger is
+// consistent, and is exact only while the entry log has not overflowed.
+func unpaired(s LedgerSnapshot) []int64 {
+	var open []int64
+	for _, e := range s.Entries {
+		switch {
+		case e.Kind == "failure":
+			open = append(open, e.Seq)
+		case e.Kind == "waste" && e.Cause.resolving():
+			open = open[:0]
+		}
+	}
+	return open
+}
+
 // TestLedgerPairingInvariant is the CI-side pairing check: every failure entry
 // must eventually be settled by a resolving attribution (recompute or
 // restart); stalls and MTTR waits resolve nothing.
@@ -51,8 +68,8 @@ func TestLedgerPairingInvariant(t *testing.T) {
 	if s.Unresolved != 1 {
 		t.Fatalf("non-resolving causes settled the failure: unresolved = %d", s.Unresolved)
 	}
-	if open := s.Paired(); len(open) != 1 {
-		t.Fatalf("Paired() = %v, want one open failure", open)
+	if open := unpaired(s); len(open) != 1 {
+		t.Fatalf("unpaired = %v, want one open failure", open)
 	}
 
 	// One resolving window settles every outstanding failure before it:
@@ -63,8 +80,8 @@ func TestLedgerPairingInvariant(t *testing.T) {
 	if s.Unresolved != 0 {
 		t.Errorf("unresolved = %d after resolving attribution, want 0", s.Unresolved)
 	}
-	if open := s.Paired(); len(open) != 0 {
-		t.Errorf("Paired() = %v, want empty", open)
+	if open := unpaired(s); len(open) != 0 {
+		t.Errorf("unpaired = %v, want empty", open)
 	}
 }
 
@@ -81,7 +98,7 @@ func TestLedgerNilIsNoop(t *testing.T) {
 	l.Fail("x", 0)
 	l.Attribute(CauseRestart, "x", 0, time.Second)
 	l.AttributeSeconds(CauseRecompute, "x", 0, 1)
-	if l.Unresolved() != 0 || l.Seconds(CauseRestart) != 0 {
+	if f, u := l.counts(); f != 0 || u != 0 || l.Seconds(CauseRestart) != 0 {
 		t.Error("nil ledger accumulated state")
 	}
 	if s := l.Snapshot(); s.Failures != 0 || len(s.Entries) != 0 {
@@ -101,7 +118,7 @@ func TestLedgerEntryCapKeepsTotalsExact(t *testing.T) {
 	if len(s.Entries) != maxLedgerEntries {
 		t.Errorf("entries = %d, want cap %d", len(s.Entries), maxLedgerEntries)
 	}
-	if got, want := s.Seconds(CauseRecompute), float64(maxLedgerEntries+100)*0.001; math.Abs(got-want) > 1e-6 {
+	if got, want := l.Seconds(CauseRecompute), float64(maxLedgerEntries+100)*0.001; math.Abs(got-want) > 1e-6 {
 		t.Errorf("totals drifted past the entry cap: %g, want %g", got, want)
 	}
 }
@@ -135,7 +152,7 @@ func TestLedgerConcurrentAttribution(t *testing.T) {
 				return
 			default:
 				_ = l.Snapshot().WastedSeconds()
-				_ = l.Unresolved()
+				_, _ = l.counts()
 			}
 		}
 	}()
@@ -146,8 +163,8 @@ func TestLedgerConcurrentAttribution(t *testing.T) {
 	if s.Failures != workers*perWorker {
 		t.Errorf("failures = %d, want %d", s.Failures, workers*perWorker)
 	}
-	if want := float64(workers*perWorker) * 0.001; math.Abs(s.Seconds(CauseRecompute)-want) > 1e-6 {
-		t.Errorf("recompute = %g, want %g", s.Seconds(CauseRecompute), want)
+	if want := float64(workers*perWorker) * 0.001; math.Abs(l.Seconds(CauseRecompute)-want) > 1e-6 {
+		t.Errorf("recompute = %g, want %g", l.Seconds(CauseRecompute), want)
 	}
 	if s.Unresolved != 0 {
 		t.Errorf("unresolved = %d after all attributions", s.Unresolved)
@@ -162,20 +179,20 @@ func TestRegisterLedgerFamilies(t *testing.T) {
 	l.Attribute(CauseRestart, "join", 0, 2*time.Second)
 
 	snap := r.Snapshot()
-	sec := snap.Family("ftpde_wasted_seconds_total")
+	sec := familyOf(snap, "ftpde_wasted_seconds_total")
 	if sec == nil {
 		t.Fatal("ftpde_wasted_seconds_total not registered")
 	}
-	if got := sec.Get(string(CauseRestart)); got == nil || got.Value != 2 {
+	if got := series(sec, string(CauseRestart)); got == nil || got.Value != 2 {
 		t.Errorf("restart seconds series = %+v", got)
 	}
-	if got := snap.Family("ftpde_ledger_failures_total").Get(); got == nil || got.Value != 1 {
+	if got := series(familyOf(snap, "ftpde_ledger_failures_total")); got == nil || got.Value != 1 {
 		t.Errorf("failures series = %+v", got)
 	}
-	if got := snap.Family("ftpde_ledger_unresolved").Get(); got == nil || got.Value != 0 {
+	if got := series(familyOf(snap, "ftpde_ledger_unresolved")); got == nil || got.Value != 0 {
 		t.Errorf("unresolved series = %+v", got)
 	}
-	if got := snap.Family("ftpde_wasted_events_total").Get(string(CauseRestart)); got == nil || got.Value != 1 {
+	if got := series(familyOf(snap, "ftpde_wasted_events_total"), string(CauseRestart)); got == nil || got.Value != 1 {
 		t.Errorf("events series = %+v", got)
 	}
 }

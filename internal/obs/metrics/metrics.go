@@ -25,11 +25,11 @@ type atomicFloat struct {
 	bits atomic.Uint64
 }
 
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
+func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 
-func (f *atomicFloat) Add(v float64) {
+func (f *atomicFloat) add(v float64) {
 	for {
 		old := f.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -87,8 +87,8 @@ func NewHistogram(bounds []float64) *Histogram {
 		bounds: b,
 		counts: make([]atomic.Uint64, len(b)+1),
 	}
-	h.min.Store(math.Inf(1))
-	h.max.Store(math.Inf(-1))
+	h.min.store(math.Inf(1))
+	h.max.store(math.Inf(-1))
 	return h
 }
 
@@ -97,7 +97,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
+	h.sum.add(v)
 	h.min.setMin(v)
 	h.max.setMax(v)
 }
@@ -110,14 +110,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]uint64, len(h.counts)),
 		Count:  h.count.Load(),
-		Sum:    h.sum.Load(),
+		Sum:    h.sum.load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	if s.Count > 0 {
-		s.Min = h.min.Load()
-		s.Max = h.max.Load()
+		s.Min = h.min.load()
+		s.Max = h.max.load()
 	}
 	return s
 }
@@ -134,9 +134,9 @@ type HistogramSnapshot struct {
 	Max    float64   `json:"max"`
 }
 
-// ExpBuckets returns n exponentially growing upper bounds starting at start
+// expBuckets returns n exponentially growing upper bounds starting at start
 // and multiplying by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
+func expBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
 	v := start
 	for i := range out {
@@ -149,4 +149,4 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // DefaultLatencyBuckets spans 1µs to ~67s in powers of four — wide enough for
 // checkpoint writes and stage wall times across scale factors without
 // per-query tuning.
-func DefaultLatencyBuckets() []float64 { return ExpBuckets(1e-6, 4, 14) }
+func DefaultLatencyBuckets() []float64 { return expBuckets(1e-6, 4, 14) }

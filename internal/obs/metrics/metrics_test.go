@@ -2,9 +2,33 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
+
+// familyOf returns the named family snapshot, or nil.
+func familyOf(s RegistrySnapshot, name string) *FamilySnapshot {
+	for i := range s.Families {
+		if s.Families[i].Name == name {
+			return &s.Families[i]
+		}
+	}
+	return nil
+}
+
+// series returns f's series with the given label values, or nil.
+func series(f *FamilySnapshot, values ...string) *SeriesSnapshot {
+	if f == nil {
+		return nil
+	}
+	for i := range f.Series {
+		if slices.Equal(f.Series[i].LabelValues, values) {
+			return &f.Series[i]
+		}
+	}
+	return nil
+}
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
@@ -42,10 +66,10 @@ func TestEmptyHistogramSnapshotIsFinite(t *testing.T) {
 }
 
 func TestBucketConstructors(t *testing.T) {
-	exp := ExpBuckets(1, 2, 4)
+	exp := expBuckets(1, 2, 4)
 	for i, want := range []float64{1, 2, 4, 8} {
 		if exp[i] != want {
-			t.Errorf("ExpBuckets[%d] = %g, want %g", i, exp[i], want)
+			t.Errorf("expBuckets[%d] = %g, want %g", i, exp[i], want)
 		}
 	}
 	db := DefaultLatencyBuckets()
@@ -82,14 +106,14 @@ func TestRegistrySnapshotDeterministicOrder(t *testing.T) {
 		t.Errorf("families not name-sorted: %v, %v, %v",
 			snap.Families[0].Name, snap.Families[1].Name, snap.Families[2].Name)
 	}
-	hist := snap.Family("hist")
+	hist := familyOf(snap, "hist")
 	if hist == nil || len(hist.Series) != 2 {
 		t.Fatalf("hist family missing or wrong arity: %+v", hist)
 	}
 	if hist.Series[0].LabelValues[0] != "a" {
 		t.Errorf("series not label-sorted: %v", hist.Series)
 	}
-	if got := hist.Get("b"); got == nil || got.Hist == nil || got.Hist.Count != 1 {
+	if got := series(hist, "b"); got == nil || got.Hist == nil || got.Hist.Count != 1 {
 		t.Errorf("Get(b) = %+v", got)
 	}
 }

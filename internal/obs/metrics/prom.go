@@ -12,16 +12,8 @@ import (
 // `_sum`/`_count` for histograms, escaped label values. Output ordering
 // follows the deterministic snapshot, so scrapes are diffable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WritePrometheusSnapshot(w, r.Snapshot())
-}
-
-// ContentType is the HTTP Content-Type of the exposition format.
-const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// WritePrometheusSnapshot renders an already-collected snapshot.
-func WritePrometheusSnapshot(w io.Writer, snap RegistrySnapshot) error {
 	var b strings.Builder
-	for _, f := range snap.Families {
+	for _, f := range r.Snapshot().Families {
 		if f.Help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
 		}
@@ -33,6 +25,9 @@ func WritePrometheusSnapshot(w io.Writer, snap RegistrySnapshot) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
+
+// ContentType is the HTTP Content-Type of the exposition format.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 func writeSeries(b *strings.Builder, f FamilySnapshot, s SeriesSnapshot) {
 	if f.Kind != KindHistogram || s.Hist == nil {

@@ -209,13 +209,13 @@ func TestDescribeTableListsEveryFamily(t *testing.T) {
 	}
 }
 
-func ExampleWritePrometheusSnapshot() {
+func ExampleRegistry_WritePrometheus() {
 	r := NewRegistry()
 	demo := 3.0
 	r.MustRegisterFunc(Desc{Name: "demo_total", Help: "A demo counter.", Kind: KindCounter},
 		func() []Sample { return []Sample{{Value: demo}} })
 	var b strings.Builder
-	WritePrometheusSnapshot(&b, r.Snapshot())
+	r.WritePrometheus(&b)
 	fmt.Print(b.String())
 	// Output:
 	// # HELP demo_total A demo counter.

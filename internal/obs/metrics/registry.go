@@ -147,30 +147,6 @@ const labelSep = "\x1f"
 // joinKey is a series' sort and lookup key: its label values joined.
 func joinKey(values []string) string { return strings.Join(values, labelSep) }
 
-// Family returns the named family snapshot, or nil.
-func (s RegistrySnapshot) Family(name string) *FamilySnapshot {
-	for i := range s.Families {
-		if s.Families[i].Name == name {
-			return &s.Families[i]
-		}
-	}
-	return nil
-}
-
-// Get returns the series with the given label values, or nil.
-func (f *FamilySnapshot) Get(values ...string) *SeriesSnapshot {
-	if f == nil {
-		return nil
-	}
-	key := joinKey(values)
-	for i := range f.Series {
-		if joinKey(f.Series[i].LabelValues) == key {
-			return &f.Series[i]
-		}
-	}
-	return nil
-}
-
 // DescribeTable renders a fixed-width table of the registry's families — the
 // body of `ftsql -list-metrics`.
 func DescribeTable(descs []Desc) string {

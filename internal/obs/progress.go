@@ -306,17 +306,17 @@ func (r *ProgressRegistry) End(p *Progress, err error) {
 	}
 }
 
-// QueriesSnapshot is the /debug/queries JSON document.
-type QueriesSnapshot struct {
+// queriesSnapshot is the /debug/queries JSON document.
+type queriesSnapshot struct {
 	Active []ProgressSnapshot `json:"active"`
 	Recent []ProgressSnapshot `json:"recent"`
 }
 
-// Snapshot captures all tracked queries: active sorted by ID, recent
+// snapshot captures all tracked queries: active sorted by ID, recent
 // newest-first.
-func (r *ProgressRegistry) Snapshot() QueriesSnapshot {
+func (r *ProgressRegistry) snapshot() queriesSnapshot {
 	if r == nil {
-		return QueriesSnapshot{}
+		return queriesSnapshot{}
 	}
 	r.mu.Lock()
 	active := make([]*Progress, 0, len(r.active))
@@ -327,7 +327,7 @@ func (r *ProgressRegistry) Snapshot() QueriesSnapshot {
 	r.mu.Unlock()
 
 	sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
-	var snap QueriesSnapshot
+	var snap queriesSnapshot
 	for _, p := range active {
 		snap.Active = append(snap.Active, p.Snapshot())
 	}
@@ -342,7 +342,7 @@ func (r *ProgressRegistry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(r.Snapshot())
+	enc.Encode(r.snapshot())
 }
 
 // RegisterProgressMetrics exposes the registry's counters as metric families.

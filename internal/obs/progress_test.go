@@ -133,7 +133,7 @@ func TestProgressNilSafety(t *testing.T) {
 		t.Error("nil registry Begin returned non-nil progress")
 	}
 	r.End(nil, nil)
-	_ = r.Snapshot()
+	_ = r.snapshot()
 }
 
 func TestProgressRegistryLifecycle(t *testing.T) {
@@ -143,7 +143,7 @@ func TestProgressRegistryLifecycle(t *testing.T) {
 	if a.ID() == b.ID() || a.ID() == 0 {
 		t.Fatalf("ids not unique: %d %d", a.ID(), b.ID())
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap.Active) != 2 || len(snap.Recent) != 0 {
 		t.Fatalf("active=%d recent=%d, want 2/0", len(snap.Active), len(snap.Recent))
 	}
@@ -157,7 +157,7 @@ func TestProgressRegistryLifecycle(t *testing.T) {
 	d := r.Begin("t4", "qd")
 	r.End(c, nil)
 	r.End(d, nil)
-	snap = r.Snapshot()
+	snap = r.snapshot()
 	if len(snap.Active) != 0 {
 		t.Errorf("active = %d, want 0", len(snap.Active))
 	}
@@ -182,7 +182,7 @@ func TestProgressRegistryServeHTTP(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
-	var snap QueriesSnapshot
+	var snap queriesSnapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
 	}

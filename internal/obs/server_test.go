@@ -57,7 +57,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 
 	tlBody, _ := get("/debug/timeline")
-	var tl Timeline
+	var tl timeline
 	if err := json.Unmarshal(tlBody, &tl); err != nil {
 		t.Fatalf("/debug/timeline does not parse: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/queries status %d", resp.StatusCode)
 	}
-	var snap QueriesSnapshot
+	var snap queriesSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func TestWriteJSONTimeline(t *testing.T) {
 	if err := WriteJSON(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	var tl Timeline
+	var tl timeline
 	if err := json.Unmarshal(buf.b, &tl); err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,6 @@ func ConfigFromMask(free []OpID, mask uint64) MatConfig {
 	return cfg
 }
 
-// Mask is the inverse of ConfigFromMask for the given free-operator order.
-func (cfg MatConfig) Mask(free []OpID) uint64 {
-	var mask uint64
-	for i, id := range free {
-		if cfg[id] {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
-}
-
 // Materialized returns the sorted IDs set to true.
 func (cfg MatConfig) Materialized() []OpID {
 	var out []OpID

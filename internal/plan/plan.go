@@ -25,33 +25,33 @@ type Kind int
 // Operator kinds.
 const (
 	KindScan Kind = iota
-	KindFilter
-	KindProject
+	kindFilter
+	kindProject
 	KindHashJoin
 	KindAggregate
 	KindSort
-	KindLimit
+	kindLimit
 	KindRepartition
-	KindUnion
+	kindUnion
 	KindMapUDF
 	KindReduceUDF
-	KindSink
+	kindSink
 	KindCTE
 )
 
 var kindNames = map[Kind]string{
 	KindScan:        "scan",
-	KindFilter:      "filter",
-	KindProject:     "project",
+	kindFilter:      "filter",
+	kindProject:     "project",
 	KindHashJoin:    "hashjoin",
 	KindAggregate:   "aggregate",
 	KindSort:        "sort",
-	KindLimit:       "limit",
+	kindLimit:       "limit",
 	KindRepartition: "repartition",
-	KindUnion:       "union",
+	kindUnion:       "union",
 	KindMapUDF:      "map-udf",
 	KindReduceUDF:   "reduce-udf",
-	KindSink:        "sink",
+	kindSink:        "sink",
 	KindCTE:         "cte",
 }
 
@@ -89,10 +89,6 @@ type Operator struct {
 	// stats package to derive costs and by DOT export).
 	Rows float64
 }
-
-// Free reports f(o) = 1: the optimizer may flip this operator's
-// materialization flag.
-func (o *Operator) Free() bool { return !o.Bound }
 
 // TotalCost returns t(o) = tr(o) + tm(o)*m(o).
 func (o *Operator) TotalCost() float64 {
@@ -245,23 +241,12 @@ func (p *Plan) Sources() []OpID {
 	return out
 }
 
-// Sinks returns operators with no outputs (query results), sorted by ID.
-func (p *Plan) Sinks() []OpID {
-	var out []OpID
-	for _, id := range p.order {
-		if len(p.children[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // FreeOperators returns the IDs of free operators in insertion order. The
 // size of the materialization-configuration search space is 2^len(result).
 func (p *Plan) FreeOperators() []OpID {
 	var out []OpID
 	for _, id := range p.order {
-		if p.ops[id].Free() {
+		if !p.ops[id].Bound {
 			out = append(out, id)
 		}
 	}
@@ -350,28 +335,13 @@ func (p *Plan) Clone() *Plan {
 	return q
 }
 
-// TotalRunCost returns the sum of tr(o) over all operators — the plan's pure
-// execution cost ignoring pipelining and materialization.
-func (p *Plan) TotalRunCost() float64 {
-	s := 0.0
-	for _, id := range p.order {
-		s += p.ops[id].RunCost
-	}
-	return s
-}
-
-// TotalMatCost returns the sum of tm(o) over all operators — the cost of
-// materializing everything (the all-mat scheme's added cost).
-func (p *Plan) TotalMatCost() float64 {
-	s := 0.0
-	for _, id := range p.order {
-		s += p.ops[id].MatCost
-	}
-	return s
-}
-
 // String renders a compact single-line description.
+// tr and tm are the sums of tr(o) and tm(o) over all operators.
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan{%d ops, %d free, tr=%.2f, tm=%.2f}",
-		p.Len(), len(p.FreeOperators()), p.TotalRunCost(), p.TotalMatCost())
+	tr, tm := 0.0, 0.0
+	for _, id := range p.order {
+		tr += p.ops[id].RunCost
+		tm += p.ops[id].MatCost
+	}
+	return fmt.Sprintf("plan{%d ops, %d free, tr=%.2f, tm=%.2f}", p.Len(), len(p.FreeOperators()), tr, tm)
 }

@@ -8,7 +8,7 @@ func linearPlan(costs ...float64) *Plan {
 	p := New()
 	var prev OpID
 	for i, c := range costs {
-		id := p.Add(Operator{Name: "op", Kind: KindFilter, RunCost: c, MatCost: c / 10})
+		id := p.Add(Operator{Name: "op", Kind: kindFilter, RunCost: c, MatCost: c / 10})
 		if i > 0 {
 			p.MustConnect(prev, id)
 		}
@@ -37,15 +37,26 @@ func TestValidatePaperExample(t *testing.T) {
 	}
 }
 
+// sinks returns the operators with no outputs (query results), sorted by ID.
+func sinks(p *Plan) []OpID {
+	var out []OpID
+	for _, id := range p.order {
+		if len(p.children[id]) == 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func TestSourcesSinks(t *testing.T) {
 	p := PaperExample()
 	srcs := p.Sources()
 	if len(srcs) != 2 || srcs[0] != 1 || srcs[1] != 2 {
 		t.Errorf("sources = %v, want [1 2]", srcs)
 	}
-	sinks := p.Sinks()
-	if len(sinks) != 2 || sinks[0] != 6 || sinks[1] != 7 {
-		t.Errorf("sinks = %v, want [6 7]", sinks)
+	got := sinks(p)
+	if len(got) != 2 || got[0] != 6 || got[1] != 7 {
+		t.Errorf("sinks = %v, want [6 7]", got)
 	}
 }
 
@@ -152,12 +163,23 @@ func TestFreeOperators(t *testing.T) {
 	}
 }
 
+// maskOf is the inverse of ConfigFromMask for the given free-operator order.
+func maskOf(cfg MatConfig, free []OpID) uint64 {
+	var m uint64
+	for i, id := range free {
+		if cfg[id] {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
 func TestMatConfigMaskRoundTrip(t *testing.T) {
 	p := PaperExample()
 	free := p.FreeOperators()
 	for mask := uint64(0); mask < 1<<uint(len(free)); mask += 13 {
 		cfg := ConfigFromMask(free, mask)
-		if got := cfg.Mask(free); got != mask {
+		if got := maskOf(cfg, free); got != mask {
 			t.Fatalf("mask round trip: %d -> %d", mask, got)
 		}
 	}

@@ -12,7 +12,7 @@ func TestRandomDAGAlwaysValid(t *testing.T) {
 			if p.Len() != n {
 				t.Fatalf("seed %d: got %d ops, want %d", seed, p.Len(), n)
 			}
-			if len(p.Sources()) == 0 || len(p.Sinks()) == 0 {
+			if len(p.Sources()) == 0 || len(sinks(p)) == 0 {
 				t.Fatalf("seed %d: missing sources or sinks", seed)
 			}
 		}

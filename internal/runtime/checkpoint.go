@@ -19,7 +19,7 @@ import (
 // for everything enqueued — query completion does — and wait for a single
 // partition, before the restore probe.
 type checkpointWriter struct {
-	store  blockSink
+	store  engine.EncodedStore
 	events *events
 
 	mu   sync.Mutex
@@ -48,12 +48,7 @@ type group struct {
 	rows     int64
 }
 
-// blockSink is the half of engine.EncodedStore the writer uses.
-type blockSink interface {
-	PutGroup(op string, parts int, group []engine.PartBlock) error
-}
-
-func newCheckpointWriter(store blockSink, events *events) *checkpointWriter {
+func newCheckpointWriter(store engine.EncodedStore, events *events) *checkpointWriter {
 	w := &checkpointWriter{
 		store:    store,
 		events:   events,

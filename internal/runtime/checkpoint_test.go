@@ -19,8 +19,8 @@ import (
 	"ftpde/internal/tpch"
 )
 
-// gateStore is the writer's blockSink: it records the groups it is handed
-// and, when gated, holds each write until the test lets it go.
+// gateStore is the writer's store: it records the groups it is handed and,
+// when gated, holds each write until the test lets it go. It serves no reads.
 type gateStore struct {
 	gate chan struct{} // nil: a write returns at once; else it waits for one send
 	fail map[string]error
@@ -29,6 +29,8 @@ type gateStore struct {
 	inFlight int
 	writes   map[string][][]int // per operator, the partitions of each group written
 }
+
+func (s *gateStore) GetEncoded(string, int) ([]byte, bool) { return nil, false }
 
 func (s *gateStore) PutGroup(op string, parts int, group []engine.PartBlock) error {
 	var members []int
@@ -524,7 +526,7 @@ func TestCheckpointedStageIsOneStoreWrite(t *testing.T) {
 		for _, j := range joins {
 			mat[j] = true
 		}
-		q, err := tpch.EngineQ5(cat, 1, 0, 2400, mat)
+		q, err := engineQ5(cat, 1, 0, 2400, mat)
 		if err != nil {
 			t.Fatal(err)
 		}

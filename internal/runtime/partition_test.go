@@ -260,8 +260,8 @@ func TestKillPoints(t *testing.T) {
 					if failures != 1 {
 						t.Fatalf("run %d: %d failure events, want 1", run, failures)
 					}
-					if led := m.Ledger().Snapshot(); led.Failures != 1 || led.Unresolved != 0 || len(led.Paired()) != 0 {
-						t.Fatalf("run %d: ledger failures=%d unresolved=%d unpaired=%v", run, led.Failures, led.Unresolved, led.Paired())
+					if led := m.Ledger().Snapshot(); led.Failures != 1 || led.Unresolved != 0 {
+						t.Fatalf("run %d: ledger failures=%d unresolved=%d", run, led.Failures, led.Unresolved)
 					}
 					// One worker, so nothing else counts a batch between the
 					// dying attempt's three decisions and the next one taken:

@@ -18,10 +18,10 @@ var ErrPoolClosed = errors.New("runtime: worker pool closed")
 // rather than per query. A Runtime without an injected Pool allocates a
 // private one, preserving the original per-query MaxWorkers semantics.
 //
-// The pool also measures its own contention: InUse counts held slots, Waiting
-// counts workers parked in Acquire, and Utilization folds both into the load
-// signal the service feeds to the cost model (cost.Model.UnderLoad), making
-// materialization decisions traffic-aware.
+// The pool also measures its own contention: Utilization folds held slots
+// and workers parked in Acquire into the load signal the service feeds to
+// the cost model (cost.Model.UnderLoad), making materialization decisions
+// traffic-aware.
 //
 // Shutdown is graceful by construction: Close stops admission immediately
 // (parked and future Acquires fail with ErrPoolClosed) but blocks until every
@@ -124,29 +124,8 @@ func (p *Pool) Close() {
 	<-p.drained
 }
 
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // Capacity returns the number of worker slots.
 func (p *Pool) Capacity() int { return cap(p.sem) }
-
-// InUse returns the number of currently held slots.
-func (p *Pool) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.busy
-}
-
-// Waiting returns the number of workers parked in Acquire.
-func (p *Pool) Waiting() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waiting
-}
 
 // Utilization returns the pool's instantaneous demand (held slots plus
 // parked acquirers) relative to capacity. Values above 1 mean the pool is

@@ -22,11 +22,8 @@ func TestPoolAcquireRelease(t *testing.T) {
 	if err := p.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.InUse(); got != 2 {
-		t.Fatalf("InUse = %d, want 2", got)
-	}
 	if got := p.Utilization(); got != 1 {
-		t.Fatalf("Utilization = %g, want 1", got)
+		t.Fatalf("Utilization with both slots held = %g, want 1", got)
 	}
 	// A third acquire must respect context cancellation while parked.
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
@@ -38,8 +35,8 @@ func TestPoolAcquireRelease(t *testing.T) {
 	}
 	p.Release()
 	p.Release()
-	if got := p.InUse(); got != 0 {
-		t.Fatalf("InUse after release = %d, want 0", got)
+	if got := p.Utilization(); got != 0 {
+		t.Fatalf("Utilization after release = %g, want 0", got)
 	}
 }
 
@@ -52,7 +49,7 @@ func TestPoolUtilizationCountsWaiters(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- p.Acquire(ctx) }()
 	// Wait until the second acquire is parked.
-	for i := 0; p.Waiting() == 0 && i < 1000; i++ {
+	for i := 0; p.Utilization() <= 1 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if got := p.Utilization(); got != 2 {
@@ -81,7 +78,7 @@ func TestPoolAcquireAfterCloseTypedError(t *testing.T) {
 	parkThenRelease := func(ctx context.Context, release func()) error {
 		parked := make(chan error, 1)
 		go func() { parked <- p.Acquire(ctx) }()
-		waitFor(t, "an Acquire is parked", func() bool { return p.Waiting() == 1 })
+		waitFor(t, "an Acquire is parked", func() bool { return p.Utilization() == 2 })
 		var err error
 		within(t, 5*time.Second, func() {
 			release()
@@ -94,8 +91,8 @@ func TestPoolAcquireAfterCloseTypedError(t *testing.T) {
 	if err := parkThenRelease(cctx, cancel); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parked Acquire on cancel = %v, want context.Canceled", err)
 	}
-	if got := p.Waiting(); got != 0 {
-		t.Fatalf("Waiting after the cancel = %d, want 0", got)
+	if got := p.Utilization(); got != 1 {
+		t.Fatalf("Utilization after the cancel = %g, want 1 (the held slot, no waiter)", got)
 	}
 
 	closed := make(chan struct{})
@@ -117,9 +114,6 @@ func TestPoolAcquireAfterCloseTypedError(t *testing.T) {
 	within(t, 5*time.Second, func() { <-closed })
 	if err := p.Acquire(ctx); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Acquire after Close = %v, want ErrPoolClosed", err)
-	}
-	if !p.Closed() {
-		t.Fatal("Closed() = false after Close")
 	}
 	waitForGoroutines(t, before, "after Close")
 }

@@ -380,7 +380,7 @@ func TestExecuteRejectsNonColumnarPlan(t *testing.T) {
 	proj := engine.NewProject("proj", ex, []engine.Expr{engine.Const{V: 3}},
 		engine.Schema{{Name: "three", Type: engine.TypeInt}})
 
-	store := engine.NewMatStore()
+	store := &countingStore{MatStore: engine.NewMatStore(), groups: map[string][]int{}}
 	r, err := New(Config{Nodes: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -393,8 +393,8 @@ func TestExecuteRejectsNonColumnarPlan(t *testing.T) {
 	if res != nil {
 		t.Errorf("Execute returned a result alongside the error: %v", res.Parts)
 	}
-	if store.Len() != 0 {
-		t.Errorf("%d operators checkpointed by a refused plan", store.Len())
+	if len(store.groups) != 0 {
+		t.Errorf("%d operators checkpointed by a refused plan", len(store.groups))
 	}
 	waitForGoroutines(t, before, "refused plan")
 }

@@ -40,21 +40,21 @@ func tpchQueries() map[string]queryBuilder {
 			return q
 		},
 		"q5": func(t *testing.T, cat *engine.Catalog) engine.Operator {
-			q, err := tpch.EngineQ5(cat, 1, 0, 2400, map[string]bool{"q5-join3": true})
+			q, err := engineQ5(cat, 1, 0, 2400, map[string]bool{"q5-join3": true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return q
 		},
 		"q1c": func(t *testing.T, cat *engine.Catalog) engine.Operator {
-			q, err := tpch.EngineQ1C(cat, 2500)
+			q, err := engineQ1C(cat, 2500)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return q
 		},
 		"q2c": func(t *testing.T, cat *engine.Catalog) engine.Operator {
-			q, err := tpch.EngineQ2C(cat, 25, 250.0)
+			q, err := engineQ2C(cat, 25, 250.0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,8 +171,8 @@ func TestTPCHSharedStoreAcrossRuntimes(t *testing.T) {
 	}
 	build := tpchQueries()["q3"]
 	store := engine.NewMatStore()
-	want, _ := pipelinedRows(t, cat, build, Config{Nodes: eqNodes, Store: store})
-	if store.Len() == 0 {
+	want, prep := pipelinedRows(t, cat, build, Config{Nodes: eqNodes, Store: store})
+	if prep.MaterializedPartitions == 0 {
 		t.Fatal("pipelined runtime materialized nothing")
 	}
 

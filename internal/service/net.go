@@ -81,10 +81,10 @@ func (s *Server) handle(ctx context.Context, req Request) *Response {
 	return out
 }
 
-// HTTPMux returns the HTTP front door: the full obs debug vocabulary
+// httpMux returns the HTTP front door: the full obs debug vocabulary
 // (/metrics, /debug/vars, /debug/queries, /debug/timeline, /debug/trace,
 // /debug/pprof/*) plus POST /query and GET /healthz.
-func (s *Server) HTTPMux() *http.ServeMux {
+func (s *Server) httpMux() *http.ServeMux {
 	mux := obs.DebugMux(s.cfg.Tracer, func() any { return s.Stats() }, s.cfg.Registry, s.progress)
 	mux.HandleFunc("/query", s.handleHTTPQuery)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -98,9 +98,9 @@ func (s *Server) HTTPMux() *http.ServeMux {
 	return mux
 }
 
-// StartHTTP binds addr and serves HTTPMux in the background.
+// StartHTTP binds addr and serves httpMux in the background.
 func (s *Server) StartHTTP(addr string) (string, error) {
-	srv, err := obs.StartMux(addr, s.HTTPMux())
+	srv, err := obs.StartMux(addr, s.httpMux())
 	if err != nil {
 		return "", err
 	}

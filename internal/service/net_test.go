@@ -32,7 +32,7 @@ func postQuery(t *testing.T, ts *httptest.Server, req Request) (*http.Response, 
 
 func TestHTTPFrontDoor(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
-	ts := httptest.NewServer(s.HTTPMux())
+	ts := httptest.NewServer(s.httpMux())
 	defer ts.Close()
 
 	// Happy path: 200 with rows.
@@ -76,7 +76,7 @@ func TestHTTPFrontDoor(t *testing.T) {
 // header (whole seconds, >= 1).
 func TestHTTPQueueFull429(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
-	ts := httptest.NewServer(s.HTTPMux())
+	ts := httptest.NewServer(s.httpMux())
 	defer ts.Close()
 	ctx := context.Background()
 
@@ -97,7 +97,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	if hr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", hr.StatusCode)
 	}
-	if resp.Code != string(RejectQueueFull) {
+	if resp.Code != string(rejectQueueFull) {
 		t.Fatalf("code = %s, want queue_full", resp.Code)
 	}
 	if ra := hr.Header.Get("Retry-After"); ra == "" || ra == "0" {
@@ -113,9 +113,9 @@ func TestHTTPQueueFull429(t *testing.T) {
 // TestHTTPDraining503: during drain /query answers 503 and /healthz flips.
 func TestHTTPDraining503(t *testing.T) {
 	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.HTTPMux())
+	ts := httptest.NewServer(s.httpMux())
 	defer ts.Close()
-	s.Drain()
+	s.drain()
 
 	hr, resp := postQuery(t, ts, Request{Query: "SELECT n_name FROM nation"})
 	if hr.StatusCode != http.StatusServiceUnavailable {
@@ -156,7 +156,7 @@ func TestTCPClientCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Code != string(RejectQuota) || resp.RetryAfterSeconds <= 0 {
+	if resp.Code != string(rejectQuota) || resp.RetryAfterSeconds <= 0 {
 		t.Fatalf("quota response = %+v", resp)
 	}
 	resp, err = c.Do(Request{ID: "c", Tenant: "bob", Query: "SELEC oops"})

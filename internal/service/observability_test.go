@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,14 +79,37 @@ func TestForensicsBundleOnRecoveryExhaustion(t *testing.T) {
 
 	// The shared registry counts the bundle; the dead query sits in the
 	// recent ring of /debug/queries with its terminal error.
-	fam := s.Registry().Snapshot().Family("ftpde_forensics_bundles_total")
-	if fam == nil || len(fam.Series) != 1 || fam.Series[0].Value != 1 {
-		t.Errorf("ftpde_forensics_bundles_total = %+v", fam)
+	bundles := -1.0
+	for _, fam := range s.Registry().Snapshot().Families {
+		if fam.Name == "ftpde_forensics_bundles_total" && len(fam.Series) == 1 {
+			bundles = fam.Series[0].Value
+		}
 	}
-	snap := s.Progress().Snapshot()
+	if bundles != 1 {
+		t.Errorf("ftpde_forensics_bundles_total = %g, want 1", bundles)
+	}
+	snap := queries(t, s)
 	if len(snap.Active) != 0 || len(snap.Recent) != 1 || snap.Recent[0].Err == "" {
 		t.Errorf("progress registry after death: %+v", snap)
 	}
+}
+
+// debugQueries is the /debug/queries JSON document.
+type debugQueries struct {
+	Active []obs.ProgressSnapshot `json:"active"`
+	Recent []obs.ProgressSnapshot `json:"recent"`
+}
+
+// queries reads /debug/queries off s's progress registry.
+func queries(t *testing.T, s *Server) debugQueries {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.progress.ServeHTTP(rec, nil)
+	var snap debugQueries
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestForensicsRingBoundAcrossQueries: repeated aborts never grow the ring
@@ -145,7 +169,7 @@ func TestDebugQueriesConcurrentWithFailures(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				var snap obs.QueriesSnapshot
+				var snap debugQueries
 				if derr := json.NewDecoder(resp.Body).Decode(&snap); derr != nil {
 					t.Errorf("/debug/queries JSON: %v", derr)
 				}
@@ -180,14 +204,14 @@ func TestDebugQueriesConcurrentWithFailures(t *testing.T) {
 	pollWG.Wait()
 
 	total := rounds * len(TPCHQueries())
-	snap := s.Progress().Snapshot()
+	snap := queries(t, s)
 	if len(snap.Active) != 0 {
 		t.Errorf("queries still active after completion: %+v", snap.Active)
 	}
 	if len(snap.Recent) == 0 {
 		t.Error("no recent queries tracked")
 	}
-	if got := s.Drift().Snapshot().Queries; got != total {
+	if got := s.drift.Snapshot().Queries; got != total {
 		t.Errorf("drift detector observed %d queries, want %d", got, total)
 	}
 }

@@ -42,7 +42,7 @@ type Config struct {
 	// response.
 	MaxConcurrent int
 	// QueueDepth bounds requests parked waiting for an execution slot;
-	// beyond it the server sheds load with RejectQueueFull (default
+	// beyond it the server sheds load with a queue_full Reject (default
 	// 2*MaxConcurrent).
 	QueueDepth int
 
@@ -228,12 +228,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Progress exposes the live-query registry backing /debug/queries.
-func (s *Server) Progress() *obs.ProgressRegistry { return s.progress }
-
-// Drift exposes the online drift detector (tests and /debug/vars read it).
-func (s *Server) Drift() *obs.DriftDetector { return s.drift }
-
 // Pool exposes the shared worker pool (tests observe utilization).
 func (s *Server) Pool() *runtime.Pool { return s.pool }
 
@@ -306,7 +300,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 
 	tn := s.tenant(tenantName)
 	// Draining check and in-flight registration are one atomic step so
-	// Drain's wg.Wait cannot miss a query admitted concurrently.
+	// drain's wg.Wait cannot miss a query admitted concurrently.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -572,19 +566,19 @@ func (s *Server) retryHint() time.Duration {
 	return hint
 }
 
-// Draining reports whether Drain has begun.
+// Draining reports whether the drain has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
 }
 
-// Drain gracefully shuts the query path down: new submissions are rejected
+// drain gracefully shuts the query path down: new submissions are rejected
 // with RejectDraining, queued-but-unadmitted requests are shed, in-flight
 // queries run to completion (including any failure recovery), then the
 // shared pool is closed. Idempotent; concurrent callers all block until the
 // drain completes.
-func (s *Server) Drain() {
+func (s *Server) drain() {
 	s.mu.Lock()
 	first := !s.draining
 	s.draining = true
@@ -607,7 +601,7 @@ func (s *Server) Close() error {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	s.Drain()
+	s.drain()
 	s.nmu.Lock()
 	for c := range s.conns {
 		c.Close()

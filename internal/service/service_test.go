@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
 )
 
@@ -136,7 +137,7 @@ func TestQueueFullTypedReject(t *testing.T) {
 	// The queue is full: the next submission is shed, typed and hinted.
 	_, err = s.Submit(ctx, Request{Tenant: "shed", Query: "SELECT n_name FROM nation"})
 	rej2, ok := AsReject(err)
-	if !ok || rej2.Code != RejectQueueFull {
+	if !ok || rej2.Code != rejectQueueFull {
 		t.Fatalf("err = %v, want queue_full Reject", err)
 	}
 	if rej2.RetryAfter <= 0 {
@@ -198,9 +199,9 @@ func TestParkedAdmissionIsReleased(t *testing.T) {
 		t.Fatalf("queue depth after the cancel = %d, want 0", got)
 	}
 
-	err = parkThenRelease(context.Background(), s.Drain)
+	err = parkThenRelease(context.Background(), s.drain)
 	if rej, ok := AsReject(err); !ok || rej.Code != RejectDraining {
-		t.Fatalf("parked Submit on Drain = %v, want a draining Reject", err)
+		t.Fatalf("parked Submit on drain = %v, want a draining Reject", err)
 	}
 	if got := s.QueueDepth(); got != 0 {
 		t.Fatalf("queue depth after the drain = %d, want 0", got)
@@ -224,7 +225,7 @@ func TestTenantQuotaReject(t *testing.T) {
 	}
 	_, err := s.Submit(ctx, Request{Tenant: "alice", Query: "SELECT n_name FROM nation"})
 	rej, ok := AsReject(err)
-	if !ok || rej.Code != RejectQuota {
+	if !ok || rej.Code != rejectQuota {
 		t.Fatalf("err = %v, want quota Reject", err)
 	}
 	if rej.RetryAfter <= 0 {
@@ -253,7 +254,7 @@ func TestTenantCapCannotStarveOthers(t *testing.T) {
 	}
 	_, err := s.Submit(ctx, Request{Tenant: "alice", Query: "SELECT n_name FROM nation"})
 	rej, ok := AsReject(err)
-	if !ok || rej.Code != RejectTenantBusy {
+	if !ok || rej.Code != rejectTenantBusy {
 		t.Fatalf("capped tenant err = %v, want tenant_busy Reject", err)
 	}
 	// The cap reject consumed no global slot and no quota token.
@@ -279,7 +280,7 @@ func TestDrainGraceful(t *testing.T) {
 	ctx := context.Background()
 
 	// Hold the single pool worker so the submitted query is pinned
-	// in-flight (inside execute, waiting for the pool) when Drain begins.
+	// in-flight (inside execute, waiting for the pool) when the drain begins.
 	if err := s.pool.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -288,16 +289,17 @@ func TestDrainGraceful(t *testing.T) {
 		_, err := s.Submit(ctx, Request{Tenant: "alice", Query: "SELECT n_name FROM nation"})
 		inflight <- err
 	}()
-	for i := 0; s.pool.Waiting() == 0 && i < 1000; i++ {
+	// Utilization exceeds 1 once the query's worker is parked behind ours.
+	for i := 0; s.pool.Utilization() <= 1 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if s.pool.Waiting() == 0 {
+	if s.pool.Utilization() <= 1 {
 		t.Fatal("query never reached the pool")
 	}
 
 	drained := make(chan struct{})
 	go func() {
-		s.Drain()
+		s.drain()
 		close(drained)
 	}()
 	for i := 0; !s.Draining() && i < 1000; i++ {
@@ -314,7 +316,7 @@ func TestDrainGraceful(t *testing.T) {
 	// The drain must be blocked on the in-flight query.
 	select {
 	case <-drained:
-		t.Fatal("Drain returned with a query still in flight")
+		t.Fatal("drain returned with a query still in flight")
 	case <-time.After(20 * time.Millisecond):
 	}
 
@@ -326,10 +328,10 @@ func TestDrainGraceful(t *testing.T) {
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not complete")
+		t.Fatal("drain did not complete")
 	}
-	if !s.pool.Closed() {
-		t.Fatal("pool not closed after drain")
+	if err := s.pool.Acquire(ctx); !errors.Is(err, runtime.ErrPoolClosed) {
+		t.Fatalf("Acquire after drain = %v, want ErrPoolClosed", err)
 	}
 }
 

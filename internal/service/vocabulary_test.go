@@ -38,7 +38,7 @@ func TestServiceMetricsMatchDocs(t *testing.T) {
 // pinnedSession drives one server through a fixed sequence: alice's
 // aggregate query absorbs a scripted failure and recovers, alice submits a
 // statement that does not plan, bob's third query trips his quota, and
-// carol's one submission comes after Drain and is shed. It returns the ftserve_* exposition, with
+// carol's one submission comes after the drain and is shed. It returns the ftserve_* exposition, with
 // the wall-clock values (latency buckets and sums, wasted seconds) masked,
 // and the Stats JSON with wasted seconds masked.
 func pinnedSession(t *testing.T) (prom, stats string, s *Server) {
@@ -58,7 +58,7 @@ func pinnedSession(t *testing.T) (prom, stats string, s *Server) {
 	submit("alice", "SELECT nope FROM nowhere", true)
 	submit("bob", "SELECT n_name FROM nation", false)
 	submit("bob", "SELECT n_name FROM nation", true) // quota
-	s.Drain()
+	s.drain()
 	submit("carol", "SELECT n_name FROM nation", true) // draining
 
 	var b strings.Builder

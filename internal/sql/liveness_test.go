@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -435,7 +436,7 @@ func newPropQuery(r *rand.Rand, tables []propTable) *propGen {
 func (g *propGen) ref(c propCol) string {
 	name, shared := g.schema(c).Name, false
 	for ti, t := range g.q.from {
-		if ti != c.tbl && g.tables[t].schema.ColIndex(name) >= 0 {
+		if ti != c.tbl && slices.ContainsFunc(g.tables[t].schema, func(c engine.Column) bool { return c.Name == name }) {
 			shared = true
 		}
 	}
@@ -884,7 +885,7 @@ func TestQ5RecoveryOverPrunedJoins(t *testing.T) {
 				if rep.Failures != 1 {
 					t.Errorf("%d failures handled, want 1", rep.Failures)
 				}
-				if led := m.Ledger().Snapshot(); led.Failures != 1 || led.Unresolved != 0 || len(led.Paired()) != 0 {
+				if led := m.Ledger().Snapshot(); led.Failures != 1 || led.Unresolved != 0 {
 					t.Errorf("ledger inconsistent: %s", led.String())
 				}
 				if err := store.Err(); err != nil {

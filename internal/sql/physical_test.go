@@ -439,14 +439,15 @@ func TestSQLPlansEmitCompiledPredicates(t *testing.T) {
 		var scans, checked int
 		var walk func(op engine.Operator)
 		walk = func(op engine.Operator) {
-			if _, ok := op.(*engine.Scan); ok {
+			switch op.(type) {
+			case *engine.Scan:
 				scans++
-			}
-			if c, ok := op.(interface{ Compiled() bool }); ok {
 				checked++
-				if !c.Compiled() {
-					t.Errorf("%q: %s is not compiled", q, op.Name())
-				}
+			case *engine.Select, *engine.Project:
+				checked++
+			}
+			if err := engine.CheckColumnar(op); err != nil {
+				t.Errorf("%q: %s is not compiled: %v", q, op.Name(), err)
 			}
 			for _, in := range op.Inputs() {
 				walk(in)

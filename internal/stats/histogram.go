@@ -66,8 +66,8 @@ func BuildHistogram(values []float64, buckets int) (*Histogram, error) {
 	return h, nil
 }
 
-// SelectivityLess estimates P(col < v).
-func (h *Histogram) SelectivityLess(v float64) float64 {
+// selectivityLess estimates P(col < v).
+func (h *Histogram) selectivityLess(v float64) float64 {
 	if v <= h.Bounds[0] {
 		return 0
 	}
@@ -98,18 +98,18 @@ func (h *Histogram) SelectivityLess(v float64) float64 {
 	return sel
 }
 
-// SelectivityGreater estimates P(col > v).
-func (h *Histogram) SelectivityGreater(v float64) float64 {
-	s := 1 - h.SelectivityLess(v) - h.SelectivityEq(v)
+// selectivityGreater estimates P(col > v).
+func (h *Histogram) selectivityGreater(v float64) float64 {
+	s := 1 - h.selectivityLess(v) - h.selectivityEq(v)
 	if s < 0 {
 		return 0
 	}
 	return s
 }
 
-// SelectivityEq estimates P(col = v) using the uniform-within-distinct
+// selectivityEq estimates P(col = v) using the uniform-within-distinct
 // assumption.
-func (h *Histogram) SelectivityEq(v float64) float64 {
+func (h *Histogram) selectivityEq(v float64) float64 {
 	if v < h.Bounds[0] || v > h.Bounds[len(h.Bounds)-1] {
 		return 0
 	}
@@ -124,17 +124,17 @@ func (h *Histogram) SelectivityEq(v float64) float64 {
 func (h *Histogram) Selectivity(op string, v float64) (float64, error) {
 	switch op {
 	case "=":
-		return h.SelectivityEq(v), nil
+		return h.selectivityEq(v), nil
 	case "<>", "!=":
-		return 1 - h.SelectivityEq(v), nil
+		return 1 - h.selectivityEq(v), nil
 	case "<":
-		return h.SelectivityLess(v), nil
+		return h.selectivityLess(v), nil
 	case "<=":
-		return h.SelectivityLess(v) + h.SelectivityEq(v), nil
+		return h.selectivityLess(v) + h.selectivityEq(v), nil
 	case ">":
-		return h.SelectivityGreater(v), nil
+		return h.selectivityGreater(v), nil
 	case ">=":
-		return h.SelectivityGreater(v) + h.SelectivityEq(v), nil
+		return h.selectivityGreater(v) + h.selectivityEq(v), nil
 	default:
 		return 0, fmt.Errorf("stats: unknown operator %q", op)
 	}

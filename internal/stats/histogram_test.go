@@ -85,7 +85,7 @@ func TestHistogramSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := h.SelectivityGreater(1)
+	got := h.selectivityGreater(1)
 	want := 0.099 // ~990 of 10000
 	if math.Abs(got-want) > 0.03 {
 		t.Errorf("sel(col > 1) = %.3f, want ~%.2f on skewed data", got, want)
@@ -101,10 +101,10 @@ func TestHistogramEqUsesDistinct(t *testing.T) {
 	if h.DistinctEst != 4 {
 		t.Fatalf("distinct = %g, want 4", h.DistinctEst)
 	}
-	if got := h.SelectivityEq(2); got != 0.25 {
+	if got := h.selectivityEq(2); got != 0.25 {
 		t.Errorf("eq selectivity = %g, want 0.25", got)
 	}
-	if got := h.SelectivityEq(99); got != 0 {
+	if got := h.selectivityEq(99); got != 0 {
 		t.Errorf("out-of-range eq = %g, want 0", got)
 	}
 }
@@ -126,9 +126,9 @@ func TestHistogramProperties(t *testing.T) {
 	}
 	f := func(raw int16) bool {
 		v := float64(raw) / 100
-		lt := h.SelectivityLess(v)
-		eq := h.SelectivityEq(v)
-		gt := h.SelectivityGreater(v)
+		lt := h.selectivityLess(v)
+		eq := h.selectivityEq(v)
+		gt := h.selectivityGreater(v)
 		if lt < 0 || lt > 1 || eq < 0 || eq > 1 || gt < 0 || gt > 1 {
 			return false
 		}
@@ -139,7 +139,7 @@ func TestHistogramProperties(t *testing.T) {
 	}
 }
 
-// Property: SelectivityLess is monotone.
+// Property: selectivityLess is monotone.
 func TestHistogramMonotone(t *testing.T) {
 	vals := uniformValues(2000, 0, 10, 5)
 	h, err := BuildHistogram(vals, 8)
@@ -148,9 +148,9 @@ func TestHistogramMonotone(t *testing.T) {
 	}
 	prev := -1.0
 	for v := -1.0; v <= 11; v += 0.1 {
-		s := h.SelectivityLess(v)
+		s := h.selectivityLess(v)
 		if s < prev-1e-12 {
-			t.Fatalf("SelectivityLess not monotone at %g", v)
+			t.Fatalf("selectivityLess not monotone at %g", v)
 		}
 		prev = s
 	}
