@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,8 +20,6 @@ import (
 
 	"ftpde/internal/experiments"
 	"ftpde/internal/failure"
-	"ftpde/internal/obs"
-	"ftpde/internal/obs/metrics"
 )
 
 func main() {
@@ -37,9 +34,8 @@ func main() {
 		scheme   = flag.String("scheme", "cost-based", "-exp sim: fault-tolerance scheme: all-mat, no-mat-lineage, no-mat-restart, cost-based")
 		mtbf     = flag.Float64("mtbf", failure.OneHour, "-exp sim: per-node MTBF (seconds)")
 		mttr     = flag.Float64("mttr", 1, "-exp sim: mean time to repair (seconds)")
-		debug    = flag.String("debug-addr", "", "serve live experiment progress (-exp sim: the simulated timeline, until interrupted) and pprof on this address")
-		traceOut = flag.String("trace-out", "", "write the per-experiment timing timeline (-exp sim: the simulated timeline) to this file in Chrome trace_event format")
-		metOut   = flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
+		traceOut = flag.String("trace-out", "", "-exp sim: write the simulated timeline to this file in Chrome trace_event format")
+		metOut   = flag.String("metrics-out", "", "-exp sim: write the run's metrics registry snapshot to this file as JSON")
 	)
 	flag.Parse()
 
@@ -53,9 +49,12 @@ func main() {
 	if *exp == "sim" {
 		runSim(simOptions{
 			query: *query, scheme: *scheme, sf: *sf, mtbf: *mtbf, mttr: *mttr, nodes: *nodes, seed: *seed,
-			traceOut: *traceOut, debug: *debug, metricsOut: *metOut,
+			traceOut: *traceOut, metricsOut: *metOut,
 		})
 		return
+	}
+	if *traceOut != "" || *metOut != "" {
+		fatal(fmt.Errorf("-trace-out and -metrics-out apply to -exp sim only"))
 	}
 
 	cfg := experiments.Config{Nodes: *nodes, Traces: *traces, Seed: *seed, SF: *sf}
@@ -75,24 +74,6 @@ func main() {
 		}
 		runners = []experiments.Runner{r}
 	}
-	var tracer *obs.Tracer
-	if *debug != "" || *traceOut != "" || *metOut != "" {
-		tracer = obs.NewTracer(obs.DefaultCapacity)
-	}
-	done := 0
-	reg := benchRegistry(tracer, &done)
-	if *debug != "" {
-		srv, err := obs.StartDebug(*debug, tracer, func() any {
-			return map[string]any{"experiments_total": len(runners), "experiments_done": done}
-		}, reg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ftbench: debug server on http://%s/debug/vars\n", srv.Addr())
-	}
-
 	for _, r := range runners {
 		start := time.Now()
 		tbl, err := r.Run(cfg)
@@ -100,41 +81,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		tracer.Record(obs.Span{Kind: obs.KindStage, Name: r.ID, Part: -1, Attempt: -1, Start: start, End: time.Now()})
-		done++
 		fmt.Println(tbl)
 		fmt.Printf("(%s regenerated in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
-	if *traceOut != "" {
-		if err := obs.WriteChromeTraceSpans(*traceOut, tracer.Epoch(), tracer.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote Chrome trace to %s\n", *traceOut)
-	}
-	if *metOut != "" {
-		data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote metrics snapshot to %s\n", *metOut)
-	}
-}
-
-// benchRegistry is an experiments run's registry: the tracer's families and
-// the number of experiments done so far.
-func benchRegistry(tracer *obs.Tracer, done *int) *metrics.Registry {
-	reg := metrics.NewRegistry()
-	obs.RegisterTraceMetrics(reg, tracer)
-	reg.MustRegisterFunc(metrics.Desc{
-		Name: "ftpde_experiments_done", Kind: metrics.KindGauge,
-		Help: "Experiments completed so far in this ftbench run.",
-	}, func() []metrics.Sample {
-		return []metrics.Sample{{Value: float64(*done)}}
-	})
-	return reg
 }

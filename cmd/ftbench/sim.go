@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/signal"
 
 	"ftpde/internal/cost"
 	"ftpde/internal/exec"
@@ -17,11 +16,11 @@ import (
 
 // simOptions are the flags of `ftbench -exp sim`.
 type simOptions struct {
-	query, scheme               string
-	sf, mtbf, mttr              float64
-	nodes                       int
-	seed                        int64
-	traceOut, debug, metricsOut string
+	query, scheme        string
+	sf, mtbf, mttr       float64
+	nodes                int
+	seed                 int64
+	traceOut, metricsOut string
 }
 
 // runSim runs one TPC-H query under one fault-tolerance scheme on a
@@ -110,21 +109,6 @@ func runSim(o simOptions) {
 			fatal(err)
 		}
 		fmt.Printf("\nwrote metrics snapshot to %s\n", o.metricsOut)
-	}
-	if o.debug != "" {
-		tracer := obs.NewTracer(len(res.Spans) * 2)
-		for _, sp := range res.Spans {
-			tracer.Record(sp)
-		}
-		srv, err := obs.StartDebug(o.debug, tracer, func() any { return res }, simRegistry(res), nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\ndebug server on http://%s/debug/timeline — ctrl-c to exit\n", srv.Addr())
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-		srv.Close()
 	}
 }
 

@@ -1,7 +1,6 @@
 // Command ftserve runs the multi-tenant query service: a TPC-H catalog, the
-// sql -> core -> cost planning pipeline with load-aware fault-tolerance
-// costing, and many concurrent stage-DAG executions on one shared bounded
-// worker pool.
+// sql -> core -> cost fault-tolerance planning pipeline, and many concurrent
+// stage-DAG executions on one shared bounded worker pool.
 //
 // Usage:
 //

@@ -90,18 +90,14 @@ func runCalibrate(o calibrateOptions) (*calibrateResult, error) {
 		if stmts[i], err = sql.Parse(q.Text); err != nil {
 			return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 		}
-		var tables []string
-		for _, tr := range stmts[i].From {
-			tables = append(tables, tr.Table)
-		}
-		if tstats[i], err = sql.CollectStats(cat, tables); err != nil {
+		if tstats[i], err = sql.CollectStats(cat, stmts[i].Tables()); err != nil {
 			return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 		}
 	}
 
 	// The uncalibrated prior: the defaults every other ftsql mode starts from.
-	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: o.Nodes}
-	base := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: o.Nodes}
+	cp := stats.DefaultCostParams(o.Nodes)
+	base := cost.DefaultModel(failure.Spec{Nodes: o.Nodes, MTBF: failure.OneHour, MTTR: 1})
 
 	spec := failure.Spec{Nodes: o.Nodes, MTBF: o.MTBF}
 	trace := failure.NewTrace(spec, o.Window, o.Seed)

@@ -102,19 +102,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// -explain and -explain-analyze price plans at -mtbf with a 1s MTTR.
+	model := cost.DefaultModel(failure.Spec{Nodes: *nodes, MTBF: *mtbf, MTTR: 1})
 
 	if *explain {
-		tables := make([]string, 0, len(stmt.From))
-		for _, tr := range stmt.From {
-			tables = append(tables, tr.Table)
-		}
-		tstats, err := sql.CollectStats(cat, tables)
+		tstats, err := sql.CollectStats(cat, stmt.Tables())
 		if err != nil {
 			fatal(err)
 		}
-		cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: *nodes}
-		m := cost.Model{MTBF: *mtbf, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: *nodes}
-		res, err := sql.FTPlan(stmt, cat, tstats, cp, m, *topK)
+		res, err := sql.FTPlan(stmt, cat, tstats, stats.DefaultCostParams(*nodes), model, *topK)
 		if err != nil {
 			fatal(err)
 		}
@@ -141,17 +137,11 @@ func main() {
 	var pp *sql.PhysicalPlan
 	var audit *sql.AuditPlan
 	if *analyze {
-		tables := make([]string, 0, len(stmt.From))
-		for _, tr := range stmt.From {
-			tables = append(tables, tr.Table)
-		}
-		tstats, err := sql.CollectStats(cat, tables)
+		tstats, err := sql.CollectStats(cat, stmt.Tables())
 		if err != nil {
 			fatal(err)
 		}
-		cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: *nodes}
-		m := cost.Model{MTBF: *mtbf, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: *nodes}
-		audit, err = sql.BuildAuditPlan(stmt, cat, tstats, cp, m)
+		audit, err = sql.BuildAuditPlan(stmt, cat, tstats, stats.DefaultCostParams(*nodes), model)
 		if err != nil {
 			fatal(err)
 		}

@@ -36,11 +36,6 @@ type Model struct {
 	// ExactWasted selects the exact Equation 3 for w(c) instead of the t/2
 	// approximation of Equation 4 the paper uses. Kept for ablation.
 	ExactWasted bool
-	// RecoveryStretch scales the recovery-time terms w(c) and MTTR to price
-	// recomputation against a loaded shared worker pool instead of an idle
-	// cluster (set via UnderLoad; see load.go). Zero and 1 both mean
-	// unscaled, keeping the zero value paper-faithful.
-	RecoveryStretch float64
 	// ClusterAware is an extension beyond the paper: it divides the MTBF by
 	// the node count when estimating failure probabilities and attempts,
 	// reflecting that a partition-parallel operator is delayed when any of
@@ -87,9 +82,6 @@ func (m Model) Validate() error {
 	if m.Nodes < 0 {
 		return fmt.Errorf("cost: nodes must be non-negative, got %d", m.Nodes)
 	}
-	if m.RecoveryStretch < 0 {
-		return fmt.Errorf("cost: recovery stretch must be non-negative, got %g", m.RecoveryStretch)
-	}
 	return nil
 }
 
@@ -131,19 +123,12 @@ func (m Model) opCost(t, lnMiss float64) OpCost {
 	} else {
 		w = failure.WastedRuntimeApprox(t)
 	}
-	// Under shared-pool contention every recovery runs stretched: the lost
-	// work and the repair both take longer when they compete for workers.
-	mttr := m.MTTR
-	if m.RecoveryStretch > 1 {
-		w *= m.RecoveryStretch
-		mttr *= m.RecoveryStretch
-	}
 	a := failure.AttemptsLn(t, mtbf, lnMiss)
 	// a(c) is +Inf once η rounds to 1: a zero MTTR then adds nothing, not
 	// Inf·0 = NaN, which no dominant-path comparison would ever pick.
 	rt := t + a*w
-	if mttr > 0 {
-		rt += a * mttr
+	if m.MTTR > 0 {
+		rt += a * m.MTTR
 	}
 	return OpCost{Total: t, Wasted: w, Attempts: a, Runtime: rt}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ftpde/internal/failure"
 	"ftpde/internal/plan"
 )
 
@@ -231,5 +232,16 @@ func TestClusterAwareModel(t *testing.T) {
 	oneAware.ClusterAware = true
 	if !ApproxEq(one.OperatorCost(100).Runtime, oneAware.OperatorCost(100).Runtime) {
 		t.Error("single-node cluster-aware should equal per-node")
+	}
+}
+
+func TestDefaultModelUnstretched(t *testing.T) {
+	// DefaultModel prices T(c) by Equation 8 alone: no term scales w(c) or
+	// MTTR beyond t + a·w + a·MTTR.
+	m := DefaultModel(failure.Spec{MTBF: 100, MTTR: 1, Nodes: 4})
+	oc := m.OperatorCost(10)
+	want := oc.Total + oc.Attempts*oc.Wasted + oc.Attempts*m.MTTR
+	if !approxEqEps(oc.Runtime, want, 1e-12) {
+		t.Errorf("runtime = %g, want %g", oc.Runtime, want)
 	}
 }

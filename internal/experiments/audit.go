@@ -9,6 +9,7 @@ import (
 
 	"ftpde/internal/cost"
 	"ftpde/internal/engine"
+	"ftpde/internal/failure"
 	"ftpde/internal/obs"
 	"ftpde/internal/runtime"
 	"ftpde/internal/sql"
@@ -92,7 +93,7 @@ func ExtAudit(c Config) (*Table, error) {
 		// actually materializes, so the audit exercises checkpoint spans and
 		// multi-group collapse.
 		cp := stats.CostParams{CPUPerRow: 1e-3, WritePerRow: 1e-4, Nodes: c.Nodes}
-		m := cost.Model{MTBF: 60, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: c.Nodes}
+		m := cost.DefaultModel(failure.Spec{Nodes: c.Nodes, MTBF: 60, MTTR: 1})
 		for _, faulty := range []bool{false, true} {
 			audit, err := sql.BuildAuditPlan(stmt, cat, tstats, cp, m)
 			if err != nil {

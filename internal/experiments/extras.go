@@ -48,7 +48,7 @@ func ablationWasted(c Config) (*Table, error) {
 		Notes:  []string{"expected: identical or near-identical choices; the approximation overestimates w(c) slightly, more so at low MTBF"},
 	}
 	for _, mtbf := range []float64{failure.OneWeek, failure.OneDay, failure.OneHour, failure.ThirtyMinutes} {
-		approx := cost.Model{MTBF: mtbf, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: c.Nodes}
+		approx := cost.DefaultModel(failure.Spec{Nodes: c.Nodes, MTBF: mtbf, MTTR: 1})
 		exact := approx
 		exact.ExactWasted = true
 		ra, err := core.Optimize(q.Plan, core.Options{Model: approx})
@@ -84,7 +84,8 @@ func ablationPercentile(c Config) (*Table, error) {
 		Notes:  []string{"the paper fixes S=0.95 (the 95th percentile commonly used for worst-case provisioning)"},
 	}
 	for _, s := range []float64{0.5, 0.9, 0.95, 0.99} {
-		m := cost.Model{MTBF: spec.MTBF, MTTR: spec.MTTR, Percentile: s, PipeConst: 1, Nodes: c.Nodes}
+		m := cost.DefaultModel(spec)
+		m.Percentile = s
 		res, err := core.Optimize(q.Plan, core.Options{Model: m})
 		if err != nil {
 			return nil, err
@@ -118,7 +119,7 @@ func ablationTopK(c Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: c.Nodes}
+	m := cost.DefaultModel(failure.Spec{Nodes: c.Nodes, MTBF: failure.OneHour, MTTR: 1})
 	t := &Table{
 		Title:  "Ablation: top-k join orders — Q5@SF100, MTBF=1 hour",
 		Header: []string{"k", "best estimated runtime (s)", "configs enumerated", "paths evaluated"},
@@ -156,7 +157,7 @@ func ablationMemo(c Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := cost.Model{MTBF: failure.OneHour, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: c.Nodes}
+	m := cost.DefaultModel(failure.Spec{Nodes: c.Nodes, MTBF: failure.OneHour, MTTR: 1})
 	t := &Table{
 		Title:  "Ablation: rule 3 memoized dominant paths (Eq.9) — 1344 Q5 join orders, MTBF=1 hour",
 		Header: []string{"variant", "best estimate (s)", "paths evaluated", "cheap rule-3 stops"},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ftpde/internal/cost"
+	"ftpde/internal/failure"
 	"ftpde/internal/plan"
 )
 
@@ -12,7 +13,7 @@ import (
 // The paper computed a({1,2,3}) from the rounded gamma = 0.94 (yielding
 // 0.0648); this implementation uses exact arithmetic (0.0928), noted below.
 func Table2() *Table {
-	m := cost.Model{MTBF: 60, MTTR: 0, Percentile: 0.95, PipeConst: 1}
+	m := cost.DefaultModel(failure.Spec{MTBF: 60})
 	p := plan.PaperExample()
 	c, err := cost.Collapse(p, m)
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 	"ftpde/internal/obs/metrics"
 )
 
-// DebugServer is the opt-in live-introspection endpoint the CLIs mount with
-// -debug-addr. It serves:
+// DebugServer is the opt-in live-introspection endpoint ftsql mounts with
+// -debug-addr (ftserve mounts the same mux on -http). It serves:
 //
 //	/metrics         the metric registry in Prometheus text exposition format
 //	/debug/vars      expvar-style JSON snapshot (caller-supplied metrics +

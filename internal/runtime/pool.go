@@ -19,9 +19,8 @@ var ErrPoolClosed = errors.New("runtime: worker pool closed")
 // private one, preserving the original per-query MaxWorkers semantics.
 //
 // The pool also measures its own contention: Utilization folds held slots
-// and workers parked in Acquire into the load signal the service feeds to
-// the cost model (cost.Model.UnderLoad), making materialization decisions
-// traffic-aware.
+// and workers parked in Acquire into one load signal, which the service
+// exports as a gauge.
 //
 // Shutdown is graceful by construction: Close stops admission immediately
 // (parked and future Acquires fail with ErrPoolClosed) but blocks until every
@@ -129,7 +128,7 @@ func (p *Pool) Capacity() int { return cap(p.sem) }
 
 // Utilization returns the pool's instantaneous demand (held slots plus
 // parked acquirers) relative to capacity. Values above 1 mean the pool is
-// oversubscribed; cost.Model.UnderLoad clamps before pricing.
+// oversubscribed.
 func (p *Pool) Utilization() float64 {
 	p.mu.Lock()
 	demand := p.busy + p.waiting

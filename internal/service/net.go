@@ -85,7 +85,7 @@ func (s *Server) handle(ctx context.Context, req Request) *Response {
 // (/metrics, /debug/vars, /debug/queries, /debug/timeline, /debug/trace,
 // /debug/pprof/*) plus POST /query and GET /healthz.
 func (s *Server) httpMux() *http.ServeMux {
-	mux := obs.DebugMux(s.cfg.Tracer, func() any { return s.Stats() }, s.cfg.Registry, s.progress)
+	mux := obs.DebugMux(s.tracer, func() any { return s.Stats() }, s.reg, s.progress)
 	mux.HandleFunc("/query", s.handleHTTPQuery)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.Draining() {

@@ -3,9 +3,8 @@
 // pipelined runtime. Many queries execute concurrently on one shared bounded
 // worker pool (runtime.Pool); admission control sheds load with typed
 // rejects, per-tenant token buckets and concurrency caps keep tenants from
-// starving each other, and the fault-tolerance optimizer prices recovery
-// against observed pool utilization (cost.Model.UnderLoad) so materialization
-// decisions are traffic-aware.
+// starving each other, and the fault-tolerance optimizer picks each query's
+// materialization configuration from the paper's cost model.
 //
 // The wire protocol is deliberately small: a 4-byte big-endian length prefix
 // followed by one JSON document per frame, one Request/Response pair at a
@@ -72,11 +71,8 @@ type Response struct {
 	WastedSeconds float64 `json:"wasted_seconds"`
 
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Utilization is the pool utilization sampled at plan time and
-	// MatConfig the materialization choice it produced — together they show
-	// the load-aware costing at work.
-	Utilization float64 `json:"utilization"`
-	MatConfig   string  `json:"mat_config,omitempty"`
+	// MatConfig is the materialization configuration the query ran with.
+	MatConfig string `json:"mat_config,omitempty"`
 }
 
 // WriteFrame writes one length-prefixed JSON frame.

@@ -28,14 +28,18 @@ import (
 func TestKillScheduleReplaysAndMatchesSimulator(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 	for _, arm := range []struct {
-		name string
-		cfg  Config
+		name        string
+		cfg         Config
+		writePerRow float64 // overrides the server's tm per row when > 0
 	}{
-		{"one-group", Config{InjectMTBF: 0.01}},
-		{"materialized", Config{InjectMTBF: 0.01, ModelMTBF: 0.005, ModelMTTR: 0.001, WritePerRow: 1e-7}},
+		{"one-group", Config{InjectMTBF: 0.01}, 0},
+		{"materialized", Config{InjectMTBF: 0.01, ModelMTBF: 0.005, ModelMTTR: 0.001}, 1e-7},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			s := newTestServer(t, arm.cfg)
+			if arm.writePerRow > 0 {
+				s.cp.WritePerRow = arm.writePerRow
+			}
 			kills, mats := 0, 0
 			for i, q := range TPCHQueries() {
 				t.Run(q.Name, func(t *testing.T) {
@@ -46,7 +50,7 @@ func TestKillScheduleReplaysAndMatchesSimulator(t *testing.T) {
 			if kills == 0 {
 				t.Error("the traces killed nothing; lower InjectMTBF")
 			}
-			if arm.cfg.WritePerRow > 0 && mats == 0 {
+			if arm.writePerRow > 0 && mats == 0 {
 				t.Error("no query materialized; the arm has one group per query")
 			}
 		})
@@ -129,8 +133,8 @@ type auditedRun struct {
 	report *engine.Report
 }
 
-// buildAudit plans text with the server's base model: no load or drift
-// correction, so every run plans the same configuration.
+// buildAudit plans text with the server's base model: no drift correction,
+// so every run plans the same configuration.
 func buildAudit(t *testing.T, s *Server, text string) *sql.AuditPlan {
 	t.Helper()
 	stmt, err := sql.Parse(text)

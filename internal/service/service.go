@@ -32,8 +32,6 @@ type Config struct {
 	Nodes int
 	// Seed seeds the data generator.
 	Seed int64
-	// BatchSize is the runtime vector width (default engine.DefaultBatchSize).
-	BatchSize int
 
 	// Workers sizes the shared worker pool (default GOMAXPROCS).
 	Workers int
@@ -60,10 +58,6 @@ type Config struct {
 	// at plan time (defaults: one hour, 1s — the paper's constants).
 	ModelMTBF float64
 	ModelMTTR float64
-	// CPUPerRow/WritePerRow calibrate the planner's cost units (defaults
-	// 1e-6 and 1.7e-5, ftsql's constants; PR-5 calibration can refine them).
-	CPUPerRow   float64
-	WritePerRow float64
 
 	// InjectMTBF > 0 runs every query under failures drawn from a
 	// failure.Trace with that per-node MTBF, in model seconds (the planner's
@@ -90,13 +84,6 @@ type Config struct {
 	// bounded on-disk ring there. ForensicsMax bounds the ring (default 32).
 	ForensicsDir string
 	ForensicsMax int
-
-	// Registry receives the service metric families; nil allocates one.
-	Registry *metrics.Registry
-	// Tracer receives execution spans; nil allocates a small ring. Queries
-	// execute against private tracers whose spans are folded in here tagged
-	// with the query ID, so concurrent tenants' timelines stay separable.
-	Tracer *obs.Tracer
 }
 
 func (cfg Config) withDefaults() Config {
@@ -130,20 +117,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ModelMTTR <= 0 {
 		cfg.ModelMTTR = 1
 	}
-	if cfg.CPUPerRow <= 0 {
-		cfg.CPUPerRow = 1e-6
-	}
-	if cfg.WritePerRow <= 0 {
-		cfg.WritePerRow = 1.7e-5
-	}
 	if cfg.InjectSeed == 0 {
 		cfg.InjectSeed = 1
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.NewRegistry()
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(1 << 12)
 	}
 	return cfg
 }
@@ -156,6 +131,12 @@ type Server struct {
 	cp   stats.CostParams
 	base cost.Model
 	pool *runtime.Pool
+
+	reg *metrics.Registry // the service metric families behind /metrics
+	// tracer holds every query's spans, tagged with its query ID: queries
+	// execute against private tracers folded in here, so concurrent
+	// tenants' timelines stay separable.
+	tracer *obs.Tracer
 
 	bundleErrors atomic.Int64 // forensics bundles that failed to persist
 
@@ -198,9 +179,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		cat:  cat,
-		cp:   stats.CostParams{CPUPerRow: cfg.CPUPerRow, WritePerRow: cfg.WritePerRow, Nodes: cfg.Nodes},
-		base: cost.Model{MTBF: cfg.ModelMTBF, MTTR: cfg.ModelMTTR, Percentile: 0.95, PipeConst: 1, Nodes: cfg.Nodes},
+		cp:   stats.DefaultCostParams(cfg.Nodes),
+		base: cost.DefaultModel(failure.Spec{Nodes: cfg.Nodes, MTBF: cfg.ModelMTBF, MTTR: cfg.ModelMTTR}),
 		pool: runtime.NewPool(cfg.Workers),
+
+		reg:    metrics.NewRegistry(),
+		tracer: obs.NewTracer(1 << 12),
 
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		queue:   waitQueue{max: cfg.QueueDepth},
@@ -215,16 +199,16 @@ func New(cfg Config) (*Server, error) {
 		ModelMTBF: cfg.ModelMTBF,
 		ModelMTTR: cfg.ModelMTTR,
 	})
-	obs.RegisterDriftMetrics(cfg.Registry, s.drift)
+	obs.RegisterDriftMetrics(s.reg, s.drift)
 	if cfg.ForensicsDir != "" {
 		w, err := obs.NewBundleWriter(cfg.ForensicsDir, cfg.ForensicsMax)
 		if err != nil {
 			return nil, err
 		}
 		s.forensics = w
-		obs.RegisterForensicsMetrics(cfg.Registry, w)
+		obs.RegisterForensicsMetrics(s.reg, w)
 	}
-	s.registerMetrics(cfg.Registry)
+	s.registerMetrics(s.reg)
 	return s, nil
 }
 
@@ -232,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Pool() *runtime.Pool { return s.pool }
 
 // Registry returns the metric registry backing /metrics.
-func (s *Server) Registry() *metrics.Registry { return s.cfg.Registry }
+func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // QueueDepth returns the number of requests parked for an execution slot.
 func (s *Server) QueueDepth() int { return s.queue.Depth() }
@@ -334,15 +318,25 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// planModel samples pool utilization and returns the cost model queries are
-// planned with: drift-corrected when the online detector has flagged a
-// failure term, then load-aware. The correction is the online analogue of
-// re-planning after `ftsql -calibrate`: once the rolling MTBF/MTTR estimates
-// disagree with the configured model for K consecutive queries, new
-// MatConfigs price against observed reality.
-func (s *Server) planModel() (cost.Model, float64) {
-	util := s.pool.Utilization()
-	return s.drift.CorrectedModel(s.base).UnderLoad(util), util
+// plan parses text and builds its audited plan under the model and cost
+// params the server currently plans with: its configured ones, with each
+// term the online drift detector has flagged replaced by its estimate. The
+// correction is the online analogue of re-planning after `ftsql
+// -calibrate`: once the rolling estimates disagree with the configured
+// model for K consecutive queries, new MatConfigs price against observed
+// reality.
+func (s *Server) plan(text string) (*sql.AuditPlan, cost.Model, error) {
+	m := s.drift.CorrectedModel(s.base)
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, m, err
+	}
+	tstats, err := s.stats(stmt)
+	if err != nil {
+		return nil, m, err
+	}
+	audit, err := sql.BuildAuditPlan(stmt, s.cat, tstats, s.drift.CorrectedParams(s.cp), m)
+	return audit, m, err
 }
 
 // stats returns (collecting and caching on first use) table statistics for
@@ -351,17 +345,17 @@ func (s *Server) stats(stmt *sql.SelectStmt) (map[string]sql.TableStats, error) 
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	out := make(map[string]sql.TableStats, len(stmt.From))
-	for _, tr := range stmt.From {
-		ts, ok := s.tstats[tr.Table]
+	for _, t := range stmt.Tables() {
+		ts, ok := s.tstats[t]
 		if !ok {
-			collected, err := sql.CollectStats(s.cat, []string{tr.Table})
+			collected, err := sql.CollectStats(s.cat, []string{t})
 			if err != nil {
 				return nil, err
 			}
-			ts = collected[tr.Table]
-			s.tstats[tr.Table] = ts
+			ts = collected[t]
+			s.tstats[t] = ts
 		}
-		out[tr.Table] = ts
+		out[t] = ts
 	}
 	return out, nil
 }
@@ -375,18 +369,7 @@ func (s *Server) stats(stmt *sql.SelectStmt) (map[string]sql.TableStats, error) 
 // success, and freeze into a forensics bundle on death.
 func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Response, error) {
 	start := time.Now()
-	m, util := s.planModel()
-	cp := s.drift.CorrectedParams(s.cp)
-
-	stmt, err := sql.Parse(req.Query)
-	if err != nil {
-		return nil, &QueryError{Phase: "plan", Err: err}
-	}
-	tstats, err := s.stats(stmt)
-	if err != nil {
-		return nil, &QueryError{Phase: "plan", Err: err}
-	}
-	audit, err := sql.BuildAuditPlan(stmt, s.cat, tstats, cp, m)
+	audit, m, err := s.plan(req.Query)
 	if err != nil {
 		return nil, &QueryError{Phase: "plan", Err: err}
 	}
@@ -398,7 +381,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	exec := &runtime.Metrics{}
 	rcfg := runtime.Config{
 		Nodes:       s.cfg.Nodes,
-		BatchSize:   s.cfg.BatchSize,
 		Pool:        s.pool,
 		Injector:    s.cfg.Injector,
 		Metrics:     exec,
@@ -424,7 +406,7 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	spans := qt.Snapshot()
 	for _, sp := range spans {
 		sp.Query = int(prog.ID())
-		s.cfg.Tracer.Record(sp)
+		s.tracer.Record(sp)
 	}
 	if err != nil {
 		s.progress.End(prog, err)
@@ -451,7 +433,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 		Materialized:   report.MaterializedPartitions,
 		WastedSeconds:  snap.WastedSeconds,
 		ElapsedSeconds: time.Since(start).Seconds(),
-		Utilization:    util,
 		MatConfig:      audit.Opt.Config.String(),
 	}, nil
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ftpde/internal/runtime"
-	"ftpde/internal/sql"
 )
 
 // Test data shape shared with the runtime equivalence tests.
@@ -420,38 +419,26 @@ func TestConcurrentEquivalenceUnderFailures(t *testing.T) {
 	t.Logf("recovered from %d injected failures with identical results", n)
 }
 
-// TestLoadAwareFlip pins the acceptance criterion: the same query planned
-// through the same server picks a different (more materialized)
-// configuration when the shared pool is saturated than when it is idle.
-func TestLoadAwareFlip(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers:     2,
-		ModelMTBF:   0.3,
-		ModelMTTR:   0.05,
-		WritePerRow: 3e-6,
-	})
+// TestPlanIgnoresPoolLoad: a served query's plan is a function of the cost
+// model, the cost params and the catalog, not of how busy the shared pool
+// is. The operating point (MTBF 0.3s, MTTR 0.05s, cheap writes) is one where
+// a recovery price scaled by pool utilization would move Q5's
+// materialization configuration; replaying a served run needs the plan to
+// stay put.
+func TestPlanIgnoresPoolLoad(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, ModelMTBF: 0.3, ModelMTTR: 0.05})
+	s.cp.WritePerRow = 3e-6
 	q5 := TPCHQueries()[2]
-	plan := func() (string, int) {
-		m, _ := s.planModel()
-		stmt, err := sql.Parse(q5.Text)
+	plan := func() (string, float64) {
+		audit, _, err := s.plan(q5.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tstats, err := s.stats(stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit, err := sql.BuildAuditPlan(stmt, s.cat, tstats, s.cp, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return audit.Opt.Config.String(), len(audit.Opt.Config.Materialized())
+		return audit.Opt.Config.String(), audit.Opt.Runtime
 	}
 
-	idleCfg, idleMats := plan()
-
-	// Saturate the pool: hold both workers, so utilization >= 1 and the
-	// recovery stretch hits its clamp.
+	idleCfg, idleT := plan()
+	// Saturate the pool: both workers held.
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if err := s.pool.Acquire(ctx); err != nil {
@@ -462,14 +449,9 @@ func TestLoadAwareFlip(t *testing.T) {
 		s.pool.Release()
 		s.pool.Release()
 	}()
-	hotCfg, hotMats := plan()
+	hotCfg, hotT := plan()
 
-	if idleCfg == hotCfg {
-		t.Fatalf("materialization did not flip under load: idle=%s hot=%s", idleCfg, hotCfg)
+	if idleCfg != hotCfg || idleT != hotT {
+		t.Fatalf("plan moved with pool load: idle %s (T=%g), saturated %s (T=%g)", idleCfg, idleT, hotCfg, hotT)
 	}
-	if hotMats <= idleMats {
-		t.Fatalf("saturated pool picked fewer materializations: idle=%s (%d) hot=%s (%d)",
-			idleCfg, idleMats, hotCfg, hotMats)
-	}
-	t.Logf("idle config %s (%d mats) -> saturated config %s (%d mats)", idleCfg, idleMats, hotCfg, hotMats)
 }

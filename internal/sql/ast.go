@@ -16,6 +16,15 @@ type SelectStmt struct {
 	Limit    int // -1 when absent
 }
 
+// Tables returns the tables the statement reads, in written order.
+func (s *SelectStmt) Tables() []string {
+	out := make([]string, len(s.From))
+	for i, tr := range s.From {
+		out[i] = tr.Table
+	}
+	return out
+}
+
 // SelectItem is one output column.
 type SelectItem struct {
 	// Expr is the scalar expression; nil when Agg is set.

@@ -29,6 +29,13 @@ type CostParams struct {
 	Nodes int
 }
 
+// DefaultCostParams returns the uncalibrated per-row costs ftsql and ftserve
+// plan with on a cluster of the given size; calibration (ftsql -calibrate,
+// ftserve's drift detector) refines them.
+func DefaultCostParams(nodes int) CostParams {
+	return CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: nodes}
+}
+
 // Validate reports whether the parameters are usable.
 func (c CostParams) Validate() error {
 	if c.CPUPerRow <= 0 {
