@@ -94,9 +94,13 @@ func aggOutSchema(groups []int, specs []AggSpec) Schema {
 // the same order, bit for bit, for every kind (the merge kinds included), keys
 // of every type (strings whose signatures collide, NaN payloads, signed
 // zeros), zero to three group columns, selection vectors and empty input.
+// The kernel runs twice per case: with plain allocations, and with its state
+// drawn from an arena every case shares (so a buffer it is handed may still
+// hold an earlier case's values), which it must leave balanced.
 func TestAggKernelMatchesGroupTable(t *testing.T) {
 	src := NewScan("src", mustTable(t, "src", aggInput, nil, 1, -1), nil, nil)
 	keyCols := []int{0, 1, 3, 4, 5, 6, 7}
+	arena := NewArena()
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		var groups []int
@@ -125,15 +129,27 @@ func TestAggKernelMatchesGroupTable(t *testing.T) {
 		batches := aggBatches(t, r, rows)
 		op := NewHashAggregate("agg", src, groups, specs, false, aggOutSchema(groups, specs))
 
-		k := newAggKernel(op)
-		for _, b := range batches {
-			if out, err := k.Process(b); err != nil || out != nil {
-				t.Fatalf("seed %d: Process = (%v, %v), want it to buffer", seed, out, err)
+		run := func(loc *Local) []Row {
+			k := newAggKernelLocal(op, loc)
+			for _, b := range batches {
+				if out, err := k.Process(b); err != nil || out != nil {
+					t.Fatalf("seed %d: Process = (%v, %v), want it to buffer", seed, out, err)
+				}
 			}
+			fb, err := k.Flush()
+			if err != nil {
+				t.Fatalf("seed %d: Flush: %v", seed, err)
+			}
+			rows := fb.ToRows()
+			fb.Release(loc)
+			return rows
 		}
-		fb, err := k.Flush()
-		if err != nil {
-			t.Fatalf("seed %d: Flush: %v", seed, err)
+		plain := run(nil)
+		loc := arena.Local()
+		pooled := run(loc)
+		loc.Close()
+		if o := arena.Outstanding(); o != 0 {
+			t.Fatalf("seed %d: the kernel left %d arena buffers outstanding", seed, o)
 		}
 		g := newGroupTable(op)
 		for _, b := range batches {
@@ -147,8 +163,10 @@ func TestAggKernelMatchesGroupTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
-		if got := fb.ToRows(); !sameRowBits(got, want) {
-			t.Errorf("seed %d: groups %v, aggregates %v over %d rows:\n kernel %v\n oracle %v", seed, groups, specs, len(rows), got, want)
+		for _, got := range [][]Row{plain, pooled} {
+			if !sameRowBits(got, want) {
+				t.Errorf("seed %d: groups %v, aggregates %v over %d rows:\n kernel %v\n oracle %v", seed, groups, specs, len(rows), got, want)
+			}
 		}
 	}
 }

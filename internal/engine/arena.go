@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -373,6 +374,38 @@ func (l *Local) gatherVector(src *Vector, sel []int32, nrows int) Vector {
 		out.Strings = buf
 	}
 	return out
+}
+
+// regrow returns s with room for one more element: s itself while it has
+// some, else a buffer of twice its capacity from get holding s's elements,
+// with s given back through put. Growing a buffer drawn from l this way keeps
+// it drawn from l; with a nil l it is append's growth.
+func regrow[T any](l *Local, s []T, get func(*Local, int) []T, put func(*Local, []T)) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	if l == nil {
+		return slices.Grow(s, 1)
+	}
+	t := get(l, max(2*cap(s), 1<<arenaMinBits))[:len(s)]
+	copy(t, s)
+	if cap(s) > 0 {
+		put(l, s)
+	}
+	return t
+}
+
+// appendAtLocal appends element p of src, a vector of v's type, growing v's
+// storage through l (regrow). v's storage must come from l or be empty.
+func (v *Vector) appendAtLocal(src *Vector, p int, l *Local) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints = append(regrow(l, v.Ints, (*Local).ints, (*Local).putInts), src.Ints[p])
+	case TypeFloat:
+		v.Floats = append(regrow(l, v.Floats, (*Local).floats, (*Local).putFloats), src.Floats[p])
+	default:
+		v.Strings = append(regrow(l, v.Strings, (*Local).strs, (*Local).putStrs), src.Strings[p])
+	}
 }
 
 // Release returns the vector's backing array to the arena if the arena owns

@@ -101,18 +101,6 @@ func (v *Vector) gather(sel []int32) Vector {
 	return out
 }
 
-// appendAt appends element p of src, a vector of v's type.
-func (v *Vector) appendAt(src *Vector, p int) {
-	switch v.Type {
-	case TypeInt:
-		v.Ints = append(v.Ints, src.Ints[p])
-	case TypeFloat:
-		v.Floats = append(v.Floats, src.Floats[p])
-	default:
-		v.Strings = append(v.Strings, src.Strings[p])
-	}
-}
-
 // setAt overwrites element i with element p of src, a vector of v's type.
 func (v *Vector) setAt(i int, src *Vector, p int) {
 	switch v.Type {
@@ -229,10 +217,14 @@ func (b *Batch) ToRows() []Row {
 	if n == 0 {
 		return nil
 	}
+	// Every row is cut from one backing array, capped at its width so that
+	// an append to one row reallocates instead of overwriting the next.
+	w := len(b.Cols)
+	vals := make([]Value, n*w)
 	rows := make([]Row, n)
 	for i := range rows {
 		p := at(b.Sel, i)
-		r := make(Row, len(b.Cols))
+		r := Row(vals[i*w : (i+1)*w : (i+1)*w])
 		for ci := range b.Cols {
 			r[ci] = b.Cols[ci].value(p)
 		}
@@ -265,17 +257,4 @@ func (b *Batch) SliceLocal(lo, hi int, l *Local) *Batch {
 	out.colsPooled = l != nil
 	out.nrows = hi - lo
 	return out
-}
-
-// Project returns a batch exposing only the given columns (nil keeps all),
-// sharing column storage and the selection vector.
-func (b *Batch) Project(cols []int, schema Schema) *Batch {
-	if cols == nil {
-		return b
-	}
-	out := make([]Vector, len(cols))
-	for i, c := range cols {
-		out[i] = b.Cols[c]
-	}
-	return &Batch{Schema: schema, Cols: out, Sel: b.Sel, nrows: b.nrows}
 }

@@ -492,10 +492,6 @@ func narrowNum[T int64 | float64](vals []T, k float64, accept *[3]bool, sel, dst
 	return dst
 }
 
-// Filter returns the physical positions of b's logical rows that satisfy the
-// predicate, in order, in plain allocations: filterInto with no arena.
-func (p *CompiledPredicate) Filter(b *Batch) ([]int32, error) { return p.filterInto(b, nil) }
-
 // filterInto returns the physical positions of b's logical rows that satisfy
 // the predicate, in order, in one fresh selection buffer from loc (a plain
 // allocation when loc is nil): never b.Sel and never the nil "all rows"

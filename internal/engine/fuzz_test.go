@@ -186,8 +186,8 @@ func (g *exprGen) conjunct(s Schema) Expr {
 
 // FuzzCompiledPredicate differentially fuzzes compiled filters against the
 // interpreted truthy() loop: on every generated (schema, rows, selection,
-// predicate) case where the predicate compiles, Filter and filterInto under
-// an arena select exactly the rows truthy() keeps, in order, and fail exactly
+// predicate) case where the predicate compiles, filterInto without an arena
+// and under one select exactly the rows truthy() keeps, in order, and fail exactly
 // when it does (with one wording between them); a successful filterInto
 // leaves the arena balanced once its selection is released.
 func FuzzCompiledPredicate(f *testing.F) {
@@ -267,12 +267,12 @@ func FuzzCompiledPredicate(f *testing.F) {
 			t.Fatalf("generated rows are not strictly typed: %v", err)
 		}
 		b.Sel = sel
-		got, ferr := cp.Filter(b)
+		got, ferr := cp.filterInto(b, nil)
 		arena := NewArena()
 		loc := arena.Local()
 		pooled, perr := cp.filterInto(b, loc)
 		if (ferr == nil) != (perr == nil) || (ferr != nil && ferr.Error() != perr.Error()) {
-			t.Fatalf("Filter error %v, filterInto error %v\npred=%#v rows=%v sel=%v", ferr, perr, e, rows, sel)
+			t.Fatalf("filterInto error %v without an arena, %v with one\npred=%#v rows=%v sel=%v", ferr, perr, e, rows, sel)
 		}
 		if (wantErr == nil) != (ferr == nil) {
 			t.Fatalf("interpreted error %v, compiled error %v\npred=%#v rows=%v sel=%v", wantErr, ferr, e, rows, sel)
@@ -281,7 +281,7 @@ func FuzzCompiledPredicate(f *testing.F) {
 			return
 		}
 		if !slices.Equal(got, want) || !slices.Equal(pooled, want) {
-			t.Fatalf("Filter %v, filterInto %v, interpreted %v\npred=%#v rows=%v sel=%v", got, pooled, want, e, rows, sel)
+			t.Fatalf("filterInto %v without an arena, %v with one, interpreted %v\npred=%#v rows=%v sel=%v", got, pooled, want, e, rows, sel)
 		}
 		loc.putSel(pooled)
 		loc.Close()

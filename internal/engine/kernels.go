@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // BatchKernel is the batch-at-a-time implementation of a narrow operator.
@@ -167,24 +169,32 @@ func (k *projectKernel) Flush() (*Batch, error) { return nil, nil }
 // table over the typed key values, keeps the key columns and each aggregate's
 // accumulators as typed slices indexed by group, and at Flush sorts the
 // groups by signature — the oracle's output order — and gathers each output
-// column once. No value is boxed.
+// column once. No value is boxed, and with an arena Local attached every
+// slice of state comes from it and goes back to it at Flush.
 //
 // Group identity is the oracle's: the signature, fmt's "%v|" per key column.
 // Keys the table holds as one (equal ints or strings, floats of equal bits,
-// any two NaNs) share a signature, so only a key the table lacks renders one,
-// and the signature map decides whether it opens a group or joins the group
-// of another key with that signature, as two string keys holding '|' can.
+// any two NaNs) share a signature. Distinct keys share one only when a string
+// in them holds '|' and the key has more than one column, as ("a", "b|") and
+// ("a|b", "") do: every other signature splits back into its columns at its
+// '|'s, and each column's rendering is injective. So only such a key renders
+// its signature, and the signature map decides whether it opens a group or
+// joins the group of another key with that signature.
 type aggKernel struct {
 	op    *HashAggregate
 	loc   *Local
-	sig   []byte           // reused signature buffer
-	gids  []int32          // reused: each row's group, for the window at hand
-	slots []int32          // open addressing: group+1, 0 when free
-	shift uint             // a key hash's home slot is its top bits: h >> shift
-	index map[string]int32 // group signature → group
-	sigs  []string         // group → signature
-	keys  []Vector         // per group column: group → key value
-	accs  []aggAcc         // per aggregate: group → state
+	gids  []int32 // reused: each row's group, for the window at hand
+	slots []int32 // open addressing: group+1, 0 when free
+	shift uint    // a key hash's home slot is its top bits: h >> shift
+	n     int     // groups
+	keys  []Vector
+	accs  []aggAcc // per aggregate: group → state
+
+	// Keys that can alias another's signature: whether the key has them, the
+	// reused signature buffer, and signature → group for those rendered.
+	aliasing bool
+	sig      []byte
+	index    map[string]int32
 }
 
 // aggAcc is one aggregate's state, indexed by group; a kind keeps only the
@@ -198,7 +208,7 @@ type aggAcc struct {
 func newAggKernel(op *HashAggregate) *aggKernel { return newAggKernelLocal(op, nil) }
 
 func newAggKernelLocal(op *HashAggregate, loc *Local) *aggKernel {
-	return &aggKernel{op: op, loc: loc, index: make(map[string]int32)}
+	return &aggKernel{op: op, loc: loc}
 }
 
 // appendSigValue renders one group-key value exactly like the interpreted
@@ -264,15 +274,18 @@ func (k *aggKernel) Process(b *Batch) (*Batch, error) {
 	if k.accs == nil { // every batch of the stream has the first one's column types
 		k.keys = make([]Vector, len(a.groupCols))
 		for ki, g := range a.groupCols {
-			k.keys[ki].Type = b.Cols[g].Type
+			k.keys[ki] = Vector{Type: b.Cols[g].Type, pooled: k.loc != nil}
+			k.aliasing = k.aliasing || (len(a.groupCols) > 1 && k.keys[ki].Type == TypeString)
 		}
 		k.accs = make([]aggAcc, len(a.aggs))
 		for si, spec := range a.aggs {
 			if spec.Kind == AggMin || spec.Kind == AggMax {
-				k.accs[si].ext.Type = b.Cols[spec.Col].Type
+				k.accs[si].ext = Vector{Type: b.Cols[spec.Col].Type, pooled: k.loc != nil}
 			}
 		}
-		k.slots, k.shift = make([]int32, 8), 64-3
+		k.gids = k.loc.sel(DefaultBatchSize)[:0]
+		k.slots, k.shift = k.loc.sel(1<<arenaMinBits), 64-arenaMinBits
+		clear(k.slots)
 	}
 	// A whole partition (the batch form) goes through in windows, so the
 	// per-row group buffer stays one window long.
@@ -351,19 +364,28 @@ func sameKey(a *Vector, i int, v *Vector, p int) bool {
 // doubles past half full). A key aliasing another group's signature stays
 // out of the table, so its rows render the signature every time.
 func (k *aggKernel) newKey(b *Batch, p, s int) int32 {
-	k.sig = k.sig[:0]
-	for _, g := range k.op.groupCols {
-		k.sig = appendSigValue(k.sig, &b.Cols[g], p)
-	}
-	if gi, ok := k.index[string(k.sig)]; ok {
-		return gi
+	if k.aliasing && k.holdsBar(b, p) {
+		k.sig = k.sig[:0]
+		for _, g := range k.op.groupCols {
+			k.sig = appendSigValue(k.sig, &b.Cols[g], p)
+		}
+		if gi, ok := k.index[string(k.sig)]; ok {
+			return gi
+		}
+		if k.index == nil {
+			k.index = make(map[string]int32)
+		}
+		k.index[string(k.sig)] = int32(k.n)
 	}
 	gi := k.newGroup(b, p)
 	k.slots[s] = gi + 1
-	if 2*len(k.sigs) > len(k.slots) {
-		k.slots, k.shift = make([]int32, 2*len(k.slots)), k.shift-1
+	if 2*k.n > len(k.slots) {
+		old := k.slots
+		k.slots, k.shift = k.loc.sel(2*len(old)), k.shift-1
+		clear(k.slots)
+		k.loc.putSel(old)
 		mask := len(k.slots) - 1
-		for g := range k.sigs {
+		for g := range k.n {
 			var h uint64
 			for ki := range k.keys {
 				h = keyHash(h, &k.keys[ki], g)
@@ -378,27 +400,35 @@ func (k *aggKernel) newKey(b *Batch, p, s int) int32 {
 	return gi
 }
 
-// newGroup opens the group of row p, whose signature is in k.sig. MIN and MAX
-// start at the row's value, which the fold that follows compares to itself.
+// holdsBar reports whether a string column of row p's key holds '|'.
+func (k *aggKernel) holdsBar(b *Batch, p int) bool {
+	for _, g := range k.op.groupCols {
+		if v := &b.Cols[g]; v.Type == TypeString && strings.IndexByte(v.Strings[p], '|') >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// newGroup opens the group of row p. MIN and MAX start at the row's value,
+// which the fold that follows compares to itself.
 func (k *aggKernel) newGroup(b *Batch, p int) int32 {
-	gi := int32(len(k.sigs))
-	sig := string(k.sig)
-	k.index[sig] = gi
-	k.sigs = append(k.sigs, sig)
+	gi := int32(k.n)
+	k.n++
 	for ki, g := range k.op.groupCols {
-		k.keys[ki].appendAt(&b.Cols[g], p)
+		k.keys[ki].appendAtLocal(&b.Cols[g], p, k.loc)
 	}
 	for si, spec := range k.op.aggs {
 		acc := &k.accs[si]
 		switch spec.Kind {
 		case AggMin, AggMax:
-			acc.ext.appendAt(&b.Cols[spec.Col], p)
+			acc.ext.appendAtLocal(&b.Cols[spec.Col], p, k.loc)
 			continue
 		case AggSum, AggAvg, aggAvgMerge:
-			acc.sums = append(acc.sums, 0)
+			acc.sums = append(regrow(k.loc, acc.sums, (*Local).floats, (*Local).putFloats), 0)
 		}
 		if spec.Kind != AggSum {
-			acc.counts = append(acc.counts, 0)
+			acc.counts = append(regrow(k.loc, acc.counts, (*Local).ints, (*Local).putInts), 0)
 		}
 	}
 	return gi
@@ -462,10 +492,11 @@ func countInto(counts, partial []int64, sel []int32, lo int, gids []int32) {
 }
 
 // Flush emits one row per group, ordered by signature: the group columns,
-// then each aggregate's value, gathered column by column. An output schema
-// the values do not fit is an ErrNotColumnar error.
+// then each aggregate's value, gathered column by column into buffers from
+// the Local, to which the kernel's state then goes back. An output schema the
+// values do not fit is an ErrNotColumnar error.
 func (k *aggKernel) Flush() (*Batch, error) {
-	n := len(k.sigs)
+	n := k.n
 	if n == 0 {
 		return nil, nil
 	}
@@ -474,45 +505,96 @@ func (k *aggKernel) Flush() (*Batch, error) {
 		return nil, fmt.Errorf("engine: aggregate %s yields %d columns, its schema %d: %w",
 			a.name, len(a.groupCols)+len(a.aggs), len(a.schema), ErrNotColumnar)
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return k.sigs[order[i]] < k.sigs[order[j]] })
-	cols := make([]Vector, 0, len(a.schema))
+	order := k.sortedGroups()
+	cols := k.loc.cols(len(a.schema))
 	for ki := range k.keys {
-		cols = append(cols, k.keys[ki].gather(order))
+		cols[ki] = k.loc.gatherVector(&k.keys[ki], order, n)
 	}
 	for si, spec := range a.aggs {
 		acc := &k.accs[si]
 		var v Vector
 		switch spec.Kind {
 		case AggSum:
-			v = Vector{Type: TypeFloat, Floats: acc.sums}
+			v = k.loc.gatherVector(&Vector{Type: TypeFloat, Floats: acc.sums}, order, n)
 		case AggCount, aggCountMerge:
-			v = Vector{Type: TypeInt, Ints: acc.counts}
+			v = k.loc.gatherVector(&Vector{Type: TypeInt, Ints: acc.counts}, order, n)
 		case AggAvg, aggAvgMerge:
-			avgs := make([]float64, n)
-			for g, c := range acc.counts {
-				if c != 0 {
-					avgs[g] = acc.sums[g] / float64(c)
+			v = Vector{Type: TypeFloat, Floats: k.loc.floats(n), pooled: k.loc != nil}
+			for i, g := range order {
+				v.Floats[i] = 0
+				if c := acc.counts[g]; c != 0 {
+					v.Floats[i] = acc.sums[g] / float64(c)
 				}
 			}
-			v = Vector{Type: TypeFloat, Floats: avgs}
 		case AggMin, AggMax:
-			v = acc.ext
+			v = k.loc.gatherVector(&acc.ext, order, n)
 		default:
 			return nil, fmt.Errorf("engine: unknown aggregate kind %d", int(spec.Kind))
 		}
-		cols = append(cols, v.gather(order))
+		cols[len(k.keys)+si] = v
 	}
+	k.loc.putSel(order)
+	k.release()
 	for ci := range cols {
 		if cols[ci].Type != a.schema[ci].Type {
 			return nil, fmt.Errorf("engine: aggregate %s output column %d (%s) holds %s values, column is %s: %w",
 				a.name, ci, a.schema[ci].Name, cols[ci].Type, a.schema[ci].Type, ErrNotColumnar)
 		}
 	}
-	return &Batch{Schema: a.schema, Cols: cols, nrows: n}, nil
+	out := k.loc.newBatch()
+	out.Schema, out.Cols, out.colsPooled, out.nrows = a.schema, cols, k.loc != nil, n
+	return out, nil
+}
+
+// sortedGroups returns the groups in signature order, in a buffer from the
+// Local. The signatures are rendered once, back to back into one slab; no two
+// groups share one, so the order is total.
+func (k *aggKernel) sortedGroups() []int32 {
+	n := k.n
+	ends := k.loc.sel(n) // group g's signature is slab[ends[g-1]:ends[g]]
+	slab := make([]byte, 0, 8*n*len(k.keys))
+	for g := range n {
+		for ki := range k.keys {
+			slab = appendSigValue(slab, &k.keys[ki], g)
+		}
+		ends[g] = int32(len(slab))
+	}
+	sig := func(g int32) []byte {
+		lo := int32(0)
+		if g > 0 {
+			lo = ends[g-1]
+		}
+		return slab[lo:ends[g]]
+	}
+	order := k.loc.sel(n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return bytes.Compare(sig(x), sig(y)) })
+	k.loc.putSel(ends)
+	return order
+}
+
+// release hands the kernel's state back to its Local once Flush has gathered
+// the output from it; the kernel is not used afterwards.
+func (k *aggKernel) release() {
+	for ki := range k.keys {
+		k.keys[ki].Release(k.loc)
+	}
+	for si := range k.accs {
+		acc := &k.accs[si]
+		if cap(acc.sums) > 0 {
+			k.loc.putFloats(acc.sums)
+		}
+		if cap(acc.counts) > 0 {
+			k.loc.putInts(acc.counts)
+		}
+		acc.ext.Release(k.loc)
+		*acc = aggAcc{}
+	}
+	k.loc.putSel(k.gids)
+	k.loc.putSel(k.slots)
+	k.gids, k.slots = nil, nil
 }
 
 // limitKernel passes through the first remaining rows of the stream — a

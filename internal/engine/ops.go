@@ -162,10 +162,20 @@ func (s *Scan) Compute(part int, _ []*PartitionedResult) ([]Row, error) {
 }
 
 // ComputeBatch implements BatchOperator, producing one partition natively as
-// a batch (the inputs argument is unused: base tables have no producers).
-// The table's columnar partition flows through the compiled predicate (a
-// selection-vector filter, no row boxing) and a zero-copy column projection.
+// a batch (the inputs argument is unused: base tables have no producers):
+// ComputeBatchLocal with no arena, so the batch owns nothing and can be
+// committed as it is.
 func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
+	return s.ComputeBatchLocal(part, nil)
+}
+
+// ComputeBatchLocal produces one partition as a view over the table's
+// columnar partition: the compiled predicate narrows a selection vector (no
+// row boxing) and the projection picks columns without copying them. The
+// selection and the batch shell come from loc (plain allocations when loc is
+// nil), so the caller releases the batch (Batch.Release) once nothing reads
+// the selection any more; the table's columns are never arena-owned.
+func (s *Scan) ComputeBatchLocal(part int, loc *Local) (*Batch, error) {
 	if s.cerr != nil {
 		return nil, s.cerr
 	}
@@ -175,15 +185,27 @@ func (s *Scan) ComputeBatch(part int, _ []*BatchResult) (*Batch, error) {
 	if s.once && part != 0 {
 		return nil, nil
 	}
-	b := s.table.ColParts[part]
+	src := s.table.ColParts[part]
+	if s.cpred == nil && s.project == nil {
+		return src, nil
+	}
+	sel := src.Sel
 	if s.cpred != nil {
-		sel, err := s.cpred.Filter(b)
-		if err != nil {
+		var err error
+		if sel, err = s.cpred.filterInto(src, loc); err != nil {
 			return nil, err
 		}
-		b = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel, nrows: b.nrows}
 	}
-	return b.Project(s.project, s.schema), nil
+	out := loc.newBatch()
+	out.Schema, out.Cols, out.Sel, out.nrows = s.schema, src.Cols, sel, src.nrows
+	out.selPooled = s.cpred != nil && loc != nil
+	if s.project != nil {
+		out.Cols, out.colsPooled = loc.cols(len(s.project)), loc != nil
+		for i, c := range s.project {
+			out.Cols[i] = src.Cols[c]
+		}
+	}
+	return out, nil
 }
 
 // filterRows keeps the rows whose predicate is truthy (nil when none is) —

@@ -233,3 +233,67 @@ func TestArenaOutstanding(t *testing.T) {
 		t.Errorf("Outstanding = %d after every buffer was released, want 0", got)
 	}
 }
+
+// A scan's selection comes from the Local it is handed, and a released scan
+// batch gives it back: the next computation of the partition reuses the
+// buffer. The batch ComputeBatch returns (the one a single-operator stage
+// commits) owns nothing, so releasing it into a Local that then hands out and
+// overwrites selections leaves its rows as they were.
+func TestScanSelectionRecyclesThroughLocal(t *testing.T) {
+	schema := Schema{{Name: "k", Type: TypeInt}, {Name: "v", Type: TypeFloat}}
+	data := make([]Row, 300)
+	for i := range data {
+		data[i] = Row{int64(i), float64(i % 10)}
+	}
+	tb := mustTable(t, "t", schema, data, 1, -1)
+	scan := NewScan("scan", tb, Cmp{Op: GE, L: Col(1), R: Const{V: 3.0}}, []int{1, 0})
+	want, err := scan.Compute(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	arena := NewArena()
+	loc := arena.Local()
+	first, err := scan.ComputeBatchLocal(0, loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.ToRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled scan rows %v, want %v", got, want)
+	}
+	buf := &first.Sel[0]
+	first.Release(loc)
+	again, err := scan.ComputeBatchLocal(0, loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Sel[0] != buf {
+		t.Error("the second computation allocated its selection instead of reusing the released one")
+	}
+	if got := again.ToRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan rows over a recycled selection %v, want %v", got, want)
+	}
+	again.Release(loc)
+
+	committed, err := scan.ComputeBatch(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed.Release(loc)
+	var drawn [][]int32
+	for range 4 {
+		sel := loc.sel(committed.Len())
+		clear(sel)
+		drawn = append(drawn, sel)
+	}
+	if got := committed.ToRows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a committed scan batch changed after being released into a Local: %v, want %v", got, want)
+	}
+	for _, sel := range drawn {
+		loc.putSel(sel)
+	}
+	loc.Close()
+	if o := arena.Outstanding(); o != 0 {
+		t.Errorf("%d arena buffers outstanding", o)
+	}
+}

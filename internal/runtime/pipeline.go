@@ -47,7 +47,9 @@ type partKey struct {
 	part int
 }
 
-func newAttempts() *attempts { return &attempts{m: make(map[partKey]int)} }
+// newAttempts sizes the map for keys (operator, partition) pairs, so a query
+// whose partitions each run once never grows it.
+func newAttempts(keys int) *attempts { return &attempts{m: make(map[partKey]int, keys)} }
 
 // take returns the current attempt number for (op, part) and advances it.
 func (a *attempts) take(op string, part int) int {
@@ -98,7 +100,8 @@ type task struct {
 // kernel probes each slice against its side — inputs holds the source's
 // inputs, then one side result per chained join — so an intermediate join
 // output exists one slice at a time. Every consumed batch is released into one
-// arena Local, so buffers recycle slice over slice.
+// arena Local, so buffers recycle slice over slice; a scan source draws its
+// selection from that Local too, and gives it back after the concatenation.
 //
 // The kill points are part of the schedule: a killed source dies with the work
 // done — after handing over its first slice when it streams, with nothing
@@ -116,9 +119,22 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		tasks[i] = task{op: op, n: n, fail: rn.cfg.Injector.FailCompute(op.Name(), part, n)}
 	}
 
+	// Only a chained stage draws from the arena: a single-operator stage
+	// commits its source's batch, and a committed batch owns nothing pooled.
+	var loc *engine.Local
+	if len(tasks) > 1 {
+		loc = rn.cfg.Arena.Local()
+		defer loc.Close()
+	}
 	src := &tasks[0]
-	// buildStages admitted only batch-native operators (engine.CheckColumnar).
-	b, err := src.op.(engine.BatchOperator).ComputeBatch(part, inputs)
+	var b *engine.Batch
+	var err error
+	if sc, ok := src.op.(*engine.Scan); ok {
+		b, err = sc.ComputeBatchLocal(part, loc)
+	} else {
+		// buildStages admitted only batch-native operators (engine.CheckColumnar).
+		b, err = src.op.(engine.BatchOperator).ComputeBatch(part, inputs)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +145,6 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		return b, ctx.Err()
 	}
 
-	loc := rn.cfg.Arena.Local()
-	defer loc.Close()
 	sides := inputs[len(src.op.Inputs()):]
 	for i := 1; i < len(tasks); i++ {
 		// buildStages chained only operators that have a kernel, and one side
@@ -205,5 +219,9 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		bb.Append(ob)
 		ob.Release(loc)
 	}
+	// The slices shared the source's selection; with every output copied out,
+	// nothing reads it any more. A source other than a scan drew nothing from
+	// loc, and a committed input owns nothing, so then this frees nothing.
+	b.Release(loc)
 	return bb.Finish(), ctx.Err()
 }

@@ -130,7 +130,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	}
 	ev := &events{metrics: r.cfg.Metrics, progress: r.cfg.Progress, tracer: r.cfg.Tracer}
 	report := &ev.report
-	attempts := newAttempts()
+	attempts := newAttempts(len(plan.byOp) * r.cfg.Nodes)
 	writer := newCheckpointWriter(r.cfg.Store, ev)
 	defer writer.close()
 

@@ -239,6 +239,48 @@ func BenchmarkRuntimeCheckpointedQ5(b *testing.B) { benchServedQuery(b, "Q5", tr
 // scans whatever sql.Compile does.
 func BenchmarkRuntimePipelinedQ3SQL(b *testing.B) { benchServedQuery(b, "Q3", false) }
 
+// BenchmarkRuntimeExecRound is one operation of the benchmark harness's
+// exec_scan_join workload: the served Q1, Q3 and Q5, compiled from SQL once at
+// SF 0.005, back to back through runtime.Execute on 4 nodes and the shared
+// arena. Its ceiling is that workload's alloc_mb_per_op, held as a gate: a
+// scan selection or an aggregate's group state allocated per execution again
+// reads about twice the figure.
+func BenchmarkRuntimeExecRound(b *testing.B) {
+	cat, err := tpch.Generate(0.005, 4, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var roots []engine.Operator
+	for _, q := range service.TPCHQueries() {
+		stmt, err := sql.Parse(q.Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pp, err := sql.Compile(stmt, cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		roots = append(roots, pp.Root)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, root := range roots {
+			r, err := runtime.New(runtime.Config{Nodes: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, _, err := r.Execute(context.Background(), root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Parts[0] == nil && res.Parts[len(res.Parts)-1] == nil {
+				b.Fatalf("%s: empty result", root.Name())
+			}
+		}
+	}
+}
+
 // BenchmarkRuntimePipelinedQ1Progress is the same workload with a live
 // obs.Progress attached, the way ftserve runs every query. The delta against
 // BenchmarkRuntimePipelinedQ1 is the whole cost of introspection; the
@@ -444,24 +486,26 @@ type allocCeiling struct {
 // TestAllocBudget enforces the checked-in allocation ceilings in
 // alloc_budget.json: scan→filter→project through the columnar kernels, TPC-H
 // Q1 end to end on the pipelined runtime, the served Q3 and Q5 as sql.Compile
-// plans them, Q5 again with every join checkpointed to disk, findBestFTPlan
-// over Q5's top-20 join orders, and both optimizer phases on the served Q5
-// must not allocate past the budget. The ceilings sit ~1.5x over what they
-// measure (Q1 0.35 MB / ~380 allocs, SQL Q3 0.56 MB / ~3,900, SQL Q5
-// 0.40 MB / ~1,230, checkpointed Q5 7.1 MB / ~2,100, findBestFTPlan 63 kB /
-// ~220, sql.FTPlan 156 kB / ~750; Q1's, SQL Q3's and
-// scan-filter-project's object counts, small enough or noisy enough to move by
-// a handful, keep a wider margin), so a trip means the arena or a kernel lost
-// its recycling path, a stage boundary copies its batch again, a join chained
-// onto its probe stream materializes its output again (SQL Q5 read 6.4 MB
-// before joins chained), an aggregation exchanges every row instead of its
-// partials (SQL Q5 read 2.0 MB so) or boxes its groups (SQL Q3 read ~11,800
-// allocs so), a wide operator repeats its shared work per
-// partition, the planner carries columns nothing reads, or a boxed row is
-// back between a stage and the checkpoint store (with one,
-// checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds a plan per
-// configuration again (it read 1.11 MB / ~28,700 doing so), copies and
-// re-collapses each candidate again (0.20 MB / ~4,560), allocates per
+// plans them, Q5 again with every join checkpointed to disk, one round of the
+// served Q1, Q3 and Q5 (the benchmark harness's exec_scan_join operation),
+// findBestFTPlan over Q5's top-20 join orders, and both optimizer phases on
+// the served Q5 must not allocate past the budget. The ceilings sit ~1.5x
+// over what they measure (Q1 68 kB / ~270 allocs, SQL Q3 185 kB / ~1,980,
+// SQL Q5 282 kB / ~760, checkpointed Q5 7.0 MB / ~1,650, the round 481 kB /
+// ~3,080, findBestFTPlan 63 kB / ~220, sql.FTPlan 156 kB / ~750; Q1's, SQL
+// Q3's and scan-filter-project's object counts, small enough or noisy enough
+// to move by a handful, keep a wider margin), so a trip means the arena or a
+// kernel lost its recycling path (the round read 871 kB / ~5,650 while scan
+// selections and aggregate group state were allocated per execution), a stage
+// boundary copies its batch again, a join chained onto its probe stream
+// materializes its output again (SQL Q5 read 6.4 MB before joins chained), an
+// aggregation exchanges every row instead of its partials (SQL Q5 read 2.0 MB
+// so) or boxes its groups (SQL Q3 read ~11,800 allocs so), a wide operator
+// repeats its shared work per partition, the planner carries columns nothing
+// reads, or a boxed row is back between a stage and the checkpoint store
+// (with one, checkpointed Q5 reads 25 MB / ~400,000), or the optimizer builds
+// a plan per configuration again (it read 1.11 MB / ~28,700 doing so), copies
+// and re-collapses each candidate again (0.20 MB / ~4,560), allocates per
 // operator array of a candidate's shape again (73 kB / ~820), or the join
 // enumerator and plan construction allocate per candidate, operator and
 // edge again (sql.FTPlan read 223 kB / ~2,720 so) — not timing
@@ -491,6 +535,7 @@ func TestAllocBudget(t *testing.T) {
 		"pipelined_q3_sql":      toAllocPoint(testing.Benchmark(BenchmarkRuntimePipelinedQ3SQL)),
 		"findbest_q5_top20":     toAllocPoint(testing.Benchmark(BenchmarkFindBestFTPlanQ5)),
 		"ftplan_q5_top20":       toAllocPoint(testing.Benchmark(BenchmarkFTPlanQ5)),
+		"exec_round":            toAllocPoint(testing.Benchmark(BenchmarkRuntimeExecRound)),
 	}
 	for name, ceiling := range budget {
 		got, ok := measured[name]
