@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // BatchOperator is the batch-native face of an Operator: ComputeBatch
@@ -56,6 +57,15 @@ type BatchResult struct {
 	// partition asks, by key column: an exchange's hash scatter ([]*Batch)
 	// and a join's build side (*joinBuild).
 	scatters, builds sync.Map
+
+	pooledBuilds atomic.Bool  // some build drew from a Local; ReleaseShared clears it
+	prev         *BatchResult // the result WithPart replaced, for ReleaseShared
+}
+
+// onceState is one entry of a BatchResult's shared-work maps.
+type onceState[T any] struct {
+	once sync.Once
+	val  T
 }
 
 // sharedOnce returns m's state for key column col, building it on first use.
@@ -64,17 +74,45 @@ type BatchResult struct {
 // recovery that replaced an input partition holds a new BatchResult and
 // rebuilds, one whose inputs survived finds the state still there.
 func sharedOnce[T any](m *sync.Map, col int, build func() T) T {
-	type state struct {
-		once sync.Once
-		val  T
-	}
 	v, ok := m.Load(col)
 	if !ok {
-		v, _ = m.LoadOrStore(col, &state{})
+		v, _ = m.LoadOrStore(col, &onceState[T]{})
 	}
-	st := v.(*state)
+	st := v.(*onceState[T])
 	st.once.Do(func() { st.val = build() })
 	return st.val
+}
+
+// WithPart publishes a new result: r with partition part replaced by b,
+// marked lost when lost is set. A published result is never written: workers
+// read it without a lock, wide operators hang their shared work off it
+// (sharedOnce), and a partition replaced by recovery is handed the new result
+// and rebuilds. The new result links r for ReleaseShared.
+func (r *BatchResult) WithPart(part int, b *Batch, lost bool) *BatchResult {
+	res := NewBatchResult(r.Schema, len(r.Parts))
+	copy(res.Parts, r.Parts)
+	copy(res.Lost, r.Lost)
+	res.Parts[part], res.Lost[part] = b, lost
+	res.prev = r
+	return res
+}
+
+// ReleaseShared gives the join builds a chained join drew from a Local back
+// to l: those hung on r and on every result r replaced through WithPart. Each
+// is released once and forgotten, so a second call releases nothing. The
+// caller must know that no probe reads them any more.
+func (r *BatchResult) ReleaseShared(l *Local) {
+	for ; r != nil; r = r.prev {
+		// A map never written stays untouched: Range would allocate its root.
+		if !r.pooledBuilds.Swap(false) {
+			continue
+		}
+		r.builds.Range(func(k, v any) bool {
+			r.builds.Delete(k)
+			v.(*onceState[*joinBuild]).val.release(l)
+			return true
+		})
+	}
 }
 
 // NewBatchResult creates an empty batch result with the given partition
@@ -153,8 +191,9 @@ func (u *UnionAll) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 
 // concatParts returns every row of parts as one dense batch in (partition,
 // row) order: nil when there are none, the partition itself when it is the
-// only populated one and already dense, otherwise one exact-size copy.
-func concatParts(schema Schema, parts []*Batch) *Batch {
+// only populated one and already dense, otherwise one exact-size copy drawn
+// from l (plain allocations when l is nil).
+func concatParts(schema Schema, parts []*Batch, l *Local) *Batch {
 	total, populated := 0, 0
 	var only *Batch
 	for _, b := range parts {
@@ -168,7 +207,7 @@ func concatParts(schema Schema, parts []*Batch) *Batch {
 		return only
 	}
 	bb := NewBatchBuilder(schema)
-	bb.Grow(total)
+	bb.growLocal(total, l)
 	for _, b := range parts {
 		bb.Append(b)
 	}
@@ -271,11 +310,15 @@ func scatterColumn[T any](outs, parts []*Batch, ci int, dest []int32, vals func(
 // chained hash index over its key column. An int key is indexed by intHash
 // and probed by int keys with no stored hashes; every other pairing of key
 // types walks chains of hashVectorAt, the row path's hash.
+// A chained join draws the copy and the int index from the first probing
+// partition's Local, and ReleaseShared gives them back; a pass-through
+// partition (concatParts) owns nothing pooled, and the generic index is plain.
 type joinBuild struct {
 	dense  *Batch // every build row, in (partition, row) order; nil when empty
 	keyCol int
 	ints   chainIndex // over an int key by intHash; empty otherwise
 	badKey bool       // keyCol is out of range for some build row; nothing is indexed
+	pooled bool       // ints (and dense, when a copy) came from a Local
 
 	genOnce sync.Once
 	gen     chainIndex // over hashVectorAt, built on first use
@@ -290,12 +333,12 @@ type chainIndex struct {
 	shift      uint // a hash's bucket is its top bits: h >> shift
 }
 
-func newChainIndex(n int, hash func(i int) uint64) chainIndex {
+func newChainIndex(n int, hash func(i int) uint64, l *Local) chainIndex {
 	size, shift := 1, uint(64)
 	for size < n {
 		size, shift = size<<1, shift-1
 	}
-	x := chainIndex{head: make([]int32, size), next: make([]int32, n), shift: shift}
+	x := chainIndex{head: l.sel(size), next: l.sel(n), shift: shift}
 	for i := range x.head {
 		x.head[i] = -1
 	}
@@ -314,18 +357,30 @@ func newChainIndex(n int, hash func(i int) uint64) chainIndex {
 // in the aggregate's; where a row lives is hashVectorAt's to decide.
 func intHash(x int64) uint64 { return uint64(x) * 0x9e3779b97f4a7c15 }
 
-func newJoinBuild(schema Schema, parts []*Batch, keyCol int) *joinBuild {
+func newJoinBuild(schema Schema, parts []*Batch, keyCol int, l *Local) *joinBuild {
 	for _, b := range parts {
 		if b.Len() > 0 && keyCol >= len(b.Cols) {
 			return &joinBuild{badKey: true}
 		}
 	}
-	jb := &joinBuild{dense: concatParts(schema, parts), keyCol: keyCol}
+	jb := &joinBuild{dense: concatParts(schema, parts, l), keyCol: keyCol, pooled: l != nil}
 	if jb.dense != nil && jb.dense.Cols[keyCol].Type == TypeInt {
 		keys := jb.dense.Cols[keyCol].Ints
-		jb.ints = newChainIndex(len(keys), func(i int) uint64 { return intHash(keys[i]) })
+		jb.ints = newChainIndex(len(keys), func(i int) uint64 { return intHash(keys[i]) }, l)
 	}
 	return jb
+}
+
+// release gives what the build drew from a Local back to l, once.
+func (jb *joinBuild) release(l *Local) {
+	if !jb.pooled {
+		return
+	}
+	jb.dense.Release(l)
+	if jb.ints.head != nil {
+		l.putSel(jb.ints.head)
+		l.putSel(jb.ints.next)
+	}
 }
 
 // generic returns the index of the build key under hashVectorAt and each
@@ -338,7 +393,7 @@ func (jb *joinBuild) generic() (*chainIndex, []uint64) {
 		for i := range jb.hashes {
 			jb.hashes[i] = hashVectorAt(key, i)
 		}
-		jb.gen = newChainIndex(len(jb.hashes), func(i int) uint64 { return jb.hashes[i] })
+		jb.gen = newChainIndex(len(jb.hashes), func(i int) uint64 { return jb.hashes[i] }, nil)
 	})
 	return &jb.gen, jb.hashes
 }
@@ -352,7 +407,8 @@ func (j *HashJoin) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 
 // JoinKernel returns the join chained onto its probe input's stage: a kernel
 // that probes each batch of the probe stream against build and releases it
-// into loc, drawing its output from loc.
+// into loc, drawing its output (and build's build side, if it probes first:
+// see ReleaseShared) from loc.
 func (j *HashJoin) JoinKernel(build *BatchResult, loc *Local) BatchKernel {
 	return &joinKernel{op: j, build: build, loc: loc}
 }
@@ -386,8 +442,8 @@ func (k *joinKernel) Flush() (*Batch, error) { return nil, nil }
 // on both sides match when equal. Every other pairing walks the row path's
 // hash chains: rows sharing a bucket but not a hash are skipped, and equal
 // hashes are resolved with the same typed comparison (and error wording) as
-// compareValues. The selections and the output come from loc (plain
-// allocations when nil); the probe batch is only read.
+// compareValues. The selections, the output and a build side this call makes
+// come from loc (plain allocations when nil); the probe batch is only read.
 func (j *HashJoin) probe(build *BatchResult, probeB *Batch, loc *Local) (*Batch, error) {
 	np := probeB.Len()
 	if np == 0 {
@@ -397,7 +453,10 @@ func (j *HashJoin) probe(build *BatchResult, probeB *Batch, loc *Local) (*Batch,
 		return nil, fmt.Errorf("engine: join %s probe key out of range", j.name)
 	}
 	jb := sharedOnce(&build.builds, j.buildKey, func() *joinBuild {
-		return newJoinBuild(j.inputs[0].OutSchema(), build.Parts, j.buildKey)
+		if loc != nil {
+			build.pooledBuilds.Store(true)
+		}
+		return newJoinBuild(j.inputs[0].OutSchema(), build.Parts, j.buildKey, loc)
 	})
 	if jb.badKey {
 		return nil, fmt.Errorf("engine: join %s build key out of range", j.name)
@@ -473,7 +532,7 @@ func (s *Sort) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	if part != 0 {
 		return nil, nil
 	}
-	dense := concatParts(s.inputs[0].OutSchema(), inputs[0].Parts)
+	dense := concatParts(s.inputs[0].OutSchema(), inputs[0].Parts, nil)
 	if dense == nil {
 		return nil, nil
 	}

@@ -1,13 +1,12 @@
 package engine
 
-import "slices"
-
 // BatchBuilder accumulates rows column-wise into one output batch. It is the
 // concatenation primitive for batch-native operators: chained-stage sinks
 // merge their stream with it, sort and the join build side concatenate their
 // input partitions, and kernel flushes merge partial batches. The finished
-// batch is always dense (no selection vector) and plain (no arena ownership),
-// so it is safe to commit, checkpoint, or share.
+// batch is always dense (no selection vector) and, unless its columns were
+// drawn from a Local (a chained join's build side), plain (no arena
+// ownership), so it is safe to commit, checkpoint, or share.
 type BatchBuilder struct {
 	schema Schema
 	cols   []Vector
@@ -20,20 +19,25 @@ func NewBatchBuilder(schema Schema) *BatchBuilder {
 
 // Grow reserves room for rows more rows, so a caller that knows its total up
 // front appends into exact-size columns instead of growing them from zero.
-func (bb *BatchBuilder) Grow(rows int) {
+func (bb *BatchBuilder) Grow(rows int) { bb.growLocal(rows, nil) }
+
+// growLocal is Grow with the columns drawn from l (plain when nil): the
+// finished batch's column storage is then l's arena's to recycle.
+func (bb *BatchBuilder) growLocal(rows int, l *Local) {
 	if rows <= 0 {
 		return
 	}
 	bb.ensureCols()
 	for ci := range bb.cols {
 		c := &bb.cols[ci]
+		c.pooled = l != nil
 		switch c.Type {
 		case TypeInt:
-			c.Ints = slices.Grow(c.Ints, rows)
+			c.Ints = append(l.ints(len(c.Ints) + rows)[:0], c.Ints...)
 		case TypeFloat:
-			c.Floats = slices.Grow(c.Floats, rows)
+			c.Floats = append(l.floats(len(c.Floats) + rows)[:0], c.Floats...)
 		default:
-			c.Strings = slices.Grow(c.Strings, rows)
+			c.Strings = append(l.strs(len(c.Strings) + rows)[:0], c.Strings...)
 		}
 	}
 }

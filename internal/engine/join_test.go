@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -188,4 +189,104 @@ func TestJoinMixedIntFloatKeysPinned(t *testing.T) {
 			t.Errorf("%s: joined %v, want no rows", c.name, got)
 		}
 	}
+}
+
+// A chained join draws its build side (the dense copy and the int index) from
+// the Local of the first probe, and ReleaseShared gives it back, once: a
+// second call releases nothing, and a build over a new result of the same
+// shape is served wholly from the freelists. A build over one dense partition
+// indexes that committed partition in place; its release must leave the
+// partition's storage alone, so later builds drawing from the freelists
+// cannot write into it.
+func TestJoinBuildRecyclesThroughLocal(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	bs, brows := joinSide(r, TypeInt, 128, true)
+	_, otherRows := joinSide(r, TypeInt, 128, true)
+	ps, prows := joinSide(r, TypeInt, 20, false)
+	j := NewHashJoin("j", NewScan("b", mustTable(t, "b", bs, nil, 1, -1), nil, nil), NewScan("p", mustTable(t, "p", ps, nil, 1, -1), nil, nil), 0, 0)
+	probe := batchResultOf(ps, joinParts(t, r, ps, prows, 1, false))
+	loc := NewArena().Local()
+	held := func() int64 { return int64(loc.gets) - int64(loc.puts) }
+	// probeOnce streams the probe partition through a fresh kernel over build
+	// and checks the rows against the row loop's.
+	probeOnce := func(build *BatchResult) {
+		t.Helper()
+		want, err := j.Compute(0, []*PartitionedResult{build.ToPartitioned(), probe.ToPartitioned()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := probe.Parts[0]
+		out, err := j.JoinKernel(build, loc).Process(in.SliceLocal(0, in.Len(), loc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.ToRows(); len(want) == 0 || !sameRowBits(got, want) {
+			t.Fatalf("join kernel: %d rows, want %d", len(got), len(want))
+		}
+		out.Release(loc)
+	}
+	release := func(build *BatchResult) {
+		t.Helper()
+		build.ReleaseShared(loc)
+		if h := held(); h != 0 {
+			t.Fatalf("%d buffers held after the release", h)
+		}
+		build.ReleaseShared(loc)
+		if h := held(); h != 0 {
+			t.Fatalf("a second release moved the balance to %d", h)
+		}
+	}
+	copied := func(rows []Row) *BatchResult { return batchResultOf(bs, joinParts(t, r, bs, rows, 3, true)) }
+
+	first := copied(brows)
+	probeOnce(first)
+	if held() == 0 {
+		t.Fatal("the build drew nothing from the Local")
+	}
+	drawn := arrays(t, first)
+	release(first)
+	hits := loc.hits
+	second := copied(brows)
+	probeOnce(second)
+	if got := arrays(t, second); loc.hits == hits || !reflect.DeepEqual(got, drawn) {
+		t.Fatalf("the second build's %d arrays are not the %d the first gave back (%d hits)", len(got), len(drawn), loc.hits-hits)
+	}
+	release(second)
+
+	dense, err := RowsToBatch(bs, brows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passed := batchResultOf(bs, []*Batch{nil, dense, nil})
+	probeOnce(passed)
+	release(passed)
+	other := copied(otherRows)
+	probeOnce(other)
+	release(other)
+	if got := dense.ToRows(); !sameRowBits(got, brows) {
+		t.Fatal("the committed partition a build passed through changed after its release")
+	}
+}
+
+// arrays returns the backing arrays of the int-keyed build hung on res: its
+// index's and, when it copied, its dense columns'.
+func arrays(t *testing.T, res *BatchResult) map[any]bool {
+	t.Helper()
+	v, ok := res.builds.Load(0)
+	if !ok {
+		t.Fatal("no build on the result")
+	}
+	jb := v.(*onceState[*joinBuild]).val
+	m := map[any]bool{&jb.ints.head[0]: true, &jb.ints.next[0]: true}
+	for _, c := range jb.dense.Cols {
+		switch c.Type {
+		case TypeInt:
+			m[&c.Ints[0]] = true
+		case TypeFloat:
+			m[&c.Floats[0]] = true
+		default:
+			m[&c.Strings[0]] = true
+		}
+	}
+	return m
 }

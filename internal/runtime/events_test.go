@@ -13,6 +13,21 @@ import (
 	"ftpde/internal/tpch"
 )
 
+// servedQueries are the TPC-H queries the service serves, in SQL.
+var servedQueries = []struct{ name, text string }{
+	{"Q1", `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, SUM(l_extendedprice) AS sum_price, COUNT(*) AS cnt
+		FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus`},
+	{"Q3", `SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+		FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey
+		WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 1200
+		GROUP BY l_orderkey ORDER BY revenue DESC`},
+	{"Q5", `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+		FROM region JOIN nation ON r_regionkey = n_regionkey JOIN supplier ON n_nationkey = s_nationkey
+		JOIN lineitem ON s_suppkey = l_suppkey JOIN orders ON l_orderkey = o_orderkey
+		JOIN customer ON o_custkey = c_custkey
+		GROUP BY n_name ORDER BY revenue DESC`},
+}
+
 // zeroProgress snapshots a query's progress when the first worker takes its
 // first failure decision: the decision precedes the worker's compute, and
 // every other worker's first decision waits for the snapshot, so no
@@ -44,19 +59,7 @@ func TestProgressETAAtZeroIsThePrediction(t *testing.T) {
 	}
 	cp := stats.CostParams{CPUPerRow: 1e-6, WritePerRow: 1.7e-5, Nodes: 4}
 	m := cost.Model{MTBF: 3600, MTTR: 1, Percentile: 0.95, PipeConst: 1, Nodes: 4}
-	for _, q := range []struct{ name, text string }{
-		{"Q1", `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, SUM(l_extendedprice) AS sum_price, COUNT(*) AS cnt
-			FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus`},
-		{"Q3", `SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue
-			FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey
-			WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 1200
-			GROUP BY l_orderkey ORDER BY revenue DESC`},
-		{"Q5", `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
-			FROM region JOIN nation ON r_regionkey = n_regionkey JOIN supplier ON n_nationkey = s_nationkey
-			JOIN lineitem ON s_suppkey = l_suppkey JOIN orders ON l_orderkey = o_orderkey
-			JOIN customer ON o_custkey = c_custkey
-			GROUP BY n_name ORDER BY revenue DESC`},
-	} {
+	for _, q := range servedQueries {
 		t.Run(q.name, func(t *testing.T) {
 			stmt, err := sql.Parse(q.text)
 			if err != nil {

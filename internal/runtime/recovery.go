@@ -96,7 +96,7 @@ func (rn *run) dropLineageOnNode(s *stage, node int) {
 			now := time.Now()
 			rn.events.emit(obs.Span{Kind: obs.KindLost, Name: a.name(), Part: node, Attempt: -1,
 				Start: now, End: now, Rows: int64(rn.results[a].Parts[node].Len()), Parts: rn.cfg.Nodes})
-			rn.publishLocked(a, node, nil, true)
+			rn.results[a] = rn.results[a].WithPart(node, nil, true)
 			rn.done[a][node] = false
 		}
 	}

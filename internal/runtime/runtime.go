@@ -196,8 +196,8 @@ type run struct {
 	store    engine.EncodedStore
 	pool     *Pool // bounded worker pool, possibly shared across queries
 
-	mu      sync.Mutex // guards results and done
-	results map[*stage]*engine.BatchResult
+	mu      sync.Mutex                     // guards results and done
+	results map[*stage]*engine.BatchResult // replaced through WithPart, never written
 	done    map[*stage][]bool
 
 	// recoveryMu serializes fine-grained recoveries: drops of volatile
@@ -248,6 +248,14 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 		}(s)
 	}
 	wg.Wait()
+	// Every goroutine of the run has returned, so nothing probes a join build
+	// any more: give back the ones chained joins drew from the arena, on every
+	// result the run published, superseded ones included.
+	loc := rn.cfg.Arena.Local()
+	for _, res := range rn.results {
+		res.ReleaseShared(loc)
+	}
+	loc.Close()
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -406,7 +414,7 @@ func (rn *run) finish(s *stage, part int, b *engine.Batch, sp obs.Span) {
 		if rn.done[s][part] {
 			sp.Err = errSuperseded
 		} else {
-			rn.publishLocked(s, part, b, false)
+			rn.results[s] = rn.results[s].WithPart(part, b, false)
 			rn.done[s][part] = true
 		}
 		rn.mu.Unlock()
@@ -415,22 +423,6 @@ func (rn *run) finish(s *stage, part int, b *engine.Batch, sp obs.Span) {
 	if sp.Err == "" && sp.Kind == obs.KindTask && s.checkpoint {
 		rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes)
 	}
-}
-
-// publishLocked replaces one partition of s's result by publishing a new
-// BatchResult (rn.mu held). Published results are never written again:
-// workers read them without the lock, and wide operators hang the work their
-// partitions share (exchange scatter, join build side) off the result they
-// were handed. Every partition of a stage attempt is therefore handed the
-// same input results, and a recovery that dropped or recomputed an input
-// partition is handed new ones, whose shared state is rebuilt.
-func (rn *run) publishLocked(s *stage, part int, b *engine.Batch, lost bool) {
-	old := rn.results[s]
-	res := engine.NewBatchResult(old.Schema, len(old.Parts))
-	copy(res.Parts, old.Parts)
-	copy(res.Lost, old.Lost)
-	res.Parts[part], res.Lost[part] = b, lost
-	rn.results[s] = res
 }
 
 // inputResults returns the current results of the stage's inputs — the source
