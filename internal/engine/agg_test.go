@@ -130,7 +130,7 @@ func TestAggKernelMatchesGroupTable(t *testing.T) {
 		op := NewHashAggregate("agg", src, groups, specs, false, aggOutSchema(groups, specs))
 
 		run := func(loc *Local) []Row {
-			k := newAggKernelLocal(op, loc)
+			k := &aggKernel{op: op, loc: loc}
 			for _, b := range batches {
 				if out, err := k.Process(b); err != nil || out != nil {
 					t.Fatalf("seed %d: Process = (%v, %v), want it to buffer", seed, out, err)

@@ -123,10 +123,10 @@ func arenaClassOf(c int) int {
 type Local struct {
 	arena *Arena
 
-	intBufs    [arenaClasses][][]int64
-	floatBufs  [arenaClasses][][]float64
-	stringBufs [arenaClasses][][]string
-	selBufs    [arenaClasses][][]int32
+	intBufs    freelist[int64]
+	floatBufs  freelist[float64]
+	stringBufs freelist[string]
+	selBufs    freelist[int32]
 
 	batchFree []*Batch
 	colsFree  [][]Vector
@@ -148,120 +148,64 @@ func (l *Local) Close() {
 	l.arena.pool.Put(l)
 }
 
-// ints returns an int64 buffer of length n (recycled when possible).
-func (l *Local) ints(n int) []int64 {
+// freelist is a Local's stacks of released buffers of one element type, one
+// stack per size class.
+type freelist[T any] [arenaClasses][][]T
+
+// getBuf returns a buffer of length n, popped from l's freelist that list
+// picks when its class for n holds one. A nil l allocates plainly.
+func getBuf[T any](l *Local, list func(*Local) *freelist[T], n int) []T {
 	if l == nil {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	l.gets++
-	if cls := arenaClassFor(n); cls >= 0 {
-		if s := l.intBufs[cls]; len(s) > 0 {
-			b := s[len(s)-1]
-			l.intBufs[cls] = s[:len(s)-1]
-			l.hits++
-			return b[:n]
-		}
-		return make([]int64, n, 1<<(arenaMinBits+cls))
+	cls := arenaClassFor(n)
+	if cls < 0 {
+		return make([]T, n)
 	}
-	return make([]int64, n)
+	f := list(l)
+	if s := f[cls]; len(s) > 0 {
+		f[cls] = s[:len(s)-1]
+		l.hits++
+		return s[len(s)-1][:n]
+	}
+	return make([]T, n, 1<<(arenaMinBits+cls))
 }
 
-func (l *Local) putInts(b []int64) {
+// putBuf files b on l's freelist that list picks, under the largest class its
+// capacity serves; a buffer below the smallest class goes to the GC. A nil l
+// keeps nothing.
+func putBuf[T any](l *Local, list func(*Local) *freelist[T], b []T) {
 	if l == nil {
 		return
 	}
 	l.puts++
 	if cls := arenaClassOf(cap(b)); cls >= 0 {
-		l.intBufs[cls] = append(l.intBufs[cls], b[:0])
+		f := list(l)
+		f[cls] = append(f[cls], b[:0])
 	}
 }
 
-// floats returns a float64 buffer of length n (recycled when possible).
-func (l *Local) floats(n int) []float64 {
-	if l == nil {
-		return make([]float64, n)
-	}
-	l.gets++
-	if cls := arenaClassFor(n); cls >= 0 {
-		if s := l.floatBufs[cls]; len(s) > 0 {
-			b := s[len(s)-1]
-			l.floatBufs[cls] = s[:len(s)-1]
-			l.hits++
-			return b[:n]
-		}
-		return make([]float64, n, 1<<(arenaMinBits+cls))
-	}
-	return make([]float64, n)
-}
+// The typed faces of the freelist. getBuf and putBuf take an accessor rather
+// than the freelist itself because a nil Local has no fields to point at.
+func intBufs(l *Local) *freelist[int64]     { return &l.intBufs }
+func floatBufs(l *Local) *freelist[float64] { return &l.floatBufs }
+func stringBufs(l *Local) *freelist[string] { return &l.stringBufs }
+func selBufs(l *Local) *freelist[int32]     { return &l.selBufs }
+func (l *Local) ints(n int) []int64         { return getBuf(l, intBufs, n) }
+func (l *Local) floats(n int) []float64     { return getBuf(l, floatBufs, n) }
+func (l *Local) strs(n int) []string        { return getBuf(l, stringBufs, n) }
+func (l *Local) sel(n int) []int32          { return getBuf(l, selBufs, n) }
+func (l *Local) putInts(b []int64)          { putBuf(l, intBufs, b) }
+func (l *Local) putFloats(b []float64)      { putBuf(l, floatBufs, b) }
+func (l *Local) putSel(b []int32)           { putBuf(l, selBufs, b) }
 
-func (l *Local) putFloats(b []float64) {
-	if l == nil {
-		return
-	}
-	l.puts++
-	if cls := arenaClassOf(cap(b)); cls >= 0 {
-		l.floatBufs[cls] = append(l.floatBufs[cls], b[:0])
-	}
-}
-
-// strs returns a string buffer of length n (recycled when possible).
-func (l *Local) strs(n int) []string {
-	if l == nil {
-		return make([]string, n)
-	}
-	l.gets++
-	if cls := arenaClassFor(n); cls >= 0 {
-		if s := l.stringBufs[cls]; len(s) > 0 {
-			b := s[len(s)-1]
-			l.stringBufs[cls] = s[:len(s)-1]
-			l.hits++
-			return b[:n]
-		}
-		return make([]string, n, 1<<(arenaMinBits+cls))
-	}
-	return make([]string, n)
-}
-
+// putStrs also drops the strings, so a released buffer pins no data.
 func (l *Local) putStrs(b []string) {
-	if l == nil {
-		return
+	if l != nil {
+		clear(b)
 	}
-	l.puts++
-	// Drop the string references so released buffers don't pin their data.
-	for i := range b {
-		b[i] = ""
-	}
-	if cls := arenaClassOf(cap(b)); cls >= 0 {
-		l.stringBufs[cls] = append(l.stringBufs[cls], b[:0])
-	}
-}
-
-// sel returns a selection buffer of length n (recycled when possible).
-func (l *Local) sel(n int) []int32 {
-	if l == nil {
-		return make([]int32, n)
-	}
-	l.gets++
-	if cls := arenaClassFor(n); cls >= 0 {
-		if s := l.selBufs[cls]; len(s) > 0 {
-			b := s[len(s)-1]
-			l.selBufs[cls] = s[:len(s)-1]
-			l.hits++
-			return b[:n]
-		}
-		return make([]int32, n, 1<<(arenaMinBits+cls))
-	}
-	return make([]int32, n)
-}
-
-func (l *Local) putSel(b []int32) {
-	if l == nil {
-		return
-	}
-	l.puts++
-	if cls := arenaClassOf(cap(b)); cls >= 0 {
-		l.selBufs[cls] = append(l.selBufs[cls], b[:0])
-	}
+	putBuf(l, stringBufs, b)
 }
 
 // maxFreeShells bounds a Local's freelists of batch structs and column-header
@@ -343,37 +287,25 @@ func (l *Local) gatherVector(src *Vector, sel []int32, nrows int) Vector {
 	out := Vector{Type: src.Type, pooled: l != nil}
 	switch src.Type {
 	case TypeInt:
-		buf := l.ints(n)
-		if sel == nil {
-			copy(buf, src.Ints)
-		} else {
-			for i, p := range sel {
-				buf[i] = src.Ints[p]
-			}
-		}
-		out.Ints = buf
+		out.Ints = appendSel(l.ints(n)[:0], src.Ints, sel, nrows)
 	case TypeFloat:
-		buf := l.floats(n)
-		if sel == nil {
-			copy(buf, src.Floats)
-		} else {
-			for i, p := range sel {
-				buf[i] = src.Floats[p]
-			}
-		}
-		out.Floats = buf
+		out.Floats = appendSel(l.floats(n)[:0], src.Floats, sel, nrows)
 	default:
-		buf := l.strs(n)
-		if sel == nil {
-			copy(buf, src.Strings)
-		} else {
-			for i, p := range sel {
-				buf[i] = src.Strings[p]
-			}
-		}
-		out.Strings = buf
+		out.Strings = appendSel(l.strs(n)[:0], src.Strings, sel, nrows)
 	}
 	return out
+}
+
+// appendSel appends to dst the elements of src at the positions sel lists, or
+// src's first nrows elements when sel is nil.
+func appendSel[T any](dst, src []T, sel []int32, nrows int) []T {
+	if sel == nil {
+		return append(dst, src[:nrows]...)
+	}
+	for _, p := range sel {
+		dst = append(dst, src[p])
+	}
+	return dst
 }
 
 // regrow returns s with room for one more element: s itself while it has

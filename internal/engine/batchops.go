@@ -155,9 +155,9 @@ func (a *HashAggregate) ComputeBatch(part int, inputs []*BatchResult) (*Batch, e
 		if part != 0 {
 			return nil, nil
 		}
-		return kernelBatches(newAggKernel(a), a.schema, inputs[0].Parts...)
+		return kernelBatches(&aggKernel{op: a}, a.schema, inputs[0].Parts...)
 	}
-	return kernelBatches(newAggKernel(a), a.schema, inputs[0].Parts[part])
+	return kernelBatches(&aggKernel{op: a}, a.schema, inputs[0].Parts[part])
 }
 
 // ComputeBatch implements BatchOperator via the shared limit kernel.
@@ -183,7 +183,7 @@ func (u *UnionAll) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error)
 		return right, nil
 	}
 	bb := NewBatchBuilder(u.schema)
-	bb.Grow(left.Len() + right.Len())
+	bb.Grow(left.Len()+right.Len(), nil)
 	bb.Append(left)
 	bb.Append(right)
 	return bb.Finish(), nil
@@ -207,7 +207,7 @@ func concatParts(schema Schema, parts []*Batch, l *Local) *Batch {
 		return only
 	}
 	bb := NewBatchBuilder(schema)
-	bb.growLocal(total, l)
+	bb.Grow(total, l)
 	for _, b := range parts {
 		bb.Append(b)
 	}
@@ -559,15 +559,10 @@ func (s *Sort) ComputeBatch(part int, inputs []*BatchResult) (*Batch, error) {
 	}
 	cols := make([]Vector, len(dense.Cols))
 	for ci := range dense.Cols {
-		cols[ci] = dense.Cols[ci].gather(idx)
+		cols[ci] = (*Local)(nil).gatherVector(&dense.Cols[ci], idx, n)
 	}
 	return &Batch{Schema: s.schema, Cols: cols, nrows: n}, nil
 }
-
-// ComputeBatch implements BatchOperator. The signature's unused inputs keep
-// Scan on the shared dispatch path; base tables have no producer inputs.
-//
-// (The implementation lives in ops.go next to the row face.)
 
 // compareVecVals mirrors compareValues over typed vector elements: numeric
 // types compare through float64 (including int64 values, whose coercion can

@@ -19,11 +19,9 @@ func NewBatchBuilder(schema Schema) *BatchBuilder {
 
 // Grow reserves room for rows more rows, so a caller that knows its total up
 // front appends into exact-size columns instead of growing them from zero.
-func (bb *BatchBuilder) Grow(rows int) { bb.growLocal(rows, nil) }
-
-// growLocal is Grow with the columns drawn from l (plain when nil): the
-// finished batch's column storage is then l's arena's to recycle.
-func (bb *BatchBuilder) growLocal(rows int, l *Local) {
+// The columns are drawn from l (plain when nil): the finished batch's column
+// storage is then l's arena's to recycle.
+func (bb *BatchBuilder) Grow(rows int, l *Local) {
 	if rows <= 0 {
 		return
 	}
@@ -53,29 +51,11 @@ func (bb *BatchBuilder) Append(b *Batch) {
 		dst := &bb.cols[ci]
 		switch dst.Type {
 		case TypeInt:
-			if b.Sel == nil {
-				dst.Ints = append(dst.Ints, src.Ints...)
-			} else {
-				for _, p := range b.Sel {
-					dst.Ints = append(dst.Ints, src.Ints[p])
-				}
-			}
+			dst.Ints = appendSel(dst.Ints, src.Ints, b.Sel, b.nrows)
 		case TypeFloat:
-			if b.Sel == nil {
-				dst.Floats = append(dst.Floats, src.Floats...)
-			} else {
-				for _, p := range b.Sel {
-					dst.Floats = append(dst.Floats, src.Floats[p])
-				}
-			}
+			dst.Floats = appendSel(dst.Floats, src.Floats, b.Sel, b.nrows)
 		default:
-			if b.Sel == nil {
-				dst.Strings = append(dst.Strings, src.Strings...)
-			} else {
-				for _, p := range b.Sel {
-					dst.Strings = append(dst.Strings, src.Strings[p])
-				}
-			}
+			dst.Strings = appendSel(dst.Strings, src.Strings, b.Sel, b.nrows)
 		}
 	}
 }

@@ -24,7 +24,7 @@ type Vector struct {
 
 	// pooled marks the backing array as arena-owned; Release returns it to
 	// the Local that allocated it. Value copies of a Vector constructed as
-	// literals (gather, slice, Col aliasing) never carry the flag.
+	// literals (slice, Col aliasing) never carry the flag.
 	pooled bool
 }
 
@@ -76,29 +76,6 @@ func (v *Vector) appendValue(val Value) bool {
 		v.Strings = append(v.Strings, x)
 	}
 	return true
-}
-
-// gather builds a dense copy of the vector at the given positions.
-func (v *Vector) gather(sel []int32) Vector {
-	out := Vector{Type: v.Type}
-	switch v.Type {
-	case TypeInt:
-		out.Ints = make([]int64, len(sel))
-		for i, p := range sel {
-			out.Ints[i] = v.Ints[p]
-		}
-	case TypeFloat:
-		out.Floats = make([]float64, len(sel))
-		for i, p := range sel {
-			out.Floats[i] = v.Floats[p]
-		}
-	default:
-		out.Strings = make([]string, len(sel))
-		for i, p := range sel {
-			out.Strings[i] = v.Strings[p]
-		}
-	}
-	return out
 }
 
 // setAt overwrites element i with element p of src, a vector of v's type.

@@ -54,17 +54,15 @@ func Compile(e Expr, schema Schema) (*CompiledExpr, error) {
 		return &CompiledExpr{
 			Type: schema[idx].Type,
 			eval: func(b *Batch, sel []int32, loc *Local) (Vector, error) {
-				if loc != nil {
-					// Copy into recycled storage: the result must outlive b,
-					// whose (possibly pooled) columns the caller may release.
-					return loc.gatherVector(&b.Cols[idx], sel, b.nrows), nil
-				}
-				if sel == nil {
+				if loc == nil && sel == nil {
 					src := &b.Cols[idx]
 					// Alias the column storage, but never the ownership flag.
 					return Vector{Type: src.Type, Ints: src.Ints, Floats: src.Floats, Strings: src.Strings}, nil
 				}
-				return b.Cols[idx].gather(sel), nil
+				// Copy into recycled storage (plain with a nil loc): the
+				// result must outlive b, whose (possibly pooled) columns the
+				// caller may release.
+				return loc.gatherVector(&b.Cols[idx], sel, b.nrows), nil
 			},
 		}, nil
 	case Const:

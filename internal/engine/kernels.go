@@ -20,30 +20,23 @@ type BatchKernel interface {
 	Flush() (*Batch, error)
 }
 
-// NewOperatorKernel returns a fresh kernel for op, or false when the operator
-// has no batch kernel (wide or multi-input operators compute whole
+// NewOperatorKernel returns a fresh kernel for op, or false when the
+// operator has no batch kernel (wide or multi-input operators compute whole
 // partitions; a join probed by a stream takes its build side through
-// HashJoin.JoinKernel).
-func NewOperatorKernel(op Operator) (BatchKernel, bool) {
-	return NewOperatorKernelLocal(op, nil)
-}
-
-// NewOperatorKernelLocal is NewOperatorKernel with an arena Local attached:
-// the kernel draws its output buffers from loc and consumes (releases) each
-// input batch it successfully processes, so a pipelined chain of kernels
-// recycles its buffers batch over batch. A nil loc disables recycling — the
-// kernel then neither pools outputs nor releases inputs, which is how the
-// wide operators' ComputeBatch runs them over shared committed batches.
-func NewOperatorKernelLocal(op Operator, loc *Local) (BatchKernel, bool) {
+// HashJoin.JoinKernel). The kernel draws its output buffers from loc and
+// consumes (releases) each input batch it successfully processes, so a
+// pipelined chain of kernels recycles its buffers batch over batch. A nil loc
+// disables recycling — the kernel then neither pools outputs nor releases
+// inputs, which is how the operators' ComputeBatch runs them over shared
+// committed batches.
+func NewOperatorKernel(op Operator, loc *Local) (BatchKernel, bool) {
 	switch o := op.(type) {
 	case *Select:
 		return &filterKernel{op: o, loc: loc}, true
 	case *Project:
 		return &projectKernel{op: o, loc: loc}, true
 	case *HashAggregate:
-		return newAggKernelLocal(o, loc), true
-	case *Limit:
-		return &limitKernel{remaining: o.n, loc: loc}, true
+		return &aggKernel{op: o, loc: loc}, true
 	default:
 		return nil, false
 	}
@@ -84,7 +77,7 @@ func kernelBatches(k BatchKernel, outSchema Schema, ins ...*Batch) (*Batch, erro
 		return outs[0], nil
 	}
 	bb := NewBatchBuilder(outSchema)
-	bb.Grow(total)
+	bb.Grow(total, nil)
 	for _, ob := range outs {
 		bb.Append(ob)
 	}
@@ -203,12 +196,6 @@ type aggAcc struct {
 	sums   []float64 // SUM, AVG and its merge
 	counts []int64   // COUNT, AVG and their merges
 	ext    Vector    // MIN or MAX: the extreme value so far, in the argument's type
-}
-
-func newAggKernel(op *HashAggregate) *aggKernel { return newAggKernelLocal(op, nil) }
-
-func newAggKernelLocal(op *HashAggregate, loc *Local) *aggKernel {
-	return &aggKernel{op: op, loc: loc}
 }
 
 // appendSigValue renders one group-key value exactly like the interpreted
@@ -598,15 +585,14 @@ func (k *aggKernel) release() {
 }
 
 // limitKernel passes through the first remaining rows of the stream — a
-// zero-copy slice of each batch until the budget runs out.
+// zero-copy slice of each batch until the budget runs out. It serves only
+// Limit.ComputeBatch, over shared committed batches, so it releases nothing.
 type limitKernel struct {
 	remaining int
-	loc       *Local
 }
 
 func (k *limitKernel) Process(b *Batch) (*Batch, error) {
 	if k.remaining <= 0 {
-		b.Release(k.loc)
 		return nil, nil
 	}
 	n := b.Len()
@@ -614,9 +600,7 @@ func (k *limitKernel) Process(b *Batch) (*Batch, error) {
 		k.remaining -= n
 		return b, nil
 	}
-	// The slice shares b's column storage, so b itself is not released — it
-	// leaks to the GC once at the limit boundary, which is always safe.
-	out := b.SliceLocal(0, k.remaining, k.loc)
+	out := b.SliceLocal(0, k.remaining, nil)
 	k.remaining = 0
 	return out, nil
 }

@@ -157,7 +157,7 @@ func TestBatchBuilderGrowReservesTheTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := NewBatchBuilder(schema)
-	bb.Grow(4 * part.Len())
+	bb.Grow(4*part.Len(), nil)
 	bb.Append(part)
 	reserved := &bb.cols[0].Ints[0]
 	for i := 0; i < 3; i++ {
@@ -190,6 +190,63 @@ func TestArenaShellFreelists(t *testing.T) {
 	l.putCols(make([]Vector, 2))
 	if got := l.cols(16); cap(got) != 16 || l.hits != 1 {
 		t.Errorf("a 16-column request under a 2-column slice missed the freelist (cap %d, hits %d)", cap(got), l.hits)
+	}
+}
+
+// Every element type's buffers go through the one size-classed freelist: a
+// released buffer of capacity 2^k serves the next request its class covers, a
+// buffer below the smallest class and a request above the largest bypass it,
+// and a released string buffer pins no strings.
+func TestArenaBufferFreelists(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"int64", func(t *testing.T) { checkFreelist(t, (*Local).ints, (*Local).putInts, 7, false) }},
+		{"float64", func(t *testing.T) { checkFreelist(t, (*Local).floats, (*Local).putFloats, 1.5, false) }},
+		{"string", func(t *testing.T) { checkFreelist(t, (*Local).strs, (*Local).putStrs, "x", true) }},
+		{"int32", func(t *testing.T) { checkFreelist(t, (*Local).sel, (*Local).putSel, 7, false) }},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+func checkFreelist[T comparable](t *testing.T, get func(*Local, int) []T, put func(*Local, []T), fill T, clears bool) {
+	var zero T
+	for k := arenaMinBits; k <= arenaMaxBits; k++ {
+		// The smallest and the largest request of class k.
+		for _, n := range []int{1<<(k-1) + 1, 1 << k} {
+			l := NewArena().Local()
+			b := make([]T, 1<<k)
+			for i := range b {
+				b[i] = fill
+			}
+			put(l, b)
+			if clears {
+				for i, x := range b {
+					if x != zero {
+						t.Fatalf("cap %d: released buffer still holds %v at %d", 1<<k, x, i)
+					}
+				}
+			}
+			got := get(l, n)
+			if len(got) != n || &got[0] != &b[0] || l.hits != 1 || l.gets != 1 || l.puts != 1 {
+				t.Errorf("cap %d, request %d: len %d, same buffer %v, gets/hits/puts %d/%d/%d; want a hit on the released buffer",
+					1<<k, n, len(got), &got[0] == &b[0], l.gets, l.hits, l.puts)
+			}
+		}
+	}
+
+	l := NewArena().Local()
+	put(l, make([]T, 1<<arenaMinBits-1))
+	if got := get(l, 1); l.hits != 0 || cap(got) != 1<<arenaMinBits {
+		t.Errorf("a buffer of %d elements was kept (hits %d, cap %d)", 1<<arenaMinBits-1, l.hits, cap(got))
+	}
+
+	l = NewArena().Local()
+	put(l, make([]T, 1<<arenaMaxBits))
+	if got := get(l, 1<<arenaMaxBits+1); l.hits != 0 || cap(got) != 1<<arenaMaxBits+1 {
+		t.Errorf("a request of %d elements was served from a class (hits %d, cap %d)", 1<<arenaMaxBits+1, l.hits, cap(got))
 	}
 }
 

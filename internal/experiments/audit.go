@@ -80,11 +80,7 @@ func ExtAudit(c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tables := make([]string, 0, len(stmt.From))
-		for _, tr := range stmt.From {
-			tables = append(tables, tr.Table)
-		}
-		tstats, err := sql.CollectStats(cat, tables)
+		tstats, err := sql.CollectStats(cat, stmt.Tables())
 		if err != nil {
 			return nil, err
 		}

@@ -152,7 +152,7 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		if j, ok := tasks[i].op.(*engine.HashJoin); ok {
 			tasks[i].kern, sides = j.JoinKernel(sides[0], loc), sides[1:]
 		} else {
-			tasks[i].kern, _ = engine.NewOperatorKernelLocal(tasks[i].op, loc)
+			tasks[i].kern, _ = engine.NewOperatorKernel(tasks[i].op, loc)
 		}
 	}
 	var outs []*engine.Batch
@@ -214,7 +214,7 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		}
 	}
 	bb := engine.NewBatchBuilder(s.terminal().OutSchema())
-	bb.Grow(rows)
+	bb.Grow(rows, nil)
 	for _, ob := range outs {
 		bb.Append(ob)
 		ob.Release(loc)

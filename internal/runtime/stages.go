@@ -105,11 +105,7 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 				s.sides = append(s.sides, plan.byOp[ins[0]])
 			}
 		} else if len(ins) == 1 && engine.Streamable(op) {
-			if s = chainTail(ins[0]); s != nil {
-				if _, ok := engine.NewOperatorKernel(op); !ok {
-					return nil, fmt.Errorf("runtime: streamable operator %s has no batch kernel", op.Name())
-				}
-			}
+			s = chainTail(ins[0])
 		}
 		if s != nil {
 			s.ops = append(s.ops, op)

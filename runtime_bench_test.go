@@ -363,8 +363,8 @@ func benchScanFilterProject(b *testing.B, columnar bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fk, _ := engine.NewOperatorKernel(sel)
-			pk, _ := engine.NewOperatorKernel(proj)
+			fk, _ := engine.NewOperatorKernel(sel, nil)
+			pk, _ := engine.NewOperatorKernel(proj, nil)
 			fb, err := fk.Process(batch)
 			if err != nil {
 				b.Fatal(err)
