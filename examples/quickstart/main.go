@@ -89,7 +89,8 @@ func main() {
 		engine.Schema{{Name: "name", Type: engine.TypeString}, {Name: "total", Type: engine.TypeFloat}, {Name: "events", Type: engine.TypeInt}})
 
 	inj := engine.NewScriptedFailures().Add("enrich-udf", 1, 0)
-	r, err := runtime.New(runtime.Config{Nodes: nodes, Injector: inj, BatchSize: 64})
+	m := &runtime.Metrics{}
+	r, err := runtime.New(runtime.Config{Nodes: nodes, Injector: inj, BatchSize: 64, Metrics: m})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer fmt.Printf("\nruntime metrics: %s\n", r.Metrics().Snapshot())
+	defer fmt.Printf("\nruntime metrics: %s\n", m.Snapshot())
 
 	rows := result.AllRows()
 	fmt.Printf("live run: %d user sessions, %d failure(s) injected and recovered, %d partition(s) recomputed, %d checkpointed\n",

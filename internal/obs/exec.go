@@ -14,15 +14,15 @@ import (
 // runtimeLabel is the value of the histogram families' runtime label.
 const runtimeLabel = "pipelined"
 
-// Exec is the runtime's counter set (one per runtime.Config): a fold over
-// the runtime's events. Observe turns each span into counter adds, a row of
-// the per-stage table (committed rows, summed wall time and the histogram of
-// the stage's wall times), the checkpoint write-latency histogram and
+// Exec is the counter set a caller passes in runtime.Config.Metrics: a fold
+// over the runtime's events. Observe turns each span into counter adds, a row
+// of the per-stage table (committed rows, summed wall time and the histogram
+// of the stage's wall times), the checkpoint write-latency histogram and
 // wasted-work Ledger entries. Batches is the one counter the runtime adds to
 // directly, because it moves per batch, not per event. The registry's
 // families are collectors over these fields. The zero value is ready to use
-// and safe for concurrent use; a nil *Exec folds nothing, so
-// un-instrumented executions pay nothing.
+// and safe for concurrent use; a nil *Exec folds nothing, and a runtime
+// given none records nothing, so un-instrumented executions pay nothing.
 type Exec struct {
 	// Batches counts vectorized batches handed from one operator of a chained
 	// stage to the next: the source's slices and the chained transforms. A

@@ -163,6 +163,14 @@ func (w *checkpointWriter) state() (pending, buffered int) {
 	return w.pending, buffered
 }
 
+// joinStage and aggStage are the checkpointed stages the writer tests
+// enqueue: a stage is named by its terminal operator.
+var joinStage, aggStage = namedStage("join"), namedStage("agg")
+
+func namedStage(name string) *stage {
+	return &stage{ops: []engine.Operator{engine.NewScan(name, &engine.Table{}, nil, nil)}}
+}
+
 func ckptBatch(t *testing.T, n int) *engine.Batch {
 	t.Helper()
 	rows := make([]engine.Row, n)
@@ -209,7 +217,7 @@ func TestCheckpointWriter(t *testing.T) {
 						t.Fatalf("%d store writes with the stage one partition short", calls)
 					}
 				}
-				if !w.enqueue("join", p, ckptBatch(t, 50), parts) {
+				if !w.enqueue(joinStage, p, ckptBatch(t, 50), parts) {
 					t.Fatalf("enqueue of partition %d refused", p)
 				}
 			}
@@ -234,15 +242,15 @@ func TestCheckpointWriter(t *testing.T) {
 			}
 		}},
 		{name: "a barrier mid-stage writes a partial group, the rest is a second write", run: func(t *testing.T, w *checkpointWriter, s *gateStore, m *Metrics) {
-			w.enqueue("join", 0, ckptBatch(t, 10), 4)
-			w.enqueue("join", 2, ckptBatch(t, 10), 4)
-			w.enqueue("agg", 1, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 0, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 2, ckptBatch(t, 10), 4)
+			w.enqueue(aggStage, 1, ckptBatch(t, 10), 4)
 			buffered(t, w, 3)
 			if _, calls := s.writing(); calls != 0 {
 				t.Fatalf("%d store writes before any barrier, with no stage complete", calls)
 			}
 			// The restore probe's barrier: the partition's own operator only.
-			if err := w.wait("join", 2); err != nil {
+			if err := w.wait(joinStage, 2); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := s.groups("join"), [][]int{{0, 2}}; !reflect.DeepEqual(got, want) || len(s.groups("agg")) != 0 {
@@ -254,15 +262,15 @@ func TestCheckpointWriter(t *testing.T) {
 			// A partition this writer does not have in flight costs the probe
 			// nothing, landed or never seen.
 			for _, part := range []int{0, 3} {
-				if err := w.wait("join", part); err != nil {
+				if err := w.wait(joinStage, part); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if stalls := stallEntries(m); len(stalls) != 1 {
 				t.Errorf("waits on partitions not in flight booked stalls: %+v", stalls)
 			}
-			w.enqueue("join", 1, ckptBatch(t, 10), 4)
-			w.enqueue("join", 3, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 1, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 3, ckptBatch(t, 10), 4)
 			if err := w.flush("root", -1); err != nil {
 				t.Fatal(err)
 			}
@@ -278,25 +286,25 @@ func TestCheckpointWriter(t *testing.T) {
 		}},
 		{name: "a partition is written once", gated: true, run: func(t *testing.T, w *checkpointWriter, s *gateStore, m *Metrics) {
 			b := ckptBatch(t, 10)
-			if !w.enqueue("join", 0, b, 2) {
+			if !w.enqueue(joinStage, 0, b, 2) {
 				t.Fatal("first enqueue refused")
 			}
 			buffered(t, w, 1)
-			if w.enqueue("join", 0, b, 2) {
+			if w.enqueue(joinStage, 0, b, 2) {
 				t.Error("second enqueue accepted while the first is buffered")
 			}
-			if !w.enqueue("join", 1, b, 2) {
+			if !w.enqueue(joinStage, 1, b, 2) {
 				t.Error("another partition of the same operator refused")
 			}
 			waitFor(t, "the group is inside the store", func() bool { n, _ := s.writing(); return n == 1 })
-			if w.enqueue("join", 0, b, 2) {
+			if w.enqueue(joinStage, 0, b, 2) {
 				t.Error("second enqueue accepted while the first is inside the store")
 			}
 			s.gate <- struct{}{}
 			if err := w.flush("join", -1); err != nil {
 				t.Fatal(err)
 			}
-			if w.enqueue("join", 0, b, 2) || w.enqueue("join", 1, b, 2) {
+			if w.enqueue(joinStage, 0, b, 2) || w.enqueue(joinStage, 1, b, 2) {
 				t.Error("enqueue of a landed partition accepted")
 			}
 			if _, calls := s.writing(); calls != 1 || m.CheckpointParts.Load() != 2 {
@@ -304,17 +312,17 @@ func TestCheckpointWriter(t *testing.T) {
 			}
 		}},
 		{name: "wait is keyed and flush waits for all", gated: true, run: func(t *testing.T, w *checkpointWriter, s *gateStore, m *Metrics) {
-			w.enqueue("join", 0, ckptBatch(t, 10), 1)
+			w.enqueue(joinStage, 0, ckptBatch(t, 10), 1)
 			waitFor(t, "join is inside the store", func() bool { n, _ := s.writing(); return n == 1 })
 			// Another operator's write in the store does not hold the probe.
-			if err := w.wait("agg", 0); err != nil {
+			if err := w.wait(aggStage, 0); err != nil {
 				t.Fatal(err)
 			}
 			if len(stallEntries(m)) != 0 {
 				t.Error("a probe of agg/0 stalled on join's write")
 			}
 			done := make(chan error, 2)
-			go func() { done <- w.wait("join", 0) }()
+			go func() { done <- w.wait(joinStage, 0) }()
 			go func() { done <- w.flush("root", -1) }()
 			waitFor(t, "both barriers are blocked", func() bool { return parked(barrierFrame, condWait) == 2 })
 			if len(stallEntries(m)) != 0 {
@@ -335,11 +343,11 @@ func TestCheckpointWriter(t *testing.T) {
 			}
 		}},
 		{name: "an encode error fails the query and spares the rest of the group", run: func(t *testing.T, w *checkpointWriter, s *gateStore, m *Metrics) {
-			w.enqueue("join", 0, ckptBatch(t, 10), 4)
-			w.enqueue("join", 1, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 0, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 1, ckptBatch(t, 10), 4)
 			// One zero-width row has no block form.
-			w.enqueue("join", 2, &engine.Batch{Sel: []int32{0}}, 4)
-			w.enqueue("join", 3, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 2, &engine.Batch{Sel: []int32{0}}, 4)
+			w.enqueue(joinStage, 3, ckptBatch(t, 10), 4)
 			for _, end := range []func() error{func() error { return w.flush("root", -1) }, w.close} {
 				if err := end(); !errors.Is(err, engine.ErrNotColumnar) {
 					t.Errorf("got %v, want partition 2's encode error", err)
@@ -356,14 +364,14 @@ func TestCheckpointWriter(t *testing.T) {
 			if err := w.flush("join", 0); err != nil {
 				t.Fatal(err)
 			}
-			w.enqueue("join", 0, ckptBatch(t, 10), 4)
+			w.enqueue(joinStage, 0, ckptBatch(t, 10), 4)
 			if err := w.close(); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.flush("join", 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.wait("join", 0); err != nil {
+			if err := w.wait(joinStage, 0); err != nil {
 				t.Fatal(err)
 			}
 			if stalls := stallEntries(m); len(stalls) != 0 {
@@ -377,7 +385,7 @@ func TestCheckpointWriter(t *testing.T) {
 			if err := w.close(); err != nil {
 				t.Fatal(err)
 			}
-			if w.enqueue("join", 0, ckptBatch(t, 10), 4) {
+			if w.enqueue(joinStage, 0, ckptBatch(t, 10), 4) {
 				t.Error("enqueue after close accepted")
 			}
 			if _, calls := s.writing(); calls != 0 {
@@ -388,14 +396,14 @@ func TestCheckpointWriter(t *testing.T) {
 			fail: map[string]error{"join": errA, "agg": errB},
 			run: func(t *testing.T, w *checkpointWriter, s *gateStore, m *Metrics) {
 				for p := 0; p < 3; p++ {
-					w.enqueue("join", p, ckptBatch(t, 10), 3)
+					w.enqueue(joinStage, p, ckptBatch(t, 10), 3)
 				}
 				waitFor(t, "join is inside the store", func() bool { n, _ := s.writing(); return n == 1 })
-				w.enqueue("agg", 0, ckptBatch(t, 10), 1)
+				w.enqueue(aggStage, 0, ckptBatch(t, 10), 1)
 				waitFor(t, "agg is inside the store too", func() bool { n, _ := s.writing(); return n == 2 })
 				s.gate <- struct{}{}
 				s.gate <- struct{}{}
-				for _, end := range []func() error{func() error { return w.flush("join", -1) }, func() error { return w.wait("join", 1) }, w.close} {
+				for _, end := range []func() error{func() error { return w.flush("join", -1) }, func() error { return w.wait(joinStage, 1) }, w.close} {
 					if err := end(); !(errors.Is(err, errA) || errors.Is(err, errB)) || errors.Is(err, errA) && errors.Is(err, errB) {
 						t.Errorf("got %v, want exactly one of the two failures", err)
 					}
@@ -429,14 +437,15 @@ func TestCheckpointWriter(t *testing.T) {
 // groups arrive one at a time, so the counts need no lock of their own.
 type failingStore struct {
 	*engine.MatStore
-	bad            partKey
+	badOp          string
+	badPart        int
 	err            error
 	landed, failed int
 }
 
 func (s *failingStore) PutGroup(op string, parts int, group []engine.PartBlock) error {
 	for _, b := range group {
-		if (partKey{op, b.Part}) == s.bad {
+		if op == s.badOp && b.Part == s.badPart {
 			s.failed++
 			return s.err
 		}
@@ -469,7 +478,7 @@ func TestStoreErrorFailsTheQuery(t *testing.T) {
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			root := testPipeline(t, 4, true)
-			store := &failingStore{MatStore: engine.NewMatStore(), bad: partKey{"join", 2}, err: errDisk}
+			store := &failingStore{MatStore: engine.NewMatStore(), badOp: "join", badPart: 2, err: errDisk}
 			inj := engine.NewScriptedFailures()
 			if arm.kill {
 				inj.Add("join", 2, 0).Add("join", 3, 0)

@@ -34,39 +34,32 @@ func asNodeFailure(err error) (*nodeFailure, bool) {
 // matching the reference Coordinator's limit.
 const maxAttemptsPerPartition = 1000
 
-// attempts tracks per-(operator, partition) attempt numbers across the whole
-// query (including coarse restarts), so scripted failure traces advance.
+// attempts counts the attempts of every (operator, partition) pair across the
+// whole query (coarse restarts included), so scripted failure traces advance:
+// n[o*nodes+part] for the operator of plan ordinal o (stage.first).
 type attempts struct {
-	mu sync.Mutex
-	m  map[partKey]int
+	mu    sync.Mutex
+	nodes int
+	n     []int
 }
 
-// partKey identifies one partition of one operator's output.
-type partKey struct {
-	op   string
-	part int
-}
-
-// newAttempts sizes the map for keys (operator, partition) pairs, so a query
-// whose partitions each run once never grows it.
-func newAttempts(keys int) *attempts { return &attempts{m: make(map[partKey]int, keys)} }
-
-// take returns the current attempt number for (op, part) and advances it.
-func (a *attempts) take(op string, part int) int {
-	key := partKey{op, part}
+// take returns the current attempt number of partition part of s.ops[i] and
+// advances it.
+func (a *attempts) take(s *stage, i, part int) int {
+	k := (s.first+i)*a.nodes + part
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := a.m[key]
-	a.m[key] = n + 1
+	n := a.n[k]
+	a.n[k] = n + 1
 	return n
 }
 
 // peek returns the attempt number the next take would hand out, without
 // advancing it — the task span's attempt label.
-func (a *attempts) peek(op string, part int) int {
+func (a *attempts) peek(s *stage, i, part int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.m[partKey{op, part}]
+	return a.n[(s.first+i)*a.nodes+part]
 }
 
 // die emits the injected death of the node computing (op, part) on attempt
@@ -112,7 +105,7 @@ type task struct {
 func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
 	tasks := make([]task, len(s.ops))
 	for i, op := range s.ops {
-		n := rn.attempts.take(op.Name(), part)
+		n := rn.attempts.take(s, i, part)
 		if n > maxAttemptsPerPartition {
 			return nil, fmt.Errorf("runtime: partition %d of %s exceeded %d attempts", part, op.Name(), maxAttemptsPerPartition)
 		}
@@ -170,7 +163,9 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 			if err != nil {
 				return err
 			}
-			rn.cfg.Metrics.Batches.Add(1)
+			if m := rn.cfg.Metrics; m != nil {
+				m.Batches.Add(1)
+			}
 			if res.Len() == 0 {
 				res.Release(loc)
 				return nil
@@ -190,7 +185,9 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rn.cfg.Metrics.Batches.Add(1)
+		if m := rn.cfg.Metrics; m != nil {
+			m.Batches.Add(1)
+		}
 		if err := push(1, b.SliceLocal(start, min(start+size, total), loc)); err != nil {
 			return nil, err
 		}

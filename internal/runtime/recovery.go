@@ -88,16 +88,16 @@ func (rn *run) ensurePartitions(ctx context.Context, d *stage, part int, all boo
 func (rn *run) dropLineageOnNode(s *stage, node int) {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	for _, a := range s.ancestors {
+	for _, a := range rn.plan.lineage(s) {
 		if a.checkpoint {
 			continue
 		}
-		if rn.done[a][node] {
+		if rn.done[a.id][node] {
 			now := time.Now()
 			rn.events.emit(obs.Span{Kind: obs.KindLost, Name: a.name(), Part: node, Attempt: -1,
-				Start: now, End: now, Rows: int64(rn.results[a].Parts[node].Len()), Parts: rn.cfg.Nodes})
-			rn.results[a] = rn.results[a].WithPart(node, nil, true)
-			rn.done[a][node] = false
+				Start: now, End: now, Rows: int64(rn.results[a.id].Parts[node].Len()), Parts: rn.cfg.Nodes})
+			rn.results[a.id] = rn.results[a.id].WithPart(node, nil, true)
+			rn.done[a.id][node] = false
 		}
 	}
 }

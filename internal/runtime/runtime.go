@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,8 +62,7 @@ type Config struct {
 	// only; nil allocates a fresh in-memory MatStore.
 	Store engine.EncodedStore
 	// Metrics folds the execution's events into counters, histograms, the
-	// per-stage table and the wasted-work ledger; nil allocates a private
-	// set.
+	// per-stage table and the wasted-work ledger; nil records nothing.
 	Metrics *Metrics
 	// Tracer records every event of the execution; nil records nothing.
 	Tracer *obs.Tracer
@@ -104,21 +104,17 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Store == nil {
 		cfg.Store = engine.NewMatStore()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &Metrics{}
-	}
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 100
 	}
 	if cfg.Arena == nil {
 		cfg.Arena = sharedArena
 	}
-	engine.RegisterArenaMetrics(cfg.Metrics.Registry(), cfg.Arena)
+	if cfg.Metrics != nil {
+		engine.RegisterArenaMetrics(cfg.Metrics.Registry(), cfg.Arena)
+	}
 	return &Runtime{cfg: cfg}, nil
 }
-
-// Metrics returns the runtime's counter set.
-func (r *Runtime) Metrics() *Metrics { return r.cfg.Metrics }
 
 // Execute runs the query rooted at root and returns its partitioned result
 // along with an execution report. The report type is shared with the
@@ -130,7 +126,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	}
 	ev := &events{metrics: r.cfg.Metrics, progress: r.cfg.Progress, tracer: r.cfg.Tracer}
 	report := &ev.report
-	attempts := newAttempts(len(plan.byOp) * r.cfg.Nodes)
+	attempts := &attempts{nodes: r.cfg.Nodes, n: make([]int, plan.ops*r.cfg.Nodes)}
 	writer := newCheckpointWriter(r.cfg.Store, ev)
 	defer writer.close()
 
@@ -147,14 +143,12 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 			attempts: attempts,
 			events:   ev,
 			writer:   writer,
-			store:    r.cfg.Store,
-			pool:     r.cfg.Pool,
-			results:  make(map[*stage]*engine.BatchResult, len(plan.stages)),
-			done:     make(map[*stage][]bool, len(plan.stages)),
+			results:  make([]*engine.BatchResult, len(plan.stages)),
+			done:     make([][]bool, len(plan.stages)),
 		}
 		for _, s := range plan.stages {
-			rn.results[s] = engine.NewBatchResult(s.terminal().OutSchema(), r.cfg.Nodes)
-			rn.done[s] = make([]bool, r.cfg.Nodes)
+			rn.results[s.id] = engine.NewBatchResult(s.terminal().OutSchema(), r.cfg.Nodes)
+			rn.done[s.id] = make([]bool, r.cfg.Nodes)
 		}
 		res, err := rn.execute(ctx)
 		if err == nil {
@@ -193,12 +187,10 @@ type run struct {
 	attempts *attempts
 	events   *events
 	writer   *checkpointWriter
-	store    engine.EncodedStore
-	pool     *Pool // bounded worker pool, possibly shared across queries
 
-	mu      sync.Mutex                     // guards results and done
-	results map[*stage]*engine.BatchResult // replaced through WithPart, never written
-	done    map[*stage][]bool
+	mu      sync.Mutex            // guards results and done
+	results []*engine.BatchResult // by stage id; replaced through WithPart, never written
+	done    [][]bool              // by stage id, then partition
 
 	// recoveryMu serializes fine-grained recoveries: drops of volatile
 	// lineage and the recomputation that follows happen one failure at a
@@ -213,9 +205,9 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	doneOf := make(map[*stage]chan struct{}, len(rn.plan.stages))
-	for _, s := range rn.plan.stages {
-		doneOf[s] = make(chan struct{})
+	doneOf := make([]chan struct{}, len(rn.plan.stages)) // by stage id
+	for i := range doneOf {
+		doneOf[i] = make(chan struct{})
 	}
 	var firstErr error
 	var once sync.Once
@@ -234,7 +226,7 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 			for _, ds := range [][]*stage{s.deps, s.sides} {
 				for _, d := range ds {
 					select {
-					case <-doneOf[d]:
+					case <-doneOf[d.id]:
 					case <-ctx.Done():
 						return
 					}
@@ -244,7 +236,7 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 				fail(err)
 				return
 			}
-			close(doneOf[s])
+			close(doneOf[s.id])
 		}(s)
 	}
 	wg.Wait()
@@ -262,7 +254,7 @@ func (rn *run) execute(ctx context.Context) (*engine.BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return rn.results[rn.plan.root], nil
+	return rn.results[rn.plan.root.id], nil
 }
 
 // runStage executes every partition of a stage on the bounded worker pool
@@ -275,32 +267,25 @@ func (rn *run) runStage(ctx context.Context, s *stage) error {
 	}()
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var once sync.Once
 	var firstErr error
+	fail := func(err error) { once.Do(func() { firstErr = err }) }
 	for part := 0; part < rn.cfg.Nodes; part++ {
 		wg.Add(1)
 		go func(part int) {
 			defer wg.Done()
-			if aerr := rn.pool.Acquire(ctx); aerr != nil {
+			if aerr := rn.cfg.Pool.Acquire(ctx); aerr != nil {
 				// A cancelled context surfaces through ctx.Err() below, as
 				// before; a closed pool is a real scheduling failure that
 				// must abort the query.
 				if errors.Is(aerr, ErrPoolClosed) {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = aerr
-					}
-					mu.Unlock()
+					fail(aerr)
 				}
 				return
 			}
-			defer rn.pool.Release()
+			defer rn.cfg.Pool.Release()
 			if err := rn.runStagePartition(ctx, s, part); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+				fail(err)
 			}
 		}(part)
 	}
@@ -336,11 +321,11 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		return nil
 	}
 	if s.checkpoint {
-		if err := rn.writer.wait(s.name(), part); err != nil {
+		if err := rn.writer.wait(s, part); err != nil {
 			return err
 		}
 		start := time.Now()
-		if data, ok := rn.store.GetEncoded(s.name(), part); ok {
+		if data, ok := rn.cfg.Store.GetEncoded(s.name(), part); ok {
 			// Bytes that do not decode into the stage schema (torn, another
 			// format, another plan's output under the same name) are a
 			// checkpoint miss: the partition is recomputed and the checkpoint
@@ -365,7 +350,7 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 		}
 		inputs, ready = rn.inputResults(s, part)
 	}
-	sp := obs.Span{Kind: obs.KindTask, Name: s.name(), Part: part, Attempt: rn.attempts.peek(s.name(), part),
+	sp := obs.Span{Kind: obs.KindTask, Name: s.name(), Part: part, Attempt: rn.attempts.peek(s, len(s.ops)-1, part),
 		Start: time.Now(), Parts: rn.cfg.Nodes, Recompute: recovery}
 	b, err := rn.runPartition(ctx, s, part, inputs)
 	sp.End = time.Now()
@@ -379,7 +364,7 @@ func (rn *run) computePartition(ctx context.Context, s *stage, part int, recover
 func (rn *run) isDone(s *stage, part int) bool {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	return rn.done[s][part]
+	return rn.done[s.id][part]
 }
 
 // stageRows sums the rows of the stage's committed partitions (for the
@@ -388,9 +373,9 @@ func (rn *run) stageRows(s *stage) int64 {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 	var n int64
-	for part, ok := range rn.done[s] {
+	for part, ok := range rn.done[s.id] {
 		if ok {
-			n += int64(rn.results[s].Parts[part].Len())
+			n += int64(rn.results[s.id].Parts[part].Len())
 		}
 	}
 	return n
@@ -411,17 +396,17 @@ func (rn *run) finish(s *stage, part int, b *engine.Batch, sp obs.Span) {
 		}
 		sp.Rows = int64(b.Len())
 		rn.mu.Lock()
-		if rn.done[s][part] {
+		if rn.done[s.id][part] {
 			sp.Err = errSuperseded
 		} else {
-			rn.results[s] = rn.results[s].WithPart(part, b, false)
-			rn.done[s][part] = true
+			rn.results[s.id] = rn.results[s.id].WithPart(part, b, false)
+			rn.done[s.id][part] = true
 		}
 		rn.mu.Unlock()
 	}
 	rn.events.emit(sp)
 	if sp.Err == "" && sp.Kind == obs.KindTask && s.checkpoint {
-		rn.writer.enqueue(s.name(), part, b, rn.cfg.Nodes)
+		rn.writer.enqueue(s, part, b, rn.cfg.Nodes)
 	}
 }
 
@@ -443,13 +428,12 @@ func (rn *run) inputResults(s *stage, part int) (inputs []*engine.BatchResult, r
 			return nil, false
 		}
 	}
-	ins := s.source().Inputs()
-	inputs = make([]*engine.BatchResult, 0, len(ins)+len(s.sides))
-	for _, in := range ins {
-		inputs = append(inputs, rn.results[rn.plan.byOp[in]])
+	inputs = make([]*engine.BatchResult, 0, len(s.deps)+len(s.sides))
+	for _, d := range s.deps {
+		inputs = append(inputs, rn.results[d.id])
 	}
 	for _, d := range s.sides {
-		inputs = append(inputs, rn.results[d])
+		inputs = append(inputs, rn.results[d.id])
 	}
 	return inputs, true
 }
@@ -457,13 +441,8 @@ func (rn *run) inputResults(s *stage, part int) (inputs []*engine.BatchResult, r
 // doneLocked reports whether partition part of d — every partition when all
 // is set — is committed (rn.mu held).
 func (rn *run) doneLocked(d *stage, part int, all bool) bool {
-	if !all {
-		return rn.done[d][part]
+	if all {
+		return !slices.Contains(rn.done[d.id], false)
 	}
-	for _, ok := range rn.done[d] {
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return rn.done[d.id][part]
 }

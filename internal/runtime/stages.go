@@ -30,20 +30,21 @@ const (
 // partitioned result is buffered (and, for materialization points,
 // checkpointed asynchronously).
 type stage struct {
-	id   int
+	id   int // the stage's index in stagePlan.stages and in a run's state
 	kind sourceKind
 	// ops is the pipeline chain; ops[0] is the source, the rest are executed
 	// through fresh batch kernels per attempt (engine.NewOperatorKernel, or
 	// HashJoin.JoinKernel for a join probed by the stream).
 	ops []engine.Operator
-	// deps are the producer stages of the source's inputs, in input order.
+	// first is the plan ordinal of ops[0]: ops[i] is operator first+i, whose
+	// attempts a run counts under that number.
+	first int
+	// deps are the producer stages of the source's inputs, one per input in
+	// input order (a shared input is there twice).
 	deps []*stage
 	// sides are the build stages of the chained joins, in chain order: read
 	// in full by every partition, so waited for and ensured like wide deps.
 	sides []*stage
-	// ancestors is the transitive dependency closure including the stage
-	// itself — the lineage dropped on a node failure.
-	ancestors []*stage
 	// checkpoint marks a materialization point: the terminal operator's
 	// output is written to the fault-tolerant store.
 	checkpoint bool
@@ -57,11 +58,12 @@ func (s *stage) terminal() engine.Operator { return s.ops[len(s.ops)-1] }
 // are restorable by the other.
 func (s *stage) name() string { return s.terminal().Name() }
 
-// stagePlan is a compiled stage DAG for one query.
+// stagePlan is a compiled stage DAG for one query. A run indexes its state by
+// stage.id and stage.first, so the graph is its only index.
 type stagePlan struct {
-	stages []*stage // topological order, producers first
+	stages []*stage // by id, in the order buildStages reached their sources
 	root   *stage
-	byOp   map[engine.Operator]*stage
+	ops    int // operators in the plan, numbered stage by stage along each chain
 }
 
 // buildStages cuts the operator DAG into pipelined stages. An operator joins
@@ -82,19 +84,21 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("runtime: nil plan root")
 	}
-	order, consumers, err := topoSort(root)
+	order, pos, consumers, err := topoSort(root)
 	if err != nil {
 		return nil, err
 	}
-	plan := &stagePlan{byOp: make(map[engine.Operator]*stage, len(order))}
+	plan := &stagePlan{}
+	byPos := make([]*stage, len(order)) // the stage of each operator, by position in order
+	stageOf := func(op engine.Operator) *stage { return byPos[pos[op.Name()]] }
 	// chainTail returns the stage op can stream from through input in, or nil.
 	chainTail := func(in engine.Operator) *stage {
-		if s := plan.byOp[in]; !in.Materialize() && consumers[in] == 1 && s.terminal() == in {
+		if s := stageOf(in); !in.Materialize() && consumers[pos[in.Name()]] == 1 && s.terminal() == in {
 			return s
 		}
 		return nil
 	}
-	for _, op := range order {
+	for i, op := range order {
 		if err := engine.CheckColumnar(op); err != nil {
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
@@ -102,7 +106,7 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 		var s *stage
 		if _, ok := op.(*engine.HashJoin); ok {
 			if s = chainTail(ins[1]); s != nil {
-				s.sides = append(s.sides, plan.byOp[ins[0]])
+				s.sides = append(s.sides, stageOf(ins[0]))
 			}
 		} else if len(ins) == 1 && engine.Streamable(op) {
 			s = chainTail(ins[0])
@@ -110,10 +114,10 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 		if s != nil {
 			s.ops = append(s.ops, op)
 			s.checkpoint = op.Materialize()
-			plan.byOp[op] = s
+			byPos[i] = s
 			continue
 		}
-		s = &stage{id: len(plan.stages), ops: []engine.Operator{op}, checkpoint: op.Materialize()}
+		s = &stage{id: len(plan.stages), ops: []engine.Operator{op}, checkpoint: op.Materialize(), deps: make([]*stage, len(ins))}
 		switch {
 		case len(ins) == 0:
 			s.kind = srcScan
@@ -122,37 +126,35 @@ func buildStages(root engine.Operator, nodes int) (*stagePlan, error) {
 		default:
 			s.kind = srcNarrow
 		}
-		seen := make(map[*stage]bool)
-		for _, in := range ins {
-			d := plan.byOp[in]
+		for k, in := range ins {
+			d := stageOf(in)
 			if d.terminal() != in {
 				return nil, fmt.Errorf("runtime: stage input %s is not a stage boundary", in.Name())
 			}
-			if !seen[d] {
-				seen[d] = true
-				s.deps = append(s.deps, d)
-			}
+			s.deps[k] = d
 		}
 		plan.stages = append(plan.stages, s)
-		plan.byOp[op] = s
+		byPos[i] = s
 	}
-	plan.root = plan.byOp[root]
+	plan.root = byPos[len(order)-1]
 	for _, s := range plan.stages {
-		s.ancestors = collectAncestors(s)
+		s.first = plan.ops
+		plan.ops += len(s.ops)
 	}
 	return plan, nil
 }
 
-// collectAncestors returns s plus its transitive dependencies, sides included.
-func collectAncestors(s *stage) []*stage {
-	seen := make(map[*stage]bool)
+// lineage returns s plus its transitive dependencies, sides included, depth
+// first: the volatile state a node failure while computing s drops.
+func (p *stagePlan) lineage(s *stage) []*stage {
+	seen := make([]bool, len(p.stages))
 	var out []*stage
 	var visit func(*stage)
 	visit = func(x *stage) {
-		if seen[x] {
+		if seen[x.id] {
 			return
 		}
-		seen[x] = true
+		seen[x.id] = true
 		out = append(out, x)
 		for _, d := range x.deps {
 			visit(d)
@@ -165,35 +167,39 @@ func collectAncestors(s *stage) []*stage {
 	return out
 }
 
-// topoSort orders the operator DAG producers-first, counts consumers per
-// operator (deduplicating shared sub-plans by identity), and rejects
-// duplicate operator names, which would collide in the checkpoint store.
-func topoSort(root engine.Operator) ([]engine.Operator, map[engine.Operator]int, error) {
-	var order []engine.Operator
-	consumers := make(map[engine.Operator]int)
-	seen := make(map[engine.Operator]bool)
-	names := make(map[string]bool)
+// topoSort orders the operator DAG producers-first, root last, and counts
+// each operator's consumers (deduplicating shared sub-plans by identity), by
+// position in order. It rejects duplicate operator names, which would collide
+// in the checkpoint store, so pos finds an operator's position by its name.
+func topoSort(root engine.Operator) (order []engine.Operator, pos map[string]int, consumers []int, err error) {
+	pos = make(map[string]int)
 	var visit func(op engine.Operator) error
 	visit = func(op engine.Operator) error {
-		if seen[op] {
+		if i, ok := pos[op.Name()]; ok {
+			// -1 is an operator still being visited: in a DAG, another one.
+			if i < 0 || order[i] != op {
+				return fmt.Errorf("runtime: duplicate operator name %q in query", op.Name())
+			}
 			return nil
 		}
-		seen[op] = true
+		pos[op.Name()] = -1
 		for _, in := range op.Inputs() {
-			consumers[in]++
 			if err := visit(in); err != nil {
 				return err
 			}
 		}
-		if names[op.Name()] {
-			return fmt.Errorf("runtime: duplicate operator name %q in query", op.Name())
-		}
-		names[op.Name()] = true
+		pos[op.Name()] = len(order)
 		order = append(order, op)
 		return nil
 	}
 	if err := visit(root); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return order, consumers, nil
+	consumers = make([]int, len(order))
+	for _, op := range order {
+		for _, in := range op.Inputs() {
+			consumers[pos[in.Name()]]++
+		}
+	}
+	return order, pos, consumers, nil
 }

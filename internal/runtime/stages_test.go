@@ -108,11 +108,11 @@ func TestBuildStagesSharedSubplan(t *testing.T) {
 	if len(plan.stages) != 2 {
 		t.Fatalf("got %d stages, want 2", len(plan.stages))
 	}
-	if len(plan.stages[1].deps) != 1 {
-		t.Errorf("shared input should be deduplicated into one dep, got %d", len(plan.stages[1].deps))
+	if deps := plan.stages[1].deps; len(deps) != 2 || deps[0] != plan.stages[0] || deps[1] != plan.stages[0] {
+		t.Errorf("the join's deps are %v, want the sel stage for each input", stageNames(deps))
 	}
-	if got := len(plan.stages[1].ancestors); got != 2 {
-		t.Errorf("ancestors = %d, want 2", got)
+	if got := len(plan.lineage(plan.stages[1])); got != 2 {
+		t.Errorf("lineage = %d stages, want 2", got)
 	}
 }
 
@@ -136,9 +136,11 @@ func stageNames(ss []*stage) []string {
 // stageOf returns the stage holding the operator named name.
 func stageOf(t *testing.T, plan *stagePlan, name string) *stage {
 	t.Helper()
-	for op, s := range plan.byOp {
-		if op.Name() == name {
-			return s
+	for _, s := range plan.stages {
+		for _, op := range s.ops {
+			if op.Name() == name {
+				return s
+			}
 		}
 	}
 	t.Fatalf("no operator %s in the plan", name)
@@ -198,7 +200,7 @@ func TestBuildStagesChainsJoinsOnTheProbeSide(t *testing.T) {
 				t.Errorf("%d stages, want %d", len(plan.stages), tc.stages)
 			}
 			for _, side := range s.sides {
-				if !slices.Contains(s.ancestors, side) {
+				if !slices.Contains(plan.lineage(s), side) {
 					t.Errorf("side %s is not an ancestor of the stage: a node failure would keep its volatile partition", side.name())
 				}
 			}
@@ -340,8 +342,14 @@ func checkGroupsAreStages(t *testing.T, label string, p *plan.Plan, c *cost.Coll
 			}
 		}
 	}
-	if len(group) != len(sp.byOp) {
-		t.Errorf("%s: the groups hold %d engine operators, the plan %d", label, len(group), len(sp.byOp))
+	byOp := map[engine.Operator]*stage{}
+	for _, s := range sp.stages {
+		for _, op := range s.ops {
+			byOp[op] = s
+		}
+	}
+	if len(group) != len(byOp) {
+		t.Errorf("%s: the groups hold %d engine operators, the plan %d", label, len(group), len(byOp))
 	}
 	stageGroup := map[*stage]plan.OpID{}
 	for _, s := range sp.stages {
@@ -377,7 +385,7 @@ func checkGroupsAreStages(t *testing.T, label string, p *plan.Plan, c *cost.Coll
 	}
 	for _, op := range p.Operators() {
 		mat := ops[op.ID][len(ops[op.ID])-1]
-		if s := sp.byOp[mat]; op.Materialize && (s.terminal() != mat || !s.checkpoint) {
+		if s := byOp[mat]; op.Materialize && (s.terminal() != mat || !s.checkpoint) {
 			t.Errorf("%s: %s materializes, but %s does not end a checkpointed stage", label, op.Name, mat.Name())
 		}
 	}

@@ -490,18 +490,20 @@ type allocCeiling struct {
 // served Q1, Q3 and Q5 (the benchmark harness's exec_scan_join operation),
 // findBestFTPlan over Q5's top-20 join orders, and both optimizer phases on
 // the served Q5 must not allocate past the budget. The ceilings sit ~1.5x
-// over what they measure (Q1 68 kB / ~270 allocs, SQL Q3 171 kB / ~1,970,
-// SQL Q5 87 kB / ~745, checkpointed Q5 7.0 MB / ~1,650, the round 290 kB /
-// ~3,060, findBestFTPlan 63 kB / ~220, sql.FTPlan 156 kB / ~750, at
+// over what they measure (Q1 62 kB / ~210 allocs, SQL Q3 160 kB / ~1,890,
+// SQL Q5 66 kB / ~620, checkpointed Q5 7.0 MB / ~1,450, the round 247 kB /
+// ~2,780, findBestFTPlan 63 kB / ~220, sql.FTPlan 156 kB / ~750, at
 // GOMAXPROCS 2; the SQL Q5 and round bytes rise with GOMAXPROCS, because a
-// join build drawn from a Local whose freelists are cold allocates: 101 kB
-// and 302 kB at 4, 113 kB and 352 kB at 8, and their ceilings sit ~1.5x over
-// the figures at 4; Q1's, SQL Q3's and scan-filter-project's object counts,
-// small enough or noisy enough to move by a handful, keep a wider margin), so
-// a trip means the arena or a kernel lost its recycling path (the
+// join build drawn from a Local whose freelists are cold allocates: 72 kB
+// and 287 kB at 4, 75 kB and 311 kB at 8, and their ceilings sit ~1.5x over
+// the figures at 4 or more; Q1's, SQL Q3's and scan-filter-project's object
+// counts, small enough or noisy enough to move by a handful, keep a wider
+// margin), so a trip means the arena or a kernel lost its recycling path (the
 // round read 871 kB / ~5,650 while scan selections and aggregate group state
 // were allocated per execution, and 481 kB while each broadcast build copied
-// and indexed its side outside the arena), a stage
+// and indexed its side outside the arena), an execution records into a metric
+// set nobody passed or keys its run state by maps again (the round read 248 kB
+// / ~3,050 at GOMAXPROCS 1 so, against 215 kB / ~2,770), a stage
 // boundary copies its batch again, a join chained onto its probe stream
 // materializes its output again (SQL Q5 read 6.4 MB before joins chained), an
 // aggregation exchanges every row instead of its partials (SQL Q5 read 2.0 MB
