@@ -127,6 +127,8 @@ type Local struct {
 	floatBufs  freelist[float64]
 	stringBufs freelist[string]
 	selBufs    freelist[int32]
+	blockBufs  freelist[byte]
+	enc        blockScratch
 
 	batchFree []*Batch
 	colsFree  [][]Vector
@@ -153,13 +155,13 @@ func (l *Local) Close() {
 type freelist[T any] [arenaClasses][][]T
 
 // getBuf returns a buffer of length n, popped from l's freelist that list
-// picks when its class for n holds one. A nil l allocates plainly.
-func getBuf[T any](l *Local, list func(*Local) *freelist[T], n int) []T {
+// picks when its class for n/2^unit holds one. A nil l allocates plainly.
+func getBuf[T any](l *Local, list func(*Local) *freelist[T], n int, unit uint) []T {
 	if l == nil {
 		return make([]T, n)
 	}
 	l.gets++
-	cls := arenaClassFor(n)
+	cls := arenaClassFor((n + 1<<unit - 1) >> unit)
 	if cls < 0 {
 		return make([]T, n)
 	}
@@ -169,18 +171,18 @@ func getBuf[T any](l *Local, list func(*Local) *freelist[T], n int) []T {
 		l.hits++
 		return s[len(s)-1][:n]
 	}
-	return make([]T, n, 1<<(arenaMinBits+cls))
+	return make([]T, n, 1<<(arenaMinBits+cls+int(unit)))
 }
 
 // putBuf files b on l's freelist that list picks, under the largest class its
 // capacity serves; a buffer below the smallest class goes to the GC. A nil l
 // keeps nothing.
-func putBuf[T any](l *Local, list func(*Local) *freelist[T], b []T) {
+func putBuf[T any](l *Local, list func(*Local) *freelist[T], b []T, unit uint) {
 	if l == nil {
 		return
 	}
 	l.puts++
-	if cls := arenaClassOf(cap(b)); cls >= 0 {
+	if cls := arenaClassOf(cap(b) >> unit); cls >= 0 {
 		f := list(l)
 		f[cls] = append(f[cls], b[:0])
 	}
@@ -192,20 +194,27 @@ func intBufs(l *Local) *freelist[int64]     { return &l.intBufs }
 func floatBufs(l *Local) *freelist[float64] { return &l.floatBufs }
 func stringBufs(l *Local) *freelist[string] { return &l.stringBufs }
 func selBufs(l *Local) *freelist[int32]     { return &l.selBufs }
-func (l *Local) ints(n int) []int64         { return getBuf(l, intBufs, n) }
-func (l *Local) floats(n int) []float64     { return getBuf(l, floatBufs, n) }
-func (l *Local) strs(n int) []string        { return getBuf(l, stringBufs, n) }
-func (l *Local) sel(n int) []int32          { return getBuf(l, selBufs, n) }
-func (l *Local) putInts(b []int64)          { putBuf(l, intBufs, b) }
-func (l *Local) putFloats(b []float64)      { putBuf(l, floatBufs, b) }
-func (l *Local) putSel(b []int32)           { putBuf(l, selBufs, b) }
+func blockBufs(l *Local) *freelist[byte]    { return &l.blockBufs }
+func (l *Local) ints(n int) []int64         { return getBuf(l, intBufs, n, 0) }
+func (l *Local) floats(n int) []float64     { return getBuf(l, floatBufs, n, 0) }
+func (l *Local) strs(n int) []string        { return getBuf(l, stringBufs, n, 0) }
+func (l *Local) sel(n int) []int32          { return getBuf(l, selBufs, n, 0) }
+func (l *Local) putInts(b []int64)          { putBuf(l, intBufs, b, 0) }
+func (l *Local) putFloats(b []float64)      { putBuf(l, floatBufs, b, 0) }
+func (l *Local) putSel(b []int32)           { putBuf(l, selBufs, b, 0) }
+
+// block draws the buffer of an encoded block (Local.EncodeBlock), and
+// ReleaseBlock gives it back. Their classes count eight bytes as one element,
+// so the top class holds 512 kB and a large partition's block recycles.
+func (l *Local) block(n int) []byte    { return getBuf(l, blockBufs, n, 3) }
+func (l *Local) ReleaseBlock(b []byte) { putBuf(l, blockBufs, b, 3) }
 
 // putStrs also drops the strings, so a released buffer pins no data.
 func (l *Local) putStrs(b []string) {
 	if l != nil {
 		clear(b)
 	}
-	putBuf(l, stringBufs, b)
+	putBuf(l, stringBufs, b, 0)
 }
 
 // maxFreeShells bounds a Local's freelists of batch structs and column-header

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Column-block format: the serialized form of a materialized partition.
@@ -70,17 +71,25 @@ func at(sel []int32, i int) int {
 
 // colPlan is the sizing pass's verdict on one column: its encoding, the exact
 // payload size under that encoding and, for a dictionary column, the
-// dictionary. The write pass follows it instead of deciding again.
+// dictionary. The write pass follows it instead of deciding or hashing again.
 type colPlan struct {
 	enc     byte
 	size    int64
-	index   map[string]uint64 // colEncDict: value -> position in entries
-	entries []string          // colEncDict: values in first-appearance order
+	idx     []uint32 // colEncDict: each logical row's position in entries
+	entries []string // colEncDict: values in first-appearance order
+}
+
+// blockScratch is the encoder's memory, which a Local keeps across blocks:
+// the map of the dictionary being sized, then the block's colPlan windows.
+type blockScratch struct {
+	dict    map[string]uint32
+	idx     []uint32
+	entries []string
 }
 
 // planColumn sizes the n logical rows of v under every encoding its type has
 // and picks one: a compression only when it is strictly smaller than plain.
-func planColumn(v *Vector, sel []int32, n int) colPlan {
+func (sc *blockScratch) planColumn(v *Vector, sel []int32, n int) colPlan {
 	switch v.Type {
 	case TypeInt:
 		var plain, delta int64
@@ -101,24 +110,32 @@ func planColumn(v *Vector, sel []int32, n int) colPlan {
 	case TypeFloat:
 		return colPlan{enc: colEncPlain, size: 8 * int64(n)}
 	default:
-		p := colPlan{enc: colEncDict, index: make(map[string]uint64)}
+		if sc.dict == nil {
+			sc.dict = make(map[string]uint32)
+		}
+		i0, e0 := len(sc.idx), len(sc.entries)
+		sc.idx = slices.Grow(sc.idx, n)
 		var plain, entries, indexes int64
 		for i := 0; i < n; i++ {
 			s := v.Strings[at(sel, i)]
 			plain += stringLen(s)
-			idx, ok := p.index[s]
+			idx, ok := sc.dict[s]
 			if !ok {
-				idx = uint64(len(p.entries))
-				p.index[s] = idx
-				p.entries = append(p.entries, s)
+				idx = uint32(len(sc.entries) - e0)
+				sc.dict[s] = idx
+				sc.entries = append(sc.entries, s)
 				entries += stringLen(s)
 			}
-			indexes += uvarintLen(idx)
+			sc.idx = append(sc.idx, idx)
+			indexes += uvarintLen(uint64(idx))
 		}
+		clear(sc.dict)
+		p := colPlan{enc: colEncDict, idx: sc.idx[i0:], entries: sc.entries[e0:]}
 		p.size = uvarintLen(uint64(len(p.entries))) + entries + indexes
 		if p.size < plain {
 			return p
 		}
+		sc.idx, sc.entries = sc.idx[:i0], sc.entries[:e0]
 		return colPlan{enc: colEncPlain, size: plain}
 	}
 }
@@ -128,7 +145,7 @@ func planColumn(v *Vector, sel []int32, n int) colPlan {
 // its schema; zero-width rows have no block form, because a block would spend
 // no bytes on them and the decoder could not bound their count by the file
 // size.
-func planBlock(b *Batch) ([]colPlan, int64, error) {
+func (sc *blockScratch) planBlock(b *Batch) ([]colPlan, int64, error) {
 	n := b.Len()
 	size := int64(len(colBlockMagic)) + 1
 	if n == 0 {
@@ -140,22 +157,31 @@ func planBlock(b *Batch) ([]colPlan, int64, error) {
 	plans := make([]colPlan, len(b.Cols))
 	size += uvarintLen(uint64(len(plans))) + uvarintLen(uint64(n))
 	for c := range plans {
-		plans[c] = planColumn(&b.Cols[c], b.Sel, n)
+		plans[c] = sc.planColumn(&b.Cols[c], b.Sel, n)
 		size += 2 + plans[c].size // type byte + encoding byte + payload
 	}
 	return plans, size, nil
 }
 
+// EncodeBlock is Local.EncodeBlock with no Local: a buffer of the block's own.
+func EncodeBlock(b *Batch) ([]byte, error) { return (*Local)(nil).EncodeBlock(b) }
+
 // EncodeBlock serializes the logical rows of b (nil is the empty partition)
-// to the bytes of its block file: one sizing pass per column, then one write
-// pass into a buffer of exactly that size.
-func EncodeBlock(b *Batch) ([]byte, error) {
-	plans, size, err := planBlock(b)
+// to its block file's bytes: a sizing pass per column, hashing each string
+// once, then a write pass into a buffer of exactly that size, drawn from l
+// (nil: allocated) and given back by the caller with ReleaseBlock.
+func (l *Local) EncodeBlock(b *Batch) ([]byte, error) {
+	sc := &blockScratch{}
+	if l != nil {
+		sc = &l.enc
+	}
+	defer func() { clear(sc.entries); sc.idx, sc.entries = sc.idx[:0], sc.entries[:0] }() // pin no string
+	plans, size, err := sc.planBlock(b)
 	if err != nil {
 		return nil, err
 	}
 	n := b.Len()
-	buf := make([]byte, 0, size)
+	buf := l.block(int(size))[:0]
 	buf = append(buf, colBlockMagic...)
 	buf = append(buf, colBlockVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(plans)))
@@ -182,8 +208,8 @@ func EncodeBlock(b *Batch) ([]byte, error) {
 			for _, s := range p.entries {
 				buf = appendString(buf, s)
 			}
-			for i := 0; i < n; i++ {
-				buf = binary.AppendUvarint(buf, p.index[v.Strings[at(b.Sel, i)]])
+			for _, x := range p.idx {
+				buf = binary.AppendUvarint(buf, uint64(x))
 			}
 		default:
 			for i := 0; i < n; i++ {

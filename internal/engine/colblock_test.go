@@ -412,3 +412,8 @@ func TestEncodeBlockBytesMatchesStoreFiles(t *testing.T) {
 		}
 	}
 }
+
+// planColumn is one column's plan on a scratch of its own.
+func planColumn(v *Vector, sel []int32, n int) colPlan {
+	return new(blockScratch).planColumn(v, sel, n)
+}

@@ -40,8 +40,10 @@ type PartBlock struct {
 // into the stage's typed vectors — so no row is boxed on either side.
 // PutGroup persists the group's partitions of op (of parts in all) in one
 // durable step: on a nil error every one of them is stored, each readable on
-// its own; on an error none may be trusted. GetEncoded's bytes are whatever
-// is stored; the caller's DecodeBlock decides whether they are a checkpoint.
+// its own; on an error none may be trusted. Either way the store keeps no
+// group[i].Data after it returns (the writer reuses them), only a copy or a
+// file. GetEncoded's bytes are whatever is stored; the caller's DecodeBlock
+// decides whether they are a checkpoint.
 type EncodedStore interface {
 	PutGroup(op string, parts int, group []PartBlock) error
 	GetEncoded(op string, part int) ([]byte, bool)

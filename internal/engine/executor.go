@@ -129,10 +129,10 @@ func (m *MatStore) Put(op string, part int, rows []Row, parts int) error {
 	return nil
 }
 
-// PutGroup implements EncodedStore.
+// PutGroup implements EncodedStore: the store keeps a copy of each block.
 func (m *MatStore) PutGroup(op string, parts int, group []PartBlock) error {
 	for _, g := range group {
-		m.put(op, g.Part, matPart{block: g.Data}, parts)
+		m.put(op, g.Part, matPart{block: append([]byte(nil), g.Data...)}, parts)
 	}
 	return nil
 }

@@ -13,13 +13,14 @@ import (
 // checkpointWriter persists materialized partitions to the fault-tolerant
 // store off the stage workers' critical path, a stage at a time: every
 // enqueued partition is serialized to block-file bytes (per-column
-// compression included) on a goroutine of its own and buffered in its
-// stage's group, which goes to the store in one write when it holds the
-// whole stage. A barrier writes what is buffered short of that: flush waits
-// for everything enqueued — query completion does — and wait for a single
-// partition, before the restore probe.
+// compression included), into an arena buffer, on a goroutine of its own and
+// buffered in its stage's group, which goes to the store in one write when it
+// holds the whole stage. A barrier writes what is buffered short of that:
+// flush waits for everything enqueued — query completion does — and wait for
+// a single partition, before the restore probe.
 type checkpointWriter struct {
 	store  engine.EncodedStore
+	arena  *engine.Arena
 	events *events
 
 	mu   sync.Mutex
@@ -58,8 +59,8 @@ const (
 	settled               // its write landed or failed
 )
 
-func newCheckpointWriter(store engine.EncodedStore, events *events) *checkpointWriter {
-	w := &checkpointWriter{store: store, events: events}
+func newCheckpointWriter(store engine.EncodedStore, arena *engine.Arena, events *events) *checkpointWriter {
+	w := &checkpointWriter{store: store, arena: arena, events: events}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -102,7 +103,9 @@ func (w *checkpointWriter) enqueue(s *stage, part int, b *engine.Batch, parts in
 // stage. Its goroutine ends there; the barriers wait for it through the
 // pending count.
 func (w *checkpointWriter) persist(g *group, part int, b *engine.Batch) {
-	data, err := engine.EncodeBlock(b)
+	loc := w.arena.Local()
+	data, err := loc.EncodeBlock(b)
+	loc.Close()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	g.encoding--
@@ -118,8 +121,8 @@ func (w *checkpointWriter) persist(g *group, part int, b *engine.Batch) {
 	w.cond.Broadcast() // a barrier waits for the encode before it writes the group
 }
 
-// write empties g into the store, one call for all it held, and settles those
-// partitions. mu is held, and released for the call.
+// write empties g into the store, one call for all it held, gives the buffers
+// back and settles those partitions. mu is held, and released for the call.
 func (w *checkpointWriter) write(g *group) {
 	op := g.s.name()
 	blocks, rows := g.blocks, g.rows
@@ -128,13 +131,17 @@ func (w *checkpointWriter) write(g *group) {
 	start := time.Now()
 	err := w.store.PutGroup(op, len(g.flight), blocks)
 	sp := obs.Span{Kind: obs.KindCheckpoint, Name: op, Part: -1, Attempt: -1, Start: start, End: time.Now(), Parts: len(blocks)}
+	var size int64
+	loc := w.arena.Local()
+	for _, b := range blocks {
+		size += int64(len(b.Data))
+		loc.ReleaseBlock(b.Data)
+	}
+	loc.Close()
 	if err != nil {
 		sp.Err = err.Error()
 	} else {
-		for _, b := range blocks {
-			sp.Bytes += int64(len(b.Data))
-		}
-		sp.Rows = rows
+		sp.Bytes, sp.Rows = size, rows
 	}
 	w.events.emit(sp)
 	w.mu.Lock()

@@ -423,7 +423,7 @@ func TestCheckpointWriter(t *testing.T) {
 				s.gate = make(chan struct{})
 			}
 			m := &Metrics{}
-			w := newCheckpointWriter(s, &events{metrics: m})
+			w := newCheckpointWriter(s, engine.NewArena(), &events{metrics: m})
 			tc.run(t, w, s, m)
 			_ = w.close() // every case has checked the error it expects
 			waitForGoroutines(t, before, tc.name)

@@ -91,17 +91,19 @@ type task struct {
 // stream (a flushed batch goes through the kernels after it) and concatenates
 // what fell out of the last kernel once, at its exact size. A chained join's
 // kernel probes each slice against its side — inputs holds the source's
-// inputs, then one side result per chained join — so an intermediate join
+// inputs, then one side result per chained join — and a narrow source is a
+// kernel over slices of its committed input partition, so an intermediate
 // output exists one slice at a time. Every consumed batch is released into one
 // arena Local, so buffers recycle slice over slice; a scan source draws its
 // selection from that Local too, and gives it back after the concatenation.
 //
 // The kill points are part of the schedule: a killed source dies with the work
 // done — after handing over its first slice when it streams, with nothing
-// handed over when it is the whole stage; a killed chained operator dies on
-// receiving its second batch, or at end of stream when the stream was shorter.
-// The first death ends the attempt (batches in flight leak to the GC, which is
-// always safe), and the source's comes first.
+// handed over when it is the whole stage; a killed chained operator, or a
+// narrow source run as a kernel, dies on receiving its second batch — after
+// the first slice went downstream — or at end of stream when the stream was
+// shorter. The first death ends the attempt (batches in flight leak to the GC,
+// which is always safe), and the source's comes first.
 func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*engine.BatchResult) (*engine.Batch, error) {
 	tasks := make([]task, len(s.ops))
 	for i, op := range s.ops {
@@ -120,10 +122,13 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 		defer loc.Close()
 	}
 	src := &tasks[0]
+	kerns := 1 // the first task run as a kernel: 0 when the source is one
 	var b *engine.Batch
 	var err error
 	if sc, ok := src.op.(*engine.Scan); ok {
 		b, err = sc.ComputeBatchLocal(part, loc)
+	} else if len(tasks) > 1 && s.kind == srcNarrow && engine.Streamable(src.op) {
+		kerns, b = 0, inputs[0].Parts[part]
 	} else {
 		// buildStages admitted only batch-native operators (engine.CheckColumnar).
 		b, err = src.op.(engine.BatchOperator).ComputeBatch(part, inputs)
@@ -139,7 +144,7 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 	}
 
 	sides := inputs[len(src.op.Inputs()):]
-	for i := 1; i < len(tasks); i++ {
+	for i := kerns; i < len(tasks); i++ {
 		// buildStages chained only operators that have a kernel, and one side
 		// per join.
 		if j, ok := tasks[i].op.(*engine.HashJoin); ok {
@@ -181,21 +186,22 @@ func (rn *run) runPartition(ctx context.Context, s *stage, part int, inputs []*e
 	// shared table partition or committed input), so only their shells draw
 	// from the arena; the storage is never released downstream.
 	total, size := b.Len(), rn.cfg.BatchSize
-	for start := 0; start < total && !(src.fail && start > 0); start += size {
+	srcDies := src.fail && kerns == 1
+	for start := 0; start < total && !(srcDies && start > 0); start += size {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if m := rn.cfg.Metrics; m != nil {
 			m.Batches.Add(1)
 		}
-		if err := push(1, b.SliceLocal(start, min(start+size, total), loc)); err != nil {
+		if err := push(kerns, b.SliceLocal(start, min(start+size, total), loc)); err != nil {
 			return nil, err
 		}
 	}
-	if src.fail {
+	if srcDies {
 		return nil, rn.die(src.op, part, src.n)
 	}
-	for i := 1; i < len(tasks); i++ {
+	for i := kerns; i < len(tasks); i++ {
 		t := &tasks[i]
 		if t.fail {
 			return nil, rn.die(t.op, part, t.n)

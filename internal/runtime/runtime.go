@@ -127,7 +127,7 @@ func (r *Runtime) Execute(ctx context.Context, root engine.Operator) (*engine.Pa
 	ev := &events{metrics: r.cfg.Metrics, progress: r.cfg.Progress, tracer: r.cfg.Tracer}
 	report := &ev.report
 	attempts := &attempts{nodes: r.cfg.Nodes, n: make([]int, plan.ops*r.cfg.Nodes)}
-	writer := newCheckpointWriter(r.cfg.Store, ev)
+	writer := newCheckpointWriter(r.cfg.Store, r.cfg.Arena, ev)
 	defer writer.close()
 
 	start := time.Now()

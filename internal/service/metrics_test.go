@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ftpde/internal/engine"
+	"ftpde/internal/obs"
 )
 
 // TestPerTenantMetricsAndWastedAttribution: per-tenant families account
@@ -71,6 +74,31 @@ func TestPerTenantMetricsAndWastedAttribution(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestServedWasteIsTheSpansFold: a served query runs with no metric set, so
+// the WastedSeconds it reports must be what folding its recorded spans
+// through obs.Exec books — under a scripted kill, with fine-grained recovery
+// and with coarse restarts.
+func TestServedWasteIsTheSpansFold(t *testing.T) {
+	for _, coarse := range []bool{false, true} {
+		inj := engine.NewScriptedFailures()
+		inj.Add("aggregate", 1, 0)
+		s := newTestServer(t, Config{Injector: inj, Coarse: coarse})
+		resp, err := s.Submit(context.Background(), Request{Tenant: "t", Query: aggQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fold obs.Exec
+		for _, sp := range s.tracer.Snapshot() {
+			fold.Observe(sp)
+		}
+		want := fold.Snapshot().WastedSeconds
+		if resp.Failures != 1 || want <= 0 || resp.WastedSeconds != want {
+			t.Errorf("coarse=%v: %d failures, WastedSeconds %g, the spans' fold %g; want 1 failure and equal, positive waste",
+				coarse, resp.Failures, resp.WastedSeconds, want)
 		}
 	}
 }

@@ -361,12 +361,13 @@ func (s *Server) stats(stmt *sql.SelectStmt) (map[string]sql.TableStats, error) 
 }
 
 // execute plans and runs one admitted query on the shared pool. A fresh
-// per-query metric set keeps the wasted-work ledger attributable to this
-// query's tenant (a shared ledger would interleave failure/recovery pairs
-// from concurrently recovering queries), and a fresh per-query tracer keeps
-// the span slice attributable to this query — its spans are recorded into
-// the shared tracer tagged with the query ID, feed the drift detector on
-// success, and freeze into a forensics bundle on death.
+// per-query tracer keeps the span slice attributable to this query — its
+// spans are recorded into the shared tracer tagged with the query ID, feed
+// the drift detector on success, and freeze into a forensics bundle on death.
+// The runtime keeps no metric set: the query's wasted-work ledger, which a
+// shared one would interleave with concurrently recovering queries', is
+// folded from those spans — all of them on death, else only the ones that
+// book waste — and a query that wasted nothing builds none.
 func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Response, error) {
 	start := time.Now()
 	audit, m, err := s.plan(req.Query)
@@ -378,12 +379,10 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	prog := s.progress.Begin(tenant, audit.Phys.Root.Name())
 	prog.SetPrediction(audit.Pred.DominantRuntime, obs.StagePredictions(audit.Pred))
 
-	exec := &runtime.Metrics{}
 	rcfg := runtime.Config{
 		Nodes:       s.cfg.Nodes,
 		Pool:        s.pool,
 		Injector:    s.cfg.Injector,
-		Metrics:     exec,
 		Tracer:      qt,
 		Progress:    prog,
 		MaxRestarts: s.cfg.MaxRestarts,
@@ -404,13 +403,20 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	}
 	res, report, err := rt.Execute(ctx, audit.Phys.Root)
 	spans := qt.Snapshot()
+	var folded *runtime.Metrics
 	for _, sp := range spans {
 		sp.Query = int(prog.ID())
 		s.tracer.Record(sp)
+		if err != nil || wastes(sp.Kind) {
+			if folded == nil {
+				folded = &runtime.Metrics{}
+			}
+			folded.Observe(sp)
+		}
 	}
 	if err != nil {
 		s.progress.End(prog, err)
-		s.dumpForensics(req, tenant, prog, audit, spans, exec, report, err)
+		s.dumpForensics(req, tenant, prog, audit, spans, folded, report, err)
 		return nil, &QueryError{Phase: "exec", Err: err}
 	}
 	s.progress.End(prog, nil)
@@ -421,7 +427,6 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 	for i, c := range audit.Phys.Output {
 		cols[i] = c.Name
 	}
-	snap := exec.Snapshot()
 	return &Response{
 		ID:             req.ID,
 		Code:           CodeOK,
@@ -431,10 +436,16 @@ func (s *Server) execute(ctx context.Context, req Request, tenant string) (*Resp
 		Failures:       report.Failures,
 		Recovered:      report.RecomputedPartitions,
 		Materialized:   report.MaterializedPartitions,
-		WastedSeconds:  snap.WastedSeconds,
+		WastedSeconds:  folded.Snapshot().WastedSeconds,
 		ElapsedSeconds: time.Since(start).Seconds(),
 		MatConfig:      audit.Opt.Config.String(),
 	}, nil
+}
+
+// wastes reports whether a span of kind k books wasted time in the ledger:
+// the failure it answers, or the recovery, restart or stall it cost.
+func wastes(k obs.Kind) bool {
+	return k == obs.KindFailure || k == obs.KindRecovery || k == obs.KindRestart || k == obs.KindStall
 }
 
 // killSchedule simulates query qid's audited plan against a trace drawn at
@@ -453,14 +464,18 @@ func (s *Server) killSchedule(audit *sql.AuditPlan, m cost.Model, rec schemes.Re
 
 // dumpForensics freezes a dead query into a diagnostic bundle on the
 // forensics ring: the plan and its MatConfig, the audit of whatever spans
-// landed before death, the wasted-work ledger, the per-query metrics
-// snapshot and the server's drift state. Bundle-write failures must not mask
-// the query error; they are surfaced as a failed-bundle counter instead.
+// landed before death, the wasted-work ledger and metrics folded from them
+// (no span carries the batch counter, so it reads 0) and the server's drift
+// state. Bundle-write failures must not mask the query error; they are
+// surfaced as a failed-bundle counter instead.
 func (s *Server) dumpForensics(req Request, tenant string, prog *obs.Progress,
-	audit *sql.AuditPlan, spans []obs.Span, exec *runtime.Metrics,
+	audit *sql.AuditPlan, spans []obs.Span, folded *runtime.Metrics,
 	report *engine.Report, execErr error) {
 	if s.forensics == nil {
 		return
+	}
+	if folded == nil { // no span landed
+		folded = &runtime.Metrics{}
 	}
 	reason := "exec_error"
 	switch {
@@ -481,8 +496,8 @@ func (s *Server) dumpForensics(req Request, tenant string, prog *obs.Progress,
 		Audit:     obs.BuildAudit(audit.Pred, spans, 0),
 		Spans:     spans,
 		Progress:  &psnap,
-		Ledger:    exec.Ledger().Snapshot(),
-		Registry:  exec.Registry().Snapshot(),
+		Ledger:    folded.Ledger().Snapshot(),
+		Registry:  folded.Registry().Snapshot(),
 		Drift:     s.drift.Snapshot(),
 		CreatedAt: time.Now(),
 	}

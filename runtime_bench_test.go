@@ -491,7 +491,7 @@ type allocCeiling struct {
 // findBestFTPlan over Q5's top-20 join orders, and both optimizer phases on
 // the served Q5 must not allocate past the budget. The ceilings sit ~1.5x
 // over what they measure (Q1 62 kB / ~210 allocs, SQL Q3 160 kB / ~1,890,
-// SQL Q5 66 kB / ~620, checkpointed Q5 7.0 MB / ~1,450, the round 247 kB /
+// SQL Q5 66 kB / ~620, checkpointed Q5 4.8 MB / ~1,190, the round 247 kB /
 // ~2,780, findBestFTPlan 63 kB / ~220, sql.FTPlan 156 kB / ~750, at
 // GOMAXPROCS 2; the SQL Q5 and round bytes rise with GOMAXPROCS, because a
 // join build drawn from a Local whose freelists are cold allocates: 72 kB
@@ -503,7 +503,10 @@ type allocCeiling struct {
 // were allocated per execution, and 481 kB while each broadcast build copied
 // and indexed its side outside the arena), an execution records into a metric
 // set nobody passed or keys its run state by maps again (the round read 248 kB
-// / ~3,050 at GOMAXPROCS 1 so, against 215 kB / ~2,770), a stage
+// / ~3,050 at GOMAXPROCS 1 so, against 215 kB / ~2,770), the checkpoint
+// encoder allocates a buffer per block again or a narrow stage source
+// computes its partition outside the arena again (checkpointed Q5 read
+// 7.0 MB / ~1,460 so; it reads 5.2 MB / ~1,260 at GOMAXPROCS 4), a stage
 // boundary copies its batch again, a join chained onto its probe stream
 // materializes its output again (SQL Q5 read 6.4 MB before joins chained), an
 // aggregation exchanges every row instead of its partials (SQL Q5 read 2.0 MB
